@@ -22,7 +22,10 @@ AliteMatcher::ColumnSignature AliteMatcher::MakeSignature(
   sig.column = column;
   const ColumnView col = t.column(column);
   sig.tokens = ColumnTokens(col);
+  // The embedding sums value vectors in first-occurrence order, so sort
+  // only after it: PairSimilarity merges the sorted lists.
   sig.embedding = embedder_.EmbedValueSet(sig.tokens);
+  std::sort(sig.tokens.begin(), sig.tokens.end());
   sig.raw_header = t.schema().column(column).name;
   sig.norm_header = NormalizeText(sig.raw_header);
   sig.all_null = sig.tokens.empty();
@@ -42,16 +45,45 @@ AliteMatcher::ColumnSignature AliteMatcher::MakeSignature(
   return sig;
 }
 
+namespace {
+
+/// |A ∩ B| of two sorted, duplicate-free token lists, by one merge.
+size_t SortedOverlap(const std::vector<std::string>& a,
+                     const std::vector<std::string>& b) {
+  size_t n = 0;
+  auto ia = a.begin();
+  auto ib = b.begin();
+  while (ia != a.end() && ib != b.end()) {
+    const int c = ia->compare(*ib);
+    if (c < 0) {
+      ++ia;
+    } else if (c > 0) {
+      ++ib;
+    } else {
+      ++n;
+      ++ia;
+      ++ib;
+    }
+  }
+  return n;
+}
+
+}  // namespace
+
 double AliteMatcher::PairSimilarity(const ColumnSignature& a,
-                                    const ColumnSignature& b) const {
+                                    const ColumnSignature& b,
+                                    uint8_t* jaro_flags) const {
   if (params_.type_gate && !a.all_null && !b.all_null &&
       a.numeric != b.numeric) {
     return 0.0;
   }
   double s = 0.0;
   if (!a.all_null && !b.all_null) {
-    double cont = std::max(Containment(a.tokens, b.tokens),
-                           Containment(b.tokens, a.tokens));
+    // Containment(a, b) and Containment(b, a), with the same divisions:
+    // signature tokens are distinct, so each set's size is its list's.
+    const double inter = static_cast<double>(SortedOverlap(a.tokens, b.tokens));
+    double cont = std::max(inter / static_cast<double>(a.tokens.size()),
+                           inter / static_cast<double>(b.tokens.size()));
     s += params_.value_weight * cont;
     s += params_.embedding_weight * CosineSimilarity(a.embedding, b.embedding);
   }
@@ -60,7 +92,7 @@ double AliteMatcher::PairSimilarity(const ColumnSignature& a,
       s += params_.header_exact_bonus;
     } else {
       s += params_.header_fuzzy_weight *
-           JaroWinkler(a.norm_header, b.norm_header);
+           JaroWinklerScratch(a.norm_header, b.norm_header, jaro_flags);
     }
   }
   return s;
@@ -69,14 +101,19 @@ double AliteMatcher::PairSimilarity(const ColumnSignature& a,
 double AliteMatcher::ColumnSimilarity(const Table& ta, size_t ca,
                                       const Table& tb, size_t cb) const {
   std::vector<const Table*> tables = {&ta, &tb};
-  return PairSimilarity(MakeSignature(tables, 0, ca),
-                        MakeSignature(tables, 1, cb));
+  const ColumnSignature a = MakeSignature(tables, 0, ca);
+  const ColumnSignature b = MakeSignature(tables, 1, cb);
+  std::vector<uint8_t> jaro_flags(a.norm_header.size() +
+                                  b.norm_header.size());
+  return PairSimilarity(a, b, jaro_flags.data());
 }
 
 namespace {
 
-// Deadline checks below poll once per signature / matrix row / merge, so a
-// request that expires mid-alignment aborts within one unit of work.
+// Deadline checks below read the clock once per signature; the matrix and
+// merge loops poll through a CancelPoller, which reads it once per stride
+// of pair evaluations. A request that expires mid-alignment aborts within
+// one signature or one stride.
 bool AlignCancelled(const CancelToken* cancel) {
   return cancel != nullptr && cancel->Cancelled();
 }
@@ -110,19 +147,26 @@ Result<Alignment> AliteMatcher::Align(const std::vector<const Table*>& tables,
   ObsAdd(obs_, "align.tables", tables.size());
   ObsAdd(obs_, "align.columns", n);
 
-  // Pairwise similarity matrix.
+  // Pairwise similarity matrix. One Jaro-Winkler scratch, sized for the
+  // widest header pair, serves every pair.
+  size_t widest_header = 0;
+  for (const ColumnSignature& c : cols) {
+    widest_header = std::max(widest_header, c.norm_header.size());
+  }
+  std::vector<uint8_t> jaro_flags(2 * widest_header);
+  // A pair evaluation or linkage is too short to pay a clock read each.
+  CancelPoller poll(cancel);
   uint64_t pair_evals = 0;
   std::vector<std::vector<double>> sim(n, std::vector<double>(n, 0.0));
   {
     ObsSpan span(obs_, "align.similarity_matrix");
     for (size_t i = 0; i < n; ++i) {
-      if (AlignCancelled(cancel)) return AlignDeadline("in similarity matrix");
+      if (poll.Cancelled()) return AlignDeadline("in similarity matrix");
       for (size_t j = i + 1; j < n; ++j) {
-        if (AlignCancelled(cancel)) {
-          return AlignDeadline("in similarity matrix");
-        }
+        if (poll.Cancelled()) return AlignDeadline("in similarity matrix");
         if (cols[i].table_idx == cols[j].table_idx) continue;  // cannot-link
-        sim[i][j] = sim[j][i] = PairSimilarity(cols[i], cols[j]);
+        sim[i][j] = sim[j][i] =
+            PairSimilarity(cols[i], cols[j], jaro_flags.data());
         ++pair_evals;
       }
     }
@@ -158,14 +202,14 @@ Result<Alignment> AliteMatcher::Align(const std::vector<const Table*>& tables,
   };
 
   for (;;) {
-    if (AlignCancelled(cancel)) return AlignDeadline("mid-merge");
+    if (poll.Cancelled()) return AlignDeadline("mid-merge");
     double best = params_.threshold;
     size_t bi = Alignment::npos;
     size_t bj = Alignment::npos;
     for (size_t i = 0; i < clusters.size(); ++i) {
-      if (AlignCancelled(cancel)) return AlignDeadline("mid-merge");
+      if (poll.Cancelled()) return AlignDeadline("mid-merge");
       for (size_t j = i + 1; j < clusters.size(); ++j) {
-        if (AlignCancelled(cancel)) return AlignDeadline("mid-merge");
+        if (poll.Cancelled()) return AlignDeadline("mid-merge");
         if (!admissible(clusters[i], clusters[j])) continue;
         double s = avg_linkage(clusters[i], clusters[j]);
         if (s >= best) {

@@ -1,6 +1,7 @@
 #ifndef DIALITE_ALIGN_ALITE_MATCHER_H_
 #define DIALITE_ALIGN_ALITE_MATCHER_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -61,7 +62,7 @@ class AliteMatcher : public SchemaMatcher {
   struct ColumnSignature {
     size_t table_idx;
     size_t column;
-    std::vector<std::string> tokens;
+    std::vector<std::string> tokens;  ///< ColumnTokens, sorted
     Embedding embedding;
     std::string norm_header;
     std::string raw_header;
@@ -71,8 +72,10 @@ class AliteMatcher : public SchemaMatcher {
 
   ColumnSignature MakeSignature(const std::vector<const Table*>& tables,
                                 size_t table_idx, size_t column) const;
-  double PairSimilarity(const ColumnSignature& a,
-                        const ColumnSignature& b) const;
+  /// `jaro_flags`: JaroWinklerScratch's scratch, at least
+  /// a.norm_header.size() + b.norm_header.size() bytes.
+  double PairSimilarity(const ColumnSignature& a, const ColumnSignature& b,
+                        uint8_t* jaro_flags) const;
 
   Params params_;
   HashEmbedder embedder_;

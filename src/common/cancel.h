@@ -39,12 +39,18 @@ class CancelToken {
   /// True once Cancel() was called or the deadline passed. A fired token
   /// stays fired (the deadline check latches into the flag).
   [[nodiscard]] bool Cancelled() const {
-    if (cancelled_.load(std::memory_order_relaxed)) return true;
+    if (CancelRequested()) return true;
     if (has_deadline_ && NowNs() >= deadline_ns_) {
       cancelled_.store(true, std::memory_order_relaxed);
       return true;
     }
     return false;
+  }
+
+  /// The flag alone: true once Cancel() was called or an earlier
+  /// Cancelled() saw the deadline pass. No clock read.
+  [[nodiscard]] bool CancelRequested() const {
+    return cancelled_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -57,6 +63,35 @@ class CancelToken {
   mutable std::atomic<bool> cancelled_{false};
   int64_t deadline_ns_ = 0;   ///< steady-clock ns; valid iff has_deadline_
   bool has_deadline_ = false;
+};
+
+/// Polls a CancelToken from a loop whose iterations are too short to pay a
+/// clock read each (the FD fix-point visits one bucket candidate per
+/// iteration). Every poll reads the Cancel() flag; the deadline clock is
+/// read on the first poll and then once per kClockStride polls, so a
+/// pre-expired token still fires on the first poll. The stride count lives
+/// in the poller, on the polling thread's stack: a token shared by several
+/// workers gains no mutable state. A null token never fires.
+class CancelPoller {
+ public:
+  static constexpr uint32_t kClockStride = 64;
+
+  explicit CancelPoller(const CancelToken* token) : token_(token) {}
+
+  [[nodiscard]] bool Cancelled() {
+    if (token_ == nullptr) return false;
+    if (token_->CancelRequested()) return true;
+    if (polls_to_clock_ > 0) {
+      --polls_to_clock_;
+      return false;
+    }
+    polls_to_clock_ = kClockStride - 1;
+    return token_->Cancelled();
+  }
+
+ private:
+  const CancelToken* token_;
+  uint32_t polls_to_clock_ = 0;  ///< polls left before the next clock read
 };
 
 }  // namespace dialite

@@ -4,11 +4,8 @@ namespace dialite {
 
 uint64_t HashString(std::string_view s, uint64_t seed) {
   // FNV-1a over the bytes, offset perturbed by the seed, then finalized.
-  uint64_t h = 0xcbf29ce484222325ULL ^ Mix64(seed);
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
+  uint64_t h = HashStringInit(seed);
+  for (unsigned char c : s) h = HashStringByte(h, c);
   return Mix64(h);
 }
 

@@ -28,9 +28,27 @@ constexpr uint64_t HashCombine(uint64_t seed, uint64_t v) {
 /// independent hash function family member (used by MinHash permutations).
 uint64_t HashString(std::string_view s, uint64_t seed = 0);
 
+/// HashString in steps, for keys that arrive in pieces: starting from
+/// HashStringInit(seed), fold every byte with HashStringByte, then Mix64 the
+/// state. The result equals HashString of the concatenated bytes, without
+/// building that string.
+constexpr uint64_t HashStringInit(uint64_t seed) {
+  return 0xcbf29ce484222325ULL ^ Mix64(seed);
+}
+constexpr uint64_t HashStringByte(uint64_t state, unsigned char c) {
+  return (state ^ c) * 0x100000001b3ULL;
+}
+
+/// The mask HashUint64 applies under `seed`:
+/// HashUint64(v, seed) == Mix64(v ^ HashUint64Salt(seed)). A caller hashing
+/// many values under the same few seeds can tabulate it.
+constexpr uint64_t HashUint64Salt(uint64_t seed) {
+  return Mix64(seed ^ 0x51afd7ed558ccd6dULL);
+}
+
 /// Hashes a 64-bit integer under a seeded family.
 constexpr uint64_t HashUint64(uint64_t v, uint64_t seed = 0) {
-  return Mix64(v ^ Mix64(seed ^ 0x51afd7ed558ccd6dULL));
+  return Mix64(v ^ HashUint64Salt(seed));
 }
 
 }  // namespace dialite

@@ -102,8 +102,10 @@ uint64_t CellKey(size_t column, uint32_t code) {
   return HashCombine(Mix64(column + 1), code);
 }
 
-// The FD kernels poll once per worklist item / round / pool row, so a
-// pre-expired token aborts before the first fixpoint iteration ticks.
+// The FD kernels poll once per worklist item / round / pool row / bucket
+// candidate through a CancelPoller, which reads the clock on its first poll
+// and then once per stride, so a pre-expired token aborts before the first
+// fixpoint iteration ticks.
 bool FdCancelled(const CancelToken* cancel) {
   return cancel != nullptr && cancel->Cancelled();
 }
@@ -150,8 +152,9 @@ Status ComplementFixpointIndexed(CodedPool* pool, size_t max_tuples,
 
   std::vector<uint32_t> row(width);
   std::vector<uint32_t> merged(width);
+  CancelPoller poll(cancel);
   while (!worklist.empty()) {
-    if (FdCancelled(cancel)) return FdDeadline("in indexed fixpoint");
+    if (poll.Cancelled()) return FdDeadline("in indexed fixpoint");
     const size_t idx = worklist.front();
     worklist.pop_front();
     ++tally->fixpoint_iterations;
@@ -161,7 +164,7 @@ Status ComplementFixpointIndexed(CodedPool* pool, size_t max_tuples,
     ++epoch;
 
     for (size_t c = 0; c < width; ++c) {
-      if (FdCancelled(cancel)) return FdDeadline("in indexed fixpoint");
+      if (poll.Cancelled()) return FdDeadline("in indexed fixpoint");
       if (CodeIsNull(row[c])) continue;
       auto it = cell_index.find(CellKey(c, row[c]));
       if (it == cell_index.end()) continue;
@@ -171,7 +174,7 @@ Status ComplementFixpointIndexed(CodedPool* pool, size_t max_tuples,
       const std::vector<size_t>& bucket = it->second;
       const size_t bucket_size = bucket.size();
       for (size_t bi = 0; bi < bucket_size; ++bi) {
-        if (FdCancelled(cancel)) return FdDeadline("in indexed fixpoint");
+        if (poll.Cancelled()) return FdDeadline("in indexed fixpoint");
         const size_t cand = bucket[bi];
         if (cand == idx) continue;
         if (cand < visited.size() && visited[cand] == epoch) continue;
@@ -218,16 +221,17 @@ Status ComplementFixpointNaive(CodedPool* pool, size_t max_tuples,
     return static_cast<size_t>(-1);
   };
   std::vector<uint32_t> merged(width);
+  CancelPoller poll(cancel);
   bool changed = true;
   while (changed) {
-    if (FdCancelled(cancel)) return FdDeadline("in naive fixpoint");
+    if (poll.Cancelled()) return FdDeadline("in naive fixpoint");
     changed = false;
     ++tally->fixpoint_iterations;
     const size_t n = pool->size();
     for (size_t i = 0; i < n; ++i) {
-      if (FdCancelled(cancel)) return FdDeadline("in naive fixpoint");
+      if (poll.Cancelled()) return FdDeadline("in naive fixpoint");
       for (size_t j = i + 1; j < n; ++j) {
-        if (FdCancelled(cancel)) return FdDeadline("in naive fixpoint");
+        if (poll.Cancelled()) return FdDeadline("in naive fixpoint");
         ++tally->rows_scanned;
         if (!CodedComplement(pool->row(i), pool->row(j), width)) continue;
         ++tally->merges;
@@ -280,8 +284,9 @@ Status RemoveSubsumed(const CodedPool& pool, FdTally* tally,
     }
     if (!all_null) ++non_empty_tuples;
   }
+  CancelPoller poll(cancel);
   for (size_t i = 0; i < n; ++i) {
-    if (FdCancelled(cancel)) return FdDeadline("in subsumption removal");
+    if (poll.Cancelled()) return FdDeadline("in subsumption removal");
     const uint32_t* row = pool.row(i);
     // Smallest candidate bucket among i's non-null cells.
     const std::vector<size_t>* smallest = nullptr;
@@ -300,7 +305,7 @@ Status RemoveSubsumed(const CodedPool& pool, FdTally* tally,
       continue;
     }
     for (size_t j : *smallest) {
-      if (FdCancelled(cancel)) return FdDeadline("in subsumption removal");
+      if (poll.Cancelled()) return FdDeadline("in subsumption removal");
       if (j == i) continue;
       if (CodedSubsumedBy(row, pool.row(j), width)) {
         keep[i] = false;

@@ -1,5 +1,8 @@
 #include "kb/embedding.h"
 
+#include <algorithm>
+#include <bit>
+#include <cctype>
 #include <cmath>
 
 #include "common/hash.h"
@@ -30,42 +33,112 @@ void NormalizeEmbedding(Embedding* v) {
   for (float& x : *v) x = static_cast<float>(x / norm);
 }
 
-HashEmbedder::HashEmbedder(Params params, const KnowledgeBase* kb)
-    : params_(params), kb_(kb) {}
+namespace {
 
-void HashEmbedder::AddFeature(std::string_view key, double w,
-                              Embedding* acc) const {
-  // Each feature is a deterministic pseudo-random ±1/sqrt(dim) vector.
-  const uint64_t base = HashString(key, params_.seed);
-  const double unit = w / std::sqrt(static_cast<double>(params_.dim));
-  for (size_t i = 0; i < params_.dim; ++i) {
-    uint64_t bit = HashUint64(base, i) & 1ULL;
-    (*acc)[i] += static_cast<float>(bit ? unit : -unit);
+// The byte rules of WordTokens and CharQGrams (text/tokenizer.cc), which
+// the streaming feature walk below reproduces without building tokens.
+bool IsAlnum(unsigned char c) { return std::isalnum(c) != 0; }
+unsigned char Lower(unsigned char c) {
+  return static_cast<unsigned char>(std::tolower(c));
+}
+unsigned char GramByte(unsigned char c) {
+  return std::isspace(c) != 0 ? static_cast<unsigned char>('_') : Lower(c);
+}
+
+/// Folds `bytes` into a HashString state.
+uint64_t HashBytes(uint64_t state, std::string_view bytes) {
+  for (unsigned char c : bytes) state = HashStringByte(state, c);
+  return state;
+}
+
+/// Bits of the float -w/sqrt(dim), the value AddFeature's sign flip starts
+/// from.
+uint32_t NegUnitBits(double w, size_t dim) {
+  const double unit = w / std::sqrt(static_cast<double>(dim));
+  return std::bit_cast<uint32_t>(static_cast<float>(-unit));
+}
+
+}  // namespace
+
+HashEmbedder::HashEmbedder(Params params, const KnowledgeBase* kb)
+    : params_(params),
+      kb_(kb),
+      word_prefix_(HashBytes(HashStringInit(params.seed), "w:")),
+      gram_prefix_(HashBytes(HashStringInit(params.seed), "g:")),
+      type_prefix_(HashBytes(HashStringInit(params.seed), "t:")),
+      word_neg_unit_(NegUnitBits(1.0, params.dim)),
+      gram_neg_unit_(NegUnitBits(0.3, params.dim)),
+      type_neg_unit_(NegUnitBits(params.semantic_weight, params.dim)) {
+  salts_.reserve(params_.dim);
+  for (size_t i = 0; i < params_.dim; ++i) salts_.push_back(HashUint64Salt(i));
+}
+
+void HashEmbedder::AddFeature(uint64_t key_hash, uint32_t neg_unit,
+                              float* acc) const {
+  // Branch-free ±unit: bit 0 of the dimension's hash, moved to the sign
+  // bit, turns -unit into +unit. The float adds run in dimension order,
+  // one feature at a time, so every sum rounds as it always has.
+  const size_t dim = salts_.size();
+  for (size_t i = 0; i < dim; ++i) {
+    const uint32_t bit = static_cast<uint32_t>(Mix64(key_hash ^ salts_[i]));
+    acc[i] += std::bit_cast<float>(neg_unit ^ (bit << 31));
   }
 }
 
-Embedding HashEmbedder::EmbedValue(std::string_view text) const {
-  Embedding acc(params_.dim, 0.0f);
-  // Trigrams come from the raw (lowercased) text so punctuation patterns
-  // like "%"/"$" survive; words come from the alphanumeric tokens.
-  std::vector<std::string> words = WordTokens(text);
-  std::vector<std::string> grams = CharQGrams(Trim(text), 3);
-  if (words.empty() && grams.empty()) return acc;
+void HashEmbedder::AddFeatures(std::string_view text, float* acc) const {
+  // Trigrams come from the trimmed text, so they exist iff it is not
+  // empty; words (alphanumeric runs) can only lie inside it.
+  const std::string_view trimmed = TrimView(text);
+  if (trimmed.empty()) return;
 
   // Surface: words (weight 1) + char trigrams (down-weighted so whole-word
-  // matches dominate).
-  for (const std::string& w : words) AddFeature("w:" + w, 1.0, &acc);
-  for (const std::string& g : grams) {
-    AddFeature("g:" + g, 0.3, &acc);
+  // matches dominate). Trigrams come from the raw (lowercased) text so
+  // punctuation patterns like "%"/"$" survive.
+  uint64_t h = word_prefix_;
+  bool in_word = false;
+  for (unsigned char c : trimmed) {
+    if (IsAlnum(c)) {
+      h = HashStringByte(h, Lower(c));
+      in_word = true;
+    } else if (in_word) {
+      AddFeature(Mix64(h), word_neg_unit_, acc);
+      h = word_prefix_;
+      in_word = false;
+    }
   }
+  if (in_word) AddFeature(Mix64(h), word_neg_unit_, acc);
+
+  // The windows of "##" + text + "##", text lowercased with whitespace as
+  // '_': slide over the last two bytes instead of building the string.
+  const unsigned char pad = '#';
+  auto add_gram = [&](unsigned char a, unsigned char b, unsigned char c) {
+    const uint64_t g = HashStringByte(
+        HashStringByte(HashStringByte(gram_prefix_, a), b), c);
+    AddFeature(Mix64(g), gram_neg_unit_, acc);
+  };
+  unsigned char prev2 = pad;
+  unsigned char prev1 = pad;
+  for (unsigned char c : trimmed) {
+    const unsigned char cur = GramByte(c);
+    add_gram(prev2, prev1, cur);
+    prev2 = prev1;
+    prev1 = cur;
+  }
+  add_gram(prev2, prev1, pad);
+  add_gram(prev1, pad, pad);
 
   // Semantic: one shared component per KB type of the value.
   if (kb_ != nullptr) {
     for (const std::string& t : kb_->TypesOf(NormalizeText(text))) {
       if (t == "entity") continue;
-      AddFeature("t:" + t, params_.semantic_weight, &acc);
+      AddFeature(Mix64(HashBytes(type_prefix_, t)), type_neg_unit_, acc);
     }
   }
+}
+
+Embedding HashEmbedder::EmbedValue(std::string_view text) const {
+  Embedding acc(params_.dim, 0.0f);
+  AddFeatures(text, acc.data());
   NormalizeEmbedding(&acc);
   return acc;
 }
@@ -73,8 +146,11 @@ Embedding HashEmbedder::EmbedValue(std::string_view text) const {
 Embedding HashEmbedder::EmbedValueSet(
     const std::vector<std::string>& values) const {
   Embedding acc(params_.dim, 0.0f);
+  Embedding e(params_.dim);
   for (const std::string& v : values) {
-    Embedding e = EmbedValue(v);
+    std::fill(e.begin(), e.end(), 0.0f);
+    AddFeatures(v, e.data());
+    NormalizeEmbedding(&e);
     for (size_t i = 0; i < acc.size(); ++i) acc[i] += e[i];
   }
   NormalizeEmbedding(&acc);

@@ -1,6 +1,7 @@
 #ifndef DIALITE_KB_EMBEDDING_H_
 #define DIALITE_KB_EMBEDDING_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -32,6 +33,14 @@ void NormalizeEmbedding(Embedding* v);
 ///    very close.
 ///
 /// All vectors derive from hashes — no training, fully reproducible.
+///
+/// Every feature is a key ("w:<word>", "g:<trigram>", "t:<type>") whose
+/// HashString under `seed` picks a ±1/sqrt(dim) vector: dimension i is
+/// positive iff bit 0 of HashUint64(key hash, i) is set. Each vector adds
+/// into a float accumulator, feature by feature in the order words,
+/// trigrams, types; the result is L2-normalized. Embeddings are persisted
+/// (Starmie/TUS index payloads), so this definition is a contract: every
+/// float of every vector must stay bit-identical (DESIGN.md).
 class HashEmbedder {
  public:
   struct Params {
@@ -57,11 +66,26 @@ class HashEmbedder {
   Embedding EmbedValueSet(const std::vector<std::string>& values) const;
 
  private:
-  /// Adds the pseudo-random unit vector identified by `key` scaled by `w`.
-  void AddFeature(std::string_view key, double w, Embedding* acc) const;
+  /// Adds the unnormalized features of `text` into `acc` (dim() floats).
+  void AddFeatures(std::string_view text, float* acc) const;
+
+  /// Adds the feature whose key hashes to `key_hash`: dimension i gets
+  /// +unit or -unit by bit 0 of HashUint64(key_hash, i). `neg_unit` holds
+  /// the bits of the float -unit; the hash bit flips its sign bit.
+  void AddFeature(uint64_t key_hash, uint32_t neg_unit, float* acc) const;
 
   Params params_;
   const KnowledgeBase* kb_;
+  std::vector<uint64_t> salts_;  ///< salts_[i] = HashUint64Salt(i), i < dim
+  /// HashString state after the key prefixes "w:", "g:" and "t:".
+  uint64_t word_prefix_ = 0;
+  uint64_t gram_prefix_ = 0;
+  uint64_t type_prefix_ = 0;
+  /// Bits of the float -w/sqrt(dim) for words (w = 1), trigrams (w = 0.3)
+  /// and KB types (w = semantic_weight).
+  uint32_t word_neg_unit_ = 0;
+  uint32_t gram_neg_unit_ = 0;
+  uint32_t type_neg_unit_ = 0;
 };
 
 }  // namespace dialite

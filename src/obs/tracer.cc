@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <ctime>
+#include <utility>
 
 #include "obs/json.h"
 
@@ -80,8 +81,16 @@ uint64_t ThreadCpuNowNs() {
 }
 
 void Tracer::AddRoot(std::unique_ptr<SpanNode> node) {
+  // Declared before the lock, so the evicted tree is freed after mu_ is
+  // released: a deep tree's destructor never stalls other threads' roots.
+  std::unique_ptr<SpanNode> evicted;
   MutexLock lock(mu_);
-  roots_.push_back(std::move(node));
+  if (roots_.size() < kMaxRoots) {
+    roots_.push_back(std::move(node));
+    return;
+  }
+  evicted = std::exchange(roots_[next_], std::move(node));
+  next_ = (next_ + 1) % kMaxRoots;
 }
 
 size_t Tracer::root_count() const {
@@ -97,18 +106,18 @@ bool Tracer::HasSpan(std::string_view name) const {
 void Tracer::AppendJson(std::string* out) const {
   MutexLock lock(mu_);
   *out += "\"spans\":[";
-  for (size_t i = 0; i < roots_.size(); ++i) {
-    if (i > 0) *out += ',';
-    AppendSpanJson(out, *roots_[i]);
-  }
+  bool first = true;
+  ForEachRoot([&](const SpanNode& root) {
+    if (!first) *out += ',';
+    first = false;
+    AppendSpanJson(out, root);
+  });
   *out += ']';
 }
 
 void Tracer::AppendTree(std::string* out) const {
   MutexLock lock(mu_);
-  for (const std::unique_ptr<SpanNode>& root : roots_) {
-    AppendSpanTree(out, *root, 0);
-  }
+  ForEachRoot([&](const SpanNode& root) { AppendSpanTree(out, root, 0); });
 }
 
 ScopedSpan::ScopedSpan(Tracer* tracer, std::string_view name)

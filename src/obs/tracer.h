@@ -26,22 +26,32 @@ struct SpanNode {
 /// threads (e.g. parallel index builds) therefore surface as separate
 /// roots — by design, since they genuinely ran concurrently.
 ///
+/// Memory is bounded in uptime: the tracer keeps only the most recent
+/// kMaxRoots roots (with their subtrees) in a ring; an older root is
+/// dropped when a new one arrives.
+///
 /// Thread safety: root attachment and export take a mutex; child
 /// attachment is lock-free (parent and child live on the same thread).
 class Tracer {
  public:
+  /// Ring capacity, in root spans.
+  static constexpr size_t kMaxRoots = 2048;
+
   Tracer() = default;
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
+  /// Appends a root; once kMaxRoots are held, evicts the oldest.
   void AddRoot(std::unique_ptr<SpanNode> node);
 
+  /// Roots currently held: at most kMaxRoots.
   size_t root_count() const;
 
   /// True if a span with this name exists anywhere in the forest.
   [[nodiscard]] bool HasSpan(std::string_view name) const;
 
-  /// Appends `"spans":[...]` (no surrounding braces) to `out`.
+  /// Appends `"spans":[...]` (no surrounding braces) to `out`, oldest
+  /// root first.
   void AppendJson(std::string* out) const;
 
   /// Appends an indented tree, one span per line:
@@ -50,8 +60,18 @@ class Tracer {
   void AppendTree(std::string* out) const;
 
  private:
+  /// Oldest first: roots_[(next_ + i) % roots_.size()] for i = 0, 1, ...
+  template <typename Fn>
+  void ForEachRoot(Fn fn) const DIALITE_REQUIRES(mu_) {
+    for (size_t i = 0; i < roots_.size(); ++i) {
+      fn(*roots_[(next_ + i) % roots_.size()]);
+    }
+  }
+
   mutable Mutex mu_{"Tracer::mu_"};
+  /// Grows to kMaxRoots, then slot next_ (the oldest) is overwritten.
   std::vector<std::unique_ptr<SpanNode>> roots_ DIALITE_GUARDED_BY(mu_);
+  size_t next_ DIALITE_GUARDED_BY(mu_) = 0;
 };
 
 /// RAII span: starts timing at construction, attaches itself to the

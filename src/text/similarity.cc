@@ -90,21 +90,25 @@ double LevenshteinSimilarity(std::string_view a, std::string_view b) {
   return 1.0 - static_cast<double>(Levenshtein(a, b)) / static_cast<double>(m);
 }
 
-double Jaro(std::string_view a, std::string_view b) {
+namespace {
+
+/// Jaro over caller-owned match flags (a.size() + b.size() bytes).
+double JaroWithFlags(std::string_view a, std::string_view b, uint8_t* flags) {
   if (a.empty() && b.empty()) return 1.0;
   if (a.empty() || b.empty()) return 0.0;
   size_t window = std::max(a.size(), b.size()) / 2;
   if (window > 0) window -= 1;
-  std::vector<bool> a_match(a.size(), false);
-  std::vector<bool> b_match(b.size(), false);
+  uint8_t* a_match = flags;
+  uint8_t* b_match = flags + a.size();
+  std::fill(flags, flags + a.size() + b.size(), uint8_t{0});
   size_t matches = 0;
   for (size_t i = 0; i < a.size(); ++i) {
     size_t lo = i > window ? i - window : 0;
     size_t hi = std::min(b.size(), i + window + 1);
     for (size_t j = lo; j < hi; ++j) {
       if (!b_match[j] && a[i] == b[j]) {
-        a_match[i] = true;
-        b_match[j] = true;
+        a_match[i] = 1;
+        b_match[j] = 1;
         ++matches;
         break;
       }
@@ -125,14 +129,30 @@ double Jaro(std::string_view a, std::string_view b) {
          3.0;
 }
 
-double JaroWinkler(std::string_view a, std::string_view b) {
-  double j = Jaro(a, b);
+/// Winkler's common-prefix boost of a Jaro score `j`.
+double WinklerBoost(std::string_view a, std::string_view b, double j) {
   size_t prefix = 0;
   for (size_t i = 0; i < std::min({a.size(), b.size(), size_t{4}}); ++i) {
     if (a[i] == b[i]) ++prefix;
     else break;
   }
   return j + static_cast<double>(prefix) * 0.1 * (1.0 - j);
+}
+
+}  // namespace
+
+double Jaro(std::string_view a, std::string_view b) {
+  std::vector<uint8_t> flags(a.size() + b.size());
+  return JaroWithFlags(a, b, flags.data());
+}
+
+double JaroWinkler(std::string_view a, std::string_view b) {
+  return WinklerBoost(a, b, Jaro(a, b));
+}
+
+double JaroWinklerScratch(std::string_view a, std::string_view b,
+                          uint8_t* flags) {
+  return WinklerBoost(a, b, JaroWithFlags(a, b, flags));
 }
 
 double MongeElkan(const std::vector<std::string>& a,

@@ -1,6 +1,7 @@
 #ifndef DIALITE_TEXT_SIMILARITY_H_
 #define DIALITE_TEXT_SIMILARITY_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <unordered_set>
@@ -41,6 +42,12 @@ double Jaro(std::string_view a, std::string_view b);
 
 /// Jaro-Winkler with standard prefix scale 0.1, prefix cap 4.
 double JaroWinkler(std::string_view a, std::string_view b);
+
+/// JaroWinkler over caller-owned scratch: `flags` must hold
+/// a.size() + b.size() bytes (any contents). Same value, without the
+/// per-call allocation, for loops over many pairs.
+double JaroWinklerScratch(std::string_view a, std::string_view b,
+                          uint8_t* flags);
 
 /// Mean over tokens of A of the best JaroWinkler match in B (Monge-Elkan);
 /// symmetric variant averages both directions.

@@ -7,6 +7,8 @@
 #include "common/cancel.h"
 #include "lake/lake_generator.h"
 #include "lake/paper_fixtures.h"
+#include "text/similarity.h"
+#include "text/tokenizer.h"
 
 namespace dialite {
 namespace {
@@ -96,6 +98,69 @@ TEST(AliteMatcherTest, ColumnSimilaritySignals) {
   double city_country = m.ColumnSimilarity(t1, 1, t2, 0);
   EXPECT_GT(city_city, city_country);
   EXPECT_GE(city_city, 0.4);
+}
+
+/// ALITE's pairwise similarity spelled out with the generic set functions:
+/// hash-set Containment both ways over the unsorted ColumnTokens lists.
+double GenericSimilarity(const Table& ta, size_t ca, const Table& tb,
+                         size_t cb) {
+  const AliteMatcher::Params p;
+  const HashEmbedder emb(&KnowledgeBase::BuiltIn());
+  auto numeric = [](const ColumnView& col) {
+    for (size_t r = 0; r < col.size(); ++r) {
+      double d;
+      if (!col.is_null(r) && col.kind(r) == CellKind::kString &&
+          !col.AsNumericAt(r, &d)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  const std::vector<std::string> a = ColumnTokens(ta.column(ca));
+  const std::vector<std::string> b = ColumnTokens(tb.column(cb));
+  if (p.type_gate && !a.empty() && !b.empty() &&
+      numeric(ta.column(ca)) != numeric(tb.column(cb))) {
+    return 0.0;
+  }
+  double s = 0.0;
+  if (!a.empty() && !b.empty()) {
+    s += p.value_weight * std::max(Containment(a, b), Containment(b, a));
+    s += p.embedding_weight *
+         CosineSimilarity(emb.EmbedValueSet(a), emb.EmbedValueSet(b));
+  }
+  const std::string ha = NormalizeText(ta.schema().column(ca).name);
+  const std::string hb = NormalizeText(tb.schema().column(cb).name);
+  if (!ha.empty() && !hb.empty()) {
+    s += ha == hb ? p.header_exact_bonus
+                  : p.header_fuzzy_weight * JaroWinkler(ha, hb);
+  }
+  return s;
+}
+
+TEST(AliteMatcherTest, ColumnSimilarityEqualsGenericFormula) {
+  const std::vector<Table> tables = {paper::MakeT1(), paper::MakeT2(),
+                                     paper::MakeT3(), paper::MakeT4(),
+                                     paper::MakeT5(), paper::MakeT6()};
+  AliteMatcher m;
+  size_t overlapping = 0;
+  for (size_t i = 0; i < tables.size(); ++i) {
+    for (size_t j = i + 1; j < tables.size(); ++j) {
+      for (size_t ca = 0; ca < tables[i].num_columns(); ++ca) {
+        for (size_t cb = 0; cb < tables[j].num_columns(); ++cb) {
+          // Bit for bit: the merge count feeds the same two divisions.
+          EXPECT_EQ(m.ColumnSimilarity(tables[i], ca, tables[j], cb),
+                    GenericSimilarity(tables[i], ca, tables[j], cb))
+              << tables[i].name() << "." << ca << " vs " << tables[j].name()
+              << "." << cb;
+          if (OverlapSize(ColumnTokens(tables[i].column(ca)),
+                          ColumnTokens(tables[j].column(cb))) > 0) {
+            ++overlapping;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(overlapping, 5u);  // the containment term is exercised
 }
 
 TEST(AliteMatcherTest, TypeGateBlocksNumericTextMatches) {

@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
+#include "common/hash.h"
+#include "common/string_util.h"
 #include "kb/annotator.h"
 #include "kb/embedding.h"
 #include "kb/knowledge_base.h"
 #include "kb/world.h"
+#include "lake/lake_generator.h"
 #include "table/table.h"
+#include "text/tokenizer.h"
 
 namespace dialite {
 namespace {
@@ -266,6 +271,170 @@ TEST(EmbeddingTest, CountryAliasVeryClose) {
       CosineSimilarity(emb.EmbedValue("USA"), emb.EmbedValue("Premier League"));
   EXPECT_GT(alias, unrelated);
   EXPECT_GT(alias, 0.5);
+}
+
+// ------------------------------------------ Embedding kernel equivalence
+
+// HashEmbedder as first written: per value it builds word tokens, trigrams
+// and key strings, and per feature dimension it hashes twice and branches
+// on the sign. The production kernel must reproduce it float for float,
+// because Starmie and TUS persist embeddings in snapshots.
+class ReferenceEmbedder {
+ public:
+  ReferenceEmbedder(HashEmbedder::Params params, const KnowledgeBase* kb)
+      : params_(params), kb_(kb) {}
+
+  Embedding EmbedValue(std::string_view text) const {
+    Embedding acc(params_.dim, 0.0f);
+    std::vector<std::string> words = WordTokens(text);
+    std::vector<std::string> grams = CharQGrams(Trim(text), 3);
+    if (words.empty() && grams.empty()) return acc;
+    for (const std::string& w : words) AddFeature("w:" + w, 1.0, &acc);
+    for (const std::string& g : grams) AddFeature("g:" + g, 0.3, &acc);
+    if (kb_ != nullptr) {
+      for (const std::string& t : kb_->TypesOf(NormalizeText(text))) {
+        if (t == "entity") continue;
+        AddFeature("t:" + t, params_.semantic_weight, &acc);
+      }
+    }
+    NormalizeEmbedding(&acc);
+    return acc;
+  }
+
+  Embedding EmbedValueSet(const std::vector<std::string>& values) const {
+    Embedding acc(params_.dim, 0.0f);
+    for (const std::string& v : values) {
+      Embedding e = EmbedValue(v);
+      for (size_t i = 0; i < acc.size(); ++i) acc[i] += e[i];
+    }
+    NormalizeEmbedding(&acc);
+    return acc;
+  }
+
+ private:
+  void AddFeature(std::string_view key, double w, Embedding* acc) const {
+    const uint64_t base = HashString(key, params_.seed);
+    const double unit = w / std::sqrt(static_cast<double>(params_.dim));
+    for (size_t i = 0; i < params_.dim; ++i) {
+      uint64_t bit = HashUint64(base, i) & 1ULL;
+      (*acc)[i] += static_cast<float>(bit ? unit : -unit);
+    }
+  }
+
+  HashEmbedder::Params params_;
+  const KnowledgeBase* kb_;
+};
+
+/// Bit-level float equality: EXPECT_EQ on the vectors, plus the sign of
+/// zeros, which float == cannot see.
+void ExpectSameFloats(const Embedding& want, const Embedding& got,
+                      const std::string& what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  EXPECT_EQ(want, got) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(std::signbit(want[i]), std::signbit(got[i]))
+        << what << " dim " << i;
+  }
+}
+
+std::vector<std::string> EdgeValues() {
+  return {"",
+          " ",
+          "\t",
+          " \t\n\r\v\f ",
+          "\tBerlin\n",
+          "  New York  ",
+          "\n\nSan\tFrancisco\r\n",
+          "a",
+          "ab",
+          "a b",
+          "A-B_C.d",
+          "!!!",
+          "%",
+          "$ 1,000",
+          "...---...",
+          "caf\xc3\xa9",
+          "\xe4\xb8\xad\xe6\x96\x87",
+          "\x80\xff\xfe",
+          "na\xefve r\xe9sum\xe9",
+          "0",
+          "12345",
+          "-3.75e+12",
+          "2021-03-04",
+          "Berlin",
+          "berlin",
+          "BERLIN",
+          "Boston",
+          "USA",
+          "United States",
+          "Pfizer",
+          "Premier League",
+          "Germany",
+          "Vaccination Rate (1+ dose)",
+          "a very long value with many words that repeats words many words"};
+}
+
+TEST(EmbeddingEquivalenceTest, EdgeValuesMatchReference) {
+  const KnowledgeBase* kbs[] = {&KnowledgeBase::BuiltIn(), nullptr};
+  for (const KnowledgeBase* kb : kbs) {
+    HashEmbedder emb(kb);
+    ReferenceEmbedder ref(HashEmbedder::Params(), kb);
+    for (const std::string& v : EdgeValues()) {
+      ExpectSameFloats(ref.EmbedValue(v), emb.EmbedValue(v),
+                       "value '" + v + "' kb=" + (kb ? "yes" : "no"));
+    }
+    ExpectSameFloats(ref.EmbedValueSet(EdgeValues()),
+                     emb.EmbedValueSet(EdgeValues()), "edge value set");
+    ExpectSameFloats(ref.EmbedValueSet({}), emb.EmbedValueSet({}),
+                     "empty value set");
+  }
+}
+
+TEST(EmbeddingEquivalenceTest, NonDefaultParamsMatchReference) {
+  std::vector<HashEmbedder::Params> variants(4);
+  variants[0].dim = 100;  // not a multiple of 64
+  variants[1].seed = 7;
+  variants[2].dim = 1;
+  variants[2].semantic_weight = 0.5;
+  variants[3].dim = 0;
+  variants[3].semantic_weight = 0.0;
+  for (const HashEmbedder::Params& p : variants) {
+    const std::string what = "dim=" + std::to_string(p.dim) +
+                             " seed=" + std::to_string(p.seed);
+    HashEmbedder emb(p, &KnowledgeBase::BuiltIn());
+    ReferenceEmbedder ref(p, &KnowledgeBase::BuiltIn());
+    EXPECT_EQ(emb.dim(), p.dim);
+    for (const std::string& v : EdgeValues()) {
+      ExpectSameFloats(ref.EmbedValue(v), emb.EmbedValue(v),
+                       what + " value '" + v + "'");
+    }
+    ExpectSameFloats(ref.EmbedValueSet(EdgeValues()),
+                     emb.EmbedValueSet(EdgeValues()), what + " value set");
+  }
+}
+
+TEST(EmbeddingEquivalenceTest, LakeColumnTokenSetsMatchReference) {
+  LakeGeneratorParams p;
+  p.fragments_per_domain = 3;
+  p.header_noise = 0.5;
+  const auto out = SyntheticLakeGenerator(p).Generate();
+  HashEmbedder kb_emb(&KnowledgeBase::BuiltIn());
+  ReferenceEmbedder kb_ref(HashEmbedder::Params(), &KnowledgeBase::BuiltIn());
+  HashEmbedder plain_emb;
+  ReferenceEmbedder plain_ref(HashEmbedder::Params(), nullptr);
+  size_t columns = 0;
+  for (const Table* t : out.lake.tables()) {
+    for (size_t c = 0; c < t->num_columns(); ++c) {
+      const std::vector<std::string> tokens = ColumnTokens(t->column(c));
+      const std::string what = t->name() + "." + std::to_string(c);
+      ExpectSameFloats(kb_ref.EmbedValueSet(tokens),
+                       kb_emb.EmbedValueSet(tokens), what + " kb");
+      ExpectSameFloats(plain_ref.EmbedValueSet(tokens),
+                       plain_emb.EmbedValueSet(tokens), what + " no kb");
+      ++columns;
+    }
+  }
+  EXPECT_GT(columns, 100u);
 }
 
 }  // namespace

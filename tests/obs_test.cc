@@ -165,6 +165,33 @@ TEST(TracerTest, TwoTracersDoNotCrossNest) {
   EXPECT_FALSE(t2.HasSpan("inner"));
 }
 
+TEST(TracerTest, RingKeepsNewestRoots) {
+  Tracer t;
+  const size_t cap = Tracer::kMaxRoots;
+  const size_t n = 10 * cap;
+  for (size_t i = 0; i < n; ++i) {
+    ScopedSpan root(&t, "root" + std::to_string(i));
+    ScopedSpan child(&t, "child" + std::to_string(i));
+  }
+  EXPECT_EQ(t.root_count(), cap);
+  // The newest `cap` roots survive with their subtrees; older ones are gone.
+  EXPECT_TRUE(t.HasSpan("root" + std::to_string(n - 1)));
+  EXPECT_TRUE(t.HasSpan("child" + std::to_string(n - cap)));
+  EXPECT_FALSE(t.HasSpan("root" + std::to_string(n - cap - 1)));
+  EXPECT_FALSE(t.HasSpan("child0"));
+  // Export runs oldest to newest.
+  std::string tree;
+  t.AppendTree(&tree);
+  const std::string oldest = "root" + std::to_string(n - cap) + "  wall=";
+  EXPECT_EQ(tree.compare(0, oldest.size(), oldest), 0) << tree.substr(0, 80);
+  EXPECT_NE(tree.rfind("\nroot" + std::to_string(n - 1) + "  wall="),
+            std::string::npos);
+  std::string json;
+  t.AppendJson(&json);
+  EXPECT_LT(json.find("\"root" + std::to_string(n - cap) + "\""),
+            json.find("\"root" + std::to_string(n - 1) + "\""));
+}
+
 TEST(TracerTest, WorkerThreadSpansBecomeRoots) {
   Tracer t;
   {

@@ -274,6 +274,31 @@ TEST_F(ServerHandleTest, MetricsExportsRequestCounters) {
   EXPECT_NE(resp.body.find("counters"), std::string::npos);
 }
 
+TEST_F(ServerHandleTest, MetricsSizeStopsGrowingWithRequests) {
+  StartServer();
+  const std::string query = QueryCsv();
+  auto discover = [&](size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(server_
+                    ->Handle(Post("/discover",
+                                  {{"algorithm", "josie"}, {"k", "3"}}, query),
+                             nullptr)
+                    .status,
+                200);
+    }
+  };
+  // Every /discover leaves one root span: fill the tracer's ring, then
+  // serve twice as many requests again.
+  discover(Tracer::kMaxRoots);
+  const size_t full = server_->Handle(Get("/metrics"), nullptr).body.size();
+  discover(2 * Tracer::kMaxRoots);
+  const size_t later = server_->Handle(Get("/metrics"), nullptr).body.size();
+  EXPECT_EQ(obs_.tracer().root_count(), Tracer::kMaxRoots);
+  // Kept spans would triple the export; bounded, only the digits of
+  // counters and timings change.
+  EXPECT_LT(later, full + full / 20) << full << " -> " << later;
+}
+
 // ------------------------------------------------------- socket round-trip
 
 /// One client request on a fresh connection; returns HTTP status, body out.
