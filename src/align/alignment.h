@@ -12,6 +12,8 @@
 
 namespace dialite {
 
+class DataLake;
+
 /// A column of a specific table in an integration set.
 struct ColumnRef {
   std::string table;
@@ -88,8 +90,17 @@ class SchemaMatcher {
   void set_observability(ObservabilityContext* obs) { obs_ = obs; }
   ObservabilityContext* observability() const { return obs_; }
 
+  /// The lake the integration sets are drawn from (null = none, the
+  /// default). Set by the Dialite facade at registration; the lake must
+  /// outlive the matcher and must not change after the first Align. A
+  /// matcher may keep data derived from a *resident* table — `t` with
+  /// lake->Get(t->name()) == t — for its own lifetime: lake tables are
+  /// immutable and never removed.
+  void set_lake(const DataLake* lake) { lake_ = lake; }
+
  protected:
   ObservabilityContext* obs_ = nullptr;
+  const DataLake* lake_ = nullptr;
 };
 
 }  // namespace dialite

@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "lake/data_lake.h"
 #include "text/similarity.h"
 #include "text/tokenizer.h"
 
@@ -13,22 +14,26 @@ namespace dialite {
 AliteMatcher::AliteMatcher(Params params, const KnowledgeBase* kb)
     : params_(params), embedder_(kb) {}
 
-AliteMatcher::ColumnSignature AliteMatcher::MakeSignature(
-    const std::vector<const Table*>& tables, size_t table_idx,
-    size_t column) const {
-  const Table& t = *tables[table_idx];
+void AliteMatcher::MakeSignature(const Table& t, size_t column,
+                                 TableSignature* out) const {
   ColumnSignature sig;
-  sig.table_idx = table_idx;
-  sig.column = column;
   const ColumnView col = t.column(column);
-  sig.tokens = ColumnTokens(col);
+  std::vector<std::string> tokens = ColumnTokens(col);
   // The embedding sums value vectors in first-occurrence order, so sort
   // only after it: PairSimilarity merges the sorted lists.
-  sig.embedding = embedder_.EmbedValueSet(sig.tokens);
-  std::sort(sig.tokens.begin(), sig.tokens.end());
+  const Embedding embedding = embedder_.EmbedValueSet(tokens);
+  out->embeddings.insert(out->embeddings.end(), embedding.begin(),
+                         embedding.end());
+  std::sort(tokens.begin(), tokens.end());
+  sig.first_token = out->token_ends.size();
+  for (const std::string& token : tokens) {
+    out->token_bytes += token;
+    out->token_ends.push_back(out->token_bytes.size());
+  }
+  sig.end_token = out->token_ends.size();
   sig.raw_header = t.schema().column(column).name;
   sig.norm_header = NormalizeText(sig.raw_header);
-  sig.all_null = sig.tokens.empty();
+  sig.all_null = tokens.empty();
   // A column is "numeric" if every distinct value parses as a number.
   // Int/double cells are numeric by construction; only distinct string
   // cells (deduped by dictionary id) need parsing.
@@ -42,50 +47,39 @@ AliteMatcher::ColumnSignature AliteMatcher::MakeSignature(
     double d;
     if (!col.AsNumericAt(r, &d)) sig.numeric = false;
   }
-  return sig;
+  out->columns.push_back(std::move(sig));
 }
 
-namespace {
-
-/// |A ∩ B| of two sorted, duplicate-free token lists, by one merge.
-size_t SortedOverlap(const std::vector<std::string>& a,
-                     const std::vector<std::string>& b) {
-  size_t n = 0;
-  auto ia = a.begin();
-  auto ib = b.begin();
-  while (ia != a.end() && ib != b.end()) {
-    const int c = ia->compare(*ib);
-    if (c < 0) {
-      ++ia;
-    } else if (c > 0) {
-      ++ib;
-    } else {
-      ++n;
-      ++ia;
-      ++ib;
-    }
-  }
-  return n;
-}
-
-}  // namespace
-
-double AliteMatcher::PairSimilarity(const ColumnSignature& a,
-                                    const ColumnSignature& b,
+double AliteMatcher::PairSimilarity(const TableSignature& ta, size_t ca,
+                                    const TableSignature& tb, size_t cb,
                                     uint8_t* jaro_flags) const {
+  const ColumnSignature& a = ta.columns[ca];
+  const ColumnSignature& b = tb.columns[cb];
   if (params_.type_gate && !a.all_null && !b.all_null &&
       a.numeric != b.numeric) {
     return 0.0;
   }
   double s = 0.0;
   if (!a.all_null && !b.all_null) {
-    // Containment(a, b) and Containment(b, a), with the same divisions:
-    // signature tokens are distinct, so each set's size is its list's.
-    const double inter = static_cast<double>(SortedOverlap(a.tokens, b.tokens));
-    double cont = std::max(inter / static_cast<double>(a.tokens.size()),
-                           inter / static_cast<double>(b.tokens.size()));
+    // |A ∩ B| by one merge of the sorted token ranges, then Containment(a,
+    // b) and Containment(b, a) with the same divisions: signature tokens
+    // are distinct, so each set's size is its range's.
+    size_t overlap = 0;
+    for (size_t i = a.first_token, j = b.first_token;
+         i != a.end_token && j != b.end_token;) {
+      const int c = ta.token(i).compare(tb.token(j));
+      if (c <= 0) ++i;
+      if (c >= 0) ++j;
+      if (c == 0) ++overlap;
+    }
+    const double inter = static_cast<double>(overlap);
+    double cont = std::max(inter / static_cast<double>(a.num_tokens()),
+                           inter / static_cast<double>(b.num_tokens()));
     s += params_.value_weight * cont;
-    s += params_.embedding_weight * CosineSimilarity(a.embedding, b.embedding);
+    const size_t dim = embedder_.dim();
+    s += params_.embedding_weight *
+         CosineSimilarity(ta.embeddings.data() + ca * dim,
+                          tb.embeddings.data() + cb * dim, dim);
   }
   if (!a.norm_header.empty() && !b.norm_header.empty()) {
     if (a.norm_header == b.norm_header) {
@@ -100,12 +94,13 @@ double AliteMatcher::PairSimilarity(const ColumnSignature& a,
 
 double AliteMatcher::ColumnSimilarity(const Table& ta, size_t ca,
                                       const Table& tb, size_t cb) const {
-  std::vector<const Table*> tables = {&ta, &tb};
-  const ColumnSignature a = MakeSignature(tables, 0, ca);
-  const ColumnSignature b = MakeSignature(tables, 1, cb);
-  std::vector<uint8_t> jaro_flags(a.norm_header.size() +
-                                  b.norm_header.size());
-  return PairSimilarity(a, b, jaro_flags.data());
+  TableSignature sa;
+  TableSignature sb;
+  MakeSignature(ta, ca, &sa);
+  MakeSignature(tb, cb, &sb);
+  std::vector<uint8_t> jaro_flags(sa.columns[0].norm_header.size() +
+                                  sb.columns[0].norm_header.size());
+  return PairSimilarity(sa, 0, sb, 0, jaro_flags.data());
 }
 
 namespace {
@@ -125,33 +120,95 @@ Status AlignDeadline(const char* stage) {
 
 }  // namespace
 
+Result<AliteMatcher::TableSignature> AliteMatcher::SignTable(
+    const Table& t, const CancelToken* cancel) const {
+  TableSignature sig;
+  sig.columns.reserve(t.num_columns());
+  sig.embeddings.reserve(t.num_columns() * embedder_.dim());
+  for (size_t c = 0; c < t.num_columns(); ++c) {
+    if (AlignCancelled(cancel)) return AlignDeadline("building signatures");
+    MakeSignature(t, c, &sig);
+  }
+  return sig;
+}
+
+Result<const AliteMatcher::TableSignature*> AliteMatcher::ResidentSignature(
+    const Table& t, const CancelToken* cancel, uint64_t* computed) const {
+  if (lake_ == nullptr || lake_->Get(t.name()) != &t) {
+    return static_cast<const TableSignature*>(nullptr);
+  }
+  {
+    ReaderLock lock(cache_mu_);
+    auto it = cache_.find(&t);
+    if (it != cache_.end()) return it->second.get();
+  }
+  // Sign outside the lock, so a cold table never stalls requests on other
+  // tables. Two requests racing on one cold table both sign it and the
+  // first to publish wins; a fill cut short by the deadline publishes
+  // nothing, and a later request fills the entry again.
+  Result<TableSignature> sig = SignTable(t, cancel);
+  if (!sig.ok()) return sig.status();
+  *computed += t.num_columns();
+  sig->token_bytes.shrink_to_fit();
+  sig->token_ends.shrink_to_fit();
+  auto entry = std::make_unique<const TableSignature>(std::move(sig).value());
+  WriterLock lock(cache_mu_);
+  return cache_.emplace(&t, std::move(entry)).first->second.get();
+}
+
 Result<Alignment> AliteMatcher::Align(const std::vector<const Table*>& tables,
                                       const CancelToken* cancel) const {
   for (const Table* t : tables) {
     if (t == nullptr) return Status::InvalidArgument("null table in set");
   }
-  if (AlignCancelled(cancel)) return AlignDeadline("before signatures");
   ObsSpan align_span(obs_, "align.alite_holistic");
-  // Collect all columns.
-  std::vector<ColumnSignature> cols;
+  // Signatures: resident tables' from the cache, the others' signed here.
+  // Signing polls `cancel` per column and the matrix loop polls on its
+  // first pair, so an expired request stops before any pair evaluation.
+  std::vector<const TableSignature*> table_sigs(tables.size());
+  std::vector<TableSignature> signed_here;
+  signed_here.reserve(tables.size());  // table_sigs points into it
+  uint64_t computed = 0;
   {
     ObsSpan span(obs_, "align.signatures");
     for (size_t ti = 0; ti < tables.size(); ++ti) {
-      for (size_t c = 0; c < tables[ti]->num_columns(); ++c) {
-        if (AlignCancelled(cancel)) return AlignDeadline("building signatures");
-        cols.push_back(MakeSignature(tables, ti, c));
+      Result<const TableSignature*> resident =
+          ResidentSignature(*tables[ti], cancel, &computed);
+      if (!resident.ok()) return resident.status();
+      if (*resident != nullptr) {
+        table_sigs[ti] = *resident;
+        continue;
       }
+      Result<TableSignature> fresh = SignTable(*tables[ti], cancel);
+      if (!fresh.ok()) return fresh.status();
+      computed += tables[ti]->num_columns();
+      signed_here.push_back(std::move(fresh).value());
+      table_sigs[ti] = &signed_here.back();
     }
   }
-  const size_t n = cols.size();
+  // Per-request column arrays: every column of the set, table by table.
+  std::vector<size_t> table_of;
+  std::vector<size_t> column_of;
+  for (size_t ti = 0; ti < tables.size(); ++ti) {
+    for (size_t c = 0; c < tables[ti]->num_columns(); ++c) {
+      table_of.push_back(ti);
+      column_of.push_back(c);
+    }
+  }
+  auto sig = [&](size_t i) -> const ColumnSignature& {
+    return table_sigs[table_of[i]]->columns[column_of[i]];
+  };
+  const size_t n = table_of.size();
   ObsAdd(obs_, "align.tables", tables.size());
   ObsAdd(obs_, "align.columns", n);
+  ObsAdd(obs_, "align.signatures.computed", computed);
+  ObsAdd(obs_, "align.signatures.reused", n - computed);
 
   // Pairwise similarity matrix. One Jaro-Winkler scratch, sized for the
   // widest header pair, serves every pair.
   size_t widest_header = 0;
-  for (const ColumnSignature& c : cols) {
-    widest_header = std::max(widest_header, c.norm_header.size());
+  for (size_t i = 0; i < n; ++i) {
+    widest_header = std::max(widest_header, sig(i).norm_header.size());
   }
   std::vector<uint8_t> jaro_flags(2 * widest_header);
   // A pair evaluation or linkage is too short to pay a clock read each.
@@ -164,9 +221,11 @@ Result<Alignment> AliteMatcher::Align(const std::vector<const Table*>& tables,
       if (poll.Cancelled()) return AlignDeadline("in similarity matrix");
       for (size_t j = i + 1; j < n; ++j) {
         if (poll.Cancelled()) return AlignDeadline("in similarity matrix");
-        if (cols[i].table_idx == cols[j].table_idx) continue;  // cannot-link
+        if (table_of[i] == table_of[j]) continue;  // cannot-link
         sim[i][j] = sim[j][i] =
-            PairSimilarity(cols[i], cols[j], jaro_flags.data());
+            PairSimilarity(*table_sigs[table_of[i]], column_of[i],
+                           *table_sigs[table_of[j]], column_of[j],
+                           jaro_flags.data());
         ++pair_evals;
       }
     }
@@ -179,16 +238,16 @@ Result<Alignment> AliteMatcher::Align(const std::vector<const Table*>& tables,
   clusters.reserve(n);
   for (size_t i = 0; i < n; ++i) clusters.push_back({i});
 
-  auto cluster_tables = [&cols](const std::vector<size_t>& cl) {
+  auto cluster_tables = [&table_of](const std::vector<size_t>& cl) {
     std::unordered_set<size_t> ts;
-    for (size_t i : cl) ts.insert(cols[i].table_idx);
+    for (size_t i : cl) ts.insert(table_of[i]);
     return ts;
   };
   auto admissible = [&](const std::vector<size_t>& a,
                         const std::vector<size_t>& b) {
     std::unordered_set<size_t> ta = cluster_tables(a);
     for (size_t i : b) {
-      if (ta.count(cols[i].table_idx)) return false;
+      if (ta.count(table_of[i])) return false;
     }
     return true;
   };
@@ -233,10 +292,10 @@ Result<Alignment> AliteMatcher::Align(const std::vector<const Table*>& tables,
 
   // Order clusters by first appearance (table order, then column order) so
   // integrated outputs read like the paper's figures.
-  auto first_pos = [&cols](const std::vector<size_t>& cl) {
+  auto first_pos = [&](const std::vector<size_t>& cl) {
     size_t best = static_cast<size_t>(-1);
     for (size_t i : cl) {
-      size_t pos = cols[i].table_idx * 10000 + cols[i].column;
+      size_t pos = table_of[i] * 10000 + column_of[i];
       best = std::min(best, pos);
     }
     return best;
@@ -253,20 +312,17 @@ Result<Alignment> AliteMatcher::Align(const std::vector<const Table*>& tables,
     std::map<std::string, size_t> header_votes;
     std::vector<size_t> sorted = cl;
     std::sort(sorted.begin(), sorted.end(), [&](size_t a, size_t b) {
-      if (cols[a].table_idx != cols[b].table_idx) {
-        return cols[a].table_idx < cols[b].table_idx;
-      }
-      return cols[a].column < cols[b].column;
+      if (table_of[a] != table_of[b]) return table_of[a] < table_of[b];
+      return column_of[a] < column_of[b];
     });
     for (size_t i : sorted) {
-      members.push_back(
-          {tables[cols[i].table_idx]->name(), cols[i].column});
-      if (!cols[i].raw_header.empty()) ++header_votes[cols[i].raw_header];
+      members.push_back({tables[table_of[i]]->name(), column_of[i]});
+      if (!sig(i).raw_header.empty()) ++header_votes[sig(i).raw_header];
     }
     std::string display;
     size_t best_votes = 0;
     for (size_t i : sorted) {
-      const std::string& h = cols[i].raw_header;
+      const std::string& h = sig(i).raw_header;
       if (!h.empty() && header_votes[h] > best_votes) {
         best_votes = header_votes[h];
         display = h;

@@ -125,6 +125,7 @@ Status Dialite::RegisterMatcher(std::unique_ptr<SchemaMatcher> matcher) {
     return Status::AlreadyExists("matcher '" + name + "'");
   }
   matcher->set_observability(obs_);
+  matcher->set_lake(lake_);
   matchers_.emplace(std::move(name), std::move(matcher));
   return Status::OK();
 }

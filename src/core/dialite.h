@@ -108,6 +108,8 @@ class Dialite {
   Status RegisterDefaults();
 
   Status RegisterDiscovery(std::unique_ptr<DiscoveryAlgorithm> algorithm);
+  /// The matcher is given this facade's lake (SchemaMatcher::set_lake), so
+  /// ALITE signs each lake table once per facade, not once per request.
   Status RegisterMatcher(std::unique_ptr<SchemaMatcher> matcher);
   Status RegisterIntegration(std::unique_ptr<IntegrationOperator> op);
   Status RegisterAnalysis(const std::string& name, AnalysisFn fn);

@@ -3,8 +3,12 @@
 #include <algorithm>
 #include <deque>
 #include <functional>
+#include <iterator>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "common/hash.h"
 #include "common/thread_pool.h"
@@ -14,23 +18,100 @@ namespace dialite {
 
 namespace {
 
+/// A tuple's provenance: the sorted id list [begin, end) of the run's
+/// ProvArena (ids order like their labels, see InternProvenance).
+struct ProvSpan {
+  size_t begin = 0;
+  size_t end = 0;
+};
+
+/// Append-only store of the provenance id lists of one FD run (of one
+/// component, in ParallelFullDisjunction). A list is written once, when a
+/// tuple gets it, and never changes, so the worklist's snapshot of a
+/// tuple's provenance is just its span.
+class ProvArena {
+ public:
+  ProvSpan Append(const uint32_t* first, const uint32_t* last) {
+    const size_t begin = ids_.size();
+    ids_.insert(ids_.end(), first, last);
+    return {begin, ids_.size()};
+  }
+  ProvSpan Append(const std::vector<uint32_t>& ids) {
+    return Append(ids.data(), ids.data() + ids.size());
+  }
+
+  const uint32_t* begin(ProvSpan s) const { return ids_.data() + s.begin; }
+  const uint32_t* end(ProvSpan s) const { return ids_.data() + s.end; }
+
+ private:
+  std::vector<uint32_t> ids_;
+};
+
+/// The sorted, duplicate-free union of the sorted id lists [a, a_end) and
+/// [b, b_end) — what sorting their concatenation and dropping repeats
+/// gives — into `*out`, a scratch list reused across merges.
+void UnionIds(const uint32_t* a, const uint32_t* a_end, const uint32_t* b,
+              const uint32_t* b_end, std::vector<uint32_t>* out) {
+  out->clear();
+  std::set_union(a, a_end, b, b_end, std::back_inserter(*out));
+  out->erase(std::unique(out->begin(), out->end()), out->end());
+}
+
 /// Working set of tuples + provenance during FD computation. Tuples are
 /// flat spans of 32-bit cell codes (see tuple_codes.h): complementation,
 /// merging, subsumption, and dedup all run on integers, and cells decode
-/// back to Values only when the final pool becomes a Table.
+/// back to Values only when the final pool becomes a Table. Provenance is
+/// ids into the run's ProvArena, decoded to labels only by EmitTuple.
 struct CodedPool {
   size_t width = 0;
-  std::vector<uint32_t> cells;                  // row-major, size() * width
-  std::vector<std::vector<std::string>> provs;  // sorted, unique labels
+  std::vector<uint32_t> cells;  // row-major, size() * width
+  std::vector<ProvSpan> provs;
 
   size_t size() const { return provs.size(); }
   const uint32_t* row(size_t i) const { return cells.data() + i * width; }
   uint32_t* row(size_t i) { return cells.data() + i * width; }
-  void AppendRow(const uint32_t* src, std::vector<std::string> prov) {
+  void AppendRow(const uint32_t* src, ProvSpan prov) {
     cells.insert(cells.end(), src, src + width);
-    provs.push_back(std::move(prov));
+    provs.push_back(prov);
   }
 };
+
+/// Every provenance label of the outer union, interned once. `labels` holds
+/// the distinct labels sorted by bytes, so ids order like their labels and
+/// a sorted id list decodes to the sorted label list. Row r's ids, sorted
+/// with repeats kept (an input row may repeat a label), are
+/// ids[row_begin[r], row_begin[r + 1]).
+struct InternedProv {
+  std::vector<std::string_view> labels;  // views into the outer union
+  std::vector<uint32_t> ids;
+  std::vector<size_t> row_begin;
+};
+
+InternedProv InternProvenance(const Table& u) {
+  InternedProv out;
+  out.row_begin.reserve(u.num_rows() + 1);
+  out.row_begin.push_back(0);
+  std::vector<std::pair<std::string_view, size_t>> refs;  // label, id slot
+  for (size_t r = 0; r < u.num_rows(); ++r) {
+    for (const std::string& label : u.provenance(r)) {
+      refs.emplace_back(label, refs.size());
+    }
+    out.row_begin.push_back(refs.size());
+  }
+  std::sort(refs.begin(), refs.end());
+  out.ids.resize(refs.size());
+  for (const auto& [label, slot] : refs) {
+    if (out.labels.empty() || out.labels.back() != label) {
+      out.labels.push_back(label);
+    }
+    out.ids[slot] = static_cast<uint32_t>(out.labels.size() - 1);
+  }
+  for (size_t r = 0; r < u.num_rows(); ++r) {
+    std::sort(out.ids.begin() + static_cast<long>(out.row_begin[r]),
+              out.ids.begin() + static_cast<long>(out.row_begin[r + 1]));
+  }
+  return out;
+}
 
 /// Local FD tally, accumulated branch-free in the hot loops and flushed
 /// into the integrate.fd.* counters once per Integrate (when enabled).
@@ -74,27 +155,26 @@ uint64_t CountProducedNulls(const std::vector<uint32_t>& cells) {
   return n;
 }
 
-std::vector<std::string> UnionProv(const std::vector<std::string>& a,
-                                   const std::vector<std::string>& b) {
-  std::vector<std::string> out = a;
-  out.insert(out.end(), b.begin(), b.end());
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
 /// When a merged tuple collides with an identical existing tuple, keep the
 /// more informative null kinds (missing beats produced) and union
-/// provenance.
-void AbsorbDuplicate(CodedPool* pool, size_t idx, const uint32_t* row,
-                     const std::vector<std::string>& prov) {
+/// provenance with the sorted ids [prov, prov_end); the union goes to the
+/// arena only if it adds a label. `scratch` is reused across calls.
+void AbsorbDuplicate(CodedPool* pool, ProvArena* arena, size_t idx,
+                     const uint32_t* row, const uint32_t* prov,
+                     const uint32_t* prov_end,
+                     std::vector<uint32_t>* scratch) {
   uint32_t* target = pool->row(idx);
   for (size_t c = 0; c < pool->width; ++c) {
     if (target[c] == kProducedNullCode && row[c] == kMissingNullCode) {
       target[c] = kMissingNullCode;
     }
   }
-  pool->provs[idx] = UnionProv(pool->provs[idx], prov);
+  const ProvSpan have = pool->provs[idx];
+  UnionIds(arena->begin(have), arena->end(have), prov, prov_end, scratch);
+  if (!std::equal(scratch->begin(), scratch->end(), arena->begin(have),
+                  arena->end(have))) {
+    pool->provs[idx] = arena->Append(*scratch);
+  }
 }
 
 /// Key of one non-null cell for the (column, code) inverted index.
@@ -116,8 +196,9 @@ Status FdDeadline(const char* stage) {
 }
 
 /// Indexed complementation fix-point (ALITE-style candidate pruning).
-Status ComplementFixpointIndexed(CodedPool* pool, size_t max_tuples,
-                                 FdTally* tally, const CancelToken* cancel) {
+Status ComplementFixpointIndexed(CodedPool* pool, ProvArena* arena,
+                                 size_t max_tuples, FdTally* tally,
+                                 const CancelToken* cancel) {
   const size_t width = pool->width;
   std::unordered_map<uint64_t, std::vector<size_t>> cell_index;
   std::unordered_map<uint64_t, std::vector<size_t>> dedup;
@@ -152,15 +233,19 @@ Status ComplementFixpointIndexed(CodedPool* pool, size_t max_tuples,
 
   std::vector<uint32_t> row(width);
   std::vector<uint32_t> merged(width);
+  // Provenance scratch, reused: once warm, a merge allocates nothing.
+  std::vector<uint32_t> mprov;
+  std::vector<uint32_t> absorbed;
   CancelPoller poll(cancel);
   while (!worklist.empty()) {
     if (poll.Cancelled()) return FdDeadline("in indexed fixpoint");
     const size_t idx = worklist.front();
     worklist.pop_front();
     ++tally->fixpoint_iterations;
-    // Snapshot: pool cells may reallocate as merges append.
+    // Snapshot: pool cells may reallocate as merges append, and an absorb
+    // may repoint provs[idx] (the list it pointed at stays as it was).
     std::copy(pool->row(idx), pool->row(idx) + width, row.begin());
-    const std::vector<std::string> prov = pool->provs[idx];
+    const ProvSpan prov = pool->provs[idx];
     ++epoch;
 
     for (size_t c = 0; c < width; ++c) {
@@ -184,17 +269,20 @@ Status ComplementFixpointIndexed(CodedPool* pool, size_t max_tuples,
         if (!CodedComplement(row.data(), pool->row(cand), width)) continue;
         ++tally->merges;
         CodedMerge(row.data(), pool->row(cand), width, merged.data());
-        std::vector<std::string> mprov = UnionProv(prov, pool->provs[cand]);
+        const ProvSpan cprov = pool->provs[cand];
+        UnionIds(arena->begin(prov), arena->end(prov), arena->begin(cprov),
+                 arena->end(cprov), &mprov);
         size_t existing = find_identical(merged.data());
         if (existing != static_cast<size_t>(-1)) {
-          AbsorbDuplicate(pool, existing, merged.data(), mprov);
+          AbsorbDuplicate(pool, arena, existing, merged.data(), mprov.data(),
+                          mprov.data() + mprov.size(), &absorbed);
           continue;
         }
         if (pool->size() >= max_tuples) {
           return Status::OutOfRange("full disjunction exceeded max_tuples=" +
                                     std::to_string(max_tuples));
         }
-        pool->AppendRow(merged.data(), std::move(mprov));
+        pool->AppendRow(merged.data(), arena->Append(mprov));
         visited.push_back(0);
         index_tuple(pool->size() - 1);
         worklist.push_back(pool->size() - 1);
@@ -205,8 +293,9 @@ Status ComplementFixpointIndexed(CodedPool* pool, size_t max_tuples,
 }
 
 /// Naive complementation fix-point: rescan all pairs every round.
-Status ComplementFixpointNaive(CodedPool* pool, size_t max_tuples,
-                               FdTally* tally, const CancelToken* cancel) {
+Status ComplementFixpointNaive(CodedPool* pool, ProvArena* arena,
+                               size_t max_tuples, FdTally* tally,
+                               const CancelToken* cancel) {
   const size_t width = pool->width;
   std::unordered_map<uint64_t, std::vector<size_t>> dedup;
   for (size_t i = 0; i < pool->size(); ++i) {
@@ -221,6 +310,8 @@ Status ComplementFixpointNaive(CodedPool* pool, size_t max_tuples,
     return static_cast<size_t>(-1);
   };
   std::vector<uint32_t> merged(width);
+  std::vector<uint32_t> mprov;
+  std::vector<uint32_t> absorbed;
   CancelPoller poll(cancel);
   bool changed = true;
   while (changed) {
@@ -236,18 +327,21 @@ Status ComplementFixpointNaive(CodedPool* pool, size_t max_tuples,
         if (!CodedComplement(pool->row(i), pool->row(j), width)) continue;
         ++tally->merges;
         CodedMerge(pool->row(i), pool->row(j), width, merged.data());
-        std::vector<std::string> mprov =
-            UnionProv(pool->provs[i], pool->provs[j]);
+        const ProvSpan iprov = pool->provs[i];
+        const ProvSpan jprov = pool->provs[j];
+        UnionIds(arena->begin(iprov), arena->end(iprov), arena->begin(jprov),
+                 arena->end(jprov), &mprov);
         size_t existing = exists(merged.data());
         if (existing != static_cast<size_t>(-1)) {
-          AbsorbDuplicate(pool, existing, merged.data(), mprov);
+          AbsorbDuplicate(pool, arena, existing, merged.data(), mprov.data(),
+                          mprov.data() + mprov.size(), &absorbed);
           continue;
         }
         if (pool->size() >= max_tuples) {
           return Status::OutOfRange("full disjunction exceeded max_tuples=" +
                                     std::to_string(max_tuples));
         }
-        pool->AppendRow(merged.data(), std::move(mprov));
+        pool->AppendRow(merged.data(), arena->Append(mprov));
         dedup[CodedRowKey(pool->row(pool->size() - 1), width)].push_back(
             pool->size() - 1);
         changed = true;
@@ -324,46 +418,59 @@ Status RemoveSubsumed(const CodedPool& pool, FdTally* tally,
   return Status::OK();
 }
 
-/// Provenance of u's row r, sorted (the loader's fallback label is already
-/// attached by BuildOuterUnion).
-std::vector<std::string> SortedProv(const Table& u, size_t r) {
-  std::vector<std::string> p = u.provenance(r);
-  std::sort(p.begin(), p.end());
-  return p;
-}
-
-/// Deduplicates encoded rows [0, n) of `ucells` into a fresh pool
-/// (provenance of exact duplicates is unioned, missing nulls win).
-CodedPool DedupIntoPool(const Table& u, const std::vector<uint32_t>& ucells,
-                        const std::vector<size_t>& rows) {
+/// Deduplicates encoded rows `rows` of `ucells` into a fresh pool whose
+/// provenance lives in `arena` (provenance of exact duplicates is unioned,
+/// missing nulls win).
+CodedPool DedupIntoPool(const std::vector<uint32_t>& ucells, size_t width,
+                        const std::vector<size_t>& rows,
+                        const InternedProv& interned, ProvArena* arena) {
   CodedPool pool;
-  pool.width = u.num_columns();
+  pool.width = width;
   std::unordered_map<uint64_t, std::vector<size_t>> dedup;
+  std::vector<uint32_t> scratch;
   for (size_t r : rows) {
-    const uint32_t* row = ucells.data() + r * pool.width;
+    const uint32_t* row = ucells.data() + r * width;
+    const uint32_t* prov = interned.ids.data() + interned.row_begin[r];
+    const uint32_t* prov_end = interned.ids.data() + interned.row_begin[r + 1];
     bool absorbed = false;
-    for (size_t idx : dedup[CodedRowKey(row, pool.width)]) {
-      if (CodedIdentical(pool.row(idx), row, pool.width)) {
-        AbsorbDuplicate(&pool, idx, row, SortedProv(u, r));
+    for (size_t idx : dedup[CodedRowKey(row, width)]) {
+      if (CodedIdentical(pool.row(idx), row, width)) {
+        AbsorbDuplicate(&pool, arena, idx, row, prov, prov_end, &scratch);
         absorbed = true;
         break;
       }
     }
     if (absorbed) continue;
-    dedup[CodedRowKey(row, pool.width)].push_back(pool.size());
-    pool.AppendRow(row, SortedProv(u, r));
+    dedup[CodedRowKey(row, width)].push_back(pool.size());
+    pool.AppendRow(row, arena->Append(prov, prov_end));
   }
   return pool;
 }
 
+/// Decodes pool tuple `i` — cells and provenance labels — into a row of
+/// `out`.
+Status EmitTuple(const CodedPool& pool, size_t i, const ProvArena& arena,
+                 const std::vector<std::string_view>& labels,
+                 const TupleCodec& codec, Table* out) {
+  const uint32_t* src = pool.row(i);
+  Row row;
+  row.reserve(pool.width);
+  for (size_t c = 0; c < pool.width; ++c) row.push_back(codec.Decode(src[c]));
+  const ProvSpan span = pool.provs[i];
+  std::vector<std::string> prov;
+  prov.reserve(span.end - span.begin);
+  for (const uint32_t* id = arena.begin(span); id != arena.end(span); ++id) {
+    prov.emplace_back(labels[*id]);
+  }
+  return out->AddRow(std::move(row), std::move(prov));
+}
+
 /// Decodes the final pool into the result table.
-Status EmitPool(CodedPool pool, const TupleCodec& codec, Table* out) {
+Status EmitPool(const CodedPool& pool, const ProvArena& arena,
+                const std::vector<std::string_view>& labels,
+                const TupleCodec& codec, Table* out) {
   for (size_t i = 0; i < pool.size(); ++i) {
-    const uint32_t* src = pool.row(i);
-    Row row;
-    row.reserve(pool.width);
-    for (size_t c = 0; c < pool.width; ++c) row.push_back(codec.Decode(src[c]));
-    DIALITE_RETURN_IF_ERROR(out->AddRow(std::move(row), std::move(pool.provs[i])));
+    DIALITE_RETURN_IF_ERROR(EmitTuple(pool, i, arena, labels, codec, out));
   }
   out->RefreshColumnTypes();
   return Status::OK();
@@ -392,18 +499,22 @@ Result<Table> RunFd(const std::vector<const Table*>& tables,
   TupleCodec codec;
   const std::vector<uint32_t> ucells = codec.EncodeTable(u);
   tally.produced_nulls = CountProducedNulls(ucells);
+  const InternedProv interned = InternProvenance(u);
   std::vector<size_t> all_rows(u.num_rows());
   for (size_t r = 0; r < all_rows.size(); ++r) all_rows[r] = r;
   // Dedup exact input duplicates up front.
-  CodedPool pool = DedupIntoPool(u, ucells, all_rows);
+  ProvArena arena;
+  CodedPool pool =
+      DedupIntoPool(ucells, u.num_columns(), all_rows, interned, &arena);
 
   Status st = Status::OK();
   {
     ObsSpan span(obs, "integrate.fd.fixpoint");
     if (mode == FixpointMode::kIndexed) {
-      st = ComplementFixpointIndexed(&pool, max_tuples, &tally, cancel);
+      st = ComplementFixpointIndexed(&pool, &arena, max_tuples, &tally,
+                                     cancel);
     } else if (mode == FixpointMode::kNaive) {
-      st = ComplementFixpointNaive(&pool, max_tuples, &tally, cancel);
+      st = ComplementFixpointNaive(&pool, &arena, max_tuples, &tally, cancel);
     }
   }
   CodedPool final_pool;
@@ -415,7 +526,8 @@ Result<Table> RunFd(const std::vector<const Table*>& tables,
   DIALITE_RETURN_IF_ERROR(st);
 
   Table out(name, u.schema());
-  DIALITE_RETURN_IF_ERROR(EmitPool(std::move(final_pool), codec, &out));
+  DIALITE_RETURN_IF_ERROR(
+      EmitPool(final_pool, arena, interned.labels, codec, &out));
   return out;
 }
 
@@ -453,6 +565,7 @@ Result<Table> ParallelFullDisjunction::Integrate(
   const size_t width = u.num_columns();
   TupleCodec codec;
   const std::vector<uint32_t> ucells = codec.EncodeTable(u);
+  const InternedProv interned = InternProvenance(u);
 
   // Union-find over tuples; tuples sharing a (column, code) cell join the
   // same component. Cross-component tuples can never complement or subsume
@@ -487,6 +600,7 @@ Result<Table> ParallelFullDisjunction::Integrate(
   std::sort(comps.begin(), comps.end());  // deterministic output order
 
   std::vector<CodedPool> results(comps.size());
+  std::vector<ProvArena> arenas(comps.size());  // one per component
   std::vector<Status> statuses(comps.size());
   // Per-component tallies, merged serially after the barrier (counter
   // updates must not contend on the hot path).
@@ -500,8 +614,10 @@ Result<Table> ParallelFullDisjunction::Integrate(
       statuses[k] = FdDeadline("before component fixpoint");
       return;
     }
-    CodedPool pool = DedupIntoPool(u, ucells, comps[k]);
-    statuses[k] = ComplementFixpointIndexed(&pool, 2000000, &tallies[k], cancel);
+    CodedPool pool = DedupIntoPool(ucells, width, comps[k], interned,
+                                   &arenas[k]);
+    statuses[k] = ComplementFixpointIndexed(&pool, &arenas[k], 2000000,
+                                            &tallies[k], cancel);
     if (statuses[k].ok()) {
       statuses[k] = RemoveSubsumed(pool, &tallies[k], cancel, &results[k]);
     }
@@ -525,7 +641,8 @@ Result<Table> ParallelFullDisjunction::Integrate(
     }
   }
   Table out("parallel_fd_result", u.schema());
-  for (CodedPool& p : results) {
+  for (size_t k = 0; k < results.size(); ++k) {
+    const CodedPool& p = results[k];
     for (size_t i = 0; i < p.size(); ++i) {
       const uint32_t* row = p.row(i);
       if (any_fact) {
@@ -538,11 +655,8 @@ Result<Table> ParallelFullDisjunction::Integrate(
         }
         if (all_null) continue;
       }
-      Row decoded;
-      decoded.reserve(width);
-      for (size_t c = 0; c < width; ++c) decoded.push_back(codec.Decode(row[c]));
       DIALITE_RETURN_IF_ERROR(
-          out.AddRow(std::move(decoded), std::move(p.provs[i])));
+          EmitTuple(p, i, arenas[k], interned.labels, codec, &out));
     }
   }
   out.RefreshColumnTypes();

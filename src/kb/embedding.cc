@@ -13,10 +13,14 @@ namespace dialite {
 
 double CosineSimilarity(const Embedding& a, const Embedding& b) {
   if (a.size() != b.size() || a.empty()) return 0.0;
+  return CosineSimilarity(a.data(), b.data(), a.size());
+}
+
+double CosineSimilarity(const float* a, const float* b, size_t dim) {
   double dot = 0.0;
   double na = 0.0;
   double nb = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
+  for (size_t i = 0; i < dim; ++i) {
     dot += static_cast<double>(a[i]) * b[i];
     na += static_cast<double>(a[i]) * a[i];
     nb += static_cast<double>(b[i]) * b[i];

@@ -15,6 +15,9 @@ using Embedding = std::vector<float>;
 
 /// Cosine similarity; 0 if either vector has zero norm.
 double CosineSimilarity(const Embedding& a, const Embedding& b);
+/// The same over `dim` floats at `a` and `b` (e.g. rows of one buffer);
+/// bit-identical to the Embedding overload.
+double CosineSimilarity(const float* a, const float* b, size_t dim);
 
 /// L2-normalizes in place (no-op for the zero vector).
 void NormalizeEmbedding(Embedding* v);

@@ -5,6 +5,8 @@
 #include "align/alite_matcher.h"
 #include "align/alignment.h"
 #include "common/cancel.h"
+#include "core/dialite.h"
+#include "integrate/full_disjunction.h"
 #include "lake/lake_generator.h"
 #include "lake/paper_fixtures.h"
 #include "text/similarity.h"
@@ -346,6 +348,154 @@ TEST(AliteMatcherTest, PreExpiredTokenAbortsAlignment) {
       << r.status().ToString();
   // A null token (the default overload) still aligns fine.
   EXPECT_TRUE(matcher.Align({&t1, &t2, &t3}).ok());
+}
+
+// ------------------------------------------------------ signature residency
+
+/// Three domains of four fragments: sets can mix same-domain fragments
+/// with unrelated tables.
+SyntheticLakeGenerator::Output ResidencyLake() {
+  LakeGeneratorParams p;
+  p.fragments_per_domain = 4;
+  p.min_rows = 15;
+  p.max_rows = 40;
+  p.null_rate = 0.1;
+  p.domains = {"universities", "football_clubs", "vaccine_approvals"};
+  return SyntheticLakeGenerator(p).Generate();
+}
+
+/// An alignment and its integrated table — rows in order, null kinds and
+/// provenance — rendered for exact comparison.
+std::string Render(const Alignment& alignment, const Table& table) {
+  return alignment.ToString() + "\n" + table.ToPrettyString(table.num_rows());
+}
+
+/// `set` aligned by a standalone matcher (no lake: every column signed on
+/// the spot) and integrated by full disjunction.
+std::string StandaloneRender(const std::vector<const Table*>& set) {
+  AliteMatcher matcher;
+  Result<Alignment> alignment = matcher.Align(set);
+  EXPECT_TRUE(alignment.ok()) << alignment.status().ToString();
+  if (!alignment.ok()) return "";
+  Result<Table> table = FullDisjunction().Integrate(set, *alignment);
+  EXPECT_TRUE(table.ok()) << table.status().ToString();
+  return table.ok() ? Render(*alignment, *table) : "";
+}
+
+/// `set` through the facade, whose matcher keeps lake tables' signatures.
+std::string FacadeRender(const Dialite& dialite,
+                         const std::vector<const Table*>& set) {
+  Result<IntegrationResult> r = dialite.AlignAndIntegrate(set);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  return r.ok() ? Render(r->alignment, r->table) : "";
+}
+
+/// A copy of every column of `t` under the name `name`.
+Table Renamed(const Table& t, const std::string& name) {
+  std::vector<size_t> all(t.num_columns());
+  for (size_t c = 0; c < all.size(); ++c) all[c] = c;
+  return t.ProjectColumns(all, name);
+}
+
+size_t NumColumns(const std::vector<const Table*>& set) {
+  size_t n = 0;
+  for (const Table* t : set) n += t->num_columns();
+  return n;
+}
+
+TEST(SignatureResidencyTest, FacadeEqualsStandaloneMatcherOnEveryCall) {
+  const SyntheticLakeGenerator::Output out = ResidencyLake();
+  const std::vector<const Table*> lake_tables = out.lake.tables();
+  ASSERT_EQ(lake_tables.size(), 12u);
+  Dialite dialite(&out.lake);
+  ASSERT_TRUE(dialite.RegisterDefaults().ok());
+  ObservabilityContext obs;
+  dialite.set_observability(&obs);
+  // A body table: a lake fragment's content under a name the lake lacks.
+  const Table body = Renamed(*lake_tables[0], "body");
+
+  std::vector<std::vector<const Table*>> sets;
+  for (size_t d = 0; d < 3; ++d) {  // each domain's four fragments
+    sets.push_back({lake_tables[4 * d], lake_tables[4 * d + 1],
+                    lake_tables[4 * d + 2], lake_tables[4 * d + 3]});
+  }
+  sets.push_back({lake_tables[1], lake_tables[6], lake_tables[11]});
+  sets.push_back({&body, lake_tables[1], lake_tables[2]});
+  sets.push_back({&body, lake_tables[5], lake_tables[9]});
+
+  auto counter = [&obs](const char* name) {
+    return obs.metrics().CounterValue(name);
+  };
+  size_t set_columns = 0;
+  for (const std::vector<const Table*>& set : sets) {
+    set_columns += NumColumns(set);
+  }
+  for (int pass = 0; pass < 3; ++pass) {
+    const uint64_t computed = counter("align.signatures.computed");
+    const uint64_t reused = counter("align.signatures.reused");
+    for (const std::vector<const Table*>& set : sets) {
+      EXPECT_EQ(FacadeRender(dialite, set), StandaloneRender(set))
+          << "pass " << pass;
+    }
+    // The first pass signs every lake table once and the body twice; later
+    // passes sign only the body.
+    const uint64_t signed_now = counter("align.signatures.computed") - computed;
+    const uint64_t expected = 2 * body.num_columns() +
+                              (pass == 0 ? NumColumns(lake_tables) : 0);
+    EXPECT_EQ(signed_now, expected) << "pass " << pass;
+    EXPECT_EQ(counter("align.signatures.reused") - reused,
+              set_columns - signed_now)
+        << "pass " << pass;
+  }
+}
+
+TEST(SignatureResidencyTest, BodyNamedLikeALakeTableIsSignedFresh) {
+  const SyntheticLakeGenerator::Output out = ResidencyLake();
+  const std::vector<const Table*> lake_tables = out.lake.tables();
+  Dialite dialite(&out.lake);
+  ASSERT_TRUE(dialite.RegisterDefaults().ok());
+  ObservabilityContext obs;
+  dialite.set_observability(&obs);
+  const Table* resident = lake_tables[0];
+  const std::vector<const Table*> warm = {resident, lake_tables[1]};
+  EXPECT_EQ(FacadeRender(dialite, warm), StandaloneRender(warm));
+
+  // Same name as the resident table, another domain's content.
+  const Table impostor = Renamed(*lake_tables[8], resident->name());
+  const std::vector<const Table*> set = {&impostor, lake_tables[1]};
+  const uint64_t before = obs.metrics().CounterValue("align.signatures.computed");
+  const std::string facade = FacadeRender(dialite, set);
+  EXPECT_EQ(facade, StandaloneRender(set));
+  EXPECT_NE(facade, StandaloneRender(warm));
+  EXPECT_EQ(obs.metrics().CounterValue("align.signatures.computed") - before,
+            impostor.num_columns());
+}
+
+TEST(SignatureResidencyTest, ExpiredFillPublishesNothing) {
+  const SyntheticLakeGenerator::Output out = ResidencyLake();
+  const std::vector<const Table*> lake_tables = out.lake.tables();
+  Dialite dialite(&out.lake);
+  ASSERT_TRUE(dialite.RegisterDefaults().ok());
+  ObservabilityContext obs;
+  dialite.set_observability(&obs);
+  auto computed = [&obs] {
+    return obs.metrics().CounterValue("align.signatures.computed");
+  };
+  const std::vector<const Table*> set = {lake_tables[2], lake_tables[3]};
+  CancelToken expired;
+  expired.SetDeadlineAfter(std::chrono::nanoseconds(0));
+  Result<IntegrationResult> r =
+      dialite.AlignAndIntegrate(set, "alite_fd", "alite_holistic", &expired);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded)
+      << r.status().ToString();
+  EXPECT_EQ(computed(), 0u);
+  // Nothing was published: the next request fills both entries itself,
+  // and only the one after that is served from the cache.
+  EXPECT_EQ(FacadeRender(dialite, set), StandaloneRender(set));
+  EXPECT_EQ(computed(), NumColumns(set));
+  EXPECT_EQ(FacadeRender(dialite, set), StandaloneRender(set));
+  EXPECT_EQ(computed(), NumColumns(set));
 }
 
 }  // namespace

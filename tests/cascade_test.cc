@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -160,6 +161,10 @@ struct AlgoCase {
   const char* label;
   AlgoFactory make;
 };
+
+/// Prints the label: without a printer gtest shows the case's raw bytes
+/// (two pointers, one nibble random per run under ASLR) in every test name.
+void PrintTo(const AlgoCase& c, std::ostream* os) { *os << c.label; }
 
 std::unique_ptr<DiscoveryAlgorithm> MakeSantos() {
   return std::make_unique<SantosSearch>();

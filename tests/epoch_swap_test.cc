@@ -1,19 +1,22 @@
 /// Concurrency tests (run under TSan via the "concurrency" label) for the
 /// serving layer's epoch swap: worker threads hammer Discover — through
-/// the raw LakeService handle and through DialiteServer::Handle — while
-/// the main thread reloads snapshots in a tight loop. Every request must
-/// succeed against a coherent epoch; a pinned epoch must stay valid (mmap
-/// included) after an arbitrary number of swaps.
+/// the raw LakeService handle and through DialiteServer::Handle — or align
+/// overlapping lake sets while the main thread reloads snapshots. Every
+/// request must succeed against a coherent epoch; a pinned epoch must stay
+/// valid (mmap included) after an arbitrary number of swaps.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "align/alite_matcher.h"
 #include "common/thread_pool.h"
 #include "core/dialite.h"
 #include "lake/paper_fixtures.h"
@@ -113,6 +116,95 @@ TEST(EpochSwapTest, PinnedEpochSurvivesSwaps) {
   std::atomic<size_t> ok_count{0};
   DiscoverAgainst(*pinned, query_table, &ok_count);
   EXPECT_EQ(ok_count.load(), 1u);
+  std::remove(snap.c_str());
+}
+
+/// The tables of `names` in `epoch`'s lake.
+std::vector<const Table*> Resolve(const Epoch& epoch,
+                                  const std::vector<std::string>& names) {
+  std::vector<const Table*> tables;
+  for (const std::string& name : names) {
+    tables.push_back(epoch.system->lake->Get(name));
+  }
+  return tables;
+}
+
+TEST(EpochSwapTest, ConcurrentAlignmentsAcrossReloadsShareSignatures) {
+  const std::string snap = MakeSnapshot("epoch_align.snap", 8);
+  ObservabilityContext obs;
+  LakeService service(&obs);
+  ASSERT_TRUE(service.Open(snap).ok());
+  auto computed = [&obs] {
+    return obs.metrics().CounterValue("align.signatures.computed");
+  };
+
+  // Overlapping sets: every window of three consecutive lake tables.
+  const std::shared_ptr<const Epoch> first = service.current();
+  const std::vector<std::string> names = first->system->lake->table_names();
+  std::vector<std::vector<std::string>> sets;
+  for (size_t i = 0; i + 2 < names.size(); ++i) {
+    sets.push_back({names[i], names[i + 1], names[i + 2]});
+  }
+  size_t lake_columns = 0;
+  for (const Table* t : Resolve(*first, names)) lake_columns += t->num_columns();
+  // Reference alignments from a standalone matcher, which caches nothing.
+  std::vector<std::string> expected;
+  for (const std::vector<std::string>& set : sets) {
+    Result<Alignment> a = AliteMatcher().Align(Resolve(*first, set));
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    expected.push_back(a->ToString());
+  }
+  auto align = [&](const Epoch& epoch, size_t s) {
+    Result<IntegrationResult> r = epoch.system->dialite->AlignAndIntegrate(
+        Resolve(epoch, sets[s]), "union_all");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->alignment.ToString(), expected[s]) << "set " << s;
+  };
+
+  constexpr size_t kWorkers = 4;
+  constexpr int kReloads = 6;
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> ok_count{0};
+  {
+    ThreadPool pool(kWorkers);
+    for (size_t w = 0; w < kWorkers; ++w) {
+      pool.Submit([&, w] {
+        for (size_t i = w; !stop.load(std::memory_order_acquire); ++i) {
+          std::shared_ptr<const Epoch> epoch = service.current();
+          align(*epoch, i % sets.size());
+          ok_count.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    }
+    for (int i = 0; i < kReloads; ++i) {
+      // Let the workers align against this epoch before swapping it out
+      // (bounded, so a failed worker cannot hang the test).
+      const size_t target = ok_count.load() + 2 * kWorkers;
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (ok_count.load() < target &&
+             std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::yield();
+      }
+      EXPECT_TRUE(service.Reload(snap).ok());
+    }
+    stop.store(true, std::memory_order_release);
+    pool.Wait();
+  }
+  EXPECT_GE(ok_count.load(), 2 * kWorkers * kReloads);
+
+  // Each epoch's matcher signs a lake table at most once per request that
+  // found it cold, so at most once per worker: concurrent fills of one
+  // table do not wait for each other, and the first to publish wins.
+  const uint64_t epochs = 1 + kReloads;
+  EXPECT_LE(computed(), epochs * kWorkers * lake_columns);
+  // Quiet now: the current epoch signs whatever its workers left cold
+  // once, then serves every set from its cache.
+  const std::shared_ptr<const Epoch> last = service.current();
+  for (size_t s = 0; s < sets.size(); ++s) align(*last, s);
+  const uint64_t warm = computed();
+  for (size_t s = 0; s < sets.size(); ++s) align(*last, s);
+  EXPECT_EQ(computed(), warm);
   std::remove(snap.c_str());
 }
 

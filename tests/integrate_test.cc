@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "align/alite_matcher.h"
 #include "integrate/full_disjunction.h"
@@ -421,6 +424,235 @@ TEST(UnionIntegrationTest, DeduplicatesExactTuples) {
   // Merged provenance on the duplicate.
   size_t rv = RowWithProv(*r, {"A#0", "B#0"});
   EXPECT_NE(rv, static_cast<size_t>(-1));
+}
+
+// ------------------------------------------ string-provenance reference FD
+
+/// One tuple of the reference FD: materialized cells and source labels.
+struct RefTuple {
+  Row row;
+  std::vector<std::string> prov;
+};
+
+/// Provenance union by sort-and-unique of the concatenation.
+std::vector<std::string> RefUnion(std::vector<std::string> a,
+                                  const std::vector<std::string>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  std::sort(a.begin(), a.end());
+  a.erase(std::unique(a.begin(), a.end()), a.end());
+  return a;
+}
+
+bool RowsIdentical(const Row& a, const Row& b) {
+  for (size_t c = 0; c < a.size(); ++c) {
+    if (!a[c].Identical(b[c])) return false;
+  }
+  return true;
+}
+
+bool AllNull(const Row& row) {
+  for (const Value& v : row) {
+    if (!v.is_null()) return false;
+  }
+  return true;
+}
+
+/// Test-only reference FD over materialized Rows with string provenance,
+/// the semantics the integer kernels must reproduce. The outer union's
+/// rows enter with their labels sorted, repeats kept; an exact duplicate
+/// (Identical cells) is absorbed: missing nulls win over produced ones and
+/// the labels are unioned. With `complement`, rounds over all pairs merge
+/// TuplesComplement partners with MergeTuples, absorbing or appending each
+/// merge, until a round appends nothing. Then every tuple that
+/// TupleSubsumedBy another drops; a fact-free tuple survives only when no
+/// tuple has a fact. Without `complement` this is minimum union.
+std::vector<RefTuple> ReferenceFd(const std::vector<const Table*>& tables,
+                                  const Alignment& alignment,
+                                  bool complement) {
+  std::vector<RefTuple> pool;
+  // True when `row` was appended, false when it was absorbed.
+  auto absorb_or_append = [&pool](Row row, std::vector<std::string> prov) {
+    for (RefTuple& t : pool) {
+      if (!RowsIdentical(t.row, row)) continue;
+      for (size_t c = 0; c < row.size(); ++c) {
+        if (t.row[c].is_produced_null() && row[c].is_missing_null()) {
+          t.row[c] = row[c];
+        }
+      }
+      t.prov = RefUnion(std::move(t.prov), prov);
+      return false;
+    }
+    pool.push_back({std::move(row), std::move(prov)});
+    return true;
+  };
+  Result<Table> u = BuildOuterUnion(tables, alignment, "u");
+  EXPECT_TRUE(u.ok()) << u.status().ToString();
+  if (!u.ok()) return {};
+  for (size_t r = 0; r < u->num_rows(); ++r) {
+    std::vector<std::string> prov = u->provenance(r);
+    std::sort(prov.begin(), prov.end());
+    absorb_or_append(u->row(r), std::move(prov));
+  }
+  for (bool changed = complement; changed;) {
+    changed = false;
+    const size_t n = pool.size();
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = i + 1; j < n; ++j) {
+        if (!TuplesComplement(pool[i].row, pool[j].row)) continue;
+        Row merged = MergeTuples(pool[i].row, pool[j].row);
+        std::vector<std::string> prov = RefUnion(pool[i].prov, pool[j].prov);
+        if (absorb_or_append(std::move(merged), std::move(prov))) {
+          changed = true;
+        }
+      }
+    }
+  }
+  bool any_fact = false;
+  for (const RefTuple& t : pool) any_fact = any_fact || !AllNull(t.row);
+  std::vector<RefTuple> out;
+  for (size_t i = 0; i < pool.size(); ++i) {
+    bool keep = !any_fact && i == 0;
+    if (!AllNull(pool[i].row)) {
+      keep = true;
+      for (size_t j = 0; j < pool.size() && keep; ++j) {
+        keep = j == i || !TupleSubsumedBy(pool[i].row, pool[j].row);
+      }
+    }
+    if (keep) out.push_back(pool[i]);
+  }
+  return out;
+}
+
+/// One tuple as text: cells (null kinds told apart) and provenance labels
+/// in their stored order.
+std::string RenderTuple(const Row& row, const std::vector<std::string>& prov) {
+  std::string out;
+  for (const Value& v : row) {
+    out += v.is_produced_null()  ? std::string("(produced null)")
+           : v.is_missing_null() ? std::string("(missing null)")
+                                 : v.ToCsvString();
+    out += " | ";
+  }
+  out += "{";
+  for (const std::string& label : prov) out += label + ";";
+  return out + "}";
+}
+
+/// Tuples as a sorted list: the comparison ignores row order only.
+std::vector<std::string> Rendered(const std::vector<RefTuple>& tuples) {
+  std::vector<std::string> out;
+  for (const RefTuple& t : tuples) out.push_back(RenderTuple(t.row, t.prov));
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<std::string> Rendered(const Table& t) {
+  std::vector<std::string> out;
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    out.push_back(RenderTuple(t.row(r), t.provenance(r)));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Every FD-family operator against the reference, provenance included.
+void ExpectOperatorsMatchReference(const std::vector<const Table*>& tables,
+                                   const Alignment& alignment,
+                                   const std::string& label) {
+  const std::vector<std::string> fd_ref =
+      Rendered(ReferenceFd(tables, alignment, /*complement=*/true));
+  const std::vector<std::string> union_ref =
+      Rendered(ReferenceFd(tables, alignment, /*complement=*/false));
+  FullDisjunction fd;
+  NaiveFullDisjunction naive;
+  ParallelFullDisjunction parallel(3);
+  MinimumUnionIntegration min_union;
+  const std::pair<const IntegrationOperator*, const std::vector<std::string>*>
+      cases[] = {{&fd, &fd_ref},
+                 {&naive, &fd_ref},
+                 {&parallel, &fd_ref},
+                 {&min_union, &union_ref}};
+  for (const auto& [op, expected] : cases) {
+    Result<Table> r = op->Integrate(tables, alignment);
+    ASSERT_TRUE(r.ok()) << label << " " << op->name() << ": "
+                        << r.status().ToString();
+    EXPECT_EQ(Rendered(*r), *expected) << label << " " << op->name();
+  }
+}
+
+TEST(FdReferenceTest, PaperFiguresWithProvenance) {
+  const Table t1 = paper::MakeT1(), t2 = paper::MakeT2(), t3 = paper::MakeT3();
+  const Table t4 = paper::MakeT4(), t5 = paper::MakeT5(), t6 = paper::MakeT6();
+  const std::vector<const Table*> fig3 = {&t1, &t2, &t3};
+  const std::vector<const Table*> fig8 = {&t4, &t5, &t6};
+  ExpectOperatorsMatchReference(fig3, AlignSet(fig3), "fig3");
+  ExpectOperatorsMatchReference(fig8, AlignSet(fig8), "fig8");
+}
+
+TEST(FdReferenceTest, SeededSetsWithProvenance) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    for (const char* domain :
+         {"vaccine_approvals", "football_clubs", "universities"}) {
+      LakeGeneratorParams p;
+      p.fragments_per_domain = 4;
+      p.min_rows = 8;
+      p.max_rows = 20;
+      p.null_rate = 0.15;
+      p.seed = seed;
+      p.domains = {domain};
+      const SyntheticLakeGenerator::Output out =
+          SyntheticLakeGenerator(p).Generate();
+      const std::vector<const Table*> tables = out.lake.tables();
+      ExpectOperatorsMatchReference(
+          tables, AlignSet(tables),
+          std::string(domain) + " seed " + std::to_string(seed));
+    }
+  }
+}
+
+TEST(FdReferenceTest, MultiLabelInputProvenance) {
+  // FD outputs carry label sets ({t11, t13}, ...); integrating one again
+  // with tables whose labels overlap them unions multi-label provenance.
+  const Table t4 = paper::MakeT4(), t5 = paper::MakeT5(), t6 = paper::MakeT6();
+  const std::vector<const Table*> fig8 = {&t4, &t5, &t6};
+  Result<Table> f8 = FullDisjunction().Integrate(fig8, AlignSet(fig8));
+  ASSERT_TRUE(f8.ok()) << f8.status().ToString();
+  const std::vector<const Table*> again = {&*f8, &t5, &t6};
+  ExpectOperatorsMatchReference(again, AlignSet(again), "fig8 again");
+
+  const Table t1 = paper::MakeT1(), t2 = paper::MakeT2(), t3 = paper::MakeT3();
+  const std::vector<const Table*> fig3 = {&t1, &t2, &t3};
+  Result<Table> f3 = FullDisjunction().Integrate(fig3, AlignSet(fig3));
+  ASSERT_TRUE(f3.ok()) << f3.status().ToString();
+  const std::vector<const Table*> with_t1 = {&*f3, &t1};
+  ExpectOperatorsMatchReference(with_t1, AlignSet(with_t1), "fig3 + t1");
+}
+
+TEST(FdReferenceTest, RepeatedLabelsInOneRowsProvenance) {
+  // Labels arrive unsorted and repeated. A row that never merges keeps its
+  // repeats (sorted); unions drop them.
+  Table r("R", Schema::FromNames({"k", "a"}));
+  ASSERT_TRUE(r.AddRow({Value::Int(1), Value::String("x")}, {"x", "x"}).ok());
+  ASSERT_TRUE(
+      r.AddRow({Value::Int(2), Value::String("y")}, {"q", "p", "q"}).ok());
+  ASSERT_TRUE(r.AddRow({Value::Int(3), Value::String("z")}, {"w"}).ok());
+  ASSERT_TRUE(r.AddRow({Value::Int(3), Value::Null()}, {"v", "v"}).ok());
+  ASSERT_TRUE(r.AddRow({Value::Int(3), Value::String("z")}, {"v", "u"}).ok());
+  Table s("S", Schema::FromNames({"k", "b"}));
+  ASSERT_TRUE(s.AddRow({Value::Int(1), Value::String("u")}, {"x", "s"}).ok());
+  ASSERT_TRUE(s.AddRow({Value::Int(4), Value::String("v")}).ok());
+  const std::vector<const Table*> tables = {&r, &s};
+  Result<Alignment> alignment = ManualAlignment({{{"R", 0}, {"S", 0}}}).Align(tables);
+  ASSERT_TRUE(alignment.ok()) << alignment.status().ToString();
+  ExpectOperatorsMatchReference(tables, *alignment, "repeated labels");
+
+  // The unmerged row keeps its sorted repeats in every FD operator.
+  Result<Table> fd = FullDisjunction().Integrate(tables, *alignment);
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  EXPECT_NE(RowWithProv(*fd, {"p", "q", "q"}), static_cast<size_t>(-1))
+      << fd->ToPrettyString();
+  EXPECT_NE(RowWithProv(*fd, {"s", "x"}), static_cast<size_t>(-1))
+      << fd->ToPrettyString();
 }
 
 // ------------------------------------------------- request deadlines

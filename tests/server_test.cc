@@ -243,6 +243,41 @@ TEST_F(ServerHandleTest, AlignAndIntegrateOverLakeTables) {
             404);
 }
 
+TEST_F(ServerHandleTest, RepeatedIntegrateSignsOnlyTheBody) {
+  StartServer();
+  std::shared_ptr<const Epoch> epoch = server_->lake_service().current();
+  ASSERT_NE(epoch, nullptr);
+  const DataLake& lake = *epoch->system->lake;
+  const std::vector<std::string>& names = lake.table_names();
+  ASSERT_GE(names.size(), 2u);
+  const size_t lake_columns = lake.Get(names[0])->num_columns() +
+                              lake.Get(names[1])->num_columns();
+  const size_t body_columns = paper::MakeT1().num_columns();
+  const HttpRequest req =
+      Post("/integrate", {{"tables", names[0] + "," + names[1]}}, QueryCsv());
+  auto counter = [this](const char* name) {
+    return obs_.metrics().CounterValue(name);
+  };
+
+  HttpResponse first = server_->Handle(req, nullptr);
+  ASSERT_EQ(first.status, 200) << first.body;
+  EXPECT_EQ(counter("align.signatures.computed"), body_columns + lake_columns);
+  EXPECT_EQ(counter("align.signatures.reused"), 0u);
+
+  // The lake tables' signatures stay resident for the epoch: the repeat
+  // signs only the body's columns and answers the same bytes.
+  HttpResponse second = server_->Handle(req, nullptr);
+  ASSERT_EQ(second.status, 200) << second.body;
+  EXPECT_EQ(second.body, first.body);
+  EXPECT_EQ(counter("align.signatures.computed"),
+            2 * body_columns + lake_columns);
+  EXPECT_EQ(counter("align.signatures.reused"), lake_columns);
+
+  const std::string metrics = server_->Handle(Get("/metrics"), nullptr).body;
+  EXPECT_NE(metrics.find("align.signatures.computed"), std::string::npos);
+  EXPECT_NE(metrics.find("align.signatures.reused"), std::string::npos);
+}
+
 TEST_F(ServerHandleTest, ReloadAdvancesEpochAndKeepsServing) {
   StartServer();
   EXPECT_EQ(server_->lake_service().current()->id, 1u);
