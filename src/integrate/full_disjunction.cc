@@ -1,13 +1,14 @@
 #include "integrate/full_disjunction.h"
 
 #include <algorithm>
+#include <atomic>
 #include <deque>
-#include <functional>
 #include <iterator>
+#include <memory>
+#include <numeric>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/hash.h"
@@ -25,10 +26,10 @@ struct ProvSpan {
   size_t end = 0;
 };
 
-/// Append-only store of the provenance id lists of one FD run (of one
-/// component, in ParallelFullDisjunction). A list is written once, when a
-/// tuple gets it, and never changes, so the worklist's snapshot of a
-/// tuple's provenance is just its span.
+/// Append-only store of the provenance id lists of one part of an FD run
+/// (see FdPart). A list is written once, when a tuple gets it, and never
+/// changes, so the worklist's snapshot of a tuple's provenance is just its
+/// span.
 class ProvArena {
  public:
   ProvSpan Append(const uint32_t* first, const uint32_t* last) {
@@ -61,7 +62,7 @@ void UnionIds(const uint32_t* a, const uint32_t* a_end, const uint32_t* b,
 /// flat spans of 32-bit cell codes (see tuple_codes.h): complementation,
 /// merging, subsumption, and dedup all run on integers, and cells decode
 /// back to Values only when the final pool becomes a Table. Provenance is
-/// ids into the run's ProvArena, decoded to labels only by EmitTuple.
+/// ids into its part's ProvArena, decoded to labels only by EmitTuple.
 struct CodedPool {
   size_t width = 0;
   std::vector<uint32_t> cells;  // row-major, size() * width
@@ -113,8 +114,9 @@ InternedProv InternProvenance(const Table& u) {
   return out;
 }
 
-/// Local FD tally, accumulated branch-free in the hot loops and flushed
-/// into the integrate.fd.* counters once per Integrate (when enabled).
+/// Local FD tally, accumulated branch-free in the hot loops (one per part,
+/// so parts never contend) and flushed into the integrate.fd.* counters
+/// once per Integrate (when enabled).
 struct FdTally {
   uint64_t rows_scanned = 0;         ///< candidate tuple pairs examined
   uint64_t merges = 0;               ///< complementation merges performed
@@ -186,18 +188,39 @@ uint64_t CellKey(size_t column, uint32_t code) {
 // candidate through a CancelPoller, which reads the clock on its first poll
 // and then once per stride, so a pre-expired token aborts before the first
 // fixpoint iteration ticks.
-bool FdCancelled(const CancelToken* cancel) {
-  return cancel != nullptr && cancel->Cancelled();
-}
-
 Status FdDeadline(const char* stage) {
   return Status::DeadlineExceeded(std::string("full disjunction cancelled ") +
                                   stage);
 }
 
+/// The tuple budget of one FD run: the tuples of all its parts' pools count
+/// against one max_tuples cap. Parts claim concurrently, so the count is an
+/// atomic; it publishes nothing else, hence relaxed.
+class TupleBudget {
+ public:
+  explicit TupleBudget(size_t max_tuples) : max_tuples_(max_tuples) {}
+
+  /// Counts the `n` tuples a part starts with (its deduplicated rows).
+  void Add(size_t n) { used_.fetch_add(n, std::memory_order_relaxed); }
+
+  /// Claims room for one more tuple; false once the run holds max_tuples.
+  [[nodiscard]] bool Claim() {
+    return used_.fetch_add(1, std::memory_order_relaxed) < max_tuples_;
+  }
+
+  Status Exceeded() const {
+    return Status::OutOfRange("full disjunction exceeded max_tuples=" +
+                              std::to_string(max_tuples_));
+  }
+
+ private:
+  const size_t max_tuples_;
+  std::atomic<size_t> used_{0};
+};
+
 /// Indexed complementation fix-point (ALITE-style candidate pruning).
 Status ComplementFixpointIndexed(CodedPool* pool, ProvArena* arena,
-                                 size_t max_tuples, FdTally* tally,
+                                 TupleBudget* budget, FdTally* tally,
                                  const CancelToken* cancel) {
   const size_t width = pool->width;
   std::unordered_map<uint64_t, std::vector<size_t>> cell_index;
@@ -278,10 +301,7 @@ Status ComplementFixpointIndexed(CodedPool* pool, ProvArena* arena,
                           mprov.data() + mprov.size(), &absorbed);
           continue;
         }
-        if (pool->size() >= max_tuples) {
-          return Status::OutOfRange("full disjunction exceeded max_tuples=" +
-                                    std::to_string(max_tuples));
-        }
+        if (!budget->Claim()) return budget->Exceeded();
         pool->AppendRow(merged.data(), arena->Append(mprov));
         visited.push_back(0);
         index_tuple(pool->size() - 1);
@@ -294,7 +314,7 @@ Status ComplementFixpointIndexed(CodedPool* pool, ProvArena* arena,
 
 /// Naive complementation fix-point: rescan all pairs every round.
 Status ComplementFixpointNaive(CodedPool* pool, ProvArena* arena,
-                               size_t max_tuples, FdTally* tally,
+                               TupleBudget* budget, FdTally* tally,
                                const CancelToken* cancel) {
   const size_t width = pool->width;
   std::unordered_map<uint64_t, std::vector<size_t>> dedup;
@@ -337,10 +357,7 @@ Status ComplementFixpointNaive(CodedPool* pool, ProvArena* arena,
                           mprov.data() + mprov.size(), &absorbed);
           continue;
         }
-        if (pool->size() >= max_tuples) {
-          return Status::OutOfRange("full disjunction exceeded max_tuples=" +
-                                    std::to_string(max_tuples));
-        }
+        if (!budget->Claim()) return budget->Exceeded();
         pool->AppendRow(merged.data(), arena->Append(mprov));
         dedup[CodedRowKey(pool->row(pool->size() - 1), width)].push_back(
             pool->size() - 1);
@@ -352,8 +369,11 @@ Status ComplementFixpointNaive(CodedPool* pool, ProvArena* arena,
 }
 
 /// Keeps only ⊑-maximal tuples into `*out`. Assumes no two pool tuples are
-/// identical. Polls `cancel` once per pool row.
-Status RemoveSubsumed(const CodedPool& pool, FdTally* tally,
+/// identical. A tuple with no facts is subsumed by any tuple that has one,
+/// so it survives only when `any_fact` — whether any tuple of the whole run,
+/// not just of this pool, has a fact — is false. Polls `cancel` once per
+/// pool row.
+Status RemoveSubsumed(const CodedPool& pool, bool any_fact, FdTally* tally,
                       const CancelToken* cancel, CodedPool* out) {
   const size_t width = pool.width;
   const size_t n = pool.size();
@@ -366,18 +386,6 @@ Status RemoveSubsumed(const CodedPool& pool, FdTally* tally,
     }
   }
   std::vector<bool> keep(n, true);
-  size_t non_empty_tuples = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t* row = pool.row(i);
-    bool all_null = true;
-    for (size_t c = 0; c < width; ++c) {
-      if (!CodeIsNull(row[c])) {
-        all_null = false;
-        break;
-      }
-    }
-    if (!all_null) ++non_empty_tuples;
-  }
   CancelPoller poll(cancel);
   for (size_t i = 0; i < n; ++i) {
     if (poll.Cancelled()) return FdDeadline("in subsumption removal");
@@ -394,8 +402,8 @@ Status RemoveSubsumed(const CodedPool& pool, FdTally* tally,
       }
     }
     if (all_null) {
-      // A tuple with no facts is subsumed by any tuple that has one.
-      keep[i] = non_empty_tuples == 0 && i == 0;
+      // Dedup leaves at most one fact-free tuple per run.
+      keep[i] = !any_fact;
       continue;
     }
     for (size_t j : *smallest) {
@@ -447,6 +455,89 @@ CodedPool DedupIntoPool(const std::vector<uint32_t>& ucells, size_t width,
   return pool;
 }
 
+/// One part of an FD run: outer-union rows that never complement or
+/// subsume a row of another part, and the state of their dedup →
+/// fix-point → subsumption pipeline.
+struct FdPart {
+  std::vector<size_t> rows;  ///< outer-union rows, ascending
+  ProvArena arena;
+  CodedPool pool;  ///< deduplicated rows, then closure, then ⊑-maximal tuples
+  FdTally tally;
+  Status status;
+};
+
+/// Splits the `n` encoded outer-union rows into parts. Unsplit, the whole
+/// union is one part. Split, the parts are the connected components of the
+/// "shares a (column, code) cell" graph — tuples of different components
+/// can never complement, and one never subsumes another unless it is
+/// fact-free — with all fact-free rows in one part, so dedup still folds
+/// them into one tuple. Parts are ordered by their first row.
+std::vector<FdPart> SplitIntoParts(const std::vector<uint32_t>& ucells,
+                                   size_t width, size_t n, bool split) {
+  std::vector<FdPart> parts;
+  if (!split) {
+    parts.resize(1);
+    parts[0].rows.resize(n);
+    std::iota(parts[0].rows.begin(), parts[0].rows.end(), size_t{0});
+    return parts;
+  }
+  std::vector<size_t> parent(n);
+  std::iota(parent.begin(), parent.end(), size_t{0});
+  auto find = [&parent](size_t x) {  // with path halving
+    while (parent[x] != x) {
+      parent[x] = parent[parent[x]];
+      x = parent[x];
+    }
+    return x;
+  };
+  // (column, code) → first row holding it; fact-free rows share one key.
+  constexpr uint64_t kFactFreeKey = ~uint64_t{0};
+  std::unordered_map<uint64_t, size_t> first_row;
+  auto join = [&](size_t r, uint64_t key) {
+    auto [it, inserted] = first_row.emplace(key, r);
+    if (!inserted) parent[find(r)] = find(it->second);
+  };
+  for (size_t r = 0; r < n; ++r) {
+    const uint32_t* row = ucells.data() + r * width;
+    bool fact_free = true;
+    for (size_t c = 0; c < width; ++c) {
+      if (CodeIsNull(row[c])) continue;
+      fact_free = false;
+      join(r, (static_cast<uint64_t>(c) << 32) | row[c]);
+    }
+    if (fact_free) join(r, kFactFreeKey);
+  }
+  std::vector<size_t> part_of_root(n, static_cast<size_t>(-1));
+  for (size_t r = 0; r < n; ++r) {
+    size_t& k = part_of_root[find(r)];
+    if (k == static_cast<size_t>(-1)) {
+      k = parts.size();
+      parts.emplace_back();
+    }
+    parts[k].rows.push_back(r);
+  }
+  return parts;
+}
+
+/// Runs `fn(k)` for every part k: across `workers` when there are any,
+/// else inline in part order.
+template <typename Fn>
+void ForEachPart(ThreadPool* workers, size_t num_parts, const Fn& fn) {
+  if (workers == nullptr) {
+    for (size_t k = 0; k < num_parts; ++k) fn(k);
+  } else {
+    workers->ParallelFor(num_parts, fn);
+  }
+}
+
+/// The first failed part's status, in part order, or OK.
+Status FirstError(const std::vector<FdPart>& parts) {
+  for (const FdPart& part : parts) {
+    if (!part.status.ok()) return part.status;
+  }
+  return Status::OK();
+}
+
 /// Decodes pool tuple `i` — cells and provenance labels — into a row of
 /// `out`.
 Status EmitTuple(const CodedPool& pool, size_t i, const ProvArena& arena,
@@ -465,12 +556,15 @@ Status EmitTuple(const CodedPool& pool, size_t i, const ProvArena& arena,
   return out->AddRow(std::move(row), std::move(prov));
 }
 
-/// Decodes the final pool into the result table.
-Status EmitPool(const CodedPool& pool, const ProvArena& arena,
-                const std::vector<std::string_view>& labels,
-                const TupleCodec& codec, Table* out) {
-  for (size_t i = 0; i < pool.size(); ++i) {
-    DIALITE_RETURN_IF_ERROR(EmitTuple(pool, i, arena, labels, codec, out));
+/// Decodes the parts' final pools, part after part, into the result table.
+Status EmitParts(const std::vector<FdPart>& parts,
+                 const std::vector<std::string_view>& labels,
+                 const TupleCodec& codec, Table* out) {
+  for (const FdPart& part : parts) {
+    for (size_t i = 0; i < part.pool.size(); ++i) {
+      DIALITE_RETURN_IF_ERROR(
+          EmitTuple(part.pool, i, part.arena, labels, codec, out));
+    }
   }
   out->RefreshColumnTypes();
   return Status::OK();
@@ -483,51 +577,82 @@ enum class FixpointMode {
   kNone,     ///< skip complementation (minimum union)
 };
 
-/// Shared FD driver: outer union → encode → fix-point → subsumption →
-/// decode into a Table. `obs` (nullable) receives the integrate.fd.*
-/// counters and a span per phase — they are flushed on the cancellation
-/// path too, so a deadline test can observe fixpoint_iterations == 0.
+/// The one FD pipeline: outer union → encode → intern provenance → split
+/// into parts → per part: dedup → fix-point → subsumption → decode the
+/// parts, in order, into a Table. At one thread the union is a single part;
+/// at more, the fix-point and subsumption stages run the parts on a
+/// ThreadPool, one barrier per stage, so the stage spans stay on the
+/// calling thread. All parts draw on one TupleBudget and share the
+/// run-wide fact flag, so the thread count changes only the order of the
+/// output rows. `obs` (nullable) receives the integrate.fd.* counters and a
+/// span per stage — they are flushed on the cancellation path too, so a
+/// deadline test can observe fixpoint_iterations == 0.
 Result<Table> RunFd(const std::vector<const Table*>& tables,
                     const Alignment& alignment, const std::string& name,
-                    FixpointMode mode, size_t max_tuples,
+                    FixpointMode mode, const FullDisjunction::Params& params,
                     ObservabilityContext* obs, const CancelToken* cancel) {
   ObsSpan fd_span(obs, "integrate.full_disjunction");
   FdTally tally;
   Result<Table> union_r = BuildOuterUnion(tables, alignment, name);
   if (!union_r.ok()) return union_r.status();
   const Table& u = *union_r;
+  const size_t width = u.num_columns();
   TupleCodec codec;
   const std::vector<uint32_t> ucells = codec.EncodeTable(u);
   tally.produced_nulls = CountProducedNulls(ucells);
   const InternedProv interned = InternProvenance(u);
-  std::vector<size_t> all_rows(u.num_rows());
-  for (size_t r = 0; r < all_rows.size(); ++r) all_rows[r] = r;
-  // Dedup exact input duplicates up front.
-  ProvArena arena;
-  CodedPool pool =
-      DedupIntoPool(ucells, u.num_columns(), all_rows, interned, &arena);
-
-  Status st = Status::OK();
+  const bool any_fact = std::any_of(ucells.begin(), ucells.end(),
+                                    [](uint32_t c) { return !CodeIsNull(c); });
+  std::vector<FdPart> parts =
+      SplitIntoParts(ucells, width, u.num_rows(), params.num_threads != 1);
+  // Dedup exact input duplicates of every part before any merge claims
+  // budget, so whether a run exceeds max_tuples hangs on its inputs alone,
+  // not on thread timing.
+  TupleBudget budget(params.max_tuples);
+  for (FdPart& part : parts) {
+    part.pool = DedupIntoPool(ucells, width, part.rows, interned, &part.arena);
+    budget.Add(part.pool.size());
+  }
+  std::unique_ptr<ThreadPool> workers;
+  if (parts.size() > 1) {
+    workers = std::make_unique<ThreadPool>(params.num_threads, obs);
+  }
   {
     ObsSpan span(obs, "integrate.fd.fixpoint");
-    if (mode == FixpointMode::kIndexed) {
-      st = ComplementFixpointIndexed(&pool, &arena, max_tuples, &tally,
-                                     cancel);
-    } else if (mode == FixpointMode::kNaive) {
-      st = ComplementFixpointNaive(&pool, &arena, max_tuples, &tally, cancel);
+    if (mode != FixpointMode::kNone) {
+      ForEachPart(workers.get(), parts.size(), [&](size_t k) {
+        FdPart& part = parts[k];
+        part.status =
+            mode == FixpointMode::kIndexed
+                ? ComplementFixpointIndexed(&part.pool, &part.arena, &budget,
+                                            &part.tally, cancel)
+                : ComplementFixpointNaive(&part.pool, &part.arena, &budget,
+                                          &part.tally, cancel);
+      });
     }
   }
-  CodedPool final_pool;
+  Status st = FirstError(parts);
   if (st.ok()) {
     ObsSpan span(obs, "integrate.fd.subsumption");
-    st = RemoveSubsumed(pool, &tally, cancel, &final_pool);
+    ForEachPart(workers.get(), parts.size(), [&](size_t k) {
+      FdPart& part = parts[k];
+      CodedPool kept;
+      part.status =
+          RemoveSubsumed(part.pool, any_fact, &part.tally, cancel, &kept);
+      part.pool = std::move(kept);
+    });
+    st = FirstError(parts);
   }
-  EmitFdCounters(obs, tally, u.num_rows(), st.ok() ? final_pool.size() : 0);
+  size_t output_rows = 0;
+  for (const FdPart& part : parts) {
+    tally.MergeFrom(part.tally);
+    output_rows += part.pool.size();
+  }
+  EmitFdCounters(obs, tally, u.num_rows(), st.ok() ? output_rows : 0);
   DIALITE_RETURN_IF_ERROR(st);
 
   Table out(name, u.schema());
-  DIALITE_RETURN_IF_ERROR(
-      EmitPool(final_pool, arena, interned.labels, codec, &out));
+  DIALITE_RETURN_IF_ERROR(EmitParts(parts, interned.labels, codec, &out));
   return out;
 }
 
@@ -537,131 +662,21 @@ Result<Table> FullDisjunction::Integrate(
     const std::vector<const Table*>& tables, const Alignment& alignment,
     const CancelToken* cancel) const {
   return RunFd(tables, alignment, "fd_result", FixpointMode::kIndexed,
-               params_.max_tuples, obs_, cancel);
+               params_, obs_, cancel);
 }
 
 Result<Table> NaiveFullDisjunction::Integrate(
     const std::vector<const Table*>& tables, const Alignment& alignment,
     const CancelToken* cancel) const {
   return RunFd(tables, alignment, "naive_fd_result", FixpointMode::kNaive,
-               /*max_tuples=*/2000000, obs_, cancel);
+               FullDisjunction::Params(), obs_, cancel);
 }
 
 Result<Table> MinimumUnionIntegration::Integrate(
     const std::vector<const Table*>& tables, const Alignment& alignment,
     const CancelToken* cancel) const {
   return RunFd(tables, alignment, "minimum_union_result", FixpointMode::kNone,
-               /*max_tuples=*/2000000, obs_, cancel);
-}
-
-Result<Table> ParallelFullDisjunction::Integrate(
-    const std::vector<const Table*>& tables, const Alignment& alignment,
-    const CancelToken* cancel) const {
-  ObsSpan fd_span(obs_, "integrate.parallel_full_disjunction");
-  Result<Table> union_r = BuildOuterUnion(tables, alignment, "parallel_fd");
-  if (!union_r.ok()) return union_r.status();
-  const Table& u = *union_r;
-  const size_t n = u.num_rows();
-  const size_t width = u.num_columns();
-  TupleCodec codec;
-  const std::vector<uint32_t> ucells = codec.EncodeTable(u);
-  const InternedProv interned = InternProvenance(u);
-
-  // Union-find over tuples; tuples sharing a (column, code) cell join the
-  // same component. Cross-component tuples can never complement or subsume
-  // (except all-null tuples, which vanish anyway when any fact exists).
-  std::vector<size_t> parent(n);
-  for (size_t i = 0; i < n; ++i) parent[i] = i;
-  std::function<size_t(size_t)> find = [&](size_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  auto unite = [&](size_t a, size_t b) { parent[find(a)] = find(b); };
-  std::unordered_map<uint64_t, size_t> first_owner;
-  for (size_t r = 0; r < n; ++r) {
-    const uint32_t* row = ucells.data() + r * width;
-    for (size_t c = 0; c < width; ++c) {
-      if (CodeIsNull(row[c])) continue;
-      const uint64_t key = (static_cast<uint64_t>(c) << 32) | row[c];
-      auto [it, inserted] = first_owner.emplace(key, r);
-      if (!inserted) unite(r, it->second);
-    }
-  }
-  std::unordered_map<size_t, std::vector<size_t>> components;
-  for (size_t r = 0; r < n; ++r) components[find(r)].push_back(r);
-
-  // Solve each component's FD on the pool.
-  std::vector<std::vector<size_t>> comps;
-  comps.reserve(components.size());
-  for (auto& [root, rows] : components) comps.push_back(std::move(rows));
-  std::sort(comps.begin(), comps.end());  // deterministic output order
-
-  std::vector<CodedPool> results(comps.size());
-  std::vector<ProvArena> arenas(comps.size());  // one per component
-  std::vector<Status> statuses(comps.size());
-  // Per-component tallies, merged serially after the barrier (counter
-  // updates must not contend on the hot path).
-  std::vector<FdTally> tallies(comps.size());
-  ThreadPool tp(num_threads_, obs_);
-  tp.ParallelFor(comps.size(), [&](size_t k) {
-    // Dedup within the component, then run the indexed fix-point. Each
-    // component observes the shared token, so cancellation stops every
-    // worker within one fixpoint iteration.
-    if (FdCancelled(cancel)) {
-      statuses[k] = FdDeadline("before component fixpoint");
-      return;
-    }
-    CodedPool pool = DedupIntoPool(ucells, width, comps[k], interned,
-                                   &arenas[k]);
-    statuses[k] = ComplementFixpointIndexed(&pool, &arenas[k], 2000000,
-                                            &tallies[k], cancel);
-    if (statuses[k].ok()) {
-      statuses[k] = RemoveSubsumed(pool, &tallies[k], cancel, &results[k]);
-    }
-  });
-  for (const Status& st : statuses) {
-    DIALITE_RETURN_IF_ERROR(st);
-  }
-  FdTally tally;
-  tally.produced_nulls = CountProducedNulls(ucells);
-  for (const FdTally& t : tallies) tally.MergeFrom(t);
-  ObsAdd(obs_, "integrate.fd.components", comps.size());
-
-  // Drop all-null tuples globally if any component produced facts.
-  bool any_fact = false;
-  for (const CodedPool& p : results) {
-    for (uint32_t cell : p.cells) {
-      if (!CodeIsNull(cell)) {
-        any_fact = true;
-        break;
-      }
-    }
-  }
-  Table out("parallel_fd_result", u.schema());
-  for (size_t k = 0; k < results.size(); ++k) {
-    const CodedPool& p = results[k];
-    for (size_t i = 0; i < p.size(); ++i) {
-      const uint32_t* row = p.row(i);
-      if (any_fact) {
-        bool all_null = true;
-        for (size_t c = 0; c < width; ++c) {
-          if (!CodeIsNull(row[c])) {
-            all_null = false;
-            break;
-          }
-        }
-        if (all_null) continue;
-      }
-      DIALITE_RETURN_IF_ERROR(
-          EmitTuple(p, i, arenas[k], interned.labels, codec, &out));
-    }
-  }
-  out.RefreshColumnTypes();
-  EmitFdCounters(obs_, tally, n, out.num_rows());
-  return out;
+               FullDisjunction::Params(), obs_, cancel);
 }
 
 }  // namespace dialite

@@ -27,13 +27,25 @@ namespace dialite {
 /// The output provenance unions the source tuple labels, reproducing the
 /// paper's TIDs sets (f1 = {t1, t7} in Fig. 3). Unlike outer join the
 /// result is independent of the order of the input tables.
+///
+/// One pipeline runs every FD-family operator (this one, the naive and
+/// parallel variants, minimum union): it splits the outer union into parts
+/// and runs steps 2 (skipped by minimum union) and 3 on each. At one thread
+/// the whole union is the single part; with more, the parts are the
+/// connected components of the "shares a (column, value) cell" graph —
+/// tuples in different components can never complement — run on a thread
+/// pool. The relation computed does not depend on the thread count; only
+/// the row order does.
 class FullDisjunction : public IntegrationOperator {
  public:
   struct Params {
-    /// Safety valve: abort with ResourceExhausted-like error if the
-    /// complementation pool exceeds this many tuples (FD output can be
-    /// exponential in pathological inputs).
+    /// Safety valve: fail with kOutOfRange once the run holds this many
+    /// tuples across all its parts (FD output can be exponential in
+    /// pathological inputs).
     size_t max_tuples = 2000000;
+    /// Worker threads; 0 = hardware concurrency. Any value but 1 splits
+    /// the outer union into components.
+    size_t num_threads = 1;
   };
 
   FullDisjunction() : FullDisjunction(Params()) {}
@@ -63,23 +75,14 @@ class NaiveFullDisjunction : public IntegrationOperator {
 };
 
 /// Parallel Full Disjunction (in the spirit of Paganelli et al., BDR 2019):
-/// partitions the outer union into connected components of the
-/// "shares a (column, value) cell" graph — tuples in different components
-/// can never complement — and runs the complementation fix-point of each
-/// component on a thread pool.
-class ParallelFullDisjunction : public IntegrationOperator {
+/// FullDisjunction with its components solved on `num_threads` workers
+/// (0 = hardware concurrency).
+class ParallelFullDisjunction : public FullDisjunction {
  public:
   explicit ParallelFullDisjunction(size_t num_threads = 0)
-      : num_threads_(num_threads) {}
+      : FullDisjunction(Params{.num_threads = num_threads}) {}
 
   std::string name() const override { return "parallel_fd"; }
-  using IntegrationOperator::Integrate;
-  Result<Table> Integrate(const std::vector<const Table*>& tables,
-                          const Alignment& alignment,
-                          const CancelToken* cancel) const override;
-
- private:
-  size_t num_threads_;
 };
 
 /// Minimum union (Galindo-Legaria, SIGMOD 1994 — the paper's reference

@@ -17,12 +17,12 @@
 namespace dialite {
 
 /// Per-table column token sets: token_sets[c] is the distinct, lowercased,
-/// non-null token set of column c (Table::ColumnTokenSet order).
+/// non-null token set of column c (ColumnTokens order).
 using ColumnTokenSets = std::vector<std::vector<std::string>>;
 
 /// Per-table distinct raw values: distinct_values[c] holds the CSV
 /// renderings of column c's distinct non-null values, case preserved
-/// (Table::DistinctColumnValues order) — the inputs KB annotation consumes.
+/// (ColumnDistinct order) — the inputs KB annotation consumes.
 using ColumnDistinctValues = std::vector<std::vector<std::string>>;
 
 /// Thread-safe, lazily-populated cache of per-table derived data shared by

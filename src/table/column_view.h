@@ -90,26 +90,24 @@ struct CellRef {
 /// Value::operator<: nulls < numbers (numeric order) < strings (byte order).
 [[nodiscard]] bool CellLess(const ColumnView& a, size_t ra, const ColumnView& b, size_t rb);
 
-/// The column scans the pipeline used to run through the copy-returning
-/// Table accessors, now over views. Each matches its Table counterpart
-/// element for element (same values, same order):
+/// Column scans over a view, for callers that need the values as a list.
 
-/// == Table::ColumnValues.
+/// Every cell of the column as a Value, in row order.
 std::vector<Value> ColumnMaterialize(const ColumnView& col);
 
-/// == Table::DistinctColumnValues: distinct non-null values under
-/// Value::Identical, first-occurrence order. Dictionary ids make the string
-/// dedup a flat bitmap instead of hashing.
+/// Distinct non-null values under Value::Identical, first-occurrence
+/// order. Dictionary ids make the string dedup a flat bitmap instead of
+/// hashing.
 std::vector<Value> ColumnDistinct(const ColumnView& col);
 
 /// ColumnDistinct rendered through Value::ToCsvString, without
 /// materializing Values.
 std::vector<std::string> ColumnDistinctCsv(const ColumnView& col);
 
-/// == Table::ColumnTokenSet: distinct non-empty
-/// ToLowerAscii(Trim(csv-render)) tokens of non-null cells, first-occurrence
-/// order. A per-cell identity prefilter (dict id / int value / double bits)
-/// skips re-rendering repeated cells.
+/// The column's token set, which joinability search and sketching use:
+/// distinct non-empty ToLowerAscii(Trim(csv-render)) tokens of non-null
+/// cells, first-occurrence order. A per-cell identity prefilter (dict id /
+/// int value / double bits) skips re-rendering repeated cells.
 std::vector<std::string> ColumnTokens(const ColumnView& col);
 
 }  // namespace dialite

@@ -85,18 +85,6 @@ void Table::StampProvenance(const std::string& prefix, size_t start) {
   }
 }
 
-std::vector<Value> Table::ColumnValues(size_t c) const {
-  return ColumnMaterialize(column(c));
-}
-
-std::vector<Value> Table::DistinctColumnValues(size_t c) const {
-  return ColumnDistinct(column(c));
-}
-
-std::vector<std::string> Table::ColumnTokenSet(size_t c) const {
-  return ColumnTokens(column(c));
-}
-
 Table Table::ProjectColumns(const std::vector<size_t>& indices,
                             std::string new_name) const {
   std::vector<ColumnDef> cols;

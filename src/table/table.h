@@ -14,15 +14,6 @@
 #include "table/schema.h"
 #include "table/value.h"
 
-/// Marks the copy-returning column accessors kept for one release as
-/// wrappers over the view-based scans. Define DIALITE_SUPPRESS_DEPRECATIONS
-/// before including to silence (used by the equivalence tests).
-#if defined(DIALITE_SUPPRESS_DEPRECATIONS)
-#define DIALITE_DEPRECATED(msg)
-#else
-#define DIALITE_DEPRECATED(msg) [[deprecated(msg)]]
-#endif
-
 namespace dialite {
 
 /// One row of cells. Rows always have exactly schema.num_columns() cells.
@@ -138,19 +129,6 @@ class Table {
   /// Gives every row the singleton provenance "<prefix><row-index+start>"
   /// (e.g. prefix "t", start 1 → t1, t2, ...), matching the paper's TIDs.
   void StampProvenance(const std::string& prefix, size_t start = 1);
-
-  /// All values in column `c`, in row order.
-  DIALITE_DEPRECATED("use ColumnMaterialize(table.column(c))")
-  std::vector<Value> ColumnValues(size_t c) const;
-
-  /// Distinct non-null values in column `c` (insertion order).
-  DIALITE_DEPRECATED("use ColumnDistinct(table.column(c))")
-  std::vector<Value> DistinctColumnValues(size_t c) const;
-
-  /// Distinct non-null values lowercased-rendered as strings — the token set
-  /// used by joinability search and sketching.
-  DIALITE_DEPRECATED("use ColumnTokens(table.column(c))")
-  std::vector<std::string> ColumnTokenSet(size_t c) const;
 
   /// New table containing only the given column indices (provenance kept).
   Table ProjectColumns(const std::vector<size_t>& indices,

@@ -1,8 +1,7 @@
 // Layout-invariance tests for the columnar Table storage: the physical
 // representation (typed lanes + interned strings + null map) must be
 // unobservable through every public surface — CSV bytes, pretty printing,
-// hashing, and the deprecated copy-returning column accessors.
-#define DIALITE_SUPPRESS_DEPRECATIONS
+// hashing.
 
 #include <cstdint>
 #include <random>
@@ -227,21 +226,6 @@ TEST(ColumnViewTest, CellsIdenticalCrossNumericAndNulls) {
   EXPECT_FALSE(CellsIdentical(a, 3, b, 3));  // 5 != 6
   EXPECT_FALSE(CellsEqualValue(a, 1, b, 1));  // EqualsValue is non-null only
   EXPECT_TRUE(CellsEqualValue(a, 0, b, 0));
-}
-
-// ---------------------------------------------------------------------------
-// Deprecated copy-returning accessors are exact wrappers over the view
-// builders.
-
-TEST(DeprecatedWrapperTest, WrappersMatchViewBuilders) {
-  std::mt19937_64 rng(11);
-  Table t("t", Schema::FromNames({"a"}));
-  for (int r = 0; r < 200; ++r) ASSERT_TRUE(t.AddRow({RandomValue(&rng)}).ok());
-
-  const ColumnView col = t.column(0);
-  EXPECT_EQ(t.ColumnValues(0), ColumnMaterialize(col));
-  EXPECT_EQ(t.DistinctColumnValues(0), ColumnDistinct(col));
-  EXPECT_EQ(t.ColumnTokenSet(0), ColumnTokens(col));
 }
 
 // ---------------------------------------------------------------------------

@@ -365,6 +365,37 @@ TEST(FdPropertiesTest, ParallelMatchesSequentialOnSyntheticSet) {
   EXPECT_TRUE(r1->SameRowsAs(*r2));
 }
 
+TEST(FdPropertiesTest, ParallelFdReportsLikeAliteFd) {
+  // Same spans and run-level counters as alite_fd, across four threads.
+  Table t1 = paper::MakeT1();
+  Table t2 = paper::MakeT2();
+  Table t3 = paper::MakeT3();
+  std::vector<const Table*> tables = {&t1, &t2, &t3};
+  Alignment a = AlignSet(tables);
+  ObservabilityContext seq_obs, par_obs;
+  FullDisjunction fd;
+  ParallelFullDisjunction parallel(4);
+  fd.set_observability(&seq_obs);
+  parallel.set_observability(&par_obs);
+  ASSERT_TRUE(fd.Integrate(tables, a).ok());
+  ASSERT_TRUE(parallel.Integrate(tables, a).ok());
+  fd.set_observability(nullptr);
+  parallel.set_observability(nullptr);
+  for (const char* span :
+       {"integrate.full_disjunction", "integrate.fd.fixpoint",
+        "integrate.fd.subsumption"}) {
+    EXPECT_TRUE(par_obs.tracer().HasSpan(span)) << span;
+  }
+  EXPECT_EQ(par_obs.tracer().root_count(), 1u);
+  for (const char* counter :
+       {"integrate.fd.input_rows", "integrate.fd.output_rows",
+        "integrate.fd.produced_nulls", "integrate.fd.subsumed_tuples"}) {
+    EXPECT_EQ(par_obs.metrics().CounterValue(counter),
+              seq_obs.metrics().CounterValue(counter))
+        << counter;
+  }
+}
+
 TEST(FdPropertiesTest, MaxTuplesGuardFires) {
   // Two tall tables complementing through a shared constant column blow up
   // the pool; the guard must turn that into an error, not a hang.
@@ -555,7 +586,8 @@ std::vector<std::string> Rendered(const Table& t) {
   return out;
 }
 
-/// Every FD-family operator against the reference, provenance included.
+/// Every FD-family operator against the reference, provenance included;
+/// parallel_fd at 1 to 4 threads.
 void ExpectOperatorsMatchReference(const std::vector<const Table*>& tables,
                                    const Alignment& alignment,
                                    const std::string& label) {
@@ -565,18 +597,26 @@ void ExpectOperatorsMatchReference(const std::vector<const Table*>& tables,
       Rendered(ReferenceFd(tables, alignment, /*complement=*/false));
   FullDisjunction fd;
   NaiveFullDisjunction naive;
-  ParallelFullDisjunction parallel(3);
+  ParallelFullDisjunction parallel1(1), parallel2(2), parallel3(3),
+      parallel4(4);
   MinimumUnionIntegration min_union;
-  const std::pair<const IntegrationOperator*, const std::vector<std::string>*>
-      cases[] = {{&fd, &fd_ref},
-                 {&naive, &fd_ref},
-                 {&parallel, &fd_ref},
-                 {&min_union, &union_ref}};
-  for (const auto& [op, expected] : cases) {
+  const struct {
+    const IntegrationOperator* op;
+    const char* variant;
+    const std::vector<std::string>* expected;
+  } cases[] = {{&fd, "", &fd_ref},
+               {&naive, "", &fd_ref},
+               {&parallel1, " x1", &fd_ref},
+               {&parallel2, " x2", &fd_ref},
+               {&parallel3, " x3", &fd_ref},
+               {&parallel4, " x4", &fd_ref},
+               {&min_union, "", &union_ref}};
+  for (const auto& [op, variant, expected] : cases) {
     Result<Table> r = op->Integrate(tables, alignment);
-    ASSERT_TRUE(r.ok()) << label << " " << op->name() << ": "
+    ASSERT_TRUE(r.ok()) << label << " " << op->name() << variant << ": "
                         << r.status().ToString();
-    EXPECT_EQ(Rendered(*r), *expected) << label << " " << op->name();
+    EXPECT_EQ(Rendered(*r), *expected) << label << " " << op->name()
+                                       << variant;
   }
 }
 
@@ -589,7 +629,10 @@ TEST(FdReferenceTest, PaperFiguresWithProvenance) {
   ExpectOperatorsMatchReference(fig8, AlignSet(fig8), "fig8");
 }
 
-TEST(FdReferenceTest, SeededSetsWithProvenance) {
+/// Calls `fn(label, tables)` on each seeded lake of the reference tests:
+/// three domains at seeds 1 to 3.
+template <typename Fn>
+void ForEachSeededSet(const Fn& fn) {
   for (uint64_t seed : {1u, 2u, 3u}) {
     for (const char* domain :
          {"vaccine_approvals", "football_clubs", "universities"}) {
@@ -602,12 +645,72 @@ TEST(FdReferenceTest, SeededSetsWithProvenance) {
       p.domains = {domain};
       const SyntheticLakeGenerator::Output out =
           SyntheticLakeGenerator(p).Generate();
-      const std::vector<const Table*> tables = out.lake.tables();
-      ExpectOperatorsMatchReference(
-          tables, AlignSet(tables),
-          std::string(domain) + " seed " + std::to_string(seed));
+      fn(std::string(domain) + " seed " + std::to_string(seed),
+         out.lake.tables());
     }
   }
+}
+
+TEST(FdReferenceTest, SeededSetsWithProvenance) {
+  ForEachSeededSet([](const std::string& label,
+                      const std::vector<const Table*>& tables) {
+    ExpectOperatorsMatchReference(tables, AlignSet(tables), label);
+  });
+}
+
+/// FNV-1a of a table's ordered rendering: column names, then every row's
+/// cells (null kinds told apart) and provenance, in row order.
+uint64_t OrderedDigest(const Table& t) {
+  std::string text;
+  for (size_t c = 0; c < t.num_columns(); ++c) {
+    text += t.schema().column(c).name + ",";
+  }
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    text += "\n" + RenderTuple(t.row(r), t.provenance(r));
+  }
+  uint64_t h = 14695981039346656037ull;
+  for (unsigned char ch : text) {
+    h ^= ch;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(FdReferenceTest, OneThreadKeepsAliteFdRowOrder) {
+  // At one thread the whole outer union is one part, so alite_fd and
+  // parallel_fd x1 must reproduce alite_fd's single-part output exactly:
+  // rows, null kinds, provenance and row order, pinned here as recorded
+  // digests.
+  std::vector<std::pair<std::string, uint64_t>> got;
+  auto record = [&got](const std::string& label,
+                       const std::vector<const Table*>& tables) {
+    const Alignment alignment = AlignSet(tables);
+    Result<Table> fd = FullDisjunction().Integrate(tables, alignment);
+    Result<Table> one = ParallelFullDisjunction(1).Integrate(tables, alignment);
+    ASSERT_TRUE(fd.ok()) << label << ": " << fd.status().ToString();
+    ASSERT_TRUE(one.ok()) << label << ": " << one.status().ToString();
+    EXPECT_EQ(OrderedDigest(*one), OrderedDigest(*fd)) << label;
+    got.emplace_back(label, OrderedDigest(*fd));
+  };
+  const Table t1 = paper::MakeT1(), t2 = paper::MakeT2(), t3 = paper::MakeT3();
+  const Table t4 = paper::MakeT4(), t5 = paper::MakeT5(), t6 = paper::MakeT6();
+  record("fig3", {&t1, &t2, &t3});
+  record("fig8", {&t4, &t5, &t6});
+  ForEachSeededSet(record);
+  const std::vector<std::pair<std::string, uint64_t>> recorded = {
+      {"fig3", 0xc6733692f41dc1eeull},
+      {"fig8", 0x03097aace43eedf2ull},
+      {"vaccine_approvals seed 1", 0xd6714395f7b8cd5aull},
+      {"football_clubs seed 1", 0x4afc44e910ea8b4eull},
+      {"universities seed 1", 0xa0a10ab5d57ea7aaull},
+      {"vaccine_approvals seed 2", 0x863da967bb6dd45full},
+      {"football_clubs seed 2", 0x69798363a1feb59eull},
+      {"universities seed 2", 0x500e1d79d95d2aabull},
+      {"vaccine_approvals seed 3", 0x99280e57c66ab2b2ull},
+      {"football_clubs seed 3", 0x7646c1dd66ef4572ull},
+      {"universities seed 3", 0xb3a7f7a515819697ull},
+  };
+  EXPECT_EQ(got, recorded);
 }
 
 TEST(FdReferenceTest, MultiLabelInputProvenance) {
@@ -655,6 +758,65 @@ TEST(FdReferenceTest, RepeatedLabelsInOneRowsProvenance) {
       << fd->ToPrettyString();
 }
 
+TEST(FdReferenceTest, FactFreeRowsFoldIntoOneTuple) {
+  // T1(a) = [null] and T2(b) = [null], one cluster each: dedup folds the two
+  // fact-free rows into one tuple {T1#0, T2#0} in every operator, parallel
+  // ones included. One fact-bearing row then subsumes that tuple.
+  Table t1("T1", Schema::FromNames({"a"}));
+  ASSERT_TRUE(t1.AddRow({Value::Null()}).ok());
+  Table t2("T2", Schema::FromNames({"b"}));
+  ASSERT_TRUE(t2.AddRow({Value::Null()}).ok());
+  const std::vector<const Table*> tables = {&t1, &t2};
+  Result<Alignment> alignment =
+      ManualAlignment({{{"T1", 0}}, {{"T2", 0}}}).Align(tables);
+  ASSERT_TRUE(alignment.ok()) << alignment.status().ToString();
+  ExpectOperatorsMatchReference(tables, *alignment, "fact-free rows");
+  Result<Table> parallel =
+      ParallelFullDisjunction(2).Integrate(tables, *alignment);
+  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+  EXPECT_EQ(parallel->num_rows(), 1u) << parallel->ToPrettyString();
+  EXPECT_NE(RowWithProv(*parallel, {"T1#0", "T2#0"}), static_cast<size_t>(-1))
+      << parallel->ToPrettyString();
+
+  ASSERT_TRUE(t2.AddRow({Value::String("x")}).ok());
+  ExpectOperatorsMatchReference(tables, *alignment, "fact-free rows + a fact");
+}
+
+TEST(FdPropertiesTest, MaxTuplesCapsTheWholeRun) {
+  // Three keys, each joining three A rows with three B rows: each key's
+  // component closes at 6 inputs + 9 merges = 15 tuples, the run at 45.
+  // The cap counts the run, not a component, at every thread count.
+  Table a("A", Schema::FromNames({"k", "x"}));
+  Table b("B", Schema::FromNames({"k", "y"}));
+  for (int k = 0; k < 3; ++k) {
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(a.AddRow({Value::Int(k), Value::Int(10 * k + i)}).ok());
+      ASSERT_TRUE(b.AddRow({Value::Int(k), Value::Int(100 + 10 * k + i)}).ok());
+    }
+  }
+  Result<Alignment> align =
+      ManualAlignment({{{"A", 0}, {"B", 0}}}).Align({&a, &b});
+  ASSERT_TRUE(align.ok()) << align.status().ToString();
+  const std::vector<const Table*> tables = {&a, &b};
+  std::vector<std::vector<std::string>> outputs;
+  for (size_t threads : {1u, 3u}) {
+    FullDisjunction::Params p;
+    p.num_threads = threads;
+    p.max_tuples = 44;
+    Result<Table> over = FullDisjunction(p).Integrate(tables, *align);
+    ASSERT_FALSE(over.ok()) << threads << " threads";
+    EXPECT_EQ(over.status().code(), StatusCode::kOutOfRange)
+        << threads << " threads: " << over.status().ToString();
+    p.max_tuples = 45;
+    Result<Table> fits = FullDisjunction(p).Integrate(tables, *align);
+    ASSERT_TRUE(fits.ok())
+        << threads << " threads: " << fits.status().ToString();
+    EXPECT_EQ(fits->num_rows(), 27u) << fits->ToPrettyString();
+    outputs.push_back(Rendered(*fits));
+  }
+  EXPECT_EQ(outputs[0], outputs[1]);
+}
+
 // ------------------------------------------------- request deadlines
 
 TEST(FdDeadlineTest, PreExpiredTokenAbortsBeforeFirstFixpointIteration) {
@@ -664,20 +826,32 @@ TEST(FdDeadlineTest, PreExpiredTokenAbortsBeforeFirstFixpointIteration) {
   std::vector<const Table*> tables = {&t1, &t2, &t3};
   Alignment a = AlignSet(tables);
   FullDisjunction fd;
-  ObservabilityContext obs;
-  fd.set_observability(&obs);
-  CancelToken cancel;
-  cancel.SetDeadlineAfter(std::chrono::nanoseconds(0));
-  auto r = fd.Integrate(tables, a, &cancel);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded)
-      << r.status().ToString();
-  // The FD counters flush on the cancel path too: input_rows proves the
-  // flush happened, fixpoint_iterations == 0 proves the worklist aborted
-  // before consuming its first item.
-  EXPECT_GT(obs.metrics().CounterValue("integrate.fd.input_rows"), 0u);
-  EXPECT_EQ(obs.metrics().CounterValue("integrate.fd.fixpoint_iterations"),
-            0u);
+  ParallelFullDisjunction parallel(3);
+  FullDisjunction* ops[] = {&fd, &parallel};
+  for (FullDisjunction* op : ops) {
+    ObservabilityContext obs;
+    op->set_observability(&obs);
+    CancelToken cancel;
+    cancel.SetDeadlineAfter(std::chrono::nanoseconds(0));
+    auto r = op->Integrate(tables, a, &cancel);
+    op->set_observability(nullptr);
+    ASSERT_FALSE(r.ok()) << op->name();
+    EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded)
+        << op->name() << ": " << r.status().ToString();
+    // The FD counters flush on the cancel path too: input_rows proves the
+    // flush happened, fixpoint_iterations == 0 proves the worklist aborted
+    // before consuming its first item.
+    EXPECT_GT(obs.metrics().CounterValue("integrate.fd.input_rows"), 0u)
+        << op->name();
+    EXPECT_EQ(obs.metrics().CounterValue("integrate.fd.fixpoint_iterations"),
+              0u)
+        << op->name();
+    // One root span, whose fix-point stage aborted on the calling thread.
+    EXPECT_EQ(obs.tracer().root_count(), 1u) << op->name();
+    EXPECT_TRUE(obs.tracer().HasSpan("integrate.full_disjunction"))
+        << op->name();
+    EXPECT_TRUE(obs.tracer().HasSpan("integrate.fd.fixpoint")) << op->name();
+  }
 }
 
 TEST(FdDeadlineTest, EveryIntegrationOperatorHonoursPreExpiredToken) {

@@ -3,11 +3,6 @@
 /// guarantee that a full Dialite::BuildIndexes pass tokenizes each lake
 /// table exactly once across all registered algorithms.
 
-// The cache is cross-checked against the deprecated copy-returning column
-// accessors on purpose — they are the reference the cache must agree with
-// for one more release.
-#define DIALITE_SUPPRESS_DEPRECATIONS
-
 #include "lake/table_sketch_cache.h"
 
 #include <gtest/gtest.h>
@@ -34,7 +29,7 @@ TEST(SketchCacheTest, TokenSetsMemoizedPerTable) {
   EXPECT_EQ(a.get(), b.get());
   ASSERT_EQ(a->size(), t.num_columns());
   for (size_t c = 0; c < t.num_columns(); ++c) {
-    EXPECT_EQ((*a)[c], t.ColumnTokenSet(c)) << "column " << c;
+    EXPECT_EQ((*a)[c], ColumnTokens(t.column(c))) << "column " << c;
   }
   TableSketchCache::Stats s = cache.stats();
   EXPECT_EQ(s.token_set_misses, 1u);
@@ -48,7 +43,7 @@ TEST(SketchCacheTest, DistinctValuesMatchTable) {
   ASSERT_EQ(d->size(), t.num_columns());
   for (size_t c = 0; c < t.num_columns(); ++c) {
     std::vector<std::string> expected;
-    for (const Value& v : t.DistinctColumnValues(c)) {
+    for (const Value& v : ColumnDistinct(t.column(c))) {
       expected.push_back(v.ToCsvString());
     }
     EXPECT_EQ((*d)[c], expected) << "column " << c;
@@ -63,7 +58,7 @@ TEST(SketchCacheTest, DistinctCountIsTokenSetCardinality) {
   Table t = paper::MakeT1();
   TableSketchCache cache;
   for (size_t c = 0; c < t.num_columns(); ++c) {
-    EXPECT_EQ(cache.DistinctCount(t, c), t.ColumnTokenSet(c).size());
+    EXPECT_EQ(cache.DistinctCount(t, c), ColumnTokens(t.column(c)).size());
   }
 }
 
@@ -82,7 +77,7 @@ TEST(SketchCacheTest, MinHashKeyedByParams) {
   EXPECT_EQ((*s3)[0].num_perm(), 128u);
   // Signatures match a direct build over the same token sets.
   for (size_t c = 0; c < t.num_columns(); ++c) {
-    MinHash direct = MinHash::FromTokens(t.ColumnTokenSet(c), 64, 1);
+    MinHash direct = MinHash::FromTokens(ColumnTokens(t.column(c)), 64, 1);
     EXPECT_EQ((*s1)[c].signature(), direct.signature()) << "column " << c;
   }
   TableSketchCache::Stats s = cache.stats();

@@ -1,8 +1,3 @@
-// Keeps coverage of the deprecated copy-returning column accessors until
-// they are removed (columnar_test.cc proves them equal to the view
-// builders).
-#define DIALITE_SUPPRESS_DEPRECATIONS
-
 #include <gtest/gtest.h>
 
 #include "table/schema.h"
@@ -144,9 +139,9 @@ TEST(TableTest, AddRowChecksWidth) {
 
 TEST(TableTest, ColumnValuesAndDistinct) {
   Table t = MakeCityTable();
-  EXPECT_EQ(t.ColumnValues(1).size(), 3u);
+  EXPECT_EQ(ColumnMaterialize(t.column(1)).size(), 3u);
   // Distinct skips nulls.
-  EXPECT_EQ(t.DistinctColumnValues(2).size(), 2u);
+  EXPECT_EQ(ColumnDistinct(t.column(2)).size(), 2u);
 }
 
 TEST(TableTest, ColumnTokenSetLowercasesAndDedups) {
@@ -155,7 +150,7 @@ TEST(TableTest, ColumnTokenSetLowercasesAndDedups) {
   ASSERT_TRUE(t.AddRow({Value::String("berlin")}).ok());
   ASSERT_TRUE(t.AddRow({Value::Null()}).ok());
   ASSERT_TRUE(t.AddRow({Value::String("Boston")}).ok());
-  std::vector<std::string> toks = t.ColumnTokenSet(0);
+  std::vector<std::string> toks = ColumnTokens(t.column(0));
   ASSERT_EQ(toks.size(), 2u);
   EXPECT_EQ(toks[0], "berlin");
   EXPECT_EQ(toks[1], "boston");

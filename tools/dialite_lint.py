@@ -3,10 +3,6 @@
 
 Enforces project rules that neither the compiler nor clang-tidy know about:
 
-  deprecated-row-api      The row-materializing Table wrappers (ColumnValues,
-                          DistinctColumnValues, ColumnTokenSet) are kept only
-                          for external callers; library code under src/ must
-                          use the zero-copy ColumnView equivalents.
   naked-thread            Production code under src/ never spawns std::thread
                           directly; all parallelism routes through
                           common/thread_pool so shutdown, exception capture
@@ -73,7 +69,7 @@ def strip_comments_and_strings(text):
     """Blanks out comments and string/char literals, preserving line structure.
 
     Lint patterns then can't false-positive on prose like
-    `// == Table::ColumnValues` while reported line numbers stay exact.
+    `// uses std::thread` while reported line numbers stay exact.
     Waiver comments are honored separately, before stripping.
     """
     out = []
@@ -152,8 +148,6 @@ def rel(path):
 
 # --- Rules -------------------------------------------------------------------
 
-DEPRECATED_ROW_API_RE = re.compile(
-    r"\b(ColumnValues|DistinctColumnValues|ColumnTokenSet)\s*\(")
 # std::thread not followed by :: (declaration/construction, not a static query).
 NAKED_THREAD_RE = re.compile(r"\bstd\s*::\s*thread\b(?!\s*::)")
 USING_NAMESPACE_RE = re.compile(r"^\s*using\s+namespace\b", re.MULTILINE)
@@ -176,21 +170,6 @@ def in_dir(relpath, prefix):
 
 def basename_is(relpath, *names):
     return os.path.basename(relpath) in names
-
-
-def rule_deprecated_row_api(relpath, raw, code, findings):
-    if not in_dir(relpath, "src"):
-        return
-    # The wrappers' own declaration/definition (and their delegating bodies)
-    # live in table.h/table.cc; everything else in src/ must not call them.
-    if basename_is(relpath, "table.h", "table.cc"):
-        return
-    for m in DEPRECATED_ROW_API_RE.finditer(code):
-        line = code.count("\n", 0, m.start()) + 1
-        findings.append(Finding(
-            relpath, line, "deprecated-row-api",
-            f"Table::{m.group(1)} materializes rows; use the ColumnView "
-            f"equivalent (ColumnMaterialize/ColumnDistinct/ColumnTokens)"))
 
 
 def rule_naked_thread(relpath, raw, code, findings):
@@ -291,7 +270,6 @@ def rule_include_guard(relpath, raw, code, findings):
 
 
 RULES = {
-    "deprecated-row-api": rule_deprecated_row_api,
     "naked-thread": rule_naked_thread,
     "using-namespace-header": rule_using_namespace_header,
     "nondeterminism": rule_nondeterminism,
@@ -355,7 +333,6 @@ def self_test():
         return 2
     # fixture file name (sans extension) -> rule expected to fire
     expected = {
-        "bad_deprecated_row_api": "deprecated-row-api",
         "bad_naked_thread": "naked-thread",
         "bad_using_namespace": "using-namespace-header",
         "bad_nondeterminism": "nondeterminism",

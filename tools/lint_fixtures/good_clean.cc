@@ -1,14 +1,12 @@
 // Known-good fixture: mentions every forbidden construct ONLY inside comments
 // and string literals, which the linter must ignore:
 //   std::thread t; using namespace std; rand(); std::random_device rd;
-//   t.ColumnValues(0); t.DistinctColumnValues(0); t.ColumnTokenSet(0);
 #include <string>
 
 namespace dialite {
 
-// == Table::ColumnValues (doc-comment cross-reference, must not fire)
 const char* Banner() {
-  return "std::thread rand() using namespace std ColumnTokenSet(";
+  return "std::thread rand() using namespace std";
 }
 
 }  // namespace dialite
