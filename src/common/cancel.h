@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 
 namespace dialite {
 
@@ -30,9 +31,14 @@ class CancelToken {
   void Cancel() { cancelled_.store(true, std::memory_order_relaxed); }
 
   /// Arms a deadline `timeout` from now (steady clock). Call before sharing
-  /// the token; a zero/negative timeout makes the token fire immediately.
+  /// the token; a zero/negative timeout makes the token fire immediately,
+  /// and one past the clock's range saturates instead of wrapping.
   void SetDeadlineAfter(std::chrono::nanoseconds timeout) {
-    deadline_ns_ = NowNs() + timeout.count();
+    const int64_t now = NowNs();
+    const int64_t headroom = std::numeric_limits<int64_t>::max() - now;
+    deadline_ns_ = timeout.count() > headroom
+                       ? std::numeric_limits<int64_t>::max()
+                       : now + timeout.count();
     has_deadline_ = true;
   }
 

@@ -92,7 +92,7 @@ namespace dialite {
 // all translation units.
 //
 // Model: a directed graph over lock *names* (so every instance of a
-// per-object mutex, e.g. TableSketchCache::Entry::minhash_mu, is one node).
+// per-object mutex, e.g. AliteMatcher::cache_mu_, is one node).
 // When a thread that holds {H1..Hk} acquires N, edges Hi → N are inserted.
 // Before inserting Hi → N we DFS for an existing path N → … → Hi; finding
 // one means some other code path acquires the same pair in the opposite

@@ -159,9 +159,9 @@ class Dialite {
   // ----------------------------------------------------------- snapshots
 
   /// Persists the whole system state into one versioned, checksummed
-  /// snapshot container at `path`: every lake table (columnar, mmap-ready),
-  /// the lake's MinHash sketches, and every registered PersistentIndex
-  /// (as "idx.<name>" sections). Requires BuildIndexes(). A later
+  /// snapshot container at `path`: every lake table (columnar, mmap-ready)
+  /// and every registered PersistentIndex (as "idx.<name>" sections).
+  /// Requires BuildIndexes(). A later
   /// OpenSnapshot restores all of it without re-reading CSVs or
   /// re-running the offline pass.
   Status SaveSnapshot(const std::string& path) const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <unordered_map>
 
 #include "analyze/stats.h"
@@ -13,6 +12,10 @@
 namespace dialite {
 
 namespace {
+
+/// Columns with fewer distinct tokens are not indexed.
+constexpr size_t kMinDistinct = 2;
+constexpr uint32_t kCocoaPayloadVersion = 1;
 
 /// Lowercased token of a joinable cell, or "" for nulls/empties.
 std::string JoinToken(const Value& v) {
@@ -87,53 +90,17 @@ double BestJoinedCorrelation(const Table& query, size_t query_col,
 
 Status CocoaSearch::BuildIndex(const DataLake& lake) {
   lake_ = &lake;
-  columns_.clear();
-  postings_.clear();
-  const std::vector<const Table*> tables = lake.tables();
-  // Compute phase: per-table token sets through the shared sketch cache.
-  std::vector<std::shared_ptr<const ColumnTokenSets>> tokens(tables.size());
-  ForEachTableIndex(num_threads_, tables.size(), [&](size_t i) {
-    tokens[i] = lake.sketch_cache().TokenSets(*tables[i]);
-  }, obs_);
-  // Merge phase: serial, in lake order.
-  for (size_t i = 0; i < tables.size(); ++i) {
-    const Table* t = tables[i];
-    for (size_t c = 0; c < t->num_columns(); ++c) {
-      const std::vector<std::string>& toks = (*tokens[i])[c];
-      if (toks.size() < 2) continue;
-      uint32_t id = static_cast<uint32_t>(columns_.size());
-      columns_.emplace_back(t->name(), c);
-      for (const std::string& tok : toks) postings_[tok].push_back(id);
-    }
-  }
-  ObsAdd(obs_, "discover.cocoa.build.tables", tables.size());
-  ObsSet(obs_, "discover.cocoa.index.columns", columns_.size());
+  index_.Build(lake, kMinDistinct, num_threads_, obs_);
+  ObsAdd(obs_, "discover.cocoa.build.tables", lake.size());
+  ObsSet(obs_, "discover.cocoa.index.columns", index_.columns().size());
   return Status::OK();
 }
-
-namespace {
-constexpr uint32_t kCocoaPayloadVersion = 1;
-}  // namespace
 
 Status CocoaSearch::SavePayload(BinaryWriter* w) const {
   if (lake_ == nullptr) return Status::Internal("BuildIndex not called");
   w->Str(name());
   w->U32(kCocoaPayloadVersion);
-  w->U64(columns_.size());
-  for (const auto& [table, col] : columns_) {
-    w->Str(table);
-    w->U64(col);
-  }
-  std::vector<const std::string*> tokens;
-  tokens.reserve(postings_.size());
-  for (const auto& [token, ids] : postings_) tokens.push_back(&token);
-  std::sort(tokens.begin(), tokens.end(),
-            [](const std::string* a, const std::string* b) { return *a < *b; });
-  w->U64(tokens.size());
-  for (const std::string* token : tokens) {
-    w->Str(*token);
-    w->Array<uint32_t>(postings_.at(*token));
-  }
+  index_.Save(w);
   return Status::OK();
 }
 
@@ -145,43 +112,7 @@ Status CocoaSearch::LoadPayload(BinaryReader* r, const DataLake& lake) {
   if (algo != name() || version != kCocoaPayloadVersion) {
     return Status::ParseError("not a cocoa v1 index payload");
   }
-  uint64_t n = 0;
-  DIALITE_RETURN_IF_ERROR(r->U64(&n));
-  if (n > r->remaining()) {
-    return Status::ParseError("cocoa column count overruns the payload");
-  }
-  columns_.clear();
-  columns_.reserve(static_cast<size_t>(n));
-  for (uint64_t i = 0; i < n; ++i) {
-    std::string table;
-    DIALITE_RETURN_IF_ERROR(r->Str(&table));
-    uint64_t col = 0;
-    DIALITE_RETURN_IF_ERROR(r->U64(&col));
-    if (!lake.Contains(table)) {
-      return Status::NotFound("indexed table '" + table +
-                              "' missing from lake");
-    }
-    columns_.emplace_back(std::move(table), static_cast<size_t>(col));
-  }
-  DIALITE_RETURN_IF_ERROR(r->U64(&n));
-  if (n > r->remaining()) {
-    return Status::ParseError("cocoa token count overruns the payload");
-  }
-  postings_.clear();
-  postings_.reserve(static_cast<size_t>(n));
-  for (uint64_t i = 0; i < n; ++i) {
-    std::string token;
-    DIALITE_RETURN_IF_ERROR(r->Str(&token));
-    std::span<const uint32_t> ids;
-    DIALITE_RETURN_IF_ERROR(r->Array(&ids));
-    for (uint32_t id : ids) {
-      if (id >= columns_.size()) {
-        return Status::ParseError("cocoa posting references unknown column");
-      }
-    }
-    postings_.emplace(std::move(token),
-                      std::vector<uint32_t>(ids.begin(), ids.end()));
-  }
+  DIALITE_RETURN_IF_ERROR(index_.Load(r, lake));
   lake_ = &lake;
   return Status::OK();
 }
@@ -202,9 +133,9 @@ Result<std::vector<DiscoveryHit>> CocoaSearch::Search(
   // Joinable candidates via the inverted index.
   std::unordered_map<uint32_t, size_t> overlap;
   for (const std::string& tok : qtokens) {
-    auto it = postings_.find(tok);
-    if (it == postings_.end()) continue;
-    for (uint32_t id : it->second) ++overlap[id];
+    const std::vector<uint32_t>* ids = index_.Find(tok);
+    if (ids == nullptr) continue;
+    for (uint32_t id : *ids) ++overlap[id];
   }
   const double min_overlap =
       params_.min_containment * static_cast<double>(qtokens.size());
@@ -213,7 +144,7 @@ Result<std::vector<DiscoveryHit>> CocoaSearch::Search(
   std::unordered_map<std::string, double> best_score;
   for (const auto& [id, n] : overlap) {
     if (static_cast<double>(n) < min_overlap) continue;
-    const auto& [table_name, col] = columns_[id];
+    const auto& [table_name, col] = index_.columns()[id];
     if (table_name == query.table->name()) continue;
     const Table* cand = lake_->Get(table_name);
     if (cand == nullptr) continue;

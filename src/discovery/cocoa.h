@@ -2,10 +2,9 @@
 #define DIALITE_DISCOVERY_COCOA_H_
 
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
+#include "discovery/column_postings.h"
 #include "discovery/discovery.h"
 
 namespace dialite {
@@ -17,7 +16,7 @@ namespace dialite {
 /// numeric columns after the join (i.e., features that would actually help
 /// a downstream model).
 ///
-/// Offline: a token inverted index over lake columns (like JOSIE).
+/// Offline: the token inverted index JOSIE uses (ColumnPostings).
 /// Online: candidates joinable on the query column above
 /// `min_containment`; for each, the query and candidate are joined on the
 /// query column and the score is the best |Spearman ρ| between any query
@@ -41,8 +40,8 @@ class CocoaSearch : public DiscoveryAlgorithm, public PersistentIndex {
   std::string name() const override { return "cocoa"; }
   Status BuildIndex(const DataLake& lake) override;
 
-  /// Offline-index persistence: the payload carries the indexed-column id
-  /// map and the token inverted index in sorted token order.
+  /// Offline-index persistence: the payload is the ColumnPostings body
+  /// after COCOA's name and version.
   Status SavePayload(BinaryWriter* w) const override;
   Status LoadPayload(BinaryReader* r, const DataLake& lake) override;
 
@@ -52,8 +51,7 @@ class CocoaSearch : public DiscoveryAlgorithm, public PersistentIndex {
  private:
   Params params_;
   const DataLake* lake_ = nullptr;
-  std::vector<std::pair<std::string, size_t>> columns_;
-  std::unordered_map<std::string, std::vector<uint32_t>> postings_;
+  ColumnPostings index_;
 };
 
 /// Best absolute Spearman correlation between any numeric column of

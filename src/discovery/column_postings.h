@@ -1,0 +1,66 @@
+#ifndef DIALITE_DISCOVERY_COLUMN_POSTINGS_H_
+#define DIALITE_DISCOVERY_COLUMN_POSTINGS_H_
+
+#include <cstddef>
+#include <cstdint>
+#include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
+#include "common/status.h"
+#include "lake/data_lake.h"
+#include "obs/observability.h"
+
+namespace dialite {
+
+class BinaryReader;
+class BinaryWriter;
+
+/// Token inverted index over a lake's columns: the one postings index JOSIE
+/// and COCOA both search. Every column with at least `min_distinct` distinct
+/// tokens gets a dense id in lake order (table insertion order, then column
+/// order), and each token maps to the ids of the columns containing it,
+/// ascending.
+///
+/// The owning algorithm frames the payload (its name and version first);
+/// this class writes and reads only the index body.
+class ColumnPostings {
+ public:
+  /// (table name, column index) of one indexed column.
+  using ColumnRef = std::pair<std::string, size_t>;
+
+  /// Rebuilds the index over `lake`. Token sets come from the lake's sketch
+  /// cache on `num_threads` workers; postings are merged serially in lake
+  /// order, so the index is identical for every thread count.
+  void Build(const DataLake& lake, size_t min_distinct, size_t num_threads,
+             ObservabilityContext* obs);
+
+  /// Writes the column list, then the postings in sorted token order: the
+  /// map is unordered, and a deterministic byte stream is what makes
+  /// save -> load -> save identical.
+  void Save(BinaryWriter* w) const;
+
+  /// Replaces the index with the one Save wrote. Each column must name a
+  /// table of `lake` (kNotFound) and a column index inside it, and each
+  /// posting a listed column (kParseError). On error the index is unchanged.
+  Status Load(BinaryReader* r, const DataLake& lake);
+
+  const std::vector<ColumnRef>& columns() const { return columns_; }
+
+  /// Ids of the columns containing `token`, or null when none does.
+  const std::vector<uint32_t>* Find(const std::string& token) const {
+    auto it = postings_.find(token);
+    return it == postings_.end() ? nullptr : &it->second;
+  }
+
+  size_t num_tokens() const { return postings_.size(); }
+
+ private:
+  std::vector<ColumnRef> columns_;
+  std::unordered_map<std::string, std::vector<uint32_t>> postings_;
+};
+
+}  // namespace dialite
+
+#endif  // DIALITE_DISCOVERY_COLUMN_POSTINGS_H_

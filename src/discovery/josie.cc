@@ -12,45 +12,27 @@ namespace dialite {
 
 Status JosieSearch::BuildIndex(const DataLake& lake) {
   lake_ = &lake;
-  columns_.clear();
-  table_columns_.clear();
-  postings_.clear();
-  const std::vector<const Table*> tables = lake.tables();
-  // Compute phase: per-table token sets through the shared sketch cache.
-  std::vector<std::shared_ptr<const ColumnTokenSets>> tokens(tables.size());
-  ForEachTableIndex(num_threads_, tables.size(), [&](size_t i) {
-    tokens[i] = lake.sketch_cache().TokenSets(*tables[i]);
-  }, obs_);
-  // Merge phase: serial, in lake order — the index is identical for every
-  // thread count.
-  for (size_t i = 0; i < tables.size(); ++i) {
-    const Table* t = tables[i];
-    for (size_t c = 0; c < t->num_columns(); ++c) {
-      const std::vector<std::string>& toks = (*tokens[i])[c];
-      if (toks.size() < params_.min_distinct) continue;
-      uint32_t id = static_cast<uint32_t>(columns_.size());
-      columns_.emplace_back(t->name(), c);
-      table_columns_[t->name()].push_back(id);
-      for (const std::string& tok : toks) postings_[tok].push_back(id);
-    }
-  }
-  RebuildTableIds();
-  ObsAdd(obs_, "discover.josie.build.tables", tables.size());
-  ObsSet(obs_, "discover.josie.index.columns", columns_.size());
-  ObsSet(obs_, "discover.josie.index.tokens", postings_.size());
+  index_.Build(lake, params_.min_distinct, num_threads_, obs_);
+  DeriveTableIds();
+  ObsAdd(obs_, "discover.josie.build.tables", lake.size());
+  ObsSet(obs_, "discover.josie.index.columns", index_.columns().size());
+  ObsSet(obs_, "discover.josie.index.tokens", index_.num_tokens());
   return Status::OK();
 }
 
-void JosieSearch::RebuildTableIds() {
-  col_table_ids_.assign(columns_.size(), 0);
+void JosieSearch::DeriveTableIds() {
+  const std::vector<ColumnPostings::ColumnRef>& columns = index_.columns();
+  col_table_ids_.assign(columns.size(), 0);
   table_names_.clear();
+  table_columns_.clear();
   std::unordered_map<std::string, uint32_t> ids;
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    const std::string& tname = columns_[i].first;
+  for (size_t i = 0; i < columns.size(); ++i) {
+    const std::string& tname = columns[i].first;
     auto [it, inserted] =
         ids.emplace(tname, static_cast<uint32_t>(table_names_.size()));
     if (inserted) table_names_.push_back(tname);
     col_table_ids_[i] = it->second;
+    table_columns_[tname].push_back(static_cast<uint32_t>(i));
   }
 }
 
@@ -62,23 +44,7 @@ Status JosieSearch::SavePayload(BinaryWriter* w) const {
   if (lake_ == nullptr) return Status::Internal("BuildIndex not called");
   w->Str(name());
   w->U32(kJosiePayloadVersion);
-  w->U64(columns_.size());
-  for (const auto& [table, col] : columns_) {
-    w->Str(table);
-    w->U64(col);
-  }
-  // Postings in sorted token order: the in-memory map is unordered, and a
-  // deterministic byte stream is what makes save -> load -> save identical.
-  std::vector<const std::string*> tokens;
-  tokens.reserve(postings_.size());
-  for (const auto& [token, ids] : postings_) tokens.push_back(&token);
-  std::sort(tokens.begin(), tokens.end(),
-            [](const std::string* a, const std::string* b) { return *a < *b; });
-  w->U64(tokens.size());
-  for (const std::string* token : tokens) {
-    w->Str(*token);
-    w->Array<uint32_t>(postings_.at(*token));
-  }
+  index_.Save(w);
   return Status::OK();
 }
 
@@ -90,48 +56,8 @@ Status JosieSearch::LoadPayload(BinaryReader* r, const DataLake& lake) {
   if (algo != name() || version != kJosiePayloadVersion) {
     return Status::ParseError("not a josie v1 index payload");
   }
-  uint64_t n = 0;
-  DIALITE_RETURN_IF_ERROR(r->U64(&n));
-  if (n > r->remaining()) {
-    return Status::ParseError("josie column count overruns the payload");
-  }
-  columns_.clear();
-  columns_.reserve(static_cast<size_t>(n));
-  for (uint64_t i = 0; i < n; ++i) {
-    std::string table;
-    DIALITE_RETURN_IF_ERROR(r->Str(&table));
-    uint64_t col = 0;
-    DIALITE_RETURN_IF_ERROR(r->U64(&col));
-    if (!lake.Contains(table)) {
-      return Status::NotFound("indexed table '" + table +
-                              "' missing from lake");
-    }
-    columns_.emplace_back(std::move(table), static_cast<size_t>(col));
-  }
-  table_columns_.clear();
-  for (uint32_t id = 0; id < columns_.size(); ++id) {
-    table_columns_[columns_[id].first].push_back(id);
-  }
-  RebuildTableIds();
-  DIALITE_RETURN_IF_ERROR(r->U64(&n));
-  if (n > r->remaining()) {
-    return Status::ParseError("josie token count overruns the payload");
-  }
-  postings_.clear();
-  postings_.reserve(static_cast<size_t>(n));
-  for (uint64_t i = 0; i < n; ++i) {
-    std::string token;
-    DIALITE_RETURN_IF_ERROR(r->Str(&token));
-    std::span<const uint32_t> ids;
-    DIALITE_RETURN_IF_ERROR(r->Array(&ids));
-    for (uint32_t id : ids) {
-      if (id >= columns_.size()) {
-        return Status::ParseError("josie posting references unknown column");
-      }
-    }
-    postings_.emplace(std::move(token),
-                      std::vector<uint32_t>(ids.begin(), ids.end()));
-  }
+  DIALITE_RETURN_IF_ERROR(index_.Load(r, lake));
+  DeriveTableIds();
   lake_ = &lake;
   return Status::OK();
 }
@@ -143,8 +69,7 @@ std::vector<DiscoveryHit> JosieSearch::AggregateOverlaps(
   std::unordered_map<std::string, size_t> best;
   for (const auto& [id, n] : overlap) {
     if (n < params_.min_overlap) continue;
-    const auto& [table_name, col] = columns_[id];
-    (void)col;
+    const std::string& table_name = index_.columns()[id].first;
     if (table_name == self_name) continue;
     size_t& cur = best[table_name];
     cur = std::max(cur, n);
@@ -168,7 +93,8 @@ double JosieSearch::ScoreTableExact(
       lake_->sketch_cache().TokenSets(*cand);
   size_t best = 0;
   for (uint32_t id : tc->second) {
-    const std::vector<std::string>& xtoks = (*ctokens)[columns_[id].second];
+    const std::vector<std::string>& xtoks =
+        (*ctokens)[index_.columns()[id].second];
     size_t n = 0;
     for (const std::string& tok : xtoks) {
       if (qset.count(tok) != 0) ++n;
@@ -197,7 +123,8 @@ Result<double> JosieSearch::ScoreUpperBound(
   if (cand == nullptr) return 0.0;
   size_t ub = 0;
   for (uint32_t id : tc->second) {
-    size_t x = lake_->sketch_cache().DistinctCount(*cand, columns_[id].second);
+    size_t x = lake_->sketch_cache().DistinctCount(
+        *cand, index_.columns()[id].second);
     ub = std::max(ub, std::min(qtokens.size(), x));
   }
   if (ub < params_.min_overlap) return 0.0;
@@ -222,9 +149,9 @@ Result<std::vector<DiscoveryHit>> JosieSearch::Search(
     std::unordered_map<uint32_t, size_t> overlap;
     CascadeStats stats;
     for (const std::string& tok : qtokens) {
-      auto it = postings_.find(tok);
-      if (it == postings_.end()) continue;
-      for (uint32_t id : it->second) ++overlap[id];
+      const std::vector<uint32_t>* ids = index_.Find(tok);
+      if (ids == nullptr) continue;
+      for (uint32_t id : *ids) ++overlap[id];
     }
     std::vector<DiscoveryHit> hits =
         AggregateOverlaps(overlap, query.table->name(), query.k);
@@ -245,9 +172,9 @@ Result<std::vector<DiscoveryHit>> JosieSearch::Search(
   std::vector<ListRef> lists;
   lists.reserve(qtokens.size());
   for (const std::string& tok : qtokens) {
-    auto it = postings_.find(tok);
-    if (it == postings_.end()) continue;
-    lists.push_back({&it->first, &it->second});
+    const std::vector<uint32_t>* ids = index_.Find(tok);
+    if (ids == nullptr) continue;
+    lists.push_back({&tok, ids});
   }
   std::sort(lists.begin(), lists.end(), [](const ListRef& a, const ListRef& b) {
     if (a.ids->size() != b.ids->size()) return a.ids->size() < b.ids->size();
@@ -256,7 +183,7 @@ Result<std::vector<DiscoveryHit>> JosieSearch::Search(
 
   // Dense per-column partial counts and per-table bests: the merge's inner
   // loop touches flat arrays only — no string hashing per posting entry.
-  std::vector<size_t> partial(columns_.size(), 0);
+  std::vector<size_t> partial(index_.columns().size(), 0);
   std::vector<size_t> table_best(table_names_.size(), 0);
   std::vector<uint32_t> touched;  // dense ids of tables seen so far
   uint32_t self_id = std::numeric_limits<uint32_t>::max();
@@ -365,10 +292,10 @@ Result<std::vector<std::vector<DiscoveryHit>>> JosieSearch::SearchBatch(
   }
   std::vector<std::unordered_map<uint32_t, size_t>> overlap(queries.size());
   for (const auto& [tok, qids] : token_queries) {
-    auto it = postings_.find(std::string(tok));
-    if (it == postings_.end()) continue;
+    const std::vector<uint32_t>* ids = index_.Find(std::string(tok));
+    if (ids == nullptr) continue;
     for (size_t qi : qids) {
-      for (uint32_t id : it->second) ++overlap[qi][id];
+      for (uint32_t id : *ids) ++overlap[qi][id];
     }
   }
   ObsAdd(obs_, "discover.josie.batch.queries", queries.size());

@@ -5,9 +5,9 @@
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
+#include "discovery/column_postings.h"
 #include "discovery/discovery.h"
 
 namespace dialite {
@@ -40,10 +40,10 @@ class JosieSearch : public DiscoveryAlgorithm, public PersistentIndex {
   Status BuildIndex(const DataLake& lake) override;
 
   /// Offline-index persistence (the paper's "indexes ... are built
-  /// offline"): the payload carries columns_ and the inverted index in
-  /// sorted token order; the dense id arrays are rebuilt on load. The lake
-  /// passed to LoadPayload must contain the indexed tables (they are only
-  /// needed for name resolution, not re-tokenized).
+  /// offline"): the payload is the ColumnPostings body after JOSIE's name
+  /// and version; the dense id arrays are rebuilt on load. The lake passed
+  /// to LoadPayload must contain the indexed tables and columns (they are
+  /// only needed for name resolution, not re-tokenized).
   Status SavePayload(BinaryWriter* w) const override;
   Status LoadPayload(BinaryReader* r, const DataLake& lake) override;
 
@@ -81,15 +81,15 @@ class JosieSearch : public DiscoveryAlgorithm, public PersistentIndex {
       const std::unordered_map<uint32_t, size_t>& overlap,
       const std::string& self_name, size_t k) const;
 
-  /// Rebuilds the dense column-id -> table-id mapping the cascade merge
-  /// accumulates into (derived from columns_; shared by BuildIndex and
-  /// LoadIndex).
-  void RebuildTableIds();
+  /// Derives the dense column-id -> table-id mapping the cascade merge
+  /// accumulates into, and table_columns_, from index_'s columns (after
+  /// either BuildIndex or LoadPayload).
+  void DeriveTableIds();
 
   Params params_;
   const DataLake* lake_ = nullptr;
-  /// Column id -> (table name, column index).
-  std::vector<std::pair<std::string, size_t>> columns_;
+  /// Column ids, (table name, column index) per id, and token postings.
+  ColumnPostings index_;
   /// Column id -> dense table id (index into table_names_) — lets the
   /// cascade merge accumulate per-table bests in flat arrays instead of
   /// hashing table-name strings per posting.
@@ -98,8 +98,6 @@ class JosieSearch : public DiscoveryAlgorithm, public PersistentIndex {
   std::vector<std::string> table_names_;
   /// table name -> its indexed column ids (cascade exact verification).
   std::unordered_map<std::string, std::vector<uint32_t>> table_columns_;
-  /// token -> ids of columns containing it.
-  std::unordered_map<std::string, std::vector<uint32_t>> postings_;
 };
 
 }  // namespace dialite

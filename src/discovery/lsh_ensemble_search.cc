@@ -29,38 +29,42 @@ std::vector<uint32_t> LshEnsembleSearch::TokenHistogram(
 Status LshEnsembleSearch::BuildIndex(const DataLake& lake) {
   lake_ = &lake;
   columns_.clear();
-  set_sizes_.clear();
   bucket_hists_.clear();
-  signatures_.clear();
   table_columns_.clear();
   ensemble_ = LshEnsemble(LshEnsemble::Params{
       params_.num_perm, params_.num_partitions, params_.seed});
   const std::vector<const Table*> tables = lake.tables();
-  // Compute phase: token sets + MinHash signatures per table, through the
-  // shared sketch cache (signatures are order-insensitive, so the parallel
-  // sketches are bit-identical to sequential ones).
-  std::vector<std::shared_ptr<const ColumnTokenSets>> tokens(tables.size());
-  std::vector<std::shared_ptr<const std::vector<MinHash>>> sigs(tables.size());
+  // Compute phase: per indexed column, its histogram and MinHash over the
+  // shared sketch cache's token set (signatures are order-insensitive, so
+  // the parallel sketches are bit-identical to sequential ones).
+  struct IndexedColumn {
+    size_t column;
+    size_t set_size;
+    std::vector<uint32_t> hist;
+    MinHash mh;
+  };
+  std::vector<std::vector<IndexedColumn>> indexed(tables.size());
   ForEachTableIndex(num_threads_, tables.size(), [&](size_t i) {
-    TableSketchCache& cache = lake.sketch_cache();
-    tokens[i] = cache.TokenSets(*tables[i]);
-    sigs[i] =
-        cache.MinHashSignatures(*tables[i], params_.num_perm, params_.seed);
+    std::shared_ptr<const ColumnTokenSets> tokens =
+        lake.sketch_cache().TokenSets(*tables[i]);
+    for (size_t c = 0; c < tokens->size(); ++c) {
+      const std::vector<std::string>& toks = (*tokens)[c];
+      if (toks.size() < params_.min_distinct) continue;
+      indexed[i].push_back(
+          {c, toks.size(), TokenHistogram(toks),
+           MinHash::FromTokens(toks, params_.num_perm, params_.seed)});
+    }
   }, obs_);
   // Merge phase: serial, in lake order (ensemble ids stay dense and stable).
   for (size_t i = 0; i < tables.size(); ++i) {
-    const Table* t = tables[i];
-    for (size_t c = 0; c < t->num_columns(); ++c) {
-      const std::vector<std::string>& toks = (*tokens[i])[c];
-      if (toks.size() < params_.min_distinct) continue;
+    const std::string& table_name = tables[i]->name();
+    for (IndexedColumn& col : indexed[i]) {
       uint64_t id = columns_.size();
-      columns_.emplace_back(t->name(), c);
-      set_sizes_.push_back(toks.size());
-      bucket_hists_.push_back(TokenHistogram(toks));
-      signatures_.push_back((*sigs[i])[c].signature());
-      table_columns_[t->name()].push_back(id);
+      columns_.emplace_back(table_name, col.column);
+      bucket_hists_.push_back(std::move(col.hist));
+      table_columns_[table_name].push_back(id);
       DIALITE_RETURN_IF_ERROR(
-          ensemble_.AddSketch(id, toks.size(), (*sigs[i])[c]));
+          ensemble_.AddSketch(id, col.set_size, std::move(col.mh)));
     }
   }
   ObsAdd(obs_, "discover.lsh_ensemble.build.tables", tables.size());
@@ -80,9 +84,9 @@ Status LshEnsembleSearch::SavePayload(BinaryWriter* w) const {
   for (size_t id = 0; id < columns_.size(); ++id) {
     w->Str(columns_[id].first);
     w->U64(columns_[id].second);
-    w->U64(set_sizes_[id]);
+    w->U64(ensemble_.set_size(id));
     w->Array<uint32_t>(bucket_hists_[id]);
-    w->Array<uint64_t>(signatures_[id]);
+    w->Array<uint64_t>(ensemble_.sketch(id).signature());
   }
   return Status::OK();
 }
@@ -101,9 +105,7 @@ Status LshEnsembleSearch::LoadPayload(BinaryReader* r, const DataLake& lake) {
     return Status::ParseError("lsh column count overruns the payload");
   }
   columns_.clear();
-  set_sizes_.clear();
   bucket_hists_.clear();
-  signatures_.clear();
   table_columns_.clear();
   ensemble_ = LshEnsemble(LshEnsemble::Params{
       params_.num_perm, params_.num_partitions, params_.seed});
@@ -113,9 +115,13 @@ Status LshEnsembleSearch::LoadPayload(BinaryReader* r, const DataLake& lake) {
     uint64_t col = 0, set_size = 0;
     DIALITE_RETURN_IF_ERROR(r->U64(&col));
     DIALITE_RETURN_IF_ERROR(r->U64(&set_size));
-    if (!lake.Contains(table)) {
+    const Table* t = lake.Get(table);
+    if (t == nullptr) {
       return Status::NotFound("indexed table '" + table +
                               "' missing from lake");
+    }
+    if (col >= t->num_columns()) {
+      return Status::ParseError("lsh column id references unknown column");
     }
     std::span<const uint32_t> hist;
     DIALITE_RETURN_IF_ERROR(r->Array(&hist));
@@ -127,15 +133,13 @@ Status LshEnsembleSearch::LoadPayload(BinaryReader* r, const DataLake& lake) {
     if (sig.size() != params_.num_perm) {
       return Status::ParseError("lsh signature length mismatch");
     }
-    std::vector<uint64_t> sig_vec(sig.begin(), sig.end());
     DIALITE_RETURN_IF_ERROR(ensemble_.AddSketch(
         id, static_cast<size_t>(set_size),
-        MinHash::FromSignature(sig_vec, params_.seed)));
+        MinHash::FromSignature(std::vector<uint64_t>(sig.begin(), sig.end()),
+                               params_.seed)));
     table_columns_[table].push_back(id);
     columns_.emplace_back(std::move(table), static_cast<size_t>(col));
-    set_sizes_.push_back(static_cast<size_t>(set_size));
     bucket_hists_.emplace_back(hist.begin(), hist.end());
-    signatures_.push_back(std::move(sig_vec));
   }
   lake_ = &lake;
   return ensemble_.Build();
@@ -192,32 +196,37 @@ Result<std::vector<DiscoveryHit>> LshEnsembleSearch::Search(
     return Status::OutOfRange("query column out of range");
   }
   // Lake-resident query tables (the discover-from-lake flow) reuse the
-  // shared sketch cache: tokens and the MinHash signature were computed at
-  // BuildIndex, so per-search query sketching drops out. Transient query
-  // tables are sketched locally — the cache must not pin them.
+  // shared sketch cache's tokens and, when the query column is indexed, the
+  // ensemble's own sketch of it, so per-search query sketching drops out.
+  // Transient query tables are tokenized locally — the cache must not pin
+  // them.
   std::shared_ptr<const ColumnTokenSets> cached_tokens;
-  std::shared_ptr<const std::vector<MinHash>> cached_sigs;
+  const MinHash* qsketch = nullptr;
   std::vector<std::string> own_tokens;
   const std::vector<std::string>* qtokens_ptr = &own_tokens;
   if (lake_->Get(query.table->name()) == query.table) {
-    TableSketchCache& cache = lake_->sketch_cache();
-    cached_tokens = cache.TokenSets(*query.table);
-    cached_sigs = cache.MinHashSignatures(*query.table, params_.num_perm,
-                                          params_.seed);
+    cached_tokens = lake_->sketch_cache().TokenSets(*query.table);
     qtokens_ptr = &(*cached_tokens)[query.query_column];
+    auto it = table_columns_.find(query.table->name());
+    if (it != table_columns_.end()) {
+      for (uint64_t id : it->second) {
+        if (columns_[id].second == query.query_column) {
+          qsketch = &ensemble_.sketch(id);
+        }
+      }
+    }
   } else {
     own_tokens = ColumnTokens(query.table->column(query.query_column));
   }
   const std::vector<std::string>& qtokens = *qtokens_ptr;
   if (qtokens.empty()) return std::vector<DiscoveryHit>{};
 
-  // ColumnTokens is distinct, so the cached per-column signature matches
-  // what the token overload would build and qtokens.size() is the true
-  // distinct-set size.
+  // ColumnTokens is distinct, so the indexed sketch matches what the token
+  // overload would build and qtokens.size() is the true distinct-set size.
   std::vector<uint64_t> cand_ids =
-      cached_sigs != nullptr
-          ? ensemble_.Query((*cached_sigs)[query.query_column],
-                            qtokens.size(), params_.containment_threshold)
+      qsketch != nullptr
+          ? ensemble_.Query(*qsketch, qtokens.size(),
+                            params_.containment_threshold)
           : ensemble_.Query(qtokens, params_.containment_threshold);
 
   // Group candidate columns by table; both modes score a table as its best

@@ -44,6 +44,7 @@ class LshEnsembleSearch : public DiscoveryAlgorithm, public PersistentIndex {
   /// (table, column) mapping, distinct-set size, stage-0 histogram, and
   /// MinHash signature; the banded ensemble is rebuilt on load by
   /// re-adding the sketches in id order and re-running its partitioning.
+  /// A column index past its table's width fails with kParseError.
   Status SavePayload(BinaryWriter* w) const override;
   Status LoadPayload(BinaryReader* r, const DataLake& lake) override;
 
@@ -72,19 +73,16 @@ class LshEnsembleSearch : public DiscoveryAlgorithm, public PersistentIndex {
                           size_t query_set_size) const;
 
   Params params_;
+  /// Ensemble ids are dense and in add order, so id i's sketch and set size
+  /// are ensemble_.sketch(i) and ensemble_.set_size(i).
   LshEnsemble ensemble_;
   const DataLake* lake_ = nullptr;
   /// Ensemble id -> (table name, column index).
   std::vector<std::pair<std::string, size_t>> columns_;
-  /// Ensemble id -> distinct-token count of that column (|X| in the bound).
-  std::vector<size_t> set_sizes_;
   /// Ensemble id -> token-hash bucket histogram (stage-0 bound).
   std::vector<std::vector<uint32_t>> bucket_hists_;
-  /// Ensemble id -> MinHash signature components (kept so SavePayload can
-  /// persist the sketches the ensemble itself does not expose).
-  std::vector<std::vector<uint64_t>> signatures_;
   /// table name -> every ensemble id indexed for it (ScoreUpperBound's
-  /// candidate-free bound path).
+  /// candidate-free bound path; a lake-resident query column's sketch).
   std::unordered_map<std::string, std::vector<uint64_t>> table_columns_;
 };
 

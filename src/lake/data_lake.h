@@ -58,8 +58,8 @@ class DataLake {
   Status SaveDirectory(const std::string& dir) const;
 
   /// The lake-wide sketch cache: per-table derived data (token sets,
-  /// MinHash signatures, distinct values) memoized once and shared by every
-  /// discovery index builder. Thread-safe; invalidated by AddTable.
+  /// distinct values) memoized once and shared by every discovery
+  /// algorithm's BuildIndex. Thread-safe; invalidated by AddTable.
   TableSketchCache& sketch_cache() const { return *sketch_cache_; }
 
  private:

@@ -1,6 +1,5 @@
 #include "lake/table_sketch_cache.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "table/column_view.h"
@@ -61,85 +60,6 @@ std::shared_ptr<const ColumnDistinctValues> TableSketchCache::DistinctValues(
   return e->distinct_values;
 }
 
-std::shared_ptr<const std::vector<MinHash>> TableSketchCache::MinHashSignatures(
-    const Table& table, size_t num_perm, uint64_t seed) {
-  std::shared_ptr<Entry> e = GetEntry(table.name());
-  const std::pair<size_t, uint64_t> key{num_perm, seed};
-  {
-    MutexLock lock(e->minhash_mu);
-    auto it = e->minhash.find(key);
-    if (it != e->minhash.end()) {
-      MutexLock slock(mu_);
-      ++stats_.minhash_hits;
-      return it->second;
-    }
-  }
-  // Compute outside the entry lock; MinHash updates are componentwise minima
-  // so token order never changes the signature. A concurrent duplicate
-  // computation is possible but harmless (last writer wins, same value);
-  // only the publishing insert counts as the miss.
-  std::shared_ptr<const ColumnTokenSets> tokens = TokenSets(table);
-  auto sigs = std::make_shared<std::vector<MinHash>>();
-  sigs->reserve(tokens->size());
-  for (const std::vector<std::string>& col : *tokens) {
-    MinHash mh(num_perm, seed);
-    for (const std::string& tok : col) mh.Update(tok);
-    sigs->push_back(std::move(mh));
-  }
-  {
-    MutexLock lock(e->minhash_mu);
-    auto it = e->minhash.find(key);
-    if (it != e->minhash.end()) {
-      MutexLock slock(mu_);
-      ++stats_.minhash_hits;
-      return it->second;
-    }
-    e->minhash.emplace(key, sigs);
-  }
-  MutexLock slock(mu_);
-  ++stats_.minhash_misses;
-  return sigs;
-}
-
-std::vector<TableSketchCache::MinHashExport>
-TableSketchCache::ExportMinHashSignatures() const {
-  // Collect the entry pointers under mu_, then read each entry under its
-  // own minhash_mu with mu_ released: minhash_mu is ordered BEFORE mu_
-  // (see the lock-order comment on mu_), so holding mu_ while taking
-  // minhash_mu would invert the order.
-  std::vector<std::pair<std::string, std::shared_ptr<Entry>>> snapshot;
-  {
-    MutexLock lock(mu_);
-    snapshot.reserve(entries_.size());
-    for (const auto& [name, e] : entries_) snapshot.emplace_back(name, e);
-  }
-  std::sort(snapshot.begin(), snapshot.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<MinHashExport> out;
-  for (const auto& [name, e] : snapshot) {
-    MutexLock lock(e->minhash_mu);
-    for (const auto& [key, sigs] : e->minhash) {
-      MinHashExport exp;
-      exp.table = name;
-      exp.num_perm = key.first;
-      exp.seed = key.second;
-      exp.signatures = sigs;
-      out.push_back(std::move(exp));
-    }
-  }
-  return out;
-}
-
-void TableSketchCache::SeedMinHashSignatures(const std::string& table,
-                                             size_t num_perm, uint64_t seed,
-                                             std::vector<MinHash> signatures) {
-  std::shared_ptr<Entry> e = GetEntry(table);
-  auto sigs =
-      std::make_shared<const std::vector<MinHash>>(std::move(signatures));
-  MutexLock lock(e->minhash_mu);
-  e->minhash.emplace(std::make_pair(num_perm, seed), std::move(sigs));
-}
-
 size_t TableSketchCache::DistinctCount(const Table& table, size_t column) {
   std::shared_ptr<const ColumnTokenSets> tokens = TokenSets(table);
   if (column >= tokens->size()) return 0;
@@ -177,8 +97,6 @@ void TableSketchCache::ExportTo(Metrics* metrics) const {
   metrics->Set("sketch_cache.token_set.misses", s.token_set_misses);
   metrics->Set("sketch_cache.distinct_value.hits", s.distinct_value_hits);
   metrics->Set("sketch_cache.distinct_value.misses", s.distinct_value_misses);
-  metrics->Set("sketch_cache.minhash.hits", s.minhash_hits);
-  metrics->Set("sketch_cache.minhash.misses", s.minhash_misses);
 }
 
 }  // namespace dialite

@@ -1,8 +1,7 @@
 #ifndef DIALITE_LAKE_TABLE_SKETCH_CACHE_H_
 #define DIALITE_LAKE_TABLE_SKETCH_CACHE_H_
 
-#include <cstdint>
-#include <map>
+#include <cstddef>
 #include <memory>
 #include <mutex>  // std::once_flag / std::call_once only
 #include <string>
@@ -11,7 +10,6 @@
 
 #include "common/sync.h"
 #include "obs/metrics.h"
-#include "sketch/minhash.h"
 #include "table/table.h"
 
 namespace dialite {
@@ -27,13 +25,18 @@ using ColumnDistinctValues = std::vector<std::vector<std::string>>;
 
 /// Thread-safe, lazily-populated cache of per-table derived data shared by
 /// every discovery index builder: tokenized column token sets, distinct raw
-/// value sets, MinHash signatures, and distinct-value counts.
+/// value sets, and distinct-value counts.
 ///
 /// Motivation: DIALITE's offline phase runs seven index builders over the
 /// same lake, and five of them start by tokenizing every column. The cache
 /// memoizes that work keyed by table name, so a full BuildIndexes() pass
 /// tokenizes each lake table exactly once no matter how many algorithms are
 /// registered or how many threads build concurrently.
+///
+/// Scope: the cache holds inputs several index builds share, nothing one
+/// index owns. MinHash signatures, for one, live only in LSH Ensemble's index
+/// (LshEnsemble::sketch), which sketches its indexed columns at build time
+/// and persists them in its own snapshot section.
 ///
 /// Contract:
 ///  - Thread safety: all methods are safe to call concurrently. Concurrent
@@ -58,8 +61,6 @@ class TableSketchCache {
     size_t token_set_misses = 0;
     size_t distinct_value_hits = 0;
     size_t distinct_value_misses = 0;
-    size_t minhash_hits = 0;
-    size_t minhash_misses = 0;
   };
 
   TableSketchCache() = default;
@@ -73,34 +74,8 @@ class TableSketchCache {
   std::shared_ptr<const ColumnDistinctValues> DistinctValues(
       const Table& table);
 
-  /// Per-column MinHash signatures over the token sets, keyed additionally
-  /// by (num_perm, seed) since different sketch configurations need
-  /// different signatures. Builds on TokenSets (scoring a token-set hit
-  /// after the first computation).
-  std::shared_ptr<const std::vector<MinHash>> MinHashSignatures(
-      const Table& table, size_t num_perm, uint64_t seed);
-
   /// Distinct-value count of one column (token-set cardinality).
   size_t DistinctCount(const Table& table, size_t column);
-
-  /// One cached per-table MinHash artifact, as exported for snapshotting.
-  struct MinHashExport {
-    std::string table;
-    size_t num_perm = 0;
-    uint64_t seed = 0;
-    std::shared_ptr<const std::vector<MinHash>> signatures;
-  };
-
-  /// Snapshot of every cached MinHash signature set, sorted by (table,
-  /// num_perm, seed) for deterministic serialization.
-  std::vector<MinHashExport> ExportMinHashSignatures() const;
-
-  /// Pre-populates the (table, num_perm, seed) MinHash slot — the snapshot
-  /// open path, letting the first MinHashSignatures() call hit instead of
-  /// resketching. No-op (keeps the existing value) if the slot is already
-  /// filled; does not count as a hit or a miss.
-  void SeedMinHashSignatures(const std::string& table, size_t num_perm,
-                             uint64_t seed, std::vector<MinHash> signatures);
 
   /// Drops all cached artifacts of `table_name`.
   void Invalidate(const std::string& table_name);
@@ -114,7 +89,7 @@ class TableSketchCache {
   Stats stats() const;
 
   /// Publishes the cumulative counters into `metrics` as
-  /// sketch_cache.{token_set,distinct_value,minhash}.{hits,misses} gauges
+  /// sketch_cache.{token_set,distinct_value}.{hits,misses} gauges
   /// (Set semantics: the cache owns the cumulative truth). No-op when null.
   void ExportTo(Metrics* metrics) const;
 
@@ -123,25 +98,17 @@ class TableSketchCache {
     // token_sets / distinct_values are published through call_once: written
     // exactly once inside the once-callback and read only after the
     // call_once returns, so call_once's happens-before is their guard (no
-    // mutex, hence no GUARDED_BY — the analysis cannot model once_flag).
+    // mutex, hence no GUARDED_BY).
     std::once_flag token_once;
-    // analyze: no-guard(published through token_once's happens-before)
     std::shared_ptr<const ColumnTokenSets> token_sets;
     std::once_flag distinct_once;
-    // analyze: no-guard(published through distinct_once's happens-before)
     std::shared_ptr<const ColumnDistinctValues> distinct_values;
-    Mutex minhash_mu{"TableSketchCache::Entry::minhash_mu"};
-    std::map<std::pair<size_t, uint64_t>,
-             std::shared_ptr<const std::vector<MinHash>>>
-        minhash DIALITE_GUARDED_BY(minhash_mu);
   };
 
   /// Finds or creates the entry for `name` under mu_.
   std::shared_ptr<Entry> GetEntry(const std::string& name)
       DIALITE_EXCLUDES(mu_);
 
-  /// Lock order: Entry::minhash_mu may be held when taking mu_ (the stats
-  /// bumps inside MinHashSignatures); never take minhash_mu under mu_.
   mutable Mutex mu_{"TableSketchCache::mu_"};
   std::unordered_map<std::string, std::shared_ptr<Entry>> entries_
       DIALITE_GUARDED_BY(mu_);

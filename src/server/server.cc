@@ -1,9 +1,11 @@
 #include "server/server.h"
 
+#include <charconv>
 #include <chrono>
-#include <cstdlib>
 #include <memory>
 #include <optional>
+#include <string_view>
+#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -20,13 +22,41 @@ namespace {
 /// bound on how long a drain waits for an idle connection to notice.
 constexpr std::chrono::milliseconds kConnPoll(200);
 
-bool ParseU64(const std::string& s, uint64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0') return false;
+/// Reads optional query parameter `key` into *out, which keeps its default
+/// when the parameter is absent. False when present but not a decimal
+/// uint64 of digits only (no sign, no blanks, no overflow).
+bool ParamU64(const HttpRequest& req, const std::string& key, uint64_t* out) {
+  auto it = req.query.find(key);
+  if (it == req.query.end()) return true;
+  const std::string& s = it->second;
+  uint64_t v = 0;
+  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || ptr != s.data() + s.size()) return false;
   *out = v;
   return true;
+}
+
+/// `ms` as a timeout, saturating at the largest nanosecond count instead of
+/// overflowing int64 (10^13 ms is already past it).
+std::chrono::nanoseconds DeadlineTimeout(uint64_t ms) {
+  constexpr uint64_t kMaxMs =
+      static_cast<uint64_t>(std::chrono::nanoseconds::max().count()) /
+      1'000'000;
+  if (ms >= kMaxMs) return std::chrono::nanoseconds::max();
+  return std::chrono::milliseconds(static_cast<int64_t>(ms));
+}
+
+/// Every served path but the opt-in test endpoint; each answers 405 to a
+/// wrong method.
+constexpr std::string_view kEndpoints[] = {
+    "/status", "/metrics", "/discover", "/align", "/integrate", "/reload"};
+constexpr char kTestSleepPath[] = "/_test/sleep";
+
+bool IsEndpoint(const std::string& path) {
+  for (std::string_view e : kEndpoints) {
+    if (path == e) return true;
+  }
+  return false;
 }
 
 /// Splits "a,b,c" into non-empty segments.
@@ -42,10 +72,12 @@ std::vector<std::string> SplitCsvList(const std::string& s) {
   return out;
 }
 
-/// "server.request.discover" from "/discover" ("root" for "/").
+/// "server.request.discover" from "/discover". Every path that is not an
+/// endpoint shares "server.request.unknown", so clients cannot mint metric
+/// names.
 std::string EndpointMetricName(const std::string& path) {
   std::string name = "server.request.";
-  if (path.size() <= 1) return name + "root";
+  if (!IsEndpoint(path) && path != kTestSleepPath) return name + "unknown";
   for (size_t i = 1; i < path.size(); ++i) {
     name += path[i] == '/' ? '.' : path[i];
   }
@@ -171,15 +203,15 @@ void DialiteServer::ServeConnection(TcpConn conn) {
 
     CancelToken cancel;
     uint64_t deadline_ms = options_.default_deadline_ms;
-    (void)ParseU64(req->Param("deadline_ms"), &deadline_ms);
-    if (deadline_ms > 0) {
-      cancel.SetDeadlineAfter(std::chrono::milliseconds(deadline_ms));
-    }
+    const bool deadline_ok = ParamU64(*req, "deadline_ms", &deadline_ms);
+    if (deadline_ms > 0) cancel.SetDeadlineAfter(DeadlineTimeout(deadline_ms));
 
     HttpResponse resp;
     {
       ObsTimer timer(obs_, EndpointMetricName(req->path));
-      resp = Handle(*req, deadline_ms > 0 ? &cancel : nullptr);
+      resp = deadline_ok
+                 ? Handle(*req, deadline_ms > 0 ? &cancel : nullptr)
+                 : ErrorResponse(400, "deadline_ms must be a decimal integer");
     }
     ObsAdd(obs_, "server.http." + std::to_string(resp.status / 100) + "xx");
     const bool close = resp.close || req->WantsClose() ||
@@ -206,13 +238,11 @@ HttpResponse DialiteServer::Handle(const HttpRequest& req,
   if (req.path == "/reload" && req.method == "POST") {
     return HandleReload(req);
   }
-  if (options_.enable_test_endpoints && req.path == "/_test/sleep" &&
+  if (options_.enable_test_endpoints && req.path == kTestSleepPath &&
       req.method == "GET") {
     return HandleTestSleep(req, cancel);
   }
-  if (req.path == "/status" || req.path == "/metrics" ||
-      req.path == "/discover" || req.path == "/align" ||
-      req.path == "/integrate" || req.path == "/reload") {
+  if (IsEndpoint(req.path)) {
     return ErrorResponse(405, "wrong method for " + req.path);
   }
   return ErrorResponse(404, "no such endpoint: " + req.path);
@@ -257,6 +287,10 @@ HttpResponse DialiteServer::HandleDiscover(const HttpRequest& req,
   if (req.body.empty()) {
     return ErrorResponse(400, "POST /discover needs a CSV query table body");
   }
+  uint64_t k = 10, column = 0;
+  if (!ParamU64(req, "k", &k) || !ParamU64(req, "column", &column)) {
+    return ErrorResponse(400, "k and column must be decimal integers");
+  }
   Result<Table> query_table =
       CsvReader::Parse(req.body, req.Param("name", "query"));
   if (!query_table.ok()) {
@@ -266,9 +300,6 @@ HttpResponse DialiteServer::HandleDiscover(const HttpRequest& req,
   DiscoveryQuery query;
   query.table = &*query_table;
   query.cancel = cancel;
-  uint64_t k = 10, column = 0;
-  (void)ParseU64(req.Param("k"), &k);
-  (void)ParseU64(req.Param("column"), &column);
   query.k = static_cast<size_t>(k);
   query.query_column = static_cast<size_t>(column);
   const std::string algorithm = req.Param("algorithm", "santos");
@@ -382,7 +413,9 @@ HttpResponse DialiteServer::HandleReload(const HttpRequest& req) {
 HttpResponse DialiteServer::HandleTestSleep(const HttpRequest& req,
                                             const CancelToken* cancel) const {
   uint64_t ms = 100;
-  (void)ParseU64(req.Param("ms"), &ms);
+  if (!ParamU64(req, "ms", &ms)) {
+    return ErrorResponse(400, "ms must be a decimal integer");
+  }
   uint64_t slept = 0;
   while (slept < ms) {
     if (cancel != nullptr && cancel->Cancelled()) {

@@ -53,7 +53,11 @@ struct ServerOptions {
 ///   POST /reload[?snapshot=path]          swap to the next epoch
 ///
 /// Every data-plane request accepts deadline_ms=N; past the deadline the
-/// discovery cascade cancels cooperatively and the request answers 504.
+/// discovery cascade cancels cooperatively and the request answers 504. A
+/// deadline past the clock's range saturates. Numeric parameters (k,
+/// column, deadline_ms) take decimal digits only; anything else answers
+/// 400. Each request is timed under "server.request.<endpoint>", and every
+/// path that is not an endpoint under "server.request.unknown".
 ///
 /// Lifecycle: construct -> Start() -> (serve) -> Shutdown(). Shutdown
 /// refuses new connections, lets in-flight requests finish (bounded by

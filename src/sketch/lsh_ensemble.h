@@ -43,8 +43,8 @@ class LshEnsemble {
   /// distinct-set size. The signature must have been built with this
   /// ensemble's (num_perm, seed) over the domain's distinct token set —
   /// then the result is identical to Add(id, tokens). Lets callers sketch
-  /// domains in parallel (MinHash minima are order-insensitive) or reuse a
-  /// shared sketch cache.
+  /// domains in parallel (MinHash minima are order-insensitive) or restore
+  /// persisted sketches.
   Status AddSketch(uint64_t id, size_t set_size, MinHash mh);
 
   /// Partitions by size and builds per-partition band tables.
@@ -60,13 +60,20 @@ class LshEnsemble {
   /// Same, from a precomputed query signature plus the true distinct-set
   /// size. The signature must have been built with this ensemble's
   /// (num_perm, seed) over the query's distinct token set — then the
-  /// result is identical to the token overload. Lets callers reuse a
-  /// shared sketch cache instead of re-sketching the query per search.
+  /// result is identical to the token overload. Lets a query over an
+  /// indexed domain reuse that domain's sketch() instead of re-sketching.
   std::vector<uint64_t> Query(const MinHash& qmh, size_t qsize,
                               double containment_threshold) const;
 
   size_t size() const { return entries_.size(); }
   [[nodiscard]] bool built() const { return built_; }
+
+  /// The i-th registered domain, in Add()/AddSketch() order: its true
+  /// distinct-set size and its MinHash sketch. The ensemble is the one
+  /// owner of the sketches, so callers persist them from here and reuse
+  /// them as query signatures instead of keeping a copy.
+  size_t set_size(size_t i) const { return entries_[i].set_size; }
+  const MinHash& sketch(size_t i) const { return entries_[i].mh; }
 
   /// Exposed for testing: the Jaccard threshold a containment threshold
   /// translates to inside a partition with upper size bound u.

@@ -48,7 +48,6 @@ struct SnapshotSection {
 /// Well-known section names. Tables get one section each ("tbl." + name);
 /// discovery indexes one each ("idx." + algorithm name).
 inline constexpr char kSectionLakeManifest[] = "lake.manifest";
-inline constexpr char kSectionSketchMinhash[] = "sketch.minhash";
 inline constexpr char kSectionTablePrefix[] = "tbl.";
 inline constexpr char kSectionIndexPrefix[] = "idx.";
 

@@ -13,76 +13,6 @@ namespace dialite {
 namespace {
 
 constexpr uint32_t kManifestVersion = 1;
-constexpr uint32_t kSketchCodecVersion = 1;
-
-Status WriteSketchSection(const DataLake& lake, SnapshotWriter* w) {
-  const std::vector<TableSketchCache::MinHashExport> exports =
-      lake.sketch_cache().ExportMinHashSignatures();
-  BinaryWriter sec;
-  sec.U32(kSketchCodecVersion);
-  sec.U64(exports.size());
-  for (const TableSketchCache::MinHashExport& e : exports) {
-    sec.Str(e.table);
-    sec.U64(e.num_perm);
-    sec.U64(e.seed);
-    sec.U64(e.signatures->size());
-    for (const MinHash& mh : *e.signatures) {
-      sec.Array<uint64_t>(mh.signature());
-    }
-  }
-  return w->AddSection(kSectionSketchMinhash, std::move(sec));
-}
-
-Status ReadSketchSection(const SnapshotReader& reader, DataLake* lake) {
-  Result<std::span<const uint8_t>> payload =
-      reader.Section(kSectionSketchMinhash);
-  if (!payload.ok()) return payload.status();
-  BinaryReader r(*payload);
-  uint32_t version = 0;
-  DIALITE_RETURN_IF_ERROR(r.U32(&version));
-  if (version != kSketchCodecVersion) {
-    return Status::ParseError("unsupported sketch codec version " +
-                              std::to_string(version));
-  }
-  uint64_t entry_count = 0;
-  DIALITE_RETURN_IF_ERROR(r.U64(&entry_count));
-  if (entry_count > r.remaining()) {
-    return Status::ParseError("sketch entry count overruns the buffer");
-  }
-  for (uint64_t i = 0; i < entry_count; ++i) {
-    std::string table;
-    DIALITE_RETURN_IF_ERROR(r.Str(&table));
-    uint64_t num_perm = 0, seed = 0, num_columns = 0;
-    DIALITE_RETURN_IF_ERROR(r.U64(&num_perm));
-    DIALITE_RETURN_IF_ERROR(r.U64(&seed));
-    DIALITE_RETURN_IF_ERROR(r.U64(&num_columns));
-    if (num_columns > r.remaining()) {
-      return Status::ParseError("sketch column count overruns the buffer");
-    }
-    if (!lake->Contains(table)) {
-      return Status::ParseError("sketch section references unknown table '" +
-                                table + "'");
-    }
-    std::vector<MinHash> sigs;
-    sigs.reserve(static_cast<size_t>(num_columns));
-    for (uint64_t c = 0; c < num_columns; ++c) {
-      std::span<const uint64_t> components;
-      DIALITE_RETURN_IF_ERROR(r.Array(&components));
-      if (components.size() != num_perm) {
-        return Status::ParseError("sketch signature length mismatch for '" +
-                                  table + "'");
-      }
-      sigs.push_back(MinHash::FromSignature(
-          std::vector<uint64_t>(components.begin(), components.end()), seed));
-    }
-    lake->sketch_cache().SeedMinHashSignatures(
-        table, static_cast<size_t>(num_perm), seed, std::move(sigs));
-  }
-  if (!r.AtEnd()) {
-    return Status::ParseError("trailing bytes after sketch section");
-  }
-  return Status::OK();
-}
 
 }  // namespace
 
@@ -108,7 +38,6 @@ Status WriteLake(const DataLake& lake, SnapshotWriter* w,
         w->AddSection(kSectionTablePrefix + n, std::move(sec)));
   }
 
-  DIALITE_RETURN_IF_ERROR(WriteSketchSection(lake, w));
   ObsAdd(obs, "snapshot.tables_written", names.size());
   return Status::OK();
 }
@@ -152,7 +81,6 @@ Result<std::unique_ptr<DataLake>> ReadLake(const SnapshotReader& reader,
     return Status::ParseError("trailing bytes after lake manifest");
   }
 
-  DIALITE_RETURN_IF_ERROR(ReadSketchSection(reader, lake.get()));
   ObsAdd(obs, "snapshot.tables_opened", count);
   return lake;
 }

@@ -12,15 +12,14 @@
 namespace dialite {
 
 /// Adds the lake's sections to `w`: "lake.manifest" (table names in
-/// insertion order), one "tbl.<name>" section per table, and
-/// "sketch.minhash" carrying every cached MinHash signature set.
+/// insertion order) and one "tbl.<name>" section per table.
 Status WriteLake(const DataLake& lake, SnapshotWriter* w,
                  ObservabilityContext* obs = nullptr);
 
 /// Reconstructs a DataLake from `reader`'s sections. Tables come back
 /// backed by borrowed spans into the mapping (pinned per-table by the
-/// reader's anchor); cached MinHash signatures are seeded into the lake's
-/// sketch cache so index builders skip resketching.
+/// reader's anchor). Sections this codec does not read — including the
+/// "sketch.minhash" section that older writers added — are ignored.
 Result<std::unique_ptr<DataLake>> ReadLake(const SnapshotReader& reader,
                                            ObservabilityContext* obs = nullptr);
 

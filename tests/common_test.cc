@@ -464,6 +464,10 @@ TEST(CancelTokenTest, FarDeadlineDoesNotFire) {
   CancelToken token;
   token.SetDeadlineAfter(std::chrono::hours(24));
   EXPECT_FALSE(token.Cancelled());
+  // Past the clock's range: saturates instead of wrapping into the past.
+  CancelToken saturated;
+  saturated.SetDeadlineAfter(std::chrono::nanoseconds::max());
+  EXPECT_FALSE(saturated.Cancelled());
 }
 
 TEST(CancelTokenTest, CancelVisibleAcrossThreads) {

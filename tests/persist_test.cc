@@ -5,12 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
+#include <span>
+#include <vector>
 
+#include "discovery/cocoa.h"
 #include "discovery/josie.h"
+#include "discovery/lsh_ensemble_search.h"
 #include "discovery/santos.h"
 #include "lake/paper_fixtures.h"
+#include "snapshot/bytes.h"
 
 namespace dialite {
 namespace {
@@ -23,6 +29,50 @@ std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
+}
+
+/// Feeds `payload` to `index->LoadPayload` from 8-byte-aligned storage, as
+/// a mapped snapshot section would present it.
+Status LoadCrafted(PersistentIndex* index, const BinaryWriter& payload,
+                   const DataLake& lake) {
+  std::vector<uint64_t> storage((payload.size() + 7) / 8);
+  std::memcpy(storage.data(), payload.buffer().data(), payload.size());
+  BinaryReader r(std::span<const uint8_t>(
+      reinterpret_cast<const uint8_t*>(storage.data()), payload.size()));
+  return index->LoadPayload(&r, lake);
+}
+
+/// A JOSIE or COCOA payload indexing one column, `col` of lake table T2
+/// (3 columns), with one posting.
+BinaryWriter PostingsPayload(const std::string& algo, uint64_t col) {
+  BinaryWriter w;
+  w.Str(algo);
+  w.U32(1);
+  w.U64(1);
+  w.Str("T2");
+  w.U64(col);
+  w.U64(1);
+  w.Str("toronto");
+  const std::vector<uint32_t> ids = {0};
+  w.Array<uint32_t>(ids);
+  return w;
+}
+
+/// An LSH Ensemble payload (default Params) indexing column `col` of T2.
+BinaryWriter LshPayload(uint64_t col) {
+  const LshEnsembleSearch::Params p;
+  BinaryWriter w;
+  w.Str("lsh_ensemble");
+  w.U32(1);
+  w.U64(1);
+  w.Str("T2");
+  w.U64(col);
+  w.U64(3);
+  const std::vector<uint32_t> hist(p.bound_buckets, 0);
+  w.Array<uint32_t>(hist);
+  const std::vector<uint64_t> sig(p.num_perm, 42);
+  w.Array<uint64_t>(sig);
+  return w;
 }
 
 TEST(JosiePersistTest, SaveLoadGivesIdenticalResults) {
@@ -156,6 +206,34 @@ TEST(SantosPersistTest, LoadRejectsWrongAlgorithmPayload) {
   SantosSearch loaded;
   EXPECT_EQ(loaded.LoadIndex(path, lake).code(), StatusCode::kParseError);
   std::remove(path.c_str());
+}
+
+// Crafted payloads naming a column past its table's width must fail to
+// load: searches index the table's token sets by that column unchecked.
+// Column 1 (T2's City) is the well-formed control.
+
+TEST(JosiePersistTest, LoadRejectsColumnOutOfRange) {
+  DataLake lake = paper::MakeDemoLake(0);
+  JosieSearch josie;
+  ASSERT_TRUE(LoadCrafted(&josie, PostingsPayload("josie", 1), lake).ok());
+  EXPECT_EQ(LoadCrafted(&josie, PostingsPayload("josie", 1000000), lake).code(),
+            StatusCode::kParseError);
+}
+
+TEST(CocoaPersistTest, LoadRejectsColumnOutOfRange) {
+  DataLake lake = paper::MakeDemoLake(0);
+  CocoaSearch cocoa;
+  ASSERT_TRUE(LoadCrafted(&cocoa, PostingsPayload("cocoa", 1), lake).ok());
+  EXPECT_EQ(LoadCrafted(&cocoa, PostingsPayload("cocoa", 1000000), lake).code(),
+            StatusCode::kParseError);
+}
+
+TEST(LshEnsemblePersistTest, LoadRejectsColumnOutOfRange) {
+  DataLake lake = paper::MakeDemoLake(0);
+  LshEnsembleSearch lsh;
+  ASSERT_TRUE(LoadCrafted(&lsh, LshPayload(1), lake).ok());
+  EXPECT_EQ(LoadCrafted(&lsh, LshPayload(1000000), lake).code(),
+            StatusCode::kParseError);
 }
 
 }  // namespace

@@ -9,7 +9,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -300,6 +302,20 @@ TEST_F(ServerHandleTest, UnknownPathAndWrongMethod) {
   EXPECT_EQ(server_->Handle(Post("/status"), nullptr).status, 405);
 }
 
+TEST_F(ServerHandleTest, MalformedNumericParametersAnswer400) {
+  StartServer();
+  const std::string query = QueryCsv();
+  for (const char* bad :
+       {"abc", "-1", "+3", " 3", "3x", "", "18446744073709551616"}) {
+    for (const char* param : {"k", "column"}) {
+      HttpResponse resp = server_->Handle(
+          Post("/discover", {{"algorithm", "josie"}, {param, bad}}, query),
+          nullptr);
+      EXPECT_EQ(resp.status, 400) << param << "=" << bad << ": " << resp.body;
+    }
+  }
+}
+
 TEST_F(ServerHandleTest, MetricsExportsRequestCounters) {
   StartServer();
   (void)server_->Handle(Get("/status"), nullptr);
@@ -400,6 +416,58 @@ TEST_F(ServerHandleTest, DeadlineAnswers504OverSocket) {
                       "/_test/sleep?ms=10000&deadline_ms=50", "", &body),
             504);
   EXPECT_NE(body.find("deadline"), std::string::npos);
+}
+
+TEST_F(ServerHandleTest, HugeDeadlineSaturatesAndMalformedAnswers400) {
+  StartServer();
+  const std::string target =
+      "/discover?algorithm=josie&k=3&column=1&deadline_ms=";
+  std::string body;
+  // About 317 years, and the largest uint64: both far past the clock's
+  // nanosecond range, so the deadline saturates instead of firing at once.
+  for (const char* huge : {"10000000000000", "18446744073709551615"}) {
+    EXPECT_EQ(Roundtrip(server_->port(), "POST", target + huge, QueryCsv(),
+                        &body),
+              200)
+        << huge << ": " << body;
+  }
+  for (const char* bad : {"-1", "abc", "18446744073709551616"}) {
+    EXPECT_EQ(
+        Roundtrip(server_->port(), "POST", target + bad, QueryCsv(), &body),
+        400)
+        << bad << ": " << body;
+  }
+}
+
+TEST_F(ServerHandleTest, UnknownPathsShareOneMetricName) {
+  StartServer();
+  auto metric_names = [this] {
+    std::set<std::string> names;
+    for (const auto& [name, value] : obs_.metrics().CounterSnapshot()) {
+      names.insert(name);
+    }
+    for (const auto& [name, hist] : obs_.metrics().HistogramSnapshots()) {
+      names.insert(name);
+    }
+    return names;
+  };
+  Result<TcpConn> conn = TcpConnect(server_->port());
+  ASSERT_TRUE(conn.ok());
+  std::string buffer;
+  auto get_unknown = [&](size_t i) {
+    const std::string target = "/nope" + std::to_string(i);
+    ASSERT_TRUE(
+        conn->WriteAll(SerializeHttpRequest("GET", target, "", false)).ok());
+    int status = 0;
+    std::string body;
+    ASSERT_TRUE(ReadHttpResponse(*conn, &buffer, &status, &body).ok());
+    EXPECT_EQ(status, 404) << target;
+  };
+  get_unknown(0);
+  const std::set<std::string> after_one = metric_names();
+  EXPECT_EQ(after_one.count("server.request.unknown.count"), 1u);
+  for (size_t i = 1; i < 200; ++i) get_unknown(i);
+  EXPECT_EQ(metric_names(), after_one);
 }
 
 TEST_F(ServerHandleTest, AdmissionControlAnswers503WhenFull) {

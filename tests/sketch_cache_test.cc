@@ -1,7 +1,7 @@
-/// Tests for TableSketchCache: memoization, hit/miss accounting, MinHash
-/// parameter keying, invalidation, thread safety, and the end-to-end
-/// guarantee that a full Dialite::BuildIndexes pass tokenizes each lake
-/// table exactly once across all registered algorithms.
+/// Tests for TableSketchCache: memoization, hit/miss accounting,
+/// invalidation, thread safety, and the end-to-end guarantee that a full
+/// Dialite::BuildIndexes pass tokenizes each lake table exactly once across
+/// all registered algorithms.
 
 #include "lake/table_sketch_cache.h"
 
@@ -60,29 +60,6 @@ TEST(SketchCacheTest, DistinctCountIsTokenSetCardinality) {
   for (size_t c = 0; c < t.num_columns(); ++c) {
     EXPECT_EQ(cache.DistinctCount(t, c), ColumnTokens(t.column(c)).size());
   }
-}
-
-TEST(SketchCacheTest, MinHashKeyedByParams) {
-  Table t = paper::MakeT1();
-  TableSketchCache cache;
-  auto s1 = cache.MinHashSignatures(t, 64, 1);
-  auto s1_again = cache.MinHashSignatures(t, 64, 1);
-  auto s2 = cache.MinHashSignatures(t, 64, 2);   // different seed
-  auto s3 = cache.MinHashSignatures(t, 128, 1);  // different width
-  EXPECT_EQ(s1.get(), s1_again.get());
-  EXPECT_NE(s1.get(), s2.get());
-  EXPECT_NE(s1.get(), s3.get());
-  ASSERT_EQ(s1->size(), t.num_columns());
-  EXPECT_EQ((*s1)[0].num_perm(), 64u);
-  EXPECT_EQ((*s3)[0].num_perm(), 128u);
-  // Signatures match a direct build over the same token sets.
-  for (size_t c = 0; c < t.num_columns(); ++c) {
-    MinHash direct = MinHash::FromTokens(ColumnTokens(t.column(c)), 64, 1);
-    EXPECT_EQ((*s1)[c].signature(), direct.signature()) << "column " << c;
-  }
-  TableSketchCache::Stats s = cache.stats();
-  EXPECT_EQ(s.minhash_misses, 3u);
-  EXPECT_EQ(s.minhash_hits, 1u);
 }
 
 TEST(SketchCacheTest, InvalidateForcesRecompute) {
@@ -146,18 +123,16 @@ TEST(SketchCacheTest, BuildIndexesTokenizesEachTableExactlyOnce) {
   EXPECT_EQ(s.token_set_misses, n);
   // At least five of the seven algorithms consume token sets per table.
   EXPECT_GE(s.token_set_hits, 5 * n);
-  // SANTOS and TUS consume distinct raw values; LSH Ensemble consumes one
-  // MinHash configuration per table.
+  // SANTOS and TUS consume distinct raw values.
   EXPECT_EQ(s.distinct_value_misses, n);
   EXPECT_GE(s.distinct_value_hits, n);
-  EXPECT_EQ(s.minhash_misses, n);
 
-  // A rebuild is all hits: nothing is recomputed.
+  // A rebuild is all cache hits: no token or distinct-value set is
+  // recomputed.
   ASSERT_TRUE(dialite.BuildIndexes().ok());
   TableSketchCache::Stats s2 = lake.sketch_cache().stats();
   EXPECT_EQ(s2.token_set_misses, n);
   EXPECT_EQ(s2.distinct_value_misses, n);
-  EXPECT_EQ(s2.minhash_misses, n);
 }
 
 }  // namespace

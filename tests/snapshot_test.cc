@@ -1,6 +1,7 @@
 /// Tests for the versioned mmap lake snapshot layer: container round-trip
-/// and corruption rejection, zero-copy lake/table restore, sketch seeding,
-/// and the Dialite facade's SaveSnapshot/OpenSnapshot end-to-end flow.
+/// and corruption rejection, zero-copy lake/table restore, and the Dialite
+/// facade's SaveSnapshot/OpenSnapshot end-to-end flow, including snapshots
+/// written before MinHash sketches moved into the LSH Ensemble index.
 
 #include <gtest/gtest.h>
 #include <sys/stat.h>
@@ -9,23 +10,37 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/dialite.h"
 #include "lake/paper_fixtures.h"
+#include "sketch/minhash.h"
 #include "snapshot/bytes.h"
 #include "snapshot/format.h"
 #include "snapshot/lake_codec.h"
 #include "snapshot/snapshot_reader.h"
 #include "snapshot/snapshot_writer.h"
+#include "table/column_view.h"
 
 namespace dialite {
 namespace {
 
 std::string TempPath(const std::string& name) {
   return testing::TempDir() + "/" + name;
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::string bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return bytes;
+  char buf[4096];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, n);
+  std::fclose(f);
+  return bytes;
 }
 
 void PatchU32(std::string* bytes, size_t off, uint32_t v) {
@@ -180,36 +195,12 @@ TEST(LakeSnapshotTest, RoundTripPreservesEveryTable) {
 
 TEST(LakeSnapshotTest, ReSaveIsByteIdentical) {
   DataLake lake = paper::MakeDemoLake(8);
-  // Populate MinHash sketches so the sketch section is non-trivial.
-  for (const std::string& name : lake.table_names()) {
-    lake.sketch_cache().MinHashSignatures(*lake.Get(name), 128, 7);
-  }
   std::string bytes1 = SaveLakeToString(lake);
   Result<SnapshotReader> reader = SnapshotReader::OpenOwning(bytes1);
   ASSERT_TRUE(reader.ok());
   Result<std::unique_ptr<DataLake>> opened = ReadLake(*reader);
   ASSERT_TRUE(opened.ok());
   EXPECT_EQ(SaveLakeToString(**opened), bytes1);
-}
-
-TEST(LakeSnapshotTest, SeedsMinHashSketches) {
-  DataLake lake = paper::MakeDemoLake(4);
-  const std::string t0 = lake.table_names().front();
-  std::shared_ptr<const std::vector<MinHash>> fresh =
-      lake.sketch_cache().MinHashSignatures(*lake.Get(t0), 128, 7);
-  std::string bytes = SaveLakeToString(lake);
-  Result<SnapshotReader> reader = SnapshotReader::OpenOwning(std::move(bytes));
-  ASSERT_TRUE(reader.ok());
-  Result<std::unique_ptr<DataLake>> opened = ReadLake(*reader);
-  ASSERT_TRUE(opened.ok());
-  // The seeded cache returns the persisted signatures without touching the
-  // (mmap-backed) table data.
-  std::shared_ptr<const std::vector<MinHash>> seeded =
-      (*opened)->sketch_cache().MinHashSignatures(*(*opened)->Get(t0), 128, 7);
-  ASSERT_EQ(seeded->size(), fresh->size());
-  for (size_t c = 0; c < fresh->size(); ++c) {
-    EXPECT_EQ((*seeded)[c].signature(), (*fresh)[c].signature());
-  }
 }
 
 TEST(LakeSnapshotTest, BorrowedTableOutlivesLakeAndReader) {
@@ -282,6 +273,25 @@ TEST(DialiteSnapshotTest, OpenRejectsMissingAndGarbageFiles) {
   std::remove(path.c_str());
 }
 
+/// Every registered algorithm answers `qa` on `a` exactly as `qb` on `b`.
+void ExpectSameDiscoveries(const Dialite& a, const DiscoveryQuery& qa,
+                           const Dialite& b, const DiscoveryQuery& qb) {
+  auto a_hits = a.DiscoverAll(qa);
+  auto b_hits = b.DiscoverAll(qb);
+  ASSERT_TRUE(a_hits.ok()) << a_hits.status().ToString();
+  ASSERT_TRUE(b_hits.ok()) << b_hits.status().ToString();
+  ASSERT_EQ(a_hits->size(), b_hits->size());
+  for (const auto& [algo, hits] : *a_hits) {
+    ASSERT_TRUE(b_hits->count(algo)) << algo;
+    const std::vector<DiscoveryHit>& other = (*b_hits)[algo];
+    ASSERT_EQ(hits.size(), other.size()) << algo;
+    for (size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].table_name, other[i].table_name) << algo;
+      EXPECT_DOUBLE_EQ(hits[i].score, other[i].score) << algo;
+    }
+  }
+}
+
 TEST(DialiteSnapshotTest, OpenedSystemMatchesFreshBuildEverywhere) {
   DataLake lake = paper::MakeDemoLake(10);
   Dialite fresh(&lake);
@@ -293,22 +303,14 @@ TEST(DialiteSnapshotTest, OpenedSystemMatchesFreshBuildEverywhere) {
   Result<SnapshotSystem> opened = Dialite::OpenSnapshot(path);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
 
+  // A transient query table, and a lake-resident one: each system queries
+  // with its own lake's T2, whose City column LSH Ensemble answers from
+  // the ensemble's stored sketch instead of re-sketching it.
   Table query = paper::MakeT1();
-  DiscoveryQuery q{&query, 1, 10};
-  auto fresh_hits = fresh.DiscoverAll(q);
-  auto opened_hits = opened->dialite->DiscoverAll(q);
-  ASSERT_TRUE(fresh_hits.ok());
-  ASSERT_TRUE(opened_hits.ok()) << opened_hits.status().ToString();
-  ASSERT_EQ(fresh_hits->size(), opened_hits->size());
-  for (const auto& [algo, hits] : *fresh_hits) {
-    ASSERT_TRUE(opened_hits->count(algo)) << algo;
-    const std::vector<DiscoveryHit>& other = (*opened_hits)[algo];
-    ASSERT_EQ(hits.size(), other.size()) << algo;
-    for (size_t i = 0; i < hits.size(); ++i) {
-      EXPECT_EQ(hits[i].table_name, other[i].table_name) << algo;
-      EXPECT_DOUBLE_EQ(hits[i].score, other[i].score) << algo;
-    }
-  }
+  const DiscoveryQuery transient{&query, 1, 10};
+  ExpectSameDiscoveries(fresh, transient, *opened->dialite, transient);
+  ExpectSameDiscoveries(fresh, {lake.Get("T2"), 1, 10}, *opened->dialite,
+                        {opened->lake->Get("T2"), 1, 10});
   std::remove(path.c_str());
 }
 
@@ -323,22 +325,75 @@ TEST(DialiteSnapshotTest, SaveOpenSaveIsByteIdentical) {
   Result<SnapshotSystem> opened = Dialite::OpenSnapshot(path1);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   ASSERT_TRUE(opened->dialite->SaveSnapshot(path2).ok());
-
-  std::FILE* f1 = std::fopen(path1.c_str(), "rb");
-  std::FILE* f2 = std::fopen(path2.c_str(), "rb");
-  ASSERT_NE(f1, nullptr);
-  ASSERT_NE(f2, nullptr);
-  std::string b1, b2;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f1)) > 0) b1.append(buf, n);
-  while ((n = std::fread(buf, 1, sizeof(buf), f2)) > 0) b2.append(buf, n);
-  std::fclose(f1);
-  std::fclose(f2);
+  const std::string b1 = ReadFileBytes(path1);
   EXPECT_FALSE(b1.empty());
-  EXPECT_EQ(b1, b2);
+  EXPECT_EQ(b1, ReadFileBytes(path2));
   std::remove(path1.c_str());
   std::remove(path2.c_str());
+}
+
+TEST(DialiteSnapshotTest, OpensSnapshotWithLegacySketchSection) {
+  // Snapshots written before the LSH Ensemble index became the only owner
+  // of MinHash sketches carry a "sketch.minhash" section after the tables.
+  // Readers skip it: such a file opens and answers like one without it,
+  // and re-saving it drops the section.
+  DataLake lake = paper::MakeDemoLake(6);
+  Dialite fresh(&lake);
+  ASSERT_TRUE(fresh.RegisterDefaults().ok());
+  ASSERT_TRUE(fresh.BuildIndexes().ok());
+  const std::string path = TempPath("current.snap");
+  ASSERT_TRUE(fresh.SaveSnapshot(path).ok());
+
+  // The legacy section: version, entry count, then per table its name,
+  // (num_perm, seed), and one signature per column.
+  BinaryWriter legacy;
+  legacy.U32(1);
+  legacy.U64(lake.size());
+  for (const std::string& name : lake.table_names()) {
+    const Table& t = *lake.Get(name);
+    legacy.Str(name);
+    legacy.U64(128);
+    legacy.U64(7);
+    legacy.U64(t.num_columns());
+    for (size_t c = 0; c < t.num_columns(); ++c) {
+      legacy.Array<uint64_t>(
+          MinHash::FromTokens(ColumnTokens(t.column(c)), 128, 7).signature());
+    }
+  }
+  Result<SnapshotReader> current = SnapshotReader::Open(path);
+  ASSERT_TRUE(current.ok()) << current.status().ToString();
+  EXPECT_FALSE(current->HasSection("sketch.minhash"));
+  SnapshotWriter w;
+  bool legacy_added = false;
+  for (const SnapshotSection& sec : current->sections()) {
+    if (!legacy_added && sec.name.rfind(kSectionIndexPrefix, 0) == 0) {
+      ASSERT_TRUE(w.AddSection("sketch.minhash", std::move(legacy)).ok());
+      legacy_added = true;
+    }
+    Result<std::span<const uint8_t>> bytes = current->Section(sec.name);
+    ASSERT_TRUE(bytes.ok());
+    std::string payload(reinterpret_cast<const char*>(bytes->data()),
+                        bytes->size());
+    ASSERT_TRUE(w.AddSection(sec.name, std::move(payload)).ok());
+  }
+  ASSERT_TRUE(legacy_added);
+  const std::string legacy_path = TempPath("legacy.snap");
+  ASSERT_TRUE(w.Finish(legacy_path).ok());
+
+  Result<SnapshotSystem> opened = Dialite::OpenSnapshot(legacy_path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  Table query = paper::MakeT1();
+  const DiscoveryQuery transient{&query, 1, 10};
+  ExpectSameDiscoveries(fresh, transient, *opened->dialite, transient);
+  ExpectSameDiscoveries(fresh, {lake.Get("T2"), 1, 10}, *opened->dialite,
+                        {opened->lake->Get("T2"), 1, 10});
+
+  const std::string resaved = TempPath("legacy_resaved.snap");
+  ASSERT_TRUE(opened->dialite->SaveSnapshot(resaved).ok());
+  EXPECT_EQ(ReadFileBytes(resaved), ReadFileBytes(path));
+  std::remove(path.c_str());
+  std::remove(legacy_path.c_str());
+  std::remove(resaved.c_str());
 }
 
 TEST(DialiteSnapshotTest, OpenRejectsTinyFiles) {

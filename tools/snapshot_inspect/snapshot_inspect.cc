@@ -30,7 +30,6 @@ const char* SectionKind(const std::string& name) {
   if (HasPrefix(name, kSectionTablePrefix)) return "table";
   if (HasPrefix(name, kSectionIndexPrefix)) return "index";
   if (name == kSectionLakeManifest) return "manifest";
-  if (name == kSectionSketchMinhash) return "sketch";
   return "other";
 }
 
@@ -50,7 +49,7 @@ int Inspect(const std::string& path, bool verify) {
   }
 
   uint64_t table_sections = 0, index_sections = 0;
-  uint64_t table_bytes = 0, index_bytes = 0, sketch_bytes = 0;
+  uint64_t table_bytes = 0, index_bytes = 0;
   uint64_t payload_bytes = 0;
   for (const SnapshotSection& s : reader->sections()) {
     payload_bytes += s.length;
@@ -61,8 +60,6 @@ int Inspect(const std::string& path, bool verify) {
     } else if (std::strcmp(kind, "index") == 0) {
       ++index_sections;
       index_bytes += s.length;
-    } else if (std::strcmp(kind, "sketch") == 0) {
-      sketch_bytes += s.length;
     }
   }
 
@@ -96,7 +93,6 @@ int Inspect(const std::string& path, bool verify) {
   out += ",\n    \"payload_bytes\": " + std::to_string(payload_bytes);
   out += ",\n    \"table_bytes\": " + std::to_string(table_bytes);
   out += ",\n    \"index_bytes\": " + std::to_string(index_bytes);
-  out += ",\n    \"sketch_bytes\": " + std::to_string(sketch_bytes);
   out += ",\n    \"container_overhead_bytes\": " +
          std::to_string(reader->file_size() - payload_bytes);
   out += "\n  }\n}\n";
