@@ -6,42 +6,64 @@
 /// --metrics-json [path]: run with observability enabled and dump the
 /// offline+online discovery metrics as JSON (to stdout, or to `path`).
 ///
-/// --bench-json [path]: additionally run the cascade-vs-exhaustive scale
-/// sweep over a ~1000-table synthetic lake and write a stable
-/// schema-v1 trajectory report (bench_json.h) for tools/bench_compare.py.
-/// This mode enforces two gates in-binary: cascade results must equal the
-/// exhaustive reference on every query, and at least two algorithms must
-/// clear a 2x cascade speedup.
+/// --bench-json [path]: additionally run the fast-vs-reference scale sweep
+/// of all seven algorithms over a ~1000-table synthetic lake and write a
+/// stable schema-v1 trajectory report (bench_json.h) for
+/// tools/bench_compare.py. This mode enforces two gates in-binary: default
+/// (kCascade) results must equal the kExhaustive reference on every query,
+/// and at least two algorithms must clear a 2x speedup.
 
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "bench_json.h"
 #include "core/dialite.h"
+#include "discovery/cocoa.h"
 #include "discovery/josie.h"
+#include "discovery/keyword_search.h"
 #include "discovery/lsh_ensemble_search.h"
 #include "discovery/santos.h"
+#include "discovery/starmie.h"
 #include "discovery/tus.h"
 #include "lake/lake_generator.h"
 #include "lake/paper_fixtures.h"
 #include "obs/observability.h"
+#include "table/column_view.h"
 
 namespace {
+
+/// The column an analyst marks, picked as servebench picks it: the string
+/// column with the most distinct tokens (the first on ties). Empty when the
+/// table has no string column.
+std::optional<size_t> IntentColumn(const dialite::Table& t) {
+  std::optional<size_t> intent;
+  size_t best_distinct = 0;
+  for (size_t c = 0; c < t.num_columns(); ++c) {
+    if (t.schema().column(c).type != dialite::ValueType::kString) continue;
+    const size_t distinct = dialite::ColumnTokens(t.column(c)).size();
+    if (!intent || distinct > best_distinct) {
+      best_distinct = distinct;
+      intent = c;
+    }
+  }
+  return intent;
+}
 
 /// One Search pass over every query; returns wall micros (negative on
 /// error). Hits are appended to `hits_out` when non-null.
 double RunPass(dialite::DiscoveryAlgorithm* algo,
-               const std::vector<const dialite::Table*>& queries,
+               const std::vector<dialite::DiscoveryQuery>& queries,
                std::vector<std::vector<dialite::DiscoveryHit>>* hits_out) {
   using Clock = std::chrono::steady_clock;
   const auto t0 = Clock::now();
-  for (const dialite::Table* q : queries) {
-    dialite::DiscoveryQuery dq{q, /*query_column=*/0, /*k=*/10};
+  for (const dialite::DiscoveryQuery& dq : queries) {
     auto hits = algo->Search(dq);
     if (!hits.ok()) {
       std::printf("FAIL: %s search: %s\n", algo->name().c_str(),
@@ -53,9 +75,10 @@ double RunPass(dialite::DiscoveryAlgorithm* algo,
   return std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
 }
 
-/// The tiered-discovery trajectory sweep: every cascaded algorithm over the
+/// The tiered-discovery trajectory sweep: all seven algorithms over the
 /// largest synthetic lake config (96 fragments/domain ≈ 1056 tables), timed
-/// in both search modes, equivalence-checked, pruning counters captured.
+/// in both search modes, equivalence-checked, pruning and pair-level work
+/// counters captured.
 int RunBenchJson(const std::string& path) {
   using namespace dialite;
   std::printf("\n=== bench-json: tiered discovery cascade sweep ===\n");
@@ -66,14 +89,21 @@ int RunBenchJson(const std::string& path) {
   SyntheticLakeGenerator::Output out = SyntheticLakeGenerator(params).Generate();
   const DataLake& lake = out.lake;
 
-  // Deterministic query set: the first fragment of the first five domains
-  // (generation order), k=10 on the leading column.
-  std::vector<const Table*> queries;
+  // Deterministic query set: for each of the first five domains
+  // (generation order), its first fragment with a string column, queried
+  // at k=10 on its intent column. A fragment of numeric columns only has
+  // no intent an analyst would mark, and gives SANTOS nothing to annotate.
+  std::vector<DiscoveryQuery> queries;
+  std::set<std::string> domains;
   for (const std::string& name : lake.table_names()) {
-    if (name.size() > 6 && name.compare(name.size() - 6, 6, "_frag0") == 0) {
-      queries.push_back(lake.Get(name));
-      if (queries.size() == 5) break;
-    }
+    const std::string domain = name.substr(0, name.rfind("_frag"));
+    if (domains.count(domain) != 0) continue;
+    const Table* t = lake.Get(name);
+    const std::optional<size_t> intent = IntentColumn(*t);
+    if (!intent) continue;
+    domains.insert(domain);
+    queries.push_back({t, *intent, /*k=*/10});
+    if (queries.size() == 5) break;
   }
   if (queries.size() < 5) {
     std::printf("FAIL: expected 5 query fragments, found %zu\n",
@@ -86,6 +116,9 @@ int RunBenchJson(const std::string& path) {
   algos.push_back(std::make_unique<LshEnsembleSearch>());
   algos.push_back(std::make_unique<JosieSearch>());
   algos.push_back(std::make_unique<TusSearch>());
+  algos.push_back(std::make_unique<StarmieSearch>());
+  algos.push_back(std::make_unique<CocoaSearch>());
+  algos.push_back(std::make_unique<KeywordSearch>());
 
   benchjson::BenchReport report;
   report.bench = "discovery";
@@ -152,13 +185,22 @@ int RunBenchJson(const std::string& path) {
     const auto counters = obs.metrics().CounterSnapshot();
     uint64_t total = 0;
     uint64_t pruned = 0;
-    for (const char* c : {"candidates_total", "pruned_stage0", "scored_exact",
-                          "early_terminated"}) {
-      auto it = counters.find("discover." + n + ".cascade." + c);
-      uint64_t v = it == counters.end() ? 0 : it->second;
-      report.deterministic["cascade." + n + "." + c] = v;
-      if (std::strcmp(c, "candidates_total") == 0) total = v;
-      if (std::strcmp(c, "pruned_stage0") == 0) pruned = v;
+    // Stage counters of the algorithms on RunBoundedTopK (keyword and
+    // COCOA rank without it), then every pair-level work counter.
+    if (counters.count("discover." + n + ".cascade.candidates_total") != 0) {
+      for (const char* c : {"candidates_total", "pruned_stage0",
+                            "scored_exact", "early_terminated"}) {
+        uint64_t v = counters.at("discover." + n + ".cascade." + c);
+        report.deterministic["cascade." + n + "." + c] = v;
+        if (std::strcmp(c, "candidates_total") == 0) total = v;
+        if (std::strcmp(c, "pruned_stage0") == 0) pruned = v;
+      }
+    }
+    const std::string work = "discover." + n + ".work.";
+    for (const auto& [key, v] : counters) {
+      if (key.compare(0, work.size(), work) == 0) {
+        report.deterministic["work." + n + "." + key.substr(work.size())] = v;
+      }
     }
     std::printf("%-15s | %9.0f us | %9.0f us | %7.2fx | %llu/%llu\n",
                 n.c_str(), t_ex, t_cas, speedup,

@@ -88,28 +88,50 @@ Status GatherPairs(const Table& t, const std::string& col_a,
   return Status::OK();
 }
 
-double Mean(const std::vector<double>& v) {
+double Mean(const double* v, size_t n) {
   double s = 0.0;
-  for (double x : v) s += x;
-  return s / static_cast<double>(v.size());
+  for (size_t i = 0; i < n; ++i) s += v[i];
+  return s / static_cast<double>(n);
 }
 
-/// Average ranks, ties share the mean rank.
-std::vector<double> Ranks(const std::vector<double>& v) {
-  std::vector<size_t> order(v.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(),
-            [&v](size_t a, size_t b) { return v[a] < v[b]; });
-  std::vector<double> ranks(v.size(), 0.0);
+/// Average ranks of v[0, n) into `ranks`, ties sharing the mean rank;
+/// `order` is n indices of scratch.
+void RanksInto(const double* v, size_t n, size_t* order, double* ranks) {
+  for (size_t i = 0; i < n; ++i) order[i] = i;
+  std::sort(order, order + n, [v](size_t a, size_t b) { return v[a] < v[b]; });
   size_t i = 0;
-  while (i < order.size()) {
+  while (i < n) {
     size_t j = i;
-    while (j + 1 < order.size() && v[order[j + 1]] == v[order[i]]) ++j;
+    while (j + 1 < n && v[order[j + 1]] == v[order[i]]) ++j;
     double avg = (static_cast<double>(i) + static_cast<double>(j)) / 2.0 + 1.0;
     for (size_t k = i; k <= j; ++k) ranks[order[k]] = avg;
     i = j + 1;
   }
+}
+
+std::vector<double> Ranks(const std::vector<double>& v) {
+  std::vector<size_t> order(v.size());
+  std::vector<double> ranks(v.size(), 0.0);
+  RanksInto(v.data(), v.size(), order.data(), ranks.data());
   return ranks;
+}
+
+/// Pearson r of n >= 1 pairs; false when either side has zero variance.
+bool PearsonOfArrays(const double* xs, const double* ys, size_t n,
+                     double* r) {
+  double mx = Mean(xs, n);
+  double my = Mean(ys, n);
+  double sxy = 0.0;
+  double sxx = 0.0;
+  double syy = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    sxy += (xs[i] - mx) * (ys[i] - my);
+    sxx += (xs[i] - mx) * (xs[i] - mx);
+    syy += (ys[i] - my) * (ys[i] - my);
+  }
+  if (sxx == 0.0 || syy == 0.0) return false;
+  *r = sxy / std::sqrt(sxx * syy);
+  return true;
 }
 
 }  // namespace
@@ -119,20 +141,19 @@ Result<double> PearsonOfVectors(const std::vector<double>& xs,
   if (xs.size() < 2 || xs.size() != ys.size()) {
     return Status::InvalidArgument("fewer than 2 numeric pairs");
   }
-  double mx = Mean(xs);
-  double my = Mean(ys);
-  double sxy = 0.0;
-  double sxx = 0.0;
-  double syy = 0.0;
-  for (size_t i = 0; i < xs.size(); ++i) {
-    sxy += (xs[i] - mx) * (ys[i] - my);
-    sxx += (xs[i] - mx) * (xs[i] - mx);
-    syy += (ys[i] - my) * (ys[i] - my);
-  }
-  if (sxx == 0.0 || syy == 0.0) {
+  double r = 0.0;
+  if (!PearsonOfArrays(xs.data(), ys.data(), xs.size(), &r)) {
     return Status::InvalidArgument("zero variance column");
   }
-  return sxy / std::sqrt(sxx * syy);
+  return r;
+}
+
+bool SpearmanOfArrays(const double* xs, const double* ys, size_t n,
+                      size_t* order, double* rx, double* ry, double* rho) {
+  if (n < 2) return false;
+  RanksInto(xs, n, order, rx);
+  RanksInto(ys, n, order, ry);
+  return PearsonOfArrays(rx, ry, n, rho);
 }
 
 Result<double> SpearmanOfVectors(const std::vector<double>& xs,

@@ -51,6 +51,14 @@ Result<double> PearsonOfVectors(const std::vector<double>& xs,
 Result<double> SpearmanOfVectors(const std::vector<double>& xs,
                                  const std::vector<double>& ys);
 
+/// SpearmanOfVectors over the `n` pairs at `xs`/`ys`, ranking into caller
+/// scratch instead of allocating: `order` holds n indices, `rx` and `ry` n
+/// ranks each. Returns false where SpearmanOfVectors fails (n < 2 or zero
+/// variance); otherwise `*rho` is bit-identical to its value.
+[[nodiscard]] bool SpearmanOfArrays(const double* xs, const double* ys,
+                                    size_t n, size_t* order, double* rx,
+                                    double* ry, double* rho);
+
 /// Row index of the extreme value of `value_col` (loose parsing);
 /// `largest` selects max vs min. InvalidArgument when nothing parses.
 Result<size_t> ArgExtreme(const Table& t, const std::string& value_col,

@@ -147,7 +147,7 @@ bool ParseStrictNumeric(std::string_view s, double* out) {
   return true;
 }
 
-std::string FormatDouble(double v) {
+std::string_view FormatDoubleTo(double v, char* buf) {
   // to_chars renders -0.0 as "-0", which CSV type inference would read
   // back as the *integer* 0 (rendering "0") — so "-0" is not a stable
   // spelling. "-0.0" parses as the same negative-zero double and renders
@@ -160,10 +160,15 @@ std::string FormatDouble(double v) {
   // fixed notation overflowed its stack buffer (e.g. 2e134 needs 135
   // digits), so write → reparse changed the value — caught by
   // fuzz_csv_roundtrip.
-  char buf[64];
-  const std::to_chars_result res = std::to_chars(buf, buf + sizeof(buf), v);
+  const std::to_chars_result res =
+      std::to_chars(buf, buf + kFormatDoubleBufferSize, v);
   if (res.ec != std::errc()) return "nan";  // cannot happen for 64 bytes
-  return std::string(buf, res.ptr);
+  return std::string_view(buf, static_cast<size_t>(res.ptr - buf));
+}
+
+std::string FormatDouble(double v) {
+  char buf[kFormatDoubleBufferSize];
+  return std::string(FormatDoubleTo(v, buf));
 }
 
 }  // namespace dialite

@@ -37,6 +37,14 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 /// a write → reparse cycle.
 std::string FormatDouble(double v);
 
+/// Buffer size FormatDoubleTo needs.
+inline constexpr size_t kFormatDoubleBufferSize = 64;
+
+/// FormatDouble without allocating: renders into `buf`, which must hold
+/// kFormatDoubleBufferSize chars, and returns a view of the spelling
+/// (valid while `buf` is).
+std::string_view FormatDoubleTo(double v, char* buf);
+
 /// Parses `s` as a finite decimal literal: optional sign, digits with an
 /// optional decimal point, optional decimal exponent ("-12", "3.5e-2",
 /// ".5", "7."). Leading/trailing ASCII whitespace is ignored. Everything

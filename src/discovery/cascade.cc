@@ -82,6 +82,29 @@ std::vector<DiscoveryHit> RunBoundedTopK(std::vector<BoundedCandidate> candidate
   return heap;
 }
 
+double GreedyMatchMean(std::span<const ColumnPair> pairs,
+                       size_t num_query_cols, size_t num_table_cols,
+                       size_t intent, std::vector<uint8_t>* used) {
+  used->assign(num_query_cols + num_table_cols, 0);
+  uint8_t* q_used = used->data();
+  uint8_t* c_used = q_used + num_query_cols;
+  double total = 0.0;
+  size_t matched = 0;
+  bool intent_matched = false;
+  for (const ColumnPair& p : pairs) {
+    if (q_used[p.q] || c_used[p.c]) continue;
+    q_used[p.q] = 1;
+    c_used[p.c] = 1;
+    total += p.score;
+    ++matched;
+    if (p.q == intent) intent_matched = true;
+  }
+  if (matched == 0 || !intent_matched) return 0.0;
+  // Unmatched query columns contribute 0: tables that union the whole
+  // query schema outrank partial ones.
+  return total / static_cast<double>(num_query_cols);
+}
+
 void PublishCascadeStats(ObservabilityContext* obs, const std::string& algo,
                          const CascadeStats& stats) {
   if (obs == nullptr) return;

@@ -1,8 +1,11 @@
 #ifndef DIALITE_DISCOVERY_CASCADE_H_
 #define DIALITE_DISCOVERY_CASCADE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -82,6 +85,62 @@ std::vector<DiscoveryHit> RunBoundedTopK(std::vector<BoundedCandidate> candidate
                                          size_t k, const ExactScorer& score,
                                          CascadeStats* stats = nullptr,
                                          const CancelToken* cancel = nullptr);
+
+/// One scored (query column, table column) pairing for GreedyMatchMean.
+struct ColumnPair {
+  uint32_t q = 0;
+  uint32_t c = 0;
+  double score = 0.0;
+};
+
+/// The greedy one-to-one column matching TUS and Starmie score tables by,
+/// shared by both search modes so their scores are bit-identical. Walks
+/// `pairs` in the caller's priority order, keeps each pair whose query and
+/// table columns are both still free, and returns the kept scores' sum
+/// (in walk order) over `num_query_cols`. Returns 0 when nothing pairs or
+/// the `intent` query column stays unmatched. `used` is caller scratch,
+/// reused across calls.
+double GreedyMatchMean(std::span<const ColumnPair> pairs,
+                       size_t num_query_cols, size_t num_table_cols,
+                       size_t intent, std::vector<uint8_t>* used);
+
+/// Headroom multiplier for RelaxedMatchBound: absorbs fp reassociation
+/// between a bound's sum and the exact matching's, and pair scores an ulp
+/// past 1 under the matching cap — orders of magnitude above the ~1e-14
+/// worst case, far below any pruning threshold.
+inline constexpr double kFpMargin = 1.0 + 1e-9;
+
+/// What a RelaxedMatchBound `best_pair` callback returns for a query
+/// column none of whose pairs can clear the matching's threshold.
+inline constexpr double kNoPair = -std::numeric_limits<double>::infinity();
+
+/// Admissible stage-0 bound on GreedyMatchMean, shared by TUS and Starmie.
+/// Relaxes the one-to-one matching to each query column's best pair:
+/// `best_pair(q)` bounds the score of query column q's best pair among
+/// those that can clear the threshold, or returns kNoPair. The intent
+/// column is bounded first; a table whose intent column cannot pair
+/// scores 0. Every column adds max(bound, 0), summed in column order; the
+/// sum is capped at `max_pairs` matched pairs (each scores at most 1),
+/// scaled by kFpMargin and divided by `num_query_cols`.
+template <typename BestPair>
+double RelaxedMatchBound(size_t num_query_cols, size_t intent,
+                         size_t max_pairs, const BestPair& best_pair) {
+  const double intent_best = best_pair(intent);
+  if (intent_best == kNoPair) return 0.0;
+  double sum = 0.0;
+  for (size_t q = 0; q < num_query_cols; ++q) {
+    sum += std::max(q == intent ? intent_best : best_pair(q), 0.0);
+  }
+  return std::min(sum, static_cast<double>(max_pairs)) * kFpMargin /
+         static_cast<double>(num_query_cols);
+}
+
+/// Per-search scratch for a GreedyMatchMean scorer: one copy serves every
+/// candidate, so scoring allocates only while the buffers first grow.
+struct MatchScratch {
+  std::vector<ColumnPair> pairs;
+  std::vector<uint8_t> used;
+};
 
 /// Publishes one search's cascade counters as
 /// discover.<algo>.cascade.{candidates_total,pruned_stage0,scored_exact,

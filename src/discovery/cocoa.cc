@@ -1,7 +1,9 @@
 #include "discovery/cocoa.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
+#include <limits>
 #include <unordered_map>
 
 #include "analyze/stats.h"
@@ -88,9 +90,160 @@ double BestJoinedCorrelation(const Table& query, size_t query_col,
   return best;
 }
 
+namespace {
+
+/// "No row" in the per-search join scratch.
+constexpr uint32_t kNoRow = std::numeric_limits<uint32_t>::max();
+
+/// JoinToken of cell `r`, written into `*out`; reusing its capacity, the
+/// per-candidate join allocates nothing once the buffer has grown.
+void JoinTokenAt(const ColumnView& col, size_t r, std::string* out) {
+  char buf[ColumnView::kCsvBufferSize];
+  out->assign(TrimView(col.CsvViewAt(r, buf)));
+  // ToLowerAscii's mapping, in place.
+  for (char& ch : *out) {
+    ch = static_cast<char>(std::tolower(static_cast<unsigned char>(ch)));
+  }
+}
+
+}  // namespace
+
+/// The query's hoisted join side, plus the scratch every candidate's join
+/// reuses.
+struct CocoaSearch::QuerySide {
+  NumericCells num;
+  /// Distinct join tokens of the query rows, sorted.
+  std::vector<std::string> keys;
+  /// Per query row, its token's index in `keys` (kNoRow: no token).
+  std::vector<uint32_t> row_slot;
+  /// Per key, the first candidate row holding it (kNoRow: none).
+  std::vector<uint32_t> first_row;
+  /// A candidate cell's join token.
+  std::string token;
+  /// Spearman inputs and rank scratch, one slot per query row.
+  std::vector<double> xs, ys, rx, ry;
+  std::vector<size_t> order;
+};
+
+CocoaSearch::NumericCells CocoaSearch::ParseNumericCells(const Table& t) {
+  NumericCells out;
+  out.rows = t.num_rows();
+  std::vector<double> values(out.rows);
+  std::vector<uint8_t> parsed(out.rows);
+  for (size_t c = 0; c < t.num_columns(); ++c) {
+    const ColumnView col = t.column(c);
+    size_t n = 0;
+    bool ok = true;
+    for (size_t r = 0; r < out.rows && ok; ++r) {
+      parsed[r] = 0;
+      if (col.is_null(r)) continue;
+      ok = ParseNumericLooseAt(col, r, &values[r]);
+      parsed[r] = ok ? 1 : 0;
+      ++n;
+    }
+    if (!ok || n < 2) continue;
+    out.columns.push_back(c);
+    out.values.insert(out.values.end(), values.begin(), values.end());
+    out.parsed.insert(out.parsed.end(), parsed.begin(), parsed.end());
+  }
+  return out;
+}
+
+void CocoaSearch::DeriveNumericSides(const DataLake& lake) {
+  numeric_.clear();
+  std::vector<std::pair<const Table*, NumericCells*>> todo;
+  for (const auto& [table, col] : index_.columns()) {
+    auto [it, inserted] = numeric_.try_emplace(table);
+    // Build and load both check that every indexed table is in the lake.
+    if (inserted) todo.emplace_back(lake.Get(table), &it->second);
+  }
+  // Tables are independent, so they parse on the build's workers.
+  ForEachTableIndex(num_threads_, todo.size(), [&](size_t i) {
+    *todo[i].second = ParseNumericCells(*todo[i].first);
+  }, obs_);
+}
+
+CocoaSearch::QuerySide CocoaSearch::MakeQuerySide(
+    const Table& query, const ColumnView& join_col) const {
+  QuerySide side;
+  side.num = ParseNumericCells(query);
+  if (side.num.columns.empty()) return side;  // never joins
+  const size_t rows = query.num_rows();
+  std::vector<std::string> row_tokens(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    JoinTokenAt(join_col, r, &row_tokens[r]);
+    if (!row_tokens[r].empty()) side.keys.push_back(row_tokens[r]);
+  }
+  std::sort(side.keys.begin(), side.keys.end());
+  side.keys.erase(std::unique(side.keys.begin(), side.keys.end()),
+                  side.keys.end());
+  side.row_slot.assign(rows, kNoRow);
+  for (size_t r = 0; r < rows; ++r) {
+    if (row_tokens[r].empty()) continue;
+    side.row_slot[r] = static_cast<uint32_t>(
+        std::lower_bound(side.keys.begin(), side.keys.end(), row_tokens[r]) -
+        side.keys.begin());
+  }
+  side.first_row.resize(side.keys.size());
+  for (std::vector<double>* v : {&side.xs, &side.ys, &side.rx, &side.ry}) {
+    v->resize(rows);
+  }
+  side.order.resize(rows);
+  return side;
+}
+
+double CocoaSearch::JoinedCorrelation(QuerySide* q, const Table& cand,
+                                      size_t cand_col,
+                                      const NumericCells& cnum,
+                                      uint64_t* spearman_evals) const {
+  // Without a numeric pair BestJoinedCorrelation returns 0 and its join
+  // goes unused.
+  if (q->num.columns.empty() || cnum.columns.empty()) return 0.0;
+  // The join: each query token's first candidate row, as
+  // BestJoinedCorrelation's join map keeps it.
+  std::fill(q->first_row.begin(), q->first_row.end(), kNoRow);
+  const ColumnView ccol = cand.column(cand_col);
+  for (size_t r = 0; r < ccol.size(); ++r) {
+    JoinTokenAt(ccol, r, &q->token);
+    if (q->token.empty()) continue;
+    auto it = std::lower_bound(q->keys.begin(), q->keys.end(), q->token);
+    if (it == q->keys.end() || *it != q->token) continue;
+    uint32_t& first = q->first_row[it - q->keys.begin()];
+    if (first == kNoRow) first = static_cast<uint32_t>(r);
+  }
+  // The same xs/ys sequences BestJoinedCorrelation builds: query rows in
+  // order, kept where the row joins and both cells parse.
+  const size_t qrows = q->num.rows;
+  double best = 0.0;
+  for (size_t i = 0; i < q->num.columns.size(); ++i) {
+    for (size_t j = 0; j < cnum.columns.size(); ++j) {
+      size_t n = 0;
+      for (size_t r = 0; r < qrows; ++r) {
+        const uint32_t slot = q->row_slot[r];
+        if (slot == kNoRow || q->first_row[slot] == kNoRow) continue;
+        const size_t qi = i * qrows + r;
+        const size_t ci = j * cnum.rows + q->first_row[slot];
+        if (!q->num.parsed[qi] || !cnum.parsed[ci]) continue;
+        q->xs[n] = q->num.values[qi];
+        q->ys[n] = cnum.values[ci];
+        ++n;
+      }
+      if (n < params_.min_joined_rows) continue;
+      ++*spearman_evals;
+      double rho = 0.0;
+      if (SpearmanOfArrays(q->xs.data(), q->ys.data(), n, q->order.data(),
+                           q->rx.data(), q->ry.data(), &rho)) {
+        best = std::max(best, std::fabs(rho));
+      }
+    }
+  }
+  return best;
+}
+
 Status CocoaSearch::BuildIndex(const DataLake& lake) {
   lake_ = &lake;
   index_.Build(lake, kMinDistinct, num_threads_, obs_);
+  DeriveNumericSides(lake);
   ObsAdd(obs_, "discover.cocoa.build.tables", lake.size());
   ObsSet(obs_, "discover.cocoa.index.columns", index_.columns().size());
   return Status::OK();
@@ -113,6 +266,7 @@ Status CocoaSearch::LoadPayload(BinaryReader* r, const DataLake& lake) {
     return Status::ParseError("not a cocoa v1 index payload");
   }
   DIALITE_RETURN_IF_ERROR(index_.Load(r, lake));
+  DeriveNumericSides(lake);
   lake_ = &lake;
   return Status::OK();
 }
@@ -126,8 +280,8 @@ Result<std::vector<DiscoveryHit>> CocoaSearch::Search(
   if (query.query_column >= query.table->num_columns()) {
     return Status::OutOfRange("query column out of range");
   }
-  std::vector<std::string> qtokens =
-      ColumnTokens(query.table->column(query.query_column));
+  const ColumnView qcol = query.table->column(query.query_column);
+  std::vector<std::string> qtokens = ColumnTokens(qcol);
   if (qtokens.empty()) return std::vector<DiscoveryHit>{};
 
   // Joinable candidates via the inverted index.
@@ -139,25 +293,61 @@ Result<std::vector<DiscoveryHit>> CocoaSearch::Search(
   }
   const double min_overlap =
       params_.min_containment * static_cast<double>(qtokens.size());
-
-  // Per table, best correlation over its joinable columns.
-  std::unordered_map<std::string, double> best_score;
+  struct Joinable {
+    uint32_t id;
+    size_t overlap;
+    const Table* table;
+    const NumericCells* numeric;
+  };
+  std::vector<Joinable> joinable;
   for (const auto& [id, n] : overlap) {
     if (static_cast<double>(n) < min_overlap) continue;
-    const auto& [table_name, col] = index_.columns()[id];
+    const std::string& table_name = index_.columns()[id].first;
     if (table_name == query.table->name()) continue;
     const Table* cand = lake_->Get(table_name);
     if (cand == nullptr) continue;
-    double rho = BestJoinedCorrelation(*query.table, query.query_column,
-                                       *cand, col, params_.min_joined_rows);
-    double containment = static_cast<double>(n) /
+    // Build and load derive every indexed table's cells.
+    joinable.push_back({id, n, cand, &numeric_.find(table_name)->second});
+  }
+
+  // Each joinable column's best correlation.
+  std::vector<double> rhos(joinable.size());
+  CancelPoller poller(query.cancel);
+  if (search_mode_ == SearchMode::kExhaustive) {
+    // analyze: hot-alloc(kExhaustive reference: one join map per call)
+    for (size_t i = 0; i < joinable.size(); ++i) {
+      if (poller.Cancelled()) {
+        return Status::DeadlineExceeded("cocoa exhaustive scan cancelled");
+      }
+      rhos[i] = BestJoinedCorrelation(
+          *query.table, query.query_column, *joinable[i].table,
+          index_.columns()[joinable[i].id].second, params_.min_joined_rows);
+    }
+  } else {
+    QuerySide side = MakeQuerySide(*query.table, qcol);
+    uint64_t spearman_evals = 0;
+    for (size_t i = 0; i < joinable.size(); ++i) {
+      if (poller.Cancelled()) {
+        return Status::DeadlineExceeded("cocoa search cancelled");
+      }
+      rhos[i] = JoinedCorrelation(
+          &side, *joinable[i].table, index_.columns()[joinable[i].id].second,
+          *joinable[i].numeric, &spearman_evals);
+    }
+    ObsAdd(obs_, "discover.cocoa.work.spearman_evals", spearman_evals);
+  }
+
+  // Per table, the best score over its joinable columns. Correlated
+  // candidates score by |ρ|; uncorrelated ones by a scaled containment
+  // floor, so they rank strictly below.
+  std::unordered_map<std::string, double> best_score;
+  for (size_t i = 0; i < joinable.size(); ++i) {
+    double containment = static_cast<double>(joinable[i].overlap) /
                          static_cast<double>(qtokens.size());
-    // Correlated candidates score by |ρ|; uncorrelated ones by a scaled
-    // containment floor, so they rank strictly below.
-    double score = rho > 0.0
-                       ? rho
+    double score = rhos[i] > 0.0
+                       ? rhos[i]
                        : params_.joinability_fallback_scale * containment;
-    double& cur = best_score[table_name];
+    double& cur = best_score[index_.columns()[joinable[i].id].first];
     cur = std::max(cur, score);
   }
   std::vector<DiscoveryHit> hits;

@@ -1,7 +1,9 @@
 #ifndef DIALITE_DISCOVERY_COCOA_H_
 #define DIALITE_DISCOVERY_COCOA_H_
 
+#include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "discovery/column_postings.h"
@@ -25,6 +27,13 @@ namespace dialite {
 /// insensitive). Candidates with no correlated numeric pair score by a
 /// small joinability-only fallback so pure joins still rank below
 /// correlated ones.
+///
+/// The default search hoists everything but the join itself: the query's
+/// numeric cells and join tokens once per search, each lake table's
+/// numeric cells once per index epoch, one join per candidate column, and
+/// no join at all when either side lacks a numeric column. kExhaustive
+/// runs BestJoinedCorrelation per candidate as the reference; scores are
+/// bit-identical.
 class CocoaSearch : public DiscoveryAlgorithm, public PersistentIndex {
  public:
   struct Params {
@@ -49,9 +58,40 @@ class CocoaSearch : public DiscoveryAlgorithm, public PersistentIndex {
       const DiscoveryQuery& query) const override;
 
  private:
+  /// A table's numeric columns — every non-null cell parses, and at least
+  /// two do — with each cell parsed once. Cell r of the i-th column is
+  /// values[i * rows + r], valid where parsed[i * rows + r] is 1.
+  struct NumericCells {
+    size_t rows = 0;
+    std::vector<size_t> columns;
+    std::vector<double> values;
+    std::vector<uint8_t> parsed;
+  };
+  static NumericCells ParseNumericCells(const Table& t);
+
+  struct QuerySide;
+  /// The query's side for joins on `join_col`: its NumericCells, each
+  /// row's join token, and scratch sized to its rows. A query without a
+  /// numeric column never joins, so it gets only the (empty) cells.
+  QuerySide MakeQuerySide(const Table& query,
+                          const ColumnView& join_col) const;
+
+  /// Derives numeric_ from index_ and the lake.
+  void DeriveNumericSides(const DataLake& lake);
+
+  /// BestJoinedCorrelation of the query against column `cand_col` of
+  /// `cand`, whose NumericCells are `cnum`, from the hoisted query side;
+  /// counts its Spearman evaluations.
+  double JoinedCorrelation(QuerySide* q, const Table& cand, size_t cand_col,
+                           const NumericCells& cnum,
+                           uint64_t* spearman_evals) const;
+
   Params params_;
   const DataLake* lake_ = nullptr;
   ColumnPostings index_;
+  /// Each indexed table's NumericCells, keyed by name: derived once per
+  /// index epoch, on build and load (not persisted).
+  std::unordered_map<std::string, NumericCells> numeric_;
 };
 
 /// Best absolute Spearman correlation between any numeric column of

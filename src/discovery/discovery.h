@@ -31,17 +31,22 @@ struct DiscoveryQuery {
   size_t query_column = 0;
   size_t k = 10;
   /// Optional cooperative cancellation (per-request serving deadlines).
-  /// Borrowed; must outlive the Search call. The cascade's exact-scoring
-  /// loop polls it per candidate and a fired token surfaces as
-  /// kDeadlineExceeded from Search(). Null = never cancelled.
+  /// Borrowed; must outlive the Search call. Every stock algorithm polls it
+  /// inside its scan in both search modes (per candidate, posting list or
+  /// query term), and a fired token surfaces as kDeadlineExceeded from
+  /// Search(). Null = never cancelled.
   const CancelToken* cancel = nullptr;
 };
 
 /// How Search() executes:
-///  - kCascade (the default): tiered bound-ordered top-k with early
-///    termination (src/discovery/cascade.h). Returns exactly the same hits
-///    as kExhaustive by construction; algorithms without cascade wiring
-///    silently fall back to exhaustive scoring.
+///  - kCascade (the default): each algorithm's pruned fast path. SANTOS,
+///    LSH Ensemble, JOSIE, TUS and Starmie run the tiered bound-ordered
+///    top-k with early termination (src/discovery/cascade.h); keyword
+///    walks an inverted index and never touches documents sharing no
+///    query term; COCOA hoists its query side and the lake's numeric
+///    cells and skips joins without a numeric pair. Returns exactly the same hits and
+///    scores as kExhaustive by construction; algorithms without a fast
+///    path (user-defined ones) silently score exhaustively.
 ///  - kExhaustive: score every candidate — the reference path the cascade
 ///    equivalence suite compares against.
 enum class SearchMode {
@@ -75,9 +80,9 @@ class DiscoveryAlgorithm {
 
   /// Top-k related tables, best first. Ties broken by table name for
   /// determinism (see HitBetter). Tables scoring zero are never returned.
-  /// Honors search_mode(): the cascaded algorithms (SANTOS, LSH Ensemble,
-  /// JOSIE, TUS) run the tiered top-k cascade by default, with results
-  /// identical to exhaustive scoring by construction.
+  /// Honors search_mode(): all seven stock algorithms run their fast path
+  /// by default (see SearchMode), with results identical to exhaustive
+  /// scoring by construction.
   virtual Result<std::vector<DiscoveryHit>> Search(
       const DiscoveryQuery& query) const = 0;
 

@@ -148,9 +148,16 @@ Result<std::vector<DiscoveryHit>> JosieSearch::Search(
     // Merge every posting list, accumulating per-column overlap counts.
     std::unordered_map<uint32_t, size_t> overlap;
     CascadeStats stats;
+    std::vector<const std::vector<uint32_t>*> lists;
     for (const std::string& tok : qtokens) {
       const std::vector<uint32_t>* ids = index_.Find(tok);
-      if (ids == nullptr) continue;
+      if (ids != nullptr) lists.push_back(ids);
+    }
+    CancelPoller poller(query.cancel);
+    for (const auto* ids : lists) {
+      if (poller.Cancelled()) {
+        return Status::DeadlineExceeded("josie exhaustive scan cancelled");
+      }
       for (uint32_t id : *ids) ++overlap[id];
     }
     std::vector<DiscoveryHit> hits =

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <memory>
 
+#include "common/cancel.h"
 #include "snapshot/bytes.h"
 #include "text/tokenizer.h"
 
@@ -99,6 +101,7 @@ Status KeywordSearch::BuildIndex(const DataLake& lake) {
   for (size_t i = 0; i < tables.size(); ++i) {
     documents_.emplace_back(tables[i]->name(), std::move(vecs[i]));
   }
+  DerivePostings();
   ObsAdd(obs_, "discover.keyword.build.tables", tables.size());
   ObsSet(obs_, "discover.keyword.index.documents", documents_.size());
   return Status::OK();
@@ -191,11 +194,45 @@ Status KeywordSearch::LoadPayload(BinaryReader* r, const DataLake& lake) {
     }
     docs.emplace_back(std::move(table), std::move(vec));
   }
-  vectorizer_ = TfIdfVectorizer::Restore(terms, std::move(df),
-                                         static_cast<size_t>(num_docs));
+  TfIdfVectorizer vectorizer = TfIdfVectorizer::Restore(
+      terms, std::move(df), static_cast<size_t>(num_docs));
+  // The derived postings hold one list per distinct term, and document
+  // entries may name any id below the term count.
+  if (vectorizer.vocabulary_size() != terms.size()) {
+    return Status::ParseError("keyword vocabulary repeats a term");
+  }
+  vectorizer_ = std::move(vectorizer);
   documents_ = std::move(docs);
+  DerivePostings();
   lake_ = &lake;
   return Status::OK();
+}
+
+void KeywordSearch::DerivePostings() {
+  term_begin_.assign(vectorizer_.vocabulary_size() + 1, 0);
+  doc_norms_.clear();
+  doc_norms_.reserve(documents_.size());
+  for (const auto& [table, vec] : documents_) {
+    double nd = 0.0;
+    for (const auto& [id, w] : vec) {
+      ++term_begin_[id + 1];
+      nd += w * w;
+    }
+    doc_norms_.push_back(std::sqrt(nd));
+  }
+  for (size_t t = 1; t < term_begin_.size(); ++t) {
+    term_begin_[t] += term_begin_[t - 1];
+  }
+  // Filling in document order keeps every posting list document-sorted.
+  post_docs_.resize(term_begin_.back());
+  post_weights_.resize(term_begin_.back());
+  std::vector<uint32_t> fill(term_begin_.begin(), term_begin_.end() - 1);
+  for (size_t d = 0; d < documents_.size(); ++d) {
+    for (const auto& [id, w] : documents_[d].second) {
+      post_docs_[fill[id]] = static_cast<uint32_t>(d);
+      post_weights_[fill[id]++] = w;
+    }
+  }
 }
 
 Result<std::vector<DiscoveryHit>> KeywordSearch::Search(
@@ -205,13 +242,7 @@ Result<std::vector<DiscoveryHit>> KeywordSearch::Search(
     return Status::InvalidArgument("query table is null");
   }
   SparseVector qvec = vectorizer_.Transform(TableDocument(*query.table));
-  const double q_norm = QueryNorm(qvec);
-  std::vector<DiscoveryHit> hits;
-  for (const auto& [name, vec] : documents_) {
-    if (name == query.table->name()) continue;
-    hits.push_back({name, CosineAgainstSorted(qvec, q_norm, vec)});
-  }
-  return RankHits(std::move(hits), query.k);
+  return Rank(qvec, &query.table->name(), query.k, query.cancel);
 }
 
 Result<std::vector<DiscoveryHit>> KeywordSearch::SearchKeywords(
@@ -219,11 +250,90 @@ Result<std::vector<DiscoveryHit>> KeywordSearch::SearchKeywords(
   if (lake_ == nullptr) return Status::Internal("BuildIndex not called");
   std::vector<std::string> tokens = WordTokens(text);
   if (tokens.empty()) return Status::InvalidArgument("empty keyword query");
-  SparseVector qvec = vectorizer_.Transform(tokens);
+  return Rank(vectorizer_.Transform(tokens), nullptr, k, nullptr);
+}
+
+Result<std::vector<DiscoveryHit>> KeywordSearch::Rank(
+    const SparseVector& qvec, const std::string* exclude, size_t k,
+    const CancelToken* cancel) const {
+  if (search_mode_ == SearchMode::kCascade) {
+    return RankByPostings(qvec, exclude, k, cancel);
+  }
   const double q_norm = QueryNorm(qvec);
+  std::vector<double> scores(documents_.size());
+  CancelPoller poller(cancel);
+  for (size_t d = 0; d < documents_.size(); ++d) {
+    if (poller.Cancelled()) {
+      return Status::DeadlineExceeded("keyword exhaustive scan cancelled");
+    }
+    scores[d] = CosineAgainstSorted(qvec, q_norm, documents_[d].second);
+  }
   std::vector<DiscoveryHit> hits;
-  for (const auto& [name, vec] : documents_) {
-    hits.push_back({name, CosineAgainstSorted(qvec, q_norm, vec)});
+  for (size_t d = 0; d < documents_.size(); ++d) {
+    const std::string& name = documents_[d].first;
+    if (exclude != nullptr && name == *exclude) continue;
+    hits.push_back({name, scores[d]});
+  }
+  return RankHits(std::move(hits), k);
+}
+
+Result<std::vector<DiscoveryHit>> KeywordSearch::RankByPostings(
+    const SparseVector& qvec, const std::string* exclude, size_t k,
+    const CancelToken* cancel) const {
+  const double q_norm = QueryNorm(qvec);
+  std::vector<std::pair<uint32_t, double>> terms(qvec.begin(), qvec.end());
+  std::sort(terms.begin(), terms.end());
+  // Per-document dot products; documents sharing no term keep score 0,
+  // which RankHits drops, so they are never touched.
+  const size_t ndocs = documents_.size();
+  std::vector<double> dot(ndocs, 0.0);
+  std::vector<uint8_t> seen(ndocs, 0);
+  std::vector<uint32_t> touched(ndocs);
+  size_t ntouched = 0;
+  uint64_t scanned = 0;
+  CancelPoller poller(cancel);
+  for (const auto& [term, qw] : terms) {
+    if (poller.Cancelled()) {
+      return Status::DeadlineExceeded("keyword search cancelled");
+    }
+    const uint32_t end = term_begin_[term + 1];
+    for (uint32_t i = term_begin_[term]; i < end; ++i) {
+      const uint32_t d = post_docs_[i];
+      if (!seen[d]) {
+        seen[d] = 1;
+        touched[ntouched++] = d;
+      }
+      dot[d] += post_weights_[i] * qw;
+    }
+    scanned += end - term_begin_[term];
+  }
+  ObsAdd(obs_, "discover.keyword.work.postings_scanned", scanned);
+  // Each touched document's cosine replaces its dot product:
+  // CosineAgainstSorted's expression, with the document norm hoisted.
+  std::vector<double> positive;
+  positive.reserve(ntouched);
+  for (size_t i = 0; i < ntouched; ++i) {
+    const uint32_t d = touched[i];
+    const bool excluded = exclude != nullptr && documents_[d].first == *exclude;
+    dot[d] = excluded || q_norm == 0.0 || doc_norms_[d] == 0.0
+                 ? 0.0
+                 : dot[d] / (q_norm * doc_norms_[d]);
+    if (dot[d] > 0.0) positive.push_back(dot[d]);
+  }
+  // Only documents scoring at least the k-th best score can rank, so
+  // RankHits orders just those (ties included).
+  double cut = 0.0;
+  if (k > 0 && positive.size() > k) {
+    std::nth_element(positive.begin(), positive.begin() + (k - 1),
+                     positive.end(), std::greater<double>());
+    cut = positive[k - 1];
+  }
+  std::vector<DiscoveryHit> hits;
+  for (size_t i = 0; i < ntouched; ++i) {
+    const uint32_t d = touched[i];
+    if (dot[d] > 0.0 && dot[d] >= cut) {
+      hits.push_back({documents_[d].first, dot[d]});
+    }
   }
   return RankHits(std::move(hits), k);
 }

@@ -20,6 +20,11 @@ namespace dialite {
 /// tokenized, so the common DiscoveryAlgorithm interface still applies),
 /// ranked by TF-IDF cosine. The complement of the set-theoretic searches:
 /// finds *topically related* tables even when value sets are disjoint.
+///
+/// Searches walk an inverted index derived from the document vectors
+/// (term -> documents), so documents sharing no query term are never
+/// touched; kExhaustive scores every document as the reference. Both give
+/// bit-identical scores.
 class KeywordSearch : public DiscoveryAlgorithm, public PersistentIndex {
  public:
   struct Params {
@@ -46,7 +51,8 @@ class KeywordSearch : public DiscoveryAlgorithm, public PersistentIndex {
   Result<std::vector<DiscoveryHit>> Search(
       const DiscoveryQuery& query) const override;
 
-  /// Free-text query ("covid vaccination european cities").
+  /// Free-text query ("covid vaccination european cities"). Honors
+  /// search_mode() like Search.
   Result<std::vector<DiscoveryHit>> SearchKeywords(const std::string& text,
                                                    size_t k) const;
 
@@ -62,10 +68,39 @@ class KeywordSearch : public DiscoveryAlgorithm, public PersistentIndex {
   std::vector<std::string> TableDocument(
       const Table& table, const ColumnTokenSets* token_sets = nullptr) const;
 
+  /// Top-k documents by cosine against `qvec`, never returning the table
+  /// named `*exclude` (null = none). Dispatches on search_mode(); both
+  /// paths poll `cancel`.
+  Result<std::vector<DiscoveryHit>> Rank(const SparseVector& qvec,
+                                         const std::string* exclude, size_t k,
+                                         const CancelToken* cancel) const;
+
+  /// The fast path: accumulates dot products term at a time, in ascending
+  /// query term id, over the derived postings, then ranks the touched
+  /// documents with RankHits. Per document that is the addition order of
+  /// the reference's sorted walk, so every score is bit-identical.
+  Result<std::vector<DiscoveryHit>> RankByPostings(
+      const SparseVector& qvec, const std::string* exclude, size_t k,
+      const CancelToken* cancel) const;
+
+  /// Derives the postings arrays and doc_norms_ from documents_. Every
+  /// entry's term id must be below vectorizer_.vocabulary_size().
+  void DerivePostings();
+
   Params params_;
   const DataLake* lake_ = nullptr;
   TfIdfVectorizer vectorizer_;
   std::vector<std::pair<std::string, SortedVector>> documents_;
+  /// Inverted index derived from documents_ on build and load (not
+  /// persisted): term t's postings, in document order, are the entries
+  /// [term_begin_[t], term_begin_[t + 1]) of post_docs_ (document index)
+  /// and post_weights_ (the document's weight for t).
+  std::vector<uint32_t> term_begin_;
+  std::vector<uint32_t> post_docs_;
+  std::vector<double> post_weights_;
+  /// sqrt(Σ w²) per document, summed in term-id order as the reference
+  /// sums it.
+  std::vector<double> doc_norms_;
 };
 
 }  // namespace dialite

@@ -1,7 +1,7 @@
 #include "discovery/starmie.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <functional>
 
 #include "snapshot/bytes.h"
 
@@ -42,10 +42,32 @@ std::vector<Embedding> StarmieSearch::ContextualizedColumns(
   return out;
 }
 
+namespace {
+
+std::vector<double> Norms(const std::vector<Embedding>& vectors) {
+  std::vector<double> norms;
+  norms.reserve(vectors.size());
+  for (const Embedding& v : vectors) {
+    norms.push_back(EmbeddingNorm(v.data(), v.size()));
+  }
+  return norms;
+}
+
+}  // namespace
+
+void StarmieSearch::AddTable(std::string table,
+                             std::vector<Embedding> vectors) {
+  max_columns_ = std::max(max_columns_, vectors.size());
+  std::vector<double> norms = Norms(vectors);
+  table_vectors_.emplace(std::move(table),
+                         TableVectors{std::move(vectors), std::move(norms)});
+}
+
 Status StarmieSearch::BuildIndex(const DataLake& lake) {
   lake_ = &lake;
   columns_.clear();
   table_vectors_.clear();
+  max_columns_ = 0;
   index_ = std::make_unique<SimHashIndex>(params_.simhash_bits,
                                           embedder_.dim(), params_.band_bits,
                                           params_.seed);
@@ -77,7 +99,7 @@ Status StarmieSearch::BuildIndex(const DataLake& lake) {
       columns_.emplace_back(t->name(), c);
       DIALITE_RETURN_IF_ERROR(index_->Insert(id, vecs[c]));
     }
-    table_vectors_.emplace(t->name(), std::move(vecs));
+    AddTable(t->name(), std::move(vecs));
   }
   ObsAdd(obs_, "discover.starmie.build.tables", tables.size());
   ObsSet(obs_, "discover.starmie.index.columns", columns_.size());
@@ -101,7 +123,7 @@ Status StarmieSearch::SavePayload(BinaryWriter* w) const {
             [](const std::string* a, const std::string* b) { return *a < *b; });
   w->U64(names.size());
   for (const std::string* table : names) {
-    const std::vector<Embedding>& vecs = table_vectors_.at(*table);
+    const std::vector<Embedding>& vecs = table_vectors_.at(*table).vectors;
     w->Str(*table);
     w->U64(vecs.size());
     for (const Embedding& v : vecs) w->Array<float>(v);
@@ -129,6 +151,7 @@ Status StarmieSearch::LoadPayload(BinaryReader* r, const DataLake& lake) {
   }
   table_vectors_.clear();
   columns_.clear();
+  max_columns_ = 0;
   for (uint64_t t = 0; t < num_tables; ++t) {
     std::string table;
     DIALITE_RETURN_IF_ERROR(r->Str(&table));
@@ -150,7 +173,7 @@ Status StarmieSearch::LoadPayload(BinaryReader* r, const DataLake& lake) {
       }
       vecs[c].assign(v.begin(), v.end());
     }
-    table_vectors_.emplace(std::move(table), std::move(vecs));
+    AddTable(std::move(table), std::move(vecs));
   }
   uint64_t num_ids = 0;
   DIALITE_RETURN_IF_ERROR(r->U64(&num_ids));
@@ -170,14 +193,78 @@ Status StarmieSearch::LoadPayload(BinaryReader* r, const DataLake& lake) {
     uint64_t col = 0;
     DIALITE_RETURN_IF_ERROR(r->U64(&col));
     auto it = table_vectors_.find(table);
-    if (it == table_vectors_.end() || col >= it->second.size()) {
+    if (it == table_vectors_.end() || col >= it->second.vectors.size()) {
       return Status::ParseError("starmie column id references unknown column");
     }
-    DIALITE_RETURN_IF_ERROR(index_->Insert(id, it->second[col]));
+    DIALITE_RETURN_IF_ERROR(index_->Insert(id, it->second.vectors[col]));
     columns_.emplace_back(std::move(table), static_cast<size_t>(col));
   }
   lake_ = &lake;
   return Status::OK();
+}
+
+double StarmieSearch::MatchColumns(const std::vector<Embedding>& qvecs,
+                                   size_t intent,
+                                   const std::vector<Embedding>& cvecs,
+                                   MatchScratch* scratch,
+                                   uint64_t* exact_cosines) const {
+  // Pairs in (q, c) order: std::sort breaks cosine ties by position, so
+  // this order is part of the score.
+  ColumnPair* pairs = scratch->pairs.data();
+  size_t n = 0;
+  for (size_t q = 0; q < qvecs.size(); ++q) {
+    for (size_t c = 0; c < cvecs.size(); ++c) {
+      double cos = CosineSimilarity(qvecs[q], cvecs[c]);
+      if (cos >= params_.min_column_cosine) {
+        pairs[n++] = {static_cast<uint32_t>(q), static_cast<uint32_t>(c), cos};
+      }
+    }
+  }
+  *exact_cosines += qvecs.size() * cvecs.size();
+  std::sort(pairs, pairs + n, [](const ColumnPair& a, const ColumnPair& b) {
+    return a.score > b.score;
+  });
+  return GreedyMatchMean({pairs, n}, qvecs.size(), cvecs.size(), intent,
+                         &scratch->used);
+}
+
+double StarmieSearch::CandidateUpperBound(const std::vector<Embedding>& qvecs,
+                                          const std::vector<double>& qnorms,
+                                          size_t intent,
+                                          const TableVectors& table) const {
+  const size_t nq = qvecs.size();
+  const size_t nc = table.vectors.size();
+  // Query column q's best pair bound at or above the gate.
+  auto best_pair = [&](size_t q) {
+    double best = kNoPair;
+    for (size_t c = 0; c < nc; ++c) {
+      const double ub =
+          CosineUpperBound(qvecs[q].data(), qnorms[q], table.vectors[c].data(),
+                           table.norms[c], embedder_.dim());
+      // cos <= ub: a pair whose bound misses the gate never matches.
+      if (ub >= params_.min_column_cosine) best = std::max(best, ub);
+    }
+    return best;
+  };
+  return RelaxedMatchBound(nq, intent, std::min(nq, nc), best_pair);
+}
+
+Result<double> StarmieSearch::ScoreUpperBound(
+    const DiscoveryQuery& query, const std::string& table_name) const {
+  if (lake_ == nullptr || index_ == nullptr) {
+    return Status::Internal("BuildIndex not called");
+  }
+  if (query.table == nullptr) {
+    return Status::InvalidArgument("query table is null");
+  }
+  if (query.query_column >= query.table->num_columns()) {
+    return Status::OutOfRange("query column out of range");
+  }
+  auto it = table_vectors_.find(table_name);
+  if (it == table_vectors_.end()) return 0.0;  // not indexed: cannot score
+  std::vector<Embedding> qvecs = ContextualizedColumns(*query.table);
+  return CandidateUpperBound(qvecs, Norms(qvecs), query.query_column,
+                             it->second);
 }
 
 Result<std::vector<DiscoveryHit>> StarmieSearch::Search(
@@ -194,55 +281,78 @@ Result<std::vector<DiscoveryHit>> StarmieSearch::Search(
   std::vector<Embedding> qvecs = ContextualizedColumns(*query.table);
 
   // Candidate tables: every table owning a column that SimHash-collides
-  // with any query column.
-  std::unordered_set<std::string> candidates;
+  // with any query column, deduplicated by index entry. Neither mode's
+  // ranking depends on their order (RunBoundedTopK sorts by bound and
+  // name, RankHits by score and name).
+  using TableEntry = std::pair<const std::string, TableVectors>;
+  std::vector<const TableEntry*> entries;
   for (const Embedding& qv : qvecs) {
     for (uint64_t id : index_->Query(qv)) {
-      candidates.insert(columns_[id].first);
-    }
-  }
-
-  std::vector<DiscoveryHit> hits;
-  for (const std::string& cand_name : candidates) {
-    if (cand_name == query.table->name()) continue;
-    const std::vector<Embedding>& cvecs = table_vectors_.at(cand_name);
-
-    // Greedy one-to-one matching of query columns to candidate columns.
-    std::vector<bool> used(cvecs.size(), false);
-    double total = 0.0;
-    size_t matched = 0;
-    // Order query columns by their best available cosine (greedy global).
-    struct Pair {
-      size_t q;
-      size_t c;
-      double cos;
-    };
-    std::vector<Pair> pairs;
-    for (size_t q = 0; q < qvecs.size(); ++q) {
-      for (size_t c = 0; c < cvecs.size(); ++c) {
-        double cos = CosineSimilarity(qvecs[q], cvecs[c]);
-        if (cos >= params_.min_column_cosine) pairs.push_back({q, c, cos});
+      auto it = table_vectors_.find(columns_[id].first);
+      if (it == table_vectors_.end()) {
+        return Status::Internal("starmie index missing vectors for '" +
+                                columns_[id].first + "'");
       }
+      entries.push_back(&*it);
     }
-    std::sort(pairs.begin(), pairs.end(),
-              [](const Pair& a, const Pair& b) { return a.cos > b.cos; });
-    std::vector<bool> q_used(qvecs.size(), false);
-    bool intent_matched = false;
-    for (const Pair& p : pairs) {
-      if (q_used[p.q] || used[p.c]) continue;
-      q_used[p.q] = true;
-      used[p.c] = true;
-      total += p.cos;
-      ++matched;
-      if (p.q == query.query_column) intent_matched = true;
-    }
-    if (matched == 0 || !intent_matched) continue;
-    // Mean best-match over ALL query columns (unmatched contribute 0) —
-    // tables unioning the whole query schema outrank partial ones.
-    double score = total / static_cast<double>(qvecs.size());
-    hits.push_back({cand_name, score});
   }
-  return RankHits(std::move(hits), query.k);
+  std::sort(entries.begin(), entries.end(), std::less<const TableEntry*>());
+  entries.erase(std::unique(entries.begin(), entries.end()), entries.end());
+  std::vector<std::pair<const std::string*, const TableVectors*>> candidates;
+  candidates.reserve(entries.size());
+  for (const TableEntry* entry : entries) {
+    if (entry->first == query.table->name()) continue;
+    candidates.emplace_back(&entry->first, &entry->second);
+  }
+
+  MatchScratch scratch;
+  scratch.pairs.resize(qvecs.size() * max_columns_);
+  uint64_t exact_cosines = 0;
+  CascadeStats stats;
+  if (search_mode_ == SearchMode::kExhaustive) {
+    std::vector<double> scores(candidates.size());
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      if (query.cancel != nullptr && query.cancel->Cancelled()) {
+        return Status::DeadlineExceeded("starmie exhaustive scan cancelled");
+      }
+      scores[i] = MatchColumns(qvecs, query.query_column,
+                               candidates[i].second->vectors, &scratch,
+                               &exact_cosines);
+    }
+    std::vector<DiscoveryHit> hits;
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      if (scores[i] > 0.0) hits.push_back({*candidates[i].first, scores[i]});
+    }
+    stats.candidates_total = candidates.size();
+    stats.scored_exact = candidates.size();
+    PublishCascadeStats(obs_, name(), stats);
+    ObsAdd(obs_, "discover.starmie.work.exact_cosines", exact_cosines);
+    return RankHits(std::move(hits), query.k);
+  }
+
+  // Cascade: CosineUpperBound per pair bounds each candidate, then bounded
+  // top-k over the shared exact matching.
+  std::vector<double> qnorms = Norms(qvecs);
+  std::vector<BoundedCandidate> bounded;
+  bounded.reserve(candidates.size());
+  for (const auto& [cand_name, table] : candidates) {
+    bounded.push_back(
+        {*cand_name,
+         CandidateUpperBound(qvecs, qnorms, query.query_column, *table)});
+  }
+  ExactScorer scorer = [&](const BoundedCandidate& cand) {
+    return MatchColumns(qvecs, query.query_column,
+                        table_vectors_.at(cand.table_name).vectors, &scratch,
+                        &exact_cosines);
+  };
+  std::vector<DiscoveryHit> top =
+      RunBoundedTopK(std::move(bounded), query.k, scorer, &stats, query.cancel);
+  PublishCascadeStats(obs_, name(), stats);
+  ObsAdd(obs_, "discover.starmie.work.exact_cosines", exact_cosines);
+  if (stats.cancelled) {
+    return Status::DeadlineExceeded("starmie search cancelled mid-cascade");
+  }
+  return top;
 }
 
 }  // namespace dialite

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "discovery/cascade.h"
 #include "discovery/discovery.h"
 #include "kb/embedding.h"
 #include "kb/knowledge_base.h"
@@ -30,7 +31,10 @@ namespace dialite {
 ///
 /// Offline, column vectors go into a SimHash band index; online, query
 /// columns probe it, candidate tables are verified with exact cosines, and
-/// score = mean over query columns of the best one-to-one match.
+/// score = mean over query columns of the best one-to-one match. The
+/// default search runs the cascade (RunBoundedTopK): a CosineUpperBound
+/// per column pair bounds every candidate, and exact cosines run only for
+/// candidates that can still reach the top k.
 class StarmieSearch : public DiscoveryAlgorithm, public PersistentIndex {
  public:
   struct Params {
@@ -59,6 +63,16 @@ class StarmieSearch : public DiscoveryAlgorithm, public PersistentIndex {
   Result<std::vector<DiscoveryHit>> Search(
       const DiscoveryQuery& query) const override;
 
+  /// Admissible stage-0 bound: the mean over query columns of each
+  /// column's best pair bound at or above min_column_cosine (0 for a column
+  /// without one), where a pair's bound is CosineUpperBound. Relaxes the
+  /// one-to-one matching to each query column's best pair, caps the sum at
+  /// min(|Q cols|, |T cols|) matched pairs, and scales it by kFpMargin for
+  /// summation order. 0 when the intent column cannot pair or the table is
+  /// not indexed.
+  Result<double> ScoreUpperBound(const DiscoveryQuery& query,
+                                 const std::string& table_name) const override;
+
   /// Contextualized vectors of one table's columns (exposed for tests).
   /// `token_sets` optionally supplies the per-column token sets (from the
   /// lake's sketch cache); when null they are computed from the table.
@@ -66,6 +80,31 @@ class StarmieSearch : public DiscoveryAlgorithm, public PersistentIndex {
       const Table& table, const ColumnTokenSets* token_sets = nullptr) const;
 
  private:
+  /// One table's contextualized column vectors and their EmbeddingNorms.
+  /// The norms are derived on build and load, not persisted.
+  struct TableVectors {
+    std::vector<Embedding> vectors;
+    std::vector<double> norms;
+  };
+
+  /// Records `vectors` as `table`'s columns, deriving their norms.
+  void AddTable(std::string table, std::vector<Embedding> vectors);
+
+  /// The exact table score both search modes share: CosineSimilarity for
+  /// every column pair, the pairs at or above min_column_cosine taken in
+  /// (q, c) order and sorted by descending cosine, then GreedyMatchMean.
+  /// `scratch->pairs` must hold |qvecs| × |cvecs| pairs. Adds the cosines
+  /// it runs to `*exact_cosines`.
+  double MatchColumns(const std::vector<Embedding>& qvecs, size_t intent,
+                      const std::vector<Embedding>& cvecs,
+                      MatchScratch* scratch, uint64_t* exact_cosines) const;
+
+  /// ScoreUpperBound for one indexed table, given the query's vectors and
+  /// their norms.
+  double CandidateUpperBound(const std::vector<Embedding>& qvecs,
+                             const std::vector<double>& qnorms, size_t intent,
+                             const TableVectors& table) const;
+
   Params params_;
   HashEmbedder embedder_;
   const DataLake* lake_ = nullptr;
@@ -73,7 +112,9 @@ class StarmieSearch : public DiscoveryAlgorithm, public PersistentIndex {
   /// SimHash id -> (table name, column).
   std::vector<std::pair<std::string, size_t>> columns_;
   /// Cached contextualized vectors per table.
-  std::unordered_map<std::string, std::vector<Embedding>> table_vectors_;
+  std::unordered_map<std::string, TableVectors> table_vectors_;
+  /// Column count of the widest table, which sizes MatchScratch.
+  size_t max_columns_ = 0;
 };
 
 }  // namespace dialite

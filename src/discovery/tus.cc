@@ -25,6 +25,7 @@ TusSearch::ColumnProfile TusSearch::ProfileFromSets(
     p.types[a.label] = a.score;
   }
   p.embedding = embedder_.EmbedValueSet(p.tokens);
+  p.norm = EmbeddingNorm(p.embedding.data(), p.embedding.size());
   return p;
 }
 
@@ -34,33 +35,76 @@ TusSearch::ColumnProfile TusSearch::ProfileColumn(const Table& table,
   return ProfileFromSets(ColumnTokens(col), ColumnDistinctCsv(col));
 }
 
+namespace {
+
+/// Semantic unionability before clamping: the cosine of two KB
+/// type-confidence vectors, 0 when either is empty or has zero norm.
+double TypeCosine(const std::map<std::string, double>& a,
+                  const std::map<std::string, double>& b) {
+  if (a.empty() || b.empty()) return 0.0;
+  double dot = 0.0;
+  double na = 0.0;
+  double nb = 0.0;
+  for (const auto& [t, w] : a) {
+    na += w * w;
+    auto it = b.find(t);
+    if (it != b.end()) dot += w * it->second;
+  }
+  for (const auto& [t, w] : b) nb += w * w;
+  if (na > 0 && nb > 0) return dot / std::sqrt(na * nb);
+  return 0.0;
+}
+
+/// The matching's priority order: descending unionability, ties broken by
+/// (query column, candidate column), so the alignment — and with it the
+/// score — is deterministic across platforms.
+void SortByUnionability(std::vector<ColumnPair>* pairs) {
+  std::sort(pairs->begin(), pairs->end(),
+            [](const ColumnPair& a, const ColumnPair& b) {
+              if (a.score != b.score) return a.score > b.score;
+              if (a.q != b.q) return a.q < b.q;
+              return a.c < b.c;
+            });
+}
+
+}  // namespace
+
 double TusSearch::Unionability(const ColumnProfile& a,
                                const ColumnProfile& b) const {
   if (a.tokens.empty() || b.tokens.empty()) return 0.0;
   // Set unionability.
   double u_set = OverlapCoefficient(a.tokens, b.tokens);
-  if (a.tokens.empty() || b.tokens.empty()) u_set = 0.0;
-  // Semantic unionability: cosine of the type-confidence vectors.
-  double u_sem = 0.0;
-  if (!a.types.empty() && !b.types.empty()) {
-    double dot = 0.0;
-    double na = 0.0;
-    double nb = 0.0;
-    for (const auto& [t, w] : a.types) {
-      na += w * w;
-      auto it = b.types.find(t);
-      if (it != b.types.end()) dot += w * it->second;
-    }
-    for (const auto& [t, w] : b.types) nb += w * w;
-    if (na > 0 && nb > 0) u_sem = dot / std::sqrt(na * nb);
-  }
-  // Natural-language unionability. Both cosines are clamped to 1: rounding
-  // can push dot/(|a||b|) an ulp past 1, and the cascade's stage-0 bounds
-  // (capped at 1 per pair) rely on unionability never exceeding it.
-  double u_nl = CosineSimilarity(a.embedding, b.embedding);
-  u_sem = std::min(u_sem, 1.0);
-  u_nl = std::min(u_nl, 1.0);
+  // Semantic and natural-language unionability. Both cosines are clamped
+  // to 1: rounding can push dot/(|a||b|) an ulp past 1, and the cascade's
+  // stage-0 bounds (capped at 1 per pair) rely on unionability never
+  // exceeding it.
+  double u_sem = std::min(TypeCosine(a.types, b.types), 1.0);
+  double u_nl = std::min(CosineSimilarity(a.embedding, b.embedding), 1.0);
   return std::max({u_set, u_sem, u_nl});
+}
+
+TusSearch::PairBound TusSearch::BoundPair(const ColumnProfile& a,
+                                          const ColumnProfile& b,
+                                          uint32_t inter) const {
+  PairBound out;
+  // u_set with OverlapCoefficient's arithmetic: column tokens are
+  // distinct, so the hit count IS |A ∩ B|.
+  out.exact = static_cast<double>(inter) /
+              static_cast<double>(std::min(a.tokens.size(), b.tokens.size()));
+  // Once a measure reaches 1 the others cannot raise the maximum.
+  if (out.exact < 1.0) {
+    out.exact =
+        std::max(out.exact, std::min(TypeCosine(a.types, b.types), 1.0));
+  }
+  // CosineSimilarity is 0 for mismatched or empty embeddings.
+  if (out.exact < 1.0 && a.embedding.size() == b.embedding.size() &&
+      !a.embedding.empty()) {
+    out.nl_bound = std::min(
+        CosineUpperBound(a.embedding.data(), a.norm, b.embedding.data(),
+                         b.norm, a.embedding.size()),
+        1.0);
+  }
+  return out;
 }
 
 Status TusSearch::BuildIndex(const DataLake& lake) {
@@ -196,6 +240,7 @@ Status TusSearch::LoadPayload(BinaryReader* r, const DataLake& lake) {
       std::span<const float> emb;
       DIALITE_RETURN_IF_ERROR(r->Array(&emb));
       p.embedding.assign(emb.begin(), emb.end());
+      p.norm = EmbeddingNorm(p.embedding.data(), p.embedding.size());
     }
     // Rebuild the inverted indexes the same way BuildIndex's merge phase
     // does (hit counts and candidate sets are order-independent, so the
@@ -218,51 +263,58 @@ Status TusSearch::LoadPayload(BinaryReader* r, const DataLake& lake) {
 double TusSearch::ScoreCandidate(const std::vector<ColumnProfile>& qcols,
                                  size_t query_column,
                                  const std::vector<ColumnProfile>& ccols) const {
-  // Greedy one-to-one alignment by descending unionability; ties broken by
-  // (query column, candidate column) so the alignment — and with it the
-  // score — is deterministic across platforms.
-  struct Pair {
-    size_t q;
-    size_t c;
-    double u;
-  };
-  std::vector<Pair> pairs;
+  std::vector<ColumnPair> pairs;
   for (size_t q = 0; q < qcols.size(); ++q) {
     for (size_t c = 0; c < ccols.size(); ++c) {
       double u = Unionability(qcols[q], ccols[c]);
-      if (u >= params_.min_column_unionability) pairs.push_back({q, c, u});
+      if (u >= params_.min_column_unionability) {
+        pairs.push_back(
+            {static_cast<uint32_t>(q), static_cast<uint32_t>(c), u});
+      }
     }
   }
-  std::sort(pairs.begin(), pairs.end(), [](const Pair& a, const Pair& b) {
-    if (a.u != b.u) return a.u > b.u;
-    if (a.q != b.q) return a.q < b.q;
-    return a.c < b.c;
-  });
-  std::vector<bool> q_used(qcols.size(), false);
-  std::vector<bool> c_used(ccols.size(), false);
-  double total = 0.0;
-  bool intent_matched = false;
-  size_t matched = 0;
-  for (const Pair& p : pairs) {
-    if (q_used[p.q] || c_used[p.c]) continue;
-    q_used[p.q] = true;
-    c_used[p.c] = true;
-    total += p.u;
-    ++matched;
-    if (p.q == query_column) intent_matched = true;
-  }
-  if (matched == 0 || !intent_matched) return 0.0;
-  return total / static_cast<double>(qcols.size());
+  SortByUnionability(&pairs);
+  std::vector<uint8_t> used;
+  return GreedyMatchMean(pairs, qcols.size(), ccols.size(), query_column,
+                         &used);
 }
 
-namespace {
-
-/// Headroom multiplier absorbing fp reassociation between the bound's
-/// accumulation order and the exact path's (vectorized) one — orders of
-/// magnitude above the ~1e-14 worst case, far below any pruning threshold.
-constexpr double kFpMargin = 1.0 + 1e-9;
-
-}  // namespace
+double TusSearch::ScoreWithEvidence(const std::vector<ColumnProfile>& qcols,
+                                    size_t query_column,
+                                    const CandidateEvidence& ev,
+                                    const std::vector<ColumnProfile>& ccols,
+                                    MatchScratch* scratch,
+                                    uint64_t* exact_cosines) const {
+  const double min_u = params_.min_column_unionability;
+  std::vector<ColumnPair>& pairs = scratch->pairs;
+  pairs.clear();
+  for (size_t q = 0; q < qcols.size(); ++q) {
+    for (size_t c = 0; c < ccols.size(); ++c) {
+      double u = 0.0;  // Unionability of a column without tokens
+      if (!qcols[q].tokens.empty() && !ccols[c].tokens.empty()) {
+        const PairBound b =
+            BoundPair(qcols[q], ccols[c], ev.hits[q * ev.ncols + c]);
+        u = b.exact;
+        // u_nl <= nl_bound: it can change the pair's unionability, or its
+        // place in the matching, only where the bound beats u and clears
+        // the threshold.
+        if (b.nl_bound > u && b.nl_bound >= min_u) {
+          ++*exact_cosines;
+          u = std::max(u, std::min(CosineSimilarity(qcols[q].embedding,
+                                                    ccols[c].embedding),
+                                   1.0));
+        }
+      }
+      if (u >= min_u) {
+        pairs.push_back(
+            {static_cast<uint32_t>(q), static_cast<uint32_t>(c), u});
+      }
+    }
+  }
+  SortByUnionability(&pairs);
+  return GreedyMatchMean(pairs, qcols.size(), ccols.size(), query_column,
+                         &scratch->used);
+}
 
 double TusSearch::CandidateUpperBound(const std::vector<ColumnProfile>& qcols,
                                       size_t query_column,
@@ -276,57 +328,23 @@ double TusSearch::CandidateUpperBound(const std::vector<ColumnProfile>& qcols,
   }
   // No tokenized candidate column — nothing can pair at all.
   if (tokenized_cols == 0) return 0.0;
-  double sum = 0.0;
-  double intent_ub = 0.0;
-  for (size_t q = 0; q < nq; ++q) {
-    double ub = 0.0;
-    if (!qcols[q].tokens.empty()) {
-      for (size_t c = 0; c < ccols.size(); ++c) {
-        const ColumnProfile& cc = ccols[c];
-        if (cc.tokens.empty()) continue;
-        // u_set with the exact scorer's own arithmetic: the stage-0 hit
-        // count IS |A ∩ B| (per-column postings, distinct tokens), and the
-        // integer-over-integer division matches OverlapCoefficient's.
-        double pair = static_cast<double>(ev.hits[q * ev.ncols + c]) /
-                      static_cast<double>(std::min(qcols[q].tokens.size(),
-                                                   cc.tokens.size()));
-        // u_sem: same accumulation order as Unionability's cosine.
-        if (pair < 1.0 && !qcols[q].types.empty() && !cc.types.empty()) {
-          double dot = 0.0;
-          double na = 0.0;
-          double nb = 0.0;
-          for (const auto& [t, w] : qcols[q].types) {
-            na += w * w;
-            auto it = cc.types.find(t);
-            if (it != cc.types.end()) dot += w * it->second;
-          }
-          for (const auto& [t, w] : cc.types) nb += w * w;
-          if (na > 0 && nb > 0) {
-            pair = std::max(pair, std::min(dot / std::sqrt(na * nb), 1.0));
-          }
-        }
-        // u_nl: the exact embedding cosine (cheap — no set materialized).
-        if (pair < 1.0) {
-          pair = std::max(
-              pair,
-              std::min(CosineSimilarity(qcols[q].embedding, cc.embedding),
-                       1.0));
-        }
-        // Pairs below the threshold never enter the greedy alignment.
-        if (pair < params_.min_column_unionability) continue;
-        ub = std::max(ub, pair);
-      }
+  // Query column q's best pair bound among pairs that clear the threshold;
+  // pairs below it never enter the greedy alignment.
+  auto best_pair = [&](size_t q) {
+    double ub = kNoPair;
+    if (qcols[q].tokens.empty()) return ub;
+    for (size_t c = 0; c < ccols.size(); ++c) {
+      if (ccols[c].tokens.empty()) continue;
+      const PairBound b =
+          BoundPair(qcols[q], ccols[c], ev.hits[q * ev.ncols + c]);
+      const double pair = std::max(b.exact, b.nl_bound);
+      if (pair >= params_.min_column_unionability) ub = std::max(ub, pair);
     }
-    if (q == query_column) intent_ub = ub;
-    sum += ub;
-  }
-  // The intent column must pair for a table to score at all.
-  if (intent_ub <= 0.0) return 0.0;
-  // The greedy matching has at most min(|Q|, tokenized |T|) pairs, each
-  // <= 1; relaxing it to each query column's best pair keeps the bound
-  // admissible, and kFpMargin absorbs the different summation order.
-  double cap = static_cast<double>(std::min(nq, tokenized_cols));
-  return std::min(sum, cap) * kFpMargin / static_cast<double>(nq);
+    return ub;
+  };
+  // The greedy matching pairs at most min(|Q|, tokenized |T|) columns.
+  return RelaxedMatchBound(nq, query_column, std::min(nq, tokenized_cols),
+                           best_pair);
 }
 
 Result<double> TusSearch::ScoreUpperBound(const DiscoveryQuery& query,
@@ -449,21 +467,20 @@ Result<std::vector<DiscoveryHit>> TusSearch::Search(
     bounded.push_back({cand_name, CandidateUpperBound(qcols, query.query_column,
                                                       ev, pit->second)});
   }
-  Status scorer_status = Status::OK();
+  // Every bounded candidate has profiles and evidence (checked above).
+  MatchScratch scratch;
+  uint64_t exact_cosines = 0;
   ExactScorer scorer = [&](const BoundedCandidate& cand) {
-    auto it = profiles_.find(cand.table_name);
-    if (it == profiles_.end()) {
-      scorer_status = Status::Internal("tus index missing profiles for '" +
-                                       cand.table_name + "'");
-      return 0.0;
-    }
-    return ScoreCandidate(qcols, query.query_column, it->second);
+    return ScoreWithEvidence(qcols, query.query_column,
+                             candidates.at(cand.table_name),
+                             profiles_.at(cand.table_name), &scratch,
+                             &exact_cosines);
   };
   CascadeStats stats;
   std::vector<DiscoveryHit> top =
       RunBoundedTopK(std::move(bounded), query.k, scorer, &stats, query.cancel);
-  if (!scorer_status.ok()) return scorer_status;
   PublishCascadeStats(obs_, name(), stats);
+  ObsAdd(obs_, "discover.tus.work.exact_cosines", exact_cosines);
   if (stats.cancelled) {
     return Status::DeadlineExceeded("tus search cancelled mid-cascade");
   }

@@ -7,6 +7,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "discovery/cascade.h"
 #include "discovery/discovery.h"
 #include "kb/annotator.h"
 #include "kb/embedding.h"
@@ -56,16 +57,17 @@ class TusSearch : public DiscoveryAlgorithm, public PersistentIndex {
   /// rescoring of every column pair that never materializes token sets.
   /// The per-column token postings walked during candidate generation
   /// yield the EXACT intersection |A ∩ B| per (query column, table column)
-  /// pair, so u_set is computed with the exact scorer's own arithmetic;
-  /// u_sem and u_nl mirror the exact type/embedding cosines (both cheap).
-  /// The only relaxations are the matching one — each query column takes
-  /// its best pair instead of a one-to-one assignment — and the kFpMargin
-  /// headroom, so the bound sits within a whisker of the true score and
-  /// prunes nearly everything below the running top-k bar. Pairs below
-  /// min_column_unionability contribute 0, an intent column that cannot
-  /// pair zeroes the whole table, and the sum is capped by the matching
-  /// size min(|Q cols|, tokenized table cols). Profiles the query table
-  /// per call — Search()'s cascade shares one profiling pass.
+  /// pair, so u_set is computed with the exact scorer's own arithmetic and
+  /// u_sem mirrors the exact type cosine; u_nl takes CosineUpperBound
+  /// instead of the exact embedding cosine. The other relaxations are the
+  /// matching one — each query column takes its best pair instead of a
+  /// one-to-one assignment — and the kFpMargin headroom, so the bound sits
+  /// close to the true score and prunes nearly everything below the
+  /// running top-k bar. Pairs below min_column_unionability contribute 0,
+  /// an intent column that cannot pair zeroes the whole table, and the sum
+  /// is capped by the matching size min(|Q cols|, tokenized table cols).
+  /// Profiles the query table per call — Search()'s cascade shares one
+  /// profiling pass.
   Result<double> ScoreUpperBound(const DiscoveryQuery& query,
                                  const std::string& table_name) const override;
 
@@ -74,6 +76,9 @@ class TusSearch : public DiscoveryAlgorithm, public PersistentIndex {
     std::vector<std::string> tokens;
     std::map<std::string, double> types;
     Embedding embedding;
+    /// EmbeddingNorm(embedding), for CosineUpperBound. Derived when the
+    /// profile is built or loaded; not persisted.
+    double norm = 0.0;
   };
   ColumnProfile ProfileColumn(const Table& table, size_t column) const;
   double Unionability(const ColumnProfile& a, const ColumnProfile& b) const;
@@ -94,13 +99,33 @@ class TusSearch : public DiscoveryAlgorithm, public PersistentIndex {
       const std::vector<std::string>& tokens,
       const std::vector<std::string>& distinct_values) const;
 
-  /// The exact greedy-alignment table score — the single scoring routine
-  /// both the exhaustive and cascade paths run, so their scores are
-  /// bit-identical. Returns 0 when nothing pairs or the intent column
-  /// stays unmatched.
+  /// One pair of tokenized columns as stage 0 sees it: `exact` is
+  /// max(u_set, u_sem) with Unionability's arithmetic, `nl_bound` bounds
+  /// u_nl by CosineUpperBound (0 once `exact` is already 1).
+  struct PairBound {
+    double exact = 0.0;
+    double nl_bound = 0.0;
+  };
+  /// `inter` is |a.tokens ∩ b.tokens|, the stage-0 hit count.
+  PairBound BoundPair(const ColumnProfile& a, const ColumnProfile& b,
+                      uint32_t inter) const;
+
+  /// The reference table score (kExhaustive): Unionability for every
+  /// column pair, then GreedyMatchMean. Returns 0 when nothing pairs or
+  /// the intent column stays unmatched.
   double ScoreCandidate(const std::vector<ColumnProfile>& qcols,
                         size_t query_column,
                         const std::vector<ColumnProfile>& ccols) const;
+
+  /// The cascade's exact scorer, bit-identical to ScoreCandidate: each
+  /// pair's u_set and u_sem come from BoundPair, and the exact embedding
+  /// cosine runs only where u_nl's bound beats them and clears the
+  /// threshold. Adds the cosines it runs to `*exact_cosines`.
+  double ScoreWithEvidence(const std::vector<ColumnProfile>& qcols,
+                           size_t query_column, const CandidateEvidence& ev,
+                           const std::vector<ColumnProfile>& ccols,
+                           MatchScratch* scratch,
+                           uint64_t* exact_cosines) const;
 
   /// Stage-0 table bound from the per-pair hit counts + the candidate's
   /// column profiles (see ScoreUpperBound and DESIGN.md "Tiered discovery

@@ -29,11 +29,38 @@ double CosineSimilarity(const float* a, const float* b, size_t dim) {
   return dot / (std::sqrt(na) * std::sqrt(nb));
 }
 
+double EmbeddingNorm(const float* a, size_t dim) {
+  double n = 0.0;
+  for (size_t i = 0; i < dim; ++i) n += static_cast<double>(a[i]) * a[i];
+  return std::sqrt(n);
+}
+
+double CosineUpperBound(const float* a, double norm_a, const float* b,
+                        double norm_b, size_t dim) {
+  if (norm_a == 0.0 || norm_b == 0.0) return 0.0;
+  // The same product CosineSimilarity divides by, so only the dot differs.
+  const double den = norm_a * norm_b;
+  if (!(den >= 0x1p-60 && den <= 0x1p60)) return CosineSimilarity(a, b, dim);
+  // Sixteen independent float lanes, folded in halves: vectorizes without
+  // reassociation, with four accumulator chains on SSE, and the order is
+  // fixed, so the bound is the same on every run.
+  constexpr size_t kLanes = 16;
+  float lane[kLanes] = {};
+  size_t i = 0;
+  for (; i + kLanes <= dim; i += kLanes) {
+    for (size_t l = 0; l < kLanes; ++l) lane[l] += a[i + l] * b[i + l];
+  }
+  for (size_t l = 0; i < dim; ++i, ++l) lane[l] += a[i] * b[i];
+  for (size_t width = kLanes / 2; width > 0; width /= 2) {
+    for (size_t l = 0; l < width; ++l) lane[l] += lane[l + width];
+  }
+  return static_cast<double>(lane[0]) / den +
+         static_cast<double>(dim) * 0x1p-23;
+}
+
 void NormalizeEmbedding(Embedding* v) {
-  double norm = 0.0;
-  for (float x : *v) norm += static_cast<double>(x) * x;
+  const double norm = EmbeddingNorm(v->data(), v->size());
   if (norm == 0.0) return;
-  norm = std::sqrt(norm);
   for (float& x : *v) x = static_cast<float>(x / norm);
 }
 

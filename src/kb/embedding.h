@@ -19,6 +19,21 @@ double CosineSimilarity(const Embedding& a, const Embedding& b);
 /// bit-identical to the Embedding overload.
 double CosineSimilarity(const float* a, const float* b, size_t dim);
 
+/// sqrt(Σ a_i²), summed in double in index order: the exact norm
+/// CosineSimilarity divides by.
+double EmbeddingNorm(const float* a, size_t dim);
+
+/// Admissible bound for pruning: never below CosineSimilarity(a, b, dim)
+/// when `norm_a`/`norm_b` are EmbeddingNorm(a)/EmbeddingNorm(b). It sums
+/// float products in a fixed 16-lane order, divides by the norms, and adds
+/// dim·2⁻²³. That margin is at least γ_dim, the worst-case relative
+/// rounding (against |a||b|) of a float dot product in any summation order,
+/// with or without FMA, so the bound holds on every build. Returns 0 when a
+/// norm is 0, and the exact cosine when the norms' product leaves
+/// [2⁻⁶⁰, 2⁶⁰], where float under- or overflow could outgrow the margin.
+double CosineUpperBound(const float* a, double norm_a, const float* b,
+                        double norm_b, size_t dim);
+
 /// L2-normalizes in place (no-op for the zero vector).
 void NormalizeEmbedding(Embedding* v);
 

@@ -1,8 +1,8 @@
 #include "sketch/simhash.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
-#include <unordered_set>
 
 #include "common/hash.h"
 
@@ -81,13 +81,16 @@ Status SimHashIndex::Insert(uint64_t id, const std::vector<float>& vec) {
 
 std::vector<uint64_t> SimHashIndex::Query(const std::vector<float>& vec) const {
   std::vector<uint64_t> keys = BandKeys(hasher_.Signature(vec));
-  std::unordered_set<uint64_t> out;
+  // Every band's bucket, then sort and dedupe: no node per id.
+  std::vector<uint64_t> out;
   for (size_t band = 0; band < num_bands_; ++band) {
     auto it = tables_[band].find(keys[band]);
     if (it == tables_[band].end()) continue;
-    out.insert(it->second.begin(), it->second.end());
+    out.insert(out.end(), it->second.begin(), it->second.end());
   }
-  return std::vector<uint64_t>(out.begin(), out.end());
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
 }
 
 }  // namespace dialite

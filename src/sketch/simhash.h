@@ -51,7 +51,7 @@ class SimHashIndex {
 
   Status Insert(uint64_t id, const std::vector<float>& vec);
 
-  /// Ids sharing at least one band with the query vector.
+  /// Ids sharing at least one band with the query vector, ascending.
   std::vector<uint64_t> Query(const std::vector<float>& vec) const;
 
   size_t size() const { return count_; }

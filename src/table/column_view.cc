@@ -1,5 +1,6 @@
 #include "table/column_view.h"
 
+#include <charconv>
 #include <cstring>
 #include <unordered_set>
 
@@ -9,16 +10,27 @@
 namespace dialite {
 
 std::string ColumnView::CsvStringAt(size_t r) const {
+  char buf[kCsvBufferSize];
+  return std::string(CsvViewAt(r, buf));
+}
+
+static_assert(ColumnView::kCsvBufferSize >= kFormatDoubleBufferSize);
+
+std::string_view ColumnView::CsvViewAt(size_t r, char* buf) const {
   switch (kind(r)) {
     case CellKind::kMissingNull:
     case CellKind::kProducedNull:
       return "";
-    case CellKind::kInt:
-      return std::to_string(int_at(r));
+    case CellKind::kInt: {
+      // std::to_string's spelling.
+      const std::to_chars_result res =
+          std::to_chars(buf, buf + kCsvBufferSize, int_at(r));
+      return std::string_view(buf, static_cast<size_t>(res.ptr - buf));
+    }
     case CellKind::kDouble:
-      return FormatDouble(double_at(r));
+      return FormatDoubleTo(double_at(r), buf);
     case CellKind::kString:
-      return std::string(string_at(r));
+      return string_at(r);
   }
   return "";
 }

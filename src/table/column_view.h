@@ -48,6 +48,11 @@ class ColumnView {
 
   /// Rendering identical to Value::ToCsvString (nulls -> "").
   std::string CsvStringAt(size_t r) const;
+  /// Buffer size CsvViewAt needs (FormatDoubleTo's).
+  static constexpr size_t kCsvBufferSize = 64;
+  /// CsvStringAt without allocating: a string cell views its dictionary
+  /// entry, a number renders into `buf` (kCsvBufferSize chars).
+  std::string_view CsvViewAt(size_t r, char* buf) const;
   /// Rendering identical to Value::ToDisplayString ("±" / "⊥" for nulls).
   std::string DisplayStringAt(size_t r) const;
 

@@ -12,9 +12,12 @@
 #include "common/cancel.h"
 #include "core/dialite.h"
 #include "discovery/cascade.h"
+#include "discovery/cocoa.h"
 #include "discovery/josie.h"
+#include "discovery/keyword_search.h"
 #include "discovery/lsh_ensemble_search.h"
 #include "discovery/santos.h"
+#include "discovery/starmie.h"
 #include "discovery/tus.h"
 #include "lake/lake_generator.h"
 
@@ -178,6 +181,15 @@ std::unique_ptr<DiscoveryAlgorithm> MakeJosie() {
 std::unique_ptr<DiscoveryAlgorithm> MakeTus() {
   return std::make_unique<TusSearch>();
 }
+std::unique_ptr<DiscoveryAlgorithm> MakeStarmie() {
+  return std::make_unique<StarmieSearch>();
+}
+std::unique_ptr<DiscoveryAlgorithm> MakeCocoa() {
+  return std::make_unique<CocoaSearch>();
+}
+std::unique_ptr<DiscoveryAlgorithm> MakeKeyword() {
+  return std::make_unique<KeywordSearch>();
+}
 
 class CascadeEquivalenceTest : public ::testing::TestWithParam<AlgoCase> {};
 
@@ -260,12 +272,42 @@ TEST_P(CascadeEquivalenceTest, SearchBatchMatchesSearch) {
   }
 }
 
+// A request whose deadline has already passed must fail with
+// kDeadlineExceeded in both modes: every algorithm polls the token inside
+// its scan, not only before it.
+TEST_P(CascadeEquivalenceTest, FiredDeadlineFailsBothModes) {
+  DataLake lake = MakeLake(/*seed=*/3, /*fragments=*/4);
+  std::unique_ptr<DiscoveryAlgorithm> algo = GetParam().make();
+  ASSERT_TRUE(algo->BuildIndex(lake).ok());
+  const Table* query = lake.Get("covid_city_stats_frag1");
+  ASSERT_NE(query, nullptr);
+  DiscoveryQuery q{query, /*query_column=*/2, /*k=*/10};
+  for (SearchMode mode : {SearchMode::kCascade, SearchMode::kExhaustive}) {
+    algo->set_search_mode(mode);
+    // The query has hits, so each mode has work left to cancel.
+    auto hits = algo->Search(q);
+    ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+    ASSERT_FALSE(hits->empty()) << GetParam().label;
+    CancelToken fired;
+    fired.SetDeadlineAfter(std::chrono::nanoseconds(0));
+    q.cancel = &fired;
+    auto cancelled = algo->Search(q);
+    q.cancel = nullptr;
+    EXPECT_EQ(cancelled.status().code(), StatusCode::kDeadlineExceeded)
+        << GetParam().label << " mode=" << static_cast<int>(mode) << ": "
+        << cancelled.status().ToString();
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllAlgorithms, CascadeEquivalenceTest,
     ::testing::Values(AlgoCase{"santos", &MakeSantos},
                       AlgoCase{"lsh_ensemble", &MakeLsh},
                       AlgoCase{"josie", &MakeJosie},
-                      AlgoCase{"tus", &MakeTus}),
+                      AlgoCase{"tus", &MakeTus},
+                      AlgoCase{"starmie", &MakeStarmie},
+                      AlgoCase{"cocoa", &MakeCocoa},
+                      AlgoCase{"keyword", &MakeKeyword}),
     [](const ::testing::TestParamInfo<AlgoCase>& param_info) {
       return std::string(param_info.param.label);
     });

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/hash.h"
+#include "common/rng.h"
 #include "common/string_util.h"
 #include "kb/annotator.h"
 #include "kb/embedding.h"
@@ -252,6 +253,58 @@ TEST(EmbeddingTest, EmptyValueIsZeroVector) {
   HashEmbedder emb;
   Embedding e = emb.EmbedValue("");
   for (float x : e) EXPECT_EQ(x, 0.0f);
+}
+
+// CosineUpperBound is the pruning bound TUS and Starmie rely on: it must
+// never fall below the exact cosine, whatever the summation order, scale
+// or dimension.
+TEST(EmbeddingTest, CosineUpperBoundDominatesCosineSimilarity) {
+  auto check = [](const Embedding& a, const Embedding& b) {
+    const double exact = CosineSimilarity(a.data(), b.data(), a.size());
+    const double bound =
+        CosineUpperBound(a.data(), EmbeddingNorm(a.data(), a.size()),
+                         b.data(), EmbeddingNorm(b.data(), b.size()), a.size());
+    EXPECT_GE(bound, exact) << "dim=" << a.size();
+  };
+  Rng rng(2023);
+  auto random_vec = [&](size_t dim, double scale) {
+    Embedding v(dim);
+    for (float& x : v) {
+      x = static_cast<float>((rng.NextDouble() * 2.0 - 1.0) * scale);
+    }
+    return v;
+  };
+  // Random unit vectors at the embedder's dimension.
+  for (int i = 0; i < 16384; ++i) {
+    Embedding a = random_vec(128, 1.0);
+    Embedding b = random_vec(128, 1.0);
+    NormalizeEmbedding(&a);
+    NormalizeEmbedding(&b);
+    check(a, b);
+  }
+  // Every dimension from 1 to 257, non-normalized at several scales, and
+  // near-parallel pairs, where the cosine sits at 1 and rounding decides.
+  for (size_t dim = 1; dim <= 257; ++dim) {
+    for (double scale : {1e-3, 1.0, 1e3}) {
+      Embedding a = random_vec(dim, scale);
+      check(a, random_vec(dim, scale));
+      Embedding b = a;
+      for (float& x : b) {
+        x *= 1.0f + static_cast<float>(rng.NextDouble()) * 1e-6f;
+      }
+      check(a, b);
+      check(a, a);
+    }
+  }
+  // Zero vectors score 0 exactly; the bound may not go below that.
+  Embedding zero(64, 0.0f);
+  Embedding one = random_vec(64, 1.0);
+  check(zero, one);
+  check(one, zero);
+  check(zero, zero);
+  EXPECT_EQ(CosineUpperBound(zero.data(), 0.0, one.data(),
+                             EmbeddingNorm(one.data(), 64), 64),
+            0.0);
 }
 
 TEST(EmbeddingTest, ValueSetEmbeddingSeparatesColumns) {

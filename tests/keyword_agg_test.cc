@@ -49,6 +49,24 @@ TEST_F(KeywordSearchTest, TableAsQueryFindsTopicalNeighbors) {
   EXPECT_EQ((*hits)[0].table_name, "T2");
 }
 
+// The postings walk must rank exactly like the per-document reference:
+// same hits, same score bits, for any k.
+TEST_F(KeywordSearchTest, FreeTextPostingsMatchPerDocumentReference) {
+  for (const char* text :
+       {"vaccine approver country", "city population vaccination rate",
+        "covid cases deaths", "berlin", "qqqq unknownterm"}) {
+    for (size_t k : {1u, 3u, 100u}) {
+      search_.set_search_mode(SearchMode::kExhaustive);
+      auto reference = search_.SearchKeywords(text, k);
+      search_.set_search_mode(SearchMode::kCascade);
+      auto postings = search_.SearchKeywords(text, k);
+      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+      ASSERT_TRUE(postings.ok()) << postings.status().ToString();
+      EXPECT_EQ(*postings, *reference) << "'" << text << "' k=" << k;
+    }
+  }
+}
+
 TEST_F(KeywordSearchTest, EmptyKeywordQueryErrors) {
   EXPECT_FALSE(search_.SearchKeywords("", 5).ok());
   EXPECT_FALSE(search_.SearchKeywords("!!!", 5).ok());

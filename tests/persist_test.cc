@@ -13,6 +13,7 @@
 
 #include "discovery/cocoa.h"
 #include "discovery/josie.h"
+#include "discovery/keyword_search.h"
 #include "discovery/lsh_ensemble_search.h"
 #include "discovery/santos.h"
 #include "lake/paper_fixtures.h"
@@ -72,6 +73,27 @@ BinaryWriter LshPayload(uint64_t col) {
   w.Array<uint32_t>(hist);
   const std::vector<uint64_t> sig(p.num_perm, 42);
   w.Array<uint64_t>(sig);
+  return w;
+}
+
+/// A keyword payload with vocabulary `terms` (document frequency 1 each)
+/// and one document, lake table T2, holding term id `id`.
+BinaryWriter KeywordPayload(const std::vector<std::string>& terms,
+                            uint32_t id) {
+  BinaryWriter w;
+  w.Str("keyword");
+  w.U32(1);
+  w.U64(1);
+  w.U64(terms.size());
+  for (const std::string& t : terms) {
+    w.Str(t);
+    w.U64(1);
+  }
+  w.U64(1);
+  w.Str("T2");
+  w.U64(1);
+  w.U32(id);
+  w.F64(1.0);
   return w;
 }
 
@@ -233,6 +255,21 @@ TEST(LshEnsemblePersistTest, LoadRejectsColumnOutOfRange) {
   LshEnsembleSearch lsh;
   ASSERT_TRUE(LoadCrafted(&lsh, LshPayload(1), lake).ok());
   EXPECT_EQ(LoadCrafted(&lsh, LshPayload(1000000), lake).code(),
+            StatusCode::kParseError);
+}
+
+// A vocabulary that repeats a term must fail to load: the postings
+// derived on load hold one list per distinct term, while a document entry
+// may name any id below the term count. {"x", "y"} is the control.
+TEST(KeywordPersistTest, LoadRejectsRepeatedTerm) {
+  DataLake lake = paper::MakeDemoLake(0);
+  KeywordSearch keyword;
+  ASSERT_TRUE(LoadCrafted(&keyword, KeywordPayload({"x", "y"}, 1), lake).ok());
+  auto hits = keyword.SearchKeywords("y", 5);
+  ASSERT_TRUE(hits.ok());
+  ASSERT_EQ(hits->size(), 1u);
+  EXPECT_EQ((*hits)[0].table_name, "T2");
+  EXPECT_EQ(LoadCrafted(&keyword, KeywordPayload({"x", "x"}, 1), lake).code(),
             StatusCode::kParseError);
 }
 
