@@ -22,15 +22,16 @@ std::vector<DiscoveryHit> RunBoundedTopK(std::vector<BoundedCandidate> candidate
             });
 
   // Top-k heap whose root is the *worst* of the k best hits: std::*_heap
-  // keeps the comparator's maximum at the root, so "larger" means "better"
-  // and the root is the weakest hit — the one the next candidate must beat.
+  // keeps the comparator's maximum at the root, and under `better` as the
+  // less-than that is the hit every other one beats — the one the next
+  // candidate must beat.
   std::vector<DiscoveryHit> heap;
-  auto root_is_worst = [](const DiscoveryHit& a, const DiscoveryHit& b) {
+  auto better = [](const DiscoveryHit& a, const DiscoveryHit& b) {
     return HitBetter(a, b);
   };
 
   for (size_t i = 0; i < candidates.size(); ++i) {
-    BoundedCandidate& cand = candidates[i];
+    const BoundedCandidate& cand = candidates[i];
     // RankHits never returns non-positive scores; bounds are sorted, so the
     // first non-positive bound prunes the whole tail.
     if (cand.upper_bound <= 0.0) {
@@ -47,8 +48,7 @@ std::vector<DiscoveryHit> RunBoundedTopK(std::vector<BoundedCandidate> candidate
         local.early_terminated = true;
         break;
       }
-      if (cand.upper_bound == worst.score &&
-          !(cand.table_name < worst.table_name)) {
+      if (!HitBetter(cand.upper_bound, cand.table_name, worst)) {
         // Even at its bound this candidate ties the k-th best score and
         // loses the name tiebreak — skip it, but keep scanning: a later
         // equal-bound candidate with a smaller name could still enter.
@@ -66,18 +66,20 @@ std::vector<DiscoveryHit> RunBoundedTopK(std::vector<BoundedCandidate> candidate
     double s = score(cand);
     ++local.scored_exact;
     if (s <= 0.0) continue;  // RankHits drops non-positive scores
-    DiscoveryHit hit{std::move(cand.table_name), s};
     if (heap.size() < k) {
-      heap.push_back(std::move(hit));
-      std::push_heap(heap.begin(), heap.end(), root_is_worst);
-    } else if (k > 0 && HitBetter(hit, heap.front())) {
-      std::pop_heap(heap.begin(), heap.end(), root_is_worst);
-      heap.back() = std::move(hit);
-      std::push_heap(heap.begin(), heap.end(), root_is_worst);
+      heap.push_back({});
+    } else if (k > 0 && HitBetter(s, cand.table_name, heap.front())) {
+      // Beats the weakest kept hit; a candidate that loses is never copied.
+      std::pop_heap(heap.begin(), heap.end(), better);
+    } else {
+      continue;
     }
+    heap.back().table_name.assign(cand.table_name);
+    heap.back().score = s;
+    std::push_heap(heap.begin(), heap.end(), better);
   }
 
-  std::sort(heap.begin(), heap.end(), HitBetter);
+  std::sort(heap.begin(), heap.end(), better);
   if (stats != nullptr) *stats = local;
   return heap;
 }

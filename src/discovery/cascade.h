@@ -7,6 +7,7 @@
 #include <limits>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "discovery/discovery.h"
@@ -31,9 +32,13 @@ namespace dialite {
 
 /// One stage-0 candidate: a lake table plus an admissible upper bound on
 /// the discovery algorithm's exact score for it (bound >= exact score).
+/// `table_name` views a name that outlives the search (the lake's own
+/// copy); the scan order and the top-k heap break ties on it. `table` is
+/// the lake's dense id, which the exact scorer indexes its arrays by.
 struct BoundedCandidate {
-  std::string table_name;
+  std::string_view table_name;
   double upper_bound = 0.0;
+  TableId table = kNoTable;
 };
 
 /// Per-search cascade instrumentation, published through the obs layer as

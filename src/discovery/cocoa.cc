@@ -150,16 +150,14 @@ CocoaSearch::NumericCells CocoaSearch::ParseNumericCells(const Table& t) {
 }
 
 void CocoaSearch::DeriveNumericSides(const DataLake& lake) {
-  numeric_.clear();
-  std::vector<std::pair<const Table*, NumericCells*>> todo;
-  for (const auto& [table, col] : index_.columns()) {
-    auto [it, inserted] = numeric_.try_emplace(table);
-    // Build and load both check that every indexed table is in the lake.
-    if (inserted) todo.emplace_back(lake.Get(table), &it->second);
+  numeric_.assign(lake.size(), NumericCells{});
+  std::vector<TableId> todo;
+  for (TableId t = 0; t < lake.size(); ++t) {
+    if (!index_.ColumnsOf(t).empty()) todo.push_back(t);
   }
   // Tables are independent, so they parse on the build's workers.
   ForEachTableIndex(num_threads_, todo.size(), [&](size_t i) {
-    *todo[i].second = ParseNumericCells(*todo[i].first);
+    numeric_[todo[i]] = ParseNumericCells(lake.table(todo[i]));
   }, obs_);
 }
 
@@ -253,7 +251,7 @@ Status CocoaSearch::SavePayload(BinaryWriter* w) const {
   if (lake_ == nullptr) return Status::Internal("BuildIndex not called");
   w->Str(name());
   w->U32(kCocoaPayloadVersion);
-  index_.Save(w);
+  index_.Save(*lake_, w);
   return Status::OK();
 }
 
@@ -284,30 +282,31 @@ Result<std::vector<DiscoveryHit>> CocoaSearch::Search(
   std::vector<std::string> qtokens = ColumnTokens(qcol);
   if (qtokens.empty()) return std::vector<DiscoveryHit>{};
 
-  // Joinable candidates via the inverted index.
-  std::unordered_map<uint32_t, size_t> overlap;
+  // Joinable candidates via the inverted index: per-column overlap counts
+  // in a dense array, columns in first-seen order.
+  std::vector<uint32_t> overlap(index_.columns().size(), 0);
+  std::vector<uint32_t> seen;
   for (const std::string& tok : qtokens) {
     const std::vector<uint32_t>* ids = index_.Find(tok);
     if (ids == nullptr) continue;
-    for (uint32_t id : *ids) ++overlap[id];
+    for (uint32_t id : *ids) {
+      if (overlap[id]++ == 0) seen.push_back(id);
+    }
   }
   const double min_overlap =
       params_.min_containment * static_cast<double>(qtokens.size());
+  const TableId self = lake_->IdOf(query.table->name());
   struct Joinable {
     uint32_t id;
     size_t overlap;
-    const Table* table;
-    const NumericCells* numeric;
+    TableId table;
   };
   std::vector<Joinable> joinable;
-  for (const auto& [id, n] : overlap) {
-    if (static_cast<double>(n) < min_overlap) continue;
-    const std::string& table_name = index_.columns()[id].first;
-    if (table_name == query.table->name()) continue;
-    const Table* cand = lake_->Get(table_name);
-    if (cand == nullptr) continue;
-    // Build and load derive every indexed table's cells.
-    joinable.push_back({id, n, cand, &numeric_.find(table_name)->second});
+  for (uint32_t id : seen) {
+    if (static_cast<double>(overlap[id]) < min_overlap) continue;
+    const TableId t = index_.columns()[id].table;
+    if (t == self) continue;
+    joinable.push_back({id, overlap[id], t});
   }
 
   // Each joinable column's best correlation.
@@ -320,8 +319,8 @@ Result<std::vector<DiscoveryHit>> CocoaSearch::Search(
         return Status::DeadlineExceeded("cocoa exhaustive scan cancelled");
       }
       rhos[i] = BestJoinedCorrelation(
-          *query.table, query.query_column, *joinable[i].table,
-          index_.columns()[joinable[i].id].second, params_.min_joined_rows);
+          *query.table, query.query_column, lake_->table(joinable[i].table),
+          index_.columns()[joinable[i].id].column, params_.min_joined_rows);
     }
   } else {
     QuerySide side = MakeQuerySide(*query.table, qcol);
@@ -330,29 +329,37 @@ Result<std::vector<DiscoveryHit>> CocoaSearch::Search(
       if (poller.Cancelled()) {
         return Status::DeadlineExceeded("cocoa search cancelled");
       }
-      rhos[i] = JoinedCorrelation(
-          &side, *joinable[i].table, index_.columns()[joinable[i].id].second,
-          *joinable[i].numeric, &spearman_evals);
+      const TableId t = joinable[i].table;
+      rhos[i] = JoinedCorrelation(&side, lake_->table(t),
+                                  index_.columns()[joinable[i].id].column,
+                                  numeric_[t], &spearman_evals);
     }
     ObsAdd(obs_, "discover.cocoa.work.spearman_evals", spearman_evals);
   }
 
   // Per table, the best score over its joinable columns. Correlated
   // candidates score by |ρ|; uncorrelated ones by a scaled containment
-  // floor, so they rank strictly below.
-  std::unordered_map<std::string, double> best_score;
+  // floor, so they rank strictly below. A table enters `scored` with its
+  // first positive score (RankHits drops the rest).
+  std::vector<double> best_score(lake_->size(), 0.0);
+  std::vector<TableId> scored;
   for (size_t i = 0; i < joinable.size(); ++i) {
     double containment = static_cast<double>(joinable[i].overlap) /
                          static_cast<double>(qtokens.size());
     double score = rhos[i] > 0.0
                        ? rhos[i]
                        : params_.joinability_fallback_scale * containment;
-    double& cur = best_score[index_.columns()[joinable[i].id].first];
-    cur = std::max(cur, score);
+    const TableId t = joinable[i].table;
+    if (score > best_score[t]) {
+      if (best_score[t] == 0.0) scored.push_back(t);
+      best_score[t] = score;
+    }
   }
   std::vector<DiscoveryHit> hits;
-  hits.reserve(best_score.size());
-  for (const auto& [name, score] : best_score) hits.push_back({name, score});
+  hits.reserve(scored.size());
+  for (TableId t : scored) {
+    hits.push_back({lake_->table_names()[t], best_score[t]});
+  }
   return RankHits(std::move(hits), query.k);
 }
 

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "discovery/column_postings.h"
@@ -89,9 +88,10 @@ class CocoaSearch : public DiscoveryAlgorithm, public PersistentIndex {
   Params params_;
   const DataLake* lake_ = nullptr;
   ColumnPostings index_;
-  /// Each indexed table's NumericCells, keyed by name: derived once per
-  /// index epoch, on build and load (not persisted).
-  std::unordered_map<std::string, NumericCells> numeric_;
+  /// Per lake table id, its NumericCells (empty for tables without an
+  /// indexed column): derived once per index epoch, on build and load (not
+  /// persisted).
+  std::vector<NumericCells> numeric_;
 };
 
 /// Best absolute Spearman correlation between any numeric column of

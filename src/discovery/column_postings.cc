@@ -20,24 +20,21 @@ void ColumnPostings::Build(const DataLake& lake, size_t min_distinct,
     tokens[i] = lake.sketch_cache().TokenSets(*tables[i]);
   }, obs);
   // Merge phase: serial, in lake order.
-  for (size_t i = 0; i < tables.size(); ++i) {
-    const Table* t = tables[i];
-    for (size_t c = 0; c < t->num_columns(); ++c) {
-      const std::vector<std::string>& toks = (*tokens[i])[c];
+  for (TableId t = 0; t < tables.size(); ++t) {
+    for (size_t c = 0; c < tables[t]->num_columns(); ++c) {
+      const std::vector<std::string>& toks = (*tokens[t])[c];
       if (toks.size() < min_distinct) continue;
       uint32_t id = static_cast<uint32_t>(columns_.size());
-      columns_.emplace_back(t->name(), c);
+      columns_.push_back({t, static_cast<uint32_t>(c)});
       for (const std::string& tok : toks) postings_[tok].push_back(id);
     }
   }
+  table_columns_ = TableColumns(columns_, tables.size());
 }
 
-void ColumnPostings::Save(BinaryWriter* w) const {
+void ColumnPostings::Save(const DataLake& lake, BinaryWriter* w) const {
   w->U64(columns_.size());
-  for (const auto& [table, col] : columns_) {
-    w->Str(table);
-    w->U64(col);
-  }
+  for (const LakeColumn& ref : columns_) WriteLakeColumn(lake, ref, w);
   std::vector<const std::string*> tokens;
   tokens.reserve(postings_.size());
   for (const auto& [token, ids] : postings_) tokens.push_back(&token);
@@ -56,22 +53,9 @@ Status ColumnPostings::Load(BinaryReader* r, const DataLake& lake) {
   if (n > r->remaining()) {
     return Status::ParseError("postings column count overruns the payload");
   }
-  std::vector<ColumnRef> columns;
-  columns.reserve(static_cast<size_t>(n));
-  for (uint64_t i = 0; i < n; ++i) {
-    std::string table;
-    DIALITE_RETURN_IF_ERROR(r->Str(&table));
-    uint64_t col = 0;
-    DIALITE_RETURN_IF_ERROR(r->U64(&col));
-    const Table* t = lake.Get(table);
-    if (t == nullptr) {
-      return Status::NotFound("indexed table '" + table +
-                              "' missing from lake");
-    }
-    if (col >= t->num_columns()) {
-      return Status::ParseError("postings column id references unknown column");
-    }
-    columns.emplace_back(std::move(table), static_cast<size_t>(col));
+  std::vector<LakeColumn> columns(static_cast<size_t>(n));
+  for (LakeColumn& col : columns) {
+    DIALITE_RETURN_IF_ERROR(ReadLakeColumn(r, lake, &col));
   }
   DIALITE_RETURN_IF_ERROR(r->U64(&n));
   if (n > r->remaining()) {
@@ -94,6 +78,7 @@ Status ColumnPostings::Load(BinaryReader* r, const DataLake& lake) {
   }
   columns_ = std::move(columns);
   postings_ = std::move(postings);
+  table_columns_ = TableColumns(columns_, lake.size());
   return Status::OK();
 }
 

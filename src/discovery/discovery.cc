@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "common/thread_pool.h"
+#include "snapshot/bytes.h"
 
 namespace dialite {
 
@@ -43,16 +44,87 @@ void ForEachTableIndex(size_t num_threads, size_t n,
   pool.ParallelFor(n, fn);
 }
 
+void WriteLakeColumn(const DataLake& lake, const LakeColumn& col,
+                     BinaryWriter* w) {
+  w->Str(lake.table_names()[col.table]);
+  w->U64(col.column);
+}
+
+Status ReadLakeColumn(BinaryReader* r, const DataLake& lake, LakeColumn* out) {
+  std::string table;
+  DIALITE_RETURN_IF_ERROR(r->Str(&table));
+  uint64_t column = 0;
+  DIALITE_RETURN_IF_ERROR(r->U64(&column));
+  const TableId t = lake.IdOf(table);
+  if (t == kNoTable) {
+    return Status::NotFound("indexed table '" + table + "' missing from lake");
+  }
+  if (column >= lake.table(t).num_columns()) {
+    return Status::ParseError("indexed column " + std::to_string(column) +
+                              " is past the width of table '" + table + "'");
+  }
+  *out = {t, static_cast<uint32_t>(column)};
+  return Status::OK();
+}
+
+TableColumns::TableColumns(const std::vector<LakeColumn>& columns,
+                           size_t num_tables)
+    : ids_(num_tables) {
+  for (size_t i = 0; i < columns.size(); ++i) {
+    ids_[columns[i].table].push_back(static_cast<uint32_t>(i));
+  }
+}
+
+const std::vector<uint32_t>& TableColumns::Of(TableId t) const {
+  static const std::vector<uint32_t> kNone;
+  return t < ids_.size() ? ids_[t] : kNone;
+}
+
+std::vector<TableId> IndexedIdsByName(const DataLake& lake,
+                                      const std::vector<uint8_t>& indexed) {
+  const std::vector<std::string>& names = lake.table_names();
+  std::vector<TableId> ids;
+  for (TableId t = 0; t < indexed.size(); ++t) {
+    if (indexed[t]) ids.push_back(t);
+  }
+  std::sort(ids.begin(), ids.end(),
+            [&](TableId a, TableId b) { return names[a] < names[b]; });
+  return ids;
+}
+
+Result<TableId> ClaimPayloadTable(const DataLake& lake,
+                                  const std::string& table,
+                                  const std::string& algo,
+                                  std::vector<uint8_t>* indexed) {
+  const TableId t = lake.IdOf(table);
+  if (t == kNoTable) {
+    return Status::NotFound("indexed table '" + table + "' missing from lake");
+  }
+  if ((*indexed)[t]) {
+    return Status::ParseError(algo + " payload lists table '" + table +
+                              "' twice");
+  }
+  (*indexed)[t] = 1;
+  return t;
+}
+
+bool HitBetter(double score, std::string_view name, const DiscoveryHit& b) {
+  if (score != b.score) return score > b.score;
+  return name < b.table_name;
+}
+
 bool HitBetter(const DiscoveryHit& a, const DiscoveryHit& b) {
-  if (a.score != b.score) return a.score > b.score;
-  return a.table_name < b.table_name;
+  return HitBetter(a.score, a.table_name, b);
 }
 
 std::vector<DiscoveryHit> RankHits(std::vector<DiscoveryHit> hits, size_t k) {
   hits.erase(std::remove_if(hits.begin(), hits.end(),
                             [](const DiscoveryHit& h) { return h.score <= 0; }),
              hits.end());
-  std::sort(hits.begin(), hits.end(), HitBetter);
+  std::sort(hits.begin(), hits.end(),
+            [](const DiscoveryHit& a, const DiscoveryHit& b) {
+              return HitBetter(a, b);
+            });
   if (hits.size() > k) hits.resize(k);
   return hits;
 }

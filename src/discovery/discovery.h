@@ -1,8 +1,10 @@
 #ifndef DIALITE_DISCOVERY_DISCOVERY_H_
 #define DIALITE_DISCOVERY_DISCOVERY_H_
 
+#include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/cancel.h"
@@ -172,11 +174,60 @@ class PersistentIndex {
   Status LoadIndex(const std::string& path, const DataLake& lake);
 };
 
+/// One lake column as an index lists it: its table's lake id and its index
+/// in that table.
+struct LakeColumn {
+  TableId table = 0;
+  uint32_t column = 0;
+};
+
+/// Payload form of a LakeColumn: its table's name in `lake`, then the
+/// column index.
+void WriteLakeColumn(const DataLake& lake, const LakeColumn& col,
+                     BinaryWriter* w);
+
+/// Reads what WriteLakeColumn wrote: kNotFound when `lake` lacks the table,
+/// kParseError when the column is past the table's width.
+Status ReadLakeColumn(BinaryReader* r, const DataLake& lake, LakeColumn* out);
+
+/// An index's column list grouped by table: Of(t) holds the positions in
+/// the list of table t's columns, ascending.
+class TableColumns {
+ public:
+  TableColumns() = default;
+  /// `num_tables` is the lake's size; every entry's table must be below it.
+  TableColumns(const std::vector<LakeColumn>& columns, size_t num_tables);
+
+  /// Empty for a table past the lake (kNoTable included).
+  const std::vector<uint32_t>& Of(TableId t) const;
+
+ private:
+  std::vector<std::vector<uint32_t>> ids_;
+};
+
+/// For payloads that list per-table entries: the ids t with indexed[t]
+/// set, in table-name order, the order such payloads list tables in.
+std::vector<TableId> IndexedIdsByName(const DataLake& lake,
+                                      const std::vector<uint8_t>& indexed);
+
+/// Resolves table name `table` of an `algo` payload to its lake id and
+/// marks it in `indexed` (sized to the lake): kNotFound when the lake lacks
+/// the table, kParseError when the payload already listed it (an index has
+/// one slot per table).
+Result<TableId> ClaimPayloadTable(const DataLake& lake,
+                                  const std::string& table,
+                                  const std::string& algo,
+                                  std::vector<uint8_t>* indexed);
+
 /// The ranking order shared by RankHits and the cascade top-k heap: higher
 /// score first, ties broken by ascending table name. Table names are unique
 /// within a lake, so this is a strict total order — rankings (and the
 /// BENCH_*.json trajectories derived from them) are byte-stable across
-/// platforms and thread counts.
+/// platforms and thread counts. The first form ranks a hit given as its
+/// score and name (a candidate whose name is not copied yet) against `b`;
+/// the second calls it.
+[[nodiscard]] bool HitBetter(double score, std::string_view name,
+                             const DiscoveryHit& b);
 [[nodiscard]] bool HitBetter(const DiscoveryHit& a, const DiscoveryHit& b);
 
 /// Shared helper: sorts hits by HitBetter (score desc, name asc), drops

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <limits>
 #include <memory>
 
 #include "discovery/cascade.h"
@@ -13,27 +12,10 @@ namespace dialite {
 Status JosieSearch::BuildIndex(const DataLake& lake) {
   lake_ = &lake;
   index_.Build(lake, params_.min_distinct, num_threads_, obs_);
-  DeriveTableIds();
   ObsAdd(obs_, "discover.josie.build.tables", lake.size());
   ObsSet(obs_, "discover.josie.index.columns", index_.columns().size());
   ObsSet(obs_, "discover.josie.index.tokens", index_.num_tokens());
   return Status::OK();
-}
-
-void JosieSearch::DeriveTableIds() {
-  const std::vector<ColumnPostings::ColumnRef>& columns = index_.columns();
-  col_table_ids_.assign(columns.size(), 0);
-  table_names_.clear();
-  table_columns_.clear();
-  std::unordered_map<std::string, uint32_t> ids;
-  for (size_t i = 0; i < columns.size(); ++i) {
-    const std::string& tname = columns[i].first;
-    auto [it, inserted] =
-        ids.emplace(tname, static_cast<uint32_t>(table_names_.size()));
-    if (inserted) table_names_.push_back(tname);
-    col_table_ids_[i] = it->second;
-    table_columns_[tname].push_back(static_cast<uint32_t>(i));
-  }
 }
 
 namespace {
@@ -44,7 +26,7 @@ Status JosieSearch::SavePayload(BinaryWriter* w) const {
   if (lake_ == nullptr) return Status::Internal("BuildIndex not called");
   w->Str(name());
   w->U32(kJosiePayloadVersion);
-  index_.Save(w);
+  index_.Save(*lake_, w);
   return Status::OK();
 }
 
@@ -57,44 +39,42 @@ Status JosieSearch::LoadPayload(BinaryReader* r, const DataLake& lake) {
     return Status::ParseError("not a josie v1 index payload");
   }
   DIALITE_RETURN_IF_ERROR(index_.Load(r, lake));
-  DeriveTableIds();
   lake_ = &lake;
   return Status::OK();
 }
 
 std::vector<DiscoveryHit> JosieSearch::AggregateOverlaps(
-    const std::unordered_map<uint32_t, size_t>& overlap,
-    const std::string& self_name, size_t k) const {
-  // Per-table best column overlap.
-  std::unordered_map<std::string, size_t> best;
+    const std::unordered_map<uint32_t, size_t>& overlap, TableId self,
+    size_t k) const {
+  // Per-table best column overlap; a table enters `touched` with its first
+  // counted column (counts are at least 1).
+  std::vector<size_t> best(lake_->size(), 0);
+  std::vector<TableId> touched;
   for (const auto& [id, n] : overlap) {
     if (n < params_.min_overlap) continue;
-    const std::string& table_name = index_.columns()[id].first;
-    if (table_name == self_name) continue;
-    size_t& cur = best[table_name];
-    cur = std::max(cur, n);
+    const TableId t = index_.columns()[id].table;
+    if (t == self) continue;
+    if (best[t] == 0) touched.push_back(t);
+    best[t] = std::max(best[t], n);
   }
   std::vector<DiscoveryHit> hits;
-  hits.reserve(best.size());
-  for (const auto& [name, n] : best) {
-    hits.push_back({name, static_cast<double>(n)});
+  hits.reserve(touched.size());
+  for (TableId t : touched) {
+    hits.push_back({lake_->table_names()[t], static_cast<double>(best[t])});
   }
   return RankHits(std::move(hits), k);
 }
 
 double JosieSearch::ScoreTableExact(
-    const std::unordered_set<std::string_view>& qset,
-    const std::string& table_name) const {
-  const Table* cand = lake_->Get(table_name);
-  if (cand == nullptr) return 0.0;
-  auto tc = table_columns_.find(table_name);
-  if (tc == table_columns_.end()) return 0.0;
+    const std::unordered_set<std::string_view>& qset, TableId t) const {
+  const std::vector<uint32_t>& ids = index_.ColumnsOf(t);
+  if (ids.empty()) return 0.0;
   std::shared_ptr<const ColumnTokenSets> ctokens =
-      lake_->sketch_cache().TokenSets(*cand);
+      lake_->sketch_cache().TokenSets(lake_->table(t));
   size_t best = 0;
-  for (uint32_t id : tc->second) {
+  for (uint32_t id : ids) {
     const std::vector<std::string>& xtoks =
-        (*ctokens)[index_.columns()[id].second];
+        (*ctokens)[index_.columns()[id].column];
     size_t n = 0;
     for (const std::string& tok : xtoks) {
       if (qset.count(tok) != 0) ++n;
@@ -117,14 +97,14 @@ Result<double> JosieSearch::ScoreUpperBound(
   std::vector<std::string> qtokens =
       ColumnTokens(query.table->column(query.query_column));
   if (qtokens.empty()) return 0.0;
-  auto tc = table_columns_.find(table_name);
-  if (tc == table_columns_.end()) return 0.0;  // not indexed: cannot score
-  const Table* cand = lake_->Get(table_name);
-  if (cand == nullptr) return 0.0;
+  const TableId t = lake_->IdOf(table_name);
+  const std::vector<uint32_t>& ids = index_.ColumnsOf(t);
+  if (ids.empty()) return 0.0;  // not indexed: cannot score
+  const Table& cand = lake_->table(t);
   size_t ub = 0;
-  for (uint32_t id : tc->second) {
+  for (uint32_t id : ids) {
     size_t x = lake_->sketch_cache().DistinctCount(
-        *cand, index_.columns()[id].second);
+        cand, index_.columns()[id].column);
     ub = std::max(ub, std::min(qtokens.size(), x));
   }
   if (ub < params_.min_overlap) return 0.0;
@@ -160,8 +140,8 @@ Result<std::vector<DiscoveryHit>> JosieSearch::Search(
       }
       for (uint32_t id : *ids) ++overlap[id];
     }
-    std::vector<DiscoveryHit> hits =
-        AggregateOverlaps(overlap, query.table->name(), query.k);
+    std::vector<DiscoveryHit> hits = AggregateOverlaps(
+        overlap, lake_->IdOf(query.table->name()), query.k);
     stats.candidates_total = overlap.size();
     stats.scored_exact = overlap.size();
     PublishCascadeStats(obs_, name(), stats);
@@ -191,13 +171,9 @@ Result<std::vector<DiscoveryHit>> JosieSearch::Search(
   // Dense per-column partial counts and per-table bests: the merge's inner
   // loop touches flat arrays only — no string hashing per posting entry.
   std::vector<size_t> partial(index_.columns().size(), 0);
-  std::vector<size_t> table_best(table_names_.size(), 0);
-  std::vector<uint32_t> touched;  // dense ids of tables seen so far
-  uint32_t self_id = std::numeric_limits<uint32_t>::max();
-  if (auto sit = table_columns_.find(query.table->name());
-      sit != table_columns_.end() && !sit->second.empty()) {
-    self_id = col_table_ids_[sit->second.front()];
-  }
+  std::vector<size_t> table_best(lake_->size(), 0);
+  std::vector<TableId> touched;  // ids of tables seen so far
+  const TableId self_id = lake_->IdOf(query.table->name());
   size_t processed = 0;
   size_t next_check = 0;
   for (; processed < lists.size(); ++processed) {
@@ -217,7 +193,7 @@ Result<std::vector<DiscoveryHit>> JosieSearch::Search(
     }
     for (uint32_t id : *lists[processed].ids) {
       const size_t n = ++partial[id];
-      const uint32_t tid = col_table_ids_[id];
+      const TableId tid = index_.columns()[id].table;
       if (tid == self_id) continue;
       if (table_best[tid] == 0) touched.push_back(tid);
       table_best[tid] = std::max(table_best[tid], n);
@@ -234,23 +210,19 @@ Result<std::vector<DiscoveryHit>> JosieSearch::Search(
   bounded.reserve(touched.size());
   for (uint32_t t : touched) {
     const size_t ub = table_best[t] + remaining;
-    bounded.push_back({table_names_[t],
+    bounded.push_back({lake_->table_names()[t],
                        ub < params_.min_overlap ? 0.0
-                                                : static_cast<double>(ub)});
+                                                : static_cast<double>(ub),
+                       t});
   }
   std::unordered_set<std::string_view> qset;
-  std::unordered_map<std::string_view, size_t> best_by_name;
   ExactScorer scorer;
   if (remaining == 0) {
     // The merge ran to completion, so each table's best partial count IS
     // its exact best column overlap — same integer the exhaustive merge
     // aggregates. No need to re-probe the candidate's token sets.
-    best_by_name.reserve(touched.size());
-    for (uint32_t t : touched) best_by_name.emplace(table_names_[t],
-                                                    table_best[t]);
     scorer = [&](const BoundedCandidate& cand) {
-      auto it = best_by_name.find(cand.table_name);
-      const size_t n = it == best_by_name.end() ? 0 : it->second;
+      const size_t n = table_best[cand.table];
       return n < params_.min_overlap ? 0.0 : static_cast<double>(n);
     };
   } else {
@@ -258,7 +230,7 @@ Result<std::vector<DiscoveryHit>> JosieSearch::Search(
     // so survivors are verified against the data.
     qset.insert(qtokens.begin(), qtokens.end());
     scorer = [&](const BoundedCandidate& cand) {
-      return ScoreTableExact(qset, cand.table_name);
+      return ScoreTableExact(qset, cand.table);
     };
   }
   CascadeStats stats;
@@ -313,8 +285,8 @@ Result<std::vector<std::vector<DiscoveryHit>>> JosieSearch::SearchBatch(
   std::vector<std::vector<DiscoveryHit>> results;
   results.reserve(queries.size());
   for (size_t qi = 0; qi < queries.size(); ++qi) {
-    results.push_back(AggregateOverlaps(overlap[qi], queries[qi].table->name(),
-                                        queries[qi].k));
+    results.push_back(AggregateOverlaps(
+        overlap[qi], lake_->IdOf(queries[qi].table->name()), queries[qi].k));
   }
   return results;
 }

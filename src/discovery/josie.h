@@ -41,9 +41,9 @@ class JosieSearch : public DiscoveryAlgorithm, public PersistentIndex {
 
   /// Offline-index persistence (the paper's "indexes ... are built
   /// offline"): the payload is the ColumnPostings body after JOSIE's name
-  /// and version; the dense id arrays are rebuilt on load. The lake passed
-  /// to LoadPayload must contain the indexed tables and columns (they are
-  /// only needed for name resolution, not re-tokenized).
+  /// and version. The lake passed to LoadPayload must contain the indexed
+  /// tables and columns (they are only needed for name resolution, not
+  /// re-tokenized).
   Status SavePayload(BinaryWriter* w) const override;
   Status LoadPayload(BinaryReader* r, const DataLake& lake) override;
 
@@ -68,36 +68,25 @@ class JosieSearch : public DiscoveryAlgorithm, public PersistentIndex {
                                  const std::string& table_name) const override;
 
  private:
-  /// Per-table best-column exact overlap against `qset` over all of the
-  /// table's indexed columns; 0 when below min_overlap. The same integer
-  /// count the posting merge produces, so both paths score identically.
-  double ScoreTableExact(
-      const std::unordered_set<std::string_view>& qset,
-      const std::string& table_name) const;
+  /// Table `t`'s best-column exact overlap against `qset` over all of its
+  /// indexed columns; 0 when below min_overlap. The same integer count the
+  /// posting merge produces, so both paths score identically.
+  double ScoreTableExact(const std::unordered_set<std::string_view>& qset,
+                         TableId t) const;
 
   /// Folds per-column overlap counts into ranked per-table hits (the
-  /// exhaustive tail shared by Search and SearchBatch).
+  /// exhaustive tail shared by Search and SearchBatch), leaving out table
+  /// `self`.
   std::vector<DiscoveryHit> AggregateOverlaps(
-      const std::unordered_map<uint32_t, size_t>& overlap,
-      const std::string& self_name, size_t k) const;
-
-  /// Derives the dense column-id -> table-id mapping the cascade merge
-  /// accumulates into, and table_columns_, from index_'s columns (after
-  /// either BuildIndex or LoadPayload).
-  void DeriveTableIds();
+      const std::unordered_map<uint32_t, size_t>& overlap, TableId self,
+      size_t k) const;
 
   Params params_;
   const DataLake* lake_ = nullptr;
-  /// Column ids, (table name, column index) per id, and token postings.
+  /// Column ids, (table id, column index) per id, and token postings. The
+  /// cascade merge accumulates per-table bests in flat arrays indexed by
+  /// the lake's table ids, with no string hashing per posting.
   ColumnPostings index_;
-  /// Column id -> dense table id (index into table_names_) — lets the
-  /// cascade merge accumulate per-table bests in flat arrays instead of
-  /// hashing table-name strings per posting.
-  std::vector<uint32_t> col_table_ids_;
-  /// Dense table id -> table name, in first-indexed order.
-  std::vector<std::string> table_names_;
-  /// table name -> its indexed column ids (cascade exact verification).
-  std::unordered_map<std::string, std::vector<uint32_t>> table_columns_;
 };
 
 }  // namespace dialite

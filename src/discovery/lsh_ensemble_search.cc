@@ -1,9 +1,9 @@
 #include "discovery/lsh_ensemble_search.h"
 
 #include <algorithm>
-#include <map>
 #include <memory>
-#include <unordered_map>
+#include <span>
+#include <utility>
 
 #include "common/hash.h"
 #include "discovery/cascade.h"
@@ -30,7 +30,6 @@ Status LshEnsembleSearch::BuildIndex(const DataLake& lake) {
   lake_ = &lake;
   columns_.clear();
   bucket_hists_.clear();
-  table_columns_.clear();
   ensemble_ = LshEnsemble(LshEnsemble::Params{
       params_.num_perm, params_.num_partitions, params_.seed});
   const std::vector<const Table*> tables = lake.tables();
@@ -56,17 +55,17 @@ Status LshEnsembleSearch::BuildIndex(const DataLake& lake) {
     }
   }, obs_);
   // Merge phase: serial, in lake order (ensemble ids stay dense and stable).
-  for (size_t i = 0; i < tables.size(); ++i) {
-    const std::string& table_name = tables[i]->name();
-    for (IndexedColumn& col : indexed[i]) {
+  for (TableId t = 0; t < tables.size(); ++t) {
+    for (IndexedColumn& col : indexed[t]) {
       uint64_t id = columns_.size();
-      columns_.emplace_back(table_name, col.column);
-      bucket_hists_.push_back(std::move(col.hist));
-      table_columns_[table_name].push_back(id);
+      columns_.push_back({t, static_cast<uint32_t>(col.column)});
+      bucket_hists_.insert(bucket_hists_.end(), col.hist.begin(),
+                           col.hist.end());
       DIALITE_RETURN_IF_ERROR(
           ensemble_.AddSketch(id, col.set_size, std::move(col.mh)));
     }
   }
+  table_columns_ = TableColumns(columns_, tables.size());
   ObsAdd(obs_, "discover.lsh_ensemble.build.tables", tables.size());
   ObsSet(obs_, "discover.lsh_ensemble.index.columns", columns_.size());
   return ensemble_.Build();
@@ -81,11 +80,12 @@ Status LshEnsembleSearch::SavePayload(BinaryWriter* w) const {
   w->Str(name());
   w->U32(kLshPayloadVersion);
   w->U64(columns_.size());
+  const size_t buckets = params_.bound_buckets;
   for (size_t id = 0; id < columns_.size(); ++id) {
-    w->Str(columns_[id].first);
-    w->U64(columns_[id].second);
+    WriteLakeColumn(*lake_, columns_[id], w);
     w->U64(ensemble_.set_size(id));
-    w->Array<uint32_t>(bucket_hists_[id]);
+    w->Array<uint32_t>(std::span<const uint32_t>(
+        bucket_hists_.data() + id * buckets, buckets));
     w->Array<uint64_t>(ensemble_.sketch(id).signature());
   }
   return Status::OK();
@@ -104,25 +104,18 @@ Status LshEnsembleSearch::LoadPayload(BinaryReader* r, const DataLake& lake) {
   if (n > r->remaining()) {
     return Status::ParseError("lsh column count overruns the payload");
   }
-  columns_.clear();
-  bucket_hists_.clear();
-  table_columns_.clear();
-  ensemble_ = LshEnsemble(LshEnsemble::Params{
-      params_.num_perm, params_.num_partitions, params_.seed});
+  // Decoded into locals and installed only once the whole payload reads:
+  // a failed load leaves the index as it was.
+  std::vector<LakeColumn> columns;
+  std::vector<uint32_t> bucket_hists;
+  LshEnsemble ensemble(LshEnsemble::Params{params_.num_perm,
+                                           params_.num_partitions,
+                                           params_.seed});
   for (uint64_t id = 0; id < n; ++id) {
-    std::string table;
-    DIALITE_RETURN_IF_ERROR(r->Str(&table));
-    uint64_t col = 0, set_size = 0;
-    DIALITE_RETURN_IF_ERROR(r->U64(&col));
+    LakeColumn col;
+    DIALITE_RETURN_IF_ERROR(ReadLakeColumn(r, lake, &col));
+    uint64_t set_size = 0;
     DIALITE_RETURN_IF_ERROR(r->U64(&set_size));
-    const Table* t = lake.Get(table);
-    if (t == nullptr) {
-      return Status::NotFound("indexed table '" + table +
-                              "' missing from lake");
-    }
-    if (col >= t->num_columns()) {
-      return Status::ParseError("lsh column id references unknown column");
-    }
     std::span<const uint32_t> hist;
     DIALITE_RETURN_IF_ERROR(r->Array(&hist));
     if (hist.size() != params_.bound_buckets) {
@@ -133,16 +126,20 @@ Status LshEnsembleSearch::LoadPayload(BinaryReader* r, const DataLake& lake) {
     if (sig.size() != params_.num_perm) {
       return Status::ParseError("lsh signature length mismatch");
     }
-    DIALITE_RETURN_IF_ERROR(ensemble_.AddSketch(
+    DIALITE_RETURN_IF_ERROR(ensemble.AddSketch(
         id, static_cast<size_t>(set_size),
         MinHash::FromSignature(std::vector<uint64_t>(sig.begin(), sig.end()),
                                params_.seed)));
-    table_columns_[table].push_back(id);
-    columns_.emplace_back(std::move(table), static_cast<size_t>(col));
-    bucket_hists_.emplace_back(hist.begin(), hist.end());
+    columns.push_back(col);
+    bucket_hists.insert(bucket_hists.end(), hist.begin(), hist.end());
   }
+  DIALITE_RETURN_IF_ERROR(ensemble.Build());
+  ensemble_ = std::move(ensemble);
+  columns_ = std::move(columns);
+  bucket_hists_ = std::move(bucket_hists);
+  table_columns_ = TableColumns(columns_, lake.size());
   lake_ = &lake;
-  return ensemble_.Build();
+  return Status::OK();
 }
 
 double LshEnsembleSearch::ColumnUpperBound(uint64_t id,
@@ -154,9 +151,10 @@ double LshEnsembleSearch::ColumnUpperBound(uint64_t id,
   // ColumnTokens is distinct, so query_set_size is exactly the |Q| the
   // exact Containment() divides by, and integer -> double division is
   // monotone: the bound holds under fp rounding.
-  const std::vector<uint32_t>& xhist = bucket_hists_[id];
+  const size_t buckets = params_.bound_buckets;
+  const uint32_t* xhist = bucket_hists_.data() + id * buckets;
   uint64_t inter = 0;
-  for (size_t b = 0; b < xhist.size(); ++b) {
+  for (size_t b = 0; b < buckets; ++b) {
     inter += std::min(qhist[b], xhist[b]);
   }
   double ub = static_cast<double>(inter) / static_cast<double>(query_set_size);
@@ -176,11 +174,13 @@ Result<double> LshEnsembleSearch::ScoreUpperBound(
   std::vector<std::string> qtokens =
       ColumnTokens(query.table->column(query.query_column));
   if (qtokens.empty()) return 0.0;
-  auto it = table_columns_.find(table_name);
-  if (it == table_columns_.end()) return 0.0;  // not indexed: cannot score
+  // A table without indexed columns cannot score.
+  const std::vector<uint32_t>& ids =
+      table_columns_.Of(lake_->IdOf(table_name));
+  if (ids.empty()) return 0.0;
   const std::vector<uint32_t> qhist = TokenHistogram(qtokens);
   double ub = 0.0;
-  for (uint64_t id : it->second) {
+  for (uint32_t id : ids) {
     ub = std::max(ub, ColumnUpperBound(id, qhist, qtokens.size()));
   }
   return ub;
@@ -200,19 +200,17 @@ Result<std::vector<DiscoveryHit>> LshEnsembleSearch::Search(
   // ensemble's own sketch of it, so per-search query sketching drops out.
   // Transient query tables are tokenized locally — the cache must not pin
   // them.
+  const TableId self = lake_->IdOf(query.table->name());
   std::shared_ptr<const ColumnTokenSets> cached_tokens;
   const MinHash* qsketch = nullptr;
   std::vector<std::string> own_tokens;
   const std::vector<std::string>* qtokens_ptr = &own_tokens;
-  if (lake_->Get(query.table->name()) == query.table) {
+  if (self != kNoTable && &lake_->table(self) == query.table) {
     cached_tokens = lake_->sketch_cache().TokenSets(*query.table);
     qtokens_ptr = &(*cached_tokens)[query.query_column];
-    auto it = table_columns_.find(query.table->name());
-    if (it != table_columns_.end()) {
-      for (uint64_t id : it->second) {
-        if (columns_[id].second == query.query_column) {
-          qsketch = &ensemble_.sketch(id);
-        }
+    for (uint32_t id : table_columns_.Of(self)) {
+      if (columns_[id].column == query.query_column) {
+        qsketch = &ensemble_.sketch(id);
       }
     }
   } else {
@@ -229,25 +227,37 @@ Result<std::vector<DiscoveryHit>> LshEnsembleSearch::Search(
                             params_.containment_threshold)
           : ensemble_.Query(qtokens, params_.containment_threshold);
 
-  // Group candidate columns by table; both modes score a table as its best
-  // verified column's containment, through the same Containment() calls.
-  std::map<std::string, std::vector<uint64_t>> by_table;
+  // Group candidate columns by table, in table-id order: group j is
+  // by_table[starts[j], starts[j + 1]), all of table group_table[j]. Both
+  // modes score a table as its best verified column's containment,
+  // through the same Containment() calls.
+  std::vector<std::pair<TableId, uint32_t>> by_table;
+  by_table.reserve(cand_ids.size());
   for (uint64_t id : cand_ids) {
-    const auto& [table_name, col] = columns_[id];
-    (void)col;
-    if (table_name == query.table->name()) continue;
-    by_table[table_name].push_back(id);
+    const TableId t = columns_[id].table;
+    if (t == self) continue;
+    by_table.emplace_back(t, static_cast<uint32_t>(id));
   }
+  std::sort(by_table.begin(), by_table.end());
+  std::vector<size_t> starts;
+  std::vector<TableId> group_table;
+  for (size_t i = 0; i < by_table.size(); ++i) {
+    if (i == 0 || by_table[i].first != by_table[i - 1].first) {
+      starts.push_back(i);
+      group_table.push_back(by_table[i].first);
+    }
+  }
+  starts.push_back(by_table.size());
+  const size_t num_groups = group_table.size();
+  const std::vector<std::string>& names = lake_->table_names();
 
-  auto score_table = [&](const std::string& table_name,
-                         const std::vector<uint64_t>& ids) {
-    const Table* cand = lake_->Get(table_name);
-    if (cand == nullptr) return 0.0;
+  auto score_table = [&](size_t group) {
     std::shared_ptr<const ColumnTokenSets> ctokens =
-        lake_->sketch_cache().TokenSets(*cand);
+        lake_->sketch_cache().TokenSets(lake_->table(group_table[group]));
     double best = 0.0;
-    for (uint64_t id : ids) {
-      double c = Containment(qtokens, (*ctokens)[columns_[id].second]);
+    for (size_t i = starts[group]; i < starts[group + 1]; ++i) {
+      const uint32_t col = columns_[by_table[i].second].column;
+      double c = Containment(qtokens, (*ctokens)[col]);
       if (c < params_.containment_threshold) continue;
       best = std::max(best, c);
     }
@@ -256,17 +266,17 @@ Result<std::vector<DiscoveryHit>> LshEnsembleSearch::Search(
 
   if (search_mode_ == SearchMode::kExhaustive) {
     std::vector<DiscoveryHit> hits;
-    hits.reserve(by_table.size());
+    hits.reserve(num_groups);
     CascadeStats stats;
-    stats.candidates_total = by_table.size();
-    stats.scored_exact = by_table.size();
-    for (const auto& [table_name, ids] : by_table) {
+    stats.candidates_total = num_groups;
+    stats.scored_exact = num_groups;
+    for (size_t j = 0; j < num_groups; ++j) {
       if (query.cancel != nullptr && query.cancel->Cancelled()) {
         return Status::DeadlineExceeded(
             "lsh_ensemble exhaustive scan cancelled");
       }
-      double score = score_table(table_name, ids);
-      if (score > 0.0) hits.push_back({table_name, score});
+      double score = score_table(j);
+      if (score > 0.0) hits.push_back({names[group_table[j]], score});
     }
     PublishCascadeStats(obs_, name(), stats);
     return RankHits(std::move(hits), query.k);
@@ -277,16 +287,19 @@ Result<std::vector<DiscoveryHit>> LshEnsembleSearch::Search(
   // shared across every candidate column.
   const std::vector<uint32_t> qhist = TokenHistogram(qtokens);
   std::vector<BoundedCandidate> bounded;
-  bounded.reserve(by_table.size());
-  for (const auto& [table_name, ids] : by_table) {
+  bounded.reserve(num_groups);
+  for (size_t j = 0; j < num_groups; ++j) {
     double ub = 0.0;
-    for (uint64_t id : ids) {
-      ub = std::max(ub, ColumnUpperBound(id, qhist, qtokens.size()));
+    for (size_t i = starts[j]; i < starts[j + 1]; ++i) {
+      ub = std::max(ub,
+                    ColumnUpperBound(by_table[i].second, qhist, qtokens.size()));
     }
-    bounded.push_back({table_name, ub});
+    bounded.push_back({names[group_table[j]], ub, group_table[j]});
   }
   ExactScorer scorer = [&](const BoundedCandidate& cand) {
-    return score_table(cand.table_name, by_table.find(cand.table_name)->second);
+    return score_table(static_cast<size_t>(
+        std::lower_bound(group_table.begin(), group_table.end(), cand.table) -
+        group_table.begin()));
   };
   CascadeStats stats;
   std::vector<DiscoveryHit> top =

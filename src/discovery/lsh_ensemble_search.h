@@ -1,9 +1,8 @@
 #ifndef DIALITE_DISCOVERY_LSH_ENSEMBLE_SEARCH_H_
 #define DIALITE_DISCOVERY_LSH_ENSEMBLE_SEARCH_H_
 
+#include <cstdint>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "discovery/discovery.h"
@@ -77,13 +76,15 @@ class LshEnsembleSearch : public DiscoveryAlgorithm, public PersistentIndex {
   /// are ensemble_.sketch(i) and ensemble_.set_size(i).
   LshEnsemble ensemble_;
   const DataLake* lake_ = nullptr;
-  /// Ensemble id -> (table name, column index).
-  std::vector<std::pair<std::string, size_t>> columns_;
-  /// Ensemble id -> token-hash bucket histogram (stage-0 bound).
-  std::vector<std::vector<uint32_t>> bucket_hists_;
-  /// table name -> every ensemble id indexed for it (ScoreUpperBound's
-  /// candidate-free bound path; a lake-resident query column's sketch).
-  std::unordered_map<std::string, std::vector<uint64_t>> table_columns_;
+  /// Ensemble id -> its lake column.
+  std::vector<LakeColumn> columns_;
+  /// Ensemble id i's token-hash bucket histogram (stage-0 bound) at
+  /// [i * bound_buckets, (i + 1) * bound_buckets).
+  std::vector<uint32_t> bucket_hists_;
+  /// columns_ grouped by table, derived on build and load
+  /// (ScoreUpperBound's candidate-free bound path; a lake-resident query
+  /// column's sketch).
+  TableColumns table_columns_;
 };
 
 }  // namespace dialite

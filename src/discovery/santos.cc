@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string_view>
 #include <unordered_set>
 
 #include "discovery/cascade.h"
@@ -62,11 +63,27 @@ SantosSearch::BoundProfile SantosSearch::MakeBoundProfile(
   return prof;
 }
 
-Status SantosSearch::BuildIndex(const DataLake& lake) {
-  lake_ = &lake;
-  semantics_.clear();
-  bounds_.clear();
+void SantosSearch::Install(const DataLake& lake,
+                           std::vector<TableSemantics> sems,
+                           std::vector<uint8_t> indexed) {
   type_index_.clear();
+  bounds_.clear();
+  bounds_.reserve(sems.size());
+  for (TableId t = 0; t < sems.size(); ++t) {
+    std::unordered_set<std::string_view> types_seen;
+    for (const ColumnSemantics& col : sems[t].columns) {
+      for (const auto& [type, conf] : col.types) {
+        if (types_seen.insert(type).second) type_index_[type].push_back(t);
+      }
+    }
+    bounds_.push_back(MakeBoundProfile(sems[t]));
+  }
+  semantics_ = std::move(sems);
+  indexed_ = std::move(indexed);
+  lake_ = &lake;
+}
+
+Status SantosSearch::BuildIndex(const DataLake& lake) {
   const std::vector<const Table*> tables = lake.tables();
   // Compute phase: KB annotation per table (the expensive part — column
   // types, pairwise relationships) runs across the worker pool; distinct
@@ -77,21 +94,8 @@ Status SantosSearch::BuildIndex(const DataLake& lake) {
         lake.sketch_cache().DistinctValues(*tables[i]);
     sems[i] = Annotate(*tables[i], distinct.get());
   }, obs_);
-  // Merge phase: serial, in lake order, so the inverted type index's
-  // posting order matches a sequential build exactly.
-  for (size_t i = 0; i < tables.size(); ++i) {
-    const Table* t = tables[i];
-    std::unordered_set<std::string> types_seen;
-    for (const ColumnSemantics& col : sems[i].columns) {
-      for (const auto& [type, conf] : col.types) {
-        if (types_seen.insert(type).second) {
-          type_index_[type].push_back(t->name());
-        }
-      }
-    }
-    bounds_.emplace(t->name(), MakeBoundProfile(sems[i]));
-    semantics_.emplace(t->name(), std::move(sems[i]));
-  }
+  // Merge phase: serial, in lake order.
+  Install(lake, std::move(sems), std::vector<uint8_t>(tables.size(), 1));
   ObsAdd(obs_, "discover.santos.build.tables", tables.size());
   ObsSet(obs_, "discover.santos.index.types", type_index_.size());
   return Status::OK();
@@ -132,17 +136,12 @@ Status SantosSearch::SavePayload(BinaryWriter* w) const {
   if (lake_ == nullptr) return Status::Internal("BuildIndex not called");
   w->Str(name());
   w->U32(kSantosPayloadVersion);
-  // Tables in sorted name order (the map is unordered) so save -> load ->
-  // save is byte-identical.
-  std::vector<const std::string*> names;
-  names.reserve(semantics_.size());
-  for (const auto& [table, sem] : semantics_) names.push_back(&table);
-  std::sort(names.begin(), names.end(),
-            [](const std::string* a, const std::string* b) { return *a < *b; });
-  w->U64(names.size());
-  for (const std::string* table : names) {
-    const TableSemantics& sem = semantics_.at(*table);
-    w->Str(*table);
+  // Tables in sorted name order so save -> load -> save is byte-identical.
+  const std::vector<TableId> ids = IndexedIdsByName(*lake_, indexed_);
+  w->U64(ids.size());
+  for (TableId t : ids) {
+    const TableSemantics& sem = semantics_[t];
+    w->Str(lake_->table_names()[t]);
     w->U64(sem.columns.size());
     for (const ColumnSemantics& col : sem.columns) {
       WriteLabelConfMap(col.types, w);
@@ -169,22 +168,19 @@ Status SantosSearch::LoadPayload(BinaryReader* r, const DataLake& lake) {
   if (num_tables > r->remaining()) {
     return Status::ParseError("santos table count overruns the payload");
   }
-  semantics_.clear();
-  bounds_.clear();
-  type_index_.clear();
-  for (uint64_t t = 0; t < num_tables; ++t) {
+  std::vector<TableSemantics> sems(lake.size());
+  std::vector<uint8_t> indexed(lake.size(), 0);
+  for (uint64_t n = 0; n < num_tables; ++n) {
     std::string table;
     DIALITE_RETURN_IF_ERROR(r->Str(&table));
-    if (!lake.Contains(table)) {
-      return Status::NotFound("indexed table '" + table +
-                              "' missing from lake");
-    }
+    Result<TableId> t = ClaimPayloadTable(lake, table, name(), &indexed);
+    if (!t.ok()) return t.status();
     uint64_t ncols = 0;
     DIALITE_RETURN_IF_ERROR(r->U64(&ncols));
     if (ncols > r->remaining()) {
       return Status::ParseError("santos column count overruns the payload");
     }
-    TableSemantics sem;
+    TableSemantics& sem = sems[*t];
     sem.columns.resize(static_cast<size_t>(ncols));
     sem.anchored_relations.resize(static_cast<size_t>(ncols));
     for (uint64_t c = 0; c < ncols; ++c) {
@@ -194,18 +190,9 @@ Status SantosSearch::LoadPayload(BinaryReader* r, const DataLake& lake) {
     for (uint64_t c = 0; c < ncols; ++c) {
       DIALITE_RETURN_IF_ERROR(ReadLabelConfMap(r, &sem.anchored_relations[c]));
     }
-    // Rebuild the derived structures exactly as BuildIndex's merge phase
-    // does: inverted type index (first-seen dedup) and the bound profile.
-    std::unordered_set<std::string> seen;
-    for (const ColumnSemantics& col : sem.columns) {
-      for (const auto& [type, conf] : col.types) {
-        if (seen.insert(type).second) type_index_[type].push_back(table);
-      }
-    }
-    bounds_.emplace(table, MakeBoundProfile(sem));
-    semantics_.emplace(std::move(table), std::move(sem));
   }
-  lake_ = &lake;
+  // The same derivation BuildIndex's merge phase runs.
+  Install(lake, std::move(sems), std::move(indexed));
   return Status::OK();
 }
 
@@ -295,14 +282,14 @@ Result<double> SantosSearch::ScoreUpperBound(
   if (query.query_column >= query.table->num_columns()) {
     return Status::OutOfRange("query column out of range");
   }
-  auto it = bounds_.find(table_name);
-  if (it == bounds_.end()) {
+  const TableId t = lake_->IdOf(table_name);
+  if (t >= indexed_.size() || !indexed_[t]) {
     return Status::NotFound("no santos bound profile for '" + table_name +
                             "'");
   }
   TableSemantics qsem = Annotate(*query.table);
   if (qsem.columns[query.query_column].types.empty()) return 0.0;
-  return CandidateUpperBound(qsem, query.query_column, it->second);
+  return CandidateUpperBound(qsem, query.query_column, bounds_[t]);
 }
 
 Result<std::vector<DiscoveryHit>> SantosSearch::Search(
@@ -321,31 +308,33 @@ Result<std::vector<DiscoveryHit>> SantosSearch::Search(
     return std::vector<DiscoveryHit>{};
   }
 
-  // Candidate generation from the inverted type index.
-  std::unordered_set<std::string> candidates;
+  // Candidate generation from the inverted type index, deduplicated, in
+  // id order, without the query's own table.
+  std::vector<TableId> candidates;
   for (const auto& [type, conf] : intent.types) {
     auto it = type_index_.find(type);
     if (it == type_index_.end()) continue;
-    candidates.insert(it->second.begin(), it->second.end());
+    candidates.insert(candidates.end(), it->second.begin(), it->second.end());
   }
+  std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                   candidates.end());
+  const TableId self = lake_->IdOf(query.table->name());
+  candidates.erase(std::remove(candidates.begin(), candidates.end(), self),
+                   candidates.end());
+  const std::vector<std::string>& names = lake_->table_names();
 
   if (search_mode_ == SearchMode::kExhaustive) {
     std::vector<DiscoveryHit> hits;
     CascadeStats stats;
-    for (const std::string& cand_name : candidates) {
+    for (TableId t : candidates) {
       if (query.cancel != nullptr && query.cancel->Cancelled()) {
         return Status::DeadlineExceeded("santos exhaustive scan cancelled");
       }
-      if (cand_name == query.table->name()) continue;
-      auto it = semantics_.find(cand_name);
-      if (it == semantics_.end()) {
-        return Status::Internal("santos index missing semantics for '" +
-                                cand_name + "'");
-      }
       ++stats.candidates_total;
       ++stats.scored_exact;
-      double score = ScoreCandidate(qsem, query.query_column, it->second);
-      if (score > 0.0) hits.push_back({cand_name, score});
+      double score = ScoreCandidate(qsem, query.query_column, semantics_[t]);
+      if (score > 0.0) hits.push_back({names[t], score});
     }
     PublishCascadeStats(obs_, name(), stats);
     return RankHits(std::move(hits), query.k);
@@ -355,30 +344,17 @@ Result<std::vector<DiscoveryHit>> SantosSearch::Search(
   // top-k over the exact scorer (same arithmetic as the exhaustive path).
   std::vector<BoundedCandidate> bounded;
   bounded.reserve(candidates.size());
-  for (const std::string& cand_name : candidates) {
-    if (cand_name == query.table->name()) continue;
-    auto bit = bounds_.find(cand_name);
-    if (bit == bounds_.end()) {
-      return Status::Internal("santos index missing bound profile for '" +
-                              cand_name + "'");
-    }
-    bounded.push_back({cand_name, CandidateUpperBound(qsem, query.query_column,
-                                                      bit->second)});
+  for (TableId t : candidates) {
+    bounded.push_back(
+        {names[t], CandidateUpperBound(qsem, query.query_column, bounds_[t]),
+         t});
   }
-  Status scorer_status = Status::OK();
   ExactScorer scorer = [&](const BoundedCandidate& cand) {
-    auto it = semantics_.find(cand.table_name);
-    if (it == semantics_.end()) {
-      scorer_status = Status::Internal("santos index missing semantics for '" +
-                                       cand.table_name + "'");
-      return 0.0;
-    }
-    return ScoreCandidate(qsem, query.query_column, it->second);
+    return ScoreCandidate(qsem, query.query_column, semantics_[cand.table]);
   };
   CascadeStats stats;
   std::vector<DiscoveryHit> top =
       RunBoundedTopK(std::move(bounded), query.k, scorer, &stats, query.cancel);
-  if (!scorer_status.ok()) return scorer_status;
   PublishCascadeStats(obs_, name(), stats);
   if (stats.cancelled) {
     return Status::DeadlineExceeded("santos search cancelled mid-cascade");

@@ -1,6 +1,7 @@
 #ifndef DIALITE_DISCOVERY_SANTOS_H_
 #define DIALITE_DISCOVERY_SANTOS_H_
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -53,7 +54,8 @@ class SantosSearch : public DiscoveryAlgorithm, public PersistentIndex {
   /// Offline-index persistence: the payload carries the per-table semantic
   /// annotations (in sorted table order); the inverted type index and the
   /// bound profiles are rebuilt on load, so Search() needs no KB
-  /// re-annotation pass over the lake.
+  /// re-annotation pass over the lake. A table listed twice fails with
+  /// kParseError.
   Status SavePayload(BinaryWriter* w) const override;
   Status LoadPayload(BinaryReader* r, const DataLake& lake) override;
   Result<std::vector<DiscoveryHit>> Search(
@@ -100,6 +102,12 @@ class SantosSearch : public DiscoveryAlgorithm, public PersistentIndex {
 
   static BoundProfile MakeBoundProfile(const TableSemantics& sem);
 
+  /// Installs per-table semantics (by lake table id; `indexed[t]` marks the
+  /// tables the index covers) and derives the type postings and bound
+  /// profiles. BuildIndex and LoadPayload both end here.
+  void Install(const DataLake& lake, std::vector<TableSemantics> sems,
+               std::vector<uint8_t> indexed);
+
   /// The exact per-candidate score — the single scoring loop both the
   /// exhaustive and cascade paths run, so their scores are bit-identical.
   /// Returns 0 when the intent column finds no semantic match.
@@ -117,11 +125,13 @@ class SantosSearch : public DiscoveryAlgorithm, public PersistentIndex {
   const KnowledgeBase* kb_;
   ColumnAnnotator annotator_;
   const DataLake* lake_ = nullptr;
-  std::unordered_map<std::string, TableSemantics> semantics_;
-  /// Per-table stage-0 bound profiles, keyed like semantics_.
-  std::unordered_map<std::string, BoundProfile> bounds_;
-  /// type label -> table names exhibiting it in some column.
-  std::unordered_map<std::string, std::vector<std::string>> type_index_;
+  /// Per lake table id: 1 when the index covers the table.
+  std::vector<uint8_t> indexed_;
+  /// Per lake table id: its semantics and its stage-0 bound profile.
+  std::vector<TableSemantics> semantics_;
+  std::vector<BoundProfile> bounds_;
+  /// type label -> ids of the tables exhibiting it in some column.
+  std::unordered_map<std::string, std::vector<TableId>> type_index_;
 };
 
 }  // namespace dialite

@@ -1,14 +1,14 @@
 #include "discovery/starmie.h"
 
 #include <algorithm>
-#include <functional>
+#include <span>
 
 #include "snapshot/bytes.h"
 
 namespace dialite {
 
 StarmieSearch::StarmieSearch(Params params, const KnowledgeBase* kb)
-    : params_(params), embedder_(kb) {}
+    : params_(params), embedder_(kb), dim_(embedder_.dim()) {}
 
 std::vector<Embedding> StarmieSearch::ContextualizedColumns(
     const Table& table, const ColumnTokenSets* token_sets) const {
@@ -55,22 +55,36 @@ std::vector<double> Norms(const std::vector<Embedding>& vectors) {
 
 }  // namespace
 
-void StarmieSearch::AddTable(std::string table,
-                             std::vector<Embedding> vectors) {
-  max_columns_ = std::max(max_columns_, vectors.size());
-  std::vector<double> norms = Norms(vectors);
-  table_vectors_.emplace(std::move(table),
-                         TableVectors{std::move(vectors), std::move(norms)});
+void StarmieSearch::InstallVectors(std::vector<std::vector<Embedding>> tables,
+                                   std::vector<uint8_t> indexed) {
+  size_t total = 0;
+  max_columns_ = 0;
+  for (const std::vector<Embedding>& vecs : tables) {
+    total += vecs.size();
+    max_columns_ = std::max(max_columns_, vecs.size());
+  }
+  indexed_ = std::move(indexed);
+  row_begin_.assign(tables.size() + 1, 0);
+  vectors_.resize(total * dim_);
+  norms_.clear();
+  norms_.reserve(total);
+  size_t g = 0;
+  for (TableId t = 0; t < tables.size(); ++t) {
+    row_begin_[t] = g;
+    for (const Embedding& v : tables[t]) {
+      std::copy(v.begin(), v.end(),
+                vectors_.begin() + static_cast<std::ptrdiff_t>(g * dim_));
+      norms_.push_back(EmbeddingNorm(Row(g), dim_));
+      ++g;
+    }
+  }
+  row_begin_[tables.size()] = g;
 }
 
 Status StarmieSearch::BuildIndex(const DataLake& lake) {
-  lake_ = &lake;
   columns_.clear();
-  table_vectors_.clear();
-  max_columns_ = 0;
-  index_ = std::make_unique<SimHashIndex>(params_.simhash_bits,
-                                          embedder_.dim(), params_.band_bits,
-                                          params_.seed);
+  index_ = std::make_unique<SimHashIndex>(params_.simhash_bits, dim_,
+                                          params_.band_bits, params_.seed);
   const std::vector<const Table*> tables = lake.tables();
   // Compute phase: contextualized column embeddings per table (token sets
   // from the shared sketch cache).
@@ -82,9 +96,8 @@ Status StarmieSearch::BuildIndex(const DataLake& lake) {
   }, obs_);
   // Merge phase: serial SimHash inserts in lake order keep ids and band
   // bucket order identical to a sequential build.
-  for (size_t i = 0; i < tables.size(); ++i) {
-    const Table* t = tables[i];
-    std::vector<Embedding> vecs = std::move(all_vecs[i]);
+  for (TableId t = 0; t < tables.size(); ++t) {
+    const std::vector<Embedding>& vecs = all_vecs[t];
     for (size_t c = 0; c < vecs.size(); ++c) {
       // Skip empty (all-null) columns: the zero vector matches nothing.
       bool zero = true;
@@ -96,11 +109,12 @@ Status StarmieSearch::BuildIndex(const DataLake& lake) {
       }
       if (zero) continue;
       uint64_t id = columns_.size();
-      columns_.emplace_back(t->name(), c);
+      columns_.push_back({t, static_cast<uint32_t>(c)});
       DIALITE_RETURN_IF_ERROR(index_->Insert(id, vecs[c]));
     }
-    AddTable(t->name(), std::move(vecs));
   }
+  InstallVectors(std::move(all_vecs), std::vector<uint8_t>(tables.size(), 1));
+  lake_ = &lake;
   ObsAdd(obs_, "discover.starmie.build.tables", tables.size());
   ObsSet(obs_, "discover.starmie.index.columns", columns_.size());
   return Status::OK();
@@ -116,22 +130,20 @@ Status StarmieSearch::SavePayload(BinaryWriter* w) const {
   }
   w->Str(name());
   w->U32(kStarmiePayloadVersion);
-  std::vector<const std::string*> names;
-  names.reserve(table_vectors_.size());
-  for (const auto& [table, vecs] : table_vectors_) names.push_back(&table);
-  std::sort(names.begin(), names.end(),
-            [](const std::string* a, const std::string* b) { return *a < *b; });
-  w->U64(names.size());
-  for (const std::string* table : names) {
-    const std::vector<Embedding>& vecs = table_vectors_.at(*table).vectors;
-    w->Str(*table);
-    w->U64(vecs.size());
-    for (const Embedding& v : vecs) w->Array<float>(v);
+  const std::vector<std::string>& names = lake_->table_names();
+  const std::vector<TableId> ids = IndexedIdsByName(*lake_, indexed_);
+  w->U64(ids.size());
+  for (TableId t : ids) {
+    w->Str(names[t]);
+    w->U64(NumColumns(t));
+    for (size_t g = row_begin_[t]; g < row_begin_[t + 1]; ++g) {
+      w->Array<float>(std::span<const float>(Row(g), dim_));
+    }
   }
   w->U64(columns_.size());
-  for (const auto& [table, col] : columns_) {
-    w->Str(table);
-    w->U64(col);
+  for (const LakeColumn& ref : columns_) {
+    w->Str(names[ref.table]);
+    w->U64(ref.column);
   }
   return Status::OK();
 }
@@ -149,98 +161,100 @@ Status StarmieSearch::LoadPayload(BinaryReader* r, const DataLake& lake) {
   if (num_tables > r->remaining()) {
     return Status::ParseError("starmie table count overruns the payload");
   }
-  table_vectors_.clear();
-  columns_.clear();
-  max_columns_ = 0;
-  for (uint64_t t = 0; t < num_tables; ++t) {
+  std::vector<std::vector<Embedding>> tables(lake.size());
+  std::vector<uint8_t> indexed(lake.size(), 0);
+  for (uint64_t n = 0; n < num_tables; ++n) {
     std::string table;
     DIALITE_RETURN_IF_ERROR(r->Str(&table));
-    if (!lake.Contains(table)) {
-      return Status::NotFound("indexed table '" + table +
-                              "' missing from lake");
-    }
+    Result<TableId> t = ClaimPayloadTable(lake, table, name(), &indexed);
+    if (!t.ok()) return t.status();
     uint64_t ncols = 0;
     DIALITE_RETURN_IF_ERROR(r->U64(&ncols));
     if (ncols > r->remaining()) {
       return Status::ParseError("starmie column count overruns the payload");
     }
-    std::vector<Embedding> vecs(static_cast<size_t>(ncols));
-    for (uint64_t c = 0; c < ncols; ++c) {
+    std::vector<Embedding>& vecs = tables[*t];
+    vecs.resize(static_cast<size_t>(ncols));
+    for (Embedding& vec : vecs) {
       std::span<const float> v;
       DIALITE_RETURN_IF_ERROR(r->Array(&v));
-      if (v.size() != embedder_.dim()) {
+      if (v.size() != dim_) {
         return Status::ParseError("starmie embedding dimension mismatch");
       }
-      vecs[c].assign(v.begin(), v.end());
+      vec.assign(v.begin(), v.end());
     }
-    AddTable(std::move(table), std::move(vecs));
   }
   uint64_t num_ids = 0;
   DIALITE_RETURN_IF_ERROR(r->U64(&num_ids));
   if (num_ids > r->remaining()) {
     return Status::ParseError("starmie column id count overruns the payload");
   }
-  columns_.reserve(static_cast<size_t>(num_ids));
   // Rebuild the SimHash band index by re-inserting vectors in id order —
   // identical ids and bucket contents to the build that produced the
   // payload.
-  index_ = std::make_unique<SimHashIndex>(params_.simhash_bits,
-                                          embedder_.dim(), params_.band_bits,
-                                          params_.seed);
+  auto index = std::make_unique<SimHashIndex>(params_.simhash_bits, dim_,
+                                              params_.band_bits, params_.seed);
+  std::vector<LakeColumn> columns;
+  columns.reserve(static_cast<size_t>(num_ids));
   for (uint64_t id = 0; id < num_ids; ++id) {
     std::string table;
     DIALITE_RETURN_IF_ERROR(r->Str(&table));
     uint64_t col = 0;
     DIALITE_RETURN_IF_ERROR(r->U64(&col));
-    auto it = table_vectors_.find(table);
-    if (it == table_vectors_.end() || col >= it->second.vectors.size()) {
+    const TableId t = lake.IdOf(table);
+    if (t == kNoTable || !indexed[t] || col >= tables[t].size()) {
       return Status::ParseError("starmie column id references unknown column");
     }
-    DIALITE_RETURN_IF_ERROR(index_->Insert(id, it->second.vectors[col]));
-    columns_.emplace_back(std::move(table), static_cast<size_t>(col));
+    DIALITE_RETURN_IF_ERROR(index->Insert(id, tables[t][col]));
+    columns.push_back({t, static_cast<uint32_t>(col)});
   }
+  index_ = std::move(index);
+  columns_ = std::move(columns);
+  InstallVectors(std::move(tables), std::move(indexed));
   lake_ = &lake;
   return Status::OK();
 }
 
 double StarmieSearch::MatchColumns(const std::vector<Embedding>& qvecs,
-                                   size_t intent,
-                                   const std::vector<Embedding>& cvecs,
+                                   size_t intent, TableId t,
                                    MatchScratch* scratch,
                                    uint64_t* exact_cosines) const {
   // Pairs in (q, c) order: std::sort breaks cosine ties by position, so
   // this order is part of the score.
+  const size_t first = row_begin_[t];
+  const size_t ncols = NumColumns(t);
   ColumnPair* pairs = scratch->pairs.data();
   size_t n = 0;
   for (size_t q = 0; q < qvecs.size(); ++q) {
-    for (size_t c = 0; c < cvecs.size(); ++c) {
-      double cos = CosineSimilarity(qvecs[q], cvecs[c]);
+    for (size_t c = 0; c < ncols; ++c) {
+      // Query vectors and matrix rows are all dim_ floats, so this is
+      // CosineSimilarity over the two Embeddings.
+      double cos = CosineSimilarity(qvecs[q].data(), Row(first + c), dim_);
       if (cos >= params_.min_column_cosine) {
         pairs[n++] = {static_cast<uint32_t>(q), static_cast<uint32_t>(c), cos};
       }
     }
   }
-  *exact_cosines += qvecs.size() * cvecs.size();
+  *exact_cosines += qvecs.size() * ncols;
   std::sort(pairs, pairs + n, [](const ColumnPair& a, const ColumnPair& b) {
     return a.score > b.score;
   });
-  return GreedyMatchMean({pairs, n}, qvecs.size(), cvecs.size(), intent,
+  return GreedyMatchMean({pairs, n}, qvecs.size(), ncols, intent,
                          &scratch->used);
 }
 
 double StarmieSearch::CandidateUpperBound(const std::vector<Embedding>& qvecs,
                                           const std::vector<double>& qnorms,
-                                          size_t intent,
-                                          const TableVectors& table) const {
+                                          size_t intent, TableId t) const {
   const size_t nq = qvecs.size();
-  const size_t nc = table.vectors.size();
+  const size_t first = row_begin_[t];
+  const size_t nc = NumColumns(t);
   // Query column q's best pair bound at or above the gate.
   auto best_pair = [&](size_t q) {
     double best = kNoPair;
-    for (size_t c = 0; c < nc; ++c) {
+    for (size_t g = first; g < first + nc; ++g) {
       const double ub =
-          CosineUpperBound(qvecs[q].data(), qnorms[q], table.vectors[c].data(),
-                           table.norms[c], embedder_.dim());
+          CosineUpperBound(qvecs[q].data(), qnorms[q], Row(g), norms_[g], dim_);
       // cos <= ub: a pair whose bound misses the gate never matches.
       if (ub >= params_.min_column_cosine) best = std::max(best, ub);
     }
@@ -260,11 +274,11 @@ Result<double> StarmieSearch::ScoreUpperBound(
   if (query.query_column >= query.table->num_columns()) {
     return Status::OutOfRange("query column out of range");
   }
-  auto it = table_vectors_.find(table_name);
-  if (it == table_vectors_.end()) return 0.0;  // not indexed: cannot score
+  const TableId t = lake_->IdOf(table_name);
+  // Not indexed (kNoTable included): cannot score.
+  if (t >= indexed_.size() || !indexed_[t]) return 0.0;
   std::vector<Embedding> qvecs = ContextualizedColumns(*query.table);
-  return CandidateUpperBound(qvecs, Norms(qvecs), query.query_column,
-                             it->second);
+  return CandidateUpperBound(qvecs, Norms(qvecs), query.query_column, t);
 }
 
 Result<std::vector<DiscoveryHit>> StarmieSearch::Search(
@@ -281,29 +295,22 @@ Result<std::vector<DiscoveryHit>> StarmieSearch::Search(
   std::vector<Embedding> qvecs = ContextualizedColumns(*query.table);
 
   // Candidate tables: every table owning a column that SimHash-collides
-  // with any query column, deduplicated by index entry. Neither mode's
+  // with any query column, deduplicated, in id order. Neither mode's
   // ranking depends on their order (RunBoundedTopK sorts by bound and
   // name, RankHits by score and name).
-  using TableEntry = std::pair<const std::string, TableVectors>;
-  std::vector<const TableEntry*> entries;
+  std::vector<TableId> candidates;
   for (const Embedding& qv : qvecs) {
     for (uint64_t id : index_->Query(qv)) {
-      auto it = table_vectors_.find(columns_[id].first);
-      if (it == table_vectors_.end()) {
-        return Status::Internal("starmie index missing vectors for '" +
-                                columns_[id].first + "'");
-      }
-      entries.push_back(&*it);
+      candidates.push_back(columns_[id].table);
     }
   }
-  std::sort(entries.begin(), entries.end(), std::less<const TableEntry*>());
-  entries.erase(std::unique(entries.begin(), entries.end()), entries.end());
-  std::vector<std::pair<const std::string*, const TableVectors*>> candidates;
-  candidates.reserve(entries.size());
-  for (const TableEntry* entry : entries) {
-    if (entry->first == query.table->name()) continue;
-    candidates.emplace_back(&entry->first, &entry->second);
-  }
+  std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                   candidates.end());
+  const TableId self = lake_->IdOf(query.table->name());
+  candidates.erase(std::remove(candidates.begin(), candidates.end(), self),
+                   candidates.end());
+  const std::vector<std::string>& names = lake_->table_names();
 
   MatchScratch scratch;
   scratch.pairs.resize(qvecs.size() * max_columns_);
@@ -315,13 +322,12 @@ Result<std::vector<DiscoveryHit>> StarmieSearch::Search(
       if (query.cancel != nullptr && query.cancel->Cancelled()) {
         return Status::DeadlineExceeded("starmie exhaustive scan cancelled");
       }
-      scores[i] = MatchColumns(qvecs, query.query_column,
-                               candidates[i].second->vectors, &scratch,
-                               &exact_cosines);
+      scores[i] = MatchColumns(qvecs, query.query_column, candidates[i],
+                               &scratch, &exact_cosines);
     }
     std::vector<DiscoveryHit> hits;
     for (size_t i = 0; i < candidates.size(); ++i) {
-      if (scores[i] > 0.0) hits.push_back({*candidates[i].first, scores[i]});
+      if (scores[i] > 0.0) hits.push_back({names[candidates[i]], scores[i]});
     }
     stats.candidates_total = candidates.size();
     stats.scored_exact = candidates.size();
@@ -335,14 +341,13 @@ Result<std::vector<DiscoveryHit>> StarmieSearch::Search(
   std::vector<double> qnorms = Norms(qvecs);
   std::vector<BoundedCandidate> bounded;
   bounded.reserve(candidates.size());
-  for (const auto& [cand_name, table] : candidates) {
+  for (TableId t : candidates) {
     bounded.push_back(
-        {*cand_name,
-         CandidateUpperBound(qvecs, qnorms, query.query_column, *table)});
+        {names[t],
+         CandidateUpperBound(qvecs, qnorms, query.query_column, t), t});
   }
   ExactScorer scorer = [&](const BoundedCandidate& cand) {
-    return MatchColumns(qvecs, query.query_column,
-                        table_vectors_.at(cand.table_name).vectors, &scratch,
+    return MatchColumns(qvecs, query.query_column, cand.table, &scratch,
                         &exact_cosines);
   };
   std::vector<DiscoveryHit> top =

@@ -1,10 +1,9 @@
 #ifndef DIALITE_DISCOVERY_STARMIE_H_
 #define DIALITE_DISCOVERY_STARMIE_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "discovery/cascade.h"
@@ -55,8 +54,10 @@ class StarmieSearch : public DiscoveryAlgorithm, public PersistentIndex {
 
   /// Offline-index persistence: the payload carries the contextualized
   /// column vectors (sorted table order) plus the indexed-column id map;
-  /// the SimHash band index is rebuilt on load by re-inserting vectors in
-  /// id order, so bucket contents match a fresh build exactly.
+  /// the vector matrix and the SimHash band index are rebuilt on load, the
+  /// latter by re-inserting vectors in id order, so bucket contents match
+  /// a fresh build exactly. A table listed twice or a vector that is not
+  /// dim() floats fail with kParseError.
   Status SavePayload(BinaryWriter* w) const override;
   Status LoadPayload(BinaryReader* r, const DataLake& lake) override;
 
@@ -80,39 +81,48 @@ class StarmieSearch : public DiscoveryAlgorithm, public PersistentIndex {
       const Table& table, const ColumnTokenSets* token_sets = nullptr) const;
 
  private:
-  /// One table's contextualized column vectors and their EmbeddingNorms.
-  /// The norms are derived on build and load, not persisted.
-  struct TableVectors {
-    std::vector<Embedding> vectors;
-    std::vector<double> norms;
-  };
+  /// Lays the per-table vectors (by lake table id; `indexed[t]` marks the
+  /// tables the index covers) out as one matrix in id order, with norms.
+  void InstallVectors(std::vector<std::vector<Embedding>> tables,
+                      std::vector<uint8_t> indexed);
 
-  /// Records `vectors` as `table`'s columns, deriving their norms.
-  void AddTable(std::string table, std::vector<Embedding> vectors);
+  /// Matrix rows of table `t`: [row_begin_[t], row_begin_[t + 1]).
+  size_t NumColumns(TableId t) const {
+    return row_begin_[t + 1] - row_begin_[t];
+  }
+  const float* Row(size_t g) const { return vectors_.data() + g * dim_; }
 
   /// The exact table score both search modes share: CosineSimilarity for
-  /// every column pair, the pairs at or above min_column_cosine taken in
-  /// (q, c) order and sorted by descending cosine, then GreedyMatchMean.
-  /// `scratch->pairs` must hold |qvecs| × |cvecs| pairs. Adds the cosines
-  /// it runs to `*exact_cosines`.
+  /// every column pair of the query and table `t`, the pairs at or above
+  /// min_column_cosine taken in (q, c) order and sorted by descending
+  /// cosine, then GreedyMatchMean. `scratch->pairs` must hold |qvecs| ×
+  /// NumColumns(t) pairs. Adds the cosines it runs to `*exact_cosines`.
   double MatchColumns(const std::vector<Embedding>& qvecs, size_t intent,
-                      const std::vector<Embedding>& cvecs,
-                      MatchScratch* scratch, uint64_t* exact_cosines) const;
+                      TableId t, MatchScratch* scratch,
+                      uint64_t* exact_cosines) const;
 
-  /// ScoreUpperBound for one indexed table, given the query's vectors and
+  /// ScoreUpperBound for indexed table `t`, given the query's vectors and
   /// their norms.
   double CandidateUpperBound(const std::vector<Embedding>& qvecs,
                              const std::vector<double>& qnorms, size_t intent,
-                             const TableVectors& table) const;
+                             TableId t) const;
 
   Params params_;
   HashEmbedder embedder_;
+  size_t dim_;
   const DataLake* lake_ = nullptr;
   std::unique_ptr<SimHashIndex> index_;
-  /// SimHash id -> (table name, column).
-  std::vector<std::pair<std::string, size_t>> columns_;
-  /// Cached contextualized vectors per table.
-  std::unordered_map<std::string, TableVectors> table_vectors_;
+  /// SimHash id -> its lake column.
+  std::vector<LakeColumn> columns_;
+  /// Per lake table id: 1 when the index covers the table.
+  std::vector<uint8_t> indexed_;
+  /// Per lake table id, its first matrix row (one past the last table at
+  /// the end): rows follow table-id order.
+  std::vector<size_t> row_begin_;
+  /// Row-major matrix of contextualized column vectors, dim_ floats per
+  /// row, and each row's EmbeddingNorm (derived on build and load).
+  std::vector<float> vectors_;
+  std::vector<double> norms_;
   /// Column count of the widest table, which sizes MatchScratch.
   size_t max_columns_ = 0;
 };

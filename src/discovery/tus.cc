@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <span>
 #include <string_view>
 #include <unordered_set>
 
@@ -13,7 +15,11 @@
 namespace dialite {
 
 TusSearch::TusSearch(Params params, const KnowledgeBase* kb)
-    : params_(params), kb_(kb), annotator_(kb), embedder_(kb) {}
+    : params_(params),
+      kb_(kb),
+      annotator_(kb),
+      embedder_(kb),
+      dim_(embedder_.dim()) {}
 
 TusSearch::ColumnProfile TusSearch::ProfileFromSets(
     const std::vector<std::string>& tokens,
@@ -22,8 +28,10 @@ TusSearch::ColumnProfile TusSearch::ProfileFromSets(
   p.tokens = tokens;
   for (const Annotation& a : annotator_.AnnotateValues(
            distinct_values, params_.max_types_per_column)) {
-    p.types[a.label] = a.score;
+    p.types.emplace_back(a.label, a.score);
   }
+  std::sort(p.types.begin(), p.types.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   p.embedding = embedder_.EmbedValueSet(p.tokens);
   p.norm = EmbeddingNorm(p.embedding.data(), p.embedding.size());
   return p;
@@ -37,22 +45,36 @@ TusSearch::ColumnProfile TusSearch::ProfileColumn(const Table& table,
 
 namespace {
 
+/// "No evidence slot yet" in Search's per-table slot array.
+constexpr uint32_t kNoSlot = std::numeric_limits<uint32_t>::max();
+
+/// Σ w² over `types` in order: the squared norm TypeCosine divides by.
+template <typename Key>
+double SquaredNorm(std::span<const std::pair<Key, double>> types) {
+  double n = 0.0;
+  for (const auto& [type, w] : types) n += w * w;
+  return n;
+}
+
 /// Semantic unionability before clamping: the cosine of two KB
-/// type-confidence vectors, 0 when either is empty or has zero norm.
-double TypeCosine(const std::map<std::string, double>& a,
-                  const std::map<std::string, double>& b) {
-  if (a.empty() || b.empty()) return 0.0;
+/// type-confidence vectors, each given as (type id, confidence) entries in
+/// ascending id order plus its SquaredNorm; 0 when either norm is 0 (an
+/// empty vector included). It adds the same products in the same order as
+/// a walk over `a` that probes `b` by type, and ids number types in label
+/// order, so it gives the bits the same walk over labels gives.
+double TypeCosine(std::span<const std::pair<uint32_t, double>> a,
+                  double a_sqnorm,
+                  std::span<const std::pair<uint32_t, double>> b,
+                  double b_sqnorm) {
+  if (!(a_sqnorm > 0 && b_sqnorm > 0)) return 0.0;
   double dot = 0.0;
-  double na = 0.0;
-  double nb = 0.0;
-  for (const auto& [t, w] : a) {
-    na += w * w;
-    auto it = b.find(t);
-    if (it != b.end()) dot += w * it->second;
+  size_t j = 0;
+  for (const auto& [type, w] : a) {
+    while (j < b.size() && b[j].first < type) ++j;
+    if (j == b.size()) break;
+    if (b[j].first == type) dot += w * b[j].second;
   }
-  for (const auto& [t, w] : b) nb += w * w;
-  if (na > 0 && nb > 0) return dot / std::sqrt(na * nb);
-  return 0.0;
+  return dot / std::sqrt(a_sqnorm * b_sqnorm);
 }
 
 /// The matching's priority order: descending unionability, ties broken by
@@ -69,49 +91,128 @@ void SortByUnionability(std::vector<ColumnPair>* pairs) {
 
 }  // namespace
 
-double TusSearch::Unionability(const ColumnProfile& a,
-                               const ColumnProfile& b) const {
-  if (a.tokens.empty() || b.tokens.empty()) return 0.0;
-  // Set unionability.
-  double u_set = OverlapCoefficient(a.tokens, b.tokens);
-  // Semantic and natural-language unionability. Both cosines are clamped
-  // to 1: rounding can push dot/(|a||b|) an ulp past 1, and the cascade's
-  // stage-0 bounds (capped at 1 per pair) rely on unionability never
-  // exceeding it.
-  double u_sem = std::min(TypeCosine(a.types, b.types), 1.0);
-  double u_nl = std::min(CosineSimilarity(a.embedding, b.embedding), 1.0);
-  return std::max({u_set, u_sem, u_nl});
+std::vector<TusSearch::QueryColumn> TusSearch::ProfileQuery(
+    const Table& query) const {
+  std::vector<QueryColumn> out(query.num_columns());
+  for (size_t c = 0; c < out.size(); ++c) {
+    QueryColumn& q = out[c];
+    q.profile = ProfileColumn(query, c);
+    q.type_sqnorm = SquaredNorm<std::string>(q.profile.types);
+    for (const auto& [label, conf] : q.profile.types) {
+      auto it = std::lower_bound(type_labels_.begin(), type_labels_.end(),
+                                 label);
+      if (it == type_labels_.end() || *it != label) continue;
+      q.types.emplace_back(static_cast<uint32_t>(it - type_labels_.begin()),
+                           conf);
+    }
+  }
+  return out;
 }
 
-TusSearch::PairBound TusSearch::BoundPair(const ColumnProfile& a,
-                                          const ColumnProfile& b,
+double TusSearch::TypeCosineTo(const QueryColumn& q, size_t g) const {
+  return TypeCosine(
+      q.types, q.type_sqnorm,
+      std::span<const TypeWeight>(type_weights_.data() + type_begin_[g],
+                                  type_begin_[g + 1] - type_begin_[g]),
+      type_sqnorm_[g]);
+}
+
+double TusSearch::NlCosineTo(const QueryColumn& q, size_t g) const {
+  // CosineSimilarity over Embeddings: 0 for mismatched or empty vectors.
+  const Embedding& e = q.profile.embedding;
+  if (e.size() != dim_ || e.empty()) return 0.0;
+  return CosineSimilarity(e.data(), Row(g), dim_);
+}
+
+TusSearch::PairBound TusSearch::BoundPair(const QueryColumn& q, size_t g,
                                           uint32_t inter) const {
   PairBound out;
   // u_set with OverlapCoefficient's arithmetic: column tokens are
   // distinct, so the hit count IS |A ∩ B|.
   out.exact = static_cast<double>(inter) /
-              static_cast<double>(std::min(a.tokens.size(), b.tokens.size()));
+              static_cast<double>(
+                  std::min(q.profile.tokens.size(), col_tokens_[g].size()));
   // Once a measure reaches 1 the others cannot raise the maximum.
   if (out.exact < 1.0) {
-    out.exact =
-        std::max(out.exact, std::min(TypeCosine(a.types, b.types), 1.0));
+    out.exact = std::max(out.exact, std::min(TypeCosineTo(q, g), 1.0));
   }
   // CosineSimilarity is 0 for mismatched or empty embeddings.
-  if (out.exact < 1.0 && a.embedding.size() == b.embedding.size() &&
-      !a.embedding.empty()) {
+  const Embedding& e = q.profile.embedding;
+  if (out.exact < 1.0 && e.size() == dim_ && !e.empty()) {
     out.nl_bound = std::min(
-        CosineUpperBound(a.embedding.data(), a.norm, b.embedding.data(),
-                         b.norm, a.embedding.size()),
+        CosineUpperBound(e.data(), q.profile.norm, Row(g), norms_[g], dim_),
         1.0);
   }
   return out;
 }
 
-Status TusSearch::BuildIndex(const DataLake& lake) {
-  lake_ = &lake;
-  profiles_.clear();
+void TusSearch::Install(const DataLake& lake,
+                        std::vector<std::vector<ColumnProfile>> tables,
+                        std::vector<uint8_t> indexed) {
+  // Type ids: every label a lake column carries, numbered in label order.
+  type_labels_.clear();
+  size_t total = 0;
+  for (const std::vector<ColumnProfile>& cols : tables) {
+    total += cols.size();
+    for (const ColumnProfile& p : cols) {
+      for (const auto& [label, conf] : p.types) type_labels_.push_back(label);
+    }
+  }
+  std::sort(type_labels_.begin(), type_labels_.end());
+  type_labels_.erase(std::unique(type_labels_.begin(), type_labels_.end()),
+                     type_labels_.end());
+
+  indexed_ = std::move(indexed);
+  col_begin_.assign(tables.size() + 1, 0);
+  col_tokens_.clear();
+  col_tokens_.reserve(total);
+  type_begin_.assign(1, 0);
+  type_begin_.reserve(total + 1);
+  type_weights_.clear();
+  type_sqnorm_.clear();
+  type_sqnorm_.reserve(total);
+  embeddings_.resize(total * dim_);
+  norms_.clear();
+  norms_.reserve(total);
   token_index_.clear();
-  type_index_.clear();
+  type_tables_.assign(type_labels_.size(), {});
+  // The last table each type was posted for: one posting per table.
+  std::vector<TableId> posted(type_labels_.size(), kNoTable);
+  size_t g = 0;
+  for (TableId t = 0; t < tables.size(); ++t) {
+    col_begin_[t] = g;
+    for (size_t c = 0; c < tables[t].size(); ++c, ++g) {
+      ColumnProfile& p = tables[t][c];
+      // Column tokens are distinct, so each (token, table, column) posting
+      // appears exactly once — stage-0 hit counts are exact intersections.
+      for (const std::string& tok : p.tokens) {
+        token_index_[tok].push_back({t, static_cast<uint32_t>(c)});
+      }
+      for (const auto& [label, conf] : p.types) {
+        const uint32_t id = static_cast<uint32_t>(
+            std::lower_bound(type_labels_.begin(), type_labels_.end(),
+                             label) -
+            type_labels_.begin());
+        type_weights_.emplace_back(id, conf);
+        if (posted[id] != t) {
+          posted[id] = t;
+          type_tables_[id].push_back(t);
+        }
+      }
+      type_begin_.push_back(type_weights_.size());
+      type_sqnorm_.push_back(SquaredNorm<uint32_t>(std::span<const TypeWeight>(
+          type_weights_.data() + type_begin_[g], p.types.size())));
+      std::copy(p.embedding.begin(), p.embedding.end(),
+                embeddings_.begin() + static_cast<std::ptrdiff_t>(g * dim_));
+      norms_.push_back(EmbeddingNorm(Row(g), dim_));
+      col_tokens_.push_back(std::move(p.tokens));
+    }
+  }
+  col_begin_[tables.size()] = g;
+  lake_ = &lake;
+}
+
+Status TusSearch::BuildIndex(const DataLake& lake) {
   const std::vector<const Table*> tables = lake.tables();
   // Compute phase: per-table column profiles (tokens, KB types, embedding)
   // across the worker pool, fed from the shared sketch cache.
@@ -128,26 +229,8 @@ Status TusSearch::BuildIndex(const DataLake& lake) {
       cols.push_back(ProfileFromSets((*tokens)[c], (*distinct)[c]));
     }
   }, obs_);
-  // Merge phase: serial, in lake order — inverted index posting order
-  // matches a sequential build exactly.
-  for (size_t i = 0; i < tables.size(); ++i) {
-    const Table* t = tables[i];
-    std::unordered_set<std::string> types_seen;
-    for (size_t c = 0; c < all_cols[i].size(); ++c) {
-      ColumnProfile& p = all_cols[i][c];
-      // Column tokens are distinct, so each (token, table, column) posting
-      // appears exactly once — stage-0 hit counts are exact intersections.
-      for (const std::string& tok : p.tokens) {
-        token_index_[tok].emplace_back(t->name(), static_cast<uint32_t>(c));
-      }
-      for (const auto& [type, conf] : p.types) {
-        if (types_seen.insert(type).second) {
-          type_index_[type].push_back(t->name());
-        }
-      }
-    }
-    profiles_.emplace(t->name(), std::move(all_cols[i]));
-  }
+  // Merge phase: serial, in lake order.
+  Install(lake, std::move(all_cols), std::vector<uint8_t>(tables.size(), 1));
   ObsAdd(obs_, "discover.tus.build.tables", tables.size());
   ObsSet(obs_, "discover.tus.index.tokens", token_index_.size());
   return Status::OK();
@@ -161,25 +244,21 @@ Status TusSearch::SavePayload(BinaryWriter* w) const {
   if (lake_ == nullptr) return Status::Internal("BuildIndex not called");
   w->Str(name());
   w->U32(kTusPayloadVersion);
-  std::vector<const std::string*> names;
-  names.reserve(profiles_.size());
-  for (const auto& [table, cols] : profiles_) names.push_back(&table);
-  std::sort(names.begin(), names.end(),
-            [](const std::string* a, const std::string* b) { return *a < *b; });
-  w->U64(names.size());
-  for (const std::string* table : names) {
-    const std::vector<ColumnProfile>& cols = profiles_.at(*table);
-    w->Str(*table);
-    w->U64(cols.size());
-    for (const ColumnProfile& p : cols) {
-      w->U64(p.tokens.size());
-      for (const std::string& tok : p.tokens) w->Str(tok);
-      w->U64(p.types.size());
-      for (const auto& [type, conf] : p.types) {
-        w->Str(type);
-        w->F64(conf);
+  // Tables in sorted name order, so save -> load -> save is byte-identical.
+  const std::vector<TableId> ids = IndexedIdsByName(*lake_, indexed_);
+  w->U64(ids.size());
+  for (TableId t : ids) {
+    w->Str(lake_->table_names()[t]);
+    w->U64(NumColumns(t));
+    for (size_t g = col_begin_[t]; g < col_begin_[t + 1]; ++g) {
+      w->U64(col_tokens_[g].size());
+      for (const std::string& tok : col_tokens_[g]) w->Str(tok);
+      w->U64(type_begin_[g + 1] - type_begin_[g]);
+      for (size_t i = type_begin_[g]; i < type_begin_[g + 1]; ++i) {
+        w->Str(type_labels_[type_weights_[i].first]);
+        w->F64(type_weights_[i].second);
       }
-      w->Array<float>(p.embedding);
+      w->Array<float>(std::span<const float>(Row(g), dim_));
     }
   }
   return Status::OK();
@@ -198,75 +277,75 @@ Status TusSearch::LoadPayload(BinaryReader* r, const DataLake& lake) {
   if (num_tables > r->remaining()) {
     return Status::ParseError("tus table count overruns the payload");
   }
-  profiles_.clear();
-  token_index_.clear();
-  type_index_.clear();
-  for (uint64_t t = 0; t < num_tables; ++t) {
+  std::vector<std::vector<ColumnProfile>> tables(lake.size());
+  std::vector<uint8_t> indexed(lake.size(), 0);
+  for (uint64_t n = 0; n < num_tables; ++n) {
     std::string table;
     DIALITE_RETURN_IF_ERROR(r->Str(&table));
-    if (!lake.Contains(table)) {
-      return Status::NotFound("indexed table '" + table +
-                              "' missing from lake");
-    }
+    Result<TableId> t = ClaimPayloadTable(lake, table, name(), &indexed);
+    if (!t.ok()) return t.status();
     uint64_t ncols = 0;
     DIALITE_RETURN_IF_ERROR(r->U64(&ncols));
     if (ncols > r->remaining()) {
       return Status::ParseError("tus column count overruns the payload");
     }
-    std::vector<ColumnProfile> cols(static_cast<size_t>(ncols));
-    for (uint64_t c = 0; c < ncols; ++c) {
-      ColumnProfile& p = cols[c];
+    std::vector<ColumnProfile>& cols = tables[*t];
+    cols.resize(static_cast<size_t>(ncols));
+    for (ColumnProfile& p : cols) {
       uint64_t ntokens = 0;
       DIALITE_RETURN_IF_ERROR(r->U64(&ntokens));
       if (ntokens > r->remaining()) {
         return Status::ParseError("tus token count overruns the payload");
       }
       p.tokens.resize(static_cast<size_t>(ntokens));
-      for (uint64_t i = 0; i < ntokens; ++i) {
-        DIALITE_RETURN_IF_ERROR(r->Str(&p.tokens[i]));
-      }
+      for (std::string& tok : p.tokens) DIALITE_RETURN_IF_ERROR(r->Str(&tok));
       uint64_t ntypes = 0;
       DIALITE_RETURN_IF_ERROR(r->U64(&ntypes));
       if (ntypes > r->remaining()) {
         return Status::ParseError("tus type count overruns the payload");
       }
-      for (uint64_t i = 0; i < ntypes; ++i) {
-        std::string type;
-        DIALITE_RETURN_IF_ERROR(r->Str(&type));
-        double conf = 0.0;
-        DIALITE_RETURN_IF_ERROR(r->F64(&conf));
-        p.types[std::move(type)] = conf;
+      p.types.resize(static_cast<size_t>(ntypes));
+      for (size_t i = 0; i < p.types.size(); ++i) {
+        DIALITE_RETURN_IF_ERROR(r->Str(&p.types[i].first));
+        DIALITE_RETURN_IF_ERROR(r->F64(&p.types[i].second));
+        if (i > 0 && !(p.types[i - 1].first < p.types[i].first)) {
+          return Status::ParseError("tus column types out of label order");
+        }
       }
       std::span<const float> emb;
       DIALITE_RETURN_IF_ERROR(r->Array(&emb));
+      if (emb.size() != dim_) {
+        return Status::ParseError("tus embedding dimension mismatch");
+      }
       p.embedding.assign(emb.begin(), emb.end());
-      p.norm = EmbeddingNorm(p.embedding.data(), p.embedding.size());
     }
-    // Rebuild the inverted indexes the same way BuildIndex's merge phase
-    // does (hit counts and candidate sets are order-independent, so the
-    // sorted table order here is equivalent to lake order).
-    std::unordered_set<std::string> types_seen;
-    for (size_t c = 0; c < cols.size(); ++c) {
-      for (const std::string& tok : cols[c].tokens) {
-        token_index_[tok].emplace_back(table, static_cast<uint32_t>(c));
-      }
-      for (const auto& [type, conf] : cols[c].types) {
-        if (types_seen.insert(type).second) type_index_[type].push_back(table);
-      }
-    }
-    profiles_.emplace(std::move(table), std::move(cols));
   }
-  lake_ = &lake;
+  // The same derivation BuildIndex's merge phase runs, in lake order.
+  Install(lake, std::move(tables), std::move(indexed));
   return Status::OK();
 }
 
-double TusSearch::ScoreCandidate(const std::vector<ColumnProfile>& qcols,
-                                 size_t query_column,
-                                 const std::vector<ColumnProfile>& ccols) const {
+double TusSearch::ScoreCandidate(const std::vector<QueryColumn>& qcols,
+                                 size_t query_column, TableId t) const {
+  const size_t first = col_begin_[t];
+  const size_t ncols = NumColumns(t);
   std::vector<ColumnPair> pairs;
   for (size_t q = 0; q < qcols.size(); ++q) {
-    for (size_t c = 0; c < ccols.size(); ++c) {
-      double u = Unionability(qcols[q], ccols[c]);
+    const QueryColumn& qc = qcols[q];
+    for (size_t c = 0; c < ncols; ++c) {
+      const size_t g = first + c;
+      // Unionability: the strongest of the three measures; 0 for a column
+      // without tokens. Both cosines are clamped to 1: rounding can push
+      // dot/(|a||b|) an ulp past 1, and the cascade's stage-0 bounds
+      // (capped at 1 per pair) rely on unionability never exceeding it.
+      double u = 0.0;
+      if (!qc.profile.tokens.empty() && !col_tokens_[g].empty()) {
+        const double u_set =
+            OverlapCoefficient(qc.profile.tokens, col_tokens_[g]);
+        const double u_sem = std::min(TypeCosineTo(qc, g), 1.0);
+        const double u_nl = std::min(NlCosineTo(qc, g), 1.0);
+        u = std::max({u_set, u_sem, u_nl});
+      }
       if (u >= params_.min_column_unionability) {
         pairs.push_back(
             {static_cast<uint32_t>(q), static_cast<uint32_t>(c), u});
@@ -275,34 +354,30 @@ double TusSearch::ScoreCandidate(const std::vector<ColumnProfile>& qcols,
   }
   SortByUnionability(&pairs);
   std::vector<uint8_t> used;
-  return GreedyMatchMean(pairs, qcols.size(), ccols.size(), query_column,
-                         &used);
+  return GreedyMatchMean(pairs, qcols.size(), ncols, query_column, &used);
 }
 
-double TusSearch::ScoreWithEvidence(const std::vector<ColumnProfile>& qcols,
-                                    size_t query_column,
-                                    const CandidateEvidence& ev,
-                                    const std::vector<ColumnProfile>& ccols,
-                                    MatchScratch* scratch,
+double TusSearch::ScoreWithEvidence(const std::vector<QueryColumn>& qcols,
+                                    size_t query_column, const Evidence& ev,
+                                    TableId t, MatchScratch* scratch,
                                     uint64_t* exact_cosines) const {
   const double min_u = params_.min_column_unionability;
+  const size_t first = col_begin_[t];
   std::vector<ColumnPair>& pairs = scratch->pairs;
   pairs.clear();
   for (size_t q = 0; q < qcols.size(); ++q) {
-    for (size_t c = 0; c < ccols.size(); ++c) {
+    for (size_t c = 0; c < ev.ncols; ++c) {
+      const size_t g = first + c;
       double u = 0.0;  // Unionability of a column without tokens
-      if (!qcols[q].tokens.empty() && !ccols[c].tokens.empty()) {
-        const PairBound b =
-            BoundPair(qcols[q], ccols[c], ev.hits[q * ev.ncols + c]);
+      if (!qcols[q].profile.tokens.empty() && !col_tokens_[g].empty()) {
+        const PairBound b = BoundPair(qcols[q], g, ev.hits[q * ev.ncols + c]);
         u = b.exact;
         // u_nl <= nl_bound: it can change the pair's unionability, or its
         // place in the matching, only where the bound beats u and clears
         // the threshold.
         if (b.nl_bound > u && b.nl_bound >= min_u) {
           ++*exact_cosines;
-          u = std::max(u, std::min(CosineSimilarity(qcols[q].embedding,
-                                                    ccols[c].embedding),
-                                   1.0));
+          u = std::max(u, std::min(NlCosineTo(qcols[q], g), 1.0));
         }
       }
       if (u >= min_u) {
@@ -312,19 +387,18 @@ double TusSearch::ScoreWithEvidence(const std::vector<ColumnProfile>& qcols,
     }
   }
   SortByUnionability(&pairs);
-  return GreedyMatchMean(pairs, qcols.size(), ccols.size(), query_column,
+  return GreedyMatchMean(pairs, qcols.size(), ev.ncols, query_column,
                          &scratch->used);
 }
 
-double TusSearch::CandidateUpperBound(const std::vector<ColumnProfile>& qcols,
-                                      size_t query_column,
-                                      const CandidateEvidence& ev,
-                                      const std::vector<ColumnProfile>& ccols)
-    const {
+double TusSearch::CandidateUpperBound(const std::vector<QueryColumn>& qcols,
+                                      size_t query_column, const Evidence& ev,
+                                      TableId t) const {
   const size_t nq = qcols.size();
+  const size_t first = col_begin_[t];
   size_t tokenized_cols = 0;
-  for (const ColumnProfile& cc : ccols) {
-    if (!cc.tokens.empty()) ++tokenized_cols;
+  for (size_t c = 0; c < ev.ncols; ++c) {
+    if (!col_tokens_[first + c].empty()) ++tokenized_cols;
   }
   // No tokenized candidate column — nothing can pair at all.
   if (tokenized_cols == 0) return 0.0;
@@ -332,11 +406,11 @@ double TusSearch::CandidateUpperBound(const std::vector<ColumnProfile>& qcols,
   // pairs below it never enter the greedy alignment.
   auto best_pair = [&](size_t q) {
     double ub = kNoPair;
-    if (qcols[q].tokens.empty()) return ub;
-    for (size_t c = 0; c < ccols.size(); ++c) {
-      if (ccols[c].tokens.empty()) continue;
-      const PairBound b =
-          BoundPair(qcols[q], ccols[c], ev.hits[q * ev.ncols + c]);
+    if (qcols[q].profile.tokens.empty()) return ub;
+    for (size_t c = 0; c < ev.ncols; ++c) {
+      const size_t g = first + c;
+      if (col_tokens_[g].empty()) continue;
+      const PairBound b = BoundPair(qcols[q], g, ev.hits[q * ev.ncols + c]);
       const double pair = std::max(b.exact, b.nl_bound);
       if (pair >= params_.min_column_unionability) ub = std::max(ub, pair);
     }
@@ -356,29 +430,26 @@ Result<double> TusSearch::ScoreUpperBound(const DiscoveryQuery& query,
   if (query.query_column >= query.table->num_columns()) {
     return Status::OutOfRange("query column out of range");
   }
-  auto pit = profiles_.find(table_name);
-  if (pit == profiles_.end()) return 0.0;  // not indexed: cannot score
-  const std::vector<ColumnProfile>& ccols = pit->second;
-  std::vector<ColumnProfile> qcols;
-  for (size_t c = 0; c < query.table->num_columns(); ++c) {
-    qcols.push_back(ProfileColumn(*query.table, c));
-  }
+  const TableId t = lake_->IdOf(table_name);
+  // Not indexed (kNoTable included): cannot score.
+  if (t >= indexed_.size() || !indexed_[t]) return 0.0;
+  const std::vector<QueryColumn> qcols = ProfileQuery(*query.table);
   // Exact per-pair intersection counts, mirroring what Search()'s walk of
   // the per-column postings accumulates (column tokens are distinct, so
   // each query token contributes at most 1 per pair).
-  CandidateEvidence ev;
-  ev.ncols = ccols.size();
-  ev.hits.assign(qcols.size() * ccols.size(), 0);
-  for (size_t c = 0; c < ccols.size(); ++c) {
-    std::unordered_set<std::string_view> ctoks(ccols[c].tokens.begin(),
-                                               ccols[c].tokens.end());
+  const size_t ncols = NumColumns(t);
+  std::vector<uint32_t> hits(qcols.size() * ncols, 0);
+  for (size_t c = 0; c < ncols; ++c) {
+    const std::vector<std::string>& toks = col_tokens_[col_begin_[t] + c];
+    std::unordered_set<std::string_view> ctoks(toks.begin(), toks.end());
     for (size_t q = 0; q < qcols.size(); ++q) {
-      for (const std::string& tok : qcols[q].tokens) {
-        if (ctoks.count(tok) != 0) ++ev.hits[q * ev.ncols + c];
+      for (const std::string& tok : qcols[q].profile.tokens) {
+        if (ctoks.count(tok) != 0) ++hits[q * ncols + c];
       }
     }
   }
-  return CandidateUpperBound(qcols, query.query_column, ev, ccols);
+  return CandidateUpperBound(qcols, query.query_column,
+                             Evidence{hits.data(), ncols}, t);
 }
 
 Result<std::vector<DiscoveryHit>> TusSearch::Search(
@@ -390,90 +461,82 @@ Result<std::vector<DiscoveryHit>> TusSearch::Search(
   if (query.query_column >= query.table->num_columns()) {
     return Status::OutOfRange("query column out of range");
   }
-  std::vector<ColumnProfile> qcols;
-  for (size_t c = 0; c < query.table->num_columns(); ++c) {
-    qcols.push_back(ProfileColumn(*query.table, c));
-  }
+  const std::vector<QueryColumn> qcols = ProfileQuery(*query.table);
+  const size_t nq = qcols.size();
 
   // Candidate generation: tables sharing a token or a KB type with any
   // query column. The walk over the per-column postings accumulates the
   // exact per-pair intersection counts |A_q ∩ B_c| as a side effect — the
   // cascade's stage-0 evidence comes for free from this pass (postings are
   // deduplicated per column, so each (query token, pair) counts once).
-  std::unordered_map<std::string, CandidateEvidence> candidates;
-  auto evidence = [&](const std::string& tname) -> CandidateEvidence* {
-    CandidateEvidence& ev = candidates[tname];
-    if (ev.hits.empty()) {
-      auto pit = profiles_.find(tname);
-      if (pit == profiles_.end()) return nullptr;  // unreachable: same build
-      ev.ncols = pit->second.size();
-      ev.hits.assign(qcols.size() * ev.ncols, 0);
+  // Evidence lives in one flat array: table t's counts start at
+  // ev_begin[slot[t]], and `touched` lists the tables in slot order.
+  std::vector<uint32_t> slot(indexed_.size(), kNoSlot);
+  std::vector<TableId> touched;
+  std::vector<size_t> ev_begin;
+  std::vector<uint32_t> hits;
+  auto evidence_begin = [&](TableId t) {
+    if (slot[t] == kNoSlot) {
+      slot[t] = static_cast<uint32_t>(touched.size());
+      touched.push_back(t);
+      ev_begin.push_back(hits.size());
+      hits.resize(hits.size() + nq * NumColumns(t), 0);
     }
-    return &ev;
+    return ev_begin[slot[t]];
   };
-  for (size_t q = 0; q < qcols.size(); ++q) {
-    for (const std::string& tok : qcols[q].tokens) {
+  for (size_t q = 0; q < nq; ++q) {
+    for (const std::string& tok : qcols[q].profile.tokens) {
       auto it = token_index_.find(tok);
       if (it == token_index_.end()) continue;
-      for (const auto& [tname, col] : it->second) {
-        CandidateEvidence* ev = evidence(tname);
-        if (ev != nullptr) ++ev->hits[q * ev->ncols + col];
+      for (const LakeColumn& p : it->second) {
+        const size_t at = evidence_begin(p.table);
+        ++hits[at + q * NumColumns(p.table) + p.column];
       }
     }
-    for (const auto& [type, conf] : qcols[q].types) {
-      (void)conf;
-      auto it = type_index_.find(type);
-      if (it == type_index_.end()) continue;
-      for (const std::string& tname : it->second) {
-        evidence(tname);
-      }
+    for (const TypeWeight& type : qcols[q].types) {
+      for (TableId t : type_tables_[type.first]) evidence_begin(t);
     }
   }
+  // Stage 0 walks the candidates' rows of the embedding matrix in id order.
+  std::sort(touched.begin(), touched.end());
+  const TableId self = lake_->IdOf(query.table->name());
+  const std::vector<std::string>& names = lake_->table_names();
+  auto evidence = [&](TableId t) {
+    return Evidence{hits.data() + ev_begin[slot[t]], NumColumns(t)};
+  };
 
   if (search_mode_ == SearchMode::kExhaustive) {
-    std::vector<DiscoveryHit> hits;
+    std::vector<DiscoveryHit> out;
     CascadeStats stats;
-    for (const auto& [cand_name, ev] : candidates) {
-      (void)ev;
+    for (TableId t : touched) {
       if (query.cancel != nullptr && query.cancel->Cancelled()) {
         return Status::DeadlineExceeded("tus exhaustive scan cancelled");
       }
-      if (cand_name == query.table->name()) continue;
-      auto it = profiles_.find(cand_name);
-      if (it == profiles_.end()) {
-        return Status::Internal("tus index missing profiles for '" +
-                                cand_name + "'");
-      }
+      if (t == self) continue;
       ++stats.candidates_total;
       ++stats.scored_exact;
-      double score = ScoreCandidate(qcols, query.query_column, it->second);
-      if (score > 0.0) hits.push_back({cand_name, score});
+      double score = ScoreCandidate(qcols, query.query_column, t);
+      if (score > 0.0) out.push_back({names[t], score});
     }
     PublishCascadeStats(obs_, name(), stats);
-    return RankHits(std::move(hits), query.k);
+    return RankHits(std::move(out), query.k);
   }
 
   // Cascade: stage-0 index-accelerated bounds from the per-pair hit
   // counts, then bounded top-k over the exact greedy-alignment scorer.
   std::vector<BoundedCandidate> bounded;
-  bounded.reserve(candidates.size());
-  for (const auto& [cand_name, ev] : candidates) {
-    if (cand_name == query.table->name()) continue;
-    auto pit = profiles_.find(cand_name);
-    if (pit == profiles_.end()) {
-      return Status::Internal("tus index missing profiles for '" + cand_name +
-                              "'");
-    }
-    bounded.push_back({cand_name, CandidateUpperBound(qcols, query.query_column,
-                                                      ev, pit->second)});
+  bounded.reserve(touched.size());
+  for (TableId t : touched) {
+    if (t == self) continue;
+    bounded.push_back(
+        {names[t],
+         CandidateUpperBound(qcols, query.query_column, evidence(t), t), t});
   }
-  // Every bounded candidate has profiles and evidence (checked above).
   MatchScratch scratch;
   uint64_t exact_cosines = 0;
   ExactScorer scorer = [&](const BoundedCandidate& cand) {
     return ScoreWithEvidence(qcols, query.query_column,
-                             candidates.at(cand.table_name),
-                             profiles_.at(cand.table_name), &scratch,
+                             evidence(cand.table), cand.table, &scratch,
                              &exact_cosines);
   };
   CascadeStats stats;

@@ -2,9 +2,9 @@
 #define DIALITE_DISCOVERY_TUS_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "discovery/cascade.h"
@@ -45,8 +45,10 @@ class TusSearch : public DiscoveryAlgorithm, public PersistentIndex {
 
   /// Offline-index persistence: the payload carries the per-table column
   /// profiles (tokens, KB types, embeddings) in sorted table order; the
-  /// token and type inverted indexes are rebuilt on load, so Search()
-  /// needs no profiling pass over the lake.
+  /// flat layout, type ids and inverted indexes are rebuilt on load, so
+  /// Search() needs no profiling pass over the lake. A table listed twice,
+  /// types out of label order, or an embedding that is not dim() floats
+  /// fail with kParseError.
   Status SavePayload(BinaryWriter* w) const override;
   Status LoadPayload(BinaryReader* r, const DataLake& lake) override;
 
@@ -71,25 +73,38 @@ class TusSearch : public DiscoveryAlgorithm, public PersistentIndex {
   Result<double> ScoreUpperBound(const DiscoveryQuery& query,
                                  const std::string& table_name) const override;
 
-  /// The ensemble unionability of two prepared columns (for tests).
+  /// One column as TUS compares it: its distinct tokens, its KB types and
+  /// the embedding of its value set.
   struct ColumnProfile {
     std::vector<std::string> tokens;
-    std::map<std::string, double> types;
+    /// KB types as (label, confidence), in label order.
+    std::vector<std::pair<std::string, double>> types;
     Embedding embedding;
-    /// EmbeddingNorm(embedding), for CosineUpperBound. Derived when the
-    /// profile is built or loaded; not persisted.
+    /// EmbeddingNorm(embedding), for CosineUpperBound.
     double norm = 0.0;
   };
   ColumnProfile ProfileColumn(const Table& table, size_t column) const;
-  double Unionability(const ColumnProfile& a, const ColumnProfile& b) const;
 
  private:
-  /// Per-candidate stage-0 evidence gathered during candidate generation:
-  /// hits[q * ncols + c] counts how many of query column q's (distinct)
-  /// tokens candidate column c contains. Because the per-column postings
-  /// are deduplicated, this IS the exact intersection |A_q ∩ B_c|.
-  struct CandidateEvidence {
-    std::vector<uint32_t> hits;
+  /// A KB type of a lake column: (type id, confidence).
+  using TypeWeight = std::pair<uint32_t, double>;
+
+  /// A query column as a search compares it with lake columns: its
+  /// profile, its types under the epoch's type ids (a type no lake column
+  /// carries matches nothing and is left out), and the squared norm over
+  /// all of its types.
+  struct QueryColumn {
+    ColumnProfile profile;
+    std::vector<TypeWeight> types;
+    double type_sqnorm = 0.0;
+  };
+
+  /// Per-search stage-0 evidence of one candidate: hits[q * ncols + c]
+  /// counts how many of query column q's (distinct) tokens candidate column
+  /// c contains. Because the per-column postings are deduplicated, this IS
+  /// the exact intersection |A_q ∩ B_c|.
+  struct Evidence {
+    const uint32_t* hits = nullptr;
     size_t ncols = 0;
   };
 
@@ -99,54 +114,93 @@ class TusSearch : public DiscoveryAlgorithm, public PersistentIndex {
       const std::vector<std::string>& tokens,
       const std::vector<std::string>& distinct_values) const;
 
+  /// The query's columns, with their types mapped to this epoch's ids.
+  std::vector<QueryColumn> ProfileQuery(const Table& query) const;
+
+  /// Lays the per-table profiles (by lake table id; `indexed[t]` marks the
+  /// tables the index covers) out flat in id order and derives the type
+  /// ids, the token postings and the type postings. BuildIndex and
+  /// LoadPayload both end here, so a loaded index equals a built one.
+  void Install(const DataLake& lake,
+               std::vector<std::vector<ColumnProfile>> tables,
+               std::vector<uint8_t> indexed);
+
+  /// Global column ids of table `t`: [col_begin_[t], col_begin_[t + 1]).
+  size_t NumColumns(TableId t) const {
+    return col_begin_[t + 1] - col_begin_[t];
+  }
+  const float* Row(size_t g) const { return embeddings_.data() + g * dim_; }
+
+  /// The semantic measure between query column `q` and lake column `g`.
+  double TypeCosineTo(const QueryColumn& q, size_t g) const;
+  /// The natural-language measure: CosineSimilarity of the embeddings.
+  double NlCosineTo(const QueryColumn& q, size_t g) const;
+
   /// One pair of tokenized columns as stage 0 sees it: `exact` is
-  /// max(u_set, u_sem) with Unionability's arithmetic, `nl_bound` bounds
+  /// max(u_set, u_sem) with ScoreCandidate's arithmetic, `nl_bound` bounds
   /// u_nl by CosineUpperBound (0 once `exact` is already 1).
   struct PairBound {
     double exact = 0.0;
     double nl_bound = 0.0;
   };
-  /// `inter` is |a.tokens ∩ b.tokens|, the stage-0 hit count.
-  PairBound BoundPair(const ColumnProfile& a, const ColumnProfile& b,
-                      uint32_t inter) const;
+  /// `inter` is |q tokens ∩ g tokens|, the stage-0 hit count.
+  PairBound BoundPair(const QueryColumn& q, size_t g, uint32_t inter) const;
 
-  /// The reference table score (kExhaustive): Unionability for every
-  /// column pair, then GreedyMatchMean. Returns 0 when nothing pairs or
+  /// The reference table score (kExhaustive): every column pair's
+  /// unionability — the strongest of u_set, u_sem and u_nl, 0 for a column
+  /// without tokens — then GreedyMatchMean. Returns 0 when nothing pairs or
   /// the intent column stays unmatched.
-  double ScoreCandidate(const std::vector<ColumnProfile>& qcols,
-                        size_t query_column,
-                        const std::vector<ColumnProfile>& ccols) const;
+  double ScoreCandidate(const std::vector<QueryColumn>& qcols,
+                        size_t query_column, TableId t) const;
 
   /// The cascade's exact scorer, bit-identical to ScoreCandidate: each
   /// pair's u_set and u_sem come from BoundPair, and the exact embedding
   /// cosine runs only where u_nl's bound beats them and clears the
   /// threshold. Adds the cosines it runs to `*exact_cosines`.
-  double ScoreWithEvidence(const std::vector<ColumnProfile>& qcols,
-                           size_t query_column, const CandidateEvidence& ev,
-                           const std::vector<ColumnProfile>& ccols,
+  double ScoreWithEvidence(const std::vector<QueryColumn>& qcols,
+                           size_t query_column, const Evidence& ev, TableId t,
                            MatchScratch* scratch,
                            uint64_t* exact_cosines) const;
 
   /// Stage-0 table bound from the per-pair hit counts + the candidate's
-  /// column profiles (see ScoreUpperBound and DESIGN.md "Tiered discovery
+  /// columns (see ScoreUpperBound and DESIGN.md "Tiered discovery
   /// cascade").
-  double CandidateUpperBound(const std::vector<ColumnProfile>& qcols,
-                             size_t query_column, const CandidateEvidence& ev,
-                             const std::vector<ColumnProfile>& ccols) const;
+  double CandidateUpperBound(const std::vector<QueryColumn>& qcols,
+                             size_t query_column, const Evidence& ev,
+                             TableId t) const;
 
   Params params_;
   const KnowledgeBase* kb_;
   ColumnAnnotator annotator_;
   HashEmbedder embedder_;
+  size_t dim_;
   const DataLake* lake_ = nullptr;
-  std::unordered_map<std::string, std::vector<ColumnProfile>> profiles_;
-  /// token -> (table name, column) postings, deduplicated per column
+  /// Per lake table id: 1 when the index covers the table.
+  std::vector<uint8_t> indexed_;
+  /// Per lake table id, the first global column id of its columns (one
+  /// past the last table at the end). Columns are numbered in table-id
+  /// order.
+  std::vector<size_t> col_begin_;
+  /// Per global column id: its distinct tokens.
+  std::vector<std::vector<std::string>> col_tokens_;
+  /// Per global column id g: its types at [type_begin_[g],
+  /// type_begin_[g + 1]) of type_weights_, ascending type id, and their
+  /// squared norm.
+  std::vector<size_t> type_begin_;
+  std::vector<TypeWeight> type_weights_;
+  std::vector<double> type_sqnorm_;
+  /// Row-major embedding matrix, one dim_-float row per global column id,
+  /// and each row's EmbeddingNorm.
+  std::vector<float> embeddings_;
+  std::vector<double> norms_;
+  /// Type id -> KB type label, ascending: ids follow label order, so a
+  /// merge over type ids visits types in the order a label-keyed map does.
+  std::vector<std::string> type_labels_;
+  /// token -> the lake columns containing it, one posting per column
   /// (candidate generation + exact stage-0 intersection counts).
-  std::unordered_map<std::string,
-                     std::vector<std::pair<std::string, uint32_t>>>
-      token_index_;
-  /// KB type -> table names (candidate generation).
-  std::unordered_map<std::string, std::vector<std::string>> type_index_;
+  std::unordered_map<std::string, std::vector<LakeColumn>> token_index_;
+  /// Type id -> ids of the tables carrying it (candidate generation).
+  std::vector<std::vector<TableId>> type_tables_;
 };
 
 }  // namespace dialite

@@ -16,31 +16,40 @@ Status DataLake::AddTable(Table table) {
   if (table.name().empty()) {
     return Status::InvalidArgument("lake tables must be named");
   }
-  if (tables_.count(table.name())) {
+  if (ids_.count(table.name())) {
     return Status::AlreadyExists("table '" + table.name() + "'");
+  }
+  if (tables_.size() >= kNoTable) {
+    return Status::InvalidArgument("lake table ids exhausted");
   }
   std::string name = table.name();
   // Names are unique and tables immutable once added, so this is defensive:
   // no stale sketch can survive a lake mutation.
   sketch_cache_->Invalidate(name);
-  tables_.emplace(name, std::make_unique<Table>(std::move(table)));
+  ids_.emplace(name, static_cast<TableId>(tables_.size()));
+  tables_.push_back(std::make_unique<Table>(std::move(table)));
   names_.push_back(std::move(name));
   return Status::OK();
 }
 
 const Table* DataLake::Get(const std::string& name) const {
-  auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : it->second.get();
+  const TableId id = IdOf(name);
+  return id == kNoTable ? nullptr : tables_[id].get();
 }
 
 bool DataLake::Contains(const std::string& name) const {
-  return tables_.count(name) > 0;
+  return ids_.count(name) > 0;
+}
+
+TableId DataLake::IdOf(std::string_view name) const {
+  auto it = ids_.find(name);
+  return it == ids_.end() ? kNoTable : it->second;
 }
 
 std::vector<const Table*> DataLake::tables() const {
   std::vector<const Table*> out;
-  out.reserve(names_.size());
-  for (const std::string& n : names_) out.push_back(Get(n));
+  out.reserve(tables_.size());
+  for (const std::unique_ptr<Table>& t : tables_) out.push_back(t.get());
   return out;
 }
 
@@ -48,10 +57,11 @@ LakeStats DataLake::Stats() const {
   LakeStats s;
   s.num_tables = tables_.size();
   double null_sum = 0.0;
-  for (const auto& [name, t] : tables_) {
-    s.total_rows += t->num_rows();
-    s.total_columns += t->num_columns();
-    null_sum += t->NullFraction();
+  for (const auto& [name, id] : ids_) {
+    const Table& t = *tables_[id];
+    s.total_rows += t.num_rows();
+    s.total_columns += t.num_columns();
+    null_sum += t.NullFraction();
   }
   if (s.num_tables > 0) {
     s.avg_null_fraction = null_sum / static_cast<double>(s.num_tables);

@@ -1,9 +1,13 @@
 #ifndef DIALITE_LAKE_DATA_LAKE_H_
 #define DIALITE_LAKE_DATA_LAKE_H_
 
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -19,6 +23,13 @@ struct LakeStats {
   size_t total_columns = 0;
   double avg_null_fraction = 0.0;
 };
+
+/// Dense id of a lake table: its position in insertion order, so
+/// table_names()[id] is its name. Ids are stable for the lake's lifetime
+/// (tables are never removed); every discovery index over one lake keys its
+/// per-table arrays by them and resolves names through the lake.
+using TableId = uint32_t;
+inline constexpr TableId kNoTable = std::numeric_limits<TableId>::max();
 
 /// An in-memory catalog of tables keyed by unique name — the repository 𝒟
 /// that discovery searches. Tables are owned by the lake; pointers returned
@@ -42,6 +53,12 @@ class DataLake {
   [[nodiscard]] bool Contains(const std::string& name) const;
   size_t size() const { return tables_.size(); }
 
+  /// The dense id of the table named `name`, or kNoTable when absent.
+  TableId IdOf(std::string_view name) const;
+
+  /// The table with dense id `id`, which must be below size().
+  const Table& table(TableId id) const { return *tables_[id]; }
+
   /// All table names in insertion order.
   const std::vector<std::string>& table_names() const { return names_; }
 
@@ -63,8 +80,12 @@ class DataLake {
   TableSketchCache& sketch_cache() const { return *sketch_cache_; }
 
  private:
-  std::map<std::string, std::unique_ptr<Table>> tables_;
+  /// Tables by dense id.
+  std::vector<std::unique_ptr<Table>> tables_;
+  /// Table names by dense id.
   std::vector<std::string> names_;
+  /// Name -> dense id, in name order (Stats sums in this order).
+  std::map<std::string, TableId, std::less<>> ids_;
   /// unique_ptr keeps DataLake movable (the cache owns mutexes).
   std::unique_ptr<TableSketchCache> sketch_cache_;
 };

@@ -47,6 +47,7 @@ Status LshEnsemble::Build() {
   size_t num_parts = std::min(params_.num_partitions, entries_.size());
   size_t per_part = (entries_.size() + num_parts - 1) / num_parts;
   partitions_.clear();
+  std::vector<std::pair<uint64_t, uint32_t>> band;
   for (size_t p = 0; p < num_parts; ++p) {
     size_t begin = p * per_part;
     size_t end = std::min(entries_.size(), begin + per_part);
@@ -54,19 +55,28 @@ Status LshEnsemble::Build() {
     Partition part;
     part.lower = entries_[order[begin]].set_size;
     part.upper = entries_[order[end - 1]].set_size;
-    for (size_t i = begin; i < end; ++i) part.entry_indices.push_back(order[i]);
+    part.members = end - begin;
     // Pre-build band tables for every candidate r.
     for (size_t r : CandidateRows()) {
       if (r > params_.num_perm) continue;
-      size_t bands = params_.num_perm / r;
-      auto& tables = part.tables[r];
-      tables.resize(bands);
-      for (size_t idx : part.entry_indices) {
-        const MinHash& mh = entries_[idx].mh;
-        for (size_t b = 0; b < bands; ++b) {
-          tables[b][mh.BandHash(b * r, (b + 1) * r)].push_back(idx);
+      const size_t bands = params_.num_perm / r;
+      BandTables tables;
+      tables.r = r;
+      tables.keys.reserve(bands * part.members);
+      tables.entries.reserve(bands * part.members);
+      for (size_t b = 0; b < bands; ++b) {
+        band.clear();
+        for (size_t i = begin; i < end; ++i) {
+          band.emplace_back(entries_[order[i]].mh.BandHash(b * r, (b + 1) * r),
+                            static_cast<uint32_t>(order[i]));
+        }
+        std::sort(band.begin(), band.end());
+        for (const auto& [key, idx] : band) {
+          tables.keys.push_back(key);
+          tables.entries.push_back(idx);
         }
       }
+      part.tables.push_back(std::move(tables));
     }
     partitions_.push_back(std::move(part));
   }
@@ -98,42 +108,51 @@ std::vector<uint64_t> LshEnsemble::Query(const MinHash& qmh, size_t qsize,
                                          double containment_threshold) const {
   if (!built_ || entries_.empty() || qsize == 0) return {};
 
-  std::unordered_set<size_t> candidate_indices;
+  // Entries collide in several bands and partitions' tables: `seen` keeps
+  // each one once in `candidates`.
+  std::vector<uint8_t> seen(entries_.size(), 0);
+  std::vector<uint32_t> candidates;
   for (const Partition& part : partitions_) {
     double jt =
         ContainmentToJaccard(containment_threshold, qsize, part.upper);
     // Pick the candidate r whose S-curve threshold (1/b)^(1/r) is closest
     // to jt from below-biased; this mirrors the ensemble's per-partition
     // parameter tuning with a small discrete menu.
-    size_t best_r = CandidateRows().front();
+    const BandTables* best =
+        part.tables.empty() ? nullptr : &part.tables.front();
     double best_err = 1e18;
-    for (size_t r : CandidateRows()) {
-      auto it = part.tables.find(r);
-      if (it == part.tables.end()) continue;
-      size_t bands = params_.num_perm / r;
-      double s_half =
-          std::pow(1.0 / static_cast<double>(bands), 1.0 / static_cast<double>(r));
+    for (const BandTables& tables : part.tables) {
+      size_t bands = params_.num_perm / tables.r;
+      double s_half = std::pow(1.0 / static_cast<double>(bands),
+                               1.0 / static_cast<double>(tables.r));
       double err = std::fabs(s_half - jt);
       if (err < best_err) {
         best_err = err;
-        best_r = r;
+        best = &tables;
       }
     }
-    auto tit = part.tables.find(best_r);
-    if (tit == part.tables.end()) continue;
-    const auto& tables = tit->second;
-    for (size_t b = 0; b < tables.size(); ++b) {
-      uint64_t key = qmh.BandHash(b * best_r, (b + 1) * best_r);
-      auto hit = tables[b].find(key);
-      if (hit == tables[b].end()) continue;
-      candidate_indices.insert(hit->second.begin(), hit->second.end());
+    if (best == nullptr) continue;
+    const size_t r = best->r;
+    const size_t n = part.members;
+    for (size_t b = 0; b < params_.num_perm / r; ++b) {
+      const uint64_t key = qmh.BandHash(b * r, (b + 1) * r);
+      const auto first = best->keys.begin() + static_cast<std::ptrdiff_t>(b * n);
+      const auto [lo, hi] =
+          std::equal_range(first, first + static_cast<std::ptrdiff_t>(n), key);
+      for (auto it = lo; it != hi; ++it) {
+        const uint32_t idx = best->entries[static_cast<size_t>(
+            it - best->keys.begin())];
+        if (seen[idx]) continue;
+        seen[idx] = 1;
+        candidates.push_back(idx);
+      }
     }
   }
 
   // Post-filter by estimated containment (slack absorbs MinHash variance).
   constexpr double kSlack = 0.8;
   std::vector<uint64_t> out;
-  for (size_t idx : candidate_indices) {
+  for (uint32_t idx : candidates) {
     const Entry& e = entries_[idx];
     double est = qmh.EstimateContainment(e.mh, qsize, e.set_size);
     if (est >= containment_threshold * kSlack) out.push_back(e.id);

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -86,15 +85,23 @@ class LshEnsemble {
     size_t set_size;
     MinHash mh;
   };
+  /// A partition's band tables for one candidate r (bands = num_perm / r),
+  /// flat: every member hashes to one key per band, so band b is the
+  /// `members` (key, entry index) pairs at [b * members, (b + 1) * members)
+  /// of keys / entries, sorted by key (then entry), and probed by binary
+  /// search.
+  struct BandTables {
+    size_t r = 0;
+    std::vector<uint64_t> keys;
+    std::vector<uint32_t> entries;
+  };
   struct Partition {
     size_t lower = 0;  ///< min set size in partition
     size_t upper = 0;  ///< max set size in partition
-    std::vector<size_t> entry_indices;
-    /// Band tables for each candidate r (bands = num_perm / r):
-    /// r -> band -> key -> entry indices.
-    std::unordered_map<size_t,
-                       std::vector<std::unordered_map<uint64_t, std::vector<size_t>>>>
-        tables;
+    size_t members = 0;
+    /// One per candidate r no larger than num_perm, in CandidateRows()
+    /// order.
+    std::vector<BandTables> tables;
   };
 
   static const std::vector<size_t>& CandidateRows();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <ostream>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "common/cancel.h"
+#include "common/rng.h"
 #include "core/dialite.h"
 #include "discovery/cascade.h"
 #include "discovery/cocoa.h"
@@ -366,6 +368,147 @@ TEST(DialiteFacadeTest, SearchModePropagatesToAlgorithms) {
   auto exhaustive = dialite.Discover(q, "santos");
   ASSERT_TRUE(exhaustive.ok());
   EXPECT_EQ(*cascade, *exhaustive);
+}
+
+// ------------------------------------------------------ pinned answers
+
+/// FNV-1a 64 of `text`.
+uint64_t Fnv1a(const std::string& text) {
+  uint64_t h = 14695981039346656037ull;
+  for (unsigned char ch : text) {
+    h ^= ch;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// A lake shaped like the serving benchmark's: neutral table names and
+/// noisy headers, 16 fragments per domain.
+DataLake MakeServeLake(uint64_t seed) {
+  LakeGeneratorParams p;
+  p.fragments_per_domain = 16;
+  p.header_noise = 0.5;
+  p.neutral_names = true;
+  p.seed = seed;
+  return SyntheticLakeGenerator(p).Generate().lake;
+}
+
+/// One sampled query table and its intent column.
+struct SampledQuery {
+  Table table;
+  size_t intent = 0;
+};
+
+/// Queries drawn as the serving benchmark draws them: from every third
+/// lake table with a string column, a random string intent column (always
+/// kept), each other column kept with probability 1/2, and a random sample
+/// of at least half the rows, named "query". Seeded, so every run and
+/// every build asks the same questions.
+std::vector<SampledQuery> SampleQueries(const DataLake& lake, uint64_t seed) {
+  Rng rng(seed * 7919 + 1);
+  std::vector<SampledQuery> out;
+  const std::vector<const Table*> tables = lake.tables();
+  for (size_t i = 0; i < tables.size(); i += 3) {
+    const Table& t = *tables[i];
+    std::vector<size_t> strings;
+    for (size_t c = 0; c < t.num_columns(); ++c) {
+      if (t.schema().column(c).type == ValueType::kString) strings.push_back(c);
+    }
+    if (strings.empty() || t.num_rows() == 0) continue;
+    const size_t intent = strings[rng.NextBounded(strings.size())];
+    std::vector<size_t> cols;
+    size_t intent_pos = 0;
+    for (size_t c = 0; c < t.num_columns(); ++c) {
+      if (c == intent) intent_pos = cols.size();
+      if (c == intent || rng.NextBool(0.5)) cols.push_back(c);
+    }
+    const size_t keep = static_cast<size_t>(
+        rng.NextInt(static_cast<int64_t>((t.num_rows() + 1) / 2),
+                    static_cast<int64_t>(t.num_rows())));
+    std::vector<size_t> rows = rng.SampleIndices(t.num_rows(), keep);
+    std::sort(rows.begin(), rows.end());
+    std::vector<ColumnDef> defs;
+    for (size_t c : cols) defs.push_back(t.schema().column(c));
+    SampledQuery q{Table("query", Schema(std::move(defs))), intent_pos};
+    for (size_t r : rows) {
+      Row row;
+      for (size_t c : cols) row.push_back(t.at(r, c));
+      EXPECT_TRUE(q.table.AddRow(std::move(row)).ok());
+    }
+    out.push_back(std::move(q));
+  }
+  return out;
+}
+
+/// Per stock algorithm, the FNV-1a of every query's ranked hits (k = 10):
+/// names and %.17g scores, in rank order.
+std::map<std::string, uint64_t> AnswerDigests(
+    const Dialite& dialite, const std::vector<SampledQuery>& queries) {
+  std::map<std::string, uint64_t> out;
+  for (const char* algo : {"cocoa", "josie", "keyword", "lsh_ensemble",
+                           "santos", "starmie", "tus"}) {
+    std::string text;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      DiscoveryQuery q{&queries[i].table, queries[i].intent, 10};
+      auto hits = dialite.Discover(q, algo);
+      EXPECT_TRUE(hits.ok()) << algo << ": " << hits.status().ToString();
+      if (!hits.ok()) continue;
+      text += "#" + std::to_string(i);
+      for (const DiscoveryHit& h : *hits) {
+        char score[32];
+        std::snprintf(score, sizeof(score), "%.17g", h.score);
+        text += " " + h.table_name + "=" + score;
+      }
+    }
+    out[algo] = Fnv1a(text);
+  }
+  return out;
+}
+
+// Every algorithm's ranked answers to seeded servebench-shaped queries,
+// pinned as digests recorded before discovery moved onto dense table ids
+// and flat index arrays. CascadeEquivalenceTest compares two modes of the
+// same code; these digests also catch a layout change that moves both.
+// Freshly built and snapshot-reopened indexes must both reproduce them.
+TEST(PinnedAnswersTest, FreshAndReopenedIndexesKeepRecordedDigests) {
+  std::vector<std::pair<std::string, uint64_t>> got;
+  for (uint64_t seed : {1u, 4u}) {
+    DataLake lake = MakeServeLake(seed);
+    const std::vector<SampledQuery> queries = SampleQueries(lake, seed);
+    ASSERT_GT(queries.size(), 20u);
+    Dialite fresh(&lake);
+    ASSERT_TRUE(fresh.RegisterDefaults().ok());
+    ASSERT_TRUE(fresh.BuildIndexes().ok());
+    const std::map<std::string, uint64_t> built = AnswerDigests(fresh, queries);
+    const std::string path = testing::TempDir() + "/pinned_answers_" +
+                             std::to_string(seed) + ".dialsnap";
+    ASSERT_TRUE(fresh.SaveSnapshot(path).ok());
+    Result<SnapshotSystem> reopened = Dialite::OpenSnapshot(path);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    EXPECT_EQ(AnswerDigests(*reopened->dialite, queries), built)
+        << "seed " << seed;
+    std::remove(path.c_str());
+    for (const auto& [algo, digest] : built) {
+      got.emplace_back("seed " + std::to_string(seed) + " " + algo, digest);
+    }
+  }
+  const std::vector<std::pair<std::string, uint64_t>> recorded = {
+      {"seed 1 cocoa", 0x1df748aa62d0003eull},
+      {"seed 1 josie", 0x86dd8562728ee21full},
+      {"seed 1 keyword", 0x43b568ea533fcd1cull},
+      {"seed 1 lsh_ensemble", 0x73cced53dac508beull},
+      {"seed 1 santos", 0xe745a3c541c9a04eull},
+      {"seed 1 starmie", 0x8ce46ec34007ddbcull},
+      {"seed 1 tus", 0x5e854d22f689651eull},
+      {"seed 4 cocoa", 0xc704699c976a6d60ull},
+      {"seed 4 josie", 0xe7ab46c6350d4115ull},
+      {"seed 4 keyword", 0x2566792fae65af03ull},
+      {"seed 4 lsh_ensemble", 0x11ec50bafa54105cull},
+      {"seed 4 santos", 0x437ac7e0c6ac0ae5ull},
+      {"seed 4 starmie", 0xaa5df917751f325aull},
+      {"seed 4 tus", 0x887a9312cbeaceb0ull},
+  };
+  EXPECT_EQ(got, recorded);
 }
 
 // ------------------------------------------------- request deadlines

@@ -16,6 +16,8 @@
 #include "discovery/keyword_search.h"
 #include "discovery/lsh_ensemble_search.h"
 #include "discovery/santos.h"
+#include "discovery/starmie.h"
+#include "discovery/tus.h"
 #include "lake/paper_fixtures.h"
 #include "snapshot/bytes.h"
 
@@ -94,6 +96,75 @@ BinaryWriter KeywordPayload(const std::vector<std::string>& terms,
   w.U64(1);
   w.U32(id);
   w.F64(1.0);
+  return w;
+}
+
+/// The default embedding width of TUS and Starmie (HashEmbedder::Params).
+constexpr size_t kDim = 128;
+
+/// A unit vector of `dim` floats.
+std::vector<float> UnitVector(size_t dim) {
+  std::vector<float> v(dim, 0.0f);
+  if (dim > 0) v[0] = 1.0f;
+  return v;
+}
+
+/// A TUS payload listing lake table T2 once per entry of `widths`, with
+/// that many columns; each column holds the token "toronto", no KB types,
+/// and a `dim`-float embedding.
+BinaryWriter TusPayload(const std::vector<uint64_t>& widths,
+                        size_t dim = kDim) {
+  BinaryWriter w;
+  w.Str("tus");
+  w.U32(1);
+  w.U64(widths.size());
+  for (uint64_t ncols : widths) {
+    w.Str("T2");
+    w.U64(ncols);
+    for (uint64_t c = 0; c < ncols; ++c) {
+      w.U64(1);
+      w.Str("toronto");
+      w.U64(0);
+      w.Array<float>(UnitVector(dim));
+    }
+  }
+  return w;
+}
+
+/// A SANTOS payload listing T2 `copies` times, each with one column typed
+/// "city" and no relations.
+BinaryWriter SantosPayload(size_t copies) {
+  BinaryWriter w;
+  w.Str("santos");
+  w.U32(1);
+  w.U64(copies);
+  for (size_t i = 0; i < copies; ++i) {
+    w.Str("T2");
+    w.U64(1);
+    w.U64(1);
+    w.Str("city");
+    w.F64(1.0);
+    w.U64(0);  // relations
+    w.U64(0);  // relations anchored at column 0
+  }
+  return w;
+}
+
+/// A Starmie payload listing T2 `copies` times with one column vector,
+/// and one SimHash id for T2's column 0.
+BinaryWriter StarmiePayload(size_t copies) {
+  BinaryWriter w;
+  w.Str("starmie");
+  w.U32(1);
+  w.U64(copies);
+  for (size_t i = 0; i < copies; ++i) {
+    w.Str("T2");
+    w.U64(1);
+    w.Array<float>(UnitVector(kDim));
+  }
+  w.U64(1);
+  w.Str("T2");
+  w.U64(0);
   return w;
 }
 
@@ -258,6 +329,23 @@ TEST(LshEnsemblePersistTest, LoadRejectsColumnOutOfRange) {
             StatusCode::kParseError);
 }
 
+// A payload that fails to load leaves the built index answering as before.
+TEST(LshEnsemblePersistTest, FailedLoadKeepsTheIndex) {
+  DataLake lake = paper::MakeDemoLake(0);
+  LshEnsembleSearch lsh;
+  ASSERT_TRUE(lsh.BuildIndex(lake).ok());
+  const Table query = paper::MakeT1();
+  DiscoveryQuery q{&query, 1, 5};
+  auto before = lsh.Search(q);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  ASSERT_FALSE(before->empty());
+  EXPECT_EQ(LoadCrafted(&lsh, LshPayload(1000000), lake).code(),
+            StatusCode::kParseError);
+  auto after = lsh.Search(q);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(*after, *before);
+}
+
 // A vocabulary that repeats a term must fail to load: the postings
 // derived on load hold one list per distinct term, while a document entry
 // may name any id below the term count. {"x", "y"} is the control.
@@ -270,6 +358,50 @@ TEST(KeywordPersistTest, LoadRejectsRepeatedTerm) {
   ASSERT_EQ(hits->size(), 1u);
   EXPECT_EQ((*hits)[0].table_name, "T2");
   EXPECT_EQ(LoadCrafted(&keyword, KeywordPayload({"x", "x"}, 1), lake).code(),
+            StatusCode::kParseError);
+}
+
+// Indexes give each lake table one slot, so a payload that lists a table
+// twice must fail to load. Such a TUS payload used to load: its profiles
+// kept the first copy (one column) while its token postings named columns
+// of the second (three), and a search read past the first copy's hit
+// counts. One copy is the control.
+TEST(TusPersistTest, LoadRejectsRepeatedTable) {
+  DataLake lake = paper::MakeDemoLake(0);
+  TusSearch tus;
+  ASSERT_TRUE(LoadCrafted(&tus, TusPayload({1}), lake).ok());
+  Table query("q", Schema::FromNames({"City"}));
+  ASSERT_TRUE(query.AddRow({Value::String("toronto")}).ok());
+  auto hits = tus.Search(DiscoveryQuery{&query, 0, 5});
+  ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+  ASSERT_EQ(hits->size(), 1u);
+  EXPECT_EQ((*hits)[0].table_name, "T2");
+  EXPECT_EQ(LoadCrafted(&tus, TusPayload({1, 3}), lake).code(),
+            StatusCode::kParseError);
+}
+
+// Lake-column embeddings share one matrix of dim()-float rows.
+TEST(TusPersistTest, LoadRejectsEmbeddingDimMismatch) {
+  DataLake lake = paper::MakeDemoLake(0);
+  TusSearch tus;
+  ASSERT_TRUE(LoadCrafted(&tus, TusPayload({1}, kDim), lake).ok());
+  EXPECT_EQ(LoadCrafted(&tus, TusPayload({1}, kDim - 1), lake).code(),
+            StatusCode::kParseError);
+}
+
+TEST(SantosPersistTest, LoadRejectsRepeatedTable) {
+  DataLake lake = paper::MakeDemoLake(0);
+  SantosSearch santos;
+  ASSERT_TRUE(LoadCrafted(&santos, SantosPayload(1), lake).ok());
+  EXPECT_EQ(LoadCrafted(&santos, SantosPayload(2), lake).code(),
+            StatusCode::kParseError);
+}
+
+TEST(StarmiePersistTest, LoadRejectsRepeatedTable) {
+  DataLake lake = paper::MakeDemoLake(0);
+  StarmieSearch starmie;
+  ASSERT_TRUE(LoadCrafted(&starmie, StarmiePayload(1), lake).ok());
+  EXPECT_EQ(LoadCrafted(&starmie, StarmiePayload(2), lake).code(),
             StatusCode::kParseError);
 }
 

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <map>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
+#include "common/rng.h"
 #include "sketch/hyperloglog.h"
 #include "sketch/lsh_ensemble.h"
 #include "sketch/lsh_index.h"
@@ -188,6 +193,143 @@ TEST(LshEnsembleTest, EmptyQueryReturnsEmpty) {
   ASSERT_TRUE(ens.Add(1, MakeTokens(0, 5, "a")).ok());
   ASSERT_TRUE(ens.Build().ok());
   EXPECT_TRUE(ens.Query({}, 0.5).empty());
+}
+
+/// Reference answers for LshEnsemble::Query from the band tables the
+/// ensemble kept before its flat sorted arrays: per partition and
+/// candidate r, one hash map per band from band key to entry indices. The
+/// partitioning, the choice of r and the containment post-filter are the
+/// ensemble's own, restated here.
+class MapBandReference {
+ public:
+  /// `ids[i]` is the id the i-th domain was added under.
+  MapBandReference(const LshEnsemble& ens, std::vector<uint64_t> ids,
+                   size_t num_perm, size_t num_partitions)
+      : ens_(ens), ids_(std::move(ids)), num_perm_(num_perm) {
+    std::vector<size_t> order(ens.size());
+    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return ens.set_size(a) < ens.set_size(b);
+    });
+    const size_t num_parts = std::min(num_partitions, ens.size());
+    const size_t per_part = (ens.size() + num_parts - 1) / num_parts;
+    for (size_t p = 0; p < num_parts; ++p) {
+      const size_t begin = p * per_part;
+      const size_t end = std::min(ens.size(), begin + per_part);
+      if (begin >= end) break;
+      Partition part;
+      part.upper = ens.set_size(order[end - 1]);
+      for (size_t r : kRows) {
+        if (r > num_perm) continue;
+        auto& tables = part.tables[r];
+        tables.resize(num_perm / r);
+        for (size_t i = begin; i < end; ++i) {
+          for (size_t b = 0; b < tables.size(); ++b) {
+            tables[b][ens.sketch(order[i]).BandHash(b * r, (b + 1) * r)]
+                .push_back(order[i]);
+          }
+        }
+      }
+      parts_.push_back(std::move(part));
+    }
+  }
+
+  std::vector<uint64_t> Query(const MinHash& qmh, size_t qsize,
+                              double threshold) const {
+    std::unordered_set<size_t> found;
+    for (const Partition& part : parts_) {
+      const double jt =
+          LshEnsemble::ContainmentToJaccard(threshold, qsize, part.upper);
+      size_t best_r = kRows[0];
+      double best_err = 1e18;
+      for (size_t r : kRows) {
+        if (!part.tables.count(r)) continue;
+        const double bands = static_cast<double>(num_perm_ / r);
+        const double err = std::fabs(
+            std::pow(1.0 / bands, 1.0 / static_cast<double>(r)) - jt);
+        if (err < best_err) {
+          best_err = err;
+          best_r = r;
+        }
+      }
+      const auto& tables = part.tables.at(best_r);
+      for (size_t b = 0; b < tables.size(); ++b) {
+        auto it = tables[b].find(qmh.BandHash(b * best_r, (b + 1) * best_r));
+        if (it != tables[b].end()) found.insert(it->second.begin(), it->second.end());
+      }
+    }
+    std::vector<uint64_t> out;
+    for (size_t idx : found) {
+      if (qmh.EstimateContainment(ens_.sketch(idx), qsize,
+                                  ens_.set_size(idx)) >= threshold * 0.8) {
+        out.push_back(ids_[idx]);
+      }
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+ private:
+  static constexpr size_t kRows[] = {1, 2, 4, 8, 16, 32};
+  struct Partition {
+    size_t upper = 0;
+    std::map<size_t,
+             std::vector<std::unordered_map<uint64_t, std::vector<size_t>>>>
+        tables;
+  };
+  const LshEnsemble& ens_;
+  std::vector<uint64_t> ids_;
+  size_t num_perm_;
+  std::vector<Partition> parts_;
+};
+
+// The flat sorted band arrays must return exactly the candidates the
+// per-band hash maps did: on random domains of mixed sizes (many sharing
+// tokens, so bands collide), at low, middle and high thresholds, through
+// both Query overloads.
+TEST(LshEnsembleTest, FlatBandTablesMatchMapReference) {
+  Rng rng(20261018);
+  auto random_domain = [&](size_t size, size_t universe) {
+    std::vector<std::string> toks;
+    for (size_t i = 0; i < size; ++i) {
+      toks.push_back("v" + std::to_string(rng.NextBounded(universe)));
+    }
+    std::sort(toks.begin(), toks.end());
+    toks.erase(std::unique(toks.begin(), toks.end()), toks.end());
+    return toks;
+  };
+  const size_t sizes[] = {3, 12, 40, 150, 600};
+  LshEnsemble::Params params;
+  LshEnsemble ens(params);
+  std::vector<std::vector<std::string>> domains;
+  std::vector<uint64_t> ids;
+  for (size_t i = 0; i < 700; ++i) {
+    domains.push_back(random_domain(sizes[rng.NextBounded(5)], 900));
+    ids.push_back(1000 + 3 * i);
+    ASSERT_TRUE(ens.Add(ids.back(), domains.back()).ok());
+  }
+  ASSERT_TRUE(ens.Build().ok());
+  const MapBandReference reference(ens, ids, params.num_perm,
+                                   params.num_partitions);
+  size_t nonempty = 0;
+  for (size_t q = 0; q < 60; ++q) {
+    // Half the queries are samples of an indexed domain, so some
+    // containments are high.
+    std::vector<std::string> query =
+        q % 2 == 0 ? random_domain(sizes[rng.NextBounded(4)], 900)
+                   : domains[rng.NextBounded(domains.size())];
+    if (q % 2 == 1 && query.size() > 4) query.resize(query.size() / 2);
+    const MinHash qmh =
+        MinHash::FromTokens(query, params.num_perm, params.seed);
+    for (double t : {0.1, 0.5, 0.9}) {
+      const std::vector<uint64_t> want = reference.Query(qmh, query.size(), t);
+      EXPECT_EQ(ens.Query(query, t), want) << "query " << q << " t=" << t;
+      EXPECT_EQ(ens.Query(qmh, query.size(), t), want)
+          << "query " << q << " t=" << t;
+      if (!want.empty()) ++nonempty;
+    }
+  }
+  EXPECT_GT(nonempty, 90u);
 }
 
 

@@ -17,6 +17,30 @@ bool HasHit(const std::vector<DiscoveryHit>& hits, const std::string& name) {
   });
 }
 
+/// TUS's unionability of column 0 of `a` with column 0 of `b` as a search
+/// computes it: `b`'s score in a lake holding only `b`, for a query of `a`
+/// alone, with no pair threshold; 0 when `b` is no candidate. The
+/// reference scorer and the cascade must agree on it.
+double SearchedUnionability(const Table& a, const Table& b) {
+  DataLake lake;
+  EXPECT_TRUE(lake.AddTable(b).ok());
+  TusSearch::Params params;
+  params.min_column_unionability = 0.0;
+  TusSearch tus(params, &KnowledgeBase::BuiltIn());
+  EXPECT_TRUE(tus.BuildIndex(lake).ok());
+  const DiscoveryQuery q{&a, 0, 1};
+  const SearchMode modes[2] = {SearchMode::kExhaustive, SearchMode::kCascade};
+  double score[2] = {0.0, 0.0};
+  for (int i = 0; i < 2; ++i) {
+    tus.set_search_mode(modes[i]);
+    auto hits = tus.Search(q);
+    EXPECT_TRUE(hits.ok()) << hits.status().ToString();
+    if (hits.ok() && !hits->empty()) score[i] = hits->front().score;
+  }
+  EXPECT_EQ(score[0], score[1]);
+  return score[0];
+}
+
 TEST(TusUnionabilityTest, SetMeasureDominatesOnOverlap) {
   Table a("a", Schema::FromNames({"c"}));
   Table b("b", Schema::FromNames({"c"}));
@@ -24,12 +48,9 @@ TEST(TusUnionabilityTest, SetMeasureDominatesOnOverlap) {
     (void)a.AddRow({Value::String("zq_v" + std::to_string(i))});
     (void)b.AddRow({Value::String("zq_v" + std::to_string(i))});
   }
-  TusSearch tus;
-  auto pa = tus.ProfileColumn(a, 0);
-  auto pb = tus.ProfileColumn(b, 0);
   // Identical made-up values: set measure gives 1.0 even with no KB types.
-  EXPECT_TRUE(pa.types.empty());
-  EXPECT_DOUBLE_EQ(tus.Unionability(pa, pb), 1.0);
+  EXPECT_TRUE(TusSearch().ProfileColumn(a, 0).types.empty());
+  EXPECT_DOUBLE_EQ(SearchedUnionability(a, b), 1.0);
 }
 
 TEST(TusUnionabilityTest, SemanticMeasureCarriesDisjointValues) {
@@ -39,11 +60,8 @@ TEST(TusUnionabilityTest, SemanticMeasureCarriesDisjointValues) {
   Table b("b", Schema::FromNames({"c"}));
   (void)b.AddRow({Value::String("Toronto")});
   (void)b.AddRow({Value::String("Boston")});
-  TusSearch tus;
-  auto pa = tus.ProfileColumn(a, 0);
-  auto pb = tus.ProfileColumn(b, 0);
   // Disjoint values, but both columns annotate as city/location.
-  EXPECT_GT(tus.Unionability(pa, pb), 0.8);
+  EXPECT_GT(SearchedUnionability(a, b), 0.8);
 }
 
 TEST(TusUnionabilityTest, UnrelatedColumnsScoreLow) {
@@ -53,9 +71,7 @@ TEST(TusUnionabilityTest, UnrelatedColumnsScoreLow) {
   Table b("b", Schema::FromNames({"c"}));
   (void)b.AddRow({Value::String("73%")});
   (void)b.AddRow({Value::String("21%")});
-  TusSearch tus;
-  EXPECT_LT(tus.Unionability(tus.ProfileColumn(a, 0), tus.ProfileColumn(b, 0)),
-            0.4);
+  EXPECT_LT(SearchedUnionability(a, b), 0.4);
 }
 
 TEST(TusPaperTest, FindsT2ForT1) {

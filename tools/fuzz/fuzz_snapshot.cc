@@ -1,9 +1,14 @@
 // libFuzzer harness: SnapshotReader over arbitrary bytes. The container
-// open path (magic, version, endianness, bounds, section table, CRCs) and
-// the lake decode behind it must reject any mutation with a clean Status —
-// never crash, over-read, or hand out out-of-bounds spans. The sanitizer
-// (ASan under clang) turns memory bugs into aborts; explicit checks below
-// turn contract violations into aborts.
+// open path (magic, version, endianness, bounds, section table, CRCs), the
+// lake decode and the index loads behind it must reject any mutation with a
+// clean Status — never crash, over-read, or hand out out-of-bounds spans.
+// The sanitizer (ASan under clang) turns memory bugs into aborts; explicit
+// checks below turn contract violations into aborts.
+//
+// On a lake that decodes, every "idx.<name>" section also goes through its
+// stock algorithm's LoadPayload, and an index that loads answers one
+// Search for a query cut from the decoded lake: a payload that loads must
+// be safe to search.
 //
 // Input layout: byte 0 selects SnapshotReadOptions (bit0 = skip section
 // CRC verification — the deferred-verification mode must be exactly as
@@ -11,24 +16,91 @@
 // OpenOwning and OpenBorrowing run, so the anchored and anchorless
 // lifetimes are each exercised.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <span>
 #include <string>
 
+#include "discovery/cocoa.h"
+#include "discovery/josie.h"
+#include "discovery/keyword_search.h"
+#include "discovery/lsh_ensemble_search.h"
+#include "discovery/santos.h"
+#include "discovery/starmie.h"
+#include "discovery/tus.h"
 #include "lake/data_lake.h"
+#include "snapshot/bytes.h"
+#include "snapshot/format.h"
 #include "snapshot/lake_codec.h"
 #include "snapshot/snapshot_reader.h"
 
 namespace {
 
+using dialite::BinaryReader;
 using dialite::DataLake;
+using dialite::DiscoveryAlgorithm;
+using dialite::DiscoveryQuery;
+using dialite::PersistentIndex;
 using dialite::ReadLake;
 using dialite::Result;
 using dialite::SnapshotReader;
 using dialite::SnapshotReadOptions;
 using dialite::SnapshotSection;
+using dialite::Table;
+
+/// The stock algorithm whose index a snapshot stores as "idx.<name>", or
+/// null for any other name.
+std::unique_ptr<DiscoveryAlgorithm> StockAlgorithm(const std::string& name) {
+  if (name == "cocoa") return std::make_unique<dialite::CocoaSearch>();
+  if (name == "josie") return std::make_unique<dialite::JosieSearch>();
+  if (name == "keyword") return std::make_unique<dialite::KeywordSearch>();
+  if (name == "lsh_ensemble") {
+    return std::make_unique<dialite::LshEnsembleSearch>();
+  }
+  if (name == "santos") return std::make_unique<dialite::SantosSearch>();
+  if (name == "starmie") return std::make_unique<dialite::StarmieSearch>();
+  if (name == "tus") return std::make_unique<dialite::TusSearch>();
+  return nullptr;
+}
+
+/// The first rows of the lake's first table that has columns, as a query
+/// table named apart from every lake table; null for a lake without one.
+std::unique_ptr<Table> CutQuery(const DataLake& lake) {
+  for (const Table* t : lake.tables()) {
+    if (t->num_columns() == 0) continue;
+    auto query = std::make_unique<Table>("fuzz_query", t->schema());
+    for (size_t r = 0; r < std::min<size_t>(t->num_rows(), 16); ++r) {
+      dialite::Row row;
+      for (size_t c = 0; c < t->num_columns(); ++c) row.push_back(t->at(r, c));
+      if (!query->AddRow(std::move(row)).ok()) return nullptr;
+    }
+    return query;
+  }
+  return nullptr;
+}
+
+/// Loads every index section of `reader` over `lake` through its stock
+/// algorithm; each index that loads answers one search (any Status is
+/// fine, a crash is not).
+void ExerciseIndexes(const SnapshotReader& reader, const DataLake& lake) {
+  const std::string prefix = dialite::kSectionIndexPrefix;
+  const std::unique_ptr<Table> query = CutQuery(lake);
+  for (const SnapshotSection& s : reader.sections()) {
+    if (s.name.compare(0, prefix.size(), prefix) != 0) continue;
+    std::unique_ptr<DiscoveryAlgorithm> algo =
+        StockAlgorithm(s.name.substr(prefix.size()));
+    if (algo == nullptr) continue;
+    Result<std::span<const uint8_t>> payload = reader.Section(s.name);
+    if (!payload.ok()) continue;
+    BinaryReader r(*payload);
+    auto* index = dynamic_cast<PersistentIndex*>(algo.get());
+    if (!index->LoadPayload(&r, lake).ok() || query == nullptr) continue;
+    (void)algo->Search(DiscoveryQuery{query.get(), 0, 5});
+  }
+}
 
 void Exercise(const SnapshotReader& reader, size_t input_size) {
   // Every advertised section must be in bounds and servable.
@@ -60,6 +132,7 @@ void Exercise(const SnapshotReader& reader, size_t input_size) {
     for (const std::string& name : (*lake)->table_names()) {
       (void)(*lake)->Get(name)->num_rows();
     }
+    ExerciseIndexes(reader, **lake);
   }
 }
 
