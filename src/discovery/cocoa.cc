@@ -8,16 +8,11 @@
 
 #include "analyze/stats.h"
 #include "common/string_util.h"
-#include "snapshot/bytes.h"
 #include "text/tokenizer.h"
 
 namespace dialite {
 
 namespace {
-
-/// Columns with fewer distinct tokens are not indexed.
-constexpr size_t kMinDistinct = 2;
-constexpr uint32_t kCocoaPayloadVersion = 1;
 
 /// Lowercased token of a joinable cell, or "" for nulls/empties.
 std::string JoinToken(const Value& v) {
@@ -149,18 +144,6 @@ CocoaSearch::NumericCells CocoaSearch::ParseNumericCells(const Table& t) {
   return out;
 }
 
-void CocoaSearch::DeriveNumericSides(const DataLake& lake) {
-  numeric_.assign(lake.size(), NumericCells{});
-  std::vector<TableId> todo;
-  for (TableId t = 0; t < lake.size(); ++t) {
-    if (!index_.ColumnsOf(t).empty()) todo.push_back(t);
-  }
-  // Tables are independent, so they parse on the build's workers.
-  ForEachTableIndex(num_threads_, todo.size(), [&](size_t i) {
-    numeric_[todo[i]] = ParseNumericCells(lake.table(todo[i]));
-  }, obs_);
-}
-
 CocoaSearch::QuerySide CocoaSearch::MakeQuerySide(
     const Table& query, const ColumnView& join_col) const {
   QuerySide side;
@@ -240,32 +223,26 @@ double CocoaSearch::JoinedCorrelation(QuerySide* q, const Table& cand,
 
 Status CocoaSearch::BuildIndex(const DataLake& lake) {
   lake_ = &lake;
-  index_.Build(lake, kMinDistinct, num_threads_, obs_);
-  DeriveNumericSides(lake);
-  ObsAdd(obs_, "discover.cocoa.build.tables", lake.size());
-  ObsSet(obs_, "discover.cocoa.index.columns", index_.columns().size());
-  return Status::OK();
-}
-
-Status CocoaSearch::SavePayload(BinaryWriter* w) const {
-  if (lake_ == nullptr) return Status::Internal("BuildIndex not called");
-  w->Str(name());
-  w->U32(kCocoaPayloadVersion);
-  index_.Save(*lake_, w);
-  return Status::OK();
-}
-
-Status CocoaSearch::LoadPayload(BinaryReader* r, const DataLake& lake) {
-  std::string algo;
-  DIALITE_RETURN_IF_ERROR(r->Str(&algo));
-  uint32_t version = 0;
-  DIALITE_RETURN_IF_ERROR(r->U32(&version));
-  if (algo != name() || version != kCocoaPayloadVersion) {
-    return Status::ParseError("not a cocoa v1 index payload");
+  tokens_ = lake.tokens(num_threads_);
+  const LakeTokens& tokens = *tokens_;
+  numeric_.assign(lake.size(), NumericCells{});
+  std::vector<TableId> todo;
+  size_t columns = 0;
+  for (TableId t = 0; t < tokens.num_tables(); ++t) {
+    const uint32_t first = tokens.FirstColumn(t);
+    size_t indexed = 0;
+    for (uint32_t col = first; col < first + tokens.NumColumns(t); ++col) {
+      if (tokens.JoinIndexed(col)) ++indexed;
+    }
+    if (indexed > 0) todo.push_back(t);
+    columns += indexed;
   }
-  DIALITE_RETURN_IF_ERROR(index_.Load(r, lake));
-  DeriveNumericSides(lake);
-  lake_ = &lake;
+  // Tables are independent, so they parse on the build's workers.
+  ForEachTableIndex(num_threads_, todo.size(), [&](size_t i) {
+    numeric_[todo[i]] = ParseNumericCells(lake.table(todo[i]));
+  }, obs_);
+  ObsAdd(obs_, "discover.cocoa.build.tables", lake.size());
+  ObsSet(obs_, "discover.cocoa.index.columns", columns);
   return Status::OK();
 }
 
@@ -282,31 +259,35 @@ Result<std::vector<DiscoveryHit>> CocoaSearch::Search(
   std::vector<std::string> qtokens = ColumnTokens(qcol);
   if (qtokens.empty()) return std::vector<DiscoveryHit>{};
 
-  // Joinable candidates via the inverted index: per-column overlap counts
-  // in a dense array, columns in first-seen order.
-  std::vector<uint32_t> overlap(index_.columns().size(), 0);
+  // Joinable candidates via the lake's postings over indexed columns:
+  // per-column overlap counts in a dense array, columns in first-seen
+  // order.
+  const LakeTokens& tokens = *tokens_;
+  std::vector<uint32_t> overlap(tokens.num_columns(), 0);
   std::vector<uint32_t> seen;
   for (const std::string& tok : qtokens) {
-    const std::vector<uint32_t>* ids = index_.Find(tok);
-    if (ids == nullptr) continue;
-    for (uint32_t id : *ids) {
-      if (overlap[id]++ == 0) seen.push_back(id);
+    const uint32_t id = tokens.Find(tok);
+    if (id == kNoToken) continue;
+    const uint32_t* cols = tokens.Postings(id);
+    for (size_t i = 0; i < tokens.PostingCount(id); ++i) {
+      if (!tokens.JoinIndexed(cols[i])) continue;
+      if (overlap[cols[i]]++ == 0) seen.push_back(cols[i]);
     }
   }
   const double min_overlap =
       params_.min_containment * static_cast<double>(qtokens.size());
   const TableId self = lake_->IdOf(query.table->name());
   struct Joinable {
-    uint32_t id;
+    size_t column;  ///< in its table
     size_t overlap;
     TableId table;
   };
   std::vector<Joinable> joinable;
-  for (uint32_t id : seen) {
-    if (static_cast<double>(overlap[id]) < min_overlap) continue;
-    const TableId t = index_.columns()[id].table;
+  for (uint32_t col : seen) {
+    if (static_cast<double>(overlap[col]) < min_overlap) continue;
+    const TableId t = tokens.TableOf(col);
     if (t == self) continue;
-    joinable.push_back({id, overlap[id], t});
+    joinable.push_back({col - tokens.FirstColumn(t), overlap[col], t});
   }
 
   // Each joinable column's best correlation.
@@ -320,7 +301,7 @@ Result<std::vector<DiscoveryHit>> CocoaSearch::Search(
       }
       rhos[i] = BestJoinedCorrelation(
           *query.table, query.query_column, lake_->table(joinable[i].table),
-          index_.columns()[joinable[i].id].column, params_.min_joined_rows);
+          joinable[i].column, params_.min_joined_rows);
     }
   } else {
     QuerySide side = MakeQuerySide(*query.table, qcol);
@@ -330,8 +311,7 @@ Result<std::vector<DiscoveryHit>> CocoaSearch::Search(
         return Status::DeadlineExceeded("cocoa search cancelled");
       }
       const TableId t = joinable[i].table;
-      rhos[i] = JoinedCorrelation(&side, lake_->table(t),
-                                  index_.columns()[joinable[i].id].column,
+      rhos[i] = JoinedCorrelation(&side, lake_->table(t), joinable[i].column,
                                   numeric_[t], &spearman_evals);
     }
     ObsAdd(obs_, "discover.cocoa.work.spearman_evals", spearman_evals);

@@ -5,7 +5,8 @@
 #include <string>
 #include <vector>
 
-#include "discovery/column_postings.h"
+#include <memory>
+
 #include "discovery/discovery.h"
 
 namespace dialite {
@@ -17,7 +18,8 @@ namespace dialite {
 /// numeric columns after the join (i.e., features that would actually help
 /// a downstream model).
 ///
-/// Offline: the token inverted index JOSIE uses (ColumnPostings).
+/// Offline: the lake's token postings (LakeTokens) over its join-indexed
+/// columns, which JOSIE searches too; COCOA persists nothing of its own.
 /// Online: candidates joinable on the query column above
 /// `min_containment`; for each, the query and candidate are joined on the
 /// query column and the score is the best |Spearman ρ| between any query
@@ -33,7 +35,7 @@ namespace dialite {
 /// no join at all when either side lacks a numeric column. kExhaustive
 /// runs BestJoinedCorrelation per candidate as the reference; scores are
 /// bit-identical.
-class CocoaSearch : public DiscoveryAlgorithm, public PersistentIndex {
+class CocoaSearch : public DiscoveryAlgorithm {
  public:
   struct Params {
     double min_containment = 0.5;
@@ -46,12 +48,9 @@ class CocoaSearch : public DiscoveryAlgorithm, public PersistentIndex {
   explicit CocoaSearch(Params params) : params_(params) {}
 
   std::string name() const override { return "cocoa"; }
+  /// Takes the lake's tokens and parses the numeric cells of every table
+  /// with an indexed column (a snapshot open runs the same).
   Status BuildIndex(const DataLake& lake) override;
-
-  /// Offline-index persistence: the payload is the ColumnPostings body
-  /// after COCOA's name and version.
-  Status SavePayload(BinaryWriter* w) const override;
-  Status LoadPayload(BinaryReader* r, const DataLake& lake) override;
 
   Result<std::vector<DiscoveryHit>> Search(
       const DiscoveryQuery& query) const override;
@@ -75,9 +74,6 @@ class CocoaSearch : public DiscoveryAlgorithm, public PersistentIndex {
   QuerySide MakeQuerySide(const Table& query,
                           const ColumnView& join_col) const;
 
-  /// Derives numeric_ from index_ and the lake.
-  void DeriveNumericSides(const DataLake& lake);
-
   /// BestJoinedCorrelation of the query against column `cand_col` of
   /// `cand`, whose NumericCells are `cnum`, from the hoisted query side;
   /// counts its Spearman evaluations.
@@ -87,10 +83,10 @@ class CocoaSearch : public DiscoveryAlgorithm, public PersistentIndex {
 
   Params params_;
   const DataLake* lake_ = nullptr;
-  ColumnPostings index_;
+  /// The tokens the index was built on.
+  std::shared_ptr<const LakeTokens> tokens_;
   /// Per lake table id, its NumericCells (empty for tables without an
-  /// indexed column): derived once per index epoch, on build and load (not
-  /// persisted).
+  /// indexed column): derived once per index epoch.
   std::vector<NumericCells> numeric_;
 };
 

@@ -2,24 +2,10 @@
 
 #include <algorithm>
 #include <limits>
-#include <thread>
 
-#include "common/thread_pool.h"
 #include "snapshot/bytes.h"
 
 namespace dialite {
-
-Result<std::vector<std::vector<DiscoveryHit>>> DiscoveryAlgorithm::SearchBatch(
-    const std::vector<DiscoveryQuery>& queries) const {
-  std::vector<std::vector<DiscoveryHit>> results;
-  results.reserve(queries.size());
-  for (const DiscoveryQuery& query : queries) {
-    Result<std::vector<DiscoveryHit>> hits = Search(query);
-    if (!hits.ok()) return hits.status();
-    results.push_back(std::move(hits).value());
-  }
-  return results;
-}
 
 Result<double> DiscoveryAlgorithm::ScoreUpperBound(
     const DiscoveryQuery& query, const std::string& table_name) const {
@@ -28,20 +14,6 @@ Result<double> DiscoveryAlgorithm::ScoreUpperBound(
   // Trivially admissible: every finite score is <= +infinity. Algorithms
   // without cascade wiring inherit this and gain no pruning power.
   return std::numeric_limits<double>::infinity();
-}
-
-void ForEachTableIndex(size_t num_threads, size_t n,
-                       const std::function<void(size_t)>& fn,
-                       ObservabilityContext* obs) {
-  size_t threads = num_threads == 0
-                       ? std::max(1u, std::thread::hardware_concurrency())
-                       : num_threads;
-  if (threads <= 1 || n < 2) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  ThreadPool pool(std::min(threads, n), obs);
-  pool.ParallelFor(n, fn);
 }
 
 void WriteLakeColumn(const DataLake& lake, const LakeColumn& col,

@@ -9,7 +9,9 @@
 
 #include "common/cancel.h"
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "lake/data_lake.h"
+#include "lake/lake_tokens.h"
 #include "obs/observability.h"
 #include "table/table.h"
 
@@ -65,11 +67,13 @@ enum class SearchMode {
 /// to the lake, which must outlive them.
 ///
 /// Threading: the stock BuildIndex implementations are split into a pure
-/// per-table compute phase (run across `num_threads()` workers) and a
-/// serial merge phase in lake order, so the built index is identical for
-/// every thread count. Derived data (token sets, signatures) is read
-/// through the lake's TableSketchCache so it is computed once, not once per
-/// algorithm.
+/// per-table compute phase (run across `num_threads()` workers, through
+/// ForEachTableIndex) and a serial merge phase in lake order, so the built
+/// index is identical for every thread count. Column token sets come from
+/// the lake's LakeTokens (DataLake::tokens), built once per lake state and
+/// shared by every index: JOSIE and COCOA search its postings directly,
+/// TUS and LSH Ensemble verify against its id sets, and keyword, Starmie
+/// and LSH Ensemble read their build inputs from its dictionary.
 class DiscoveryAlgorithm {
  public:
   virtual ~DiscoveryAlgorithm() = default;
@@ -87,13 +91,6 @@ class DiscoveryAlgorithm {
   /// scoring by construction.
   virtual Result<std::vector<DiscoveryHit>> Search(
       const DiscoveryQuery& query) const = 0;
-
-  /// Batch entry point: top-k hits for several queries against one index.
-  /// The default loops Search(); algorithms with a shared index pass
-  /// (JOSIE) override it to amortize index probes across queries for cache
-  /// locality. Results are identical to per-query Search() calls.
-  virtual Result<std::vector<std::vector<DiscoveryHit>>> SearchBatch(
-      const std::vector<DiscoveryQuery>& queries) const;
 
   /// Provable stage-0 upper bound on Search()'s exact score for
   /// `table_name` under `query` — admissible by contract: bound >= exact
@@ -128,23 +125,18 @@ class DiscoveryAlgorithm {
   SearchMode search_mode_ = SearchMode::kCascade;
 };
 
-/// Shared helper for the compute phase: runs `fn(i)` for i in [0, n) — on
-/// the calling thread when the effective thread count is 1 (or n < 2), else
-/// via a stack-scoped ThreadPool::ParallelFor. `fn` must be safe to call
-/// concurrently for distinct i and must not throw. A non-null `obs` is
-/// handed to the pool so parallel builds feed the threadpool.* metrics.
-void ForEachTableIndex(size_t num_threads, size_t n,
-                       const std::function<void(size_t)>& fn,
-                       ObservabilityContext* obs = nullptr);
-
 class BinaryReader;
 class BinaryWriter;
 
 /// Optional capability: discovery algorithms whose offline index can be
 /// persisted and restored without re-scanning the lake (the paper's
-/// "indexes ... built offline, already available"). Implemented by all
-/// seven stock algorithms; the Dialite facade uses it both for its index
-/// cache directory and for the "idx.<name>" sections of a lake snapshot.
+/// "indexes ... built offline, already available"). Implemented by the
+/// five stock algorithms that keep index state of their own (SANTOS, LSH
+/// Ensemble, Starmie, TUS, keyword); the Dialite facade uses it both for
+/// its index cache directory and for the "idx.<name>" sections of a lake
+/// snapshot. JOSIE and COCOA persist nothing: their index is the lake's
+/// LakeTokens (the snapshot's "lake.tokens" section) plus arrays their
+/// BuildIndex derives from it.
 ///
 /// Implementations serialize only primary index state into the payload and
 /// rebuild derived structures (dense id arrays, bound profiles, banding

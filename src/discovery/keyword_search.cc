@@ -40,7 +40,8 @@ double QueryNorm(const SparseVector& q) {
 }  // namespace
 
 std::vector<std::string> KeywordSearch::TableDocument(
-    const Table& table, const ColumnTokenSets* token_sets) const {
+    const Table& table,
+    const std::vector<std::vector<std::string>>& column_tokens) const {
   std::vector<std::string> doc;
   // Metadata tokens, boosted by repetition.
   std::vector<std::string> meta = WordTokens(table.name());
@@ -52,17 +53,9 @@ std::vector<std::string> KeywordSearch::TableDocument(
     doc.insert(doc.end(), meta.begin(), meta.end());
   }
   // Cell tokens, bounded per column.
-  for (size_t c = 0; c < table.num_columns(); ++c) {
-    std::vector<std::string> local;
-    const std::vector<std::string>* toks;
-    if (token_sets != nullptr) {
-      toks = &(*token_sets)[c];
-    } else {
-      local = ColumnTokens(table.column(c));
-      toks = &local;
-    }
+  for (const std::vector<std::string>& toks : column_tokens) {
     size_t taken = 0;
-    for (const std::string& tok : *toks) {
+    for (const std::string& tok : toks) {
       if (taken >= params_.max_tokens_per_column) break;
       std::vector<std::string> words = WordTokens(tok);
       doc.insert(doc.end(), words.begin(), words.end());
@@ -77,12 +70,13 @@ Status KeywordSearch::BuildIndex(const DataLake& lake) {
   vectorizer_ = TfIdfVectorizer();
   documents_.clear();
   const std::vector<const Table*> tables = lake.tables();
-  // Compute phase 1: per-table documents (token sets from the cache).
+  // Compute phase 1: per-table documents (column tokens from the lake's
+  // dictionary).
+  std::shared_ptr<const LakeTokens> tokens = lake.tokens(num_threads_);
   std::vector<std::vector<std::string>> docs(tables.size());
   ForEachTableIndex(num_threads_, tables.size(), [&](size_t i) {
-    std::shared_ptr<const ColumnTokenSets> tokens =
-        lake.sketch_cache().TokenSets(*tables[i]);
-    docs[i] = TableDocument(*tables[i], tokens.get());
+    docs[i] = TableDocument(*tables[i],
+                            tokens->TableStrings(static_cast<TableId>(i)));
   }, obs_);
   // Corpus statistics must accumulate serially in lake order (document
   // frequencies assign term ids in first-seen order).
@@ -241,7 +235,8 @@ Result<std::vector<DiscoveryHit>> KeywordSearch::Search(
   if (query.table == nullptr) {
     return Status::InvalidArgument("query table is null");
   }
-  SparseVector qvec = vectorizer_.Transform(TableDocument(*query.table));
+  SparseVector qvec = vectorizer_.Transform(
+      TableDocument(*query.table, TableTokens(*query.table)));
   return Rank(qvec, &query.table->name(), query.k, query.cancel);
 }
 

@@ -63,10 +63,11 @@ class KeywordSearch : public DiscoveryAlgorithm, public PersistentIndex {
   /// a snapshot-restored index (unordered_map iteration order is not).
   using SortedVector = std::vector<std::pair<uint32_t, double>>;
 
-  /// The table's TF-IDF document. `token_sets` optionally supplies cached
-  /// per-column token sets; when null they are computed from the table.
+  /// The table's TF-IDF document, given each column's ColumnTokens in
+  /// order (the lake's dictionary strings for a lake table).
   std::vector<std::string> TableDocument(
-      const Table& table, const ColumnTokenSets* token_sets = nullptr) const;
+      const Table& table,
+      const std::vector<std::vector<std::string>>& column_tokens) const;
 
   /// Top-k documents by cosine against `qvec`, never returning the table
   /// named `*exclude` (null = none). Dispatches on search_mode(); both

@@ -1,14 +1,12 @@
 #include "discovery/lsh_ensemble_search.h"
 
 #include <algorithm>
-#include <memory>
 #include <span>
 #include <utility>
 
 #include "common/hash.h"
 #include "discovery/cascade.h"
 #include "snapshot/bytes.h"
-#include "text/similarity.h"
 
 namespace dialite {
 
@@ -33,22 +31,24 @@ Status LshEnsembleSearch::BuildIndex(const DataLake& lake) {
   ensemble_ = LshEnsemble(LshEnsemble::Params{
       params_.num_perm, params_.num_partitions, params_.seed});
   const std::vector<const Table*> tables = lake.tables();
-  // Compute phase: per indexed column, its histogram and MinHash over the
-  // shared sketch cache's token set (signatures are order-insensitive, so
-  // the parallel sketches are bit-identical to sequential ones).
+  // Compute phase: per indexed column, its histogram and MinHash over its
+  // tokens, read from the lake's dictionary (signatures are
+  // order-insensitive, so the parallel sketches are bit-identical to
+  // sequential ones).
   struct IndexedColumn {
     size_t column;
     size_t set_size;
     std::vector<uint32_t> hist;
     MinHash mh;
   };
+  tokens_ = lake.tokens(num_threads_);
   std::vector<std::vector<IndexedColumn>> indexed(tables.size());
   ForEachTableIndex(num_threads_, tables.size(), [&](size_t i) {
-    std::shared_ptr<const ColumnTokenSets> tokens =
-        lake.sketch_cache().TokenSets(*tables[i]);
-    for (size_t c = 0; c < tokens->size(); ++c) {
-      const std::vector<std::string>& toks = (*tokens)[c];
-      if (toks.size() < params_.min_distinct) continue;
+    const TableId t = static_cast<TableId>(i);
+    for (size_t c = 0; c < tokens_->NumColumns(t); ++c) {
+      const size_t col = tokens_->FirstColumn(t) + c;
+      if (!tokens_->JoinIndexed(col)) continue;
+      const std::vector<std::string> toks = tokens_->ColumnStrings(col);
       indexed[i].push_back(
           {c, toks.size(), TokenHistogram(toks),
            MinHash::FromTokens(toks, params_.num_perm, params_.seed)});
@@ -134,6 +134,7 @@ Status LshEnsembleSearch::LoadPayload(BinaryReader* r, const DataLake& lake) {
     bucket_hists.insert(bucket_hists.end(), hist.begin(), hist.end());
   }
   DIALITE_RETURN_IF_ERROR(ensemble.Build());
+  tokens_ = lake.tokens(num_threads_);
   ensemble_ = std::move(ensemble);
   columns_ = std::move(columns);
   bucket_hists_ = std::move(bucket_hists);
@@ -149,7 +150,7 @@ double LshEnsembleSearch::ColumnUpperBound(uint64_t id,
   // buckets — exact integer arithmetic, so the bound is content-aware
   // (near-disjoint sets bound well below 1) yet never undercounts.
   // ColumnTokens is distinct, so query_set_size is exactly the |Q| the
-  // exact Containment() divides by, and integer -> double division is
+  // exact verification divides by, and integer -> double division is
   // monotone: the bound holds under fp rounding.
   const size_t buckets = params_.bound_buckets;
   const uint32_t* xhist = bucket_hists_.data() + id * buckets;
@@ -195,28 +196,30 @@ Result<std::vector<DiscoveryHit>> LshEnsembleSearch::Search(
   if (query.query_column >= query.table->num_columns()) {
     return Status::OutOfRange("query column out of range");
   }
-  // Lake-resident query tables (the discover-from-lake flow) reuse the
-  // shared sketch cache's tokens and, when the query column is indexed, the
-  // ensemble's own sketch of it, so per-search query sketching drops out.
-  // Transient query tables are tokenized locally — the cache must not pin
-  // them.
+  // Lake-resident query tables (the discover-from-lake flow) read the
+  // column's tokens and ids from the lake's tokens and, when the query
+  // column is indexed, use the ensemble's own sketch of it, so per-search
+  // query tokenizing and sketching drop out. Transient query tables are
+  // tokenized, and their tokens looked up in the dictionary, per search.
   const TableId self = lake_->IdOf(query.table->name());
-  std::shared_ptr<const ColumnTokenSets> cached_tokens;
   const MinHash* qsketch = nullptr;
-  std::vector<std::string> own_tokens;
-  const std::vector<std::string>* qtokens_ptr = &own_tokens;
-  if (self != kNoTable && &lake_->table(self) == query.table) {
-    cached_tokens = lake_->sketch_cache().TokenSets(*query.table);
-    qtokens_ptr = &(*cached_tokens)[query.query_column];
+  std::vector<std::string> qtokens;
+  std::vector<uint32_t> qids;
+  if (self < tokens_->num_tables() && &lake_->table(self) == query.table) {
+    const size_t col = tokens_->FirstColumn(self) + query.query_column;
+    qtokens = tokens_->ColumnStrings(col);
+    qids.assign(tokens_->ColumnIds(col),
+                tokens_->ColumnIds(col) + tokens_->ColumnSize(col));
+    std::sort(qids.begin(), qids.end());
     for (uint32_t id : table_columns_.Of(self)) {
       if (columns_[id].column == query.query_column) {
         qsketch = &ensemble_.sketch(id);
       }
     }
   } else {
-    own_tokens = ColumnTokens(query.table->column(query.query_column));
+    qtokens = ColumnTokens(query.table->column(query.query_column));
+    qids = tokens_->SortedIds(qtokens);
   }
-  const std::vector<std::string>& qtokens = *qtokens_ptr;
   if (qtokens.empty()) return std::vector<DiscoveryHit>{};
 
   // ColumnTokens is distinct, so the indexed sketch matches what the token
@@ -229,8 +232,9 @@ Result<std::vector<DiscoveryHit>> LshEnsembleSearch::Search(
 
   // Group candidate columns by table, in table-id order: group j is
   // by_table[starts[j], starts[j + 1]), all of table group_table[j]. Both
-  // modes score a table as its best verified column's containment,
-  // through the same Containment() calls.
+  // modes score a table as its best verified column's containment
+  // |Q ∩ X| / |Q|: the intersection of token ids, over every query token
+  // (those outside the dictionary included).
   std::vector<std::pair<TableId, uint32_t>> by_table;
   by_table.reserve(cand_ids.size());
   for (uint64_t id : cand_ids) {
@@ -252,12 +256,13 @@ Result<std::vector<DiscoveryHit>> LshEnsembleSearch::Search(
   const std::vector<std::string>& names = lake_->table_names();
 
   auto score_table = [&](size_t group) {
-    std::shared_ptr<const ColumnTokenSets> ctokens =
-        lake_->sketch_cache().TokenSets(lake_->table(group_table[group]));
+    const uint32_t first = tokens_->FirstColumn(group_table[group]);
     double best = 0.0;
     for (size_t i = starts[group]; i < starts[group + 1]; ++i) {
-      const uint32_t col = columns_[by_table[i].second].column;
-      double c = Containment(qtokens, (*ctokens)[col]);
+      const size_t inter =
+          tokens_->Overlap(first + columns_[by_table[i].second].column, qids);
+      const double c =
+          static_cast<double>(inter) / static_cast<double>(qtokens.size());
       if (c < params_.containment_threshold) continue;
       best = std::max(best, c);
     }

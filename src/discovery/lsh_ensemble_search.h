@@ -2,6 +2,7 @@
 #define DIALITE_DISCOVERY_LSH_ENSEMBLE_SEARCH_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -13,20 +14,19 @@ namespace dialite {
 /// Joinable-table search backed by the LSH Ensemble sketch (Zhu et al.,
 /// VLDB 2016) — the datasketch component of the original demo.
 ///
-/// Offline: every lake column's distinct-token set is added to the
+/// Offline: every join-indexed lake column's distinct-token set (from the
+/// lake's LakeTokens; at least kMinJoinDistinct tokens) is added to the
 /// ensemble. Online: the query column probes for indexed columns whose
 /// containment of the query meets `containment_threshold`; candidates are
-/// then verified *exactly* against the lake (the sketch prunes, the data
-/// decides), and each table is scored by its best column's containment.
+/// then verified *exactly* against the columns' token id sets (the sketch
+/// prunes, the data decides), and each table is scored by its best
+/// column's containment.
 class LshEnsembleSearch : public DiscoveryAlgorithm, public PersistentIndex {
  public:
   struct Params {
     double containment_threshold = 0.5;
     size_t num_perm = 128;
     size_t num_partitions = 8;
-    /// Columns with fewer distinct tokens than this are not indexed
-    /// (single-value columns join with everything vacuously).
-    size_t min_distinct = 2;
     uint64_t seed = 7;
     /// Buckets of the per-column token-hash histograms behind the stage-0
     /// containment bound (more buckets = tighter bound, more memory).
@@ -85,6 +85,8 @@ class LshEnsembleSearch : public DiscoveryAlgorithm, public PersistentIndex {
   /// (ScoreUpperBound's candidate-free bound path; a lake-resident query
   /// column's sketch).
   TableColumns table_columns_;
+  /// The lake's tokens, taken on build and load (exact verification).
+  std::shared_ptr<const LakeTokens> tokens_;
 };
 
 }  // namespace dialite

@@ -13,23 +13,15 @@ namespace dialite {
 SantosSearch::SantosSearch(Params params, const KnowledgeBase* kb)
     : params_(params), kb_(kb), annotator_(kb) {}
 
-SantosSearch::TableSemantics SantosSearch::Annotate(
-    const Table& table, const ColumnDistinctValues* distinct) const {
+SantosSearch::TableSemantics SantosSearch::Annotate(const Table& table) const {
   TableSemantics sem;
   sem.columns.resize(table.num_columns());
   sem.anchored_relations.resize(table.num_columns());
   for (size_t c = 0; c < table.num_columns(); ++c) {
-    std::vector<std::string> local;
-    const std::vector<std::string>* values;
-    if (distinct != nullptr) {
-      values = &(*distinct)[c];
-    } else {
-      local = ColumnDistinctCsv(table.column(c));
-      values = &local;
-    }
-    if (annotator_.ValuesCoverage(*values) < params_.min_coverage) continue;
+    const std::vector<std::string> values = ColumnDistinctCsv(table.column(c));
+    if (annotator_.ValuesCoverage(values) < params_.min_coverage) continue;
     for (const Annotation& a :
-         annotator_.AnnotateValues(*values, params_.max_types_per_column)) {
+         annotator_.AnnotateValues(values, params_.max_types_per_column)) {
       sem.columns[c].types[a.label] = a.score;
     }
   }
@@ -86,14 +78,10 @@ void SantosSearch::Install(const DataLake& lake,
 Status SantosSearch::BuildIndex(const DataLake& lake) {
   const std::vector<const Table*> tables = lake.tables();
   // Compute phase: KB annotation per table (the expensive part — column
-  // types, pairwise relationships) runs across the worker pool; distinct
-  // values come from the shared sketch cache.
+  // types, pairwise relationships) runs across the worker pool.
   std::vector<TableSemantics> sems(tables.size());
-  ForEachTableIndex(num_threads_, tables.size(), [&](size_t i) {
-    std::shared_ptr<const ColumnDistinctValues> distinct =
-        lake.sketch_cache().DistinctValues(*tables[i]);
-    sems[i] = Annotate(*tables[i], distinct.get());
-  }, obs_);
+  ForEachTableIndex(num_threads_, tables.size(),
+                    [&](size_t i) { sems[i] = Annotate(*tables[i]); }, obs_);
   // Merge phase: serial, in lake order.
   Install(lake, std::move(sems), std::vector<uint8_t>(tables.size(), 1));
   ObsAdd(obs_, "discover.santos.build.tables", tables.size());

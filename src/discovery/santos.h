@@ -94,11 +94,9 @@ class SantosSearch : public DiscoveryAlgorithm, public PersistentIndex {
     double max_rel_conf = 0.0;
   };
 
-  /// Annotates one table. `distinct` optionally supplies the per-column
-  /// distinct raw value sets (from the lake's sketch cache); when null they
-  /// are computed from the table directly (the query-table path).
-  TableSemantics Annotate(const Table& table,
-                          const ColumnDistinctValues* distinct = nullptr) const;
+  /// Annotates one table from its columns' distinct raw values
+  /// (ColumnDistinctCsv).
+  TableSemantics Annotate(const Table& table) const;
 
   static BoundProfile MakeBoundProfile(const TableSemantics& sem);
 

@@ -11,13 +11,11 @@ StarmieSearch::StarmieSearch(Params params, const KnowledgeBase* kb)
     : params_(params), embedder_(kb), dim_(embedder_.dim()) {}
 
 std::vector<Embedding> StarmieSearch::ContextualizedColumns(
-    const Table& table, const ColumnTokenSets* token_sets) const {
-  const size_t n = table.num_columns();
+    const std::vector<std::vector<std::string>>& column_tokens) const {
+  const size_t n = column_tokens.size();
   std::vector<Embedding> own(n);
   for (size_t c = 0; c < n; ++c) {
-    own[c] = embedder_.EmbedValueSet(token_sets != nullptr
-                                         ? (*token_sets)[c]
-                                         : ColumnTokens(table.column(c)));
+    own[c] = embedder_.EmbedValueSet(column_tokens[c]);
   }
   std::vector<Embedding> out(n);
   for (size_t c = 0; c < n; ++c) {
@@ -86,13 +84,13 @@ Status StarmieSearch::BuildIndex(const DataLake& lake) {
   index_ = std::make_unique<SimHashIndex>(params_.simhash_bits, dim_,
                                           params_.band_bits, params_.seed);
   const std::vector<const Table*> tables = lake.tables();
-  // Compute phase: contextualized column embeddings per table (token sets
-  // from the shared sketch cache).
+  // Compute phase: contextualized column embeddings per table (column
+  // tokens from the lake's dictionary).
+  std::shared_ptr<const LakeTokens> tokens = lake.tokens(num_threads_);
   std::vector<std::vector<Embedding>> all_vecs(tables.size());
   ForEachTableIndex(num_threads_, tables.size(), [&](size_t i) {
-    std::shared_ptr<const ColumnTokenSets> tokens =
-        lake.sketch_cache().TokenSets(*tables[i]);
-    all_vecs[i] = ContextualizedColumns(*tables[i], tokens.get());
+    all_vecs[i] = ContextualizedColumns(
+        tokens->TableStrings(static_cast<TableId>(i)));
   }, obs_);
   // Merge phase: serial SimHash inserts in lake order keep ids and band
   // bucket order identical to a sequential build.
@@ -277,7 +275,7 @@ Result<double> StarmieSearch::ScoreUpperBound(
   const TableId t = lake_->IdOf(table_name);
   // Not indexed (kNoTable included): cannot score.
   if (t >= indexed_.size() || !indexed_[t]) return 0.0;
-  std::vector<Embedding> qvecs = ContextualizedColumns(*query.table);
+  std::vector<Embedding> qvecs = ContextualizedColumns(TableTokens(*query.table));
   return CandidateUpperBound(qvecs, Norms(qvecs), query.query_column, t);
 }
 
@@ -292,7 +290,7 @@ Result<std::vector<DiscoveryHit>> StarmieSearch::Search(
   if (query.query_column >= query.table->num_columns()) {
     return Status::OutOfRange("query column out of range");
   }
-  std::vector<Embedding> qvecs = ContextualizedColumns(*query.table);
+  std::vector<Embedding> qvecs = ContextualizedColumns(TableTokens(*query.table));
 
   // Candidate tables: every table owning a column that SimHash-collides
   // with any query column, deduplicated, in id order. Neither mode's

@@ -74,11 +74,11 @@ class StarmieSearch : public DiscoveryAlgorithm, public PersistentIndex {
   Result<double> ScoreUpperBound(const DiscoveryQuery& query,
                                  const std::string& table_name) const override;
 
-  /// Contextualized vectors of one table's columns (exposed for tests).
-  /// `token_sets` optionally supplies the per-column token sets (from the
-  /// lake's sketch cache); when null they are computed from the table.
+  /// Contextualized vectors of one table's columns, given each column's
+  /// ColumnTokens in order (TableTokens; the lake's dictionary strings for
+  /// a lake table). Exposed for tests.
   std::vector<Embedding> ContextualizedColumns(
-      const Table& table, const ColumnTokenSets* token_sets = nullptr) const;
+      const std::vector<std::vector<std::string>>& column_tokens) const;
 
  private:
   /// Lays the per-table vectors (by lake table id; `indexed[t]` marks the

@@ -3,14 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <span>
-#include <string_view>
-#include <unordered_set>
 
 #include "discovery/cascade.h"
 #include "snapshot/bytes.h"
-#include "text/similarity.h"
 
 namespace dialite {
 
@@ -25,14 +21,13 @@ TusSearch::ColumnProfile TusSearch::ProfileFromSets(
     const std::vector<std::string>& tokens,
     const std::vector<std::string>& distinct_values) const {
   ColumnProfile p;
-  p.tokens = tokens;
   for (const Annotation& a : annotator_.AnnotateValues(
            distinct_values, params_.max_types_per_column)) {
     p.types.emplace_back(a.label, a.score);
   }
   std::sort(p.types.begin(), p.types.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  p.embedding = embedder_.EmbedValueSet(p.tokens);
+  p.embedding = embedder_.EmbedValueSet(tokens);
   p.norm = EmbeddingNorm(p.embedding.data(), p.embedding.size());
   return p;
 }
@@ -96,7 +91,11 @@ std::vector<TusSearch::QueryColumn> TusSearch::ProfileQuery(
   std::vector<QueryColumn> out(query.num_columns());
   for (size_t c = 0; c < out.size(); ++c) {
     QueryColumn& q = out[c];
-    q.profile = ProfileColumn(query, c);
+    const ColumnView col = query.column(c);
+    const std::vector<std::string> tokens = ColumnTokens(col);
+    q.profile = ProfileFromSets(tokens, ColumnDistinctCsv(col));
+    q.num_tokens = tokens.size();
+    q.ids = tokens_->SortedIds(tokens);
     q.type_sqnorm = SquaredNorm<std::string>(q.profile.types);
     for (const auto& [label, conf] : q.profile.types) {
       auto it = std::lower_bound(type_labels_.begin(), type_labels_.end(),
@@ -127,11 +126,11 @@ double TusSearch::NlCosineTo(const QueryColumn& q, size_t g) const {
 TusSearch::PairBound TusSearch::BoundPair(const QueryColumn& q, size_t g,
                                           uint32_t inter) const {
   PairBound out;
-  // u_set with OverlapCoefficient's arithmetic: column tokens are
-  // distinct, so the hit count IS |A ∩ B|.
+  // u_set, as ScoreCandidate computes it: column tokens are distinct, so
+  // the hit count IS |A ∩ B|.
   out.exact = static_cast<double>(inter) /
               static_cast<double>(
-                  std::min(q.profile.tokens.size(), col_tokens_[g].size()));
+                  std::min(q.num_tokens, tokens_->ColumnSize(g)));
   // Once a measure reaches 1 the others cannot raise the maximum.
   if (out.exact < 1.0) {
     out.exact = std::max(out.exact, std::min(TypeCosineTo(q, g), 1.0));
@@ -147,13 +146,12 @@ TusSearch::PairBound TusSearch::BoundPair(const QueryColumn& q, size_t g,
 }
 
 void TusSearch::Install(const DataLake& lake,
+                        std::shared_ptr<const LakeTokens> tokens,
                         std::vector<std::vector<ColumnProfile>> tables,
                         std::vector<uint8_t> indexed) {
   // Type ids: every label a lake column carries, numbered in label order.
   type_labels_.clear();
-  size_t total = 0;
   for (const std::vector<ColumnProfile>& cols : tables) {
-    total += cols.size();
     for (const ColumnProfile& p : cols) {
       for (const auto& [label, conf] : p.types) type_labels_.push_back(label);
     }
@@ -162,82 +160,77 @@ void TusSearch::Install(const DataLake& lake,
   type_labels_.erase(std::unique(type_labels_.begin(), type_labels_.end()),
                      type_labels_.end());
 
+  tokens_ = std::move(tokens);
   indexed_ = std::move(indexed);
-  col_begin_.assign(tables.size() + 1, 0);
-  col_tokens_.clear();
-  col_tokens_.reserve(total);
+  const size_t total = tokens_->num_columns();
   type_begin_.assign(1, 0);
   type_begin_.reserve(total + 1);
   type_weights_.clear();
   type_sqnorm_.clear();
   type_sqnorm_.reserve(total);
-  embeddings_.resize(total * dim_);
+  embeddings_.assign(total * dim_, 0.0f);
   norms_.clear();
   norms_.reserve(total);
-  token_index_.clear();
   type_tables_.assign(type_labels_.size(), {});
   // The last table each type was posted for: one posting per table.
   std::vector<TableId> posted(type_labels_.size(), kNoTable);
   size_t g = 0;
   for (TableId t = 0; t < tables.size(); ++t) {
-    col_begin_[t] = g;
-    for (size_t c = 0; c < tables[t].size(); ++c, ++g) {
-      ColumnProfile& p = tables[t][c];
-      // Column tokens are distinct, so each (token, table, column) posting
-      // appears exactly once — stage-0 hit counts are exact intersections.
-      for (const std::string& tok : p.tokens) {
-        token_index_[tok].push_back({t, static_cast<uint32_t>(c)});
-      }
-      for (const auto& [label, conf] : p.types) {
-        const uint32_t id = static_cast<uint32_t>(
-            std::lower_bound(type_labels_.begin(), type_labels_.end(),
-                             label) -
-            type_labels_.begin());
-        type_weights_.emplace_back(id, conf);
-        if (posted[id] != t) {
-          posted[id] = t;
-          type_tables_[id].push_back(t);
+    // A table the index does not cover has no profiles: its columns get
+    // no types and zero embeddings.
+    for (size_t c = 0; c < NumColumns(t); ++c, ++g) {
+      if (c < tables[t].size()) {
+        const ColumnProfile& p = tables[t][c];
+        for (const auto& [label, conf] : p.types) {
+          const uint32_t id = static_cast<uint32_t>(
+              std::lower_bound(type_labels_.begin(), type_labels_.end(),
+                               label) -
+              type_labels_.begin());
+          type_weights_.emplace_back(id, conf);
+          if (posted[id] != t) {
+            posted[id] = t;
+            type_tables_[id].push_back(t);
+          }
         }
+        std::copy(p.embedding.begin(), p.embedding.end(),
+                  embeddings_.begin() + static_cast<std::ptrdiff_t>(g * dim_));
       }
       type_begin_.push_back(type_weights_.size());
       type_sqnorm_.push_back(SquaredNorm<uint32_t>(std::span<const TypeWeight>(
-          type_weights_.data() + type_begin_[g], p.types.size())));
-      std::copy(p.embedding.begin(), p.embedding.end(),
-                embeddings_.begin() + static_cast<std::ptrdiff_t>(g * dim_));
+          type_weights_.data() + type_begin_[g],
+          type_begin_[g + 1] - type_begin_[g])));
       norms_.push_back(EmbeddingNorm(Row(g), dim_));
-      col_tokens_.push_back(std::move(p.tokens));
     }
   }
-  col_begin_[tables.size()] = g;
   lake_ = &lake;
 }
 
 Status TusSearch::BuildIndex(const DataLake& lake) {
   const std::vector<const Table*> tables = lake.tables();
-  // Compute phase: per-table column profiles (tokens, KB types, embedding)
-  // across the worker pool, fed from the shared sketch cache.
+  std::shared_ptr<const LakeTokens> tokens = lake.tokens(num_threads_);
+  // Compute phase: per-table column profiles (KB types over the distinct
+  // values, embedding over the lake's tokens) across the worker pool.
   std::vector<std::vector<ColumnProfile>> all_cols(tables.size());
   ForEachTableIndex(num_threads_, tables.size(), [&](size_t i) {
-    TableSketchCache& cache = lake.sketch_cache();
-    std::shared_ptr<const ColumnTokenSets> tokens =
-        cache.TokenSets(*tables[i]);
-    std::shared_ptr<const ColumnDistinctValues> distinct =
-        cache.DistinctValues(*tables[i]);
+    const TableId t = static_cast<TableId>(i);
     std::vector<ColumnProfile>& cols = all_cols[i];
     cols.reserve(tables[i]->num_columns());
     for (size_t c = 0; c < tables[i]->num_columns(); ++c) {
-      cols.push_back(ProfileFromSets((*tokens)[c], (*distinct)[c]));
+      cols.push_back(ProfileFromSets(
+          tokens->ColumnStrings(tokens->FirstColumn(t) + c),
+          ColumnDistinctCsv(tables[i]->column(c))));
     }
   }, obs_);
   // Merge phase: serial, in lake order.
-  Install(lake, std::move(all_cols), std::vector<uint8_t>(tables.size(), 1));
+  Install(lake, tokens, std::move(all_cols),
+          std::vector<uint8_t>(tables.size(), 1));
   ObsAdd(obs_, "discover.tus.build.tables", tables.size());
-  ObsSet(obs_, "discover.tus.index.tokens", token_index_.size());
+  ObsSet(obs_, "discover.tus.index.tokens", tokens_->num_tokens());
   return Status::OK();
 }
 
 namespace {
-constexpr uint32_t kTusPayloadVersion = 1;
+constexpr uint32_t kTusPayloadVersion = 2;
 }  // namespace
 
 Status TusSearch::SavePayload(BinaryWriter* w) const {
@@ -250,9 +243,7 @@ Status TusSearch::SavePayload(BinaryWriter* w) const {
   for (TableId t : ids) {
     w->Str(lake_->table_names()[t]);
     w->U64(NumColumns(t));
-    for (size_t g = col_begin_[t]; g < col_begin_[t + 1]; ++g) {
-      w->U64(col_tokens_[g].size());
-      for (const std::string& tok : col_tokens_[g]) w->Str(tok);
+    for (size_t g = FirstColumn(t); g < FirstColumn(t) + NumColumns(t); ++g) {
       w->U64(type_begin_[g + 1] - type_begin_[g]);
       for (size_t i = type_begin_[g]; i < type_begin_[g + 1]; ++i) {
         w->Str(type_labels_[type_weights_[i].first]);
@@ -270,7 +261,7 @@ Status TusSearch::LoadPayload(BinaryReader* r, const DataLake& lake) {
   uint32_t version = 0;
   DIALITE_RETURN_IF_ERROR(r->U32(&version));
   if (algo != name() || version != kTusPayloadVersion) {
-    return Status::ParseError("not a tus v1 index payload");
+    return Status::ParseError("not a tus v2 index payload");
   }
   uint64_t num_tables = 0;
   DIALITE_RETURN_IF_ERROR(r->U64(&num_tables));
@@ -286,19 +277,16 @@ Status TusSearch::LoadPayload(BinaryReader* r, const DataLake& lake) {
     if (!t.ok()) return t.status();
     uint64_t ncols = 0;
     DIALITE_RETURN_IF_ERROR(r->U64(&ncols));
-    if (ncols > r->remaining()) {
-      return Status::ParseError("tus column count overruns the payload");
+    // Column c of the table is lake column c: its token set is the lake's.
+    if (ncols != lake.table(*t).num_columns()) {
+      return Status::ParseError(
+          "tus payload lists " + std::to_string(ncols) +
+          " columns for table '" + table + "'; the lake has " +
+          std::to_string(lake.table(*t).num_columns()));
     }
     std::vector<ColumnProfile>& cols = tables[*t];
     cols.resize(static_cast<size_t>(ncols));
     for (ColumnProfile& p : cols) {
-      uint64_t ntokens = 0;
-      DIALITE_RETURN_IF_ERROR(r->U64(&ntokens));
-      if (ntokens > r->remaining()) {
-        return Status::ParseError("tus token count overruns the payload");
-      }
-      p.tokens.resize(static_cast<size_t>(ntokens));
-      for (std::string& tok : p.tokens) DIALITE_RETURN_IF_ERROR(r->Str(&tok));
       uint64_t ntypes = 0;
       DIALITE_RETURN_IF_ERROR(r->U64(&ntypes));
       if (ntypes > r->remaining()) {
@@ -321,13 +309,14 @@ Status TusSearch::LoadPayload(BinaryReader* r, const DataLake& lake) {
     }
   }
   // The same derivation BuildIndex's merge phase runs, in lake order.
-  Install(lake, std::move(tables), std::move(indexed));
+  Install(lake, lake.tokens(num_threads_), std::move(tables),
+          std::move(indexed));
   return Status::OK();
 }
 
 double TusSearch::ScoreCandidate(const std::vector<QueryColumn>& qcols,
                                  size_t query_column, TableId t) const {
-  const size_t first = col_begin_[t];
+  const size_t first = FirstColumn(t);
   const size_t ncols = NumColumns(t);
   std::vector<ColumnPair> pairs;
   for (size_t q = 0; q < qcols.size(); ++q) {
@@ -339,9 +328,12 @@ double TusSearch::ScoreCandidate(const std::vector<QueryColumn>& qcols,
       // dot/(|a||b|) an ulp past 1, and the cascade's stage-0 bounds
       // (capped at 1 per pair) rely on unionability never exceeding it.
       double u = 0.0;
-      if (!qc.profile.tokens.empty() && !col_tokens_[g].empty()) {
+      const size_t g_tokens = tokens_->ColumnSize(g);
+      if (qc.num_tokens > 0 && g_tokens > 0) {
+        // u_set = |A ∩ B| / min(|A|, |B|), the overlap coefficient.
         const double u_set =
-            OverlapCoefficient(qc.profile.tokens, col_tokens_[g]);
+            static_cast<double>(tokens_->Overlap(g, qc.ids)) /
+            static_cast<double>(std::min(qc.num_tokens, g_tokens));
         const double u_sem = std::min(TypeCosineTo(qc, g), 1.0);
         const double u_nl = std::min(NlCosineTo(qc, g), 1.0);
         u = std::max({u_set, u_sem, u_nl});
@@ -362,14 +354,14 @@ double TusSearch::ScoreWithEvidence(const std::vector<QueryColumn>& qcols,
                                     TableId t, MatchScratch* scratch,
                                     uint64_t* exact_cosines) const {
   const double min_u = params_.min_column_unionability;
-  const size_t first = col_begin_[t];
+  const size_t first = FirstColumn(t);
   std::vector<ColumnPair>& pairs = scratch->pairs;
   pairs.clear();
   for (size_t q = 0; q < qcols.size(); ++q) {
     for (size_t c = 0; c < ev.ncols; ++c) {
       const size_t g = first + c;
       double u = 0.0;  // Unionability of a column without tokens
-      if (!qcols[q].profile.tokens.empty() && !col_tokens_[g].empty()) {
+      if (qcols[q].num_tokens > 0 && tokens_->ColumnSize(g) > 0) {
         const PairBound b = BoundPair(qcols[q], g, ev.hits[q * ev.ncols + c]);
         u = b.exact;
         // u_nl <= nl_bound: it can change the pair's unionability, or its
@@ -395,10 +387,10 @@ double TusSearch::CandidateUpperBound(const std::vector<QueryColumn>& qcols,
                                       size_t query_column, const Evidence& ev,
                                       TableId t) const {
   const size_t nq = qcols.size();
-  const size_t first = col_begin_[t];
+  const size_t first = FirstColumn(t);
   size_t tokenized_cols = 0;
   for (size_t c = 0; c < ev.ncols; ++c) {
-    if (!col_tokens_[first + c].empty()) ++tokenized_cols;
+    if (tokens_->ColumnSize(first + c) > 0) ++tokenized_cols;
   }
   // No tokenized candidate column — nothing can pair at all.
   if (tokenized_cols == 0) return 0.0;
@@ -406,10 +398,10 @@ double TusSearch::CandidateUpperBound(const std::vector<QueryColumn>& qcols,
   // pairs below it never enter the greedy alignment.
   auto best_pair = [&](size_t q) {
     double ub = kNoPair;
-    if (qcols[q].profile.tokens.empty()) return ub;
+    if (qcols[q].num_tokens == 0) return ub;
     for (size_t c = 0; c < ev.ncols; ++c) {
       const size_t g = first + c;
-      if (col_tokens_[g].empty()) continue;
+      if (tokens_->ColumnSize(g) == 0) continue;
       const PairBound b = BoundPair(qcols[q], g, ev.hits[q * ev.ncols + c]);
       const double pair = std::max(b.exact, b.nl_bound);
       if (pair >= params_.min_column_unionability) ub = std::max(ub, pair);
@@ -434,18 +426,14 @@ Result<double> TusSearch::ScoreUpperBound(const DiscoveryQuery& query,
   // Not indexed (kNoTable included): cannot score.
   if (t >= indexed_.size() || !indexed_[t]) return 0.0;
   const std::vector<QueryColumn> qcols = ProfileQuery(*query.table);
-  // Exact per-pair intersection counts, mirroring what Search()'s walk of
-  // the per-column postings accumulates (column tokens are distinct, so
-  // each query token contributes at most 1 per pair).
+  // Exact per-pair intersection counts: what Search()'s walk of the
+  // lake's postings accumulates.
   const size_t ncols = NumColumns(t);
   std::vector<uint32_t> hits(qcols.size() * ncols, 0);
   for (size_t c = 0; c < ncols; ++c) {
-    const std::vector<std::string>& toks = col_tokens_[col_begin_[t] + c];
-    std::unordered_set<std::string_view> ctoks(toks.begin(), toks.end());
     for (size_t q = 0; q < qcols.size(); ++q) {
-      for (const std::string& tok : qcols[q].profile.tokens) {
-        if (ctoks.count(tok) != 0) ++hits[q * ncols + c];
-      }
+      hits[q * ncols + c] = static_cast<uint32_t>(
+          tokens_->Overlap(FirstColumn(t) + c, qcols[q].ids));
     }
   }
   return CandidateUpperBound(qcols, query.query_column,
@@ -465,10 +453,10 @@ Result<std::vector<DiscoveryHit>> TusSearch::Search(
   const size_t nq = qcols.size();
 
   // Candidate generation: tables sharing a token or a KB type with any
-  // query column. The walk over the per-column postings accumulates the
+  // query column. The walk over the lake's token postings accumulates the
   // exact per-pair intersection counts |A_q ∩ B_c| as a side effect — the
-  // cascade's stage-0 evidence comes for free from this pass (postings are
-  // deduplicated per column, so each (query token, pair) counts once).
+  // cascade's stage-0 evidence comes for free from this pass (column token
+  // sets are distinct, so each (query token, pair) counts once).
   // Evidence lives in one flat array: table t's counts start at
   // ev_begin[slot[t]], and `touched` lists the tables in slot order.
   std::vector<uint32_t> slot(indexed_.size(), kNoSlot);
@@ -484,13 +472,15 @@ Result<std::vector<DiscoveryHit>> TusSearch::Search(
     }
     return ev_begin[slot[t]];
   };
+  const LakeTokens& tokens = *tokens_;
   for (size_t q = 0; q < nq; ++q) {
-    for (const std::string& tok : qcols[q].profile.tokens) {
-      auto it = token_index_.find(tok);
-      if (it == token_index_.end()) continue;
-      for (const LakeColumn& p : it->second) {
-        const size_t at = evidence_begin(p.table);
-        ++hits[at + q * NumColumns(p.table) + p.column];
+    for (uint32_t id : qcols[q].ids) {
+      const uint32_t* cols = tokens.Postings(id);
+      for (size_t i = 0; i < tokens.PostingCount(id); ++i) {
+        const TableId t = tokens.TableOf(cols[i]);
+        if (!indexed_[t]) continue;
+        const size_t at = evidence_begin(t);
+        ++hits[at + q * NumColumns(t) + (cols[i] - FirstColumn(t))];
       }
     }
     for (const TypeWeight& type : qcols[q].types) {

@@ -2,8 +2,8 @@
 #define DIALITE_DISCOVERY_TUS_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -22,7 +22,8 @@ namespace dialite {
 ///
 /// TUS scores a column pair by an ENSEMBLE of unionability measures and
 /// takes the strongest:
-///   - set unionability  — value-set overlap coefficient;
+///   - set unionability  — value-set overlap coefficient
+///     |A ∩ B| / min(|A|, |B|), over the lake's token ids;
 ///   - semantic unionability — cosine of KB type-annotation vectors;
 ///   - natural-language unionability — embedding cosine of the value sets.
 /// A candidate table's score is the mean over query columns of its best
@@ -43,12 +44,13 @@ class TusSearch : public DiscoveryAlgorithm, public PersistentIndex {
   std::string name() const override { return "tus"; }
   Status BuildIndex(const DataLake& lake) override;
 
-  /// Offline-index persistence: the payload carries the per-table column
-  /// profiles (tokens, KB types, embeddings) in sorted table order; the
-  /// flat layout, type ids and inverted indexes are rebuilt on load, so
-  /// Search() needs no profiling pass over the lake. A table listed twice,
-  /// types out of label order, or an embedding that is not dim() floats
-  /// fail with kParseError.
+  /// Offline-index persistence: the payload (version 2) carries the
+  /// per-table column profiles (KB types, embeddings) in sorted table
+  /// order; column token sets are the lake's tokens, and the flat layout,
+  /// type ids and type postings are rebuilt on load, so Search() needs no
+  /// profiling pass over the lake. A table listed twice or with a column
+  /// count other than the lake's, types out of label order, or an
+  /// embedding that is not dim() floats fail with kParseError.
   Status SavePayload(BinaryWriter* w) const override;
   Status LoadPayload(BinaryReader* r, const DataLake& lake) override;
 
@@ -56,9 +58,9 @@ class TusSearch : public DiscoveryAlgorithm, public PersistentIndex {
       const DiscoveryQuery& query) const override;
 
   /// Admissible stage-0 bound on the TUS table score: an index-accelerated
-  /// rescoring of every column pair that never materializes token sets.
-  /// The per-column token postings walked during candidate generation
-  /// yield the EXACT intersection |A ∩ B| per (query column, table column)
+  /// rescoring of every column pair. The lake's token postings walked
+  /// during candidate generation yield the EXACT intersection |A ∩ B| per
+  /// (query column, table column)
   /// pair, so u_set is computed with the exact scorer's own arithmetic and
   /// u_sem mirrors the exact type cosine; u_nl takes CosineUpperBound
   /// instead of the exact embedding cosine. The other relaxations are the
@@ -73,10 +75,9 @@ class TusSearch : public DiscoveryAlgorithm, public PersistentIndex {
   Result<double> ScoreUpperBound(const DiscoveryQuery& query,
                                  const std::string& table_name) const override;
 
-  /// One column as TUS compares it: its distinct tokens, its KB types and
+  /// One column as TUS compares it beyond its token set: its KB types and
   /// the embedding of its value set.
   struct ColumnProfile {
-    std::vector<std::string> tokens;
     /// KB types as (label, confidence), in label order.
     std::vector<std::pair<std::string, double>> types;
     Embedding embedding;
@@ -90,11 +91,14 @@ class TusSearch : public DiscoveryAlgorithm, public PersistentIndex {
   using TypeWeight = std::pair<uint32_t, double>;
 
   /// A query column as a search compares it with lake columns: its
-  /// profile, its types under the epoch's type ids (a type no lake column
-  /// carries matches nothing and is left out), and the squared norm over
-  /// all of its types.
+  /// profile, its token count |A| and the ids of those of its tokens the
+  /// lake's dictionary holds (ascending), its types under the epoch's type
+  /// ids (a type no lake column carries matches nothing and is left out),
+  /// and the squared norm over all of its types.
   struct QueryColumn {
     ColumnProfile profile;
+    size_t num_tokens = 0;
+    std::vector<uint32_t> ids;
     std::vector<TypeWeight> types;
     double type_sqnorm = 0.0;
   };
@@ -108,8 +112,8 @@ class TusSearch : public DiscoveryAlgorithm, public PersistentIndex {
     size_t ncols = 0;
   };
 
-  /// Profile built from precomputed token / distinct value sets (the lake
-  /// sketch-cache path; ProfileColumn derives both and delegates here).
+  /// Profile of a column given its ColumnTokens (in order) and its
+  /// ColumnDistinctCsv values.
   ColumnProfile ProfileFromSets(
       const std::vector<std::string>& tokens,
       const std::vector<std::string>& distinct_values) const;
@@ -118,17 +122,18 @@ class TusSearch : public DiscoveryAlgorithm, public PersistentIndex {
   std::vector<QueryColumn> ProfileQuery(const Table& query) const;
 
   /// Lays the per-table profiles (by lake table id; `indexed[t]` marks the
-  /// tables the index covers) out flat in id order and derives the type
-  /// ids, the token postings and the type postings. BuildIndex and
-  /// LoadPayload both end here, so a loaded index equals a built one.
-  void Install(const DataLake& lake,
+  /// tables the index covers, each with the lake's column count) out flat
+  /// by the lake column ids of `tokens` and derives the type ids and the
+  /// type postings. BuildIndex and LoadPayload both end here, so a loaded
+  /// index equals a built one.
+  void Install(const DataLake& lake, std::shared_ptr<const LakeTokens> tokens,
                std::vector<std::vector<ColumnProfile>> tables,
                std::vector<uint8_t> indexed);
 
-  /// Global column ids of table `t`: [col_begin_[t], col_begin_[t + 1]).
-  size_t NumColumns(TableId t) const {
-    return col_begin_[t + 1] - col_begin_[t];
-  }
+  /// Lake column ids of table `t`: [FirstColumn(t), FirstColumn(t) +
+  /// NumColumns(t)), the numbering of the lake's tokens.
+  uint32_t FirstColumn(TableId t) const { return tokens_->FirstColumn(t); }
+  size_t NumColumns(TableId t) const { return tokens_->NumColumns(t); }
   const float* Row(size_t g) const { return embeddings_.data() + g * dim_; }
 
   /// The semantic measure between query column `q` and lake column `g`.
@@ -175,30 +180,26 @@ class TusSearch : public DiscoveryAlgorithm, public PersistentIndex {
   HashEmbedder embedder_;
   size_t dim_;
   const DataLake* lake_ = nullptr;
+  /// The lake's tokens the index was built or loaded on: the column token
+  /// sets, their postings (candidate generation and exact stage-0
+  /// intersection counts) and the column numbering.
+  std::shared_ptr<const LakeTokens> tokens_;
   /// Per lake table id: 1 when the index covers the table.
   std::vector<uint8_t> indexed_;
-  /// Per lake table id, the first global column id of its columns (one
-  /// past the last table at the end). Columns are numbered in table-id
-  /// order.
-  std::vector<size_t> col_begin_;
-  /// Per global column id: its distinct tokens.
-  std::vector<std::vector<std::string>> col_tokens_;
-  /// Per global column id g: its types at [type_begin_[g],
+  /// Per lake column id g: its types at [type_begin_[g],
   /// type_begin_[g + 1]) of type_weights_, ascending type id, and their
   /// squared norm.
   std::vector<size_t> type_begin_;
   std::vector<TypeWeight> type_weights_;
   std::vector<double> type_sqnorm_;
-  /// Row-major embedding matrix, one dim_-float row per global column id,
-  /// and each row's EmbeddingNorm.
+  /// Row-major embedding matrix, one dim_-float row per lake column id
+  /// (zeros for tables the index does not cover), and each row's
+  /// EmbeddingNorm.
   std::vector<float> embeddings_;
   std::vector<double> norms_;
   /// Type id -> KB type label, ascending: ids follow label order, so a
   /// merge over type ids visits types in the order a label-keyed map does.
   std::vector<std::string> type_labels_;
-  /// token -> the lake columns containing it, one posting per column
-  /// (candidate generation + exact stage-0 intersection counts).
-  std::unordered_map<std::string, std::vector<LakeColumn>> token_index_;
   /// Type id -> ids of the tables carrying it (candidate generation).
   std::vector<std::vector<TableId>> type_tables_;
 };

@@ -4,13 +4,14 @@
 #include <filesystem>
 
 #include "common/string_util.h"
+#include "lake/lake_tokens.h"
 #include "table/csv.h"
 
 namespace dialite {
 
 namespace fs = std::filesystem;
 
-DataLake::DataLake() : sketch_cache_(std::make_unique<TableSketchCache>()) {}
+DataLake::DataLake() : tokens_slot_(std::make_unique<TokensSlot>()) {}
 
 Status DataLake::AddTable(Table table) {
   if (table.name().empty()) {
@@ -23,9 +24,11 @@ Status DataLake::AddTable(Table table) {
     return Status::InvalidArgument("lake table ids exhausted");
   }
   std::string name = table.name();
-  // Names are unique and tables immutable once added, so this is defensive:
-  // no stale sketch can survive a lake mutation.
-  sketch_cache_->Invalidate(name);
+  {
+    // The next tokens() call covers the new table too.
+    MutexLock lock(tokens_slot_->mu);
+    tokens_slot_->tokens.reset();
+  }
   ids_.emplace(name, static_cast<TableId>(tables_.size()));
   tables_.push_back(std::make_unique<Table>(std::move(table)));
   names_.push_back(std::move(name));
@@ -44,6 +47,20 @@ bool DataLake::Contains(const std::string& name) const {
 TableId DataLake::IdOf(std::string_view name) const {
   auto it = ids_.find(name);
   return it == ids_.end() ? kNoTable : it->second;
+}
+
+std::shared_ptr<const LakeTokens> DataLake::tokens(size_t num_threads) const {
+  // Held across the build, so concurrent first callers wait for it.
+  MutexLock lock(tokens_slot_->mu);
+  if (tokens_slot_->tokens == nullptr) {
+    tokens_slot_->tokens = LakeTokens::Build(*this, num_threads);
+  }
+  return tokens_slot_->tokens;
+}
+
+void DataLake::InstallTokens(std::shared_ptr<const LakeTokens> tokens) {
+  MutexLock lock(tokens_slot_->mu);
+  tokens_slot_->tokens = std::move(tokens);
 }
 
 std::vector<const Table*> DataLake::tables() const {

@@ -11,10 +11,12 @@
 #include <vector>
 
 #include "common/status.h"
-#include "lake/table_sketch_cache.h"
+#include "common/sync.h"
 #include "table/table.h"
 
 namespace dialite {
+
+class LakeTokens;
 
 /// Summary statistics for a lake.
 struct LakeStats {
@@ -74,10 +76,16 @@ class DataLake {
   /// Writes every table as <dir>/<name>.csv. Creates `dir` if needed.
   Status SaveDirectory(const std::string& dir) const;
 
-  /// The lake-wide sketch cache: per-table derived data (token sets,
-  /// distinct values) memoized once and shared by every discovery
-  /// algorithm's BuildIndex. Thread-safe; invalidated by AddTable.
-  TableSketchCache& sketch_cache() const { return *sketch_cache_; }
+  /// The lake's token dictionary and column token sets (LakeTokens), built
+  /// on the first call with `num_threads` workers and shared by every
+  /// index built afterwards. Thread-safe: concurrent first callers wait for
+  /// that one build. AddTable resets it; an index keeps the tokens it was
+  /// built on, so it answers as before.
+  std::shared_ptr<const LakeTokens> tokens(size_t num_threads = 1) const;
+
+  /// Installs tokens decoded from a snapshot (ReadLake); they must have
+  /// been made for this lake (LakeTokens::FromParts checks the widths).
+  void InstallTokens(std::shared_ptr<const LakeTokens> tokens);
 
  private:
   /// Tables by dense id.
@@ -86,8 +94,12 @@ class DataLake {
   std::vector<std::string> names_;
   /// Name -> dense id, in name order (Stats sums in this order).
   std::map<std::string, TableId, std::less<>> ids_;
-  /// unique_ptr keeps DataLake movable (the cache owns mutexes).
-  std::unique_ptr<TableSketchCache> sketch_cache_;
+  /// The built tokens; unique_ptr keeps DataLake movable (Mutex is not).
+  struct TokensSlot {
+    Mutex mu{"DataLake::TokensSlot::mu"};
+    std::shared_ptr<const LakeTokens> tokens DIALITE_GUARDED_BY(mu);
+  };
+  std::unique_ptr<TokensSlot> tokens_slot_;
 };
 
 }  // namespace dialite

@@ -35,7 +35,7 @@ class Counter {
     v_.fetch_add(delta, std::memory_order_relaxed);
   }
   /// Overwrites the value (for gauges mirrored from an external tally,
-  /// e.g. the sketch cache's cumulative hit/miss stats).
+  /// e.g. an index's column or token count).
   void Set(uint64_t value) {
     // Invariant: readers eventually see the latest gauge value. A plain
     // atomic store suffices; the store orders nothing else → relaxed.

@@ -13,7 +13,7 @@ namespace dialite {
 
 /// One observability session: the metrics registry and span tracer every
 /// instrumented layer (discovery builders, matcher, integration, thread
-/// pool, sketch cache, CSV ingest) writes into, exportable as one JSON
+/// pool, CSV ingest) writes into, exportable as one JSON
 /// document or a human-readable report.
 ///
 /// Usage:

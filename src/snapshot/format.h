@@ -46,8 +46,10 @@ struct SnapshotSection {
 };
 
 /// Well-known section names. Tables get one section each ("tbl." + name);
+/// the lake's token dictionary and column token sets one ("lake.tokens");
 /// discovery indexes one each ("idx." + algorithm name).
 inline constexpr char kSectionLakeManifest[] = "lake.manifest";
+inline constexpr char kSectionLakeTokens[] = "lake.tokens";
 inline constexpr char kSectionTablePrefix[] = "tbl.";
 inline constexpr char kSectionIndexPrefix[] = "idx.";
 

@@ -1,5 +1,6 @@
 #include "snapshot/lake_codec.h"
 
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,8 +14,44 @@ namespace dialite {
 namespace {
 
 constexpr uint32_t kManifestVersion = 1;
+constexpr uint32_t kTokensVersion = 1;
+
+/// Copies a decoded array into an owned vector.
+std::vector<uint32_t> Owned(std::span<const uint32_t> v) {
+  return std::vector<uint32_t>(v.begin(), v.end());
+}
 
 }  // namespace
+
+void WriteLakeTokens(const LakeTokens& tokens, BinaryWriter* w) {
+  w->U32(kTokensVersion);
+  w->Str(tokens.chars());
+  w->Array<uint32_t>(tokens.token_offsets());
+  w->Array<uint32_t>(tokens.column_offsets());
+  w->Array<uint32_t>(tokens.ids());
+}
+
+Result<std::shared_ptr<const LakeTokens>> ReadLakeTokens(
+    std::span<const uint8_t> payload, const DataLake& lake) {
+  BinaryReader r(payload);
+  uint32_t version = 0;
+  DIALITE_RETURN_IF_ERROR(r.U32(&version));
+  if (version != kTokensVersion) {
+    return Status::ParseError("unsupported lake tokens version " +
+                              std::to_string(version));
+  }
+  std::string chars;
+  DIALITE_RETURN_IF_ERROR(r.Str(&chars));
+  std::span<const uint32_t> token_offsets, column_offsets, ids;
+  DIALITE_RETURN_IF_ERROR(r.Array(&token_offsets));
+  DIALITE_RETURN_IF_ERROR(r.Array(&column_offsets));
+  DIALITE_RETURN_IF_ERROR(r.Array(&ids));
+  if (!r.AtEnd()) {
+    return Status::ParseError("trailing bytes after lake tokens");
+  }
+  return LakeTokens::FromParts(lake, std::move(chars), Owned(token_offsets),
+                               Owned(column_offsets), Owned(ids));
+}
 
 Status WriteLake(const DataLake& lake, SnapshotWriter* w,
                  ObservabilityContext* obs) {
@@ -37,6 +74,9 @@ Status WriteLake(const DataLake& lake, SnapshotWriter* w,
     DIALITE_RETURN_IF_ERROR(
         w->AddSection(kSectionTablePrefix + n, std::move(sec)));
   }
+  BinaryWriter tokens;
+  WriteLakeTokens(*lake.tokens(), &tokens);
+  DIALITE_RETURN_IF_ERROR(w->AddSection(kSectionLakeTokens, std::move(tokens)));
 
   ObsAdd(obs, "snapshot.tables_written", names.size());
   return Status::OK();
@@ -80,6 +120,16 @@ Result<std::unique_ptr<DataLake>> ReadLake(const SnapshotReader& reader,
   if (!manifest.AtEnd()) {
     return Status::ParseError("trailing bytes after lake manifest");
   }
+  if (!reader.HasSection(kSectionLakeTokens)) {
+    return Status::ParseError("snapshot lacks the lake.tokens section");
+  }
+  Result<std::span<const uint8_t>> tokens_bytes =
+      reader.Section(kSectionLakeTokens);
+  if (!tokens_bytes.ok()) return tokens_bytes.status();
+  Result<std::shared_ptr<const LakeTokens>> tokens =
+      ReadLakeTokens(*tokens_bytes, *lake);
+  if (!tokens.ok()) return tokens.status();
+  lake->InstallTokens(std::move(*tokens));
 
   ObsAdd(obs, "snapshot.tables_opened", count);
   return lake;

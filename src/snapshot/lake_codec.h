@@ -2,26 +2,43 @@
 #define DIALITE_SNAPSHOT_LAKE_CODEC_H_
 
 #include <memory>
+#include <span>
 
 #include "common/status.h"
 #include "lake/data_lake.h"
+#include "lake/lake_tokens.h"
 #include "obs/observability.h"
+#include "snapshot/bytes.h"
 #include "snapshot/snapshot_reader.h"
 #include "snapshot/snapshot_writer.h"
 
 namespace dialite {
 
 /// Adds the lake's sections to `w`: "lake.manifest" (table names in
-/// insertion order) and one "tbl.<name>" section per table.
+/// insertion order), one "tbl.<name>" section per table, and
+/// "lake.tokens" (the lake's LakeTokens, built here if no index built
+/// them yet).
 Status WriteLake(const DataLake& lake, SnapshotWriter* w,
                  ObservabilityContext* obs = nullptr);
 
 /// Reconstructs a DataLake from `reader`'s sections. Tables come back
 /// backed by borrowed spans into the mapping (pinned per-table by the
-/// reader's anchor). Sections this codec does not read — including the
-/// "sketch.minhash" section that older writers added — are ignored.
+/// reader's anchor); the "lake.tokens" section is decoded into owned
+/// arrays and installed as the lake's tokens. A snapshot without that
+/// section fails with kParseError. Sections this codec does not read —
+/// including the "sketch.minhash" section that older writers added — are
+/// ignored.
 Result<std::unique_ptr<DataLake>> ReadLake(const SnapshotReader& reader,
                                            ObservabilityContext* obs = nullptr);
+
+/// The "lake.tokens" payload: a version, then the dictionary's bytes and
+/// token offsets, then the column offsets and the column token ids.
+void WriteLakeTokens(const LakeTokens& tokens, BinaryWriter* w);
+
+/// Decodes a WriteLakeTokens payload for `lake` (LakeTokens::FromParts
+/// validates it). Any malformed payload fails with kParseError.
+Result<std::shared_ptr<const LakeTokens>> ReadLakeTokens(
+    std::span<const uint8_t> payload, const DataLake& lake);
 
 }  // namespace dialite
 

@@ -55,19 +55,6 @@ double Containment(const std::vector<std::string>& a,
   return static_cast<double>(inter) / static_cast<double>(sa.size());
 }
 
-double OverlapCoefficient(const std::vector<std::string>& a,
-                          const std::vector<std::string>& b) {
-  std::unordered_set<std::string_view> sa = ToSet(a);
-  std::unordered_set<std::string_view> sb = ToSet(b);
-  if (sa.empty() || sb.empty()) return 1.0;
-  size_t inter = 0;
-  for (std::string_view x : sa) {
-    if (sb.count(x)) ++inter;
-  }
-  return static_cast<double>(inter) /
-         static_cast<double>(std::min(sa.size(), sb.size()));
-}
-
 size_t Levenshtein(std::string_view a, std::string_view b) {
   if (a.size() > b.size()) std::swap(a, b);
   std::vector<size_t> prev(a.size() + 1);

@@ -25,10 +25,6 @@ double Jaccard(const std::vector<std::string>& a,
 double Containment(const std::vector<std::string>& a,
                    const std::vector<std::string>& b);
 
-/// |A ∩ B| / min(|A|,|B|); 1.0 when either empty.
-double OverlapCoefficient(const std::vector<std::string>& a,
-                          const std::vector<std::string>& b);
-
 /// Edit-distance measures over raw strings.
 
 /// Levenshtein distance (unit costs).

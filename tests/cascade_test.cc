@@ -248,32 +248,6 @@ TEST_P(CascadeEquivalenceTest, UpperBoundIsAdmissible) {
   }
 }
 
-// SearchBatch must agree with per-query Search in both modes (JOSIE
-// overrides it with a shared posting pass; the others use the default).
-TEST_P(CascadeEquivalenceTest, SearchBatchMatchesSearch) {
-  DataLake lake = MakeLake(/*seed=*/3, /*fragments=*/4);
-  std::unique_ptr<DiscoveryAlgorithm> algo = GetParam().make();
-  ASSERT_TRUE(algo->BuildIndex(lake).ok());
-  const std::vector<const Table*> tables = lake.tables();
-  std::vector<DiscoveryQuery> queries;
-  for (size_t t = 0; t < tables.size() && queries.size() < 4; t += 6) {
-    queries.push_back({tables[t], 0, 5});
-  }
-  ASSERT_FALSE(queries.empty());
-  for (SearchMode mode : {SearchMode::kCascade, SearchMode::kExhaustive}) {
-    algo->set_search_mode(mode);
-    auto batch = algo->SearchBatch(queries);
-    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-    ASSERT_EQ(batch->size(), queries.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      auto single = algo->Search(queries[i]);
-      ASSERT_TRUE(single.ok()) << single.status().ToString();
-      EXPECT_EQ((*batch)[i], *single)
-          << GetParam().label << " query " << i;
-    }
-  }
-}
-
 // A request whose deadline has already passed must fail with
 // kDeadlineExceeded in both modes: every algorithm polls the token inside
 // its scan, not only before it.
@@ -335,25 +309,7 @@ TEST(CascadeStatsTest, JosiePublishesPruningCounters) {
   EXPECT_EQ(total, pruned + scored);
 }
 
-// ---------------------------------------------------------- facade batch
-
-TEST(DialiteFacadeTest, DiscoverBatchMatchesDiscover) {
-  DataLake lake = MakeLake(/*seed=*/3, /*fragments=*/4);
-  Dialite dialite(&lake);
-  ASSERT_TRUE(dialite.RegisterDefaults().ok());
-  dialite.set_num_threads(1);
-  ASSERT_TRUE(dialite.BuildIndexes().ok());
-  const std::vector<const Table*> tables = lake.tables();
-  std::vector<DiscoveryQuery> queries = {{tables[0], 0, 5}, {tables[3], 0, 5}};
-  auto batch = dialite.DiscoverBatch(queries, "josie");
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  ASSERT_EQ(batch->size(), 2u);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    auto single = dialite.Discover(queries[i], "josie");
-    ASSERT_TRUE(single.ok());
-    EXPECT_EQ((*batch)[i], *single);
-  }
-}
+// ---------------------------------------------------------- facade
 
 TEST(DialiteFacadeTest, SearchModePropagatesToAlgorithms) {
   DataLake lake = MakeLake(/*seed=*/3, /*fragments=*/4);

@@ -101,8 +101,9 @@ TEST_F(StarmiePaperTest, ContextualizationChangesVectors) {
   Table with_ctx("ctx", Schema::FromNames({"City", "Vaccine"}));
   (void)with_ctx.AddRow({Value::String("Berlin"), Value::String("Pfizer")});
   (void)with_ctx.AddRow({Value::String("Boston"), Value::String("Moderna")});
-  std::vector<Embedding> v1 = starmie_.ContextualizedColumns(alone);
-  std::vector<Embedding> v2 = starmie_.ContextualizedColumns(with_ctx);
+  std::vector<Embedding> v1 = starmie_.ContextualizedColumns(TableTokens(alone));
+  std::vector<Embedding> v2 =
+      starmie_.ContextualizedColumns(TableTokens(with_ctx));
   double self_sim = CosineSimilarity(v1[0], v2[0]);
   EXPECT_LT(self_sim, 0.999);  // context shifted the vector
   EXPECT_GT(self_sim, 0.5);    // but the content still dominates

@@ -110,9 +110,11 @@ TEST(IndexCacheTest, BuildSavesAndSecondBuildLoads) {
   Dialite first(&lake);
   ASSERT_TRUE(first.RegisterDefaults().ok());
   ASSERT_TRUE(first.BuildIndexes(dir).ok());
-  // The persistent algorithms wrote their cache files.
+  // The persistent algorithms wrote their cache files; JOSIE, whose index
+  // is the lake's tokens, writes none.
   EXPECT_TRUE(std::filesystem::exists(dir + "/santos.idx"));
-  EXPECT_TRUE(std::filesystem::exists(dir + "/josie.idx"));
+  EXPECT_TRUE(std::filesystem::exists(dir + "/lsh_ensemble.idx"));
+  EXPECT_FALSE(std::filesystem::exists(dir + "/josie.idx"));
   auto h1 = first.Discover(q, "santos");
   ASSERT_TRUE(h1.ok());
 
@@ -134,7 +136,7 @@ TEST(IndexCacheTest, CorruptCacheFallsBackToBuild) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   {
-    std::ofstream bad(dir + "/josie.idx");
+    std::ofstream bad(dir + "/lsh_ensemble.idx");
     bad << "garbage\n";
   }
   DataLake lake = paper::MakeDemoLake(0);
@@ -143,7 +145,7 @@ TEST(IndexCacheTest, CorruptCacheFallsBackToBuild) {
   ASSERT_TRUE(d.BuildIndexes(dir).ok());  // rebuilds, overwrites cache
   Table query = paper::MakeT1();
   DiscoveryQuery q{&query, 1, 5};
-  auto hits = d.Discover(q, "josie");
+  auto hits = d.Discover(q, "lsh_ensemble");
   ASSERT_TRUE(hits.ok());
   EXPECT_FALSE(hits->empty());
   std::filesystem::remove_all(dir);

@@ -8,10 +8,10 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <span>
 #include <vector>
 
-#include "discovery/cocoa.h"
 #include "discovery/josie.h"
 #include "discovery/keyword_search.h"
 #include "discovery/lsh_ensemble_search.h"
@@ -20,6 +20,7 @@
 #include "discovery/tus.h"
 #include "lake/paper_fixtures.h"
 #include "snapshot/bytes.h"
+#include "snapshot/lake_codec.h"
 
 namespace dialite {
 namespace {
@@ -43,22 +44,6 @@ Status LoadCrafted(PersistentIndex* index, const BinaryWriter& payload,
   BinaryReader r(std::span<const uint8_t>(
       reinterpret_cast<const uint8_t*>(storage.data()), payload.size()));
   return index->LoadPayload(&r, lake);
-}
-
-/// A JOSIE or COCOA payload indexing one column, `col` of lake table T2
-/// (3 columns), with one posting.
-BinaryWriter PostingsPayload(const std::string& algo, uint64_t col) {
-  BinaryWriter w;
-  w.Str(algo);
-  w.U32(1);
-  w.U64(1);
-  w.Str("T2");
-  w.U64(col);
-  w.U64(1);
-  w.Str("toronto");
-  const std::vector<uint32_t> ids = {0};
-  w.Array<uint32_t>(ids);
-  return w;
 }
 
 /// An LSH Ensemble payload (default Params) indexing column `col` of T2.
@@ -109,21 +94,19 @@ std::vector<float> UnitVector(size_t dim) {
   return v;
 }
 
-/// A TUS payload listing lake table T2 once per entry of `widths`, with
-/// that many columns; each column holds the token "toronto", no KB types,
-/// and a `dim`-float embedding.
+/// A TUS payload listing lake table T2 (3 columns) once per entry of
+/// `widths`, with that many columns; each column has no KB types and a
+/// `dim`-float embedding.
 BinaryWriter TusPayload(const std::vector<uint64_t>& widths,
                         size_t dim = kDim) {
   BinaryWriter w;
   w.Str("tus");
-  w.U32(1);
+  w.U32(2);
   w.U64(widths.size());
   for (uint64_t ncols : widths) {
     w.Str("T2");
     w.U64(ncols);
     for (uint64_t c = 0; c < ncols; ++c) {
-      w.U64(1);
-      w.Str("toronto");
       w.U64(0);
       w.Array<float>(UnitVector(dim));
     }
@@ -168,70 +151,56 @@ BinaryWriter StarmiePayload(size_t copies) {
   return w;
 }
 
+/// `payload` copied into 8-byte-aligned storage, as a mapped snapshot
+/// section presents it; `storage` owns the bytes.
+std::span<const uint8_t> Aligned(const BinaryWriter& payload,
+                                 std::vector<uint64_t>* storage) {
+  storage->assign((payload.size() + 7) / 8, 0);
+  std::memcpy(storage->data(), payload.buffer().data(), payload.size());
+  return std::span<const uint8_t>(
+      reinterpret_cast<const uint8_t*>(storage->data()), payload.size());
+}
+
+// JOSIE persists no section of its own: its index is the lake's tokens
+// (the snapshot's "lake.tokens") plus per-token counts it derives on
+// build. A JOSIE over a lake whose tokens were saved and decoded answers
+// exactly like the original.
 TEST(JosiePersistTest, SaveLoadGivesIdenticalResults) {
   DataLake lake = paper::MakeDemoLake(12);
   JosieSearch original;
   ASSERT_TRUE(original.BuildIndex(lake).ok());
-  std::string path = TempPath("josie.idx");
-  ASSERT_TRUE(original.SaveIndex(path).ok());
+  BinaryWriter saved;
+  WriteLakeTokens(*lake.tokens(), &saved);
 
+  DataLake reopened = paper::MakeDemoLake(12);
+  std::vector<uint64_t> storage;
+  Result<std::shared_ptr<const LakeTokens>> tokens =
+      ReadLakeTokens(Aligned(saved, &storage), reopened);
+  ASSERT_TRUE(tokens.ok()) << tokens.status().ToString();
+  reopened.InstallTokens(*tokens);
   JosieSearch loaded;
-  ASSERT_TRUE(loaded.LoadIndex(path, lake).ok());
+  ASSERT_TRUE(loaded.BuildIndex(reopened).ok());
   Table query = paper::MakeT1();
   DiscoveryQuery q{&query, 1, 10};
   auto h1 = original.Search(q);
   auto h2 = loaded.Search(q);
   ASSERT_TRUE(h1.ok());
   ASSERT_TRUE(h2.ok());
-  ASSERT_EQ(h1->size(), h2->size());
-  for (size_t i = 0; i < h1->size(); ++i) {
-    EXPECT_EQ((*h1)[i].table_name, (*h2)[i].table_name);
-    EXPECT_DOUBLE_EQ((*h1)[i].score, (*h2)[i].score);
-  }
-  std::remove(path.c_str());
+  ASSERT_FALSE(h1->empty());
+  EXPECT_EQ(*h2, *h1);
 }
 
 TEST(JosiePersistTest, SaveLoadSaveIsByteIdentical) {
   DataLake lake = paper::MakeDemoLake(12);
-  JosieSearch original;
-  ASSERT_TRUE(original.BuildIndex(lake).ok());
-  std::string path1 = TempPath("josie_rt1.idx");
-  std::string path2 = TempPath("josie_rt2.idx");
-  ASSERT_TRUE(original.SaveIndex(path1).ok());
-  JosieSearch loaded;
-  ASSERT_TRUE(loaded.LoadIndex(path1, lake).ok());
-  ASSERT_TRUE(loaded.SaveIndex(path2).ok());
-  EXPECT_EQ(ReadFile(path1), ReadFile(path2));
-  std::remove(path1.c_str());
-  std::remove(path2.c_str());
-}
-
-TEST(JosiePersistTest, LoadRejectsMissingTable) {
-  DataLake lake = paper::MakeDemoLake(0);
-  JosieSearch original;
-  ASSERT_TRUE(original.BuildIndex(lake).ok());
-  std::string path = TempPath("josie_missing.idx");
-  ASSERT_TRUE(original.SaveIndex(path).ok());
-  DataLake other;  // empty lake
-  JosieSearch loaded;
-  Status s = loaded.LoadIndex(path, other);
-  EXPECT_EQ(s.code(), StatusCode::kNotFound);
-  std::remove(path.c_str());
-}
-
-TEST(JosiePersistTest, LoadRejectsGarbage) {
-  std::string path = TempPath("josie_garbage.idx");
-  {
-    std::ofstream out(path);
-    // The removed line-oriented text format: stale caches from older
-    // builds must fail parse (the facade then rebuilds), never crash.
-    out << "dialite-josie-index v1\n";
-  }
-  DataLake lake = paper::MakeDemoLake(0);
-  JosieSearch loaded;
-  EXPECT_EQ(loaded.LoadIndex(path, lake).code(), StatusCode::kParseError);
-  EXPECT_FALSE(loaded.LoadIndex("/nonexistent/no.idx", lake).ok());
-  std::remove(path.c_str());
+  BinaryWriter first;
+  WriteLakeTokens(*lake.tokens(), &first);
+  std::vector<uint64_t> storage;
+  Result<std::shared_ptr<const LakeTokens>> loaded =
+      ReadLakeTokens(Aligned(first, &storage), lake);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  BinaryWriter second;
+  WriteLakeTokens(**loaded, &second);
+  EXPECT_EQ(second.buffer(), first.buffer());
 }
 
 TEST(SantosPersistTest, SaveLoadGivesIdenticalResults) {
@@ -292,35 +261,18 @@ TEST(SantosPersistTest, LoadedIndexStillRanksT2First) {
 
 TEST(SantosPersistTest, LoadRejectsWrongAlgorithmPayload) {
   DataLake lake = paper::MakeDemoLake(0);
-  JosieSearch josie;
-  ASSERT_TRUE(josie.BuildIndex(lake).ok());
+  KeywordSearch keyword;
+  ASSERT_TRUE(keyword.BuildIndex(lake).ok());
   std::string path = TempPath("santos_bad.idx");
-  ASSERT_TRUE(josie.SaveIndex(path).ok());  // valid container, wrong payload
+  ASSERT_TRUE(keyword.SaveIndex(path).ok());  // valid container, wrong payload
   SantosSearch loaded;
   EXPECT_EQ(loaded.LoadIndex(path, lake).code(), StatusCode::kParseError);
   std::remove(path.c_str());
 }
 
-// Crafted payloads naming a column past its table's width must fail to
+// A crafted payload naming a column past its table's width must fail to
 // load: searches index the table's token sets by that column unchecked.
 // Column 1 (T2's City) is the well-formed control.
-
-TEST(JosiePersistTest, LoadRejectsColumnOutOfRange) {
-  DataLake lake = paper::MakeDemoLake(0);
-  JosieSearch josie;
-  ASSERT_TRUE(LoadCrafted(&josie, PostingsPayload("josie", 1), lake).ok());
-  EXPECT_EQ(LoadCrafted(&josie, PostingsPayload("josie", 1000000), lake).code(),
-            StatusCode::kParseError);
-}
-
-TEST(CocoaPersistTest, LoadRejectsColumnOutOfRange) {
-  DataLake lake = paper::MakeDemoLake(0);
-  CocoaSearch cocoa;
-  ASSERT_TRUE(LoadCrafted(&cocoa, PostingsPayload("cocoa", 1), lake).ok());
-  EXPECT_EQ(LoadCrafted(&cocoa, PostingsPayload("cocoa", 1000000), lake).code(),
-            StatusCode::kParseError);
-}
-
 TEST(LshEnsemblePersistTest, LoadRejectsColumnOutOfRange) {
   DataLake lake = paper::MakeDemoLake(0);
   LshEnsembleSearch lsh;
@@ -362,21 +314,30 @@ TEST(KeywordPersistTest, LoadRejectsRepeatedTerm) {
 }
 
 // Indexes give each lake table one slot, so a payload that lists a table
-// twice must fail to load. Such a TUS payload used to load: its profiles
-// kept the first copy (one column) while its token postings named columns
-// of the second (three), and a search read past the first copy's hit
-// counts. One copy is the control.
+// twice must fail to load. One copy is the control.
 TEST(TusPersistTest, LoadRejectsRepeatedTable) {
   DataLake lake = paper::MakeDemoLake(0);
   TusSearch tus;
-  ASSERT_TRUE(LoadCrafted(&tus, TusPayload({1}), lake).ok());
+  ASSERT_TRUE(LoadCrafted(&tus, TusPayload({3}), lake).ok());
   Table query("q", Schema::FromNames({"City"}));
   ASSERT_TRUE(query.AddRow({Value::String("toronto")}).ok());
   auto hits = tus.Search(DiscoveryQuery{&query, 0, 5});
   ASSERT_TRUE(hits.ok()) << hits.status().ToString();
   ASSERT_EQ(hits->size(), 1u);
   EXPECT_EQ((*hits)[0].table_name, "T2");
-  EXPECT_EQ(LoadCrafted(&tus, TusPayload({1, 3}), lake).code(),
+  EXPECT_EQ(LoadCrafted(&tus, TusPayload({3, 3}), lake).code(),
+            StatusCode::kParseError);
+}
+
+// TUS column c of a table is lake column c, whose token set the lake's
+// tokens hold, so a payload must give each table the lake's column count.
+TEST(TusPersistTest, LoadRejectsColumnCountMismatch) {
+  DataLake lake = paper::MakeDemoLake(0);
+  TusSearch tus;
+  ASSERT_TRUE(LoadCrafted(&tus, TusPayload({3}), lake).ok());
+  EXPECT_EQ(LoadCrafted(&tus, TusPayload({1}), lake).code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(LoadCrafted(&tus, TusPayload({4}), lake).code(),
             StatusCode::kParseError);
 }
 
@@ -384,8 +345,8 @@ TEST(TusPersistTest, LoadRejectsRepeatedTable) {
 TEST(TusPersistTest, LoadRejectsEmbeddingDimMismatch) {
   DataLake lake = paper::MakeDemoLake(0);
   TusSearch tus;
-  ASSERT_TRUE(LoadCrafted(&tus, TusPayload({1}, kDim), lake).ok());
-  EXPECT_EQ(LoadCrafted(&tus, TusPayload({1}, kDim - 1), lake).code(),
+  ASSERT_TRUE(LoadCrafted(&tus, TusPayload({3}, kDim), lake).ok());
+  EXPECT_EQ(LoadCrafted(&tus, TusPayload({3}, kDim - 1), lake).code(),
             StatusCode::kParseError);
 }
 

@@ -478,5 +478,40 @@ TEST(DialiteSnapshotTest, SnapshotMissingIndexSectionTriggersRebuild) {
   std::remove(path.c_str());
 }
 
+// Every token search reads the lake's tokens, so a snapshot without the
+// "lake.tokens" section does not open (there is no fallback that would
+// re-tokenize the lake); the same file with the section is the control.
+TEST(DialiteSnapshotTest, OpenRejectsSnapshotWithoutLakeTokens) {
+  DataLake lake = paper::MakeDemoLake(2);
+  Dialite fresh(&lake);
+  ASSERT_TRUE(fresh.RegisterDefaults().ok());
+  ASSERT_TRUE(fresh.BuildIndexes().ok());
+  const std::string path = TempPath("with_tokens.snap");
+  ASSERT_TRUE(fresh.SaveSnapshot(path).ok());
+  ASSERT_TRUE(Dialite::OpenSnapshot(path).ok());
+
+  Result<SnapshotReader> full = SnapshotReader::Open(path);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ASSERT_TRUE(full->HasSection(kSectionLakeTokens));
+  SnapshotWriter w;
+  for (const SnapshotSection& sec : full->sections()) {
+    if (sec.name == kSectionLakeTokens) continue;
+    Result<std::span<const uint8_t>> bytes = full->Section(sec.name);
+    ASSERT_TRUE(bytes.ok());
+    ASSERT_TRUE(w.AddSection(sec.name,
+                             std::string(reinterpret_cast<const char*>(
+                                             bytes->data()),
+                                         bytes->size()))
+                    .ok());
+  }
+  const std::string stripped = TempPath("without_tokens.snap");
+  ASSERT_TRUE(w.Finish(stripped).ok());
+  Result<SnapshotSystem> opened = Dialite::OpenSnapshot(stripped);
+  EXPECT_EQ(opened.status().code(), StatusCode::kParseError)
+      << opened.status().ToString();
+  std::remove(path.c_str());
+  std::remove(stripped.c_str());
+}
+
 }  // namespace
 }  // namespace dialite

@@ -83,11 +83,6 @@ TEST(SetSimTest, Containment) {
   EXPECT_DOUBLE_EQ(Containment({}, {"a"}), 0.0);
 }
 
-TEST(SetSimTest, OverlapCoefficient) {
-  EXPECT_DOUBLE_EQ(OverlapCoefficient({"a"}, {"a", "b", "c"}), 1.0);
-  EXPECT_DOUBLE_EQ(OverlapCoefficient({"a", "x"}, {"a", "b"}), 0.5);
-}
-
 // ------------------------------------------------------------- Edit dist
 
 TEST(EditDistTest, Levenshtein) {

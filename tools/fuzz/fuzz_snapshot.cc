@@ -1,14 +1,19 @@
 // libFuzzer harness: SnapshotReader over arbitrary bytes. The container
 // open path (magic, version, endianness, bounds, section table, CRCs), the
-// lake decode and the index loads behind it must reject any mutation with a
-// clean Status — never crash, over-read, or hand out out-of-bounds spans.
+// lake decode (tables and the "lake.tokens" section) and the index loads
+// behind it must reject any mutation with a clean Status — never crash,
+// over-read, or hand out out-of-bounds spans.
 // The sanitizer (ASan under clang) turns memory bugs into aborts; explicit
 // checks below turn contract violations into aborts.
 //
 // On a lake that decodes, every "idx.<name>" section also goes through its
 // stock algorithm's LoadPayload, and an index that loads answers one
 // Search for a query cut from the decoded lake: a payload that loads must
-// be safe to search.
+// be safe to search. (JOSIE and COCOA persist no section: their index is
+// the decoded lake tokens.)
+//
+// The demo_full_* and lake_only_* seeds come from make_snapshot_seeds
+// (built with the harnesses): make_snapshot_seeds tools/fuzz/corpus/snapshot
 //
 // Input layout: byte 0 selects SnapshotReadOptions (bit0 = skip section
 // CRC verification — the deferred-verification mode must be exactly as
@@ -24,8 +29,6 @@
 #include <span>
 #include <string>
 
-#include "discovery/cocoa.h"
-#include "discovery/josie.h"
 #include "discovery/keyword_search.h"
 #include "discovery/lsh_ensemble_search.h"
 #include "discovery/santos.h"
@@ -54,8 +57,6 @@ using dialite::Table;
 /// The stock algorithm whose index a snapshot stores as "idx.<name>", or
 /// null for any other name.
 std::unique_ptr<DiscoveryAlgorithm> StockAlgorithm(const std::string& name) {
-  if (name == "cocoa") return std::make_unique<dialite::CocoaSearch>();
-  if (name == "josie") return std::make_unique<dialite::JosieSearch>();
   if (name == "keyword") return std::make_unique<dialite::KeywordSearch>();
   if (name == "lsh_ensemble") {
     return std::make_unique<dialite::LshEnsembleSearch>();

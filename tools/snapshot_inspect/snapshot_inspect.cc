@@ -30,6 +30,7 @@ const char* SectionKind(const std::string& name) {
   if (HasPrefix(name, kSectionTablePrefix)) return "table";
   if (HasPrefix(name, kSectionIndexPrefix)) return "index";
   if (name == kSectionLakeManifest) return "manifest";
+  if (name == kSectionLakeTokens) return "tokens";
   return "other";
 }
 
@@ -49,7 +50,7 @@ int Inspect(const std::string& path, bool verify) {
   }
 
   uint64_t table_sections = 0, index_sections = 0;
-  uint64_t table_bytes = 0, index_bytes = 0;
+  uint64_t table_bytes = 0, index_bytes = 0, token_bytes = 0;
   uint64_t payload_bytes = 0;
   for (const SnapshotSection& s : reader->sections()) {
     payload_bytes += s.length;
@@ -60,6 +61,8 @@ int Inspect(const std::string& path, bool verify) {
     } else if (std::strcmp(kind, "index") == 0) {
       ++index_sections;
       index_bytes += s.length;
+    } else if (std::strcmp(kind, "tokens") == 0) {
+      token_bytes += s.length;
     }
   }
 
@@ -93,6 +96,7 @@ int Inspect(const std::string& path, bool verify) {
   out += ",\n    \"payload_bytes\": " + std::to_string(payload_bytes);
   out += ",\n    \"table_bytes\": " + std::to_string(table_bytes);
   out += ",\n    \"index_bytes\": " + std::to_string(index_bytes);
+  out += ",\n    \"token_bytes\": " + std::to_string(token_bytes);
   out += ",\n    \"container_overhead_bytes\": " +
          std::to_string(reader->file_size() - payload_bytes);
   out += "\n  }\n}\n";
