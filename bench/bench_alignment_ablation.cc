@@ -74,7 +74,7 @@ int main() {
         params.seed = 99;
         auto out = SyntheticLakeGenerator(params).Generate();
         std::vector<const Table*> tables = out.lake.tables();
-        AliteMatcher matcher(v.params, &KnowledgeBase::BuiltIn());
+        AliteMatcher matcher(v.params);
         auto r = matcher.Align(tables);
         if (!r.ok()) {
           std::printf("FAIL: %s\n", r.status().ToString().c_str());

@@ -7,8 +7,8 @@
 ///
 /// --bench-json [path]: additionally time Align + Integrate on the paper
 /// set and on a deterministic synthetic fragment workload, and the
-/// facade's align over that workload once its lake tables' signatures are
-/// resident, then write a stable schema-v1 trajectory report
+/// facade's align over that workload, whose lake columns borrow the lake's
+/// tokens and embeddings, then write a stable schema-v1 trajectory report
 /// (bench_json.h) for tools/bench_compare.py.
 
 #include <chrono>
@@ -77,7 +77,7 @@ class AlignOnly : public dialite::IntegrationOperator {
 };
 
 /// Minimum wall micros of `reps` facade aligns over `set`, after one
-/// untimed align that makes the set's lake tables resident. Negative on
+/// untimed align that builds the lake's tokens and embeddings. Negative on
 /// error.
 double TimedResidentAlign(const dialite::DataLake& lake,
                           const std::vector<const dialite::Table*>& set,
@@ -169,11 +169,11 @@ int RunBenchJson(const std::string& path) {
   // Same-run split between the two stages: machine-portable, trips when
   // either stage regresses relative to the other.
   report.ratios["synth_integrate_vs_align"] = au > 0.0 ? iu / au : 0.0;
-  // The same set through the facade once every fragment's signatures are
-  // resident: the align stage minus signing, so the cold/resident ratio
-  // trips if lake tables stop being served from the cache. A resident
-  // align takes a few milliseconds; more reps than the cold timings keep
-  // its minimum steady on a shared host.
+  // The same set through the facade, whose lake columns borrow the lake's
+  // tokens and embeddings: the align stage minus signing, so the
+  // cold/resident ratio trips if lake columns stop being borrowed. A
+  // resident align takes a few milliseconds; more reps than the cold
+  // timings keep its minimum steady on a shared host.
   const double ru = TimedResidentAlign(lake, synth_set, /*reps=*/15);
   if (ru < 0.0) {
     std::printf("FAIL: synth resident align\n");

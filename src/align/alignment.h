@@ -92,10 +92,10 @@ class SchemaMatcher {
 
   /// The lake the integration sets are drawn from (null = none, the
   /// default). Set by the Dialite facade at registration; the lake must
-  /// outlive the matcher and must not change after the first Align. A
-  /// matcher may keep data derived from a *resident* table — `t` with
-  /// lake->Get(t->name()) == t — for its own lifetime: lake tables are
-  /// immutable and never removed.
+  /// outlive the matcher and must not change after the first Align. For a
+  /// *resident* table — `t` with lake->Get(t->name()) == t — a matcher may
+  /// read what the lake derives from it (its LakeTokens columns): lake
+  /// tables are immutable and never removed.
   void set_lake(const DataLake* lake) { lake_ = lake; }
 
  protected:

@@ -2,38 +2,31 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "kb/embedding.h"
 #include "lake/data_lake.h"
 #include "text/similarity.h"
 #include "text/tokenizer.h"
 
 namespace dialite {
 
-AliteMatcher::AliteMatcher(Params params, const KnowledgeBase* kb)
-    : params_(params), embedder_(kb) {}
+AliteMatcher::AliteMatcher(Params params)
+    : params_(params), dim_(ColumnEmbedder().dim()) {}
 
-void AliteMatcher::MakeSignature(const Table& t, size_t column,
-                                 TableSignature* out) const {
+void AliteMatcher::AddColumn(const Table& t, size_t column, size_t first_token,
+                             size_t end_token, const float* embedding,
+                             TableSignature* out) const {
   ColumnSignature sig;
   const ColumnView col = t.column(column);
-  std::vector<std::string> tokens = ColumnTokens(col);
-  // The embedding sums value vectors in first-occurrence order, so sort
-  // only after it: PairSimilarity merges the sorted lists.
-  const Embedding embedding = embedder_.EmbedValueSet(tokens);
-  out->embeddings.insert(out->embeddings.end(), embedding.begin(),
-                         embedding.end());
-  std::sort(tokens.begin(), tokens.end());
-  sig.first_token = out->token_ends.size();
-  for (const std::string& token : tokens) {
-    out->token_bytes += token;
-    out->token_ends.push_back(out->token_bytes.size());
-  }
-  sig.end_token = out->token_ends.size();
+  sig.first_token = first_token;
+  sig.end_token = end_token;
+  sig.embedding = embedding;
   sig.raw_header = t.schema().column(column).name;
   sig.norm_header = NormalizeText(sig.raw_header);
-  sig.all_null = tokens.empty();
+  sig.all_null = first_token == end_token;
   // A column is "numeric" if every distinct value parses as a number.
   // Int/double cells are numeric by construction; only distinct string
   // cells (deduped by dictionary id) need parsing.
@@ -67,7 +60,7 @@ double AliteMatcher::PairSimilarity(const TableSignature& ta, size_t ca,
     size_t overlap = 0;
     for (size_t i = a.first_token, j = b.first_token;
          i != a.end_token && j != b.end_token;) {
-      const int c = ta.token(i).compare(tb.token(j));
+      const int c = ta.tokens[i].compare(tb.tokens[j]);
       if (c <= 0) ++i;
       if (c >= 0) ++j;
       if (c == 0) ++overlap;
@@ -76,10 +69,8 @@ double AliteMatcher::PairSimilarity(const TableSignature& ta, size_t ca,
     double cont = std::max(inter / static_cast<double>(a.num_tokens()),
                            inter / static_cast<double>(b.num_tokens()));
     s += params_.value_weight * cont;
-    const size_t dim = embedder_.dim();
     s += params_.embedding_weight *
-         CosineSimilarity(ta.embeddings.data() + ca * dim,
-                          tb.embeddings.data() + cb * dim, dim);
+         CosineSimilarity(a.embedding, b.embedding, dim_);
   }
   if (!a.norm_header.empty() && !b.norm_header.empty()) {
     if (a.norm_header == b.norm_header) {
@@ -96,11 +87,11 @@ double AliteMatcher::ColumnSimilarity(const Table& ta, size_t ca,
                                       const Table& tb, size_t cb) const {
   TableSignature sa;
   TableSignature sb;
-  MakeSignature(ta, ca, &sa);
-  MakeSignature(tb, cb, &sb);
-  std::vector<uint8_t> jaro_flags(sa.columns[0].norm_header.size() +
-                                  sb.columns[0].norm_header.size());
-  return PairSimilarity(sa, 0, sb, 0, jaro_flags.data());
+  (void)SignTable(ta, nullptr, &sa);
+  (void)SignTable(tb, nullptr, &sb);
+  std::vector<uint8_t> jaro_flags(sa.columns[ca].norm_header.size() +
+                                  sb.columns[cb].norm_header.size());
+  return PairSimilarity(sa, ca, sb, cb, jaro_flags.data());
 }
 
 namespace {
@@ -120,40 +111,62 @@ Status AlignDeadline(const char* stage) {
 
 }  // namespace
 
-Result<AliteMatcher::TableSignature> AliteMatcher::SignTable(
-    const Table& t, const CancelToken* cancel) const {
-  TableSignature sig;
-  sig.columns.reserve(t.num_columns());
-  sig.embeddings.reserve(t.num_columns() * embedder_.dim());
+Status AliteMatcher::SignTable(const Table& t, const CancelToken* cancel,
+                               TableSignature* out) const {
+  const HashEmbedder& embedder = ColumnEmbedder();
+  out->columns.reserve(t.num_columns());
+  out->embeddings.reserve(t.num_columns() * dim_);  // rows stay put
+  std::vector<size_t> token_ends;  // token i's bytes end at token_ends[i]
   for (size_t c = 0; c < t.num_columns(); ++c) {
     if (AlignCancelled(cancel)) return AlignDeadline("building signatures");
-    MakeSignature(t, c, &sig);
+    std::vector<std::string> tokens = ColumnTokens(t.column(c));
+    // The embedding sums value vectors in first-occurrence order, so sort
+    // only after it: PairSimilarity merges the sorted lists.
+    const Embedding embedding = embedder.EmbedValueSet(tokens);
+    out->embeddings.insert(out->embeddings.end(), embedding.begin(),
+                           embedding.end());
+    std::sort(tokens.begin(), tokens.end());
+    const size_t first_token = token_ends.size();
+    for (const std::string& token : tokens) {
+      out->token_bytes += token;
+      token_ends.push_back(out->token_bytes.size());
+    }
+    AddColumn(t, c, first_token, token_ends.size(),
+              out->embeddings.data() + c * dim_, out);
   }
-  return sig;
+  // The views last, once token_bytes no longer moves.
+  out->tokens.reserve(token_ends.size());
+  size_t from = 0;
+  for (size_t to : token_ends) {
+    out->tokens.emplace_back(out->token_bytes.data() + from, to - from);
+    from = to;
+  }
+  return Status::OK();
 }
 
-Result<const AliteMatcher::TableSignature*> AliteMatcher::ResidentSignature(
-    const Table& t, const CancelToken* cancel, uint64_t* computed) const {
-  if (lake_ == nullptr || lake_->Get(t.name()) != &t) {
-    return static_cast<const TableSignature*>(nullptr);
+Status AliteMatcher::BorrowLakeColumns(const Table& t,
+                                       const LakeTokens& tokens, TableId id,
+                                       const CancelToken* cancel,
+                                       TableSignature* out) const {
+  const size_t first_column = tokens.FirstColumn(id);
+  out->columns.reserve(t.num_columns());
+  out->tokens.reserve(tokens.column_offsets()[first_column + t.num_columns()] -
+                      tokens.column_offsets()[first_column]);
+  std::vector<uint32_t> ids;
+  for (size_t c = 0; c < t.num_columns(); ++c) {
+    if (AlignCancelled(cancel)) return AlignDeadline("building signatures");
+    const size_t col = first_column + c;
+    // Ids number the dictionary in byte order, so the sorted ids view the
+    // column's tokens sorted as strings.
+    ids.assign(tokens.ColumnIds(col),
+               tokens.ColumnIds(col) + tokens.ColumnSize(col));
+    std::sort(ids.begin(), ids.end());
+    const size_t first_token = out->tokens.size();
+    for (uint32_t token : ids) out->tokens.push_back(tokens.token(token));
+    AddColumn(t, c, first_token, out->tokens.size(),
+              tokens.ColumnEmbedding(col), out);
   }
-  {
-    ReaderLock lock(cache_mu_);
-    auto it = cache_.find(&t);
-    if (it != cache_.end()) return it->second.get();
-  }
-  // Sign outside the lock, so a cold table never stalls requests on other
-  // tables. Two requests racing on one cold table both sign it and the
-  // first to publish wins; a fill cut short by the deadline publishes
-  // nothing, and a later request fills the entry again.
-  Result<TableSignature> sig = SignTable(t, cancel);
-  if (!sig.ok()) return sig.status();
-  *computed += t.num_columns();
-  sig->token_bytes.shrink_to_fit();
-  sig->token_ends.shrink_to_fit();
-  auto entry = std::make_unique<const TableSignature>(std::move(sig).value());
-  WriterLock lock(cache_mu_);
-  return cache_.emplace(&t, std::move(entry)).first->second.get();
+  return Status::OK();
 }
 
 Result<Alignment> AliteMatcher::Align(const std::vector<const Table*>& tables,
@@ -162,28 +175,29 @@ Result<Alignment> AliteMatcher::Align(const std::vector<const Table*>& tables,
     if (t == nullptr) return Status::InvalidArgument("null table in set");
   }
   ObsSpan align_span(obs_, "align.alite_holistic");
-  // Signatures: resident tables' from the cache, the others' signed here.
-  // Signing polls `cancel` per column and the matrix loop polls on its
-  // first pair, so an expired request stops before any pair evaluation.
-  std::vector<const TableSignature*> table_sigs(tables.size());
-  std::vector<TableSignature> signed_here;
-  signed_here.reserve(tables.size());  // table_sigs points into it
+  // Signatures: lake tables' columns borrow the lake's tokens and
+  // embeddings, the others' are signed here. Both poll `cancel` per column
+  // and the matrix loop polls on its first pair, so an expired request
+  // stops before any pair evaluation.
+  std::vector<TableSignature> table_sigs(tables.size());
+  // Taken at the first lake table and held for the call: the views and
+  // embeddings borrowed from it stay valid until Align returns.
+  std::shared_ptr<const LakeTokens> lake_tokens;
   uint64_t computed = 0;
   {
     ObsSpan span(obs_, "align.signatures");
     for (size_t ti = 0; ti < tables.size(); ++ti) {
-      Result<const TableSignature*> resident =
-          ResidentSignature(*tables[ti], cancel, &computed);
-      if (!resident.ok()) return resident.status();
-      if (*resident != nullptr) {
-        table_sigs[ti] = *resident;
+      const Table& t = *tables[ti];
+      const TableId id =
+          lake_ == nullptr ? kNoTable : lake_->IdOf(t.name());
+      if (id != kNoTable && &lake_->table(id) == &t) {
+        if (lake_tokens == nullptr) lake_tokens = lake_->tokens();
+        DIALITE_RETURN_IF_ERROR(
+            BorrowLakeColumns(t, *lake_tokens, id, cancel, &table_sigs[ti]));
         continue;
       }
-      Result<TableSignature> fresh = SignTable(*tables[ti], cancel);
-      if (!fresh.ok()) return fresh.status();
-      computed += tables[ti]->num_columns();
-      signed_here.push_back(std::move(fresh).value());
-      table_sigs[ti] = &signed_here.back();
+      DIALITE_RETURN_IF_ERROR(SignTable(t, cancel, &table_sigs[ti]));
+      computed += t.num_columns();
     }
   }
   // Per-request column arrays: every column of the set, table by table.
@@ -196,7 +210,7 @@ Result<Alignment> AliteMatcher::Align(const std::vector<const Table*>& tables,
     }
   }
   auto sig = [&](size_t i) -> const ColumnSignature& {
-    return table_sigs[table_of[i]]->columns[column_of[i]];
+    return table_sigs[table_of[i]].columns[column_of[i]];
   };
   const size_t n = table_of.size();
   ObsAdd(obs_, "align.tables", tables.size());
@@ -223,8 +237,8 @@ Result<Alignment> AliteMatcher::Align(const std::vector<const Table*>& tables,
         if (poll.Cancelled()) return AlignDeadline("in similarity matrix");
         if (table_of[i] == table_of[j]) continue;  // cannot-link
         sim[i][j] = sim[j][i] =
-            PairSimilarity(*table_sigs[table_of[i]], column_of[i],
-                           *table_sigs[table_of[j]], column_of[j],
+            PairSimilarity(table_sigs[table_of[i]], column_of[i],
+                           table_sigs[table_of[j]], column_of[j],
                            jaro_flags.data());
         ++pair_evals;
       }

@@ -2,16 +2,12 @@
 #define DIALITE_ALIGN_ALITE_MATCHER_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "align/alignment.h"
-#include "common/sync.h"
-#include "kb/embedding.h"
-#include "kb/knowledge_base.h"
+#include "lake/lake_tokens.h"
 
 namespace dialite {
 
@@ -35,11 +31,11 @@ namespace dialite {
 /// similar admissible cluster pair until no admissible pair reaches
 /// `threshold`. Unmerged columns keep singleton integration IDs.
 ///
-/// Column signatures (sorted tokens, embedding, headers, type flags) of a
-/// table resident in set_lake()'s lake are computed on the first Align that
-/// touches the table and reused by every later one; other tables are signed
-/// on every call. The cache holds at most one entry per lake table and
-/// lives as long as the matcher (DESIGN.md "Signature residency").
+/// A column's signature is its sorted tokens, its embedding, its headers
+/// and its type flags. A column of a table resident in set_lake()'s lake
+/// borrows its tokens and embedding from the lake's LakeTokens, so only its
+/// headers and flags are derived per call; other tables are tokenized and
+/// embedded (signed) on every call (DESIGN.md "Lake columns in ALITE").
 class AliteMatcher : public SchemaMatcher {
  public:
   struct Params {
@@ -53,10 +49,8 @@ class AliteMatcher : public SchemaMatcher {
     bool type_gate = true;
   };
 
-  AliteMatcher() : AliteMatcher(Params(), &KnowledgeBase::BuiltIn()) {}
-  explicit AliteMatcher(const KnowledgeBase* kb)
-      : AliteMatcher(Params(), kb) {}
-  AliteMatcher(Params params, const KnowledgeBase* kb);
+  AliteMatcher() : AliteMatcher(Params()) {}
+  explicit AliteMatcher(Params params);
 
   std::string name() const override { return "alite_holistic"; }
   using SchemaMatcher::Align;
@@ -70,11 +64,12 @@ class AliteMatcher : public SchemaMatcher {
 
  private:
   /// One column's signature. Its ColumnTokens, sorted and distinct, are
-  /// tokens [first_token, end_token) of the owning TableSignature, which
-  /// also holds its embedding.
+  /// tokens [first_token, end_token) of the owning TableSignature; its
+  /// embedding is dim_ floats, a lake row or the TableSignature's own.
   struct ColumnSignature {
     size_t first_token = 0;
     size_t end_token = 0;
+    const float* embedding = nullptr;
     std::string norm_header;
     std::string raw_header;
     bool numeric = false;
@@ -83,33 +78,33 @@ class AliteMatcher : public SchemaMatcher {
     size_t num_tokens() const { return end_token - first_token; }
   };
 
-  /// Every column signature of one table. The tokens of all columns share
-  /// one buffer: token i is token_bytes[token_ends[i - 1], token_ends[i]);
-  /// so do the embeddings: column c's are embeddings[c * dim, (c + 1) * dim).
+  /// Every column signature of one table, filled in place: `tokens` views
+  /// the lake's dictionary (a lake table) or `token_bytes` (a signed
+  /// table), column after column, and a signed table's embeddings are
+  /// `embeddings`, column c's at [c * dim_, (c + 1) * dim_).
   struct TableSignature {
     std::string token_bytes;
-    std::vector<size_t> token_ends;
     std::vector<float> embeddings;
+    std::vector<std::string_view> tokens;
     std::vector<ColumnSignature> columns;
-
-    std::string_view token(size_t i) const {
-      const size_t begin = i == 0 ? 0 : token_ends[i - 1];
-      return std::string_view(token_bytes).substr(begin,
-                                                  token_ends[i] - begin);
-    }
   };
 
-  /// Appends the signature of `t`'s column `column` to `*out`.
-  void MakeSignature(const Table& t, size_t column, TableSignature* out) const;
-  /// Signs every column of `t`, polling `cancel` once per column.
-  Result<TableSignature> SignTable(const Table& t,
-                                   const CancelToken* cancel) const;
-  /// The signature of `t` if it is resident in lake_ (filled on a miss,
-  /// first writer wins), else null. `*computed` counts columns signed here.
-  Result<const TableSignature*> ResidentSignature(const Table& t,
-                                                  const CancelToken* cancel,
-                                                  uint64_t* computed) const
-      DIALITE_EXCLUDES(cache_mu_);
+  /// Signs every column of `t` into the empty `*out`: tokenizes and embeds
+  /// each, polling `cancel` once per column.
+  Status SignTable(const Table& t, const CancelToken* cancel,
+                   TableSignature* out) const;
+  /// Fills the empty `*out` for lake table `id` (`t` itself) from the
+  /// lake's `tokens`: each column's ids sorted and viewed as strings, and
+  /// its lake embedding; polls `cancel` once per column.
+  Status BorrowLakeColumns(const Table& t, const LakeTokens& tokens,
+                           TableId id, const CancelToken* cancel,
+                           TableSignature* out) const;
+  /// Appends the signature of `t`'s column `column`, given its tokens'
+  /// range in the signature's token list and its embedding; derives its
+  /// headers and type flags.
+  void AddColumn(const Table& t, size_t column, size_t first_token,
+                 size_t end_token, const float* embedding,
+                 TableSignature* out) const;
   /// Similarity of column `ca` of `ta` and column `cb` of `tb`.
   /// `jaro_flags`: JaroWinklerScratch's scratch, at least as many bytes as
   /// the two columns' normalized headers together.
@@ -118,13 +113,8 @@ class AliteMatcher : public SchemaMatcher {
                         uint8_t* jaro_flags) const;
 
   const Params params_;
-  const HashEmbedder embedder_;
-  /// Residency cache: lake table -> its signature, never evicted (lake
-  /// tables are never removed, so it is bounded by the lake's size).
-  mutable SharedMutex cache_mu_{"AliteMatcher::cache_mu_"};
-  mutable std::unordered_map<const Table*,
-                             std::unique_ptr<const TableSignature>>
-      cache_ DIALITE_GUARDED_BY(cache_mu_);
+  /// Floats per embedding: ColumnEmbedder().dim().
+  const size_t dim_;
 };
 
 /// Baseline matcher: columns align iff their normalized headers are equal

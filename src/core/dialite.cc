@@ -1,6 +1,7 @@
 #include "core/dialite.h"
 
 #include <algorithm>
+#include <string_view>
 #include <thread>
 #include <unordered_set>
 
@@ -216,6 +217,13 @@ Status Dialite::BuildIndexes(const std::string& cache_dir) {
   if (threads <= 1 || algos.size() < 2) {
     for (DiscoveryAlgorithm* a : algos) DIALITE_RETURN_IF_ERROR(build_one(a));
   } else {
+    // The lake's tokens and embeddings, which most algorithms read, are
+    // built here on every worker rather than by the first algorithm to ask
+    // while the others wait on it.
+    {
+      ObsSpan span(obs_, "build.lake_tokens");
+      (void)lake_->tokens(threads);
+    }
     std::vector<Status> statuses(algos.size());
     ThreadPool pool(std::min(threads, algos.size()), obs_);
     pool.ParallelFor(algos.size(), [&](size_t i) {
@@ -421,6 +429,15 @@ Result<IntegrationResult> Dialite::AlignAndIntegrate(
   if (oit == integration_.end()) {
     return Status::NotFound("integration '" + integration_operator +
                             "' not registered");
+  }
+  // Alignments and provenance name columns by table, so a set naming one
+  // table twice has no valid alignment.
+  std::unordered_set<std::string_view> names;
+  for (const Table* t : tables) {
+    if (t != nullptr && !names.insert(t->name()).second) {
+      return Status::InvalidArgument("integration set names table '" +
+                                     t->name() + "' twice");
+    }
   }
   Result<Alignment> alignment = mit->second->Align(tables, cancel);
   if (!alignment.ok()) return alignment.status();

@@ -146,8 +146,9 @@ class Dialite {
   /// Builds every registered discovery index over the lake (the paper's
   /// offline preprocessing). Call after registrations, before Search/Run.
   /// Algorithms build concurrently (see set_num_threads) and share the
-  /// lake's LakeTokens, so each table is tokenized once, not once per
-  /// algorithm: the first algorithm to ask builds them, the others wait.
+  /// lake's LakeTokens, so each table is tokenized and embedded once, not
+  /// once per algorithm: a parallel build makes them first, on every
+  /// worker, then fans the algorithms out.
   ///
   /// With a non-empty `cache_dir`, algorithms implementing PersistentIndex
   /// first try to load "<cache_dir>/<name>.idx"; on a miss (or a stale/
@@ -170,8 +171,8 @@ class Dialite {
   /// the lake zero-copy (column lanes are borrowed spans into the
   /// mapping), registers the stock components, and restores each
   /// algorithm's index from its snapshot section — algorithms without a
-  /// section (JOSIE and COCOA, which derive theirs from the lake's tokens)
-  /// rebuild from the lake (snapshot.indexes_loaded /
+  /// section (JOSIE, COCOA and Starmie, which derive theirs from the lake's
+  /// tokens and embeddings) rebuild from the lake (snapshot.indexes_loaded /
   /// snapshot.indexes_rebuilt count the two paths). The returned system is
   /// ready to Search/Run; corrupt or version-skewed files fail with a
   /// clean Status.
@@ -214,7 +215,9 @@ class Dialite {
   // ------------------------------------------------------------- stage 2
 
   /// Aligns with the named matcher (default alite_holistic) and integrates
-  /// with the named operator. `cancel` (nullable) is forwarded into both
+  /// with the named operator. A set naming one table twice fails with
+  /// kInvalidArgument before any alignment work: alignments and provenance
+  /// name columns by table. `cancel` (nullable) is forwarded into both
   /// stages; the built-in matcher and FD operators poll it per merge /
   /// fixpoint iteration, so a served request's deadline cuts the whole
   /// align+integrate pipeline short with kDeadlineExceeded.

@@ -3,217 +3,109 @@
 #include <algorithm>
 #include <span>
 
-#include "snapshot/bytes.h"
+#include "table/column_view.h"
 
 namespace dialite {
 
-StarmieSearch::StarmieSearch(Params params, const KnowledgeBase* kb)
-    : params_(params), embedder_(kb), dim_(embedder_.dim()) {}
+StarmieSearch::StarmieSearch(Params params)
+    : params_(params), dim_(ColumnEmbedder().dim()) {}
 
-std::vector<Embedding> StarmieSearch::ContextualizedColumns(
-    const std::vector<std::vector<std::string>>& column_tokens) const {
-  const size_t n = column_tokens.size();
-  std::vector<Embedding> own(n);
+void StarmieSearch::Contextualize(const float* own, size_t n,
+                                  float* out) const {
+  std::vector<float> ctx(dim_);
   for (size_t c = 0; c < n; ++c) {
-    own[c] = embedder_.EmbedValueSet(column_tokens[c]);
-  }
-  std::vector<Embedding> out(n);
-  for (size_t c = 0; c < n; ++c) {
-    Embedding ctx(embedder_.dim(), 0.0f);
+    std::fill(ctx.begin(), ctx.end(), 0.0f);
     size_t others = 0;
     for (size_t o = 0; o < n; ++o) {
       if (o == c) continue;
-      for (size_t d = 0; d < ctx.size(); ++d) ctx[d] += own[o][d];
+      for (size_t d = 0; d < dim_; ++d) ctx[d] += own[o * dim_ + d];
       ++others;
     }
-    Embedding mixed(embedder_.dim(), 0.0f);
+    float* mixed = out + c * dim_;
     const double g = others == 0 ? 0.0 : params_.context_weight;
-    for (size_t d = 0; d < mixed.size(); ++d) {
+    for (size_t d = 0; d < dim_; ++d) {
       double ctx_mean = others == 0 ? 0.0
                                     : static_cast<double>(ctx[d]) /
                                           static_cast<double>(others);
-      mixed[d] = static_cast<float>((1.0 - g) * own[c][d] + g * ctx_mean);
+      mixed[d] =
+          static_cast<float>((1.0 - g) * own[c * dim_ + d] + g * ctx_mean);
     }
-    NormalizeEmbedding(&mixed);
-    out[c] = std::move(mixed);
+    NormalizeEmbedding(mixed, dim_);
   }
+}
+
+std::vector<float> StarmieSearch::ContextualizedColumns(
+    const Table& table) const {
+  const size_t n = table.num_columns();
+  std::vector<float> own(n * dim_);
+  for (size_t c = 0; c < n; ++c) {
+    const Embedding e =
+        ColumnEmbedder().EmbedValueSet(ColumnTokens(table.column(c)));
+    std::copy(e.begin(), e.end(),
+              own.begin() + static_cast<std::ptrdiff_t>(c * dim_));
+  }
+  std::vector<float> out(n * dim_);
+  Contextualize(own.data(), n, out.data());
   return out;
 }
 
 namespace {
 
-std::vector<double> Norms(const std::vector<Embedding>& vectors) {
+/// EmbeddingNorm of each `dim`-float row of `vectors`.
+std::vector<double> Norms(const std::vector<float>& vectors, size_t dim) {
   std::vector<double> norms;
-  norms.reserve(vectors.size());
-  for (const Embedding& v : vectors) {
-    norms.push_back(EmbeddingNorm(v.data(), v.size()));
+  norms.reserve(vectors.size() / dim);
+  for (size_t at = 0; at < vectors.size(); at += dim) {
+    norms.push_back(EmbeddingNorm(vectors.data() + at, dim));
   }
   return norms;
 }
 
 }  // namespace
 
-void StarmieSearch::InstallVectors(std::vector<std::vector<Embedding>> tables,
-                                   std::vector<uint8_t> indexed) {
-  size_t total = 0;
-  max_columns_ = 0;
-  for (const std::vector<Embedding>& vecs : tables) {
-    total += vecs.size();
-    max_columns_ = std::max(max_columns_, vecs.size());
-  }
-  indexed_ = std::move(indexed);
-  row_begin_.assign(tables.size() + 1, 0);
-  vectors_.resize(total * dim_);
-  norms_.clear();
-  norms_.reserve(total);
-  size_t g = 0;
-  for (TableId t = 0; t < tables.size(); ++t) {
-    row_begin_[t] = g;
-    for (const Embedding& v : tables[t]) {
-      std::copy(v.begin(), v.end(),
-                vectors_.begin() + static_cast<std::ptrdiff_t>(g * dim_));
-      norms_.push_back(EmbeddingNorm(Row(g), dim_));
-      ++g;
-    }
-  }
-  row_begin_[tables.size()] = g;
-}
-
 Status StarmieSearch::BuildIndex(const DataLake& lake) {
+  std::shared_ptr<const LakeTokens> tokens = lake.tokens(num_threads_);
+  const size_t num_tables = tokens->num_tables();
+  row_begin_.assign(1, 0);
+  max_columns_ = 0;
+  for (TableId t = 0; t < num_tables; ++t) {
+    row_begin_.push_back(row_begin_.back() + tokens->NumColumns(t));
+    max_columns_ = std::max(max_columns_, tokens->NumColumns(t));
+  }
+  // Compute phase: each table's contextualized vectors, mixed from its
+  // rows of the lake's embeddings.
+  vectors_.assign(tokens->num_columns() * dim_, 0.0f);
+  ForEachTableIndex(num_threads_, num_tables, [&](size_t i) {
+    const TableId t = static_cast<TableId>(i);
+    Contextualize(tokens->ColumnEmbedding(row_begin_[t]), NumColumns(t),
+                  vectors_.data() + row_begin_[t] * dim_);
+  }, obs_);
+  norms_ = Norms(vectors_, dim_);
+  // Merge phase: serial SimHash inserts in lake order keep ids and band
+  // bucket order identical to a sequential build.
   columns_.clear();
   index_ = std::make_unique<SimHashIndex>(params_.simhash_bits, dim_,
                                           params_.band_bits, params_.seed);
-  const std::vector<const Table*> tables = lake.tables();
-  // Compute phase: contextualized column embeddings per table (column
-  // tokens from the lake's dictionary).
-  std::shared_ptr<const LakeTokens> tokens = lake.tokens(num_threads_);
-  std::vector<std::vector<Embedding>> all_vecs(tables.size());
-  ForEachTableIndex(num_threads_, tables.size(), [&](size_t i) {
-    all_vecs[i] = ContextualizedColumns(
-        tokens->TableStrings(static_cast<TableId>(i)));
-  }, obs_);
-  // Merge phase: serial SimHash inserts in lake order keep ids and band
-  // bucket order identical to a sequential build.
-  for (TableId t = 0; t < tables.size(); ++t) {
-    const std::vector<Embedding>& vecs = all_vecs[t];
-    for (size_t c = 0; c < vecs.size(); ++c) {
+  for (TableId t = 0; t < num_tables; ++t) {
+    for (size_t c = 0; c < NumColumns(t); ++c) {
+      const std::span<const float> row(Row(row_begin_[t] + c), dim_);
       // Skip empty (all-null) columns: the zero vector matches nothing.
-      bool zero = true;
-      for (float x : vecs[c]) {
-        if (x != 0.0f) {
-          zero = false;
-          break;
-        }
+      if (std::all_of(row.begin(), row.end(),
+                      [](float x) { return x == 0.0f; })) {
+        continue;
       }
-      if (zero) continue;
-      uint64_t id = columns_.size();
+      const uint64_t id = columns_.size();
       columns_.push_back({t, static_cast<uint32_t>(c)});
-      DIALITE_RETURN_IF_ERROR(index_->Insert(id, vecs[c]));
+      DIALITE_RETURN_IF_ERROR(index_->Insert(id, row));
     }
   }
-  InstallVectors(std::move(all_vecs), std::vector<uint8_t>(tables.size(), 1));
   lake_ = &lake;
-  ObsAdd(obs_, "discover.starmie.build.tables", tables.size());
+  ObsAdd(obs_, "discover.starmie.build.tables", num_tables);
   ObsSet(obs_, "discover.starmie.index.columns", columns_.size());
   return Status::OK();
 }
 
-namespace {
-constexpr uint32_t kStarmiePayloadVersion = 1;
-}  // namespace
-
-Status StarmieSearch::SavePayload(BinaryWriter* w) const {
-  if (lake_ == nullptr || index_ == nullptr) {
-    return Status::Internal("BuildIndex not called");
-  }
-  w->Str(name());
-  w->U32(kStarmiePayloadVersion);
-  const std::vector<std::string>& names = lake_->table_names();
-  const std::vector<TableId> ids = IndexedIdsByName(*lake_, indexed_);
-  w->U64(ids.size());
-  for (TableId t : ids) {
-    w->Str(names[t]);
-    w->U64(NumColumns(t));
-    for (size_t g = row_begin_[t]; g < row_begin_[t + 1]; ++g) {
-      w->Array<float>(std::span<const float>(Row(g), dim_));
-    }
-  }
-  w->U64(columns_.size());
-  for (const LakeColumn& ref : columns_) {
-    w->Str(names[ref.table]);
-    w->U64(ref.column);
-  }
-  return Status::OK();
-}
-
-Status StarmieSearch::LoadPayload(BinaryReader* r, const DataLake& lake) {
-  std::string algo;
-  DIALITE_RETURN_IF_ERROR(r->Str(&algo));
-  uint32_t version = 0;
-  DIALITE_RETURN_IF_ERROR(r->U32(&version));
-  if (algo != name() || version != kStarmiePayloadVersion) {
-    return Status::ParseError("not a starmie v1 index payload");
-  }
-  uint64_t num_tables = 0;
-  DIALITE_RETURN_IF_ERROR(r->U64(&num_tables));
-  if (num_tables > r->remaining()) {
-    return Status::ParseError("starmie table count overruns the payload");
-  }
-  std::vector<std::vector<Embedding>> tables(lake.size());
-  std::vector<uint8_t> indexed(lake.size(), 0);
-  for (uint64_t n = 0; n < num_tables; ++n) {
-    std::string table;
-    DIALITE_RETURN_IF_ERROR(r->Str(&table));
-    Result<TableId> t = ClaimPayloadTable(lake, table, name(), &indexed);
-    if (!t.ok()) return t.status();
-    uint64_t ncols = 0;
-    DIALITE_RETURN_IF_ERROR(r->U64(&ncols));
-    if (ncols > r->remaining()) {
-      return Status::ParseError("starmie column count overruns the payload");
-    }
-    std::vector<Embedding>& vecs = tables[*t];
-    vecs.resize(static_cast<size_t>(ncols));
-    for (Embedding& vec : vecs) {
-      std::span<const float> v;
-      DIALITE_RETURN_IF_ERROR(r->Array(&v));
-      if (v.size() != dim_) {
-        return Status::ParseError("starmie embedding dimension mismatch");
-      }
-      vec.assign(v.begin(), v.end());
-    }
-  }
-  uint64_t num_ids = 0;
-  DIALITE_RETURN_IF_ERROR(r->U64(&num_ids));
-  if (num_ids > r->remaining()) {
-    return Status::ParseError("starmie column id count overruns the payload");
-  }
-  // Rebuild the SimHash band index by re-inserting vectors in id order —
-  // identical ids and bucket contents to the build that produced the
-  // payload.
-  auto index = std::make_unique<SimHashIndex>(params_.simhash_bits, dim_,
-                                              params_.band_bits, params_.seed);
-  std::vector<LakeColumn> columns;
-  columns.reserve(static_cast<size_t>(num_ids));
-  for (uint64_t id = 0; id < num_ids; ++id) {
-    std::string table;
-    DIALITE_RETURN_IF_ERROR(r->Str(&table));
-    uint64_t col = 0;
-    DIALITE_RETURN_IF_ERROR(r->U64(&col));
-    const TableId t = lake.IdOf(table);
-    if (t == kNoTable || !indexed[t] || col >= tables[t].size()) {
-      return Status::ParseError("starmie column id references unknown column");
-    }
-    DIALITE_RETURN_IF_ERROR(index->Insert(id, tables[t][col]));
-    columns.push_back({t, static_cast<uint32_t>(col)});
-  }
-  index_ = std::move(index);
-  columns_ = std::move(columns);
-  InstallVectors(std::move(tables), std::move(indexed));
-  lake_ = &lake;
-  return Status::OK();
-}
-
-double StarmieSearch::MatchColumns(const std::vector<Embedding>& qvecs,
+double StarmieSearch::MatchColumns(const float* qvecs, size_t nq,
                                    size_t intent, TableId t,
                                    MatchScratch* scratch,
                                    uint64_t* exact_cosines) const {
@@ -223,36 +115,33 @@ double StarmieSearch::MatchColumns(const std::vector<Embedding>& qvecs,
   const size_t ncols = NumColumns(t);
   ColumnPair* pairs = scratch->pairs.data();
   size_t n = 0;
-  for (size_t q = 0; q < qvecs.size(); ++q) {
+  for (size_t q = 0; q < nq; ++q) {
     for (size_t c = 0; c < ncols; ++c) {
-      // Query vectors and matrix rows are all dim_ floats, so this is
-      // CosineSimilarity over the two Embeddings.
-      double cos = CosineSimilarity(qvecs[q].data(), Row(first + c), dim_);
+      double cos = CosineSimilarity(qvecs + q * dim_, Row(first + c), dim_);
       if (cos >= params_.min_column_cosine) {
         pairs[n++] = {static_cast<uint32_t>(q), static_cast<uint32_t>(c), cos};
       }
     }
   }
-  *exact_cosines += qvecs.size() * ncols;
+  *exact_cosines += nq * ncols;
   std::sort(pairs, pairs + n, [](const ColumnPair& a, const ColumnPair& b) {
     return a.score > b.score;
   });
-  return GreedyMatchMean({pairs, n}, qvecs.size(), ncols, intent,
-                         &scratch->used);
+  return GreedyMatchMean({pairs, n}, nq, ncols, intent, &scratch->used);
 }
 
-double StarmieSearch::CandidateUpperBound(const std::vector<Embedding>& qvecs,
+double StarmieSearch::CandidateUpperBound(const float* qvecs,
                                           const std::vector<double>& qnorms,
                                           size_t intent, TableId t) const {
-  const size_t nq = qvecs.size();
+  const size_t nq = qnorms.size();
   const size_t first = row_begin_[t];
   const size_t nc = NumColumns(t);
   // Query column q's best pair bound at or above the gate.
   auto best_pair = [&](size_t q) {
     double best = kNoPair;
     for (size_t g = first; g < first + nc; ++g) {
-      const double ub =
-          CosineUpperBound(qvecs[q].data(), qnorms[q], Row(g), norms_[g], dim_);
+      const double ub = CosineUpperBound(qvecs + q * dim_, qnorms[q], Row(g),
+                                         norms_[g], dim_);
       // cos <= ub: a pair whose bound misses the gate never matches.
       if (ub >= params_.min_column_cosine) best = std::max(best, ub);
     }
@@ -274,9 +163,10 @@ Result<double> StarmieSearch::ScoreUpperBound(
   }
   const TableId t = lake_->IdOf(table_name);
   // Not indexed (kNoTable included): cannot score.
-  if (t >= indexed_.size() || !indexed_[t]) return 0.0;
-  std::vector<Embedding> qvecs = ContextualizedColumns(TableTokens(*query.table));
-  return CandidateUpperBound(qvecs, Norms(qvecs), query.query_column, t);
+  if (t >= NumTables()) return 0.0;
+  const std::vector<float> qvecs = ContextualizedColumns(*query.table);
+  return CandidateUpperBound(qvecs.data(), Norms(qvecs, dim_),
+                             query.query_column, t);
 }
 
 Result<std::vector<DiscoveryHit>> StarmieSearch::Search(
@@ -290,15 +180,17 @@ Result<std::vector<DiscoveryHit>> StarmieSearch::Search(
   if (query.query_column >= query.table->num_columns()) {
     return Status::OutOfRange("query column out of range");
   }
-  std::vector<Embedding> qvecs = ContextualizedColumns(TableTokens(*query.table));
+  const size_t nq = query.table->num_columns();
+  const std::vector<float> qvecs = ContextualizedColumns(*query.table);
 
   // Candidate tables: every table owning a column that SimHash-collides
   // with any query column, deduplicated, in id order. Neither mode's
   // ranking depends on their order (RunBoundedTopK sorts by bound and
   // name, RankHits by score and name).
   std::vector<TableId> candidates;
-  for (const Embedding& qv : qvecs) {
-    for (uint64_t id : index_->Query(qv)) {
+  for (size_t q = 0; q < nq; ++q) {
+    for (uint64_t id :
+         index_->Query(std::span<const float>(qvecs.data() + q * dim_, dim_))) {
       candidates.push_back(columns_[id].table);
     }
   }
@@ -311,7 +203,7 @@ Result<std::vector<DiscoveryHit>> StarmieSearch::Search(
   const std::vector<std::string>& names = lake_->table_names();
 
   MatchScratch scratch;
-  scratch.pairs.resize(qvecs.size() * max_columns_);
+  scratch.pairs.resize(nq * max_columns_);
   uint64_t exact_cosines = 0;
   CascadeStats stats;
   if (search_mode_ == SearchMode::kExhaustive) {
@@ -320,8 +212,8 @@ Result<std::vector<DiscoveryHit>> StarmieSearch::Search(
       if (query.cancel != nullptr && query.cancel->Cancelled()) {
         return Status::DeadlineExceeded("starmie exhaustive scan cancelled");
       }
-      scores[i] = MatchColumns(qvecs, query.query_column, candidates[i],
-                               &scratch, &exact_cosines);
+      scores[i] = MatchColumns(qvecs.data(), nq, query.query_column,
+                               candidates[i], &scratch, &exact_cosines);
     }
     std::vector<DiscoveryHit> hits;
     for (size_t i = 0; i < candidates.size(); ++i) {
@@ -336,17 +228,17 @@ Result<std::vector<DiscoveryHit>> StarmieSearch::Search(
 
   // Cascade: CosineUpperBound per pair bounds each candidate, then bounded
   // top-k over the shared exact matching.
-  std::vector<double> qnorms = Norms(qvecs);
+  const std::vector<double> qnorms = Norms(qvecs, dim_);
   std::vector<BoundedCandidate> bounded;
   bounded.reserve(candidates.size());
   for (TableId t : candidates) {
     bounded.push_back(
         {names[t],
-         CandidateUpperBound(qvecs, qnorms, query.query_column, t), t});
+         CandidateUpperBound(qvecs.data(), qnorms, query.query_column, t), t});
   }
   ExactScorer scorer = [&](const BoundedCandidate& cand) {
-    return MatchColumns(qvecs, query.query_column, cand.table, &scratch,
-                        &exact_cosines);
+    return MatchColumns(qvecs.data(), nq, query.query_column, cand.table,
+                        &scratch, &exact_cosines);
   };
   std::vector<DiscoveryHit> top =
       RunBoundedTopK(std::move(bounded), query.k, scorer, &stats, query.cancel);

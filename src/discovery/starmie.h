@@ -9,7 +9,6 @@
 #include "discovery/cascade.h"
 #include "discovery/discovery.h"
 #include "kb/embedding.h"
-#include "kb/knowledge_base.h"
 #include "sketch/simhash.h"
 
 namespace dialite {
@@ -34,7 +33,11 @@ namespace dialite {
 /// default search runs the cascade (RunBoundedTopK): a CosineUpperBound
 /// per column pair bounds every candidate, and exact cosines run only for
 /// candidates that can still reach the top k.
-class StarmieSearch : public DiscoveryAlgorithm, public PersistentIndex {
+///
+/// embed(c) of a lake column is the lake's own embedding (LakeTokens), so
+/// the index persists nothing: a snapshot open runs BuildIndex, which mixes
+/// from the decoded embeddings and re-inserts into SimHash.
+class StarmieSearch : public DiscoveryAlgorithm {
  public:
   struct Params {
     double context_weight = 0.25;  ///< γ above
@@ -44,22 +47,11 @@ class StarmieSearch : public DiscoveryAlgorithm, public PersistentIndex {
     uint64_t seed = 31;
   };
 
-  StarmieSearch() : StarmieSearch(Params(), &KnowledgeBase::BuiltIn()) {}
-  explicit StarmieSearch(const KnowledgeBase* kb)
-      : StarmieSearch(Params(), kb) {}
-  StarmieSearch(Params params, const KnowledgeBase* kb);
+  StarmieSearch() : StarmieSearch(Params()) {}
+  explicit StarmieSearch(Params params);
 
   std::string name() const override { return "starmie"; }
   Status BuildIndex(const DataLake& lake) override;
-
-  /// Offline-index persistence: the payload carries the contextualized
-  /// column vectors (sorted table order) plus the indexed-column id map;
-  /// the vector matrix and the SimHash band index are rebuilt on load, the
-  /// latter by re-inserting vectors in id order, so bucket contents match
-  /// a fresh build exactly. A table listed twice or a vector that is not
-  /// dim() floats fail with kParseError.
-  Status SavePayload(BinaryWriter* w) const override;
-  Status LoadPayload(BinaryReader* r, const DataLake& lake) override;
 
   Result<std::vector<DiscoveryHit>> Search(
       const DiscoveryQuery& query) const override;
@@ -74,53 +66,50 @@ class StarmieSearch : public DiscoveryAlgorithm, public PersistentIndex {
   Result<double> ScoreUpperBound(const DiscoveryQuery& query,
                                  const std::string& table_name) const override;
 
-  /// Contextualized vectors of one table's columns, given each column's
-  /// ColumnTokens in order (TableTokens; the lake's dictionary strings for
-  /// a lake table). Exposed for tests.
-  std::vector<Embedding> ContextualizedColumns(
-      const std::vector<std::vector<std::string>>& column_tokens) const;
+  /// Contextualized vectors of a query table's columns, row-major, dim
+  /// floats per column: each column embedded with ColumnEmbedder, then
+  /// mixed as lake tables are. Exposed for tests.
+  std::vector<float> ContextualizedColumns(const Table& table) const;
 
  private:
-  /// Lays the per-table vectors (by lake table id; `indexed[t]` marks the
-  /// tables the index covers) out as one matrix in id order, with norms.
-  void InstallVectors(std::vector<std::vector<Embedding>> tables,
-                      std::vector<uint8_t> indexed);
+  /// The contextual mix of the `n` column embeddings at `own` (row-major,
+  /// dim_ floats each) into the `n` rows at `out`. Lake tables and queries
+  /// both mix here, so their vectors round alike.
+  void Contextualize(const float* own, size_t n, float* out) const;
 
   /// Matrix rows of table `t`: [row_begin_[t], row_begin_[t + 1]).
+  size_t NumTables() const { return row_begin_.size() - 1; }
   size_t NumColumns(TableId t) const {
     return row_begin_[t + 1] - row_begin_[t];
   }
   const float* Row(size_t g) const { return vectors_.data() + g * dim_; }
 
   /// The exact table score both search modes share: CosineSimilarity for
-  /// every column pair of the query and table `t`, the pairs at or above
-  /// min_column_cosine taken in (q, c) order and sorted by descending
-  /// cosine, then GreedyMatchMean. `scratch->pairs` must hold |qvecs| ×
-  /// NumColumns(t) pairs. Adds the cosines it runs to `*exact_cosines`.
-  double MatchColumns(const std::vector<Embedding>& qvecs, size_t intent,
-                      TableId t, MatchScratch* scratch,
-                      uint64_t* exact_cosines) const;
+  /// every column pair of the `nq` query vectors `qvecs` and table `t`, the
+  /// pairs at or above min_column_cosine taken in (q, c) order and sorted
+  /// by descending cosine, then GreedyMatchMean. `scratch->pairs` must hold
+  /// nq × NumColumns(t) pairs. Adds the cosines it runs to
+  /// `*exact_cosines`.
+  double MatchColumns(const float* qvecs, size_t nq, size_t intent, TableId t,
+                      MatchScratch* scratch, uint64_t* exact_cosines) const;
 
-  /// ScoreUpperBound for indexed table `t`, given the query's vectors and
-  /// their norms.
-  double CandidateUpperBound(const std::vector<Embedding>& qvecs,
+  /// ScoreUpperBound for table `t`, given the query's vectors and their
+  /// norms.
+  double CandidateUpperBound(const float* qvecs,
                              const std::vector<double>& qnorms, size_t intent,
                              TableId t) const;
 
   Params params_;
-  HashEmbedder embedder_;
   size_t dim_;
   const DataLake* lake_ = nullptr;
   std::unique_ptr<SimHashIndex> index_;
   /// SimHash id -> its lake column.
   std::vector<LakeColumn> columns_;
-  /// Per lake table id: 1 when the index covers the table.
-  std::vector<uint8_t> indexed_;
   /// Per lake table id, its first matrix row (one past the last table at
-  /// the end): rows follow table-id order.
+  /// the end): rows are the lake's column ids.
   std::vector<size_t> row_begin_;
   /// Row-major matrix of contextualized column vectors, dim_ floats per
-  /// row, and each row's EmbeddingNorm (derived on build and load).
+  /// row, and each row's EmbeddingNorm.
   std::vector<float> vectors_;
   std::vector<double> norms_;
   /// Column count of the widest table, which sizes MatchScratch.

@@ -10,24 +10,27 @@
 
 namespace dialite {
 
-TusSearch::TusSearch(Params params, const KnowledgeBase* kb)
-    : params_(params),
-      kb_(kb),
-      annotator_(kb),
-      embedder_(kb),
-      dim_(embedder_.dim()) {}
+TusSearch::TusSearch(Params params)
+    : params_(params), annotator_(&KnowledgeBase::BuiltIn()) {}
+
+TusSearch::LabeledTypes TusSearch::ColumnTypes(
+    const std::vector<std::string>& distinct_values) const {
+  LabeledTypes types;
+  for (const Annotation& a : annotator_.AnnotateValues(
+           distinct_values, params_.max_types_per_column)) {
+    types.emplace_back(a.label, a.score);
+  }
+  std::sort(types.begin(), types.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return types;
+}
 
 TusSearch::ColumnProfile TusSearch::ProfileFromSets(
     const std::vector<std::string>& tokens,
     const std::vector<std::string>& distinct_values) const {
   ColumnProfile p;
-  for (const Annotation& a : annotator_.AnnotateValues(
-           distinct_values, params_.max_types_per_column)) {
-    p.types.emplace_back(a.label, a.score);
-  }
-  std::sort(p.types.begin(), p.types.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  p.embedding = embedder_.EmbedValueSet(tokens);
+  p.types = ColumnTypes(distinct_values);
+  p.embedding = ColumnEmbedder().EmbedValueSet(tokens);
   p.norm = EmbeddingNorm(p.embedding.data(), p.embedding.size());
   return p;
 }
@@ -117,10 +120,9 @@ double TusSearch::TypeCosineTo(const QueryColumn& q, size_t g) const {
 }
 
 double TusSearch::NlCosineTo(const QueryColumn& q, size_t g) const {
-  // CosineSimilarity over Embeddings: 0 for mismatched or empty vectors.
-  const Embedding& e = q.profile.embedding;
-  if (e.size() != dim_ || e.empty()) return 0.0;
-  return CosineSimilarity(e.data(), Row(g), dim_);
+  // Both are ColumnEmbedder vectors of tokens_->dim() floats.
+  return CosineSimilarity(q.profile.embedding.data(),
+                          tokens_->ColumnEmbedding(g), tokens_->dim());
 }
 
 TusSearch::PairBound TusSearch::BoundPair(const QueryColumn& q, size_t g,
@@ -135,11 +137,11 @@ TusSearch::PairBound TusSearch::BoundPair(const QueryColumn& q, size_t g,
   if (out.exact < 1.0) {
     out.exact = std::max(out.exact, std::min(TypeCosineTo(q, g), 1.0));
   }
-  // CosineSimilarity is 0 for mismatched or empty embeddings.
-  const Embedding& e = q.profile.embedding;
-  if (out.exact < 1.0 && e.size() == dim_ && !e.empty()) {
+  if (out.exact < 1.0) {
     out.nl_bound = std::min(
-        CosineUpperBound(e.data(), q.profile.norm, Row(g), norms_[g], dim_),
+        CosineUpperBound(q.profile.embedding.data(), q.profile.norm,
+                         tokens_->ColumnEmbedding(g), tokens_->ColumnNorm(g),
+                         tokens_->dim()),
         1.0);
   }
   return out;
@@ -147,13 +149,13 @@ TusSearch::PairBound TusSearch::BoundPair(const QueryColumn& q, size_t g,
 
 void TusSearch::Install(const DataLake& lake,
                         std::shared_ptr<const LakeTokens> tokens,
-                        std::vector<std::vector<ColumnProfile>> tables,
+                        std::vector<std::vector<LabeledTypes>> tables,
                         std::vector<uint8_t> indexed) {
   // Type ids: every label a lake column carries, numbered in label order.
   type_labels_.clear();
-  for (const std::vector<ColumnProfile>& cols : tables) {
-    for (const ColumnProfile& p : cols) {
-      for (const auto& [label, conf] : p.types) type_labels_.push_back(label);
+  for (const std::vector<LabeledTypes>& cols : tables) {
+    for (const LabeledTypes& types : cols) {
+      for (const auto& [label, conf] : types) type_labels_.push_back(label);
     }
   }
   std::sort(type_labels_.begin(), type_labels_.end());
@@ -168,20 +170,15 @@ void TusSearch::Install(const DataLake& lake,
   type_weights_.clear();
   type_sqnorm_.clear();
   type_sqnorm_.reserve(total);
-  embeddings_.assign(total * dim_, 0.0f);
-  norms_.clear();
-  norms_.reserve(total);
   type_tables_.assign(type_labels_.size(), {});
   // The last table each type was posted for: one posting per table.
   std::vector<TableId> posted(type_labels_.size(), kNoTable);
   size_t g = 0;
   for (TableId t = 0; t < tables.size(); ++t) {
-    // A table the index does not cover has no profiles: its columns get
-    // no types and zero embeddings.
+    // A table the index does not cover has no types.
     for (size_t c = 0; c < NumColumns(t); ++c, ++g) {
       if (c < tables[t].size()) {
-        const ColumnProfile& p = tables[t][c];
-        for (const auto& [label, conf] : p.types) {
+        for (const auto& [label, conf] : tables[t][c]) {
           const uint32_t id = static_cast<uint32_t>(
               std::lower_bound(type_labels_.begin(), type_labels_.end(),
                                label) -
@@ -192,14 +189,11 @@ void TusSearch::Install(const DataLake& lake,
             type_tables_[id].push_back(t);
           }
         }
-        std::copy(p.embedding.begin(), p.embedding.end(),
-                  embeddings_.begin() + static_cast<std::ptrdiff_t>(g * dim_));
       }
       type_begin_.push_back(type_weights_.size());
       type_sqnorm_.push_back(SquaredNorm<uint32_t>(std::span<const TypeWeight>(
           type_weights_.data() + type_begin_[g],
           type_begin_[g + 1] - type_begin_[g])));
-      norms_.push_back(EmbeddingNorm(Row(g), dim_));
     }
   }
   lake_ = &lake;
@@ -208,17 +202,14 @@ void TusSearch::Install(const DataLake& lake,
 Status TusSearch::BuildIndex(const DataLake& lake) {
   const std::vector<const Table*> tables = lake.tables();
   std::shared_ptr<const LakeTokens> tokens = lake.tokens(num_threads_);
-  // Compute phase: per-table column profiles (KB types over the distinct
-  // values, embedding over the lake's tokens) across the worker pool.
-  std::vector<std::vector<ColumnProfile>> all_cols(tables.size());
+  // Compute phase: per-table column KB types over the distinct values
+  // across the worker pool (the embeddings are the lake's).
+  std::vector<std::vector<LabeledTypes>> all_cols(tables.size());
   ForEachTableIndex(num_threads_, tables.size(), [&](size_t i) {
-    const TableId t = static_cast<TableId>(i);
-    std::vector<ColumnProfile>& cols = all_cols[i];
+    std::vector<LabeledTypes>& cols = all_cols[i];
     cols.reserve(tables[i]->num_columns());
     for (size_t c = 0; c < tables[i]->num_columns(); ++c) {
-      cols.push_back(ProfileFromSets(
-          tokens->ColumnStrings(tokens->FirstColumn(t) + c),
-          ColumnDistinctCsv(tables[i]->column(c))));
+      cols.push_back(ColumnTypes(ColumnDistinctCsv(tables[i]->column(c))));
     }
   }, obs_);
   // Merge phase: serial, in lake order.
@@ -230,7 +221,7 @@ Status TusSearch::BuildIndex(const DataLake& lake) {
 }
 
 namespace {
-constexpr uint32_t kTusPayloadVersion = 2;
+constexpr uint32_t kTusPayloadVersion = 3;
 }  // namespace
 
 Status TusSearch::SavePayload(BinaryWriter* w) const {
@@ -249,7 +240,6 @@ Status TusSearch::SavePayload(BinaryWriter* w) const {
         w->Str(type_labels_[type_weights_[i].first]);
         w->F64(type_weights_[i].second);
       }
-      w->Array<float>(std::span<const float>(Row(g), dim_));
     }
   }
   return Status::OK();
@@ -261,14 +251,14 @@ Status TusSearch::LoadPayload(BinaryReader* r, const DataLake& lake) {
   uint32_t version = 0;
   DIALITE_RETURN_IF_ERROR(r->U32(&version));
   if (algo != name() || version != kTusPayloadVersion) {
-    return Status::ParseError("not a tus v2 index payload");
+    return Status::ParseError("not a tus v3 index payload");
   }
   uint64_t num_tables = 0;
   DIALITE_RETURN_IF_ERROR(r->U64(&num_tables));
   if (num_tables > r->remaining()) {
     return Status::ParseError("tus table count overruns the payload");
   }
-  std::vector<std::vector<ColumnProfile>> tables(lake.size());
+  std::vector<std::vector<LabeledTypes>> tables(lake.size());
   std::vector<uint8_t> indexed(lake.size(), 0);
   for (uint64_t n = 0; n < num_tables; ++n) {
     std::string table;
@@ -284,28 +274,22 @@ Status TusSearch::LoadPayload(BinaryReader* r, const DataLake& lake) {
           " columns for table '" + table + "'; the lake has " +
           std::to_string(lake.table(*t).num_columns()));
     }
-    std::vector<ColumnProfile>& cols = tables[*t];
+    std::vector<LabeledTypes>& cols = tables[*t];
     cols.resize(static_cast<size_t>(ncols));
-    for (ColumnProfile& p : cols) {
+    for (LabeledTypes& types : cols) {
       uint64_t ntypes = 0;
       DIALITE_RETURN_IF_ERROR(r->U64(&ntypes));
       if (ntypes > r->remaining()) {
         return Status::ParseError("tus type count overruns the payload");
       }
-      p.types.resize(static_cast<size_t>(ntypes));
-      for (size_t i = 0; i < p.types.size(); ++i) {
-        DIALITE_RETURN_IF_ERROR(r->Str(&p.types[i].first));
-        DIALITE_RETURN_IF_ERROR(r->F64(&p.types[i].second));
-        if (i > 0 && !(p.types[i - 1].first < p.types[i].first)) {
+      types.resize(static_cast<size_t>(ntypes));
+      for (size_t i = 0; i < types.size(); ++i) {
+        DIALITE_RETURN_IF_ERROR(r->Str(&types[i].first));
+        DIALITE_RETURN_IF_ERROR(r->F64(&types[i].second));
+        if (i > 0 && !(types[i - 1].first < types[i].first)) {
           return Status::ParseError("tus column types out of label order");
         }
       }
-      std::span<const float> emb;
-      DIALITE_RETURN_IF_ERROR(r->Array(&emb));
-      if (emb.size() != dim_) {
-        return Status::ParseError("tus embedding dimension mismatch");
-      }
-      p.embedding.assign(emb.begin(), emb.end());
     }
   }
   // The same derivation BuildIndex's merge phase runs, in lake order.
@@ -487,7 +471,7 @@ Result<std::vector<DiscoveryHit>> TusSearch::Search(
       for (TableId t : type_tables_[type.first]) evidence_begin(t);
     }
   }
-  // Stage 0 walks the candidates' rows of the embedding matrix in id order.
+  // Stage 0 walks the candidates' rows of the lake's embeddings in id order.
   std::sort(touched.begin(), touched.end());
   const TableId self = lake_->IdOf(query.table->name());
   const std::vector<std::string>& names = lake_->table_names();

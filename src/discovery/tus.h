@@ -37,20 +37,18 @@ class TusSearch : public DiscoveryAlgorithm, public PersistentIndex {
     size_t max_types_per_column = 3;
   };
 
-  TusSearch() : TusSearch(Params(), &KnowledgeBase::BuiltIn()) {}
-  explicit TusSearch(const KnowledgeBase* kb) : TusSearch(Params(), kb) {}
-  TusSearch(Params params, const KnowledgeBase* kb);
+  TusSearch() : TusSearch(Params()) {}
+  explicit TusSearch(Params params);
 
   std::string name() const override { return "tus"; }
   Status BuildIndex(const DataLake& lake) override;
 
-  /// Offline-index persistence: the payload (version 2) carries the
-  /// per-table column profiles (KB types, embeddings) in sorted table
-  /// order; column token sets are the lake's tokens, and the flat layout,
-  /// type ids and type postings are rebuilt on load, so Search() needs no
-  /// profiling pass over the lake. A table listed twice or with a column
-  /// count other than the lake's, types out of label order, or an
-  /// embedding that is not dim() floats fail with kParseError.
+  /// Offline-index persistence: the payload (version 3) carries each
+  /// table's column KB types in sorted table order; column token sets and
+  /// embeddings are the lake's tokens, and the flat layout, type ids and
+  /// type postings are rebuilt on load, so Search() needs no profiling pass
+  /// over the lake. A table listed twice or with a column count other than
+  /// the lake's, or types out of label order, fail with kParseError.
   Status SavePayload(BinaryWriter* w) const override;
   Status LoadPayload(BinaryReader* r, const DataLake& lake) override;
 
@@ -75,11 +73,13 @@ class TusSearch : public DiscoveryAlgorithm, public PersistentIndex {
   Result<double> ScoreUpperBound(const DiscoveryQuery& query,
                                  const std::string& table_name) const override;
 
-  /// One column as TUS compares it beyond its token set: its KB types and
-  /// the embedding of its value set.
+  /// KB types as (label, confidence), in label order.
+  using LabeledTypes = std::vector<std::pair<std::string, double>>;
+
+  /// One query column as TUS compares it beyond its token set: its KB types
+  /// and the embedding of its value set (a lake column's is the lake's).
   struct ColumnProfile {
-    /// KB types as (label, confidence), in label order.
-    std::vector<std::pair<std::string, double>> types;
+    LabeledTypes types;
     Embedding embedding;
     /// EmbeddingNorm(embedding), for CosineUpperBound.
     double norm = 0.0;
@@ -112,7 +112,10 @@ class TusSearch : public DiscoveryAlgorithm, public PersistentIndex {
     size_t ncols = 0;
   };
 
-  /// Profile of a column given its ColumnTokens (in order) and its
+  /// KB types of a column given its ColumnDistinctCsv values.
+  LabeledTypes ColumnTypes(
+      const std::vector<std::string>& distinct_values) const;
+  /// Profile of a query column given its ColumnTokens (in order) and its
   /// ColumnDistinctCsv values.
   ColumnProfile ProfileFromSets(
       const std::vector<std::string>& tokens,
@@ -121,20 +124,19 @@ class TusSearch : public DiscoveryAlgorithm, public PersistentIndex {
   /// The query's columns, with their types mapped to this epoch's ids.
   std::vector<QueryColumn> ProfileQuery(const Table& query) const;
 
-  /// Lays the per-table profiles (by lake table id; `indexed[t]` marks the
-  /// tables the index covers, each with the lake's column count) out flat
-  /// by the lake column ids of `tokens` and derives the type ids and the
-  /// type postings. BuildIndex and LoadPayload both end here, so a loaded
-  /// index equals a built one.
+  /// Lays the per-table column types (by lake table id; `indexed[t]` marks
+  /// the tables the index covers, each with the lake's column count) out
+  /// flat by the lake column ids of `tokens` and derives the type ids and
+  /// the type postings. BuildIndex and LoadPayload both end here, so a
+  /// loaded index equals a built one.
   void Install(const DataLake& lake, std::shared_ptr<const LakeTokens> tokens,
-               std::vector<std::vector<ColumnProfile>> tables,
+               std::vector<std::vector<LabeledTypes>> tables,
                std::vector<uint8_t> indexed);
 
   /// Lake column ids of table `t`: [FirstColumn(t), FirstColumn(t) +
   /// NumColumns(t)), the numbering of the lake's tokens.
   uint32_t FirstColumn(TableId t) const { return tokens_->FirstColumn(t); }
   size_t NumColumns(TableId t) const { return tokens_->NumColumns(t); }
-  const float* Row(size_t g) const { return embeddings_.data() + g * dim_; }
 
   /// The semantic measure between query column `q` and lake column `g`.
   double TypeCosineTo(const QueryColumn& q, size_t g) const;
@@ -175,14 +177,12 @@ class TusSearch : public DiscoveryAlgorithm, public PersistentIndex {
                              TableId t) const;
 
   Params params_;
-  const KnowledgeBase* kb_;
   ColumnAnnotator annotator_;
-  HashEmbedder embedder_;
-  size_t dim_;
   const DataLake* lake_ = nullptr;
   /// The lake's tokens the index was built or loaded on: the column token
   /// sets, their postings (candidate generation and exact stage-0
-  /// intersection counts) and the column numbering.
+  /// intersection counts), the column embeddings and norms, and the column
+  /// numbering.
   std::shared_ptr<const LakeTokens> tokens_;
   /// Per lake table id: 1 when the index covers the table.
   std::vector<uint8_t> indexed_;
@@ -192,11 +192,6 @@ class TusSearch : public DiscoveryAlgorithm, public PersistentIndex {
   std::vector<size_t> type_begin_;
   std::vector<TypeWeight> type_weights_;
   std::vector<double> type_sqnorm_;
-  /// Row-major embedding matrix, one dim_-float row per lake column id
-  /// (zeros for tables the index does not cover), and each row's
-  /// EmbeddingNorm.
-  std::vector<float> embeddings_;
-  std::vector<double> norms_;
   /// Type id -> KB type label, ascending: ids follow label order, so a
   /// merge over type ids visits types in the order a label-keyed map does.
   std::vector<std::string> type_labels_;

@@ -59,9 +59,13 @@ double CosineUpperBound(const float* a, double norm_a, const float* b,
 }
 
 void NormalizeEmbedding(Embedding* v) {
-  const double norm = EmbeddingNorm(v->data(), v->size());
+  NormalizeEmbedding(v->data(), v->size());
+}
+
+void NormalizeEmbedding(float* v, size_t dim) {
+  const double norm = EmbeddingNorm(v, dim);
   if (norm == 0.0) return;
-  for (float& x : *v) x = static_cast<float>(x / norm);
+  for (size_t i = 0; i < dim; ++i) v[i] = static_cast<float>(v[i] / norm);
 }
 
 namespace {
@@ -186,6 +190,11 @@ Embedding HashEmbedder::EmbedValueSet(
   }
   NormalizeEmbedding(&acc);
   return acc;
+}
+
+const HashEmbedder& ColumnEmbedder() {
+  static const HashEmbedder embedder(&KnowledgeBase::BuiltIn());
+  return embedder;
 }
 
 }  // namespace dialite

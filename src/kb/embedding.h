@@ -36,6 +36,9 @@ double CosineUpperBound(const float* a, double norm_a, const float* b,
 
 /// L2-normalizes in place (no-op for the zero vector).
 void NormalizeEmbedding(Embedding* v);
+/// The same over `dim` floats at `v` (e.g. a row of one buffer);
+/// bit-identical to the Embedding overload.
+void NormalizeEmbedding(float* v, size_t dim);
 
 /// Deterministic embedding model standing in for the pretrained word
 /// embeddings the original pipeline leans on (SANTOS/Starmie-style
@@ -56,9 +59,10 @@ void NormalizeEmbedding(Embedding* v);
 /// HashString under `seed` picks a ±1/sqrt(dim) vector: dimension i is
 /// positive iff bit 0 of HashUint64(key hash, i) is set. Each vector adds
 /// into a float accumulator, feature by feature in the order words,
-/// trigrams, types; the result is L2-normalized. Embeddings are persisted
-/// (Starmie/TUS index payloads), so this definition is a contract: every
-/// float of every vector must stay bit-identical (DESIGN.md).
+/// trigrams, types; the result is L2-normalized. Lake-column embeddings
+/// are persisted once, in the "lake.tokens" snapshot section (LakeTokens),
+/// so this definition is a contract: every float of every vector must stay
+/// bit-identical (DESIGN.md).
 class HashEmbedder {
  public:
   struct Params {
@@ -105,6 +109,12 @@ class HashEmbedder {
   uint32_t gram_neg_unit_ = 0;
   uint32_t type_neg_unit_ = 0;
 };
+
+/// The one embedder of column contents: the built-in KB with default
+/// Params. LakeTokens embeds every lake column with it, and TUS, Starmie
+/// and ALITE embed query and body columns with it, so a query column and a
+/// lake column are always compared in one space.
+const HashEmbedder& ColumnEmbedder();
 
 }  // namespace dialite
 

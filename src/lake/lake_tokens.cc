@@ -6,9 +6,26 @@
 #include <utility>
 
 #include "common/thread_pool.h"
+#include "kb/embedding.h"
 #include "table/column_view.h"
 
 namespace dialite {
+
+namespace {
+
+/// Each table's first lake column id, by table id, then the lake's column
+/// count.
+std::vector<uint32_t> TableOffsets(const DataLake& lake) {
+  std::vector<uint32_t> out(1, 0);
+  out.reserve(lake.size() + 1);
+  for (TableId t = 0; t < lake.size(); ++t) {
+    out.push_back(out.back() +
+                  static_cast<uint32_t>(lake.table(t).num_columns()));
+  }
+  return out;
+}
+
+}  // namespace
 
 std::vector<std::vector<std::string>> TableTokens(const Table& table) {
   std::vector<std::vector<std::string>> out(table.num_columns());
@@ -19,14 +36,25 @@ std::vector<std::vector<std::string>> TableTokens(const Table& table) {
 std::shared_ptr<const LakeTokens> LakeTokens::Build(const DataLake& lake,
                                                     size_t num_threads) {
   const size_t n = lake.size();
-  // Compute phase: every table's column token sets.
+  std::shared_ptr<LakeTokens> out(new LakeTokens());
+  out->table_offsets_ = TableOffsets(lake);
+  const HashEmbedder& embedder = ColumnEmbedder();
+  out->dim_ = embedder.dim();
+  out->embeddings_.resize(size_t{out->table_offsets_.back()} * out->dim_);
+  // Compute phase: every table's column token sets, each column embedded
+  // from them in first-occurrence order into its own matrix row.
   std::vector<std::vector<std::vector<std::string>>> tables(n);
   ForEachTableIndex(num_threads, n, [&](size_t t) {
     tables[t] = TableTokens(lake.table(static_cast<TableId>(t)));
+    for (size_t c = 0; c < tables[t].size(); ++c) {
+      const Embedding e = embedder.EmbedValueSet(tables[t][c]);
+      std::copy(e.begin(), e.end(),
+                out->embeddings_.begin() + static_cast<std::ptrdiff_t>(
+                    (out->table_offsets_[t] + c) * out->dim_));
+    }
   });
   // Merge phase, serial in lake order: ids in first-seen order, then
   // renumbered in byte order.
-  std::shared_ptr<LakeTokens> out(new LakeTokens());
   std::unordered_map<std::string_view, uint32_t> first_seen;
   std::vector<std::string_view> dict;
   out->column_offsets_.push_back(0);
@@ -55,14 +83,14 @@ std::shared_ptr<const LakeTokens> LakeTokens::Build(const DataLake& lake,
     out->token_offsets_.push_back(static_cast<uint32_t>(out->chars_.size()));
   }
   for (uint32_t& id : out->ids_) id = rank[id];
-  out->Derive(lake);
+  out->Derive();
   return out;
 }
 
 Result<std::shared_ptr<const LakeTokens>> LakeTokens::FromParts(
     const DataLake& lake, std::string chars,
     std::vector<uint32_t> token_offsets, std::vector<uint32_t> column_offsets,
-    std::vector<uint32_t> ids) {
+    std::vector<uint32_t> ids, std::vector<float> embeddings) {
   // Offsets start at 0, never fall, and end at their array's size.
   auto valid_offsets = [](const std::vector<uint32_t>& offsets, size_t size) {
     if (offsets.empty() || offsets.front() != 0 || offsets.back() != size) {
@@ -76,18 +104,28 @@ Result<std::shared_ptr<const LakeTokens>> LakeTokens::FromParts(
   if (!valid_offsets(column_offsets, ids.size())) {
     return Status::ParseError("lake column offsets overrun the token ids");
   }
-  size_t lake_columns = 0;
-  for (const Table* t : lake.tables()) lake_columns += t->num_columns();
+  std::vector<uint32_t> table_offsets = TableOffsets(lake);
+  const size_t lake_columns = table_offsets.back();
   if (column_offsets.size() - 1 != lake_columns) {
     return Status::ParseError(
         "lake tokens list " + std::to_string(column_offsets.size() - 1) +
         " columns; the lake has " + std::to_string(lake_columns));
+  }
+  const size_t dim = ColumnEmbedder().dim();
+  if (embeddings.size() != lake_columns * dim) {
+    return Status::ParseError(
+        "lake embeddings hold " + std::to_string(embeddings.size()) +
+        " floats; " + std::to_string(lake_columns) + " columns of " +
+        std::to_string(dim) + " need " + std::to_string(lake_columns * dim));
   }
   std::shared_ptr<LakeTokens> out(new LakeTokens());
   out->chars_ = std::move(chars);
   out->token_offsets_ = std::move(token_offsets);
   out->column_offsets_ = std::move(column_offsets);
   out->ids_ = std::move(ids);
+  out->dim_ = dim;
+  out->embeddings_ = std::move(embeddings);
+  out->table_offsets_ = std::move(table_offsets);
   for (uint32_t id = 1; id < out->num_tokens(); ++id) {
     if (!(out->token(id - 1) < out->token(id))) {
       return Status::ParseError("lake token dictionary is not ascending");
@@ -109,20 +147,20 @@ Result<std::shared_ptr<const LakeTokens>> LakeTokens::FromParts(
       last[id] = col;
     }
   }
-  out->Derive(lake);
+  out->Derive();
   return std::shared_ptr<const LakeTokens>(std::move(out));
 }
 
-void LakeTokens::Derive(const DataLake& lake) {
-  table_offsets_.assign(1, 0);
-  table_offsets_.reserve(lake.size() + 1);
+void LakeTokens::Derive() {
   column_tables_.clear();
   column_tables_.reserve(num_columns());
-  for (TableId t = 0; t < lake.size(); ++t) {
-    const size_t width = lake.table(t).num_columns();
-    table_offsets_.push_back(table_offsets_.back() +
-                             static_cast<uint32_t>(width));
-    column_tables_.insert(column_tables_.end(), width, t);
+  for (TableId t = 0; t < num_tables(); ++t) {
+    column_tables_.insert(column_tables_.end(), NumColumns(t), t);
+  }
+  norms_.clear();
+  norms_.reserve(num_columns());
+  for (size_t col = 0; col < num_columns(); ++col) {
+    norms_.push_back(EmbeddingNorm(ColumnEmbedding(col), dim_));
   }
   // Postings by counting sort: columns are visited in id order, so each
   // token's list comes out ascending.

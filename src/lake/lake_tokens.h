@@ -26,9 +26,10 @@ inline constexpr uint32_t kNoToken = std::numeric_limits<uint32_t>::max();
 /// Every column's ColumnTokens, in order: the token sets of a query table.
 std::vector<std::vector<std::string>> TableTokens(const Table& table);
 
-/// One lake's token dictionary and column token sets: the substrate that
-/// TUS, JOSIE, COCOA and LSH Ensemble search and that keyword, Starmie and
-/// LSH Ensemble build from.
+/// One lake's token dictionary, column token sets and column embeddings:
+/// the substrate that TUS, JOSIE, COCOA and LSH Ensemble search, that
+/// keyword, Starmie and LSH Ensemble build from, and whose embeddings TUS,
+/// Starmie and ALITE read for lake columns.
 ///
 /// Layout (flat, in the spirit of a doc-id / shingle-set / xref table):
 ///  - the dictionary: every distinct token of the lake, ids assigned in
@@ -38,6 +39,10 @@ std::vector<std::vector<std::string>> TableTokens(const Table& table);
 ///  - each column's distinct tokens as ids in one uint32 array with
 ///    offsets, in ColumnTokens' first-occurrence order (keyword's
 ///    per-column cap and the embeddings' float sums depend on that order);
+///  - each column's content embedding, ColumnEmbedder().EmbedValueSet of
+///    its tokens in that order, as one row-major float matrix of dim()
+///    floats per column, with each row's EmbeddingNorm derived on build
+///    and on decode (not persisted);
 ///  - token -> column postings, ascending, derived from the column sets on
 ///    build and on decode (not persisted).
 ///
@@ -46,22 +51,24 @@ std::vector<std::vector<std::string>> TableTokens(const Table& table);
 /// a span: views stay out of this layer's return types.
 class LakeTokens {
  public:
-  /// Tokenizes every column of `lake` on `num_threads` workers (0 =
-  /// hardware concurrency). The result is identical for every count.
+  /// Tokenizes and embeds every column of `lake` on `num_threads` workers
+  /// (0 = hardware concurrency). The result is identical for every count.
   static std::shared_ptr<const LakeTokens> Build(const DataLake& lake,
                                                  size_t num_threads);
 
   /// Assembles decoded arrays for `lake`: `token_offsets` (dictionary size
   /// + 1 entries) delimit the tokens in `chars`, `column_offsets` (lake
-  /// column count + 1 entries) delimit each column's ids in `ids`. Fails
-  /// with kParseError when the offsets are not ascending or overrun their
+  /// column count + 1 entries) delimit each column's ids in `ids`, and
+  /// `embeddings` holds dim() floats per lake column. Fails with
+  /// kParseError when the offsets are not ascending or overrun their
   /// arrays, the dictionary is not strictly ascending, the column count
-  /// differs from the lake's, an id is past the dictionary, or a column
-  /// repeats an id.
+  /// differs from the lake's, the embedding matrix is not that many rows of
+  /// dim() floats, an id is past the dictionary, or a column repeats an id.
   static Result<std::shared_ptr<const LakeTokens>> FromParts(
       const DataLake& lake, std::string chars,
       std::vector<uint32_t> token_offsets,
-      std::vector<uint32_t> column_offsets, std::vector<uint32_t> ids);
+      std::vector<uint32_t> column_offsets, std::vector<uint32_t> ids,
+      std::vector<float> embeddings);
 
   // ---------------------------------------------------------- dictionary
 
@@ -106,6 +113,18 @@ class LakeTokens {
   /// ColumnStrings of every column of table `t`.
   std::vector<std::vector<std::string>> TableStrings(TableId t) const;
 
+  // ----------------------------------------------------------- embeddings
+
+  /// Floats per embedding: ColumnEmbedder().dim().
+  size_t dim() const { return dim_; }
+  /// Column `col`'s content embedding, dim() floats: exactly
+  /// ColumnEmbedder().EmbedValueSet(ColumnStrings(col)).
+  const float* ColumnEmbedding(size_t col) const {
+    return embeddings_.data() + col * dim_;
+  }
+  /// EmbeddingNorm of ColumnEmbedding(col).
+  double ColumnNorm(size_t col) const { return norms_[col]; }
+
   // ------------------------------------------------------------- postings
 
   /// The columns containing token `id`, PostingCount(id) of them,
@@ -125,21 +144,25 @@ class LakeTokens {
     return column_offsets_;
   }
   const std::vector<uint32_t>& ids() const { return ids_; }
+  const std::vector<float>& embeddings() const { return embeddings_; }
 
  private:
   LakeTokens() = default;
 
-  /// Derives table_offsets_ and column_tables_ from the lake's widths, and
-  /// the postings from the column sets.
-  void Derive(const DataLake& lake);
+  /// Derives column_tables_ from table_offsets_, the postings from the
+  /// column sets, and the norms from the embeddings.
+  void Derive();
 
   std::string chars_;
   std::vector<uint32_t> token_offsets_;
   std::vector<uint32_t> column_offsets_;
   std::vector<uint32_t> ids_;
-  /// Derived.
+  size_t dim_ = 0;
+  std::vector<float> embeddings_;
+  /// Derived: from the lake's widths, and by Derive().
   std::vector<uint32_t> table_offsets_;
   std::vector<TableId> column_tables_;
+  std::vector<double> norms_;
   std::vector<uint32_t> posting_offsets_;
   std::vector<uint32_t> postings_;
 };

@@ -18,7 +18,7 @@ SimHash::SimHash(size_t bits, size_t dim, uint64_t seed)
   }
 }
 
-std::vector<uint64_t> SimHash::Signature(const std::vector<float>& vec) const {
+std::vector<uint64_t> SimHash::Signature(std::span<const float> vec) const {
   std::vector<uint64_t> sig((bits_ + 63) / 64, 0);
   const size_t n = std::min(dim_, vec.size());
   for (size_t b = 0; b < bits_; ++b) {
@@ -70,7 +70,7 @@ std::vector<uint64_t> SimHashIndex::BandKeys(
   return keys;
 }
 
-Status SimHashIndex::Insert(uint64_t id, const std::vector<float>& vec) {
+Status SimHashIndex::Insert(uint64_t id, std::span<const float> vec) {
   std::vector<uint64_t> keys = BandKeys(hasher_.Signature(vec));
   for (size_t band = 0; band < num_bands_; ++band) {
     tables_[band][keys[band]].push_back(id);
@@ -79,7 +79,7 @@ Status SimHashIndex::Insert(uint64_t id, const std::vector<float>& vec) {
   return Status::OK();
 }
 
-std::vector<uint64_t> SimHashIndex::Query(const std::vector<float>& vec) const {
+std::vector<uint64_t> SimHashIndex::Query(std::span<const float> vec) const {
   std::vector<uint64_t> keys = BandKeys(hasher_.Signature(vec));
   // Every band's bucket, then sort and dedupe: no node per id.
   std::vector<uint64_t> out;

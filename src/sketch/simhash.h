@@ -2,6 +2,7 @@
 #define DIALITE_SKETCH_SIMHASH_H_
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -23,7 +24,7 @@ class SimHash {
   size_t bits() const { return bits_; }
 
   /// Signs of hyperplane projections, packed little-endian into words.
-  std::vector<uint64_t> Signature(const std::vector<float>& vec) const;
+  std::vector<uint64_t> Signature(std::span<const float> vec) const;
 
   /// Hamming distance between signatures of equal length.
   static size_t Hamming(const std::vector<uint64_t>& a,
@@ -49,10 +50,10 @@ class SimHashIndex {
 
   const SimHash& hasher() const { return hasher_; }
 
-  Status Insert(uint64_t id, const std::vector<float>& vec);
+  Status Insert(uint64_t id, std::span<const float> vec);
 
   /// Ids sharing at least one band with the query vector, ascending.
-  std::vector<uint64_t> Query(const std::vector<float>& vec) const;
+  std::vector<uint64_t> Query(std::span<const float> vec) const;
 
   size_t size() const { return count_; }
 

@@ -14,11 +14,12 @@ namespace dialite {
 namespace {
 
 constexpr uint32_t kManifestVersion = 1;
-constexpr uint32_t kTokensVersion = 1;
+constexpr uint32_t kTokensVersion = 2;
 
 /// Copies a decoded array into an owned vector.
-std::vector<uint32_t> Owned(std::span<const uint32_t> v) {
-  return std::vector<uint32_t>(v.begin(), v.end());
+template <typename T>
+std::vector<T> Owned(std::span<const T> v) {
+  return std::vector<T>(v.begin(), v.end());
 }
 
 }  // namespace
@@ -29,6 +30,7 @@ void WriteLakeTokens(const LakeTokens& tokens, BinaryWriter* w) {
   w->Array<uint32_t>(tokens.token_offsets());
   w->Array<uint32_t>(tokens.column_offsets());
   w->Array<uint32_t>(tokens.ids());
+  w->Array<float>(tokens.embeddings());
 }
 
 Result<std::shared_ptr<const LakeTokens>> ReadLakeTokens(
@@ -46,11 +48,14 @@ Result<std::shared_ptr<const LakeTokens>> ReadLakeTokens(
   DIALITE_RETURN_IF_ERROR(r.Array(&token_offsets));
   DIALITE_RETURN_IF_ERROR(r.Array(&column_offsets));
   DIALITE_RETURN_IF_ERROR(r.Array(&ids));
+  std::span<const float> embeddings;
+  DIALITE_RETURN_IF_ERROR(r.Array(&embeddings));
   if (!r.AtEnd()) {
     return Status::ParseError("trailing bytes after lake tokens");
   }
   return LakeTokens::FromParts(lake, std::move(chars), Owned(token_offsets),
-                               Owned(column_offsets), Owned(ids));
+                               Owned(column_offsets), Owned(ids),
+                               Owned(embeddings));
 }
 
 Status WriteLake(const DataLake& lake, SnapshotWriter* w,

@@ -31,12 +31,14 @@ Status WriteLake(const DataLake& lake, SnapshotWriter* w,
 Result<std::unique_ptr<DataLake>> ReadLake(const SnapshotReader& reader,
                                            ObservabilityContext* obs = nullptr);
 
-/// The "lake.tokens" payload: a version, then the dictionary's bytes and
-/// token offsets, then the column offsets and the column token ids.
+/// The "lake.tokens" payload: a version (2), then the dictionary's bytes
+/// and token offsets, then the column offsets and the column token ids,
+/// then the column embedding matrix.
 void WriteLakeTokens(const LakeTokens& tokens, BinaryWriter* w);
 
 /// Decodes a WriteLakeTokens payload for `lake` (LakeTokens::FromParts
-/// validates it). Any malformed payload fails with kParseError.
+/// validates it) into owned arrays. Any malformed payload, and any version
+/// other than 2, fails with kParseError.
 Result<std::shared_ptr<const LakeTokens>> ReadLakeTokens(
     std::span<const uint8_t> payload, const DataLake& lake);
 

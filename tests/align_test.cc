@@ -7,6 +7,7 @@
 #include "common/cancel.h"
 #include "core/dialite.h"
 #include "integrate/full_disjunction.h"
+#include "kb/embedding.h"
 #include "lake/lake_generator.h"
 #include "lake/paper_fixtures.h"
 #include "text/similarity.h"
@@ -176,7 +177,7 @@ TEST(AliteMatcherTest, TypeGateBlocksNumericTextMatches) {
   EXPECT_DOUBLE_EQ(m.ColumnSimilarity(a, 0, b, 0), 0.0);
   AliteMatcher::Params p;
   p.type_gate = false;
-  AliteMatcher m2(p, &KnowledgeBase::BuiltIn());
+  AliteMatcher m2(p);
   EXPECT_GT(m2.ColumnSimilarity(a, 0, b, 0), 0.0);  // header bonus applies
 }
 
@@ -382,7 +383,8 @@ std::string StandaloneRender(const std::vector<const Table*>& set) {
   return table.ok() ? Render(*alignment, *table) : "";
 }
 
-/// `set` through the facade, whose matcher keeps lake tables' signatures.
+/// `set` through the facade, whose matcher borrows lake columns' tokens and
+/// embeddings from the lake.
 std::string FacadeRender(const Dialite& dialite,
                          const std::vector<const Table*>& set) {
   Result<IntegrationResult> r = dialite.AlignAndIntegrate(set);
@@ -437,12 +439,10 @@ TEST(SignatureResidencyTest, FacadeEqualsStandaloneMatcherOnEveryCall) {
       EXPECT_EQ(FacadeRender(dialite, set), StandaloneRender(set))
           << "pass " << pass;
     }
-    // The first pass signs every lake table once and the body twice; later
-    // passes sign only the body.
+    // Every pass, the first included, signs only the body (twice) and
+    // borrows every lake column from the lake's tokens.
     const uint64_t signed_now = counter("align.signatures.computed") - computed;
-    const uint64_t expected = 2 * body.num_columns() +
-                              (pass == 0 ? NumColumns(lake_tables) : 0);
-    EXPECT_EQ(signed_now, expected) << "pass " << pass;
+    EXPECT_EQ(signed_now, 2 * body.num_columns()) << "pass " << pass;
     EXPECT_EQ(counter("align.signatures.reused") - reused,
               set_columns - signed_now)
         << "pass " << pass;
@@ -471,7 +471,7 @@ TEST(SignatureResidencyTest, BodyNamedLikeALakeTableIsSignedFresh) {
             impostor.num_columns());
 }
 
-TEST(SignatureResidencyTest, ExpiredFillPublishesNothing) {
+TEST(SignatureResidencyTest, ExpiredTokenOnLakeOnlySetComputesNothing) {
   const SyntheticLakeGenerator::Output out = ResidencyLake();
   const std::vector<const Table*> lake_tables = out.lake.tables();
   Dialite dialite(&out.lake);
@@ -490,12 +490,9 @@ TEST(SignatureResidencyTest, ExpiredFillPublishesNothing) {
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded)
       << r.status().ToString();
   EXPECT_EQ(computed(), 0u);
-  // Nothing was published: the next request fills both entries itself,
-  // and only the one after that is served from the cache.
+  // Without a deadline the same set aligns, still computing nothing.
   EXPECT_EQ(FacadeRender(dialite, set), StandaloneRender(set));
-  EXPECT_EQ(computed(), NumColumns(set));
-  EXPECT_EQ(FacadeRender(dialite, set), StandaloneRender(set));
-  EXPECT_EQ(computed(), NumColumns(set));
+  EXPECT_EQ(computed(), 0u);
 }
 
 }  // namespace

@@ -145,9 +145,7 @@ TEST(EpochSwapTest, ConcurrentAlignmentsAcrossReloadsShareSignatures) {
   for (size_t i = 0; i + 2 < names.size(); ++i) {
     sets.push_back({names[i], names[i + 1], names[i + 2]});
   }
-  size_t lake_columns = 0;
-  for (const Table* t : Resolve(*first, names)) lake_columns += t->num_columns();
-  // Reference alignments from a standalone matcher, which caches nothing.
+  // Reference alignments from a standalone matcher, which has no lake.
   std::vector<std::string> expected;
   for (const std::vector<std::string>& set : sets) {
     Result<Alignment> a = AliteMatcher().Align(Resolve(*first, set));
@@ -193,18 +191,10 @@ TEST(EpochSwapTest, ConcurrentAlignmentsAcrossReloadsShareSignatures) {
   }
   EXPECT_GE(ok_count.load(), 2 * kWorkers * kReloads);
 
-  // Each epoch's matcher signs a lake table at most once per request that
-  // found it cold, so at most once per worker: concurrent fills of one
-  // table do not wait for each other, and the first to publish wins.
-  const uint64_t epochs = 1 + kReloads;
-  EXPECT_LE(computed(), epochs * kWorkers * lake_columns);
-  // Quiet now: the current epoch signs whatever its workers left cold
-  // once, then serves every set from its cache.
-  const std::shared_ptr<const Epoch> last = service.current();
-  for (size_t s = 0; s < sets.size(); ++s) align(*last, s);
-  const uint64_t warm = computed();
-  for (size_t s = 0; s < sets.size(); ++s) align(*last, s);
-  EXPECT_EQ(computed(), warm);
+  // Every epoch's lake columns borrow the tokens and embeddings its
+  // snapshot decoded, so no epoch, fresh or not, signs a lake column.
+  EXPECT_EQ(computed(), 0u);
+  EXPECT_GT(obs.metrics().CounterValue("align.signatures.reused"), 0u);
   std::remove(snap.c_str());
 }
 

@@ -101,10 +101,10 @@ TEST_F(StarmiePaperTest, ContextualizationChangesVectors) {
   Table with_ctx("ctx", Schema::FromNames({"City", "Vaccine"}));
   (void)with_ctx.AddRow({Value::String("Berlin"), Value::String("Pfizer")});
   (void)with_ctx.AddRow({Value::String("Boston"), Value::String("Moderna")});
-  std::vector<Embedding> v1 = starmie_.ContextualizedColumns(TableTokens(alone));
-  std::vector<Embedding> v2 =
-      starmie_.ContextualizedColumns(TableTokens(with_ctx));
-  double self_sim = CosineSimilarity(v1[0], v2[0]);
+  const std::vector<float> v1 = starmie_.ContextualizedColumns(alone);
+  const std::vector<float> v2 = starmie_.ContextualizedColumns(with_ctx);
+  double self_sim =
+      CosineSimilarity(v1.data(), v2.data(), ColumnEmbedder().dim());
   EXPECT_LT(self_sim, 0.999);  // context shifted the vector
   EXPECT_GT(self_sim, 0.5);    // but the content still dominates
 }

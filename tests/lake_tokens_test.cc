@@ -1,6 +1,7 @@
-/// Tests for LakeTokens: the dictionary and column token sets every token
-/// search shares, their once-per-lake build under concurrency, the
-/// AddTable reset, and the "lake.tokens" snapshot decode.
+/// Tests for LakeTokens: the dictionary, column token sets and column
+/// embeddings every token search and embedding reader shares, their
+/// once-per-lake build under concurrency, the AddTable reset, and the
+/// "lake.tokens" snapshot decode.
 
 #include "lake/lake_tokens.h"
 
@@ -15,6 +16,7 @@
 #include "common/thread_pool.h"
 #include "core/dialite.h"
 #include "discovery/josie.h"
+#include "kb/embedding.h"
 #include "lake/data_lake.h"
 #include "lake/lake_generator.h"
 #include "lake/paper_fixtures.h"
@@ -157,12 +159,61 @@ TEST(LakeTokensTest, BuildIndexesBuildsOnce) {
 
 TEST(LakeTokensTest, BuildIsIdenticalForEveryThreadCount) {
   DataLake lake = MakeLake(4);
+  std::shared_ptr<const LakeTokens> single = LakeTokens::Build(lake, 1);
   BinaryWriter reference;
-  WriteLakeTokens(*LakeTokens::Build(lake, 1), &reference);
+  WriteLakeTokens(*single, &reference);
   for (size_t threads : {2u, 8u, 0u}) {
+    std::shared_ptr<const LakeTokens> built = LakeTokens::Build(lake, threads);
+    // The payload holds every persisted array, the embedding matrix too.
     BinaryWriter w;
-    WriteLakeTokens(*LakeTokens::Build(lake, threads), &w);
+    WriteLakeTokens(*built, &w);
     EXPECT_EQ(w.buffer(), reference.buffer()) << "threads=" << threads;
+    EXPECT_EQ(built->embeddings(), single->embeddings())
+        << "threads=" << threads;
+  }
+}
+
+/// ReadLakeTokens over `payload` from 8-byte-aligned storage, as a mapped
+/// snapshot section would present it.
+Result<std::shared_ptr<const LakeTokens>> Decoded(const BinaryWriter& payload,
+                                                  const DataLake& lake) {
+  std::vector<uint64_t> storage((payload.size() + 7) / 8);
+  std::memcpy(storage.data(), payload.buffer().data(), payload.size());
+  const std::span<const uint8_t> bytes(
+      reinterpret_cast<const uint8_t*>(storage.data()), payload.size());
+  return ReadLakeTokens(bytes, lake);
+}
+
+TEST(LakeTokensTest, EmbeddingsEqualColumnTokensEmbedding) {
+  const HashEmbedder& embedder = ColumnEmbedder();
+  for (uint64_t seed : {1u, 4u}) {
+    DataLake lake = MakeLake(seed);
+    std::shared_ptr<const LakeTokens> one = LakeTokens::Build(lake, 1);
+    BinaryWriter payload;
+    WriteLakeTokens(*one, &payload);
+    Result<std::shared_ptr<const LakeTokens>> decoded = Decoded(payload, lake);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    const std::shared_ptr<const LakeTokens> variants[] = {
+        one, LakeTokens::Build(lake, 4), *decoded};
+    for (const std::shared_ptr<const LakeTokens>& tokens : variants) {
+      ASSERT_EQ(tokens->dim(), embedder.dim());
+      for (TableId t = 0; t < lake.size(); ++t) {
+        const Table& table = lake.table(t);
+        for (size_t c = 0; c < table.num_columns(); ++c) {
+          const size_t col = tokens->FirstColumn(t) + c;
+          const Embedding expected =
+              embedder.EmbedValueSet(ColumnTokens(table.column(c)));
+          // Bit for bit: memcmp, so -0.0 and 0.0 differ too.
+          EXPECT_EQ(std::memcmp(tokens->ColumnEmbedding(col), expected.data(),
+                                expected.size() * sizeof(float)),
+                    0)
+              << "seed " << seed << " " << table.name() << " column " << c;
+          EXPECT_EQ(tokens->ColumnNorm(col),
+                    EmbeddingNorm(tokens->ColumnEmbedding(col),
+                                  tokens->dim()));
+        }
+      }
+    }
   }
 }
 
@@ -175,12 +226,14 @@ struct Parts {
   std::vector<uint32_t> token_offsets;
   std::vector<uint32_t> column_offsets;
   std::vector<uint32_t> ids;
+  std::vector<float> embeddings;
 
   explicit Parts(const LakeTokens& t)
       : chars(t.chars()),
         token_offsets(t.token_offsets()),
         column_offsets(t.column_offsets()),
-        ids(t.ids()) {}
+        ids(t.ids()),
+        embeddings(t.embeddings()) {}
 
   /// The dictionary, token by token.
   std::vector<std::string> Dictionary() const {
@@ -202,23 +255,18 @@ struct Parts {
 
   BinaryWriter Encode() const {
     BinaryWriter w;
-    w.U32(1);
+    w.U32(2);
     w.Str(chars);
     w.Array<uint32_t>(token_offsets);
     w.Array<uint32_t>(column_offsets);
     w.Array<uint32_t>(ids);
+    w.Array<float>(embeddings);
     return w;
   }
 };
 
-/// ReadLakeTokens over `payload` from 8-byte-aligned storage, as a mapped
-/// snapshot section would present it.
 Status Decode(const BinaryWriter& payload, const DataLake& lake) {
-  std::vector<uint64_t> storage((payload.size() + 7) / 8);
-  std::memcpy(storage.data(), payload.buffer().data(), payload.size());
-  const std::span<const uint8_t> bytes(
-      reinterpret_cast<const uint8_t*>(storage.data()), payload.size());
-  return ReadLakeTokens(bytes, lake).status();
+  return Decoded(payload, lake).status();
 }
 
 class LakeTokensDecodeTest : public ::testing::Test {
@@ -269,6 +317,28 @@ TEST_F(LakeTokensDecodeTest, RejectsColumnCountOtherThanTheLakes) {
   p.column_offsets.pop_back();
   p.column_offsets.back() = static_cast<uint32_t>(p.ids.size());
   EXPECT_EQ(Decode(p.Encode(), lake_).code(), StatusCode::kParseError);
+}
+
+TEST_F(LakeTokensDecodeTest, RejectsEmbeddingMatrixOfWrongSize) {
+  Parts short_one = Valid();
+  short_one.embeddings.pop_back();
+  EXPECT_EQ(Decode(short_one.Encode(), lake_).code(), StatusCode::kParseError);
+  Parts extra_row = Valid();
+  extra_row.embeddings.resize(
+      extra_row.embeddings.size() + ColumnEmbedder().dim(), 0.5f);
+  EXPECT_EQ(Decode(extra_row.Encode(), lake_).code(), StatusCode::kParseError);
+}
+
+TEST_F(LakeTokensDecodeTest, RejectsVersionOneSection) {
+  // A version-1 writer's section: the same arrays without the matrix.
+  const Parts p = Valid();
+  BinaryWriter w;
+  w.U32(1);
+  w.Str(p.chars);
+  w.Array<uint32_t>(p.token_offsets);
+  w.Array<uint32_t>(p.column_offsets);
+  w.Array<uint32_t>(p.ids);
+  EXPECT_EQ(Decode(w, lake_).code(), StatusCode::kParseError);
 }
 
 TEST_F(LakeTokensDecodeTest, RejectsOffsetsOverrunningTheArrays) {

@@ -110,11 +110,12 @@ TEST(IndexCacheTest, BuildSavesAndSecondBuildLoads) {
   Dialite first(&lake);
   ASSERT_TRUE(first.RegisterDefaults().ok());
   ASSERT_TRUE(first.BuildIndexes(dir).ok());
-  // The persistent algorithms wrote their cache files; JOSIE, whose index
-  // is the lake's tokens, writes none.
+  // The persistent algorithms wrote their cache files; JOSIE and Starmie,
+  // which build from the lake's tokens and embeddings, write none.
   EXPECT_TRUE(std::filesystem::exists(dir + "/santos.idx"));
   EXPECT_TRUE(std::filesystem::exists(dir + "/lsh_ensemble.idx"));
   EXPECT_FALSE(std::filesystem::exists(dir + "/josie.idx"));
+  EXPECT_FALSE(std::filesystem::exists(dir + "/starmie.idx"));
   auto h1 = first.Discover(q, "santos");
   ASSERT_TRUE(h1.ok());
 

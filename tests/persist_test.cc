@@ -16,7 +16,6 @@
 #include "discovery/keyword_search.h"
 #include "discovery/lsh_ensemble_search.h"
 #include "discovery/santos.h"
-#include "discovery/starmie.h"
 #include "discovery/tus.h"
 #include "lake/paper_fixtures.h"
 #include "snapshot/bytes.h"
@@ -84,32 +83,17 @@ BinaryWriter KeywordPayload(const std::vector<std::string>& terms,
   return w;
 }
 
-/// The default embedding width of TUS and Starmie (HashEmbedder::Params).
-constexpr size_t kDim = 128;
-
-/// A unit vector of `dim` floats.
-std::vector<float> UnitVector(size_t dim) {
-  std::vector<float> v(dim, 0.0f);
-  if (dim > 0) v[0] = 1.0f;
-  return v;
-}
-
 /// A TUS payload listing lake table T2 (3 columns) once per entry of
-/// `widths`, with that many columns; each column has no KB types and a
-/// `dim`-float embedding.
-BinaryWriter TusPayload(const std::vector<uint64_t>& widths,
-                        size_t dim = kDim) {
+/// `widths`, with that many columns; each column has no KB types.
+BinaryWriter TusPayload(const std::vector<uint64_t>& widths) {
   BinaryWriter w;
   w.Str("tus");
-  w.U32(2);
+  w.U32(3);
   w.U64(widths.size());
   for (uint64_t ncols : widths) {
     w.Str("T2");
     w.U64(ncols);
-    for (uint64_t c = 0; c < ncols; ++c) {
-      w.U64(0);
-      w.Array<float>(UnitVector(dim));
-    }
+    for (uint64_t c = 0; c < ncols; ++c) w.U64(0);
   }
   return w;
 }
@@ -130,24 +114,6 @@ BinaryWriter SantosPayload(size_t copies) {
     w.U64(0);  // relations
     w.U64(0);  // relations anchored at column 0
   }
-  return w;
-}
-
-/// A Starmie payload listing T2 `copies` times with one column vector,
-/// and one SimHash id for T2's column 0.
-BinaryWriter StarmiePayload(size_t copies) {
-  BinaryWriter w;
-  w.Str("starmie");
-  w.U32(1);
-  w.U64(copies);
-  for (size_t i = 0; i < copies; ++i) {
-    w.Str("T2");
-    w.U64(1);
-    w.Array<float>(UnitVector(kDim));
-  }
-  w.U64(1);
-  w.Str("T2");
-  w.U64(0);
   return w;
 }
 
@@ -341,28 +307,11 @@ TEST(TusPersistTest, LoadRejectsColumnCountMismatch) {
             StatusCode::kParseError);
 }
 
-// Lake-column embeddings share one matrix of dim()-float rows.
-TEST(TusPersistTest, LoadRejectsEmbeddingDimMismatch) {
-  DataLake lake = paper::MakeDemoLake(0);
-  TusSearch tus;
-  ASSERT_TRUE(LoadCrafted(&tus, TusPayload({3}, kDim), lake).ok());
-  EXPECT_EQ(LoadCrafted(&tus, TusPayload({3}, kDim - 1), lake).code(),
-            StatusCode::kParseError);
-}
-
 TEST(SantosPersistTest, LoadRejectsRepeatedTable) {
   DataLake lake = paper::MakeDemoLake(0);
   SantosSearch santos;
   ASSERT_TRUE(LoadCrafted(&santos, SantosPayload(1), lake).ok());
   EXPECT_EQ(LoadCrafted(&santos, SantosPayload(2), lake).code(),
-            StatusCode::kParseError);
-}
-
-TEST(StarmiePersistTest, LoadRejectsRepeatedTable) {
-  DataLake lake = paper::MakeDemoLake(0);
-  StarmieSearch starmie;
-  ASSERT_TRUE(LoadCrafted(&starmie, StarmiePayload(1), lake).ok());
-  EXPECT_EQ(LoadCrafted(&starmie, StarmiePayload(2), lake).code(),
             StatusCode::kParseError);
 }
 

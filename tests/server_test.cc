@@ -261,23 +261,39 @@ TEST_F(ServerHandleTest, RepeatedIntegrateSignsOnlyTheBody) {
     return obs_.metrics().CounterValue(name);
   };
 
+  // Lake columns borrow the snapshot's tokens and embeddings, so even the
+  // first request signs only the body's columns.
   HttpResponse first = server_->Handle(req, nullptr);
   ASSERT_EQ(first.status, 200) << first.body;
-  EXPECT_EQ(counter("align.signatures.computed"), body_columns + lake_columns);
-  EXPECT_EQ(counter("align.signatures.reused"), 0u);
+  EXPECT_EQ(counter("align.signatures.computed"), body_columns);
+  EXPECT_EQ(counter("align.signatures.reused"), lake_columns);
 
-  // The lake tables' signatures stay resident for the epoch: the repeat
-  // signs only the body's columns and answers the same bytes.
+  // The repeat does the same and answers the same bytes.
   HttpResponse second = server_->Handle(req, nullptr);
   ASSERT_EQ(second.status, 200) << second.body;
   EXPECT_EQ(second.body, first.body);
-  EXPECT_EQ(counter("align.signatures.computed"),
-            2 * body_columns + lake_columns);
-  EXPECT_EQ(counter("align.signatures.reused"), lake_columns);
+  EXPECT_EQ(counter("align.signatures.computed"), 2 * body_columns);
+  EXPECT_EQ(counter("align.signatures.reused"), 2 * lake_columns);
 
   const std::string metrics = server_->Handle(Get("/metrics"), nullptr).body;
   EXPECT_NE(metrics.find("align.signatures.computed"), std::string::npos);
   EXPECT_NE(metrics.find("align.signatures.reused"), std::string::npos);
+}
+
+TEST_F(ServerHandleTest, IntegrationSetNamingATableTwiceAnswers400) {
+  StartServer();
+  std::shared_ptr<const Epoch> epoch = server_->lake_service().current();
+  ASSERT_NE(epoch, nullptr);
+  const std::string name = epoch->system->lake->table_names()[0];
+  // The lake table twice, without a body.
+  HttpResponse twice = server_->Handle(
+      Post("/integrate", {{"tables", name + "," + name}}), nullptr);
+  EXPECT_EQ(twice.status, 400) << twice.body;
+  // A body named like the lake table it is set beside.
+  HttpResponse named_alike = server_->Handle(
+      Post("/align", {{"name", name}, {"tables", name}}, QueryCsv()),
+      nullptr);
+  EXPECT_EQ(named_alike.status, 400) << named_alike.body;
 }
 
 TEST_F(ServerHandleTest, ReloadAdvancesEpochAndKeepsServing) {

@@ -26,7 +26,7 @@ double SearchedUnionability(const Table& a, const Table& b) {
   EXPECT_TRUE(lake.AddTable(b).ok());
   TusSearch::Params params;
   params.min_column_unionability = 0.0;
-  TusSearch tus(params, &KnowledgeBase::BuiltIn());
+  TusSearch tus(params);
   EXPECT_TRUE(tus.BuildIndex(lake).ok());
   const DiscoveryQuery q{&a, 0, 1};
   const SearchMode modes[2] = {SearchMode::kExhaustive, SearchMode::kCascade};

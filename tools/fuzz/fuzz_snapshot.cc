@@ -9,8 +9,8 @@
 // On a lake that decodes, every "idx.<name>" section also goes through its
 // stock algorithm's LoadPayload, and an index that loads answers one
 // Search for a query cut from the decoded lake: a payload that loads must
-// be safe to search. (JOSIE and COCOA persist no section: their index is
-// the decoded lake tokens.)
+// be safe to search. (JOSIE, COCOA and Starmie persist no section: they
+// build from the decoded lake tokens.)
 //
 // The demo_full_* and lake_only_* seeds come from make_snapshot_seeds
 // (built with the harnesses): make_snapshot_seeds tools/fuzz/corpus/snapshot
@@ -32,7 +32,6 @@
 #include "discovery/keyword_search.h"
 #include "discovery/lsh_ensemble_search.h"
 #include "discovery/santos.h"
-#include "discovery/starmie.h"
 #include "discovery/tus.h"
 #include "lake/data_lake.h"
 #include "snapshot/bytes.h"
@@ -62,7 +61,6 @@ std::unique_ptr<DiscoveryAlgorithm> StockAlgorithm(const std::string& name) {
     return std::make_unique<dialite::LshEnsembleSearch>();
   }
   if (name == "santos") return std::make_unique<dialite::SantosSearch>();
-  if (name == "starmie") return std::make_unique<dialite::StarmieSearch>();
   if (name == "tus") return std::make_unique<dialite::TusSearch>();
   return nullptr;
 }
