@@ -87,8 +87,8 @@ double AliteMatcher::ColumnSimilarity(const Table& ta, size_t ca,
                                       const Table& tb, size_t cb) const {
   TableSignature sa;
   TableSignature sb;
-  (void)SignTable(ta, nullptr, &sa);
-  (void)SignTable(tb, nullptr, &sb);
+  (void)SignTable(ta, nullptr, nullptr, &sa, nullptr);
+  (void)SignTable(tb, nullptr, nullptr, &sb, nullptr);
   std::vector<uint8_t> jaro_flags(sa.columns[ca].norm_header.size() +
                                   sb.columns[cb].norm_header.size());
   return PairSimilarity(sa, ca, sb, cb, jaro_flags.data());
@@ -111,18 +111,26 @@ Status AlignDeadline(const char* stage) {
 
 }  // namespace
 
-Status AliteMatcher::SignTable(const Table& t, const CancelToken* cancel,
-                               TableSignature* out) const {
+Status AliteMatcher::SignTable(const Table& t, const LakeTokens* lake_tokens,
+                               const CancelToken* cancel, TableSignature* out,
+                               uint64_t* embedded) const {
   const HashEmbedder& embedder = ColumnEmbedder();
   out->columns.reserve(t.num_columns());
   out->embeddings.reserve(t.num_columns() * dim_);  // rows stay put
   std::vector<size_t> token_ends;  // token i's bytes end at token_ends[i]
+  std::vector<uint32_t> ids;
   for (size_t c = 0; c < t.num_columns(); ++c) {
     if (AlignCancelled(cancel)) return AlignDeadline("building signatures");
     std::vector<std::string> tokens = ColumnTokens(t.column(c));
     // The embedding sums value vectors in first-occurrence order, so sort
     // only after it: PairSimilarity merges the sorted lists.
-    const Embedding embedding = embedder.EmbedValueSet(tokens);
+    Embedding embedding;
+    if (lake_tokens != nullptr) {
+      embedding = lake_tokens->EmbedColumn(tokens, &ids, embedded);
+    } else {
+      embedding = embedder.EmbedValueSet(tokens);
+      if (embedded != nullptr) *embedded += tokens.size();
+    }
     out->embeddings.insert(out->embeddings.end(), embedding.begin(),
                            embedding.end());
     std::sort(tokens.begin(), tokens.end());
@@ -152,17 +160,16 @@ Status AliteMatcher::BorrowLakeColumns(const Table& t,
   out->columns.reserve(t.num_columns());
   out->tokens.reserve(tokens.column_offsets()[first_column + t.num_columns()] -
                       tokens.column_offsets()[first_column]);
-  std::vector<uint32_t> ids;
   for (size_t c = 0; c < t.num_columns(); ++c) {
     if (AlignCancelled(cancel)) return AlignDeadline("building signatures");
     const size_t col = first_column + c;
     // Ids number the dictionary in byte order, so the sorted ids view the
     // column's tokens sorted as strings.
-    ids.assign(tokens.ColumnIds(col),
-               tokens.ColumnIds(col) + tokens.ColumnSize(col));
-    std::sort(ids.begin(), ids.end());
+    const uint32_t* ids = tokens.SortedColumnIds(col);
     const size_t first_token = out->tokens.size();
-    for (uint32_t token : ids) out->tokens.push_back(tokens.token(token));
+    for (size_t i = 0; i < tokens.ColumnSize(col); ++i) {
+      out->tokens.push_back(tokens.token(ids[i]));
+    }
     AddColumn(t, c, first_token, out->tokens.size(),
               tokens.ColumnEmbedding(col), out);
   }
@@ -180,23 +187,31 @@ Result<Alignment> AliteMatcher::Align(const std::vector<const Table*>& tables,
   // and the matrix loop polls on its first pair, so an expired request
   // stops before any pair evaluation.
   std::vector<TableSignature> table_sigs(tables.size());
-  // Taken at the first lake table and held for the call: the views and
-  // embeddings borrowed from it stay valid until Align returns.
+  // Taken only when the set holds a lake table, and held for the call: the
+  // views and embeddings borrowed from it stay valid until Align returns.
   std::shared_ptr<const LakeTokens> lake_tokens;
   uint64_t computed = 0;
+  uint64_t embedded = 0;
   {
     ObsSpan span(obs_, "align.signatures");
+    std::vector<TableId> lake_ids(tables.size(), kNoTable);
     for (size_t ti = 0; ti < tables.size(); ++ti) {
       const Table& t = *tables[ti];
-      const TableId id =
-          lake_ == nullptr ? kNoTable : lake_->IdOf(t.name());
+      const TableId id = lake_ == nullptr ? kNoTable : lake_->IdOf(t.name());
       if (id != kNoTable && &lake_->table(id) == &t) {
+        lake_ids[ti] = id;
         if (lake_tokens == nullptr) lake_tokens = lake_->tokens();
-        DIALITE_RETURN_IF_ERROR(
-            BorrowLakeColumns(t, *lake_tokens, id, cancel, &table_sigs[ti]));
+      }
+    }
+    for (size_t ti = 0; ti < tables.size(); ++ti) {
+      const Table& t = *tables[ti];
+      if (lake_ids[ti] != kNoTable) {
+        DIALITE_RETURN_IF_ERROR(BorrowLakeColumns(
+            t, *lake_tokens, lake_ids[ti], cancel, &table_sigs[ti]));
         continue;
       }
-      DIALITE_RETURN_IF_ERROR(SignTable(t, cancel, &table_sigs[ti]));
+      DIALITE_RETURN_IF_ERROR(SignTable(t, lake_tokens.get(), cancel,
+                                        &table_sigs[ti], &embedded));
       computed += t.num_columns();
     }
   }
@@ -217,6 +232,7 @@ Result<Alignment> AliteMatcher::Align(const std::vector<const Table*>& tables,
   ObsAdd(obs_, "align.columns", n);
   ObsAdd(obs_, "align.signatures.computed", computed);
   ObsAdd(obs_, "align.signatures.reused", n - computed);
+  ObsAdd(obs_, "align.work.embedded_values", embedded);
 
   // Pairwise similarity matrix. One Jaro-Winkler scratch, sized for the
   // widest header pair, serves every pair.

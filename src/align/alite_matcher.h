@@ -33,9 +33,11 @@ namespace dialite {
 ///
 /// A column's signature is its sorted tokens, its embedding, its headers
 /// and its type flags. A column of a table resident in set_lake()'s lake
-/// borrows its tokens and embedding from the lake's LakeTokens, so only its
-/// headers and flags are derived per call; other tables are tokenized and
-/// embedded (signed) on every call (DESIGN.md "Lake columns in ALITE").
+/// borrows its sorted tokens and embedding from the lake's LakeTokens, so
+/// only its headers and flags are derived per call; other tables are
+/// tokenized and embedded (signed) on every call, their embeddings summed
+/// from the lake's token vectors when the set holds a lake table
+/// (DESIGN.md "Lake columns in ALITE").
 class AliteMatcher : public SchemaMatcher {
  public:
   struct Params {
@@ -90,12 +92,16 @@ class AliteMatcher : public SchemaMatcher {
   };
 
   /// Signs every column of `t` into the empty `*out`: tokenizes and embeds
-  /// each, polling `cancel` once per column.
-  Status SignTable(const Table& t, const CancelToken* cancel,
-                   TableSignature* out) const;
+  /// each, polling `cancel` once per column. With `lake_tokens` non-null
+  /// the embeddings are summed from its token vectors; either way the
+  /// values embedded anew are counted into `*embedded` (when
+  /// non-null).
+  Status SignTable(const Table& t, const LakeTokens* lake_tokens,
+                   const CancelToken* cancel, TableSignature* out,
+                   uint64_t* embedded) const;
   /// Fills the empty `*out` for lake table `id` (`t` itself) from the
-  /// lake's `tokens`: each column's ids sorted and viewed as strings, and
-  /// its lake embedding; polls `cancel` once per column.
+  /// lake's `tokens`: each column's sorted ids viewed as strings, and its
+  /// lake embedding; polls `cancel` once per column.
   Status BorrowLakeColumns(const Table& t, const LakeTokens& tokens,
                            TableId id, const CancelToken* cancel,
                            TableSignature* out) const;

@@ -35,12 +35,13 @@ void StarmieSearch::Contextualize(const float* own, size_t n,
 }
 
 std::vector<float> StarmieSearch::ContextualizedColumns(
-    const Table& table) const {
+    const Table& table, uint64_t* embedded) const {
   const size_t n = table.num_columns();
   std::vector<float> own(n * dim_);
+  std::vector<uint32_t> ids;
   for (size_t c = 0; c < n; ++c) {
     const Embedding e =
-        ColumnEmbedder().EmbedValueSet(ColumnTokens(table.column(c)));
+        tokens_->EmbedColumn(ColumnTokens(table.column(c)), &ids, embedded);
     std::copy(e.begin(), e.end(),
               own.begin() + static_cast<std::ptrdiff_t>(c * dim_));
   }
@@ -64,20 +65,21 @@ std::vector<double> Norms(const std::vector<float>& vectors, size_t dim) {
 }  // namespace
 
 Status StarmieSearch::BuildIndex(const DataLake& lake) {
-  std::shared_ptr<const LakeTokens> tokens = lake.tokens(num_threads_);
-  const size_t num_tables = tokens->num_tables();
+  tokens_ = lake.tokens(num_threads_);
+  const LakeTokens& tokens = *tokens_;
+  const size_t num_tables = tokens.num_tables();
   row_begin_.assign(1, 0);
   max_columns_ = 0;
   for (TableId t = 0; t < num_tables; ++t) {
-    row_begin_.push_back(row_begin_.back() + tokens->NumColumns(t));
-    max_columns_ = std::max(max_columns_, tokens->NumColumns(t));
+    row_begin_.push_back(row_begin_.back() + tokens.NumColumns(t));
+    max_columns_ = std::max(max_columns_, tokens.NumColumns(t));
   }
   // Compute phase: each table's contextualized vectors, mixed from its
   // rows of the lake's embeddings.
-  vectors_.assign(tokens->num_columns() * dim_, 0.0f);
+  vectors_.assign(tokens.num_columns() * dim_, 0.0f);
   ForEachTableIndex(num_threads_, num_tables, [&](size_t i) {
     const TableId t = static_cast<TableId>(i);
-    Contextualize(tokens->ColumnEmbedding(row_begin_[t]), NumColumns(t),
+    Contextualize(tokens.ColumnEmbedding(row_begin_[t]), NumColumns(t),
                   vectors_.data() + row_begin_[t] * dim_);
   }, obs_);
   norms_ = Norms(vectors_, dim_);
@@ -181,7 +183,10 @@ Result<std::vector<DiscoveryHit>> StarmieSearch::Search(
     return Status::OutOfRange("query column out of range");
   }
   const size_t nq = query.table->num_columns();
-  const std::vector<float> qvecs = ContextualizedColumns(*query.table);
+  uint64_t embedded = 0;
+  const std::vector<float> qvecs =
+      ContextualizedColumns(*query.table, &embedded);
+  ObsAdd(obs_, "discover.starmie.work.embedded_values", embedded);
 
   // Candidate tables: every table owning a column that SimHash-collides
   // with any query column, deduplicated, in id order. Neither mode's

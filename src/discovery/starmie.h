@@ -36,7 +36,8 @@ namespace dialite {
 ///
 /// embed(c) of a lake column is the lake's own embedding (LakeTokens), so
 /// the index persists nothing: a snapshot open runs BuildIndex, which mixes
-/// from the decoded embeddings and re-inserts into SimHash.
+/// from the decoded embeddings and re-inserts into SimHash. embed(c) of a
+/// query column is summed from the lake's token vectors.
 class StarmieSearch : public DiscoveryAlgorithm {
  public:
   struct Params {
@@ -67,9 +68,12 @@ class StarmieSearch : public DiscoveryAlgorithm {
                                  const std::string& table_name) const override;
 
   /// Contextualized vectors of a query table's columns, row-major, dim
-  /// floats per column: each column embedded with ColumnEmbedder, then
-  /// mixed as lake tables are. Exposed for tests.
-  std::vector<float> ContextualizedColumns(const Table& table) const;
+  /// floats per column: each column's ColumnEmbedder embedding summed from
+  /// the lake's token vectors (LakeTokens::EmbedColumn), then mixed as lake
+  /// tables are. Adds the count of tokens the dictionary lacks to
+  /// `*embedded` when non-null. Requires BuildIndex; exposed for tests.
+  std::vector<float> ContextualizedColumns(const Table& table,
+                                           uint64_t* embedded = nullptr) const;
 
  private:
   /// The contextual mix of the `n` column embeddings at `own` (row-major,
@@ -102,6 +106,10 @@ class StarmieSearch : public DiscoveryAlgorithm {
   Params params_;
   size_t dim_;
   const DataLake* lake_ = nullptr;
+  /// The lake's tokens the index was built on: lake rows are mixed from
+  /// their column embeddings, query columns summed from their token
+  /// vectors.
+  std::shared_ptr<const LakeTokens> tokens_;
   std::unique_ptr<SimHashIndex> index_;
   /// SimHash id -> its lake column.
   std::vector<LakeColumn> columns_;

@@ -25,22 +25,6 @@ TusSearch::LabeledTypes TusSearch::ColumnTypes(
   return types;
 }
 
-TusSearch::ColumnProfile TusSearch::ProfileFromSets(
-    const std::vector<std::string>& tokens,
-    const std::vector<std::string>& distinct_values) const {
-  ColumnProfile p;
-  p.types = ColumnTypes(distinct_values);
-  p.embedding = ColumnEmbedder().EmbedValueSet(tokens);
-  p.norm = EmbeddingNorm(p.embedding.data(), p.embedding.size());
-  return p;
-}
-
-TusSearch::ColumnProfile TusSearch::ProfileColumn(const Table& table,
-                                                  size_t column) const {
-  const ColumnView col = table.column(column);
-  return ProfileFromSets(ColumnTokens(col), ColumnDistinctCsv(col));
-}
-
 namespace {
 
 /// "No evidence slot yet" in Search's per-table slot array.
@@ -90,17 +74,22 @@ void SortByUnionability(std::vector<ColumnPair>* pairs) {
 }  // namespace
 
 std::vector<TusSearch::QueryColumn> TusSearch::ProfileQuery(
-    const Table& query) const {
+    const Table& query, uint64_t* embedded) const {
   std::vector<QueryColumn> out(query.num_columns());
   for (size_t c = 0; c < out.size(); ++c) {
     QueryColumn& q = out[c];
     const ColumnView col = query.column(c);
     const std::vector<std::string> tokens = ColumnTokens(col);
-    q.profile = ProfileFromSets(tokens, ColumnDistinctCsv(col));
+    q.embedding = tokens_->EmbedColumn(tokens, &q.ids, embedded);
+    q.norm = EmbeddingNorm(q.embedding.data(), q.embedding.size());
     q.num_tokens = tokens.size();
-    q.ids = tokens_->SortedIds(tokens);
-    q.type_sqnorm = SquaredNorm<std::string>(q.profile.types);
-    for (const auto& [label, conf] : q.profile.types) {
+    // The found ids, ascending: what SortedIds gives.
+    q.ids.erase(std::remove(q.ids.begin(), q.ids.end(), kNoToken),
+                q.ids.end());
+    std::sort(q.ids.begin(), q.ids.end());
+    const LabeledTypes types = ColumnTypes(ColumnDistinctCsv(col));
+    q.type_sqnorm = SquaredNorm<std::string>(types);
+    for (const auto& [label, conf] : types) {
       auto it = std::lower_bound(type_labels_.begin(), type_labels_.end(),
                                  label);
       if (it == type_labels_.end() || *it != label) continue;
@@ -121,8 +110,8 @@ double TusSearch::TypeCosineTo(const QueryColumn& q, size_t g) const {
 
 double TusSearch::NlCosineTo(const QueryColumn& q, size_t g) const {
   // Both are ColumnEmbedder vectors of tokens_->dim() floats.
-  return CosineSimilarity(q.profile.embedding.data(),
-                          tokens_->ColumnEmbedding(g), tokens_->dim());
+  return CosineSimilarity(q.embedding.data(), tokens_->ColumnEmbedding(g),
+                          tokens_->dim());
 }
 
 TusSearch::PairBound TusSearch::BoundPair(const QueryColumn& q, size_t g,
@@ -139,7 +128,7 @@ TusSearch::PairBound TusSearch::BoundPair(const QueryColumn& q, size_t g,
   }
   if (out.exact < 1.0) {
     out.nl_bound = std::min(
-        CosineUpperBound(q.profile.embedding.data(), q.profile.norm,
+        CosineUpperBound(q.embedding.data(), q.norm,
                          tokens_->ColumnEmbedding(g), tokens_->ColumnNorm(g),
                          tokens_->dim()),
         1.0);
@@ -409,7 +398,7 @@ Result<double> TusSearch::ScoreUpperBound(const DiscoveryQuery& query,
   const TableId t = lake_->IdOf(table_name);
   // Not indexed (kNoTable included): cannot score.
   if (t >= indexed_.size() || !indexed_[t]) return 0.0;
-  const std::vector<QueryColumn> qcols = ProfileQuery(*query.table);
+  const std::vector<QueryColumn> qcols = ProfileQuery(*query.table, nullptr);
   // Exact per-pair intersection counts: what Search()'s walk of the
   // lake's postings accumulates.
   const size_t ncols = NumColumns(t);
@@ -433,7 +422,9 @@ Result<std::vector<DiscoveryHit>> TusSearch::Search(
   if (query.query_column >= query.table->num_columns()) {
     return Status::OutOfRange("query column out of range");
   }
-  const std::vector<QueryColumn> qcols = ProfileQuery(*query.table);
+  uint64_t embedded = 0;
+  const std::vector<QueryColumn> qcols = ProfileQuery(*query.table, &embedded);
+  ObsAdd(obs_, "discover.tus.work.embedded_values", embedded);
   const size_t nq = qcols.size();
 
   // Candidate generation: tables sharing a token or a KB type with any

@@ -73,30 +73,21 @@ class TusSearch : public DiscoveryAlgorithm, public PersistentIndex {
   Result<double> ScoreUpperBound(const DiscoveryQuery& query,
                                  const std::string& table_name) const override;
 
+ private:
   /// KB types as (label, confidence), in label order.
   using LabeledTypes = std::vector<std::pair<std::string, double>>;
-
-  /// One query column as TUS compares it beyond its token set: its KB types
-  /// and the embedding of its value set (a lake column's is the lake's).
-  struct ColumnProfile {
-    LabeledTypes types;
-    Embedding embedding;
-    /// EmbeddingNorm(embedding), for CosineUpperBound.
-    double norm = 0.0;
-  };
-  ColumnProfile ProfileColumn(const Table& table, size_t column) const;
-
- private:
   /// A KB type of a lake column: (type id, confidence).
   using TypeWeight = std::pair<uint32_t, double>;
 
-  /// A query column as a search compares it with lake columns: its
-  /// profile, its token count |A| and the ids of those of its tokens the
-  /// lake's dictionary holds (ascending), its types under the epoch's type
-  /// ids (a type no lake column carries matches nothing and is left out),
-  /// and the squared norm over all of its types.
+  /// A query column as a search compares it with lake columns: the
+  /// embedding of its value set (summed from the lake's token vectors) and
+  /// its EmbeddingNorm, its token count |A| and the ids of those of its
+  /// tokens the lake's dictionary holds (ascending), its types under the
+  /// epoch's type ids (a type no lake column carries matches nothing and is
+  /// left out), and the squared norm over all of its types.
   struct QueryColumn {
-    ColumnProfile profile;
+    Embedding embedding;
+    double norm = 0.0;
     size_t num_tokens = 0;
     std::vector<uint32_t> ids;
     std::vector<TypeWeight> types;
@@ -115,14 +106,13 @@ class TusSearch : public DiscoveryAlgorithm, public PersistentIndex {
   /// KB types of a column given its ColumnDistinctCsv values.
   LabeledTypes ColumnTypes(
       const std::vector<std::string>& distinct_values) const;
-  /// Profile of a query column given its ColumnTokens (in order) and its
-  /// ColumnDistinctCsv values.
-  ColumnProfile ProfileFromSets(
-      const std::vector<std::string>& tokens,
-      const std::vector<std::string>& distinct_values) const;
 
-  /// The query's columns, with their types mapped to this epoch's ids.
-  std::vector<QueryColumn> ProfileQuery(const Table& query) const;
+  /// The query's columns, with their types mapped to this epoch's ids. One
+  /// dictionary lookup per token gives both the ids and the embedding;
+  /// adds the count of tokens the dictionary lacks (embedded anew)
+  /// to `*embedded` when non-null.
+  std::vector<QueryColumn> ProfileQuery(const Table& query,
+                                        uint64_t* embedded) const;
 
   /// Lays the per-table column types (by lake table id; `indexed[t]` marks
   /// the tables the index covers, each with the lake's column count) out

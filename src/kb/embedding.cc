@@ -1,6 +1,5 @@
 #include "kb/embedding.h"
 
-#include <algorithm>
 #include <bit>
 #include <cctype>
 #include <cmath>
@@ -178,15 +177,22 @@ Embedding HashEmbedder::EmbedValue(std::string_view text) const {
   return acc;
 }
 
-Embedding HashEmbedder::EmbedValueSet(
-    const std::vector<std::string>& values) const {
+Embedding HashEmbedder::EmbedValueSet(const std::vector<std::string>& values,
+                                      const float* rows,
+                                      const uint32_t* row_of) const {
   Embedding acc(params_.dim, 0.0f);
-  Embedding e(params_.dim);
-  for (const std::string& v : values) {
-    std::fill(e.begin(), e.end(), 0.0f);
-    AddFeatures(v, e.data());
-    NormalizeEmbedding(&e);
-    for (size_t i = 0; i < acc.size(); ++i) acc[i] += e[i];
+  Embedding e;  // a value without a row is embedded here, as EmbedValue does
+  for (size_t v = 0; v < values.size(); ++v) {
+    const float* value_vector;
+    if (rows != nullptr && row_of[v] != kNoValueRow) {
+      value_vector = rows + size_t{row_of[v]} * params_.dim;
+    } else {
+      e.assign(params_.dim, 0.0f);
+      AddFeatures(values[v], e.data());
+      NormalizeEmbedding(&e);
+      value_vector = e.data();
+    }
+    for (size_t i = 0; i < acc.size(); ++i) acc[i] += value_vector[i];
   }
   NormalizeEmbedding(&acc);
   return acc;

@@ -2,6 +2,7 @@
 #define DIALITE_KB_EMBEDDING_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -12,6 +13,9 @@ namespace dialite {
 
 /// Dense embedding vector.
 using Embedding = std::vector<float>;
+
+/// "No precomputed vector" in HashEmbedder::EmbedValueSet's `row_of`.
+inline constexpr uint32_t kNoValueRow = std::numeric_limits<uint32_t>::max();
 
 /// Cosine similarity; 0 if either vector has zero norm.
 double CosineSimilarity(const Embedding& a, const Embedding& b);
@@ -84,8 +88,16 @@ class HashEmbedder {
   Embedding EmbedValue(std::string_view text) const;
 
   /// Mean of value embeddings, re-normalized — the column-content vector
-  /// used by holistic schema matching.
-  Embedding EmbedValueSet(const std::vector<std::string>& values) const;
+  /// used by holistic schema matching. The one summation loop of every
+  /// column embedding: each value's EmbedValue vector is added in list
+  /// order, then the sum is normalized. With `rows` non-null, value i whose
+  /// `row_of[i]` is not kNoValueRow reads its vector from row row_of[i] of
+  /// `rows` (dim() floats each), which must hold EmbedValue(values[i]);
+  /// only the other values are embedded. The floats are the same either
+  /// way (DESIGN.md "Hash-embedding kernel and its bit-identity contract").
+  Embedding EmbedValueSet(const std::vector<std::string>& values,
+                          const float* rows = nullptr,
+                          const uint32_t* row_of = nullptr) const;
 
  private:
   /// Adds the unnormalized features of `text` into `acc` (dim() floats).
@@ -111,9 +123,10 @@ class HashEmbedder {
 };
 
 /// The one embedder of column contents: the built-in KB with default
-/// Params. LakeTokens embeds every lake column with it, and TUS, Starmie
-/// and ALITE embed query and body columns with it, so a query column and a
-/// lake column are always compared in one space.
+/// Params. LakeTokens embeds every dictionary token with it and sums lake
+/// columns from those vectors; TUS, Starmie and ALITE sum query and body
+/// columns from them too, embedding only the values the dictionary lacks.
+/// So a query column and a lake column are always compared in one space.
 const HashEmbedder& ColumnEmbedder();
 
 }  // namespace dialite

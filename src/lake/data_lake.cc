@@ -58,6 +58,11 @@ std::shared_ptr<const LakeTokens> DataLake::tokens(size_t num_threads) const {
   return tokens_slot_->tokens;
 }
 
+bool DataLake::tokens_built() const {
+  MutexLock lock(tokens_slot_->mu);
+  return tokens_slot_->tokens != nullptr;
+}
+
 void DataLake::InstallTokens(std::shared_ptr<const LakeTokens> tokens) {
   MutexLock lock(tokens_slot_->mu);
   tokens_slot_->tokens = std::move(tokens);

@@ -82,6 +82,9 @@ class DataLake {
   /// that one build. AddTable resets it; an index keeps the tokens it was
   /// built on, so it answers as before.
   std::shared_ptr<const LakeTokens> tokens(size_t num_threads = 1) const;
+  /// Whether the tokens are built (or installed): tokens() would return
+  /// without building.
+  bool tokens_built() const;
 
   /// Installs tokens decoded from a snapshot (ReadLake); they must have
   /// been made for this lake (LakeTokens::FromParts checks the widths).

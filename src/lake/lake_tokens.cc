@@ -38,20 +38,11 @@ std::shared_ptr<const LakeTokens> LakeTokens::Build(const DataLake& lake,
   const size_t n = lake.size();
   std::shared_ptr<LakeTokens> out(new LakeTokens());
   out->table_offsets_ = TableOffsets(lake);
-  const HashEmbedder& embedder = ColumnEmbedder();
-  out->dim_ = embedder.dim();
-  out->embeddings_.resize(size_t{out->table_offsets_.back()} * out->dim_);
-  // Compute phase: every table's column token sets, each column embedded
-  // from them in first-occurrence order into its own matrix row.
+  out->dim_ = ColumnEmbedder().dim();
+  // Compute phase: every table's column token sets.
   std::vector<std::vector<std::vector<std::string>>> tables(n);
   ForEachTableIndex(num_threads, n, [&](size_t t) {
     tables[t] = TableTokens(lake.table(static_cast<TableId>(t)));
-    for (size_t c = 0; c < tables[t].size(); ++c) {
-      const Embedding e = embedder.EmbedValueSet(tables[t][c]);
-      std::copy(e.begin(), e.end(),
-                out->embeddings_.begin() + static_cast<std::ptrdiff_t>(
-                    (out->table_offsets_[t] + c) * out->dim_));
-    }
   });
   // Merge phase, serial in lake order: ids in first-seen order, then
   // renumbered in byte order.
@@ -83,6 +74,21 @@ std::shared_ptr<const LakeTokens> LakeTokens::Build(const DataLake& lake,
     out->token_offsets_.push_back(static_cast<uint32_t>(out->chars_.size()));
   }
   for (uint32_t& id : out->ids_) id = rank[id];
+  // Each distinct token embedded once, then each column's row summed from
+  // those vectors in first-occurrence order: every token is in the
+  // dictionary, so EmbedValueSet embeds nothing itself.
+  out->EmbedTokens(num_threads);
+  out->embeddings_.resize(out->num_columns() * out->dim_);
+  ForEachTableIndex(num_threads, n, [&](size_t t) {
+    for (size_t c = 0; c < tables[t].size(); ++c) {
+      const size_t col = out->table_offsets_[t] + c;
+      const Embedding e = ColumnEmbedder().EmbedValueSet(
+          tables[t][c], out->token_vectors_.data(), out->ColumnIds(col));
+      std::copy(e.begin(), e.end(),
+                out->embeddings_.begin() +
+                    static_cast<std::ptrdiff_t>(col * out->dim_));
+    }
+  });
   out->Derive();
   return out;
 }
@@ -147,8 +153,19 @@ Result<std::shared_ptr<const LakeTokens>> LakeTokens::FromParts(
       last[id] = col;
     }
   }
+  out->EmbedTokens(1);
   out->Derive();
   return std::shared_ptr<const LakeTokens>(std::move(out));
+}
+
+void LakeTokens::EmbedTokens(size_t num_threads) {
+  token_vectors_.resize(num_tokens() * dim_);
+  ForEachTableIndex(num_threads, num_tokens(), [&](size_t id) {
+    const Embedding e =
+        ColumnEmbedder().EmbedValue(token(static_cast<uint32_t>(id)));
+    std::copy(e.begin(), e.end(),
+              token_vectors_.begin() + static_cast<std::ptrdiff_t>(id * dim_));
+  });
 }
 
 void LakeTokens::Derive() {
@@ -178,6 +195,15 @@ void LakeTokens::Derive() {
       postings_[cursor[ids_of[i]]++] = col;
     }
   }
+  // Sorted ids by the reverse walk: tokens in id order, each appended to
+  // the columns of its postings.
+  sorted_ids_.resize(ids_.size());
+  cursor.assign(column_offsets_.begin(), column_offsets_.end() - 1);
+  for (uint32_t id = 0; id < num_tokens(); ++id) {
+    for (size_t i = 0; i < PostingCount(id); ++i) {
+      sorted_ids_[cursor[Postings(id)[i]]++] = id;
+    }
+  }
 }
 
 uint32_t LakeTokens::Find(std::string_view tok) const {
@@ -204,6 +230,19 @@ std::vector<uint32_t> LakeTokens::SortedIds(
   }
   std::sort(out.begin(), out.end());
   return out;
+}
+
+Embedding LakeTokens::EmbedColumn(const std::vector<std::string>& tokens,
+                                  std::vector<uint32_t>* ids,
+                                  uint64_t* embedded) const {
+  ids->clear();
+  for (const std::string& tok : tokens) ids->push_back(Find(tok));
+  if (embedded != nullptr) {
+    *embedded += static_cast<uint64_t>(
+        std::count(ids->begin(), ids->end(), kNoToken));
+  }
+  return ColumnEmbedder().EmbedValueSet(tokens, token_vectors_.data(),
+                                        ids->data());
 }
 
 size_t LakeTokens::Overlap(size_t col,

@@ -3,13 +3,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/status.h"
+#include "kb/embedding.h"
 #include "lake/data_lake.h"
 #include "table/table.h"
 
@@ -20,16 +20,17 @@ namespace dialite {
 /// everything vacuously.
 inline constexpr size_t kMinJoinDistinct = 2;
 
-/// "Not in the dictionary" (LakeTokens::Find).
-inline constexpr uint32_t kNoToken = std::numeric_limits<uint32_t>::max();
+/// "Not in the dictionary" (LakeTokens::Find). Equal to kNoValueRow, so
+/// Find's ids serve as EmbedValueSet's rows of the token vectors.
+inline constexpr uint32_t kNoToken = kNoValueRow;
 
 /// Every column's ColumnTokens, in order: the token sets of a query table.
 std::vector<std::vector<std::string>> TableTokens(const Table& table);
 
-/// One lake's token dictionary, column token sets and column embeddings:
-/// the substrate that TUS, JOSIE, COCOA and LSH Ensemble search, that
-/// keyword, Starmie and LSH Ensemble build from, and whose embeddings TUS,
-/// Starmie and ALITE read for lake columns.
+/// One lake's token dictionary, column token sets and embeddings: the
+/// substrate that TUS, JOSIE, COCOA and LSH Ensemble search, that keyword,
+/// Starmie and LSH Ensemble build from, and whose embeddings TUS, Starmie
+/// and ALITE read for lake columns and sum query and body columns from.
 ///
 /// Layout (flat, in the spirit of a doc-id / shingle-set / xref table):
 ///  - the dictionary: every distinct token of the lake, ids assigned in
@@ -43,16 +44,23 @@ std::vector<std::vector<std::string>> TableTokens(const Table& table);
 ///    its tokens in that order, as one row-major float matrix of dim()
 ///    floats per column, with each row's EmbeddingNorm derived on build
 ///    and on decode (not persisted);
-///  - token -> column postings, ascending, derived from the column sets on
-///    build and on decode (not persisted).
+///  - each token's value vector, ColumnEmbedder().EmbedValue of its
+///    string, as one row-major float matrix of dim() floats per token,
+///    derived on build (on the build's workers, before the column rows are
+///    summed from it) and on decode (not persisted);
+///  - token -> column postings, ascending, and each column's ids in
+///    ascending order, derived from the column sets on build and on decode
+///    (not persisted).
 ///
 /// Immutable once made; shared by every index built over one lake state
 /// (DataLake::tokens). Accessors return a pointer and a size rather than
 /// a span: views stay out of this layer's return types.
 class LakeTokens {
  public:
-  /// Tokenizes and embeds every column of `lake` on `num_threads` workers
-  /// (0 = hardware concurrency). The result is identical for every count.
+  /// Tokenizes every column of `lake`, embeds every distinct token and
+  /// sums every column's embedding from those vectors, on `num_threads`
+  /// workers (0 = hardware concurrency). The result is identical for every
+  /// count.
   static std::shared_ptr<const LakeTokens> Build(const DataLake& lake,
                                                  size_t num_threads);
 
@@ -98,6 +106,11 @@ class LakeTokens {
   const uint32_t* ColumnIds(size_t col) const {
     return ids_.data() + column_offsets_[col];
   }
+  /// The same ids in ascending order: the column's tokens sorted as
+  /// strings, since ids number the dictionary in byte order.
+  const uint32_t* SortedColumnIds(size_t col) const {
+    return sorted_ids_.data() + column_offsets_[col];
+  }
   size_t ColumnSize(size_t col) const {
     return column_offsets_[col + 1] - column_offsets_[col];
   }
@@ -124,6 +137,18 @@ class LakeTokens {
   }
   /// EmbeddingNorm of ColumnEmbedding(col).
   double ColumnNorm(size_t col) const { return norms_[col]; }
+  /// Token `id`'s value vector, dim() floats: exactly
+  /// ColumnEmbedder().EmbedValue(token(id)).
+  const float* TokenVector(uint32_t id) const {
+    return token_vectors_.data() + size_t{id} * dim_;
+  }
+  /// ColumnEmbedder().EmbedValueSet(tokens), bit for bit, summed from the
+  /// token vectors: only the tokens the dictionary lacks are embedded, and
+  /// their count is added to `*embedded` (when non-null). `*ids` receives
+  /// Find of each token, in order, kNoToken for those.
+  Embedding EmbedColumn(const std::vector<std::string>& tokens,
+                        std::vector<uint32_t>* ids,
+                        uint64_t* embedded) const;
 
   // ------------------------------------------------------------- postings
 
@@ -149,8 +174,11 @@ class LakeTokens {
  private:
   LakeTokens() = default;
 
-  /// Derives column_tables_ from table_offsets_, the postings from the
-  /// column sets, and the norms from the embeddings.
+  /// Derives the token vectors from the dictionary, on `num_threads`
+  /// workers.
+  void EmbedTokens(size_t num_threads);
+  /// Derives column_tables_ from table_offsets_, the postings and sorted
+  /// ids from the column sets, and the norms from the embeddings.
   void Derive();
 
   std::string chars_;
@@ -159,10 +187,12 @@ class LakeTokens {
   std::vector<uint32_t> ids_;
   size_t dim_ = 0;
   std::vector<float> embeddings_;
-  /// Derived: from the lake's widths, and by Derive().
+  /// Derived: from the lake's widths, and by EmbedTokens() and Derive().
   std::vector<uint32_t> table_offsets_;
   std::vector<TableId> column_tables_;
   std::vector<double> norms_;
+  std::vector<float> token_vectors_;
+  std::vector<uint32_t> sorted_ids_;
   std::vector<uint32_t> posting_offsets_;
   std::vector<uint32_t> postings_;
 };

@@ -440,13 +440,54 @@ TEST(SignatureResidencyTest, FacadeEqualsStandaloneMatcherOnEveryCall) {
           << "pass " << pass;
     }
     // Every pass, the first included, signs only the body (twice) and
-    // borrows every lake column from the lake's tokens.
+    // borrows every lake column from the lake's tokens. The body's values
+    // are lake values: none is embedded anew.
     const uint64_t signed_now = counter("align.signatures.computed") - computed;
     EXPECT_EQ(signed_now, 2 * body.num_columns()) << "pass " << pass;
+    EXPECT_EQ(counter("align.work.embedded_values"), 0u) << "pass " << pass;
     EXPECT_EQ(counter("align.signatures.reused") - reused,
               set_columns - signed_now)
         << "pass " << pass;
   }
+}
+
+TEST(SignatureResidencyTest, AllMissBodyEmbedsEveryValue) {
+  const SyntheticLakeGenerator::Output out = ResidencyLake();
+  const std::vector<const Table*> lake_tables = out.lake.tables();
+  Dialite dialite(&out.lake);
+  ASSERT_TRUE(dialite.RegisterDefaults().ok());
+  ObservabilityContext obs;
+  dialite.set_observability(&obs);
+  // A body whose every cell is a lake cell's text plus "~": no token of it
+  // is in the lake's dictionary, so each is embedded anew.
+  const Table& source = *lake_tables[4];
+  std::vector<ColumnDef> defs;
+  for (size_t c = 0; c < source.num_columns(); ++c) {
+    defs.push_back({source.schema().column(c).name, ValueType::kString});
+  }
+  Table body("body", Schema(std::move(defs)));
+  for (size_t r = 0; r < source.num_rows(); ++r) {
+    Row row = source.row(r);
+    for (Value& v : row) {
+      if (!v.is_null()) v = Value::String(v.ToCsvString() + "~");
+    }
+    ASSERT_TRUE(body.AddRow(std::move(row)).ok());
+  }
+  std::shared_ptr<const LakeTokens> tokens = out.lake.tokens();
+  size_t values = 0;
+  for (size_t c = 0; c < body.num_columns(); ++c) {
+    for (const std::string& tok : ColumnTokens(body.column(c))) {
+      ASSERT_EQ(tokens->Find(tok), kNoToken) << tok;
+      ++values;
+    }
+  }
+  ASSERT_GT(values, 0u);
+  const std::vector<const Table*> set = {&body, lake_tables[5],
+                                         lake_tables[6]};
+  EXPECT_EQ(FacadeRender(dialite, set), StandaloneRender(set));
+  EXPECT_EQ(obs.metrics().CounterValue("align.work.embedded_values"), values);
+  EXPECT_EQ(obs.metrics().CounterValue("align.signatures.computed"),
+            body.num_columns());
 }
 
 TEST(SignatureResidencyTest, BodyNamedLikeALakeTableIsSignedFresh) {

@@ -1,25 +1,33 @@
-/// Tests for LakeTokens: the dictionary, column token sets and column
-/// embeddings every token search and embedding reader shares, their
-/// once-per-lake build under concurrency, the AddTable reset, and the
-/// "lake.tokens" snapshot decode.
+/// Tests for LakeTokens: the dictionary, column token sets, column
+/// embeddings and token vectors every token search and embedding reader
+/// shares, their once-per-lake build under concurrency, the AddTable reset,
+/// the "lake.tokens" snapshot decode, and the query and body columns that
+/// TUS, Starmie and ALITE sum from the token vectors.
 
 #include "lake/lake_tokens.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "align/alite_matcher.h"
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/dialite.h"
 #include "discovery/josie.h"
+#include "discovery/starmie.h"
+#include "discovery/tus.h"
 #include "kb/embedding.h"
 #include "lake/data_lake.h"
 #include "lake/lake_generator.h"
 #include "lake/paper_fixtures.h"
+#include "obs/observability.h"
 #include "snapshot/bytes.h"
 #include "snapshot/lake_codec.h"
 
@@ -148,11 +156,11 @@ TEST(LakeTokensTest, BuildIndexesBuildsOnce) {
   ASSERT_TRUE(dialite.RegisterDefaults().ok());
   dialite.set_num_threads(4);
   ASSERT_TRUE(dialite.BuildIndexes().ok());
-  // The algorithms built concurrently; the four that keep the tokens
-  // (JOSIE, COCOA, LSH Ensemble, TUS) all hold the lake's one copy, next
-  // to the lake itself and this test's reference.
+  // The algorithms built concurrently; the five that keep the tokens
+  // (JOSIE, COCOA, LSH Ensemble, TUS, Starmie) all hold the lake's one
+  // copy, next to the lake itself and this test's reference.
   std::shared_ptr<const LakeTokens> tokens = lake.tokens();
-  EXPECT_EQ(tokens.use_count(), 6);
+  EXPECT_EQ(tokens.use_count(), 7);
   ASSERT_TRUE(dialite.BuildIndexes().ok());
   EXPECT_EQ(lake.tokens().get(), tokens.get());
 }
@@ -184,17 +192,27 @@ Result<std::shared_ptr<const LakeTokens>> Decoded(const BinaryWriter& payload,
   return ReadLakeTokens(bytes, lake);
 }
 
+/// The lake's tokens built at 1 and 4 threads and decoded from a payload.
+std::vector<std::shared_ptr<const LakeTokens>> BuiltAndDecoded(
+    const DataLake& lake) {
+  std::shared_ptr<const LakeTokens> one = LakeTokens::Build(lake, 1);
+  BinaryWriter payload;
+  WriteLakeTokens(*one, &payload);
+  Result<std::shared_ptr<const LakeTokens>> decoded = Decoded(payload, lake);
+  EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
+  std::vector<std::shared_ptr<const LakeTokens>> out = {
+      one, LakeTokens::Build(lake, 4)};
+  if (decoded.ok()) out.push_back(*decoded);
+  return out;
+}
+
 TEST(LakeTokensTest, EmbeddingsEqualColumnTokensEmbedding) {
   const HashEmbedder& embedder = ColumnEmbedder();
   for (uint64_t seed : {1u, 4u}) {
     DataLake lake = MakeLake(seed);
-    std::shared_ptr<const LakeTokens> one = LakeTokens::Build(lake, 1);
-    BinaryWriter payload;
-    WriteLakeTokens(*one, &payload);
-    Result<std::shared_ptr<const LakeTokens>> decoded = Decoded(payload, lake);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    const std::shared_ptr<const LakeTokens> variants[] = {
-        one, LakeTokens::Build(lake, 4), *decoded};
+    const std::vector<std::shared_ptr<const LakeTokens>> variants =
+        BuiltAndDecoded(lake);
+    ASSERT_EQ(variants.size(), 3u);
     for (const std::shared_ptr<const LakeTokens>& tokens : variants) {
       ASSERT_EQ(tokens->dim(), embedder.dim());
       for (TableId t = 0; t < lake.size(); ++t) {
@@ -215,6 +233,271 @@ TEST(LakeTokensTest, EmbeddingsEqualColumnTokensEmbedding) {
       }
     }
   }
+}
+
+TEST(LakeTokensTest, TokenVectorsEqualEmbedValue) {
+  const HashEmbedder& embedder = ColumnEmbedder();
+  for (uint64_t seed : {1u, 4u}) {
+    DataLake lake = MakeLake(seed);
+    for (const std::shared_ptr<const LakeTokens>& tokens :
+         BuiltAndDecoded(lake)) {
+      ASSERT_GT(tokens->num_tokens(), 0u);
+      for (uint32_t id = 0; id < tokens->num_tokens(); ++id) {
+        const Embedding expected = embedder.EmbedValue(tokens->token(id));
+        // Bit for bit: memcmp, so -0.0 and 0.0 differ too.
+        EXPECT_EQ(std::memcmp(tokens->TokenVector(id), expected.data(),
+                              expected.size() * sizeof(float)),
+                  0)
+            << "seed " << seed << " token " << tokens->token(id);
+      }
+    }
+  }
+}
+
+TEST(LakeTokensTest, SortedColumnIdsAreTheColumnIdsAscending) {
+  DataLake lake = MakeLake(4);
+  for (const std::shared_ptr<const LakeTokens>& tokens :
+       BuiltAndDecoded(lake)) {
+    for (size_t col = 0; col < tokens->num_columns(); ++col) {
+      std::vector<uint32_t> expected(
+          tokens->ColumnIds(col),
+          tokens->ColumnIds(col) + tokens->ColumnSize(col));
+      std::sort(expected.begin(), expected.end());
+      const std::vector<uint32_t> got(
+          tokens->SortedColumnIds(col),
+          tokens->SortedColumnIds(col) + tokens->ColumnSize(col));
+      EXPECT_EQ(got, expected) << "column " << col;
+    }
+  }
+}
+
+/// A servebench-shaped query of `t`: a seeded random sample of at least
+/// half its rows, in row order, every column kept.
+Table SampledRows(const Table& t, Rng* rng) {
+  const size_t keep = static_cast<size_t>(
+      rng->NextInt(static_cast<int64_t>((t.num_rows() + 1) / 2),
+                   static_cast<int64_t>(t.num_rows())));
+  std::vector<size_t> rows = rng->SampleIndices(t.num_rows(), keep);
+  std::sort(rows.begin(), rows.end());
+  Table out("query", t.schema());
+  for (size_t r : rows) EXPECT_TRUE(out.AddRow(t.row(r)).ok());
+  return out;
+}
+
+/// `t` under `name` with every non-null cell of the columns `perturb`
+/// selects replaced by the string of its CSV text and "~": lake tokens
+/// never end in "~", so those cells' tokens all miss the dictionary.
+template <typename Pred>
+Table Perturbed(const Table& t, const std::string& name, Pred perturb) {
+  std::vector<ColumnDef> defs;
+  for (size_t c = 0; c < t.num_columns(); ++c) {
+    defs.push_back(t.schema().column(c));
+    if (perturb(c)) defs.back().type = ValueType::kString;
+  }
+  Table out(name, Schema(std::move(defs)));
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    Row row = t.row(r);
+    for (size_t c = 0; c < row.size(); ++c) {
+      if (perturb(c) && !row[c].is_null()) {
+        row[c] = Value::String(row[c].ToCsvString() + "~");
+      }
+    }
+    EXPECT_TRUE(out.AddRow(std::move(row)).ok());
+  }
+  return out;
+}
+
+Table AllPerturbed(const Table& t, const std::string& name) {
+  return Perturbed(t, name, [](size_t) { return true; });
+}
+
+/// Checks EmbedColumn against EmbedValueSet, bit for bit, on `tokens`, and
+/// that it reports `misses` tokens absent and their ids as kNoToken.
+void ExpectTokenPathEqualsEmbedValueSet(const LakeTokens& lake_tokens,
+                                        const std::vector<std::string>& tokens,
+                                        size_t misses,
+                                        const std::string& what) {
+  std::vector<uint32_t> ids;
+  uint64_t embedded = 0;
+  const Embedding got = lake_tokens.EmbedColumn(tokens, &ids, &embedded);
+  const Embedding expected = ColumnEmbedder().EmbedValueSet(tokens);
+  ASSERT_EQ(got.size(), expected.size()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), expected.data(),
+                        expected.size() * sizeof(float)),
+            0)
+      << what;
+  EXPECT_EQ(embedded, misses) << what;
+  ASSERT_EQ(ids.size(), tokens.size()) << what;
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    EXPECT_EQ(ids[i], lake_tokens.Find(tokens[i])) << what << " " << tokens[i];
+  }
+}
+
+TEST(LakeTokensTest, EmbedColumnEqualsEmbedValueSet) {
+  for (uint64_t seed : {1u, 4u}) {
+    DataLake lake = MakeLake(seed);
+    std::shared_ptr<const LakeTokens> tokens = lake.tokens();
+    Rng rng(seed);
+    for (TableId t = 0; t < lake.size(); ++t) {
+      const Table& table = lake.table(t);
+      const Table sample = SampledRows(table, &rng);
+      // Every other column perturbed: some tokens hit, some miss.
+      const Table half = Perturbed(table, "half",
+                                   [](size_t c) { return c % 2 == 1; });
+      const Table all = AllPerturbed(table, "all");
+      for (size_t c = 0; c < table.num_columns(); ++c) {
+        const std::string what = "seed " + std::to_string(seed) + " " +
+                                 table.name() + " column " +
+                                 std::to_string(c);
+        ExpectTokenPathEqualsEmbedValueSet(
+            *tokens, ColumnTokens(table.column(c)), 0, what + " lake");
+        ExpectTokenPathEqualsEmbedValueSet(
+            *tokens, ColumnTokens(sample.column(c)), 0, what + " sampled");
+        const std::vector<std::string> missed = ColumnTokens(all.column(c));
+        ExpectTokenPathEqualsEmbedValueSet(*tokens, missed, missed.size(),
+                                           what + " all absent");
+        const std::vector<std::string> half_tokens =
+            ColumnTokens(half.column(c));
+        ExpectTokenPathEqualsEmbedValueSet(
+            *tokens, half_tokens, c % 2 == 1 ? half_tokens.size() : 0,
+            what + " half absent");
+      }
+      // One column of hits and misses interleaved.
+      if (table.num_columns() > 0) {
+        std::vector<std::string> mixed;
+        for (const std::string& tok : ColumnTokens(table.column(0))) {
+          mixed.push_back(tok);
+          mixed.push_back(tok + "~");
+        }
+        ExpectTokenPathEqualsEmbedValueSet(*tokens, mixed, mixed.size() / 2,
+                                           table.name() + " interleaved");
+      }
+    }
+    ExpectTokenPathEqualsEmbedValueSet(*tokens, {}, 0, "empty list");
+  }
+}
+
+/// FNV-1a 64 of `text`.
+uint64_t Fnv1a(const std::string& text) {
+  uint64_t h = 14695981039346656037ull;
+  for (unsigned char ch : text) {
+    h ^= ch;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// A query table and its intent column.
+struct MissQuery {
+  Table table;
+  size_t intent = 0;
+};
+
+/// Queries whose tokens all miss the lake's dictionary: every third lake
+/// table, every cell perturbed, queried on its first text column.
+std::vector<MissQuery> MissQueries(const DataLake& lake) {
+  std::vector<MissQuery> out;
+  for (TableId t = 0; t < lake.size(); t += 3) {
+    const Table& source = lake.table(t);
+    size_t intent = 0;
+    for (size_t c = source.num_columns(); c-- > 0;) {
+      if (source.schema().column(c).type == ValueType::kString) intent = c;
+    }
+    out.push_back({AllPerturbed(source, "query"), intent});
+  }
+  return out;
+}
+
+/// The FNV-1a of `algo`'s ranked hits (k = 10) for every query: names and
+/// %.17g scores, in rank order. Adds the number of hits to `*num_hits`.
+uint64_t MissDigest(const DiscoveryAlgorithm& algo,
+                    const std::vector<MissQuery>& queries, size_t* num_hits) {
+  std::string text;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const DiscoveryQuery q{&queries[i].table, queries[i].intent, 10};
+    auto hits = algo.Search(q);
+    EXPECT_TRUE(hits.ok()) << algo.name() << ": " << hits.status().ToString();
+    if (!hits.ok()) continue;
+    *num_hits += hits->size();
+    text += "#" + std::to_string(i);
+    for (const DiscoveryHit& h : *hits) {
+      char score[32];
+      std::snprintf(score, sizeof(score), "%.17g", h.score);
+      text += " " + h.table_name + "=" + score;
+    }
+  }
+  return Fnv1a(text);
+}
+
+// TUS and Starmie answers to queries that share no token with the lake, so
+// every query value is embedded anew; the digests were recorded
+// before query columns were summed from the lake's token vectors.
+TEST(PinnedMissAnswersTest, AllMissQueriesKeepRecordedDigests) {
+  std::vector<std::pair<std::string, uint64_t>> got;
+  for (uint64_t seed : {1u, 4u}) {
+    DataLake lake = MakeLake(seed);
+    const std::vector<MissQuery> queries = MissQueries(lake);
+    std::shared_ptr<const LakeTokens> tokens = lake.tokens();
+    size_t values = 0;
+    for (const MissQuery& q : queries) {
+      for (const std::vector<std::string>& col : TableTokens(q.table)) {
+        for (const std::string& tok : col) {
+          ASSERT_EQ(tokens->Find(tok), kNoToken) << tok;
+        }
+        values += col.size();
+      }
+    }
+    ObservabilityContext obs;
+    TusSearch tus;
+    StarmieSearch starmie;
+    for (DiscoveryAlgorithm* algo :
+         std::initializer_list<DiscoveryAlgorithm*>{&tus, &starmie}) {
+      ASSERT_TRUE(algo->BuildIndex(lake).ok());
+      algo->set_observability(&obs);
+      size_t num_hits = 0;
+      got.emplace_back("seed " + std::to_string(seed) + " " + algo->name(),
+                       MissDigest(*algo, queries, &num_hits));
+      // Perturbed values still embed near their originals: most queries
+      // find unionable tables.
+      EXPECT_GT(num_hits, 5 * queries.size()) << algo->name();
+      // Each search embeds every query value once.
+      EXPECT_EQ(obs.metrics().CounterValue("discover." + algo->name() +
+                                           ".work.embedded_values"),
+                values)
+          << algo->name();
+    }
+  }
+  const std::vector<std::pair<std::string, uint64_t>> recorded = {
+      {"seed 1 tus", 0x69ff78602ce733b2ull},
+      {"seed 1 starmie", 0xb19f005b92431f05ull},
+      {"seed 4 tus", 0xdded6de35cc0099aull},
+      {"seed 4 starmie", 0x9521b7ce4caa276bull},
+  };
+  EXPECT_EQ(got, recorded);
+}
+
+TEST(LakeTokensTest, AlignWithoutALakeTableLeavesTokensUnbuilt) {
+  DataLake lake = MakeLake(1);
+  AliteMatcher matcher;
+  matcher.set_lake(&lake);
+  ObservabilityContext obs;
+  matcher.set_observability(&obs);
+  // Copies of lake tables are not lake tables: the set holds none.
+  const Table a = AllPerturbed(lake.table(0), "a");
+  const Table b = AllPerturbed(lake.table(1), "b");
+  ASSERT_TRUE(matcher.Align({&a, &b}).ok());
+  EXPECT_FALSE(lake.tokens_built());
+  // Without a lake table there is no dictionary: every value is embedded.
+  size_t values = 0;
+  for (const Table* t : {&a, &b}) {
+    for (const std::vector<std::string>& col : TableTokens(*t)) {
+      values += col.size();
+    }
+  }
+  EXPECT_EQ(obs.metrics().CounterValue("align.work.embedded_values"), values);
+  // One lake table in the set takes the lake's tokens.
+  ASSERT_TRUE(matcher.Align({&a, &lake.table(1)}).ok());
+  EXPECT_TRUE(lake.tokens_built());
 }
 
 // ------------------------------------------------------------ decode

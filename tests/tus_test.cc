@@ -49,8 +49,14 @@ TEST(TusUnionabilityTest, SetMeasureDominatesOnOverlap) {
     (void)b.AddRow({Value::String("zq_v" + std::to_string(i))});
   }
   // Identical made-up values: set measure gives 1.0 even with no KB types.
-  EXPECT_TRUE(TusSearch().ProfileColumn(a, 0).types.empty());
   EXPECT_DOUBLE_EQ(SearchedUnionability(a, b), 1.0);
+  // No KB types: against other made-up values, which share no token, the
+  // table is no candidate at all (a shared type would make it one).
+  Table other("other", Schema::FromNames({"c"}));
+  for (int i = 0; i < 10; ++i) {
+    (void)other.AddRow({Value::String("zq_w" + std::to_string(i))});
+  }
+  EXPECT_EQ(SearchedUnionability(a, other), 0.0);
 }
 
 TEST(TusUnionabilityTest, SemanticMeasureCarriesDisjointValues) {
