@@ -18,17 +18,26 @@
 ///   - `config` and `deterministic`/`deterministic_text` values must match
 ///     exactly — they identify the workload and the counters that may not
 ///     drift at all (pruning accounting, result digests).
+///   - `deterministic_text.build_type`, which every report carries, is the
+///     CMake build type the bench was compiled in. Timings and ratios
+///     depend on it, so a report from another build type is refused.
 ///   - `timings_us` compares with a loose catastrophic-only tolerance
 ///     (wall clocks differ across machines); `ratios` carry the
 ///     machine-portable performance signal (same-run time ratios) and
 ///     compare with a tight relative tolerance.
+#ifndef DIALITE_BUILD_TYPE
+#define DIALITE_BUILD_TYPE "unknown"
+#endif
+
 namespace benchjson {
 
 struct BenchReport {
   std::string bench;                                ///< e.g. "discovery"
   std::map<std::string, uint64_t> config;           ///< workload identity
   std::map<std::string, uint64_t> deterministic;    ///< exact-match counters
-  std::map<std::string, std::string> deterministic_text;  ///< exact-match text
+  /// Exact-match text, starting with the build type.
+  std::map<std::string, std::string> deterministic_text = {
+      {"build_type", DIALITE_BUILD_TYPE}};
   std::map<std::string, double> timings_us;         ///< loose (cross-machine)
   std::map<std::string, double> ratios;             ///< tight (same-run)
   /// One-sided acceptance floors: the committed baseline holds the minimum

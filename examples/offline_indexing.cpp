@@ -2,12 +2,15 @@
 /// used in SANTOS and LSH Ensemble are built offline, i.e., they are
 /// already available for the user to use."
 ///
-/// First run: BuildIndexes(cache_dir) builds everything and persists the
-/// SANTOS/JOSIE indexes. Second run (fresh Dialite on the same lake):
-/// BuildIndexes(cache_dir) loads them from disk instead — and answers
-/// identically. Timings are printed so the saving is visible.
+/// Session 1 builds every stock index over a generated lake and saves the
+/// whole system as one snapshot. Session 2 opens that snapshot: the lake's
+/// tables come back zero-copy, the indexes that are costly to derive
+/// (SANTOS, TUS, keyword) load from their sections, and the others (JOSIE,
+/// COCOA, Starmie, LSH Ensemble) are derived from the lake's persisted
+/// token dictionary. Both sessions must answer every algorithm's query
+/// identically; the timings show what the snapshot saves.
 ///
-///   ./offline_indexing [cache-dir]   (default: ./dialite_index_cache)
+///   ./offline_indexing [snapshot-path]   (default: ./offline_indexing.snap)
 
 #include <chrono>
 #include <cstdio>
@@ -15,21 +18,10 @@
 #include <string>
 
 #include "core/dialite.h"
-#include "discovery/josie.h"
-#include "discovery/santos.h"
 #include "lake/lake_generator.h"
+#include "obs/observability.h"
 
 namespace {
-
-/// Registers only the PERSISTENT algorithms so the cache effect is
-/// visible (RegisterDefaults would add Starmie/TUS, whose in-memory builds
-/// dominate and are rebuilt either way).
-dialite::Status RegisterPersistent(dialite::Dialite* d) {
-  using namespace dialite;
-  DIALITE_RETURN_IF_ERROR(d->RegisterDiscovery(std::make_unique<SantosSearch>()));
-  DIALITE_RETURN_IF_ERROR(d->RegisterDiscovery(std::make_unique<JosieSearch>()));
-  return Status::OK();
-}
 
 double MillisSince(
     const std::chrono::steady_clock::time_point& start) {
@@ -42,9 +34,8 @@ double MillisSince(
 
 int main(int argc, char** argv) {
   using namespace dialite;
-  std::string cache_dir =
-      argc > 1 ? argv[1] : std::string("./dialite_index_cache");
-  std::filesystem::create_directories(cache_dir);
+  const std::string path =
+      argc > 1 ? argv[1] : std::string("./offline_indexing.snap");
 
   LakeGeneratorParams params;
   params.fragments_per_domain = 8;
@@ -55,42 +46,56 @@ int main(int argc, char** argv) {
 
   const Table* query = out.lake.Get("world_cities_frag0");
   if (query == nullptr) return 1;
-  DiscoveryQuery dq{query, 0, 5};
 
-  // ---- session 1: cold build (+ persist).
+  // ---- session 1: the offline pass, then one snapshot of the result.
   auto t0 = std::chrono::steady_clock::now();
-  Dialite cold(&out.lake);
-  if (!RegisterPersistent(&cold).ok()) return 1;
-  if (Status s = cold.BuildIndexes(cache_dir); !s.ok()) {
+  Dialite built(&out.lake);
+  if (Status s = built.RegisterDefaults(); !s.ok()) return 1;
+  if (Status s = built.BuildIndexes(); !s.ok()) {
     std::printf("build failed: %s\n", s.ToString().c_str());
     return 1;
   }
-  double cold_ms = MillisSince(t0);
-  auto h1 = cold.Discover(dq, "santos");
-  if (!h1.ok()) return 1;
-
-  // ---- session 2: warm start from the cache.
+  const double build_ms = MillisSince(t0);
   auto t1 = std::chrono::steady_clock::now();
-  Dialite warm(&out.lake);
-  if (!RegisterPersistent(&warm).ok()) return 1;
-  if (Status s = warm.BuildIndexes(cache_dir); !s.ok()) {
-    std::printf("warm build failed: %s\n", s.ToString().c_str());
+  if (Status s = built.SaveSnapshot(path); !s.ok()) {
+    std::printf("save failed: %s\n", s.ToString().c_str());
     return 1;
   }
-  double warm_ms = MillisSince(t1);
-  auto h2 = warm.Discover(dq, "santos");
+  const double save_ms = MillisSince(t1);
+  auto h1 = built.DiscoverAll(DiscoveryQuery{query, 0, 5});
+  if (!h1.ok()) return 1;
+
+  // ---- session 2: open the snapshot instead of re-running the pass.
+  ObservabilityContext obs;
+  auto t2 = std::chrono::steady_clock::now();
+  Result<SnapshotSystem> opened = Dialite::OpenSnapshot(path, &obs);
+  if (!opened.ok()) {
+    std::printf("open failed: %s\n", opened.status().ToString().c_str());
+    return 1;
+  }
+  const double open_ms = MillisSince(t2);
+  const Table* opened_query = opened->lake->Get("world_cities_frag0");
+  if (opened_query == nullptr) return 1;
+  auto h2 = opened->dialite->DiscoverAll(DiscoveryQuery{opened_query, 0, 5});
   if (!h2.ok()) return 1;
 
-  std::printf("cold BuildIndexes (build + save): %.1f ms\n", cold_ms);
-  std::printf("warm BuildIndexes (SANTOS/JOSIE loaded from %s): %.1f ms\n",
-              cache_dir.c_str(), warm_ms);
+  std::printf("session 1: BuildIndexes %.1f ms, SaveSnapshot %.1f ms "
+              "(%llu bytes)\n",
+              build_ms, save_ms,
+              static_cast<unsigned long long>(
+                  std::filesystem::file_size(path)));
+  std::printf("session 2: OpenSnapshot %.1f ms (%llu indexes loaded, "
+              "%llu derived from the lake's tokens)\n",
+              open_ms,
+              static_cast<unsigned long long>(
+                  obs.metrics().CounterValue("snapshot.indexes_loaded")),
+              static_cast<unsigned long long>(
+                  obs.metrics().CounterValue("snapshot.indexes_rebuilt")));
 
-  bool same = h1->size() == h2->size();
-  for (size_t i = 0; same && i < h1->size(); ++i) {
-    same = (*h1)[i].table_name == (*h2)[i].table_name;
-  }
-  std::printf("identical SANTOS answers cold vs warm: %s\n",
-              same ? "yes" : "NO (bug!)");
-  std::filesystem::remove_all(cache_dir);
+  const bool same = *h1 == *h2;
+  std::printf("identical answers from all %zu algorithms, built vs opened: "
+              "%s\n",
+              h1->size(), same ? "yes" : "NO (bug!)");
+  std::filesystem::remove(path);
   return same ? 0 : 1;
 }

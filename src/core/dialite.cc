@@ -181,7 +181,7 @@ std::vector<std::string> Dialite::Analyses() const {
   return out;
 }
 
-Status Dialite::BuildIndexes(const std::string& cache_dir) {
+Status Dialite::BuildIndexes() {
   ObsSpan build_span(obs_, "pipeline.build_indexes");
   std::vector<DiscoveryAlgorithm*> algos;
   algos.reserve(discovery_.size());
@@ -201,16 +201,6 @@ Status Dialite::BuildIndexes(const std::string& cache_dir) {
   auto build_one = [&](DiscoveryAlgorithm* algo) -> Status {
     // On worker threads this span surfaces as its own root — by design.
     ObsSpan span(obs_, "build." + algo->name());
-    auto* persistent = dynamic_cast<PersistentIndex*>(algo);
-    if (persistent != nullptr && !cache_dir.empty()) {
-      std::string path = cache_dir + "/" + algo->name() + ".idx";
-      if (persistent->LoadIndex(path, *lake_).ok()) return Status::OK();
-      DIALITE_RETURN_IF_ERROR(algo->BuildIndex(*lake_));
-      // Best effort: an unwritable cache must not fail the pipeline.
-      Status save = persistent->SaveIndex(path);
-      (void)save;
-      return Status::OK();
-    }
     return algo->BuildIndex(*lake_);
   };
 
@@ -271,8 +261,8 @@ Status Dialite::LoadIndexesFrom(const SnapshotReader& reader) {
       }
       ObsAdd(obs_, "snapshot.indexes_loaded");
     } else {
-      // Algorithms the snapshot predates (or custom registrations) fall
-      // back to the offline build over the restored lake.
+      // Algorithms that persist nothing (and custom registrations) build
+      // over the restored lake and its decoded tokens.
       ObsSpan span(obs_, "snapshot.rebuild." + name);
       DIALITE_RETURN_IF_ERROR(algo->BuildIndex(*lake_));
       ObsAdd(obs_, "snapshot.indexes_rebuilt");

@@ -148,34 +148,33 @@ class Dialite {
   /// Algorithms build concurrently (see set_num_threads) and share the
   /// lake's LakeTokens, so each table is tokenized and embedded once, not
   /// once per algorithm: a parallel build makes them first, on every
-  /// worker, then fans the algorithms out.
-  ///
-  /// With a non-empty `cache_dir`, algorithms implementing PersistentIndex
-  /// first try to load "<cache_dir>/<name>.idx"; on a miss (or a stale/
-  /// unreadable file) they build and then save it — so the second session
-  /// on the same lake skips the expensive offline pass. The load-or-build
-  /// decision stays per-algorithm under parallel builds.
-  Status BuildIndexes(const std::string& cache_dir = "");
+  /// worker, then fans the algorithms out. SaveSnapshot persists the
+  /// result; OpenSnapshot is the later session that skips this pass.
+  Status BuildIndexes();
 
   // ----------------------------------------------------------- snapshots
 
   /// Persists the whole system state into one versioned, checksummed
-  /// snapshot container at `path`: every lake table (columnar, mmap-ready),
-  /// the lake's tokens ("lake.tokens") and every registered PersistentIndex
-  /// (as "idx.<name>" sections). Requires BuildIndexes(). A later
-  /// OpenSnapshot restores all of it without re-reading CSVs or
-  /// re-running the offline pass.
+  /// snapshot container at `path`, the one on-disk form of a built lake:
+  /// every lake table (columnar, mmap-ready), the lake's tokens
+  /// ("lake.tokens": the dictionary and each column's token ids) and every
+  /// registered PersistentIndex — the indexes costly to derive (SANTOS,
+  /// TUS, keyword) — as "idx.<name>" sections. Requires BuildIndexes(). A
+  /// later OpenSnapshot restores all of it without re-reading CSVs or
+  /// re-running the costly part of the offline pass.
   Status SaveSnapshot(const std::string& path) const;
 
   /// Opens a SaveSnapshot file: memory-maps the container, reconstructs
   /// the lake zero-copy (column lanes are borrowed spans into the
-  /// mapping), registers the stock components, and restores each
+  /// mapping) and its tokens (the column embeddings re-summed from the
+  /// token vectors), registers the stock components, and restores each
   /// algorithm's index from its snapshot section — algorithms without a
-  /// section (JOSIE, COCOA and Starmie, which derive theirs from the lake's
-  /// tokens and embeddings) rebuild from the lake (snapshot.indexes_loaded /
-  /// snapshot.indexes_rebuilt count the two paths). The returned system is
-  /// ready to Search/Run; corrupt or version-skewed files fail with a
-  /// clean Status.
+  /// section (JOSIE, COCOA, Starmie and LSH Ensemble, which derive theirs
+  /// from the lake's tokens) run BuildIndex over the opened lake
+  /// (snapshot.indexes_loaded / snapshot.indexes_rebuilt count the two
+  /// paths: 3 / 4 with the stock set). The returned system is ready to
+  /// Search/Run; corrupt or version-skewed files fail with a clean
+  /// Status.
   static Result<SnapshotSystem> OpenSnapshot(
       const std::string& path, ObservabilityContext* obs = nullptr);
 
@@ -247,8 +246,9 @@ class Dialite {
       const DiscoveryQuery& query, const std::vector<std::string>& algorithms,
       size_t num_threads) const;
 
-  /// Restores every registered algorithm from `reader`'s "idx.<name>"
-  /// sections (BuildIndex fallback for missing ones); OpenSnapshot's tail.
+  /// Restores every registered PersistentIndex from `reader`'s
+  /// "idx.<name>" section and builds every other algorithm (and any whose
+  /// section is missing) over the lake; OpenSnapshot's tail.
   Status LoadIndexesFrom(const SnapshotReader& reader);
 
   const DataLake* lake_;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "snapshot/bytes.h"
-
 namespace dialite {
 
 Result<double> DiscoveryAlgorithm::ScoreUpperBound(
@@ -14,29 +12,6 @@ Result<double> DiscoveryAlgorithm::ScoreUpperBound(
   // Trivially admissible: every finite score is <= +infinity. Algorithms
   // without cascade wiring inherit this and gain no pruning power.
   return std::numeric_limits<double>::infinity();
-}
-
-void WriteLakeColumn(const DataLake& lake, const LakeColumn& col,
-                     BinaryWriter* w) {
-  w->Str(lake.table_names()[col.table]);
-  w->U64(col.column);
-}
-
-Status ReadLakeColumn(BinaryReader* r, const DataLake& lake, LakeColumn* out) {
-  std::string table;
-  DIALITE_RETURN_IF_ERROR(r->Str(&table));
-  uint64_t column = 0;
-  DIALITE_RETURN_IF_ERROR(r->U64(&column));
-  const TableId t = lake.IdOf(table);
-  if (t == kNoTable) {
-    return Status::NotFound("indexed table '" + table + "' missing from lake");
-  }
-  if (column >= lake.table(t).num_columns()) {
-    return Status::ParseError("indexed column " + std::to_string(column) +
-                              " is past the width of table '" + table + "'");
-  }
-  *out = {t, static_cast<uint32_t>(column)};
-  return Status::OK();
 }
 
 TableColumns::TableColumns(const std::vector<LakeColumn>& columns,

@@ -72,8 +72,9 @@ enum class SearchMode {
 /// index is identical for every thread count. Column token sets come from
 /// the lake's LakeTokens (DataLake::tokens), built once per lake state and
 /// shared by every index: JOSIE and COCOA search its postings directly,
-/// TUS and LSH Ensemble verify against its id sets, and keyword, Starmie
-/// and LSH Ensemble read their build inputs from its dictionary.
+/// TUS and LSH Ensemble verify against its id sets, keyword and Starmie
+/// read their build inputs from its dictionary, and LSH Ensemble sketches
+/// its columns from their ids.
 class DiscoveryAlgorithm {
  public:
   virtual ~DiscoveryAlgorithm() = default;
@@ -128,21 +129,19 @@ class DiscoveryAlgorithm {
 class BinaryReader;
 class BinaryWriter;
 
-/// Optional capability: discovery algorithms whose offline index can be
-/// persisted and restored without re-scanning the lake (the paper's
-/// "indexes ... built offline, already available"). Implemented by the
-/// five stock algorithms that keep index state of their own (SANTOS, LSH
-/// Ensemble, Starmie, TUS, keyword); the Dialite facade uses it both for
-/// its index cache directory and for the "idx.<name>" sections of a lake
-/// snapshot. JOSIE and COCOA persist nothing: their index is the lake's
-/// LakeTokens (the snapshot's "lake.tokens" section) plus arrays their
-/// BuildIndex derives from it.
+/// Optional capability: discovery algorithms whose offline index is costly
+/// to derive, so a lake snapshot persists it (the paper's "indexes ...
+/// built offline, already available") as an "idx.<name>" section.
+/// Implemented by SANTOS, TUS and keyword, whose builds annotate or weigh
+/// every lake table. The other stock algorithms persist nothing: their
+/// index is the lake's LakeTokens (the snapshot's "lake.tokens" section)
+/// plus what their BuildIndex derives from it, so an open rebuilds them.
 ///
 /// Implementations serialize only primary index state into the payload and
-/// rebuild derived structures (dense id arrays, bound profiles, banding
-/// tables) deterministically on load, through the same code paths
-/// BuildIndex uses — so save -> load -> save is byte-identical and a loaded
-/// index answers every query exactly like a freshly built one.
+/// rebuild derived structures (dense id arrays, bound profiles) on load,
+/// through the same code paths BuildIndex uses — so save -> load -> save is
+/// byte-identical and a loaded index answers every query exactly like a
+/// freshly built one.
 class PersistentIndex {
  public:
   virtual ~PersistentIndex() = default;
@@ -153,17 +152,9 @@ class PersistentIndex {
 
   /// Restores the index from a payload produced by SavePayload; `lake`
   /// must contain every indexed table (kNotFound otherwise). Malformed
-  /// payloads fail with kParseError.
+  /// payloads, a table listed twice included, fail with kParseError, and
+  /// a failed load leaves the index as it was.
   virtual Status LoadPayload(BinaryReader* r, const DataLake& lake) = 0;
-
-  /// Writes the payload wrapped in a single-section snapshot container
-  /// (checksummed, versioned) to `path`.
-  Status SaveIndex(const std::string& path) const;
-
-  /// Restores the index from a SaveIndex file. Stale files in older
-  /// formats (including the removed line-oriented text format) fail with
-  /// kParseError, which the facade's cache flow treats as a rebuild.
-  Status LoadIndex(const std::string& path, const DataLake& lake);
 };
 
 /// One lake column as an index lists it: its table's lake id and its index
@@ -172,15 +163,6 @@ struct LakeColumn {
   TableId table = 0;
   uint32_t column = 0;
 };
-
-/// Payload form of a LakeColumn: its table's name in `lake`, then the
-/// column index.
-void WriteLakeColumn(const DataLake& lake, const LakeColumn& col,
-                     BinaryWriter* w);
-
-/// Reads what WriteLakeColumn wrote: kNotFound when `lake` lacks the table,
-/// kParseError when the column is past the table's width.
-Status ReadLakeColumn(BinaryReader* r, const DataLake& lake, LakeColumn* out);
 
 /// An index's column list grouped by table: Of(t) holds the positions in
 /// the list of table t's columns, ascending.

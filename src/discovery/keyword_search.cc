@@ -158,13 +158,12 @@ Status KeywordSearch::LoadPayload(BinaryReader* r, const DataLake& lake) {
   }
   std::vector<std::pair<std::string, SortedVector>> docs;
   docs.reserve(static_cast<size_t>(ndocs));
+  std::vector<uint8_t> indexed(lake.size(), 0);
   for (uint64_t i = 0; i < ndocs; ++i) {
     std::string table;
     DIALITE_RETURN_IF_ERROR(r->Str(&table));
-    if (!lake.Contains(table)) {
-      return Status::NotFound("indexed table '" + table +
-                              "' missing from lake");
-    }
+    Result<TableId> t = ClaimPayloadTable(lake, table, name(), &indexed);
+    if (!t.ok()) return t.status();
     uint64_t nnz = 0;
     DIALITE_RETURN_IF_ERROR(r->U64(&nnz));
     if (nnz > r->remaining()) {

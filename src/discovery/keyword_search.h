@@ -43,7 +43,8 @@ class KeywordSearch : public DiscoveryAlgorithm, public PersistentIndex {
 
   /// Offline-index persistence: the payload carries the fitted vectorizer
   /// state (vocabulary in id order, document frequencies, corpus size) and
-  /// the per-table TF-IDF vectors; idf weights are recomputed on load.
+  /// the per-table TF-IDF vectors; idf weights are recomputed on load. A
+  /// repeated term or a table listed twice fails with kParseError.
   Status SavePayload(BinaryWriter* w) const override;
   Status LoadPayload(BinaryReader* r, const DataLake& lake) override;
 

@@ -1,12 +1,10 @@
 #include "discovery/lsh_ensemble_search.h"
 
 #include <algorithm>
-#include <span>
 #include <utility>
 
 #include "common/hash.h"
 #include "discovery/cascade.h"
-#include "snapshot/bytes.h"
 
 namespace dialite {
 
@@ -24,123 +22,59 @@ std::vector<uint32_t> LshEnsembleSearch::TokenHistogram(
   return hist;
 }
 
+std::vector<uint32_t> LshEnsembleSearch::Histogram(uint64_t id) const {
+  const uint32_t* hist = bucket_hists_.data() + id * params_.bound_buckets;
+  return std::vector<uint32_t>(hist, hist + params_.bound_buckets);
+}
+
 Status LshEnsembleSearch::BuildIndex(const DataLake& lake) {
   lake_ = &lake;
-  columns_.clear();
-  bucket_hists_.clear();
-  ensemble_ = LshEnsemble(LshEnsemble::Params{
-      params_.num_perm, params_.num_partitions, params_.seed});
-  const std::vector<const Table*> tables = lake.tables();
-  // Compute phase: per indexed column, its histogram and MinHash over its
-  // tokens, read from the lake's dictionary (signatures are
-  // order-insensitive, so the parallel sketches are bit-identical to
-  // sequential ones).
-  struct IndexedColumn {
-    size_t column;
-    size_t set_size;
-    std::vector<uint32_t> hist;
-    MinHash mh;
-  };
   tokens_ = lake.tokens(num_threads_);
-  std::vector<std::vector<IndexedColumn>> indexed(tables.size());
-  ForEachTableIndex(num_threads_, tables.size(), [&](size_t i) {
-    const TableId t = static_cast<TableId>(i);
-    for (size_t c = 0; c < tokens_->NumColumns(t); ++c) {
-      const size_t col = tokens_->FirstColumn(t) + c;
-      if (!tokens_->JoinIndexed(col)) continue;
-      const std::vector<std::string> toks = tokens_->ColumnStrings(col);
-      indexed[i].push_back(
-          {c, toks.size(), TokenHistogram(toks),
-           MinHash::FromTokens(toks, params_.num_perm, params_.seed)});
+  const LakeTokens& tokens = *tokens_;
+  const size_t k = params_.num_perm;
+  const size_t buckets = params_.bound_buckets;
+  // Per dictionary token, one HashString gives its histogram bucket and its
+  // k MinHash component hashes (k uint64 per token, freed on return).
+  std::vector<uint32_t> token_bucket(tokens.num_tokens());
+  std::vector<uint64_t> remixes(tokens.num_tokens() * k);
+  ForEachTableIndex(num_threads_, tokens.num_tokens(), [&](size_t id) {
+    const uint64_t base =
+        HashString(tokens.token(static_cast<uint32_t>(id)), params_.seed);
+    token_bucket[id] = static_cast<uint32_t>(base % buckets);
+    for (size_t i = 0; i < k; ++i) {
+      remixes[id * k + i] = MinHash::Remix(base, params_.seed, i);
     }
   }, obs_);
-  // Merge phase: serial, in lake order (ensemble ids stay dense and stable).
-  for (TableId t = 0; t < tables.size(); ++t) {
-    for (IndexedColumn& col : indexed[t]) {
-      uint64_t id = columns_.size();
-      columns_.push_back({t, static_cast<uint32_t>(col.column)});
-      bucket_hists_.insert(bucket_hists_.end(), col.hist.begin(),
-                           col.hist.end());
-      DIALITE_RETURN_IF_ERROR(
-          ensemble_.AddSketch(id, col.set_size, std::move(col.mh)));
-    }
+  // Ensemble ids: every join-indexed column, in lake order.
+  columns_.clear();
+  std::vector<size_t> lake_columns;
+  for (size_t col = 0; col < tokens.num_columns(); ++col) {
+    if (!tokens.JoinIndexed(col)) continue;
+    const TableId t = tokens.TableOf(col);
+    columns_.push_back({t, static_cast<uint32_t>(col - tokens.FirstColumn(t))});
+    lake_columns.push_back(col);
   }
-  table_columns_ = TableColumns(columns_, tables.size());
-  ObsAdd(obs_, "discover.lsh_ensemble.build.tables", tables.size());
+  // Each column's histogram, and its signature: the minimum over its ids.
+  bucket_hists_.assign(columns_.size() * buckets, 0);
+  std::vector<MinHash> sketches(columns_.size(), MinHash(k, params_.seed));
+  ForEachTableIndex(num_threads_, columns_.size(), [&](size_t id) {
+    const uint32_t* ids = tokens.ColumnIds(lake_columns[id]);
+    uint32_t* hist = bucket_hists_.data() + id * buckets;
+    for (size_t i = 0; i < tokens.ColumnSize(lake_columns[id]); ++i) {
+      ++hist[token_bucket[ids[i]]];
+      sketches[id].UpdateRemixed(remixes.data() + size_t{ids[i]} * k);
+    }
+  }, obs_);
+  ensemble_ = LshEnsemble(LshEnsemble::Params{
+      params_.num_perm, params_.num_partitions, params_.seed});
+  for (size_t id = 0; id < columns_.size(); ++id) {
+    DIALITE_RETURN_IF_ERROR(ensemble_.AddSketch(
+        id, tokens.ColumnSize(lake_columns[id]), std::move(sketches[id])));
+  }
+  table_columns_ = TableColumns(columns_, lake.size());
+  ObsAdd(obs_, "discover.lsh_ensemble.build.tables", lake.size());
   ObsSet(obs_, "discover.lsh_ensemble.index.columns", columns_.size());
   return ensemble_.Build();
-}
-
-namespace {
-constexpr uint32_t kLshPayloadVersion = 1;
-}  // namespace
-
-Status LshEnsembleSearch::SavePayload(BinaryWriter* w) const {
-  if (lake_ == nullptr) return Status::Internal("BuildIndex not called");
-  w->Str(name());
-  w->U32(kLshPayloadVersion);
-  w->U64(columns_.size());
-  const size_t buckets = params_.bound_buckets;
-  for (size_t id = 0; id < columns_.size(); ++id) {
-    WriteLakeColumn(*lake_, columns_[id], w);
-    w->U64(ensemble_.set_size(id));
-    w->Array<uint32_t>(std::span<const uint32_t>(
-        bucket_hists_.data() + id * buckets, buckets));
-    w->Array<uint64_t>(ensemble_.sketch(id).signature());
-  }
-  return Status::OK();
-}
-
-Status LshEnsembleSearch::LoadPayload(BinaryReader* r, const DataLake& lake) {
-  std::string algo;
-  DIALITE_RETURN_IF_ERROR(r->Str(&algo));
-  uint32_t version = 0;
-  DIALITE_RETURN_IF_ERROR(r->U32(&version));
-  if (algo != name() || version != kLshPayloadVersion) {
-    return Status::ParseError("not an lsh_ensemble v1 index payload");
-  }
-  uint64_t n = 0;
-  DIALITE_RETURN_IF_ERROR(r->U64(&n));
-  if (n > r->remaining()) {
-    return Status::ParseError("lsh column count overruns the payload");
-  }
-  // Decoded into locals and installed only once the whole payload reads:
-  // a failed load leaves the index as it was.
-  std::vector<LakeColumn> columns;
-  std::vector<uint32_t> bucket_hists;
-  LshEnsemble ensemble(LshEnsemble::Params{params_.num_perm,
-                                           params_.num_partitions,
-                                           params_.seed});
-  for (uint64_t id = 0; id < n; ++id) {
-    LakeColumn col;
-    DIALITE_RETURN_IF_ERROR(ReadLakeColumn(r, lake, &col));
-    uint64_t set_size = 0;
-    DIALITE_RETURN_IF_ERROR(r->U64(&set_size));
-    std::span<const uint32_t> hist;
-    DIALITE_RETURN_IF_ERROR(r->Array(&hist));
-    if (hist.size() != params_.bound_buckets) {
-      return Status::ParseError("lsh histogram bucket count mismatch");
-    }
-    std::span<const uint64_t> sig;
-    DIALITE_RETURN_IF_ERROR(r->Array(&sig));
-    if (sig.size() != params_.num_perm) {
-      return Status::ParseError("lsh signature length mismatch");
-    }
-    DIALITE_RETURN_IF_ERROR(ensemble.AddSketch(
-        id, static_cast<size_t>(set_size),
-        MinHash::FromSignature(std::vector<uint64_t>(sig.begin(), sig.end()),
-                               params_.seed)));
-    columns.push_back(col);
-    bucket_hists.insert(bucket_hists.end(), hist.begin(), hist.end());
-  }
-  DIALITE_RETURN_IF_ERROR(ensemble.Build());
-  tokens_ = lake.tokens(num_threads_);
-  ensemble_ = std::move(ensemble);
-  columns_ = std::move(columns);
-  bucket_hists_ = std::move(bucket_hists);
-  table_columns_ = TableColumns(columns_, lake.size());
-  lake_ = &lake;
-  return Status::OK();
 }
 
 double LshEnsembleSearch::ColumnUpperBound(uint64_t id,

@@ -21,7 +21,10 @@ namespace dialite {
 /// then verified *exactly* against the columns' token id sets (the sketch
 /// prunes, the data decides), and each table is scored by its best
 /// column's containment.
-class LshEnsembleSearch : public DiscoveryAlgorithm, public PersistentIndex {
+///
+/// The index persists nothing: the lake's token ids fix every sketch and
+/// histogram, so a snapshot open runs BuildIndex over the decoded tokens.
+class LshEnsembleSearch : public DiscoveryAlgorithm {
  public:
   struct Params {
     double containment_threshold = 0.5;
@@ -37,15 +40,13 @@ class LshEnsembleSearch : public DiscoveryAlgorithm, public PersistentIndex {
   explicit LshEnsembleSearch(Params params);
 
   std::string name() const override { return "lsh_ensemble"; }
-  Status BuildIndex(const DataLake& lake) override;
 
-  /// Offline-index persistence: the payload carries, per ensemble id, the
-  /// (table, column) mapping, distinct-set size, stage-0 histogram, and
-  /// MinHash signature; the banded ensemble is rebuilt on load by
-  /// re-adding the sketches in id order and re-running its partitioning.
-  /// A column index past its table's width fails with kParseError.
-  Status SavePayload(BinaryWriter* w) const override;
-  Status LoadPayload(BinaryReader* r, const DataLake& lake) override;
+  /// Sketches every join-indexed column from the lake's token ids: one
+  /// HashString per dictionary token gives its histogram bucket and, through
+  /// MinHash::Remix, its num_perm component hashes, and each column takes
+  /// the minimum over its ids. The signatures equal MinHash::FromTokens of
+  /// the columns' strings, and ensemble ids follow lake order.
+  Status BuildIndex(const DataLake& lake) override;
 
   Result<std::vector<DiscoveryHit>> Search(
       const DiscoveryQuery& query) const override;
@@ -61,11 +62,19 @@ class LshEnsembleSearch : public DiscoveryAlgorithm, public PersistentIndex {
   Result<double> ScoreUpperBound(const DiscoveryQuery& query,
                                  const std::string& table_name) const override;
 
- private:
-  /// Token-hash bucket counts of one column's distinct-token set.
+  /// Token-hash bucket counts of one distinct-token set: bound_buckets
+  /// counts, token t in bucket HashString(t, seed) % bound_buckets.
   std::vector<uint32_t> TokenHistogram(
       const std::vector<std::string>& tokens) const;
 
+  /// The built index, read-only: ensemble id i indexes lake column
+  /// columns()[i], with sketch and set size ensemble().sketch(i) and
+  /// ensemble().set_size(i), and histogram Histogram(i).
+  const std::vector<LakeColumn>& columns() const { return columns_; }
+  const LshEnsemble& ensemble() const { return ensemble_; }
+  std::vector<uint32_t> Histogram(uint64_t id) const;
+
+ private:
   /// min(1, sum_b min(qhist_b, xhist_b) / |Q|) if that clears the
   /// containment threshold, else 0.
   double ColumnUpperBound(uint64_t id, const std::vector<uint32_t>& qhist,
@@ -81,11 +90,10 @@ class LshEnsembleSearch : public DiscoveryAlgorithm, public PersistentIndex {
   /// Ensemble id i's token-hash bucket histogram (stage-0 bound) at
   /// [i * bound_buckets, (i + 1) * bound_buckets).
   std::vector<uint32_t> bucket_hists_;
-  /// columns_ grouped by table, derived on build and load
-  /// (ScoreUpperBound's candidate-free bound path; a lake-resident query
-  /// column's sketch).
+  /// columns_ grouped by table (ScoreUpperBound's candidate-free bound
+  /// path; a lake-resident query column's sketch).
   TableColumns table_columns_;
-  /// The lake's tokens, taken on build and load (exact verification).
+  /// The lake's tokens, taken on build (exact verification).
   std::shared_ptr<const LakeTokens> tokens_;
 };
 

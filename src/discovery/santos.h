@@ -86,7 +86,7 @@ class SantosSearch : public DiscoveryAlgorithm, public PersistentIndex {
   };
 
   /// Cheap per-table aggregates the cascade's stage-0 bound is computed
-  /// from, derived once from TableSemantics at Build/LoadIndex time.
+  /// from, derived once from TableSemantics at BuildIndex/LoadPayload time.
   struct BoundProfile {
     /// type label -> max confidence over the table's columns.
     std::map<std::string, double> type_max_conf;

@@ -1,6 +1,7 @@
 #include "kb/embedding.h"
 
 #include <bit>
+#include <cassert>
 #include <cctype>
 #include <cmath>
 
@@ -180,13 +181,26 @@ Embedding HashEmbedder::EmbedValue(std::string_view text) const {
 Embedding HashEmbedder::EmbedValueSet(const std::vector<std::string>& values,
                                       const float* rows,
                                       const uint32_t* row_of) const {
+  return SumValueVectors(values.size(), values.data(), rows, row_of);
+}
+
+Embedding HashEmbedder::EmbedValueSet(size_t count, const float* rows,
+                                      const uint32_t* row_of) const {
+  return SumValueVectors(count, nullptr, rows, row_of);
+}
+
+Embedding HashEmbedder::SumValueVectors(size_t count,
+                                        const std::string* values,
+                                        const float* rows,
+                                        const uint32_t* row_of) const {
   Embedding acc(params_.dim, 0.0f);
   Embedding e;  // a value without a row is embedded here, as EmbedValue does
-  for (size_t v = 0; v < values.size(); ++v) {
+  for (size_t v = 0; v < count; ++v) {
     const float* value_vector;
     if (rows != nullptr && row_of[v] != kNoValueRow) {
       value_vector = rows + size_t{row_of[v]} * params_.dim;
     } else {
+      assert(values != nullptr);
       e.assign(params_.dim, 0.0f);
       AddFeatures(values[v], e.data());
       NormalizeEmbedding(&e);

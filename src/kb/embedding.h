@@ -63,10 +63,11 @@ void NormalizeEmbedding(float* v, size_t dim);
 /// HashString under `seed` picks a ±1/sqrt(dim) vector: dimension i is
 /// positive iff bit 0 of HashUint64(key hash, i) is set. Each vector adds
 /// into a float accumulator, feature by feature in the order words,
-/// trigrams, types; the result is L2-normalized. Lake-column embeddings
-/// are persisted once, in the "lake.tokens" snapshot section (LakeTokens),
-/// so this definition is a contract: every float of every vector must stay
-/// bit-identical (DESIGN.md).
+/// trigrams, types; the result is L2-normalized. Snapshots persist no
+/// vector: LakeTokens derives its token vectors and lake-column embeddings
+/// on every open. This definition is still a contract — every float of
+/// every vector must stay bit-identical (DESIGN.md) — because TUS's and
+/// Starmie's answers, and the pinned digests of them, depend on it.
 class HashEmbedder {
  public:
   struct Params {
@@ -99,7 +100,18 @@ class HashEmbedder {
                           const float* rows = nullptr,
                           const uint32_t* row_of = nullptr) const;
 
+  /// EmbedValueSet of `count` values whose vectors are all precomputed:
+  /// value i's is row row_of[i] of `rows`, never kNoValueRow. The same
+  /// summation loop, with nothing to embed and no strings to pass.
+  Embedding EmbedValueSet(size_t count, const float* rows,
+                          const uint32_t* row_of) const;
+
  private:
+  /// The summation loop of both EmbedValueSet forms; `values` is null only
+  /// when every value has a row.
+  Embedding SumValueVectors(size_t count, const std::string* values,
+                            const float* rows, const uint32_t* row_of) const;
+
   /// Adds the unnormalized features of `text` into `acc` (dim() floats).
   void AddFeatures(std::string_view text, float* acc) const;
 

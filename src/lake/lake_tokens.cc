@@ -74,29 +74,14 @@ std::shared_ptr<const LakeTokens> LakeTokens::Build(const DataLake& lake,
     out->token_offsets_.push_back(static_cast<uint32_t>(out->chars_.size()));
   }
   for (uint32_t& id : out->ids_) id = rank[id];
-  // Each distinct token embedded once, then each column's row summed from
-  // those vectors in first-occurrence order: every token is in the
-  // dictionary, so EmbedValueSet embeds nothing itself.
-  out->EmbedTokens(num_threads);
-  out->embeddings_.resize(out->num_columns() * out->dim_);
-  ForEachTableIndex(num_threads, n, [&](size_t t) {
-    for (size_t c = 0; c < tables[t].size(); ++c) {
-      const size_t col = out->table_offsets_[t] + c;
-      const Embedding e = ColumnEmbedder().EmbedValueSet(
-          tables[t][c], out->token_vectors_.data(), out->ColumnIds(col));
-      std::copy(e.begin(), e.end(),
-                out->embeddings_.begin() +
-                    static_cast<std::ptrdiff_t>(col * out->dim_));
-    }
-  });
-  out->Derive();
+  out->Derive(num_threads);
   return out;
 }
 
 Result<std::shared_ptr<const LakeTokens>> LakeTokens::FromParts(
     const DataLake& lake, std::string chars,
     std::vector<uint32_t> token_offsets, std::vector<uint32_t> column_offsets,
-    std::vector<uint32_t> ids, std::vector<float> embeddings) {
+    std::vector<uint32_t> ids) {
   // Offsets start at 0, never fall, and end at their array's size.
   auto valid_offsets = [](const std::vector<uint32_t>& offsets, size_t size) {
     if (offsets.empty() || offsets.front() != 0 || offsets.back() != size) {
@@ -117,20 +102,12 @@ Result<std::shared_ptr<const LakeTokens>> LakeTokens::FromParts(
         "lake tokens list " + std::to_string(column_offsets.size() - 1) +
         " columns; the lake has " + std::to_string(lake_columns));
   }
-  const size_t dim = ColumnEmbedder().dim();
-  if (embeddings.size() != lake_columns * dim) {
-    return Status::ParseError(
-        "lake embeddings hold " + std::to_string(embeddings.size()) +
-        " floats; " + std::to_string(lake_columns) + " columns of " +
-        std::to_string(dim) + " need " + std::to_string(lake_columns * dim));
-  }
   std::shared_ptr<LakeTokens> out(new LakeTokens());
   out->chars_ = std::move(chars);
   out->token_offsets_ = std::move(token_offsets);
   out->column_offsets_ = std::move(column_offsets);
   out->ids_ = std::move(ids);
-  out->dim_ = dim;
-  out->embeddings_ = std::move(embeddings);
+  out->dim_ = ColumnEmbedder().dim();
   out->table_offsets_ = std::move(table_offsets);
   for (uint32_t id = 1; id < out->num_tokens(); ++id) {
     if (!(out->token(id - 1) < out->token(id))) {
@@ -153,12 +130,14 @@ Result<std::shared_ptr<const LakeTokens>> LakeTokens::FromParts(
       last[id] = col;
     }
   }
-  out->EmbedTokens(1);
-  out->Derive();
+  out->Derive(1);
   return std::shared_ptr<const LakeTokens>(std::move(out));
 }
 
-void LakeTokens::EmbedTokens(size_t num_threads) {
+void LakeTokens::Derive(size_t num_threads) {
+  // Each distinct token embedded once, then each column's row summed from
+  // those vectors in first-occurrence order: every id has a vector, so
+  // EmbedValueSet embeds nothing itself.
   token_vectors_.resize(num_tokens() * dim_);
   ForEachTableIndex(num_threads, num_tokens(), [&](size_t id) {
     const Embedding e =
@@ -166,18 +145,19 @@ void LakeTokens::EmbedTokens(size_t num_threads) {
     std::copy(e.begin(), e.end(),
               token_vectors_.begin() + static_cast<std::ptrdiff_t>(id * dim_));
   });
-}
-
-void LakeTokens::Derive() {
+  embeddings_.resize(num_columns() * dim_);
+  norms_.resize(num_columns());
+  ForEachTableIndex(num_threads, num_columns(), [&](size_t col) {
+    const Embedding e = ColumnEmbedder().EmbedValueSet(
+        ColumnSize(col), token_vectors_.data(), ColumnIds(col));
+    std::copy(e.begin(), e.end(),
+              embeddings_.begin() + static_cast<std::ptrdiff_t>(col * dim_));
+    norms_[col] = EmbeddingNorm(ColumnEmbedding(col), dim_);
+  });
   column_tables_.clear();
   column_tables_.reserve(num_columns());
   for (TableId t = 0; t < num_tables(); ++t) {
     column_tables_.insert(column_tables_.end(), NumColumns(t), t);
-  }
-  norms_.clear();
-  norms_.reserve(num_columns());
-  for (size_t col = 0; col < num_columns(); ++col) {
-    norms_.push_back(EmbeddingNorm(ColumnEmbedding(col), dim_));
   }
   // Postings by counting sort: columns are visited in id order, so each
   // token's list comes out ascending.

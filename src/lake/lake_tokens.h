@@ -39,18 +39,18 @@ std::vector<std::vector<std::string>> TableTokens(const Table& table);
 ///    columns are [FirstColumn(t), FirstColumn(t) + NumColumns(t));
 ///  - each column's distinct tokens as ids in one uint32 array with
 ///    offsets, in ColumnTokens' first-occurrence order (keyword's
-///    per-column cap and the embeddings' float sums depend on that order);
-///  - each column's content embedding, ColumnEmbedder().EmbedValueSet of
-///    its tokens in that order, as one row-major float matrix of dim()
-///    floats per column, with each row's EmbeddingNorm derived on build
-///    and on decode (not persisted);
+///    per-column cap and the embeddings' float sums depend on that order).
+///
+/// Those arrays are what a snapshot persists. Everything else is derived
+/// from them, on build (on the build's workers) and on decode:
 ///  - each token's value vector, ColumnEmbedder().EmbedValue of its
-///    string, as one row-major float matrix of dim() floats per token,
-///    derived on build (on the build's workers, before the column rows are
-///    summed from it) and on decode (not persisted);
+///    string, as one row-major float matrix of dim() floats per token;
+///  - each column's content embedding, ColumnEmbedder().EmbedValueSet of
+///    its tokens in that order, summed from the token vectors as one
+///    row-major float matrix of dim() floats per column, and each row's
+///    EmbeddingNorm;
 ///  - token -> column postings, ascending, and each column's ids in
-///    ascending order, derived from the column sets on build and on decode
-///    (not persisted).
+///    ascending order.
 ///
 /// Immutable once made; shared by every index built over one lake state
 /// (DataLake::tokens). Accessors return a pointer and a size rather than
@@ -65,18 +65,16 @@ class LakeTokens {
                                                  size_t num_threads);
 
   /// Assembles decoded arrays for `lake`: `token_offsets` (dictionary size
-  /// + 1 entries) delimit the tokens in `chars`, `column_offsets` (lake
-  /// column count + 1 entries) delimit each column's ids in `ids`, and
-  /// `embeddings` holds dim() floats per lake column. Fails with
-  /// kParseError when the offsets are not ascending or overrun their
-  /// arrays, the dictionary is not strictly ascending, the column count
-  /// differs from the lake's, the embedding matrix is not that many rows of
-  /// dim() floats, an id is past the dictionary, or a column repeats an id.
+  /// + 1 entries) delimit the tokens in `chars`, and `column_offsets` (lake
+  /// column count + 1 entries) delimit each column's ids in `ids`; the
+  /// rest is derived on one thread. Fails with kParseError when the
+  /// offsets are not ascending or overrun their arrays, the dictionary is
+  /// not strictly ascending, the column count differs from the lake's, an
+  /// id is past the dictionary, or a column repeats an id.
   static Result<std::shared_ptr<const LakeTokens>> FromParts(
       const DataLake& lake, std::string chars,
       std::vector<uint32_t> token_offsets,
-      std::vector<uint32_t> column_offsets, std::vector<uint32_t> ids,
-      std::vector<float> embeddings);
+      std::vector<uint32_t> column_offsets, std::vector<uint32_t> ids);
 
   // ---------------------------------------------------------- dictionary
 
@@ -169,29 +167,27 @@ class LakeTokens {
     return column_offsets_;
   }
   const std::vector<uint32_t>& ids() const { return ids_; }
-  const std::vector<float>& embeddings() const { return embeddings_; }
 
  private:
   LakeTokens() = default;
 
-  /// Derives the token vectors from the dictionary, on `num_threads`
-  /// workers.
-  void EmbedTokens(size_t num_threads);
-  /// Derives column_tables_ from table_offsets_, the postings and sorted
-  /// ids from the column sets, and the norms from the embeddings.
-  void Derive();
+  /// Derives everything that is not persisted from the persisted arrays,
+  /// on `num_threads` workers: the token vectors from the dictionary, the
+  /// column embeddings and norms from those vectors, column_tables_ from
+  /// table_offsets_, and the postings and sorted ids from the column sets.
+  void Derive(size_t num_threads);
 
   std::string chars_;
   std::vector<uint32_t> token_offsets_;
   std::vector<uint32_t> column_offsets_;
   std::vector<uint32_t> ids_;
   size_t dim_ = 0;
-  std::vector<float> embeddings_;
-  /// Derived: from the lake's widths, and by EmbedTokens() and Derive().
+  /// Derived: from the lake's widths, and by Derive().
   std::vector<uint32_t> table_offsets_;
   std::vector<TableId> column_tables_;
-  std::vector<double> norms_;
   std::vector<float> token_vectors_;
+  std::vector<float> embeddings_;
+  std::vector<double> norms_;
   std::vector<uint32_t> sorted_ids_;
   std::vector<uint32_t> posting_offsets_;
   std::vector<uint32_t> postings_;

@@ -42,8 +42,8 @@ class LshEnsemble {
   /// distinct-set size. The signature must have been built with this
   /// ensemble's (num_perm, seed) over the domain's distinct token set —
   /// then the result is identical to Add(id, tokens). Lets callers sketch
-  /// domains in parallel (MinHash minima are order-insensitive) or restore
-  /// persisted sketches.
+  /// domains in parallel (MinHash minima are order-insensitive) and from
+  /// per-token remixes (MinHash::UpdateRemixed).
   Status AddSketch(uint64_t id, size_t set_size, MinHash mh);
 
   /// Partitions by size and builds per-partition band tables.
@@ -69,8 +69,8 @@ class LshEnsemble {
 
   /// The i-th registered domain, in Add()/AddSketch() order: its true
   /// distinct-set size and its MinHash sketch. The ensemble is the one
-  /// owner of the sketches, so callers persist them from here and reuse
-  /// them as query signatures instead of keeping a copy.
+  /// owner of the sketches, so callers reuse them as query signatures
+  /// instead of keeping a copy.
   size_t set_size(size_t i) const { return entries_[i].set_size; }
   const MinHash& sketch(size_t i) const { return entries_[i].mh; }
 

@@ -23,8 +23,13 @@ void MinHash::Update(const std::string& token) {
   // "one permutation per remix" trick keeps Update O(k) with one string pass.
   const uint64_t base = HashString(token, seed_);
   for (size_t i = 0; i < sig_.size(); ++i) {
-    uint64_t h = HashUint64(base, seed_ + 0x9e3779b9ULL * (i + 1));
-    sig_[i] = std::min(sig_[i], h);
+    sig_[i] = std::min(sig_[i], Remix(base, seed_, i));
+  }
+}
+
+void MinHash::UpdateRemixed(const uint64_t* remixes) {
+  for (size_t i = 0; i < sig_.size(); ++i) {
+    sig_[i] = std::min(sig_[i], remixes[i]);
   }
 }
 

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
+
 namespace dialite {
 
 /// A MinHash signature: componentwise minima of k independent 64-bit hash
@@ -20,18 +22,19 @@ class MinHash {
   static MinHash FromTokens(const std::vector<std::string>& tokens,
                             size_t num_perm = 128, uint64_t seed = 1);
 
-  /// Reassembles a signature from its raw components (snapshot load path).
-  /// `sig` must be a signature previously produced with the same `seed` —
-  /// the components are adopted verbatim, so a fabricated vector yields a
-  /// structurally valid but semantically meaningless sketch.
-  static MinHash FromSignature(std::vector<uint64_t> sig, uint64_t seed) {
-    MinHash mh(0, seed);
-    mh.sig_ = std::move(sig);
-    return mh;
+  /// Component i's hash of a token whose base hash is `base` =
+  /// HashString(token, seed): one cheap independent remix per component.
+  static uint64_t Remix(uint64_t base, uint64_t seed, size_t i) {
+    return HashUint64(base, seed + 0x9e3779b9ULL * (i + 1));
   }
 
   /// Folds one token into the signature.
   void Update(const std::string& token);
+
+  /// Folds one token given by its num_perm() remixes (Remix of its base
+  /// hash under seed(), component by component): exactly Update(token).
+  /// Sketching many sets over one dictionary remixes each token once.
+  void UpdateRemixed(const uint64_t* remixes);
 
   /// Estimated Jaccard similarity with another signature (must share
   /// num_perm and seed).

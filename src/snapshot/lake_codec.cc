@@ -14,7 +14,7 @@ namespace dialite {
 namespace {
 
 constexpr uint32_t kManifestVersion = 1;
-constexpr uint32_t kTokensVersion = 2;
+constexpr uint32_t kTokensVersion = 3;
 
 /// Copies a decoded array into an owned vector.
 template <typename T>
@@ -30,7 +30,6 @@ void WriteLakeTokens(const LakeTokens& tokens, BinaryWriter* w) {
   w->Array<uint32_t>(tokens.token_offsets());
   w->Array<uint32_t>(tokens.column_offsets());
   w->Array<uint32_t>(tokens.ids());
-  w->Array<float>(tokens.embeddings());
 }
 
 Result<std::shared_ptr<const LakeTokens>> ReadLakeTokens(
@@ -48,14 +47,11 @@ Result<std::shared_ptr<const LakeTokens>> ReadLakeTokens(
   DIALITE_RETURN_IF_ERROR(r.Array(&token_offsets));
   DIALITE_RETURN_IF_ERROR(r.Array(&column_offsets));
   DIALITE_RETURN_IF_ERROR(r.Array(&ids));
-  std::span<const float> embeddings;
-  DIALITE_RETURN_IF_ERROR(r.Array(&embeddings));
   if (!r.AtEnd()) {
     return Status::ParseError("trailing bytes after lake tokens");
   }
   return LakeTokens::FromParts(lake, std::move(chars), Owned(token_offsets),
-                               Owned(column_offsets), Owned(ids),
-                               Owned(embeddings));
+                               Owned(column_offsets), Owned(ids));
 }
 
 Status WriteLake(const DataLake& lake, SnapshotWriter* w,

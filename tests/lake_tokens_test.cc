@@ -1,8 +1,9 @@
 /// Tests for LakeTokens: the dictionary, column token sets, column
 /// embeddings and token vectors every token search and embedding reader
 /// shares, their once-per-lake build under concurrency, the AddTable reset,
-/// the "lake.tokens" snapshot decode, and the query and body columns that
-/// TUS, Starmie and ALITE sum from the token vectors.
+/// the "lake.tokens" snapshot decode (and what it derives: the embeddings,
+/// and LSH Ensemble's sketches), and the query and body columns that TUS,
+/// Starmie and ALITE sum from the token vectors.
 
 #include "lake/lake_tokens.h"
 
@@ -21,6 +22,7 @@
 #include "common/thread_pool.h"
 #include "core/dialite.h"
 #include "discovery/josie.h"
+#include "discovery/lsh_ensemble_search.h"
 #include "discovery/starmie.h"
 #include "discovery/tus.h"
 #include "kb/embedding.h"
@@ -28,8 +30,11 @@
 #include "lake/lake_generator.h"
 #include "lake/paper_fixtures.h"
 #include "obs/observability.h"
+#include "sketch/minhash.h"
 #include "snapshot/bytes.h"
 #include "snapshot/lake_codec.h"
+#include "snapshot/snapshot_reader.h"
+#include "snapshot/snapshot_writer.h"
 
 namespace dialite {
 namespace {
@@ -165,22 +170,6 @@ TEST(LakeTokensTest, BuildIndexesBuildsOnce) {
   EXPECT_EQ(lake.tokens().get(), tokens.get());
 }
 
-TEST(LakeTokensTest, BuildIsIdenticalForEveryThreadCount) {
-  DataLake lake = MakeLake(4);
-  std::shared_ptr<const LakeTokens> single = LakeTokens::Build(lake, 1);
-  BinaryWriter reference;
-  WriteLakeTokens(*single, &reference);
-  for (size_t threads : {2u, 8u, 0u}) {
-    std::shared_ptr<const LakeTokens> built = LakeTokens::Build(lake, threads);
-    // The payload holds every persisted array, the embedding matrix too.
-    BinaryWriter w;
-    WriteLakeTokens(*built, &w);
-    EXPECT_EQ(w.buffer(), reference.buffer()) << "threads=" << threads;
-    EXPECT_EQ(built->embeddings(), single->embeddings())
-        << "threads=" << threads;
-  }
-}
-
 /// ReadLakeTokens over `payload` from 8-byte-aligned storage, as a mapped
 /// snapshot section would present it.
 Result<std::shared_ptr<const LakeTokens>> Decoded(const BinaryWriter& payload,
@@ -190,6 +179,38 @@ Result<std::shared_ptr<const LakeTokens>> Decoded(const BinaryWriter& payload,
   const std::span<const uint8_t> bytes(
       reinterpret_cast<const uint8_t*>(storage.data()), payload.size());
   return ReadLakeTokens(bytes, lake);
+}
+
+/// The bytes of every column embedding of `tokens`, row after row: equal
+/// strings mean bitwise-equal rows (-0.0 and 0.0 differ).
+std::string RowBytes(const LakeTokens& tokens) {
+  std::string out;
+  for (size_t col = 0; col < tokens.num_columns(); ++col) {
+    out.append(reinterpret_cast<const char*>(tokens.ColumnEmbedding(col)),
+               tokens.dim() * sizeof(float));
+  }
+  return out;
+}
+
+TEST(LakeTokensTest, BuildIsIdenticalForEveryThreadCount) {
+  DataLake lake = MakeLake(4);
+  std::shared_ptr<const LakeTokens> single = LakeTokens::Build(lake, 1);
+  BinaryWriter reference;
+  WriteLakeTokens(*single, &reference);
+  const std::string rows = RowBytes(*single);
+  ASSERT_FALSE(rows.empty());
+  for (size_t threads : {2u, 8u, 0u}) {
+    std::shared_ptr<const LakeTokens> built = LakeTokens::Build(lake, threads);
+    // The payload holds every persisted array; the rows are derived.
+    BinaryWriter w;
+    WriteLakeTokens(*built, &w);
+    EXPECT_EQ(w.buffer(), reference.buffer()) << "threads=" << threads;
+    EXPECT_EQ(RowBytes(*built), rows) << "threads=" << threads;
+  }
+  // A decode derives the same rows.
+  Result<std::shared_ptr<const LakeTokens>> decoded = Decoded(reference, lake);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(RowBytes(**decoded), rows);
 }
 
 /// The lake's tokens built at 1 and 4 threads and decoded from a payload.
@@ -268,6 +289,65 @@ TEST(LakeTokensTest, SortedColumnIdsAreTheColumnIdsAscending) {
           tokens->SortedColumnIds(col) + tokens->ColumnSize(col));
       EXPECT_EQ(got, expected) << "column " << col;
     }
+  }
+}
+
+/// Checks that `lsh`, built over the lake of `tokens`, indexes every
+/// join-indexed column in lake order, each with the MinHash signature, set
+/// size and histogram of its strings.
+void ExpectLshSketchesOfColumnStrings(const LshEnsembleSearch& lsh,
+                                      const LakeTokens& tokens,
+                                      const std::string& what) {
+  const LshEnsembleSearch::Params p;
+  size_t id = 0;
+  for (size_t col = 0; col < tokens.num_columns(); ++col) {
+    if (!tokens.JoinIndexed(col)) continue;
+    ASSERT_LT(id, lsh.columns().size()) << what;
+    const LakeColumn& indexed = lsh.columns()[id];
+    ASSERT_EQ(tokens.FirstColumn(indexed.table) + indexed.column, col)
+        << what;
+    const std::vector<std::string> strings = tokens.ColumnStrings(col);
+    EXPECT_EQ(lsh.ensemble().sketch(id).signature(),
+              MinHash::FromTokens(strings, p.num_perm, p.seed).signature())
+        << what << " column " << col;
+    EXPECT_EQ(lsh.ensemble().set_size(id), strings.size())
+        << what << " column " << col;
+    EXPECT_EQ(lsh.Histogram(id), lsh.TokenHistogram(strings))
+        << what << " column " << col;
+    ++id;
+  }
+  EXPECT_EQ(id, lsh.columns().size()) << what;
+}
+
+// LSH Ensemble sketches columns from their token ids, at build and at
+// open; the sketches equal those of the columns' strings.
+TEST(LakeTokensTest, LshSketchesEqualColumnStringSketches) {
+  for (uint64_t seed : {1u, 4u}) {
+    for (size_t threads : {1u, 4u}) {
+      DataLake lake = MakeLake(seed);
+      LshEnsembleSearch lsh;
+      lsh.set_num_threads(threads);
+      ASSERT_TRUE(lsh.BuildIndex(lake).ok());
+      ExpectLshSketchesOfColumnStrings(
+          lsh, *lake.tokens(),
+          "seed " + std::to_string(seed) + " threads " +
+              std::to_string(threads));
+    }
+    // Saved and opened: the lake and its tokens decoded from a snapshot.
+    SnapshotWriter w;
+    ASSERT_TRUE(WriteLake(MakeLake(seed), &w).ok());
+    Result<std::string> bytes = w.FinishToString();
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    Result<SnapshotReader> reader =
+        SnapshotReader::OpenOwning(std::move(*bytes));
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    Result<std::unique_ptr<DataLake>> opened = ReadLake(*reader);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    LshEnsembleSearch lsh;
+    ASSERT_TRUE(lsh.BuildIndex(**opened).ok());
+    ExpectLshSketchesOfColumnStrings(lsh, *(*opened)->tokens(),
+                                     "seed " + std::to_string(seed) +
+                                         " opened");
   }
 }
 
@@ -509,14 +589,12 @@ struct Parts {
   std::vector<uint32_t> token_offsets;
   std::vector<uint32_t> column_offsets;
   std::vector<uint32_t> ids;
-  std::vector<float> embeddings;
 
   explicit Parts(const LakeTokens& t)
       : chars(t.chars()),
         token_offsets(t.token_offsets()),
         column_offsets(t.column_offsets()),
-        ids(t.ids()),
-        embeddings(t.embeddings()) {}
+        ids(t.ids()) {}
 
   /// The dictionary, token by token.
   std::vector<std::string> Dictionary() const {
@@ -536,14 +614,15 @@ struct Parts {
     }
   }
 
-  BinaryWriter Encode() const {
+  /// The payload under section version `version`: 3, the current one,
+  /// by default.
+  BinaryWriter Encode(uint32_t version = 3) const {
     BinaryWriter w;
-    w.U32(2);
+    w.U32(version);
     w.Str(chars);
     w.Array<uint32_t>(token_offsets);
     w.Array<uint32_t>(column_offsets);
     w.Array<uint32_t>(ids);
-    w.Array<float>(embeddings);
     return w;
   }
 };
@@ -602,26 +681,24 @@ TEST_F(LakeTokensDecodeTest, RejectsColumnCountOtherThanTheLakes) {
   EXPECT_EQ(Decode(p.Encode(), lake_).code(), StatusCode::kParseError);
 }
 
-TEST_F(LakeTokensDecodeTest, RejectsEmbeddingMatrixOfWrongSize) {
-  Parts short_one = Valid();
-  short_one.embeddings.pop_back();
-  EXPECT_EQ(Decode(short_one.Encode(), lake_).code(), StatusCode::kParseError);
-  Parts extra_row = Valid();
-  extra_row.embeddings.resize(
-      extra_row.embeddings.size() + ColumnEmbedder().dim(), 0.5f);
-  EXPECT_EQ(Decode(extra_row.Encode(), lake_).code(), StatusCode::kParseError);
+TEST_F(LakeTokensDecodeTest, RejectsVersionTwoSection) {
+  // A version-2 writer's section: the same arrays, then the column
+  // embedding matrix that version 3 derives instead.
+  const Parts p = Valid();
+  BinaryWriter w = p.Encode(2);
+  const std::vector<float> matrix(
+      (p.column_offsets.size() - 1) * ColumnEmbedder().dim(), 0.5f);
+  w.Array<float>(matrix);
+  EXPECT_EQ(Decode(w, lake_).code(), StatusCode::kParseError);
+  // Version 3 carries no matrix: one left behind is trailing bytes.
+  BinaryWriter trailing = p.Encode();
+  trailing.Array<float>(matrix);
+  EXPECT_EQ(Decode(trailing, lake_).code(), StatusCode::kParseError);
 }
 
 TEST_F(LakeTokensDecodeTest, RejectsVersionOneSection) {
-  // A version-1 writer's section: the same arrays without the matrix.
-  const Parts p = Valid();
-  BinaryWriter w;
-  w.U32(1);
-  w.Str(p.chars);
-  w.Array<uint32_t>(p.token_offsets);
-  w.Array<uint32_t>(p.column_offsets);
-  w.Array<uint32_t>(p.ids);
-  EXPECT_EQ(Decode(w, lake_).code(), StatusCode::kParseError);
+  // A version-1 writer's section held version 3's arrays.
+  EXPECT_EQ(Decode(Valid().Encode(1), lake_).code(), StatusCode::kParseError);
 }
 
 TEST_F(LakeTokensDecodeTest, RejectsOffsetsOverrunningTheArrays) {

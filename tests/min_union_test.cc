@@ -1,10 +1,7 @@
 /// Tests for MinimumUnionIntegration (Galindo-Legaria's minimum union,
-/// the paper's reference [6]) and the Dialite facade's index cache.
+/// the paper's reference [6]).
 
 #include <gtest/gtest.h>
-
-#include <filesystem>
-#include <fstream>
 
 #include "align/alite_matcher.h"
 #include "core/dialite.h"
@@ -94,62 +91,6 @@ TEST(MinUnionTest, RegisteredInDefaults) {
   ASSERT_TRUE(d.RegisterDefaults().ok());
   auto ops = d.IntegrationOperators();
   EXPECT_NE(std::find(ops.begin(), ops.end(), "minimum_union"), ops.end());
-}
-
-// ------------------------------------------------------------ index cache
-
-TEST(IndexCacheTest, BuildSavesAndSecondBuildLoads) {
-  std::string dir = testing::TempDir() + "/dialite_idx_cache";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-
-  DataLake lake = paper::MakeDemoLake(8);
-  Table query = paper::MakeT1();
-  DiscoveryQuery q{&query, 1, 5};
-
-  Dialite first(&lake);
-  ASSERT_TRUE(first.RegisterDefaults().ok());
-  ASSERT_TRUE(first.BuildIndexes(dir).ok());
-  // The persistent algorithms wrote their cache files; JOSIE and Starmie,
-  // which build from the lake's tokens and embeddings, write none.
-  EXPECT_TRUE(std::filesystem::exists(dir + "/santos.idx"));
-  EXPECT_TRUE(std::filesystem::exists(dir + "/lsh_ensemble.idx"));
-  EXPECT_FALSE(std::filesystem::exists(dir + "/josie.idx"));
-  EXPECT_FALSE(std::filesystem::exists(dir + "/starmie.idx"));
-  auto h1 = first.Discover(q, "santos");
-  ASSERT_TRUE(h1.ok());
-
-  // A fresh instance loads from cache and answers identically.
-  Dialite second(&lake);
-  ASSERT_TRUE(second.RegisterDefaults().ok());
-  ASSERT_TRUE(second.BuildIndexes(dir).ok());
-  auto h2 = second.Discover(q, "santos");
-  ASSERT_TRUE(h2.ok());
-  ASSERT_EQ(h1->size(), h2->size());
-  for (size_t i = 0; i < h1->size(); ++i) {
-    EXPECT_EQ((*h1)[i].table_name, (*h2)[i].table_name);
-  }
-  std::filesystem::remove_all(dir);
-}
-
-TEST(IndexCacheTest, CorruptCacheFallsBackToBuild) {
-  std::string dir = testing::TempDir() + "/dialite_idx_corrupt";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  {
-    std::ofstream bad(dir + "/lsh_ensemble.idx");
-    bad << "garbage\n";
-  }
-  DataLake lake = paper::MakeDemoLake(0);
-  Dialite d(&lake);
-  ASSERT_TRUE(d.RegisterDefaults().ok());
-  ASSERT_TRUE(d.BuildIndexes(dir).ok());  // rebuilds, overwrites cache
-  Table query = paper::MakeT1();
-  DiscoveryQuery q{&query, 1, 5};
-  auto hits = d.Discover(q, "lsh_ensemble");
-  ASSERT_TRUE(hits.ok());
-  EXPECT_FALSE(hits->empty());
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -1,14 +1,12 @@
 /// Determinism tests for parallel offline indexing: for every discovery
 /// algorithm, building with 1, 2, or 8 threads must produce identical
-/// search results — and for the persistent indexes, byte-identical files.
+/// search results — and for the persistent indexes, byte-identical
+/// payloads.
 /// This is the contract that lets num_threads default to hardware
 /// concurrency without changing any observable behavior.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -45,13 +43,6 @@ const DataLake& SharedLake() {
   return *lake;
 }
 
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
 /// Builds `Algo` at each thread count and verifies the top-20 search
 /// results (names and exact scores) are identical.
 template <typename Algo>
@@ -73,21 +64,24 @@ void ExpectDeterministicSearch() {
   EXPECT_EQ(per_thread_hits[0], per_thread_hits[2]);
 }
 
+/// `algo`'s index payload, as its snapshot section holds it.
+std::string PayloadBytes(const PersistentIndex& algo) {
+  BinaryWriter w;
+  EXPECT_TRUE(algo.SavePayload(&w).ok());
+  return w.Release();
+}
+
 /// Builds a PersistentIndex `Algo` at each thread count and verifies the
-/// saved index files are byte-identical.
+/// saved payloads are byte-identical.
 template <typename Algo>
-void ExpectIdenticalIndexBytes(const std::string& tag) {
+void ExpectIdenticalIndexBytes() {
   const DataLake& lake = SharedLake();
   std::string reference;
   for (size_t threads : kThreadCounts) {
     Algo algo;
     algo.set_num_threads(threads);
     ASSERT_TRUE(algo.BuildIndex(lake).ok());
-    std::string path = testing::TempDir() + "/" + tag + "_" +
-                       std::to_string(threads) + ".idx";
-    ASSERT_TRUE(algo.SaveIndex(path).ok());
-    std::string bytes = ReadFileBytes(path);
-    std::remove(path.c_str());
+    std::string bytes = PayloadBytes(algo);
     ASSERT_FALSE(bytes.empty());
     if (reference.empty()) {
       reference = std::move(bytes);
@@ -126,7 +120,7 @@ TEST(ParallelBuildTest, KeywordSearchDeterministic) {
 }
 
 TEST(ParallelBuildTest, SantosIndexBytesIdentical) {
-  ExpectIdenticalIndexBytes<SantosSearch>("santos_par");
+  ExpectIdenticalIndexBytes<SantosSearch>();
 }
 
 /// The "lake.tokens" payload of `lake`'s tokens built on `threads`
@@ -167,9 +161,9 @@ DataLake RebuildLakeFromColumns() {
 }
 
 /// Builds `Algo` over both lake constructions and verifies the persisted
-/// index files are byte-identical.
+/// payloads are byte-identical.
 template <typename Algo>
-void ExpectIndexBytesInvariantToConstruction(const std::string& tag) {
+void ExpectIndexBytesInvariantToConstruction() {
   DataLake columnar = RebuildLakeFromColumns();
   std::string reference;
   const DataLake* lakes[] = {&SharedLake(), &columnar};
@@ -177,11 +171,7 @@ void ExpectIndexBytesInvariantToConstruction(const std::string& tag) {
     Algo algo;
     algo.set_num_threads(1);
     ASSERT_TRUE(algo.BuildIndex(*lakes[i]).ok());
-    std::string path =
-        testing::TempDir() + "/" + tag + "_" + std::to_string(i) + ".idx";
-    ASSERT_TRUE(algo.SaveIndex(path).ok());
-    std::string bytes = ReadFileBytes(path);
-    std::remove(path.c_str());
+    std::string bytes = PayloadBytes(algo);
     ASSERT_FALSE(bytes.empty());
     if (reference.empty()) {
       reference = std::move(bytes);
@@ -192,7 +182,7 @@ void ExpectIndexBytesInvariantToConstruction(const std::string& tag) {
 }
 
 TEST(ParallelBuildTest, SantosIndexInvariantToTableConstruction) {
-  ExpectIndexBytesInvariantToConstruction<SantosSearch>("santos_col");
+  ExpectIndexBytesInvariantToConstruction<SantosSearch>();
 }
 
 TEST(ParallelBuildTest, JosieIndexInvariantToTableConstruction) {

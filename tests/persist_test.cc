@@ -1,20 +1,17 @@
-/// Tests for offline-index persistence (the binary SaveIndex/LoadIndex
-/// container flow shared by every PersistentIndex algorithm; the snapshot
-/// container itself is covered in snapshot_test.cc).
+/// Tests for offline-index persistence: the payloads that the
+/// PersistentIndex algorithms (SANTOS, TUS, keyword) write as "idx.<name>"
+/// snapshot sections, and the "lake.tokens" payload that JOSIE's index is
+/// (the snapshot container itself is covered in snapshot_test.cc).
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <iterator>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "discovery/josie.h"
 #include "discovery/keyword_search.h"
-#include "discovery/lsh_ensemble_search.h"
 #include "discovery/santos.h"
 #include "discovery/tus.h"
 #include "lake/paper_fixtures.h"
@@ -23,16 +20,6 @@
 
 namespace dialite {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
-}
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
 
 /// Feeds `payload` to `index->LoadPayload` from 8-byte-aligned storage, as
 /// a mapped snapshot section would present it.
@@ -45,27 +32,10 @@ Status LoadCrafted(PersistentIndex* index, const BinaryWriter& payload,
   return index->LoadPayload(&r, lake);
 }
 
-/// An LSH Ensemble payload (default Params) indexing column `col` of T2.
-BinaryWriter LshPayload(uint64_t col) {
-  const LshEnsembleSearch::Params p;
-  BinaryWriter w;
-  w.Str("lsh_ensemble");
-  w.U32(1);
-  w.U64(1);
-  w.Str("T2");
-  w.U64(col);
-  w.U64(3);
-  const std::vector<uint32_t> hist(p.bound_buckets, 0);
-  w.Array<uint32_t>(hist);
-  const std::vector<uint64_t> sig(p.num_perm, 42);
-  w.Array<uint64_t>(sig);
-  return w;
-}
-
 /// A keyword payload with vocabulary `terms` (document frequency 1 each)
-/// and one document, lake table T2, holding term id `id`.
+/// and `copies` documents, each lake table T2 holding term id `id`.
 BinaryWriter KeywordPayload(const std::vector<std::string>& terms,
-                            uint32_t id) {
+                            uint32_t id, size_t copies = 1) {
   BinaryWriter w;
   w.Str("keyword");
   w.U32(1);
@@ -75,11 +45,13 @@ BinaryWriter KeywordPayload(const std::vector<std::string>& terms,
     w.Str(t);
     w.U64(1);
   }
-  w.U64(1);
-  w.Str("T2");
-  w.U64(1);
-  w.U32(id);
-  w.F64(1.0);
+  w.U64(copies);
+  for (size_t i = 0; i < copies; ++i) {
+    w.Str("T2");
+    w.U64(1);
+    w.U32(id);
+    w.F64(1.0);
+  }
   return w;
 }
 
@@ -169,15 +141,19 @@ TEST(JosiePersistTest, SaveLoadSaveIsByteIdentical) {
   EXPECT_EQ(second.buffer(), first.buffer());
 }
 
+/// `index`'s payload.
+BinaryWriter Saved(const PersistentIndex& index) {
+  BinaryWriter w;
+  EXPECT_TRUE(index.SavePayload(&w).ok());
+  return w;
+}
+
 TEST(SantosPersistTest, SaveLoadGivesIdenticalResults) {
   DataLake lake = paper::MakeDemoLake(12);
   SantosSearch original;
   ASSERT_TRUE(original.BuildIndex(lake).ok());
-  std::string path = TempPath("santos.idx");
-  ASSERT_TRUE(original.SaveIndex(path).ok());
-
   SantosSearch loaded;
-  ASSERT_TRUE(loaded.LoadIndex(path, lake).ok());
+  ASSERT_TRUE(LoadCrafted(&loaded, Saved(original), lake).ok());
   Table query = paper::MakeT1();
   DiscoveryQuery q{&query, 1, 10};
   auto h1 = original.Search(q);
@@ -190,78 +166,71 @@ TEST(SantosPersistTest, SaveLoadGivesIdenticalResults) {
     // Confidences round-trip as exact f64 bits, so scores match exactly.
     EXPECT_DOUBLE_EQ((*h1)[i].score, (*h2)[i].score);
   }
-  std::remove(path.c_str());
 }
 
 TEST(SantosPersistTest, SaveLoadSaveIsByteIdentical) {
   DataLake lake = paper::MakeDemoLake(12);
   SantosSearch original;
   ASSERT_TRUE(original.BuildIndex(lake).ok());
-  std::string path1 = TempPath("santos_rt1.idx");
-  std::string path2 = TempPath("santos_rt2.idx");
-  ASSERT_TRUE(original.SaveIndex(path1).ok());
+  const BinaryWriter first = Saved(original);
   SantosSearch loaded;
-  ASSERT_TRUE(loaded.LoadIndex(path1, lake).ok());
-  ASSERT_TRUE(loaded.SaveIndex(path2).ok());
-  EXPECT_EQ(ReadFile(path1), ReadFile(path2));
-  std::remove(path1.c_str());
-  std::remove(path2.c_str());
+  ASSERT_TRUE(LoadCrafted(&loaded, first, lake).ok());
+  EXPECT_EQ(Saved(loaded).buffer(), first.buffer());
 }
 
 TEST(SantosPersistTest, LoadedIndexStillRanksT2First) {
   DataLake lake = paper::MakeDemoLake(12);
   SantosSearch original;
   ASSERT_TRUE(original.BuildIndex(lake).ok());
-  std::string path = TempPath("santos2.idx");
-  ASSERT_TRUE(original.SaveIndex(path).ok());
   SantosSearch loaded;
-  ASSERT_TRUE(loaded.LoadIndex(path, lake).ok());
+  ASSERT_TRUE(LoadCrafted(&loaded, Saved(original), lake).ok());
   Table query = paper::MakeT1();
   DiscoveryQuery q{&query, 1, 5};
   auto hits = loaded.Search(q);
   ASSERT_TRUE(hits.ok());
   ASSERT_FALSE(hits->empty());
   EXPECT_EQ((*hits)[0].table_name, "T2");
-  std::remove(path.c_str());
 }
 
 TEST(SantosPersistTest, LoadRejectsWrongAlgorithmPayload) {
   DataLake lake = paper::MakeDemoLake(0);
   KeywordSearch keyword;
   ASSERT_TRUE(keyword.BuildIndex(lake).ok());
-  std::string path = TempPath("santos_bad.idx");
-  ASSERT_TRUE(keyword.SaveIndex(path).ok());  // valid container, wrong payload
   SantosSearch loaded;
-  EXPECT_EQ(loaded.LoadIndex(path, lake).code(), StatusCode::kParseError);
-  std::remove(path.c_str());
-}
-
-// A crafted payload naming a column past its table's width must fail to
-// load: searches index the table's token sets by that column unchecked.
-// Column 1 (T2's City) is the well-formed control.
-TEST(LshEnsemblePersistTest, LoadRejectsColumnOutOfRange) {
-  DataLake lake = paper::MakeDemoLake(0);
-  LshEnsembleSearch lsh;
-  ASSERT_TRUE(LoadCrafted(&lsh, LshPayload(1), lake).ok());
-  EXPECT_EQ(LoadCrafted(&lsh, LshPayload(1000000), lake).code(),
+  EXPECT_EQ(LoadCrafted(&loaded, Saved(keyword), lake).code(),
             StatusCode::kParseError);
 }
 
-// A payload that fails to load leaves the built index answering as before.
-TEST(LshEnsemblePersistTest, FailedLoadKeepsTheIndex) {
+// A payload that fails to load leaves the built index answering as before,
+// for each algorithm that keeps a payload: keyword given a repeated term,
+// TUS a column-count mismatch, SANTOS a repeated table.
+TEST(PersistentIndexTest, FailedLoadKeepsTheIndex) {
   DataLake lake = paper::MakeDemoLake(0);
-  LshEnsembleSearch lsh;
-  ASSERT_TRUE(lsh.BuildIndex(lake).ok());
   const Table query = paper::MakeT1();
-  DiscoveryQuery q{&query, 1, 5};
-  auto before = lsh.Search(q);
-  ASSERT_TRUE(before.ok()) << before.status().ToString();
-  ASSERT_FALSE(before->empty());
-  EXPECT_EQ(LoadCrafted(&lsh, LshPayload(1000000), lake).code(),
-            StatusCode::kParseError);
-  auto after = lsh.Search(q);
-  ASSERT_TRUE(after.ok()) << after.status().ToString();
-  EXPECT_EQ(*after, *before);
+  const DiscoveryQuery q{&query, 1, 5};
+  KeywordSearch keyword;
+  TusSearch tus;
+  SantosSearch santos;
+  struct Case {
+    DiscoveryAlgorithm* algo;
+    PersistentIndex* index;
+    BinaryWriter bad;
+  };
+  Case cases[] = {{&keyword, &keyword, KeywordPayload({"x", "x"}, 1)},
+                  {&tus, &tus, TusPayload({1})},
+                  {&santos, &santos, SantosPayload(2)}};
+  for (Case& c : cases) {
+    ASSERT_TRUE(c.algo->BuildIndex(lake).ok()) << c.algo->name();
+    auto before = c.algo->Search(q);
+    ASSERT_TRUE(before.ok()) << before.status().ToString();
+    ASSERT_FALSE(before->empty()) << c.algo->name();
+    EXPECT_EQ(LoadCrafted(c.index, c.bad, lake).code(),
+              StatusCode::kParseError)
+        << c.algo->name();
+    auto after = c.algo->Search(q);
+    ASSERT_TRUE(after.ok()) << after.status().ToString();
+    EXPECT_EQ(*after, *before) << c.algo->name();
+  }
 }
 
 // A vocabulary that repeats a term must fail to load: the postings
@@ -280,7 +249,17 @@ TEST(KeywordPersistTest, LoadRejectsRepeatedTerm) {
 }
 
 // Indexes give each lake table one slot, so a payload that lists a table
-// twice must fail to load. One copy is the control.
+// twice must fail to load: a search would rank the table twice. One copy
+// is the control.
+TEST(KeywordPersistTest, LoadRejectsRepeatedTable) {
+  DataLake lake = paper::MakeDemoLake(0);
+  KeywordSearch keyword;
+  ASSERT_TRUE(LoadCrafted(&keyword, KeywordPayload({"x", "y"}, 1), lake).ok());
+  EXPECT_EQ(
+      LoadCrafted(&keyword, KeywordPayload({"x", "y"}, 1, 2), lake).code(),
+      StatusCode::kParseError);
+}
+
 TEST(TusPersistTest, LoadRejectsRepeatedTable) {
   DataLake lake = paper::MakeDemoLake(0);
   TusSearch tus;

@@ -1,7 +1,7 @@
 /// Tests for the versioned mmap lake snapshot layer: container round-trip
-/// and corruption rejection, zero-copy lake/table restore, and the Dialite
-/// facade's SaveSnapshot/OpenSnapshot end-to-end flow, including snapshots
-/// written before MinHash sketches moved into the LSH Ensemble index.
+/// and corruption rejection, zero-copy lake/table restore, the Dialite
+/// facade's SaveSnapshot/OpenSnapshot end-to-end flow and what a snapshot
+/// persists, and the committed fuzz seeds that hold real snapshots.
 
 #include <gtest/gtest.h>
 #include <sys/stat.h>
@@ -476,6 +476,88 @@ TEST(DialiteSnapshotTest, SnapshotMissingIndexSectionTriggersRebuild) {
   ASSERT_TRUE(hits.ok());
   EXPECT_FALSE(hits->empty());
   std::remove(path.c_str());
+}
+
+// A snapshot persists only what is costly to derive: the index sections of
+// SANTOS, TUS and keyword, and a version-3 "lake.tokens" holding the
+// dictionary and the column token ids, without the column embeddings an
+// open re-sums from them. The other four indexes build at open.
+TEST(DialiteSnapshotTest, PersistsOnlyWhatIsCostlyToDerive) {
+  DataLake lake = paper::MakeDemoLake(6);
+  Dialite fresh(&lake);
+  ASSERT_TRUE(fresh.RegisterDefaults().ok());
+  ASSERT_TRUE(fresh.BuildIndexes().ok());
+  const std::string path = TempPath("persisted.snap");
+  ASSERT_TRUE(fresh.SaveSnapshot(path).ok());
+
+  Result<SnapshotReader> reader = SnapshotReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  std::vector<std::string> indexes;
+  for (const SnapshotSection& sec : reader->sections()) {
+    if (sec.name.rfind(kSectionIndexPrefix, 0) == 0) {
+      indexes.push_back(sec.name);
+    }
+  }
+  EXPECT_EQ(indexes,
+            (std::vector<std::string>{"idx.keyword", "idx.santos", "idx.tus"}));
+  const LakeTokens& tokens = *lake.tokens();
+  BinaryWriter expected;
+  expected.U32(3);
+  expected.Str(tokens.chars());
+  expected.Array<uint32_t>(tokens.token_offsets());
+  expected.Array<uint32_t>(tokens.column_offsets());
+  expected.Array<uint32_t>(tokens.ids());
+  Result<std::span<const uint8_t>> section =
+      reader->Section(kSectionLakeTokens);
+  ASSERT_TRUE(section.ok()) << section.status().ToString();
+  EXPECT_EQ(std::string(reinterpret_cast<const char*>(section->data()),
+                        section->size()),
+            expected.buffer());
+
+  ObservabilityContext obs;
+  ASSERT_TRUE(Dialite::OpenSnapshot(path, &obs).ok());
+  EXPECT_EQ(obs.metrics().CounterValue("snapshot.indexes_loaded"), 3u);
+  EXPECT_EQ(obs.metrics().CounterValue("snapshot.indexes_rebuilt"), 4u);
+  std::remove(path.c_str());
+}
+
+/// The committed fuzz seed `name` without its selector byte: the snapshot
+/// container the fuzz replay opens.
+std::string SeedContainer(const std::string& name) {
+  const std::string bytes =
+      ReadFileBytes(std::string(DIALITE_SNAPSHOT_CORPUS_DIR) + "/" + name);
+  return bytes.empty() ? bytes : bytes.substr(1);
+}
+
+// The fuzz replay accepts any Status, so a seed left in an older layout
+// would quietly stop reaching the lake decode and the index loads. The
+// seeds that hold real snapshots must open as committed; after a layout
+// change, make_snapshot_seeds regenerates them.
+TEST(SnapshotSeedTest, DemoFullSeedOpensWithEveryIndexSection) {
+  const std::string container = SeedContainer("demo_full_verify");
+  ASSERT_FALSE(container.empty());
+  const std::string path = TempPath("demo_full_seed.snap");
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(container.data(), 1, container.size(), f),
+              container.size());
+    std::fclose(f);
+  }
+  ObservabilityContext obs;
+  Result<SnapshotSystem> opened = Dialite::OpenSnapshot(path, &obs);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(obs.metrics().CounterValue("snapshot.indexes_loaded"), 3u);
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotSeedTest, LakeOnlySeedOpensThroughReadLake) {
+  Result<SnapshotReader> reader =
+      SnapshotReader::OpenOwning(SeedContainer("lake_only_verify"));
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  Result<std::unique_ptr<DataLake>> lake = ReadLake(*reader);
+  ASSERT_TRUE(lake.ok()) << lake.status().ToString();
+  EXPECT_GT((*lake)->size(), 0u);
 }
 
 // Every token search reads the lake's tokens, so a snapshot without the

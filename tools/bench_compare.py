@@ -15,6 +15,9 @@ mode (bench/bench_json.h) and enforces the trajectory contract:
     meaningless).
   * `deterministic` / `deterministic_text` values must match exactly: these
     are result digests and pruning counters that may not drift at all.
+  * `deterministic_text.build_type` (the CMake build type the bench was
+    compiled in) is checked first: timings and ratios depend on it, so a
+    report from another build type is refused with that one failure.
   * `timings_us` values compare with a LOOSE catastrophic-only tolerance
     (default 4x either way): wall clocks differ across machines and CI
     runners, so only an order-of-magnitude explosion fails.
@@ -55,8 +58,19 @@ def load(path):
         return json.load(f)
 
 
+def build_type(report):
+    """The report's deterministic_text.build_type, or None."""
+    text = report.get("deterministic_text")
+    return text.get("build_type") if isinstance(text, dict) else None
+
+
 def compare(baseline, current):
     """Returns a list of human-readable failure strings (empty = pass)."""
+    b_type = build_type(baseline)
+    c_type = build_type(current)
+    if b_type != c_type:
+        return ["build type mismatch: baseline=%r current=%r (rebuild with "
+                "-DCMAKE_BUILD_TYPE=%s and rerun)" % (b_type, c_type, b_type)]
     fails = []
 
     for field in ("schema_version", "bench"):
@@ -131,7 +145,7 @@ def self_test():
         "schema_version": 1, "bench": "discovery",
         "config": {"k": 10},
         "deterministic": {"pruned": 42},
-        "deterministic_text": {"digest": "abc"},
+        "deterministic_text": {"build_type": "Release", "digest": "abc"},
         "timings_us": {"t": 1000.0},
         "ratios": {"speedup": 2.0},
     }
@@ -176,6 +190,12 @@ def self_test():
         c["deterministic_text"]["digest"] = "xyz"
     cases.append(("text drift fails", drift_text, "deterministic_text.digest"))
 
+    def other_build_type(c):
+        c["deterministic_text"]["build_type"] = "RelWithDebInfo"
+        c["ratios"]["speedup"] = 1.0  # not reported: the type is refused
+    cases.append(("build type mismatch refused", other_build_type,
+                  "build type mismatch"))
+
     def blow_timing(c):
         c["timings_us"]["t"] = 5000.0  # 5x > 4x envelope
     cases.append(("catastrophic timing fails", blow_timing, "timings_us.t"))
@@ -199,6 +219,13 @@ def self_test():
                 print("self-test FAIL: %s: expected %r in %s"
                       % (name, expect, fails))
                 ok = False
+
+    # A refused build type is the only failure reported.
+    cur = clone()
+    other_build_type(cur)
+    if len(compare(base, cur)) != 1:
+        print("self-test FAIL: build type mismatch should be the only failure")
+        ok = False
 
     # ratios_min: one-sided floor semantics, against a floor-carrying base.
     floor_base = clone()

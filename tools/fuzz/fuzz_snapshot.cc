@@ -9,11 +9,14 @@
 // On a lake that decodes, every "idx.<name>" section also goes through its
 // stock algorithm's LoadPayload, and an index that loads answers one
 // Search for a query cut from the decoded lake: a payload that loads must
-// be safe to search. (JOSIE, COCOA and Starmie persist no section: they
-// build from the decoded lake tokens.)
+// be safe to search. (Only keyword, SANTOS and TUS persist a section;
+// JOSIE, COCOA, Starmie and LSH Ensemble build from the decoded lake
+// tokens.)
 //
 // The demo_full_* and lake_only_* seeds come from make_snapshot_seeds
 // (built with the harnesses): make_snapshot_seeds tools/fuzz/corpus/snapshot
+// Regenerate them whenever a section's layout changes: snapshot_test checks
+// that the committed demo_full_verify and lake_only_verify still open.
 //
 // Input layout: byte 0 selects SnapshotReadOptions (bit0 = skip section
 // CRC verification — the deferred-verification mode must be exactly as
@@ -30,7 +33,6 @@
 #include <string>
 
 #include "discovery/keyword_search.h"
-#include "discovery/lsh_ensemble_search.h"
 #include "discovery/santos.h"
 #include "discovery/tus.h"
 #include "lake/data_lake.h"
@@ -57,9 +59,6 @@ using dialite::Table;
 /// null for any other name.
 std::unique_ptr<DiscoveryAlgorithm> StockAlgorithm(const std::string& name) {
   if (name == "keyword") return std::make_unique<dialite::KeywordSearch>();
-  if (name == "lsh_ensemble") {
-    return std::make_unique<dialite::LshEnsembleSearch>();
-  }
   if (name == "santos") return std::make_unique<dialite::SantosSearch>();
   if (name == "tus") return std::make_unique<dialite::TusSearch>();
   return nullptr;
