@@ -16,8 +16,8 @@
 
 // Annotated synchronization primitives — the ONLY way code under src/ may
 // lock. Raw std::mutex / std::lock_guard / std::unique_lock are banned by
-// dialite_lint (rule raw-sync-primitive) outside this header so that every
-// lock in the tree carries:
+// dialite_analyze (check raw-sync-primitive) outside this header so that
+// every lock in the tree carries:
 //
 //  1. Clang Thread Safety Analysis capability attributes. On clang builds
 //     the top-level CMakeLists adds -Wthread-safety -Wthread-safety-beta

@@ -1,6 +1,7 @@
 #include "core/dialite.h"
 
 #include <algorithm>
+#include <atomic>
 #include <string_view>
 #include <thread>
 #include <unordered_set>
@@ -183,46 +184,54 @@ std::vector<std::string> Dialite::Analyses() const {
 
 Status Dialite::BuildIndexes() {
   ObsSpan build_span(obs_, "pipeline.build_indexes");
-  std::vector<DiscoveryAlgorithm*> algos;
-  algos.reserve(discovery_.size());
-  for (auto& [name, algo] : discovery_) algos.push_back(algo.get());
-
   const size_t threads = EffectiveThreads(num_threads_);
-  // Every algorithm also fans its per-table compute phase across `threads`
-  // workers. Yes, that oversubscribes cores while several algorithms are in
-  // their compute phases — deliberately: merges are serial, algorithms
-  // finish at very different times, and a work-conserving oversubscription
-  // keeps cores busy through the stragglers. num_threads()==1 pins
-  // everything to the exact sequential code path.
-  for (DiscoveryAlgorithm* a : algos) {
-    a->set_num_threads(num_threads_ == 1 ? 1 : threads);
-  }
-
-  auto build_one = [&](DiscoveryAlgorithm* algo) -> Status {
-    // On worker threads this span surfaces as its own root — by design.
-    ObsSpan span(obs_, "build." + algo->name());
-    return algo->BuildIndex(*lake_);
-  };
-
-  if (threads <= 1 || algos.size() < 2) {
-    for (DiscoveryAlgorithm* a : algos) DIALITE_RETURN_IF_ERROR(build_one(a));
-  } else {
+  if (threads > 1 && discovery_.size() > 1) {
     // The lake's tokens and embeddings, which most algorithms read, are
     // built here on every worker rather than by the first algorithm to ask
     // while the others wait on it.
-    {
-      ObsSpan span(obs_, "build.lake_tokens");
-      (void)lake_->tokens(threads);
-    }
-    std::vector<Status> statuses(algos.size());
-    ThreadPool pool(std::min(threads, algos.size()), obs_);
-    pool.ParallelFor(algos.size(), [&](size_t i) {
-      statuses[i] = build_one(algos[i]);
-    });
-    // First failure in registry (name) order, matching the serial path.
-    for (const Status& s : statuses) DIALITE_RETURN_IF_ERROR(s);
+    ObsSpan span(obs_, "build.lake_tokens");
+    (void)lake_->tokens(threads);
   }
-  indexes_built_ = true;
+  auto build = [&](const std::string& name, DiscoveryAlgorithm* algo) {
+    // On worker threads this span surfaces as its own root — by design.
+    ObsSpan span(obs_, "build." + name);
+    return algo->BuildIndex(*lake_);
+  };
+  Status built = ForEachAlgorithm(build);
+  if (built.ok()) indexes_built_ = true;
+  return built;
+}
+
+Status Dialite::ForEachAlgorithm(
+    const std::function<Status(const std::string&, DiscoveryAlgorithm*)>& fn) {
+  const size_t threads = EffectiveThreads(num_threads_);
+  std::vector<std::pair<const std::string*, DiscoveryAlgorithm*>> algos;
+  algos.reserve(discovery_.size());
+  for (auto& [name, algo] : discovery_) {
+    // Every algorithm also fans its per-table compute phase across
+    // `threads` workers. Yes, that oversubscribes cores while several
+    // algorithms are in their compute phases — deliberately: merges are
+    // serial, algorithms finish at very different times, and a
+    // work-conserving oversubscription keeps cores busy through the
+    // stragglers. num_threads()==1 pins everything to the exact sequential
+    // code path.
+    algo->set_num_threads(threads);
+    algos.emplace_back(&name, algo.get());
+  }
+  std::vector<Status> statuses(algos.size());
+  // The first failure in registry (name) order so far. An algorithm named
+  // after it is skipped: one thread stops at the first failure, and every
+  // thread count returns the same status.
+  std::atomic<size_t> first_failed{algos.size()};
+  ForEachTableIndex(threads, algos.size(), [&](size_t i) {
+    if (first_failed.load() < i) return;
+    statuses[i] = fn(*algos[i].first, algos[i].second);
+    if (statuses[i].ok()) return;
+    size_t seen = first_failed.load();
+    while (i < seen && !first_failed.compare_exchange_weak(seen, i)) {
+    }
+  }, obs_);
+  for (const Status& s : statuses) DIALITE_RETURN_IF_ERROR(s);
   return Status::OK();
 }
 
@@ -246,30 +255,32 @@ Status Dialite::SaveSnapshot(const std::string& path) const {
 }
 
 Status Dialite::LoadIndexesFrom(const SnapshotReader& reader) {
-  for (auto& [name, algo] : discovery_) {
-    auto* persistent = dynamic_cast<PersistentIndex*>(algo.get());
+  auto load = [&](const std::string& name, DiscoveryAlgorithm* algo) {
+    auto* persistent = dynamic_cast<PersistentIndex*>(algo);
     const std::string section = kSectionIndexPrefix + name;
-    if (persistent != nullptr && reader.HasSection(section)) {
-      ObsSpan span(obs_, "snapshot.load." + name);
-      Result<std::span<const uint8_t>> payload = reader.Section(section);
-      if (!payload.ok()) return payload.status();
-      BinaryReader r(*payload);
-      DIALITE_RETURN_IF_ERROR(persistent->LoadPayload(&r, *lake_));
-      if (!r.AtEnd()) {
-        return Status::ParseError("trailing bytes after section '" + section +
-                                  "'");
-      }
-      ObsAdd(obs_, "snapshot.indexes_loaded");
-    } else {
+    if (persistent == nullptr || !reader.HasSection(section)) {
       // Algorithms that persist nothing (and custom registrations) build
       // over the restored lake and its decoded tokens.
       ObsSpan span(obs_, "snapshot.rebuild." + name);
       DIALITE_RETURN_IF_ERROR(algo->BuildIndex(*lake_));
       ObsAdd(obs_, "snapshot.indexes_rebuilt");
+      return Status::OK();
     }
-  }
-  indexes_built_ = true;
-  return Status::OK();
+    ObsSpan span(obs_, "snapshot.load." + name);
+    Result<std::span<const uint8_t>> payload = reader.Section(section);
+    if (!payload.ok()) return payload.status();
+    BinaryReader r(*payload);
+    DIALITE_RETURN_IF_ERROR(persistent->LoadPayload(&r, *lake_));
+    if (!r.AtEnd()) {
+      return Status::ParseError("trailing bytes after section '" + section +
+                                "'");
+    }
+    ObsAdd(obs_, "snapshot.indexes_loaded");
+    return Status::OK();
+  };
+  Status loaded = ForEachAlgorithm(load);
+  if (loaded.ok()) indexes_built_ = true;
+  return loaded;
 }
 
 Result<SnapshotSystem> Dialite::OpenSnapshot(const std::string& path,

@@ -118,11 +118,12 @@ class Dialite {
   std::vector<std::string> IntegrationOperators() const;
   std::vector<std::string> Analyses() const;
 
-  /// Worker threads for BuildIndexes and DiscoverAll: 0 = hardware
-  /// concurrency (the default), 1 = the exact sequential code path, n = n
-  /// workers. Parallelism never changes results: every index build is a
-  /// parallel per-table compute phase plus a serial deterministic merge, so
-  /// persisted indexes are byte-identical across settings.
+  /// Worker threads for BuildIndexes, OpenSnapshot's index restore (at the
+  /// default) and DiscoverAll: 0 = hardware concurrency (the default), 1 =
+  /// the exact sequential code path, n = n workers. Parallelism never
+  /// changes results: every index build is a parallel per-table compute
+  /// phase plus a serial deterministic merge, so persisted indexes are
+  /// byte-identical across settings.
   void set_num_threads(size_t num_threads) { num_threads_ = num_threads; }
   size_t num_threads() const { return num_threads_; }
 
@@ -172,7 +173,8 @@ class Dialite {
   /// section (JOSIE, COCOA, Starmie and LSH Ensemble, which derive theirs
   /// from the lake's tokens) run BuildIndex over the opened lake
   /// (snapshot.indexes_loaded / snapshot.indexes_rebuilt count the two
-  /// paths: 3 / 4 with the stock set). The returned system is ready to
+  /// paths: 3 / 4 with the stock set). The algorithms restore concurrently,
+  /// as BuildIndexes builds them. The returned system is ready to
   /// Search/Run; corrupt or version-skewed files fail with a clean
   /// Status.
   static Result<SnapshotSystem> OpenSnapshot(
@@ -250,6 +252,15 @@ class Dialite {
   /// "idx.<name>" section and builds every other algorithm (and any whose
   /// section is missing) over the lake; OpenSnapshot's tail.
   Status LoadIndexesFrom(const SnapshotReader& reader);
+
+  /// Runs `fn(name, algorithm)` for every registered discovery algorithm,
+  /// the algorithms spread across num_threads() workers (inline at one),
+  /// each also set to num_threads() for its own per-table phase. Returns
+  /// the first failure in name order; algorithms named after a failure are
+  /// skipped, so one thread stops at the first. BuildIndexes' and
+  /// LoadIndexesFrom's one fan-out.
+  Status ForEachAlgorithm(
+      const std::function<Status(const std::string&, DiscoveryAlgorithm*)>& fn);
 
   const DataLake* lake_;
   std::map<std::string, std::unique_ptr<DiscoveryAlgorithm>> discovery_;

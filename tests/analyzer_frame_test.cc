@@ -108,14 +108,46 @@ TEST(LexerTest, WaiversCoverOwnAndNextLine) {
       "// analyze: no-cancel(bounded by construction)\n"
       "int covered = 1;\n"
       "int uncovered = 2;\n"
-      "int waived_inline = 3;  // dialite-lint: allow(naked-thread)\n";
+      "int waived_inline = 3;  // analyze: allow-thread(joined in scope)\n";
   LexedFile lexed = Lex("t.cc", src);
   EXPECT_TRUE(HasWaiver(lexed, "no-cancel", 1));
   EXPECT_TRUE(HasWaiver(lexed, "no-cancel", 2));
   EXPECT_FALSE(HasWaiver(lexed, "no-cancel", 3));
   EXPECT_FALSE(HasWaiver(lexed, "allow-blocking", 2));
-  EXPECT_TRUE(HasLintWaiver(lexed, "naked-thread", 4));
-  EXPECT_FALSE(HasLintWaiver(lexed, "raw-socket", 4));
+  EXPECT_TRUE(HasWaiver(lexed, "allow-thread", 4));
+  EXPECT_FALSE(HasWaiver(lexed, "allow-socket", 4));
+}
+
+TEST(LexerTest, DirectivesRecordedWithNameArgumentAndMacroBody) {
+  const std::string src =
+      "#ifndef A_H_\n"
+      "#  define A_H_ 1  // trailing comment\n"
+      "#pragma once\n"
+      "#define S(x) \"a // b\" x\n"
+      "int x;\n"
+      "#endif  // A_H_\n";
+  LexedFile lexed = Lex("a.h", src);
+  ASSERT_EQ(lexed.directives.size(), 5u);
+  EXPECT_EQ(lexed.directives[0].name, "ifndef");
+  EXPECT_EQ(lexed.directives[0].arg, "A_H_");
+  EXPECT_EQ(lexed.directives[1].name, "define");
+  EXPECT_EQ(lexed.directives[1].arg, "A_H_");
+  EXPECT_EQ(lexed.directives[1].line, 2);
+  ASSERT_EQ(lexed.directives[1].body.size(), 1u);
+  EXPECT_EQ(lexed.directives[1].body[0].text, "1");
+  EXPECT_EQ(lexed.directives[2].name, "pragma");
+  EXPECT_EQ(lexed.directives[2].arg, "once");
+  // The string stays one token, so its "//" starts no comment, and every
+  // body token carries the directive's line.
+  std::vector<std::string> body;
+  for (const Token& t : lexed.directives[3].body) {
+    body.push_back(t.text);
+    EXPECT_EQ(t.line, 4);
+  }
+  EXPECT_EQ(body, (std::vector<std::string>{"(", "x", ")", "\"\"", "x"}));
+  EXPECT_EQ(lexed.directives[4].name, "endif");
+  EXPECT_EQ(lexed.directives[4].arg, "");
+  EXPECT_EQ(lexed.directives[4].line, 6);
 }
 
 TEST(LexerTest, IncludesRecordedWithSystemFlag) {
@@ -292,11 +324,13 @@ Policy TestPolicy() {
   return p;
 }
 
-std::vector<Finding> RunOn(const std::string& src) {
+std::vector<Finding> RunOn(const std::string& src,
+                           const std::string& path = "t.cc",
+                           const Policy& policy = TestPolicy()) {
   std::vector<ParsedFile> files;
-  files.push_back(ParseSource("t.cc", src));
+  files.push_back(ParseSource(path, src));
   Project project = Project::Build(std::move(files));
-  return RunChecks(project, TestPolicy());
+  return RunChecks(project, policy);
 }
 
 size_t CountCheck(const std::vector<Finding>& fs, const std::string& check) {
@@ -359,7 +393,9 @@ TEST(DataFlowTest, SummariesPropagateAcrossCallGraph) {
       "void Quiet() {}\n"));
   Project project = Project::Build(std::move(files));
   CallGraph graph(project);
-  DataFlow flow(project, graph, TestPolicy());
+  // DataFlow keeps a reference to its policy.
+  const Policy policy = TestPolicy();
+  DataFlow flow(project, graph, policy);
   EXPECT_TRUE(flow.converged());
   EXPECT_TRUE(flow.NameMayBlock("Deep"));
   EXPECT_TRUE(flow.NameMayBlock("Mid"));
@@ -384,7 +420,9 @@ TEST(DataFlowTest, ReturnsStatusNeedsEveryDefinitionToAgree) {
   files.push_back(ParseSource("b.cc", "void Load() {}\n"));
   Project project = Project::Build(std::move(files));
   CallGraph graph(project);
-  DataFlow flow(project, graph, TestPolicy());
+  // DataFlow keeps a reference to its policy.
+  const Policy policy = TestPolicy();
+  DataFlow flow(project, graph, policy);
   EXPECT_FALSE(flow.NameReturnsStatus("Load"));
 }
 
@@ -486,6 +524,97 @@ TEST(ChecksTest, ViewReturnFlagsReturnsAndDeferredCaptures) {
       "  Submit([rows]() { Use(rows); });\n"
       "}\n");
   EXPECT_EQ(CountCheck(owned, "view-return"), 0u);
+}
+
+/// Lines of `check`'s findings in `src` parsed as `path`, in report order.
+std::vector<int> LinesOf(const std::string& check, const std::string& src,
+                         const std::string& path = "t.cc",
+                         const Policy& policy = TestPolicy()) {
+  std::vector<int> lines;
+  for (const Finding& f : RunOn(src, path, policy)) {
+    if (f.check == check) lines.push_back(f.line);
+  }
+  return lines;
+}
+
+TEST(ChecksTest, RawSocketFiresOnEveryGlobalCallForm) {
+  const std::string src =
+      "int Open(int fd) {\n"
+      "  if (fd < 0) return ::socket(2, 1, 0);\n"
+      "  (void)::shutdown(fd, 2);\n"
+      "  ::recvfrom(fd, 0, 0, 0, 0, 0);\n"
+      "  ::sendto(fd, 0, 0, 0, 0, 0);\n"
+      "  ::getsockname(fd, 0, 0);\n"
+      "  ::getpeername(fd, 0, 0);\n"
+      "  return ::send(fd, 0, 0, 0);\n"
+      "}\n"
+      "int Near(Conn c) { return Conn::connect(3) + Pool<int>::send(1); }\n"
+      "#define SEND(fd) ::send(fd, 0, 0, 0)\n";
+  EXPECT_EQ(LinesOf("raw-socket", src),
+            (std::vector<int>{2, 3, 4, 5, 6, 7, 8, 11}));
+}
+
+TEST(ChecksTest, NondeterminismFiresOnRandSrandAndRandomDevice) {
+  const std::string src =
+      "int Roll() {\n"
+      "  srand(7);\n"
+      "  std::random_device dev;\n"
+      "  return rand() + my_rand() + rng.rand_int() + dev();\n"
+      "}\n"
+      "#define ROLL() rand()\n"
+      "// rand() std::random_device\n"
+      "const char* kDoc = \"srand(1)\";\n";
+  EXPECT_EQ(LinesOf("nondeterminism", src), (std::vector<int>{2, 3, 4, 6}));
+  Policy rng = TestPolicy();
+  rng.exempt.emplace_back("nondeterminism", "src/common/rng");
+  EXPECT_TRUE(LinesOf("nondeterminism", src, "src/common/rng.cc", rng)
+                  .empty());
+}
+
+TEST(ChecksTest, RawSyncPrimitiveFiresOnEachLockTypeButNotOnceFlag) {
+  const std::string src =
+      "std::mutex mu;\n"
+      "std::condition_variable cv;\n"
+      "void F() {\n"
+      "  std::lock_guard<std::mutex> hold(mu);\n"
+      "  static std::once_flag once;\n"
+      "  std::call_once(once, [] {});\n"
+      "}\n";
+  EXPECT_EQ(LinesOf("raw-sync-primitive", src),
+            (std::vector<int>{1, 2, 4, 4}));
+  Policy sync = TestPolicy();
+  sync.exempt.emplace_back("raw-sync-primitive", "src/common/sync.h");
+  EXPECT_TRUE(LinesOf("raw-sync-primitive", src, "src/common/sync.h", sync)
+                  .empty());
+}
+
+TEST(ChecksTest, UsingNamespaceFiresInHeadersOnly) {
+  const std::string src =
+      "#ifndef A_H\n"
+      "#define A_H\n"
+      "using namespace std;\n"
+      "using std::string;\n"
+      "#endif\n";
+  EXPECT_EQ(LinesOf("using-namespace-header", src, "a.h"),
+            (std::vector<int>{3}));
+  EXPECT_TRUE(LinesOf("using-namespace-header", src, "a.cc").empty());
+}
+
+TEST(ChecksTest, IncludeGuardNeedsOneMacroClosedByEndif) {
+  EXPECT_TRUE(LinesOf("include-guard", "#ifndef A_H\n#define A_H\n#endif\n",
+                      "a.h")
+                  .empty());
+  EXPECT_EQ(LinesOf("include-guard", "int x;\n", "a.h"),
+            (std::vector<int>{1}));
+  EXPECT_EQ(LinesOf("include-guard", "#ifndef A_H\n#define B_H\n#endif\n",
+                    "a.h"),
+            (std::vector<int>{1}));
+  EXPECT_EQ(LinesOf("include-guard", "// a\n#pragma once\nint x;\n", "a.h"),
+            (std::vector<int>{2}));
+  EXPECT_EQ(LinesOf("include-guard", "#ifndef A_H\n#define A_H\nint x;\n",
+                    "a.h"),
+            (std::vector<int>{2}));
+  EXPECT_TRUE(LinesOf("include-guard", "int x;\n", "a.cc").empty());
 }
 
 // ------------------------------------------------------- waiver grammar

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -210,6 +212,51 @@ TEST(ParallelBuildTest, DiscoverAllIdenticalAcrossThreadCounts) {
   ASSERT_EQ(reports[0].size(), 7u);  // all seven default algorithms ran
   EXPECT_EQ(reports[0], reports[1]);
   EXPECT_EQ(reports[0], reports[2]);
+}
+
+/// Counts its BuildIndex calls and fails each with `error` unless empty.
+class ProbeSearch : public DiscoveryAlgorithm {
+ public:
+  ProbeSearch(std::string name, std::string error, std::atomic<int>* builds)
+      : name_(std::move(name)), error_(std::move(error)), builds_(builds) {}
+
+  std::string name() const override { return name_; }
+  Status BuildIndex(const DataLake&) override {
+    builds_->fetch_add(1);
+    return error_.empty() ? Status::OK() : Status::Internal(error_);
+  }
+  Result<std::vector<DiscoveryHit>> Search(
+      const DiscoveryQuery&) const override {
+    return std::vector<DiscoveryHit>{};
+  }
+
+ private:
+  std::string name_;
+  std::string error_;
+  std::atomic<int>* builds_;
+};
+
+TEST(ParallelBuildTest, BuildIndexesReturnsFirstFailureInNameOrder) {
+  // "a" and "c" fail: every thread count reports a's failure, and one
+  // thread stops there, as a plain loop would.
+  const char* const kErrors[] = {"a failed", "", "c failed", ""};
+  for (size_t threads : kThreadCounts) {
+    std::atomic<int> builds[4] = {};
+    Dialite dialite(&SharedLake());
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(dialite
+                      .RegisterDiscovery(std::make_unique<ProbeSearch>(
+                          std::string(1, static_cast<char>('a' + i)),
+                          kErrors[i], &builds[i]))
+                      .ok());
+    }
+    dialite.set_num_threads(threads);
+    EXPECT_EQ(dialite.BuildIndexes().message(), "a failed") << threads;
+    EXPECT_EQ(builds[0].load(), 1) << threads;
+    if (threads == 1) {
+      EXPECT_EQ(builds[1].load() + builds[2].load() + builds[3].load(), 0);
+    }
+  }
 }
 
 }  // namespace

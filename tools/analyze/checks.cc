@@ -133,46 +133,75 @@ void CheckViewEscapes(const Project& project, const Policy& policy,
   }
 }
 
-/// Symbol-aware port of the linter's naked-thread rule: `std::thread`
-/// appearing as a type use (not `std::thread::id` etc.).
+/// The file's token stream, then each #define body: the repo rules scan
+/// what a macro expands to as well as the code that uses it.
+std::vector<const std::vector<Token>*> TokenStreams(const LexedFile& lex) {
+  std::vector<const std::vector<Token>*> streams = {&lex.tokens};
+  for (const Directive& d : lex.directives) {
+    if (!d.body.empty()) streams.push_back(&d.body);
+  }
+  return streams;
+}
+
+/// True if ts[i], ts[i+1], ts[i+2] spell `std :: <name>` for a `name` in
+/// `names`.
+bool IsStdName(const std::vector<Token>& ts, size_t i,
+               const std::unordered_set<std::string>& names) {
+  return i + 2 < ts.size() && ts[i].kind == Kind::kIdent &&
+         ts[i].text == "std" && ts[i + 1].kind == Kind::kPunct &&
+         ts[i + 1].text == "::" && ts[i + 2].kind == Kind::kIdent &&
+         names.count(ts[i + 2].text) != 0;
+}
+
+bool IsHeader(const std::string& path) {
+  const size_t dot = path.rfind('.');
+  if (dot == std::string::npos) return false;
+  const std::string ext = path.substr(dot);
+  return ext == ".h" || ext == ".hpp";
+}
+
+/// naked-thread: `std::thread` appearing as a type use (not
+/// `std::thread::id` etc.); threads come from ThreadPool or NetThread.
 void CheckNakedThread(const Project& project, const Policy& policy,
                       std::vector<Finding>* out) {
+  static const std::unordered_set<std::string> kThread = {"thread"};
   for (const ParsedFile& pf : project.files) {
     if (policy.IsExempt("naked-thread", pf.lex.path)) continue;
-    const std::vector<Token>& ts = pf.lex.tokens;
-    for (size_t i = 0; i + 2 < ts.size(); ++i) {
-      if (!(ts[i].kind == Kind::kIdent && ts[i].text == "std")) continue;
-      if (!(ts[i + 1].kind == Kind::kPunct && ts[i + 1].text == "::")) continue;
-      if (!(ts[i + 2].kind == Kind::kIdent && ts[i + 2].text == "thread")) {
-        continue;
+    for (const std::vector<Token>* ts : TokenStreams(pf.lex)) {
+      for (size_t i = 0; i < ts->size(); ++i) {
+        if (!IsStdName(*ts, i, kThread)) continue;
+        // std::thread::id and friends are fine — only the owning type is
+        // the rule's target.
+        if (i + 3 < ts->size() && (*ts)[i + 3].kind == Kind::kPunct &&
+            (*ts)[i + 3].text == "::") {
+          continue;
+        }
+        const int line = (*ts)[i].line;
+        if (HasWaiver(pf.lex, "allow-thread", line)) continue;
+        out->push_back(
+            {pf.lex.path, line, "naked-thread",
+             "raw std::thread; use dialite::ThreadPool or NetThread "
+             "(waive with // analyze: allow-thread(why))"});
       }
-      // std::thread::id and friends are fine — only the owning type is the
-      // rule's target.
-      if (i + 3 < ts.size() && ts[i + 3].kind == Kind::kPunct &&
-          ts[i + 3].text == "::") {
-        continue;
-      }
-      const int line = ts[i].line;
-      if (HasLintWaiver(pf.lex, "naked-thread", line)) continue;
-      if (HasWaiver(pf.lex, "allow-thread", line)) continue;
-      out->push_back(
-          {pf.lex.path, line, "naked-thread",
-           "raw std::thread; use dialite::ThreadPool or NetThread "
-           "(waive with // dialite-lint: allow(naked-thread))"});
     }
   }
 }
 
-/// Symbol-aware port of the linter's raw-socket rule: global-namespace
-/// socket syscalls and the socket headers.
+/// raw-socket: global-namespace socket syscalls and the socket headers;
+/// the serving system's socket surface is TcpConn / TcpListener.
 void CheckRawSocket(const Project& project, const Policy& policy,
                     std::vector<Finding>* out) {
   static const std::unordered_set<std::string> kSocketFns = {
-      "socket", "accept", "accept4", "bind",       "listen",
-      "connect", "recv",  "send",    "setsockopt", "getsockopt",
-      "shutdown", "getaddrinfo", "freeaddrinfo"};
+      "socket",      "accept",      "accept4",     "bind",
+      "listen",      "connect",     "recv",        "recvfrom",
+      "send",        "sendto",      "setsockopt",  "getsockopt",
+      "getsockname", "getpeername", "shutdown",    "getaddrinfo",
+      "freeaddrinfo"};
   static const std::vector<std::string> kSocketHeaders = {
       "sys/socket.h", "netinet/", "arpa/inet.h", "netdb.h"};
+  static const std::unordered_set<std::string> kKeywordsBeforeGlobal = {
+      "return", "co_return", "co_await", "co_yield", "throw", "case",
+      "else",   "do",        "and",      "or",       "not"};
   for (const ParsedFile& pf : project.files) {
     if (policy.IsExempt("raw-socket", pf.lex.path)) continue;
     for (const Include& inc : pf.lex.includes) {
@@ -181,33 +210,154 @@ void CheckRawSocket(const Project& project, const Policy& policy,
         if (inc.path.compare(0, h.size(), h) == 0) hit = true;
       }
       if (!hit) continue;
-      if (HasLintWaiver(pf.lex, "raw-socket", inc.line)) continue;
       if (HasWaiver(pf.lex, "allow-socket", inc.line)) continue;
       out->push_back({pf.lex.path, inc.line, "raw-socket",
                       "socket header <" + inc.path +
                           "> outside the net frame layer (waive with "
-                          "// dialite-lint: allow(raw-socket))"});
+                          "// analyze: allow-socket(why))"});
     }
-    const std::vector<Token>& ts = pf.lex.tokens;
-    for (size_t i = 0; i + 2 < ts.size(); ++i) {
-      if (!(ts[i].kind == Kind::kPunct && ts[i].text == "::")) continue;
-      // Global-namespace qualifier: no identifier (or closing token) before.
-      if (i > 0 && (ts[i - 1].kind == Kind::kIdent ||
-                    (ts[i - 1].kind == Kind::kPunct &&
-                     (ts[i - 1].text == ">" || ts[i - 1].text == ")")))) {
-        continue;
+    for (const std::vector<Token>* stream : TokenStreams(pf.lex)) {
+      const std::vector<Token>& ts = *stream;
+      for (size_t i = 0; i + 2 < ts.size(); ++i) {
+        if (!(ts[i].kind == Kind::kPunct && ts[i].text == "::")) continue;
+        // Global-namespace qualifier: no class or namespace name before
+        // it. A keyword (`return ::send(...)`) or a cast
+        // (`(void)::send(...)`) leaves the call global; a template-id
+        // (`Conn<T>::send`) does not.
+        if (i > 0 && ((ts[i - 1].kind == Kind::kIdent &&
+                       !kKeywordsBeforeGlobal.count(ts[i - 1].text)) ||
+                      (ts[i - 1].kind == Kind::kPunct &&
+                       ts[i - 1].text == ">"))) {
+          continue;
+        }
+        if (ts[i + 1].kind != Kind::kIdent ||
+            !kSocketFns.count(ts[i + 1].text)) {
+          continue;
+        }
+        if (!(ts[i + 2].kind == Kind::kPunct && ts[i + 2].text == "(")) {
+          continue;
+        }
+        const int line = ts[i].line;
+        if (HasWaiver(pf.lex, "allow-socket", line)) continue;
+        out->push_back({pf.lex.path, line, "raw-socket",
+                        "raw ::" + ts[i + 1].text +
+                            "() outside the net frame layer (waive with "
+                            "// analyze: allow-socket(why))"});
       }
-      if (ts[i + 1].kind != Kind::kIdent || !kSocketFns.count(ts[i + 1].text)) {
-        continue;
+    }
+  }
+}
+
+/// raw-sync-primitive: every lock goes through common/sync.h's annotated
+/// Mutex / MutexLock / CondVar so Clang Thread Safety Analysis and the
+/// lock-order detector see every acquire. std::once_flag / std::call_once
+/// stay allowed.
+void CheckRawSyncPrimitive(const Project& project, const Policy& policy,
+                           std::vector<Finding>* out) {
+  static const std::unordered_set<std::string> kRaw = {
+      "mutex",       "shared_mutex",       "recursive_mutex",
+      "timed_mutex", "recursive_timed_mutex", "shared_timed_mutex",
+      "lock_guard",  "unique_lock",        "scoped_lock",
+      "shared_lock", "condition_variable", "condition_variable_any"};
+  for (const ParsedFile& pf : project.files) {
+    if (policy.IsExempt("raw-sync-primitive", pf.lex.path)) continue;
+    for (const std::vector<Token>* ts : TokenStreams(pf.lex)) {
+      for (size_t i = 0; i < ts->size(); ++i) {
+        if (!IsStdName(*ts, i, kRaw)) continue;
+        out->push_back({pf.lex.path, (*ts)[i].line, "raw-sync-primitive",
+                        "std::" + (*ts)[i + 2].text +
+                            " bypasses thread-safety annotations and the "
+                            "lock-order detector; use dialite::Mutex / "
+                            "MutexLock / CondVar from common/sync.h"});
       }
-      if (!(ts[i + 2].kind == Kind::kPunct && ts[i + 2].text == "(")) continue;
-      const int line = ts[i].line;
-      if (HasLintWaiver(pf.lex, "raw-socket", line)) continue;
-      if (HasWaiver(pf.lex, "allow-socket", line)) continue;
-      out->push_back({pf.lex.path, line, "raw-socket",
-                      "raw ::" + ts[i + 1].text +
-                          "() outside the net frame layer (waive with "
-                          "// dialite-lint: allow(raw-socket))"});
+    }
+  }
+}
+
+/// nondeterminism: rand(), srand() and std::random_device break the
+/// reproducibility everything downstream pins (seeded lakes, sketches and
+/// indexes bit-identical across runs); only common/rng may touch them.
+void CheckNondeterminism(const Project& project, const Policy& policy,
+                         std::vector<Finding>* out) {
+  static const std::unordered_set<std::string> kDevice = {"random_device"};
+  for (const ParsedFile& pf : project.files) {
+    if (policy.IsExempt("nondeterminism", pf.lex.path)) continue;
+    for (const std::vector<Token>* stream : TokenStreams(pf.lex)) {
+      const std::vector<Token>& ts = *stream;
+      for (size_t i = 0; i < ts.size(); ++i) {
+        std::string what;
+        if (IsStdName(ts, i, kDevice)) {
+          what = "std::random_device";
+        } else if (ts[i].kind == Kind::kIdent &&
+                   (ts[i].text == "rand" || ts[i].text == "srand") &&
+                   i + 1 < ts.size() && ts[i + 1].kind == Kind::kPunct &&
+                   ts[i + 1].text == "(") {
+          what = ts[i].text + "()";
+        } else {
+          continue;
+        }
+        out->push_back({pf.lex.path, ts[i].line, "nondeterminism",
+                        what + " breaks reproducible lakes, sketches and "
+                               "indexes; use common/rng (seedable, "
+                               "deterministic)"});
+      }
+    }
+  }
+}
+
+/// using-namespace-header: a using-directive in a header leaks into every
+/// includer.
+void CheckUsingNamespaceHeader(const Project& project, const Policy& policy,
+                               std::vector<Finding>* out) {
+  for (const ParsedFile& pf : project.files) {
+    if (!IsHeader(pf.lex.path)) continue;
+    if (policy.IsExempt("using-namespace-header", pf.lex.path)) continue;
+    for (const std::vector<Token>* stream : TokenStreams(pf.lex)) {
+      const std::vector<Token>& ts = *stream;
+      for (size_t i = 0; i + 1 < ts.size(); ++i) {
+        if (ts[i].kind == Kind::kIdent && ts[i].text == "using" &&
+            ts[i + 1].kind == Kind::kIdent && ts[i + 1].text == "namespace") {
+          out->push_back({pf.lex.path, ts[i].line, "using-namespace-header",
+                          "`using namespace` in a header leaks into every "
+                          "includer"});
+        }
+      }
+    }
+  }
+}
+
+/// include-guard: every header carries a classic #ifndef X / #define X /
+/// #endif guard; the project does not use #pragma once.
+void CheckIncludeGuard(const Project& project, const Policy& policy,
+                       std::vector<Finding>* out) {
+  for (const ParsedFile& pf : project.files) {
+    if (!IsHeader(pf.lex.path)) continue;
+    if (policy.IsExempt("include-guard", pf.lex.path)) continue;
+    // The first #ifndef and the first #define must name one macro, and an
+    // #endif must follow the #define.
+    const Directive* ifndef = nullptr;
+    const Directive* define = nullptr;
+    const Directive* pragma_once = nullptr;
+    bool closed = false;
+    for (const Directive& d : pf.lex.directives) {
+      if (d.name == "ifndef" && ifndef == nullptr) ifndef = &d;
+      if (d.name == "define" && define == nullptr) define = &d;
+      if (d.name == "endif" && define != nullptr) closed = true;
+      if (d.name == "pragma" && d.arg == "once" && pragma_once == nullptr) {
+        pragma_once = &d;
+      }
+    }
+    if (pragma_once != nullptr) {
+      out->push_back({pf.lex.path, pragma_once->line, "include-guard",
+                      "#pragma once: the project uses #ifndef/#define/"
+                      "#endif guards"});
+    } else if (ifndef == nullptr || define == nullptr ||
+               ifndef->arg != define->arg) {
+      out->push_back({pf.lex.path, 1, "include-guard",
+                      "missing or mismatched #ifndef/#define include guard"});
+    } else if (!closed) {
+      out->push_back({pf.lex.path, define->line, "include-guard",
+                      "include guard is never closed with #endif"});
     }
   }
 }
@@ -541,7 +691,6 @@ void CheckStaleWaivers(const Project& project, std::vector<Finding>* out) {
       "status-drop", "view-return"};
   for (const ParsedFile& pf : project.files) {
     for (const Waiver& w : pf.lex.waivers) {
-      if (w.directive == "lint-allow") continue;  // shared with dialite_lint
       if (!kKnown.count(w.directive)) {
         out->push_back({pf.lex.path, w.line, "stale-waiver",
                         "waiver names unknown directive '" + w.directive +
@@ -596,6 +745,10 @@ std::vector<Finding> RunChecks(const Project& project, const Policy& policy) {
   CheckViewEscapes(project, policy, &out);
   CheckNakedThread(project, policy, &out);
   CheckRawSocket(project, policy, &out);
+  CheckRawSyncPrimitive(project, policy, &out);
+  CheckNondeterminism(project, policy, &out);
+  CheckUsingNamespaceHeader(project, policy, &out);
+  CheckIncludeGuard(project, policy, &out);
   CheckIncludeCycles(project, &out);
   CheckLockBlocking(project, policy, flow, &out);
   CheckHotLoopAlloc(project, policy, flow, reachable, &out);

@@ -21,6 +21,8 @@ struct Finding {
   int line = 0;
   std::string check;    ///< "no-cancel", "blocking", "no-guard",
                         ///< "view-escape", "naked-thread", "raw-socket",
+                        ///< "raw-sync-primitive", "nondeterminism",
+                        ///< "using-namespace-header", "include-guard",
                         ///< "include-cycle", "lock-blocking", "hot-alloc",
                         ///< "status-drop", "view-return", "stale-waiver"
   std::string message;
@@ -31,12 +33,14 @@ const char* SeverityName(Finding::Severity severity);
 
 /// Runs every check over the project under the policy.
 ///
-/// Every check is waivable at the finding line with an analyze waiver
-/// comment naming its directive, e.g. the no-cancel directive with a reason
-/// in parentheses. (The directive names below are spelled without the
-/// waiver syntax so this very comment does not register waivers.)
+/// A check with a directive is waivable at the finding line with an
+/// analyze waiver comment naming it, e.g. the no-cancel directive with a
+/// reason in parentheses; the directive is the check's name unless given.
+/// (The directive names below are spelled without the waiver syntax so
+/// this very comment does not register waivers.) Every check can be scoped
+/// away from a path with a policy `exempt` line.
 ///
-/// Reachability checks (PR 9):
+/// Reachability checks:
 ///  - no-cancel: a loop in a request-reachable function that calls a hot
 ///    helper must poll a cancel token
 ///  - blocking: banned identifiers in request-reachable functions
@@ -44,8 +48,21 @@ const char* SeverityName(Finding::Severity severity);
 ///  - no-guard: unannotated mutable members of lock-owning classes
 ///  - view-escape: borrowed-view class members outside the allowlist
 ///    [directive: allow-view]
-///  - naked-thread / raw-socket: symbol-aware ports of the lint rules
-///  - include-cycle: the quoted-include graph must be acyclic
+///  - include-cycle: the quoted-include graph must be acyclic [no waiver]
+///
+/// Repo rules (token checks over the code and every #define body, scoped
+/// by the policy's exempt lines):
+///  - naked-thread: a raw std::thread (not std::thread::id and other
+///    statics) [directive: allow-thread]
+///  - raw-socket: the socket headers and globally-qualified socket calls
+///    [directive: allow-socket]
+///  - raw-sync-primitive: std::mutex, std::lock_guard,
+///    std::condition_variable and the other raw std locks; once_flag and
+///    call_once are fine [no waiver]
+///  - nondeterminism: rand(), srand(), std::random_device [no waiver]
+///  - using-namespace-header: a using-directive in a header [no waiver]
+///  - include-guard: a header without a matching #ifndef/#define/#endif
+///    guard, or with #pragma once [no waiver]
 ///
 /// Data-flow checks (statement-level CFG + interprocedural summaries):
 ///  - lock-blocking: a MutexLock/WriterLock critical section must not

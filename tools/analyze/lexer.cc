@@ -56,40 +56,31 @@ bool IsIdentChar(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
 }
 
-/// Parses waiver directives out of one comment's text. Recognized forms:
-///   analyze: <directive>(<detail>)
-///   dialite-lint: allow(<rules>)   -> directive "lint-allow"
+/// Parses `analyze: <directive>(<detail>)` waivers out of one comment's
+/// text.
 void ScanCommentForWaivers(const std::string& comment, int line,
                            std::vector<Waiver>* waivers) {
-  auto extract = [&](const std::string& marker,
-                     bool lint) {
-    size_t at = comment.find(marker);
-    while (at != std::string::npos) {
-      size_t p = at + marker.size();
-      while (p < comment.size() && std::isspace(static_cast<unsigned char>(comment[p]))) ++p;
-      std::string directive;
-      while (p < comment.size() &&
-             (IsIdentChar(comment[p]) || comment[p] == '-')) {
-        directive += comment[p++];
-      }
-      if (!directive.empty() && p < comment.size() && comment[p] == '(') {
-        size_t close = comment.find(')', p);
-        if (close != std::string::npos) {
-          std::string detail = comment.substr(p + 1, close - p - 1);
-          if (lint) {
-            if (directive == "allow") {
-              waivers->push_back({"lint-allow", detail, line});
-            }
-          } else {
-            waivers->push_back({directive, detail, line});
-          }
-        }
-      }
-      at = comment.find(marker, at + marker.size());
+  static const std::string kMarker = "analyze:";
+  for (size_t at = comment.find(kMarker); at != std::string::npos;
+       at = comment.find(kMarker, at + kMarker.size())) {
+    size_t p = at + kMarker.size();
+    while (p < comment.size() &&
+           std::isspace(static_cast<unsigned char>(comment[p]))) {
+      ++p;
     }
-  };
-  extract("analyze:", /*lint=*/false);
-  extract("dialite-lint:", /*lint=*/true);
+    std::string directive;
+    while (p < comment.size() &&
+           (IsIdentChar(comment[p]) || comment[p] == '-')) {
+      directive += comment[p++];
+    }
+    if (directive.empty() || p >= comment.size() || comment[p] != '(') {
+      continue;
+    }
+    const size_t close = comment.find(')', p);
+    if (close == std::string::npos) continue;
+    waivers->push_back(
+        {directive, comment.substr(p + 1, close - p - 1), line});
+  }
 }
 
 /// After 'R' and an optional encoding prefix, true if a raw string opens
@@ -128,11 +119,11 @@ void ConsumeQuoted(Cursor* cur, char quote) {
   }
 }
 
-/// Consumes a preprocessor logical line (cursor on '#'); records #include
-/// targets. Splices are already handled by Cursor, so "logical line" is
-/// simply up to the next real newline; comments and strings inside the
-/// directive are skipped so a '/' in a path or a "//" in a macro body can't
-/// derail the scan.
+/// Consumes a preprocessor logical line (cursor on '#'); records the
+/// directive and #include targets. Splices are already handled by Cursor,
+/// so "logical line" is simply up to the next real newline; comments are
+/// skipped, and include targets and strings read whole, so a '/' in a path
+/// or a "//" in a macro string can't derail the scan.
 void ConsumePreprocessor(Cursor* cur, LexedFile* out,
                          std::vector<Waiver>* waivers) {
   const int line = cur->line();
@@ -164,10 +155,8 @@ void ConsumePreprocessor(Cursor* cur, LexedFile* out,
       ScanCommentForWaivers(comment, line, waivers);
       continue;
     }
-    if (c == '"' || c == '<') {
-      // Potential include target. Only meaningful for #include lines but
-      // harmless otherwise (macro strings are simply skipped).
-      char closer = c == '"' ? '"' : '>';
+    if ((c == '"' || c == '<') && text.find("include") != std::string::npos) {
+      const char closer = c == '"' ? '"' : '>';
       cur->Advance();
       std::string target;
       while (!cur->AtEnd() && cur->Peek() != closer && cur->Peek() != '\n') {
@@ -175,15 +164,57 @@ void ConsumePreprocessor(Cursor* cur, LexedFile* out,
         cur->Advance();
       }
       if (!cur->AtEnd() && cur->Peek() == closer) cur->Advance();
-      if (text.find("include") != std::string::npos && !target.empty()) {
+      if (!target.empty()) {
         out->includes.push_back({target, closer == '>', line});
       }
       text += closer;
       continue;
     }
+    if (c == '"') {
+      // A string in a macro body is copied whole, so a "//" inside it
+      // cannot start a comment and the body re-lexes as written.
+      text += c;
+      cur->Advance();
+      while (!cur->AtEnd() && cur->Peek() != '\n') {
+        const char ch = cur->Peek();
+        text += ch;
+        cur->Advance();
+        if (ch == '\\' && !cur->AtEnd() && cur->Peek() != '\n') {
+          text += cur->Peek();
+          cur->Advance();
+        } else if (ch == '"') {
+          break;
+        }
+      }
+      continue;
+    }
     text += c;
     cur->Advance();
   }
+  // text is "#", optional blanks, the directive name, then its arguments.
+  Directive d;
+  d.line = line;
+  size_t p = 1;
+  auto skip_blanks = [&] {
+    while (p < text.size() &&
+           std::isspace(static_cast<unsigned char>(text[p]))) {
+      ++p;
+    }
+  };
+  auto read_ident = [&](std::string* to) {
+    while (p < text.size() && IsIdentChar(text[p])) *to += text[p++];
+  };
+  skip_blanks();
+  read_ident(&d.name);
+  skip_blanks();
+  read_ident(&d.arg);
+  if (d.name == "define") {
+    // The replacement list (with a function-like macro's parameters) is
+    // lexed too, so the token checks see what the macro expands to.
+    d.body = Lex(out->path, text.substr(p)).tokens;
+    for (Token& t : d.body) t.line = line;
+  }
+  out->directives.push_back(std::move(d));
 }
 
 }  // namespace
@@ -316,32 +347,6 @@ bool HasWaiver(const LexedFile& file, const std::string& directive, int line) {
     }
   }
   return found;
-}
-
-bool HasLintWaiver(const LexedFile& file, const std::string& rule, int line) {
-  for (const Waiver& w : file.waivers) {
-    if (w.directive != "lint-allow") continue;
-    if (w.line != line && w.line != line - 1) continue;
-    // detail is a comma-separated rule list; match whole rule names.
-    size_t at = 0;
-    while (at < w.detail.size()) {
-      while (at < w.detail.size() &&
-             (w.detail[at] == ' ' || w.detail[at] == ',')) {
-        ++at;
-      }
-      size_t end = at;
-      while (end < w.detail.size() && w.detail[end] != ',' &&
-             w.detail[end] != ' ') {
-        ++end;
-      }
-      if (w.detail.substr(at, end - at) == rule) {
-        w.used = true;
-        return true;
-      }
-      at = end;
-    }
-  }
-  return false;
 }
 
 }  // namespace analyze

@@ -25,16 +25,15 @@ struct Token {
   int line = 0;
 };
 
-/// A `// analyze: <directive>(<detail>)` waiver comment, or a legacy
-/// `// dialite-lint: allow(<rules>)` waiver (directive == "lint-allow").
-/// A waiver covers its own line and the following line, so it can trail a
-/// construct or sit on the line above it.
+/// A `// analyze: <directive>(<detail>)` waiver comment. A waiver covers
+/// its own line and the following line, so it can trail a construct or sit
+/// on the line above it.
 struct Waiver {
-  std::string directive;  ///< "no-cancel", "allow-blocking", ..., "lint-allow"
-  std::string detail;     ///< reason text / comma-separated lint rules
+  std::string directive;  ///< "no-cancel", "allow-blocking", ...
+  std::string detail;     ///< the reason text
   int line = 0;
-  /// Set by HasWaiver/HasLintWaiver when the waiver actually suppresses a
-  /// finding; the stale-waiver pass warns about waivers that never fire.
+  /// Set by HasWaiver when the waiver actually suppresses a finding; the
+  /// stale-waiver pass warns about waivers that never fire.
   /// Mutable because checks only see the project const.
   mutable bool used = false;
 };
@@ -48,27 +47,37 @@ struct Include {
   int line = 0;
 };
 
+/// One preprocessor line, reduced to its directive name and first
+/// identifier argument: `#ifndef X` is {"ifndef", "X"}, `#pragma once` is
+/// {"pragma", "once"}. The include-guard check reads these.
+struct Directive {
+  std::string name;
+  std::string arg;  ///< "" when the directive has no identifier argument
+  int line = 0;
+  /// A #define's tokens after the macro name, each stamped with `line`;
+  /// the token rules scan them beside the file's own stream.
+  std::vector<Token> body;
+};
+
 struct LexedFile {
   std::string path;
   std::vector<Token> tokens;
   std::vector<Waiver> waivers;
   std::vector<Include> includes;
+  std::vector<Directive> directives;
 };
 
 /// Tokenizes `source`. Handles //-comments, /*...*/ block comments (which
 /// do NOT nest, per the language), ordinary/char/raw string literals
 /// (R"delim(...)delim" with optional encoding prefix), backslash-newline
 /// line splices (inside tokens, strings and comments alike) and
-/// preprocessor logical lines (consumed entirely; #include paths are
-/// recorded).
+/// preprocessor logical lines (consumed entirely; each is recorded as a
+/// Directive, and #include paths as Includes).
 LexedFile Lex(std::string path, const std::string& source);
 
 /// True if any waiver in `file` with the given directive covers `line`
 /// (waivers cover their own line and the next).
 bool HasWaiver(const LexedFile& file, const std::string& directive, int line);
-
-/// True if a lint-allow waiver naming `rule` covers `line`.
-bool HasLintWaiver(const LexedFile& file, const std::string& rule, int line);
 
 /// ts[open] is the opener punctuation; returns the index ONE PAST the
 /// matching closer (or ts.size() if unbalanced). Shared by the declaration
