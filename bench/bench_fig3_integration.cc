@@ -8,8 +8,9 @@
 /// --bench-json [path]: additionally time Align + Integrate on the paper
 /// set and on a deterministic synthetic fragment workload, and the
 /// facade's align over that workload, whose lake columns borrow the lake's
-/// tokens and embeddings, then write a stable schema-v1 trajectory report
-/// (bench_json.h) for tools/bench_compare.py.
+/// tokens and embeddings, record FD's work counters on both sets, then
+/// write a stable schema-v1 trajectory report (bench_json.h) for
+/// tools/bench_compare.py.
 
 #include <chrono>
 #include <cstdio>
@@ -60,6 +61,30 @@ dialite::Result<dialite::Table> TimedIntegrate(
     out = std::move(result);
   }
   return out;
+}
+
+/// Records the integrate.fd.* work counters of one observed alite_fd run
+/// over `set` as report.deterministic["work.fd.<label>.<counter>"]: pair
+/// evaluations, merges, worklist items, subsumed tuples, output rows. They
+/// are deterministic, so bench_compare.py gates them exactly. False on
+/// error.
+bool RecordFdWork(const std::vector<const dialite::Table*>& set,
+                  const std::string& label,
+                  benchjson::BenchReport* report) {
+  dialite::AliteMatcher matcher;
+  auto alignment = matcher.Align(set);
+  if (!alignment.ok()) return false;
+  dialite::ObservabilityContext obs;
+  dialite::FullDisjunction fd;
+  fd.set_observability(&obs);
+  const bool ok = fd.Integrate(set, *alignment).ok();
+  fd.set_observability(nullptr);
+  for (const char* counter : {"rows_scanned", "merges", "fixpoint_iterations",
+                              "subsumed_tuples", "output_rows"}) {
+    report->deterministic["work.fd." + label + "." + counter] =
+        obs.metrics().CounterValue(std::string("integrate.fd.") + counter);
+  }
+  return ok;
 }
 
 /// An integration operator that integrates nothing, so a timed
@@ -138,6 +163,10 @@ int RunBenchJson(const std::string& path) {
       report.deterministic_text["fig3_alignment"] = alignment->ToString();
     }
   }
+  if (!RecordFdWork(paper_set, "fig3", &report)) {
+    std::printf("FAIL: fig3 observed integrate\n");
+    return 1;
+  }
 
   // Synthetic workload: every fragment of the generator's first domain —
   // same-schema shards, the integration-set shape Discover hands to Align.
@@ -164,6 +193,10 @@ int RunBenchJson(const std::string& path) {
   }
   report.deterministic["synth_rows"] = synth->num_rows();
   report.deterministic["synth_columns"] = synth->num_columns();
+  if (!RecordFdWork(synth_set, "synth", &report)) {
+    std::printf("FAIL: synth observed integrate\n");
+    return 1;
+  }
   report.timings_us["synth_align"] = au;
   report.timings_us["synth_integrate"] = iu;
   // Same-run split between the two stages: machine-portable, trips when

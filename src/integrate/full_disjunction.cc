@@ -2,22 +2,24 @@
 
 #include <algorithm>
 #include <atomic>
-#include <deque>
+#include <charconv>
 #include <iterator>
 #include <memory>
 #include <numeric>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 
-#include "common/hash.h"
 #include "common/thread_pool.h"
 #include "integrate/tuple_codes.h"
+#include "table/table_builder.h"
 
 namespace dialite {
 
 namespace {
+
+/// No tuple: an empty bucket's end, or no identical tuple in a pool.
+constexpr uint32_t kNoTuple = FlatIdSet::kNone;
 
 /// A tuple's provenance: the sorted id list [begin, end) of the run's
 /// ProvArena (ids order like their labels, see InternProvenance).
@@ -58,46 +60,59 @@ void UnionIds(const uint32_t* a, const uint32_t* a_end, const uint32_t* b,
   out->erase(std::unique(out->begin(), out->end()), out->end());
 }
 
-/// Working set of tuples + provenance during FD computation. Tuples are
-/// flat spans of 32-bit cell codes (see tuple_codes.h): complementation,
-/// merging, subsumption, and dedup all run on integers, and cells decode
-/// back to Values only when the final pool becomes a Table. Provenance is
-/// ids into its part's ProvArena, decoded to labels only by EmitTuple.
-struct CodedPool {
-  size_t width = 0;
-  std::vector<uint32_t> cells;  // row-major, size() * width
-  std::vector<ProvSpan> provs;
-
-  size_t size() const { return provs.size(); }
-  const uint32_t* row(size_t i) const { return cells.data() + i * width; }
-  uint32_t* row(size_t i) { return cells.data() + i * width; }
-  void AppendRow(const uint32_t* src, ProvSpan prov) {
-    cells.insert(cells.end(), src, src + width);
-    provs.push_back(prov);
-  }
-};
-
-/// Every provenance label of the outer union, interned once. `labels` holds
-/// the distinct labels sorted by bytes, so ids order like their labels and
-/// a sorted id list decodes to the sorted label list. Row r's ids, sorted
-/// with repeats kept (an input row may repeat a label), are
-/// ids[row_begin[r], row_begin[r + 1]).
+/// Every provenance label of the outer union, interned once. A row's
+/// labels are its table's provenance for it, or "<table>#<row>" when the
+/// table has none; `generated` holds those back to back (a vector, so the
+/// views survive moves). `labels` holds the distinct labels sorted by
+/// bytes, so ids order like their labels and a sorted id list decodes to
+/// the sorted label list. Row r's ids, sorted with repeats kept (an input
+/// row may repeat a label), are ids[row_begin[r], row_begin[r + 1]).
 struct InternedProv {
-  std::vector<std::string_view> labels;  // views into the outer union
+  std::vector<char> generated;
+  std::vector<std::string_view> labels;  // views into tables, `generated`
   std::vector<uint32_t> ids;
   std::vector<size_t> row_begin;
 };
 
-InternedProv InternProvenance(const Table& u) {
+InternedProv InternProvenance(const std::vector<const Table*>& tables) {
+  auto own = [](const Table& t, size_t r) {
+    return t.has_provenance() && !t.provenance(r).empty();
+  };
   InternedProv out;
-  out.row_begin.reserve(u.num_rows() + 1);
-  out.row_begin.push_back(0);
-  std::vector<std::pair<std::string_view, size_t>> refs;  // label, id slot
-  for (size_t r = 0; r < u.num_rows(); ++r) {
-    for (const std::string& label : u.provenance(r)) {
-      refs.emplace_back(label, refs.size());
+  // Generated labels first, so the views taken below stay valid.
+  std::vector<size_t> generated_end;
+  char digits[24];
+  for (const Table* t : tables) {
+    for (size_t r = 0; r < t->num_rows(); ++r) {
+      if (own(*t, r)) continue;
+      out.generated.insert(out.generated.end(), t->name().begin(),
+                           t->name().end());
+      out.generated.push_back('#');
+      out.generated.insert(
+          out.generated.end(), digits,
+          std::to_chars(digits, digits + sizeof(digits), r).ptr);
+      generated_end.push_back(out.generated.size());
     }
-    out.row_begin.push_back(refs.size());
+  }
+  std::vector<std::pair<std::string_view, size_t>> refs;  // label, id slot
+  out.row_begin.push_back(0);
+  const std::string_view generated(out.generated.data(),
+                                   out.generated.size());
+  size_t g = 0;
+  for (const Table* t : tables) {
+    for (size_t r = 0; r < t->num_rows(); ++r) {
+      if (own(*t, r)) {
+        for (const std::string& label : t->provenance(r)) {
+          refs.emplace_back(label, refs.size());
+        }
+      } else {
+        const size_t begin = g == 0 ? 0 : generated_end[g - 1];
+        refs.emplace_back(generated.substr(begin, generated_end[g] - begin),
+                          refs.size());
+        ++g;
+      }
+      out.row_begin.push_back(refs.size());
+    }
   }
   std::sort(refs.begin(), refs.end());
   out.ids.resize(refs.size());
@@ -107,11 +122,24 @@ InternedProv InternProvenance(const Table& u) {
     }
     out.ids[slot] = static_cast<uint32_t>(out.labels.size() - 1);
   }
-  for (size_t r = 0; r < u.num_rows(); ++r) {
+  for (size_t r = 0; r + 1 < out.row_begin.size(); ++r) {
     std::sort(out.ids.begin() + static_cast<long>(out.row_begin[r]),
               out.ids.begin() + static_cast<long>(out.row_begin[r + 1]));
   }
   return out;
+}
+
+/// The union column of every column of every table under `alignment`.
+std::vector<std::vector<size_t>> ColumnIds(
+    const std::vector<const Table*>& tables, const Alignment& alignment) {
+  std::vector<std::vector<size_t>> ids(tables.size());
+  for (size_t t = 0; t < tables.size(); ++t) {
+    ids[t].resize(tables[t]->num_columns());
+    for (size_t c = 0; c < ids[t].size(); ++c) {
+      ids[t][c] = alignment.IdOf(tables[t]->name(), c);
+    }
+  }
+  return ids;
 }
 
 /// Local FD tally, accumulated branch-free in the hot loops (one per part,
@@ -157,18 +185,83 @@ uint64_t CountProducedNulls(const std::vector<uint32_t>& cells) {
   return n;
 }
 
+/// The flat (column, value) candidate index over every part's tuples. A
+/// code names its cell's column (tuple_codes.h), so the code is the key:
+/// per code, the first and last tuple of its bucket and the bucket's size;
+/// per (tuple, column) slot, the next tuple of that slot's bucket
+/// (TuplePool::next). Buckets list tuples in ascending pool order. A code
+/// belongs to one part, since parts are cell-disjoint, so the parts link
+/// their own buckets without a lock.
+struct CellIndex {
+  struct Bucket {
+    uint32_t head = kNoTuple;
+    uint32_t tail = kNoTuple;
+    uint32_t size = 0;
+  };
+  std::vector<Bucket> buckets;  // by code
+};
+
+/// One part's tuples: flat spans of cell codes (see tuple_codes.h) with
+/// provenance spans into the part's ProvArena, their links in the
+/// CellIndex's buckets, and the dedup set over them. Complementation,
+/// merging, subsumption and dedup all run on integers; cells decode only
+/// when the result Table is emitted.
+struct TuplePool {
+  size_t width = 0;
+  std::vector<uint32_t> cells;  // row-major, size() * width
+  std::vector<ProvSpan> provs;
+  std::vector<uint32_t> next;  // per (tuple, column) slot, see CellIndex
+  FlatIdSet dedup;             // tuples by CodedRowKey
+
+  uint32_t size() const { return static_cast<uint32_t>(provs.size()); }
+  const uint32_t* tuple(size_t i) const { return cells.data() + i * width; }
+  uint32_t* tuple(size_t i) { return cells.data() + i * width; }
+
+  /// The tuple identical to the codes `src`, whose CodedRowKey is `hash`,
+  /// or kNoTuple.
+  uint32_t FindTuple(const uint32_t* src, uint64_t hash) const {
+    return dedup.FindId(hash, [&](uint32_t t) {
+      return CodedIdentical(tuple(t), src, width);
+    });
+  }
+
+  /// Appends the codes `src` (CodedRowKey `hash`) with provenance `prov`,
+  /// at the tail of its cells' buckets in `index` and into the dedup set.
+  void AppendTuple(const uint32_t* src, uint64_t hash, ProvSpan prov,
+                   CellIndex* index) {
+    const uint32_t t = size();
+    cells.insert(cells.end(), src, src + width);
+    provs.push_back(prov);
+    next.resize(next.size() + width, kNoTuple);
+    for (size_t c = 0; c < width; ++c) {
+      if (CodeIsNull(src[c])) continue;
+      CellIndex::Bucket& b = index->buckets[src[c]];
+      if (b.size++ == 0) {
+        b.head = t;
+      } else {
+        next[b.tail * width + c] = t;
+      }
+      b.tail = t;
+    }
+    dedup.InsertId(hash, t);
+  }
+};
+
 /// When a merged tuple collides with an identical existing tuple, keep the
 /// more informative null kinds (missing beats produced) and union
 /// provenance with the sorted ids [prov, prov_end); the union goes to the
-/// arena only if it adds a label. `scratch` is reused across calls.
-void AbsorbDuplicate(CodedPool* pool, ProvArena* arena, size_t idx,
+/// arena only if it adds a label. True iff tuple `idx` changed. `scratch`
+/// is reused across calls.
+bool AbsorbDuplicate(TuplePool* pool, ProvArena* arena, uint32_t idx,
                      const uint32_t* row, const uint32_t* prov,
                      const uint32_t* prov_end,
                      std::vector<uint32_t>* scratch) {
-  uint32_t* target = pool->row(idx);
+  bool changed = false;
+  uint32_t* target = pool->tuple(idx);
   for (size_t c = 0; c < pool->width; ++c) {
     if (target[c] == kProducedNullCode && row[c] == kMissingNullCode) {
       target[c] = kMissingNullCode;
+      changed = true;
     }
   }
   const ProvSpan have = pool->provs[idx];
@@ -176,12 +269,9 @@ void AbsorbDuplicate(CodedPool* pool, ProvArena* arena, size_t idx,
   if (!std::equal(scratch->begin(), scratch->end(), arena->begin(have),
                   arena->end(have))) {
     pool->provs[idx] = arena->Append(*scratch);
+    changed = true;
   }
-}
-
-/// Key of one non-null cell for the (column, code) inverted index.
-uint64_t CellKey(size_t column, uint32_t code) {
-  return HashCombine(Mix64(column + 1), code);
+  return changed;
 }
 
 // The FD kernels poll once per worklist item / round / pool row / bucket
@@ -218,94 +308,80 @@ class TupleBudget {
   std::atomic<size_t> used_{0};
 };
 
-/// Indexed complementation fix-point (ALITE-style candidate pruning).
-Status ComplementFixpointIndexed(CodedPool* pool, ProvArena* arena,
-                                 TupleBudget* budget, FdTally* tally,
-                                 const CancelToken* cancel) {
+/// Indexed complementation fix-point (ALITE-style candidate pruning). The
+/// worklist is the pool in order: tuple idx's turn merges a snapshot of it
+/// with every complementing tuple that shares a bucket with it, and each
+/// new merge is appended and gets a turn of its own.
+///
+/// Each pair is evaluated once. When idx already existed as a
+/// lower-indexed candidate's turn began, that turn evaluated the pair, and
+/// CodedMerge and UnionIds are symmetric: evaluating it again re-derives
+/// the same tuple and absorbs it without change. Unless an absorb changed
+/// either tuple in between, so every changing absorb is stamped.
+Status ComplementFixpoint(TuplePool* pool, ProvArena* arena,
+                          CellIndex* index, TupleBudget* budget,
+                          FdTally* tally, const CancelToken* cancel) {
   const size_t width = pool->width;
-  std::unordered_map<uint64_t, std::vector<size_t>> cell_index;
-  std::unordered_map<uint64_t, std::vector<size_t>> dedup;
-
-  auto index_tuple = [&](size_t idx) {
-    const uint32_t* row = pool->row(idx);
-    for (size_t c = 0; c < width; ++c) {
-      if (!CodeIsNull(row[c])) cell_index[CellKey(c, row[c])].push_back(idx);
-    }
-    dedup[CodedRowKey(row, width)].push_back(idx);
-  };
-  /// Returns the pool index holding a tuple identical to `row`, or npos.
-  auto find_identical = [&](const uint32_t* row) -> size_t {
-    auto it = dedup.find(CodedRowKey(row, width));
-    if (it == dedup.end()) return static_cast<size_t>(-1);
-    for (size_t idx : it->second) {
-      if (CodedIdentical(pool->row(idx), row, width)) return idx;
-    }
-    return static_cast<size_t>(-1);
-  };
-
-  std::deque<size_t> worklist;
-  for (size_t i = 0; i < pool->size(); ++i) {
-    index_tuple(i);
-    worklist.push_back(i);
-  }
-
-  // Epoch-stamped visited marks dedup candidates per worklist item without
-  // allocating a set per tuple (the hot path on skewed buckets).
+  // Per tuple: the pool size when its turn began; 1 + the turn in which an
+  // absorb last changed it (0: none); 1 + the last turn that visited it as
+  // a candidate, which marks a candidate met in several buckets.
+  std::vector<uint32_t> seen(pool->size(), 0);
+  std::vector<uint32_t> changed_in(pool->size(), 0);
   std::vector<uint32_t> visited(pool->size(), 0);
-  uint32_t epoch = 0;
-
-  std::vector<uint32_t> row(width);
+  std::vector<uint32_t> snap(width);
   std::vector<uint32_t> merged(width);
   // Provenance scratch, reused: once warm, a merge allocates nothing.
   std::vector<uint32_t> mprov;
   std::vector<uint32_t> absorbed;
   CancelPoller poll(cancel);
-  while (!worklist.empty()) {
+  for (uint32_t idx = 0; idx < pool->size(); ++idx) {
     if (poll.Cancelled()) return FdDeadline("in indexed fixpoint");
-    const size_t idx = worklist.front();
-    worklist.pop_front();
     ++tally->fixpoint_iterations;
     // Snapshot: pool cells may reallocate as merges append, and an absorb
     // may repoint provs[idx] (the list it pointed at stays as it was).
-    std::copy(pool->row(idx), pool->row(idx) + width, row.begin());
+    std::copy(pool->tuple(idx), pool->tuple(idx) + width, snap.begin());
     const ProvSpan prov = pool->provs[idx];
-    ++epoch;
-
+    const uint32_t turn = idx + 1;
+    const uint32_t idx_changed = changed_in[idx];
+    seen[idx] = pool->size();
     for (size_t c = 0; c < width; ++c) {
       if (poll.Cancelled()) return FdDeadline("in indexed fixpoint");
-      if (CodeIsNull(row[c])) continue;
-      auto it = cell_index.find(CellKey(c, row[c]));
-      if (it == cell_index.end()) continue;
-      // NOTE: the bucket vector may grow as merges are indexed; index-based
-      // iteration stays valid, and newly appended tuples get their own
-      // worklist turn anyway.
-      const std::vector<size_t>& bucket = it->second;
-      const size_t bucket_size = bucket.size();
-      for (size_t bi = 0; bi < bucket_size; ++bi) {
+      if (CodeIsNull(snap[c])) continue;
+      // The bucket as it stands: tuples appended meanwhile get their own
+      // turn.
+      const CellIndex::Bucket bucket = index->buckets[snap[c]];
+      uint32_t cand = kNoTuple;
+      for (uint32_t n = 0; n < bucket.size; ++n) {
+        cand = n == 0 ? bucket.head : pool->next[cand * width + c];
         if (poll.Cancelled()) return FdDeadline("in indexed fixpoint");
-        const size_t cand = bucket[bi];
-        if (cand == idx) continue;
-        if (cand < visited.size() && visited[cand] == epoch) continue;
-        if (cand >= visited.size()) visited.resize(pool->size(), 0);
-        visited[cand] = epoch;
+        if (cand == idx || visited[cand] == turn) continue;
+        visited[cand] = turn;
+        if (cand < idx && idx < seen[cand] && changed_in[cand] <= cand &&
+            idx_changed <= cand) {
+          continue;  // evaluated in cand's turn, neither changed since
+        }
         ++tally->rows_scanned;
-        if (!CodedComplement(row.data(), pool->row(cand), width)) continue;
+        if (!CodedComplement(snap.data(), pool->tuple(cand), width)) continue;
         ++tally->merges;
-        CodedMerge(row.data(), pool->row(cand), width, merged.data());
+        CodedMerge(snap.data(), pool->tuple(cand), width, merged.data());
         const ProvSpan cprov = pool->provs[cand];
         UnionIds(arena->begin(prov), arena->end(prov), arena->begin(cprov),
                  arena->end(cprov), &mprov);
-        size_t existing = find_identical(merged.data());
-        if (existing != static_cast<size_t>(-1)) {
-          AbsorbDuplicate(pool, arena, existing, merged.data(), mprov.data(),
-                          mprov.data() + mprov.size(), &absorbed);
+        const uint64_t hash = CodedRowKey(merged.data(), width);
+        const uint32_t existing = pool->FindTuple(merged.data(), hash);
+        if (existing != kNoTuple) {
+          if (AbsorbDuplicate(pool, arena, existing, merged.data(),
+                              mprov.data(), mprov.data() + mprov.size(),
+                              &absorbed)) {
+            changed_in[existing] = turn;
+          }
           continue;
         }
         if (!budget->Claim()) return budget->Exceeded();
-        pool->AppendRow(merged.data(), arena->Append(mprov));
+        pool->AppendTuple(merged.data(), hash, arena->Append(mprov), index);
+        seen.push_back(0);
+        changed_in.push_back(0);
         visited.push_back(0);
-        index_tuple(pool->size() - 1);
-        worklist.push_back(pool->size() - 1);
       }
     }
   }
@@ -313,22 +389,10 @@ Status ComplementFixpointIndexed(CodedPool* pool, ProvArena* arena,
 }
 
 /// Naive complementation fix-point: rescan all pairs every round.
-Status ComplementFixpointNaive(CodedPool* pool, ProvArena* arena,
-                               TupleBudget* budget, FdTally* tally,
-                               const CancelToken* cancel) {
+Status ComplementFixpointNaive(TuplePool* pool, ProvArena* arena,
+                               CellIndex* index, TupleBudget* budget,
+                               FdTally* tally, const CancelToken* cancel) {
   const size_t width = pool->width;
-  std::unordered_map<uint64_t, std::vector<size_t>> dedup;
-  for (size_t i = 0; i < pool->size(); ++i) {
-    dedup[CodedRowKey(pool->row(i), width)].push_back(i);
-  }
-  auto exists = [&](const uint32_t* row) -> size_t {
-    auto it = dedup.find(CodedRowKey(row, width));
-    if (it == dedup.end()) return static_cast<size_t>(-1);
-    for (size_t idx : it->second) {
-      if (CodedIdentical(pool->row(idx), row, width)) return idx;
-    }
-    return static_cast<size_t>(-1);
-  };
   std::vector<uint32_t> merged(width);
   std::vector<uint32_t> mprov;
   std::vector<uint32_t> absorbed;
@@ -338,29 +402,28 @@ Status ComplementFixpointNaive(CodedPool* pool, ProvArena* arena,
     if (poll.Cancelled()) return FdDeadline("in naive fixpoint");
     changed = false;
     ++tally->fixpoint_iterations;
-    const size_t n = pool->size();
-    for (size_t i = 0; i < n; ++i) {
+    const uint32_t n = pool->size();
+    for (uint32_t i = 0; i < n; ++i) {
       if (poll.Cancelled()) return FdDeadline("in naive fixpoint");
-      for (size_t j = i + 1; j < n; ++j) {
+      for (uint32_t j = i + 1; j < n; ++j) {
         if (poll.Cancelled()) return FdDeadline("in naive fixpoint");
         ++tally->rows_scanned;
-        if (!CodedComplement(pool->row(i), pool->row(j), width)) continue;
+        if (!CodedComplement(pool->tuple(i), pool->tuple(j), width)) continue;
         ++tally->merges;
-        CodedMerge(pool->row(i), pool->row(j), width, merged.data());
+        CodedMerge(pool->tuple(i), pool->tuple(j), width, merged.data());
         const ProvSpan iprov = pool->provs[i];
         const ProvSpan jprov = pool->provs[j];
         UnionIds(arena->begin(iprov), arena->end(iprov), arena->begin(jprov),
                  arena->end(jprov), &mprov);
-        size_t existing = exists(merged.data());
-        if (existing != static_cast<size_t>(-1)) {
+        const uint64_t hash = CodedRowKey(merged.data(), width);
+        const uint32_t existing = pool->FindTuple(merged.data(), hash);
+        if (existing != kNoTuple) {
           AbsorbDuplicate(pool, arena, existing, merged.data(), mprov.data(),
                           mprov.data() + mprov.size(), &absorbed);
           continue;
         }
         if (!budget->Claim()) return budget->Exceeded();
-        pool->AppendRow(merged.data(), arena->Append(mprov));
-        dedup[CodedRowKey(pool->row(pool->size() - 1), width)].push_back(
-            pool->size() - 1);
+        pool->AppendTuple(merged.data(), hash, arena->Append(mprov), index);
         changed = true;
       }
     }
@@ -368,154 +431,146 @@ Status ComplementFixpointNaive(CodedPool* pool, ProvArena* arena,
   return Status::OK();
 }
 
-/// Keeps only ⊑-maximal tuples into `*out`. Assumes no two pool tuples are
-/// identical. A tuple with no facts is subsumed by any tuple that has one,
-/// so it survives only when `any_fact` — whether any tuple of the whole run,
-/// not just of this pool, has a fact — is false. Polls `cancel` once per
-/// pool row.
-Status RemoveSubsumed(const CodedPool& pool, bool any_fact, FdTally* tally,
-                      const CancelToken* cancel, CodedPool* out) {
+/// Marks in `*keep` the ⊑-maximal tuples of `pool`; a tuple's candidate
+/// subsumers are its smallest bucket of `index`. Assumes no two pool tuples
+/// are identical. A tuple with no facts is subsumed by any tuple that has
+/// one, so it survives only when `any_fact` — whether any tuple of the
+/// whole run, not just of this pool, has a fact — is false. Polls `cancel`
+/// once per pool row and bucket candidate.
+Status MarkMaximal(const TuplePool& pool, const CellIndex& index,
+                   bool any_fact, FdTally* tally, const CancelToken* cancel,
+                   std::vector<uint8_t>* keep) {
   const size_t width = pool.width;
-  const size_t n = pool.size();
-  // Cell index for candidate subsumers.
-  std::unordered_map<uint64_t, std::vector<size_t>> cell_index;
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t* row = pool.row(i);
-    for (size_t c = 0; c < width; ++c) {
-      if (!CodeIsNull(row[c])) cell_index[CellKey(c, row[c])].push_back(i);
-    }
-  }
-  std::vector<bool> keep(n, true);
+  const uint32_t n = pool.size();
+  keep->assign(n, 1);
   CancelPoller poll(cancel);
-  for (size_t i = 0; i < n; ++i) {
+  for (uint32_t i = 0; i < n; ++i) {
     if (poll.Cancelled()) return FdDeadline("in subsumption removal");
-    const uint32_t* row = pool.row(i);
-    // Smallest candidate bucket among i's non-null cells.
-    const std::vector<size_t>* smallest = nullptr;
-    bool all_null = true;
+    const uint32_t* row = pool.tuple(i);
+    size_t column = width;  // of the smallest bucket; width: no facts
     for (size_t c = 0; c < width; ++c) {
       if (CodeIsNull(row[c])) continue;
-      all_null = false;
-      const std::vector<size_t>& bucket = cell_index.at(CellKey(c, row[c]));
-      if (smallest == nullptr || bucket.size() < smallest->size()) {
-        smallest = &bucket;
+      if (column == width || index.buckets[row[c]].size <
+                                 index.buckets[row[column]].size) {
+        column = c;
       }
     }
-    if (all_null) {
+    if (column == width) {
       // Dedup leaves at most one fact-free tuple per run.
-      keep[i] = !any_fact;
+      (*keep)[i] = !any_fact;
       continue;
     }
-    for (size_t j : *smallest) {
+    const CellIndex::Bucket bucket = index.buckets[row[column]];
+    uint32_t j = kNoTuple;
+    for (uint32_t k = 0; k < bucket.size; ++k) {
+      j = k == 0 ? bucket.head : pool.next[j * width + column];
       if (poll.Cancelled()) return FdDeadline("in subsumption removal");
-      if (j == i) continue;
-      if (CodedSubsumedBy(row, pool.row(j), width)) {
-        keep[i] = false;
+      if (j != i && CodedSubsumedBy(row, pool.tuple(j), width)) {
+        (*keep)[i] = 0;
         break;
       }
     }
   }
-  out->width = width;
-  for (size_t i = 0; i < n; ++i) {
-    if (keep[i]) {
-      out->AppendRow(pool.row(i), pool.provs[i]);
-    } else {
-      ++tally->subsumed_tuples;
-    }
-  }
+  tally->subsumed_tuples +=
+      static_cast<uint64_t>(std::count(keep->begin(), keep->end(), 0));
   return Status::OK();
-}
-
-/// Deduplicates encoded rows `rows` of `ucells` into a fresh pool whose
-/// provenance lives in `arena` (provenance of exact duplicates is unioned,
-/// missing nulls win).
-CodedPool DedupIntoPool(const std::vector<uint32_t>& ucells, size_t width,
-                        const std::vector<size_t>& rows,
-                        const InternedProv& interned, ProvArena* arena) {
-  CodedPool pool;
-  pool.width = width;
-  std::unordered_map<uint64_t, std::vector<size_t>> dedup;
-  std::vector<uint32_t> scratch;
-  for (size_t r : rows) {
-    const uint32_t* row = ucells.data() + r * width;
-    const uint32_t* prov = interned.ids.data() + interned.row_begin[r];
-    const uint32_t* prov_end = interned.ids.data() + interned.row_begin[r + 1];
-    bool absorbed = false;
-    for (size_t idx : dedup[CodedRowKey(row, width)]) {
-      if (CodedIdentical(pool.row(idx), row, width)) {
-        AbsorbDuplicate(&pool, arena, idx, row, prov, prov_end, &scratch);
-        absorbed = true;
-        break;
-      }
-    }
-    if (absorbed) continue;
-    dedup[CodedRowKey(row, width)].push_back(pool.size());
-    pool.AppendRow(row, arena->Append(prov, prov_end));
-  }
-  return pool;
 }
 
 /// One part of an FD run: outer-union rows that never complement or
 /// subsume a row of another part, and the state of their dedup →
 /// fix-point → subsumption pipeline.
 struct FdPart {
-  std::vector<size_t> rows;  ///< outer-union rows, ascending
+  std::vector<uint32_t> rows;  ///< outer-union rows, ascending
   ProvArena arena;
-  CodedPool pool;  ///< deduplicated rows, then closure, then ⊑-maximal tuples
+  TuplePool pool;              ///< deduplicated rows, then their closure
+  std::vector<uint8_t> keep;   ///< per pool tuple: ⊑-maximal
   FdTally tally;
   Status status;
 };
 
-/// Splits the `n` encoded outer-union rows into parts. Unsplit, the whole
-/// union is one part. Split, the parts are the connected components of the
-/// "shares a (column, code) cell" graph — tuples of different components
-/// can never complement, and one never subsumes another unless it is
-/// fact-free — with all fact-free rows in one part, so dedup still folds
-/// them into one tuple. Parts are ordered by their first row.
-std::vector<FdPart> SplitIntoParts(const std::vector<uint32_t>& ucells,
-                                   size_t width, size_t n, bool split) {
+/// Deduplicates the part's rows of the encoded outer union `cells` into its
+/// pool, linking them into `index` (provenance of exact duplicates is
+/// unioned, missing nulls win).
+void DedupIntoPool(const std::vector<uint32_t>& cells,
+                   const InternedProv& interned, CellIndex* index,
+                   FdPart* part) {
+  TuplePool& pool = part->pool;
+  const size_t width = pool.width;
+  pool.cells.reserve(part->rows.size() * width);
+  pool.next.reserve(part->rows.size() * width);
+  pool.provs.reserve(part->rows.size());
+  pool.dedup.Reserve(part->rows.size());
+  std::vector<uint32_t> scratch;
+  for (uint32_t r : part->rows) {
+    const uint32_t* row = cells.data() + r * width;
+    const uint32_t* prov = interned.ids.data() + interned.row_begin[r];
+    const uint32_t* prov_end = interned.ids.data() + interned.row_begin[r + 1];
+    const uint64_t hash = CodedRowKey(row, width);
+    const uint32_t existing = pool.FindTuple(row, hash);
+    if (existing != kNoTuple) {
+      AbsorbDuplicate(&pool, &part->arena, existing, row, prov, prov_end,
+                      &scratch);
+    } else {
+      pool.AppendTuple(row, hash, part->arena.Append(prov, prov_end), index);
+    }
+  }
+}
+
+/// Splits the `n` encoded outer-union rows into parts of `width`-wide
+/// pools. Unsplit, the whole union is one part. Split, the parts are the
+/// connected components of the "shares a cell code" graph — tuples of
+/// different components can never complement, and one never subsumes
+/// another unless it is fact-free — with all fact-free rows in one part,
+/// so dedup still folds them into one tuple. Parts are ordered by their
+/// first row.
+std::vector<FdPart> SplitIntoParts(const std::vector<uint32_t>& cells,
+                                   size_t width, size_t n, size_t num_codes,
+                                   bool split) {
   std::vector<FdPart> parts;
   if (!split) {
     parts.resize(1);
     parts[0].rows.resize(n);
-    std::iota(parts[0].rows.begin(), parts[0].rows.end(), size_t{0});
-    return parts;
-  }
-  std::vector<size_t> parent(n);
-  std::iota(parent.begin(), parent.end(), size_t{0});
-  auto find = [&parent](size_t x) {  // with path halving
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
+    std::iota(parts[0].rows.begin(), parts[0].rows.end(), uint32_t{0});
+  } else {
+    std::vector<uint32_t> parent(n);
+    std::iota(parent.begin(), parent.end(), uint32_t{0});
+    auto find = [&parent](uint32_t x) {  // with path halving
+      while (parent[x] != x) {
+        parent[x] = parent[parent[x]];
+        x = parent[x];
+      }
+      return x;
+    };
+    // Code → first row holding it; the fact-free rows share key num_codes.
+    std::vector<uint32_t> first_row(num_codes + 1, kNoTuple);
+    auto join = [&](uint32_t r, size_t key) {
+      if (first_row[key] == kNoTuple) {
+        first_row[key] = r;
+      } else {
+        parent[find(r)] = find(first_row[key]);
+      }
+    };
+    for (uint32_t r = 0; r < n; ++r) {
+      const uint32_t* row = cells.data() + r * width;
+      bool fact_free = true;
+      for (size_t c = 0; c < width; ++c) {
+        if (CodeIsNull(row[c])) continue;
+        fact_free = false;
+        join(r, row[c]);
+      }
+      if (fact_free) join(r, num_codes);
     }
-    return x;
-  };
-  // (column, code) → first row holding it; fact-free rows share one key.
-  constexpr uint64_t kFactFreeKey = ~uint64_t{0};
-  std::unordered_map<uint64_t, size_t> first_row;
-  auto join = [&](size_t r, uint64_t key) {
-    auto [it, inserted] = first_row.emplace(key, r);
-    if (!inserted) parent[find(r)] = find(it->second);
-  };
-  for (size_t r = 0; r < n; ++r) {
-    const uint32_t* row = ucells.data() + r * width;
-    bool fact_free = true;
-    for (size_t c = 0; c < width; ++c) {
-      if (CodeIsNull(row[c])) continue;
-      fact_free = false;
-      join(r, (static_cast<uint64_t>(c) << 32) | row[c]);
+    std::vector<size_t> part_of_root(n, static_cast<size_t>(-1));
+    for (uint32_t r = 0; r < n; ++r) {
+      size_t& k = part_of_root[find(r)];
+      if (k == static_cast<size_t>(-1)) {
+        k = parts.size();
+        parts.emplace_back();
+      }
+      parts[k].rows.push_back(r);
     }
-    if (fact_free) join(r, kFactFreeKey);
   }
-  std::vector<size_t> part_of_root(n, static_cast<size_t>(-1));
-  for (size_t r = 0; r < n; ++r) {
-    size_t& k = part_of_root[find(r)];
-    if (k == static_cast<size_t>(-1)) {
-      k = parts.size();
-      parts.emplace_back();
-    }
-    parts[k].rows.push_back(r);
-  }
+  for (FdPart& part : parts) part.pool.width = width;
   return parts;
 }
 
@@ -538,32 +593,27 @@ Status FirstError(const std::vector<FdPart>& parts) {
   return Status::OK();
 }
 
-/// Decodes pool tuple `i` — cells and provenance labels — into a row of
-/// `out`.
-Status EmitTuple(const CodedPool& pool, size_t i, const ProvArena& arena,
-                 const std::vector<std::string_view>& labels,
-                 const TupleCodec& codec, Table* out) {
-  const uint32_t* src = pool.row(i);
-  Row row;
-  row.reserve(pool.width);
-  for (size_t c = 0; c < pool.width; ++c) row.push_back(codec.Decode(src[c]));
-  const ProvSpan span = pool.provs[i];
-  std::vector<std::string> prov;
-  prov.reserve(span.end - span.begin);
-  for (const uint32_t* id = arena.begin(span); id != arena.end(span); ++id) {
-    prov.emplace_back(labels[*id]);
-  }
-  return out->AddRow(std::move(row), std::move(prov));
-}
-
-/// Decodes the parts' final pools, part after part, into the result table.
+/// Emits the parts' ⊑-maximal tuples, part after part, as the rows of
+/// `out`: cells through the codec, provenance ids as their labels.
 Status EmitParts(const std::vector<FdPart>& parts,
                  const std::vector<std::string_view>& labels,
-                 const TupleCodec& codec, Table* out) {
+                 const TupleCodec& codec, size_t output_rows, Table* out) {
+  TableBuilder builder(out);
+  builder.ReserveRows(output_rows);
   for (const FdPart& part : parts) {
-    for (size_t i = 0; i < part.pool.size(); ++i) {
-      DIALITE_RETURN_IF_ERROR(
-          EmitTuple(part.pool, i, part.arena, labels, codec, out));
+    const TuplePool& pool = part.pool;
+    for (uint32_t i = 0; i < pool.size(); ++i) {
+      if (!part.keep[i]) continue;
+      const uint32_t* row = pool.tuple(i);
+      for (size_t c = 0; c < pool.width; ++c) codec.AppendTo(row[c], c, &builder);
+      const ProvSpan span = pool.provs[i];
+      std::vector<std::string> prov;
+      prov.reserve(span.end - span.begin);
+      for (const uint32_t* id = part.arena.begin(span);
+           id != part.arena.end(span); ++id) {
+        prov.emplace_back(labels[*id]);
+      }
+      DIALITE_RETURN_IF_ERROR(builder.FinishRow(std::move(prov)));
     }
   }
   out->RefreshColumnTypes();
@@ -577,10 +627,12 @@ enum class FixpointMode {
   kNone,     ///< skip complementation (minimum union)
 };
 
-/// The one FD pipeline: outer union → encode → intern provenance → split
-/// into parts → per part: dedup → fix-point → subsumption → decode the
-/// parts, in order, into a Table. At one thread the union is a single part;
-/// at more, the fix-point and subsumption stages run the parts on a
+/// The one FD pipeline: encode the outer union from the input lanes,
+/// intern provenance, split into parts, dedup each part into its pool and
+/// the shared cell index (span integrate.fd.encode) → per part: fix-point
+/// → subsumption → decode the parts, in order, into a Table
+/// (integrate.fd.decode). At one thread the union is a single part; at
+/// more, the fix-point and subsumption stages run the parts on a
 /// ThreadPool, one barrier per stage, so the stage spans stay on the
 /// calling thread. All parts draw on one TupleBudget and share the
 /// run-wide fact flag, so the thread count changes only the order of the
@@ -592,26 +644,35 @@ Result<Table> RunFd(const std::vector<const Table*>& tables,
                     FixpointMode mode, const FullDisjunction::Params& params,
                     ObservabilityContext* obs, const CancelToken* cancel) {
   ObsSpan fd_span(obs, "integrate.full_disjunction");
+  DIALITE_RETURN_IF_ERROR(alignment.Validate(tables));
+  const size_t width = alignment.num_clusters();
+  size_t input_rows = 0;
+  for (const Table* t : tables) input_rows += t->num_rows();
   FdTally tally;
-  Result<Table> union_r = BuildOuterUnion(tables, alignment, name);
-  if (!union_r.ok()) return union_r.status();
-  const Table& u = *union_r;
-  const size_t width = u.num_columns();
   TupleCodec codec;
-  const std::vector<uint32_t> ucells = codec.EncodeTable(u);
-  tally.produced_nulls = CountProducedNulls(ucells);
-  const InternedProv interned = InternProvenance(u);
-  const bool any_fact = std::any_of(ucells.begin(), ucells.end(),
-                                    [](uint32_t c) { return !CodeIsNull(c); });
-  std::vector<FdPart> parts =
-      SplitIntoParts(ucells, width, u.num_rows(), params.num_threads != 1);
+  InternedProv interned;
+  std::vector<FdPart> parts;
+  CellIndex index;
+  bool any_fact = false;
   // Dedup exact input duplicates of every part before any merge claims
   // budget, so whether a run exceeds max_tuples hangs on its inputs alone,
   // not on thread timing.
   TupleBudget budget(params.max_tuples);
-  for (FdPart& part : parts) {
-    part.pool = DedupIntoPool(ucells, width, part.rows, interned, &part.arena);
-    budget.Add(part.pool.size());
+  {
+    ObsSpan span(obs, "integrate.fd.encode");
+    const std::vector<uint32_t> cells =
+        codec.EncodeUnion(tables, ColumnIds(tables, alignment), width);
+    tally.produced_nulls = CountProducedNulls(cells);
+    any_fact = std::any_of(cells.begin(), cells.end(),
+                           [](uint32_t c) { return !CodeIsNull(c); });
+    interned = InternProvenance(tables);
+    parts = SplitIntoParts(cells, width, input_rows, codec.num_codes(),
+                           params.num_threads != 1);
+    index.buckets.resize(codec.num_codes());
+    for (FdPart& part : parts) {
+      DedupIntoPool(cells, interned, &index, &part);
+      budget.Add(part.pool.size());
+    }
   }
   std::unique_ptr<ThreadPool> workers;
   if (parts.size() > 1) {
@@ -624,10 +685,10 @@ Result<Table> RunFd(const std::vector<const Table*>& tables,
         FdPart& part = parts[k];
         part.status =
             mode == FixpointMode::kIndexed
-                ? ComplementFixpointIndexed(&part.pool, &part.arena, &budget,
-                                            &part.tally, cancel)
-                : ComplementFixpointNaive(&part.pool, &part.arena, &budget,
-                                          &part.tally, cancel);
+                ? ComplementFixpoint(&part.pool, &part.arena, &index, &budget,
+                                     &part.tally, cancel)
+                : ComplementFixpointNaive(&part.pool, &part.arena, &index,
+                                          &budget, &part.tally, cancel);
       });
     }
   }
@@ -636,23 +697,29 @@ Result<Table> RunFd(const std::vector<const Table*>& tables,
     ObsSpan span(obs, "integrate.fd.subsumption");
     ForEachPart(workers.get(), parts.size(), [&](size_t k) {
       FdPart& part = parts[k];
-      CodedPool kept;
-      part.status =
-          RemoveSubsumed(part.pool, any_fact, &part.tally, cancel, &kept);
-      part.pool = std::move(kept);
+      part.status = MarkMaximal(part.pool, index, any_fact, &part.tally,
+                                cancel, &part.keep);
     });
     st = FirstError(parts);
   }
   size_t output_rows = 0;
   for (const FdPart& part : parts) {
     tally.MergeFrom(part.tally);
-    output_rows += part.pool.size();
+    output_rows += static_cast<size_t>(
+        std::count(part.keep.begin(), part.keep.end(), 1));
   }
-  EmitFdCounters(obs, tally, u.num_rows(), st.ok() ? output_rows : 0);
+  EmitFdCounters(obs, tally, input_rows, st.ok() ? output_rows : 0);
   DIALITE_RETURN_IF_ERROR(st);
 
-  Table out(name, u.schema());
-  DIALITE_RETURN_IF_ERROR(EmitParts(parts, interned.labels, codec, &out));
+  ObsSpan span(obs, "integrate.fd.decode");
+  std::vector<ColumnDef> defs;
+  defs.reserve(width);
+  for (size_t id = 0; id < width; ++id) {
+    defs.push_back(ColumnDef{alignment.IdName(id), ValueType::kString});
+  }
+  Table out(name, Schema(std::move(defs)));
+  DIALITE_RETURN_IF_ERROR(
+      EmitParts(parts, interned.labels, codec, output_rows, &out));
   return out;
 }
 

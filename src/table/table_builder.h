@@ -3,7 +3,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/status.h"
 #include "table/table.h"
@@ -41,8 +43,14 @@ class TableBuilder {
   /// Commits the in-flight row. Internal error if any column did not
   /// receive exactly one cell since the last commit.
   [[nodiscard]] Status FinishRow();
+  /// FinishRow, giving the row `provenance` as AddRow(row, provenance)
+  /// does.
+  [[nodiscard]] Status FinishRow(std::vector<std::string> provenance);
 
  private:
+  /// OK iff every column received exactly one cell since the last commit.
+  Status CheckRow() const;
+
   Table* table_;
 };
 

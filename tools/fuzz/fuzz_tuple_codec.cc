@@ -1,18 +1,26 @@
-// libFuzzer harness: TupleCodec encode/decode identity. Builds an arbitrary
-// small table from the fuzz bytes, encodes every cell to a dense uint32
-// code, and checks the codec's contract:
+// libFuzzer harness: TupleCodec encode/decode identity over a two-table
+// outer union. Builds an arbitrary small table from the fuzz bytes, splits
+// its rows into two column-aligned tables (each with its own string
+// dictionary, column c of both in union column c), encodes their union,
+// and checks the codec's contract:
 //
 //   - missing nulls map to kMissingNullCode, produced nulls to
 //     kProducedNullCode, and nothing else does;
 //   - every non-null code decodes to a Value Identical() to the original
 //     cell (NaN excepted: it gets a fresh code per occurrence whose decoded
 //     payload must still be NaN);
-//   - codes are a bijection on Identical-equivalence classes: two cells
-//     share a code iff their values are Identical (again modulo NaN).
+//   - within a column, codes are a bijection on Identical-equivalence
+//     classes: two cells share a code iff their values are Identical (again
+//     modulo NaN), across the two tables' dictionaries too;
+//   - a code names its column: no code appears in two columns;
+//   - a code decodes to its class's first cell in row-major union order,
+//     whichever column holds it, with that cell's exact type and payload
+//     (int 5 stays an int, a first-seen 5.0 a double, -0.0 keeps its sign).
 //
 // Input layout: byte 0 → column count (1..4); then per cell a tag byte
 // (mod 5: missing null, produced null, int, double, string) followed by
 // the payload (8 bytes for int/double, 1 length byte + bytes for string).
+// The first half of the rows form the first table, the rest the second.
 
 #include <cmath>
 #include <cstdint>
@@ -20,6 +28,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "integrate/tuple_codes.h"
@@ -95,6 +104,34 @@ bool IsNaN(const Value& v) {
   return v.is_double() && std::isnan(v.as_double());
 }
 
+/// The codec's class of a non-null, non-NaN value: ints and doubles that
+/// equal an int64 by that int, other doubles by their bits, strings by
+/// their bytes.
+std::string ClassKey(const Value& v) {
+  if (v.is_string()) return "s" + v.as_string();
+  if (v.is_int()) return "i" + std::to_string(v.as_int());
+  const double d = v.as_double();
+  if (d >= -9223372036854775808.0 && d < 9223372036854775808.0 &&
+      static_cast<double>(static_cast<int64_t>(d)) == d) {
+    return "i" + std::to_string(static_cast<int64_t>(d));
+  }
+  uint64_t bits = 0;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return "b" + std::to_string(bits);
+}
+
+/// Same type and payload, doubles bit for bit.
+bool SameCell(const Value& a, const Value& b) {
+  if (a.is_int() && b.is_int()) return a.as_int() == b.as_int();
+  if (a.is_string() && b.is_string()) return a.as_string() == b.as_string();
+  if (a.is_double() && b.is_double()) {
+    const double x = a.as_double();
+    const double y = b.as_double();
+    return std::memcmp(&x, &y, sizeof(x)) == 0;
+  }
+  return false;
+}
+
 [[noreturn]] void Fail(const char* what, size_t r, size_t c) {
   std::fprintf(stderr, "fuzz_tuple_codec: %s at cell (%zu, %zu)\n", what, r, c);
   std::abort();
@@ -113,7 +150,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   for (size_t c = 0; c < width; ++c) {
     schema.AddColumn(ColumnDef{"c" + std::to_string(c)});
   }
-  Table table("fuzz", schema);
   std::vector<Row> rows;
   constexpr size_t kMaxCells = 4096;
   while (rows.size() * width < kMaxCells) {
@@ -129,20 +165,42 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       row.push_back(v);
     }
     if (!complete) break;
-    if (!table.AddRow(row).ok()) std::abort();  // schema width always matches
     rows.push_back(std::move(row));
   }
+  Table first("first", schema);
+  Table second("second", schema);
+  for (size_t r = 0; r < rows.size(); ++r) {
+    // Schema width always matches.
+    if (!(r < rows.size() / 2 ? first : second).AddRow(rows[r]).ok()) {
+      std::abort();
+    }
+  }
 
+  std::vector<size_t> ids(width);
+  for (size_t c = 0; c < width; ++c) ids[c] = c;
   TupleCodec codec;
-  const std::vector<uint32_t> codes = codec.EncodeTable(table);
+  const std::vector<uint32_t> codes =
+      codec.EncodeUnion({&first, &second}, {ids, ids}, width);
   if (codes.size() != rows.size() * width) {
     std::fprintf(stderr, "fuzz_tuple_codec: code count %zu != cells %zu\n",
                  codes.size(), rows.size() * width);
     std::abort();
   }
 
-  // code -> first original cell of the class; NaN codes must stay unique.
+  // code -> first original cell of the code and its column; NaN codes
+  // must stay unique. class -> first cell of the class, row-major.
   std::vector<const Value*> first_of_code(codec.num_codes(), nullptr);
+  std::vector<size_t> column_of_code(codec.num_codes(), width);
+  std::unordered_map<std::string, const Value*> first_of_class;
+  std::vector<std::unordered_map<std::string, uint32_t>> code_of_class(width);
+  for (size_t r = 0; r < rows.size(); ++r) {
+    for (size_t c = 0; c < width; ++c) {
+      const Value& orig = rows[r][c];
+      if (!orig.is_null() && !IsNaN(orig)) {
+        first_of_class.emplace(ClassKey(orig), &orig);
+      }
+    }
+  }
   for (size_t r = 0; r < rows.size(); ++r) {
     for (size_t c = 0; c < width; ++c) {
       const Value& orig = rows[r][c];
@@ -159,7 +217,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
         continue;
       }
       if (dialite::CodeIsNull(code)) Fail("non-null cell got null code", r, c);
-      const Value& decoded = codec.Decode(code);
+      if (column_of_code[code] == width) column_of_code[code] = c;
+      if (column_of_code[code] != c) Fail("one code in two columns", r, c);
+      const Value decoded = codec.Decode(code);
       if (IsNaN(orig)) {
         // NaN gets a fresh code per occurrence (Identical(NaN, NaN) is
         // false); the decoded payload must still be NaN and the code fresh.
@@ -169,6 +229,13 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
         continue;
       }
       if (!decoded.Identical(orig)) Fail("decode(encode(v)) != v", r, c);
+      const std::string key = ClassKey(orig);
+      if (!SameCell(decoded, *first_of_class.at(key))) {
+        Fail("code does not decode to its class's first-seen cell", r, c);
+      }
+      if (code_of_class[c].emplace(key, code).first->second != code) {
+        Fail("one class got two codes in a column", r, c);
+      }
       if (first_of_code[code] == nullptr) {
         first_of_code[code] = &orig;
       } else if (!first_of_code[code]->Identical(orig)) {
