@@ -1,13 +1,13 @@
-/// Experiment EXT-2 (integration scalability, backs "ALITE ... faster than
-/// the existing FD algorithms"): wall time of the integration operators as
-/// the integration set grows, over ground-truth-aligned lake fragments.
+/// Experiment EXT-2 (integration scalability): wall time of the integration
+/// operators as the integration set grows, over ground-truth-aligned lake
+/// fragments.
 ///
-/// Expected shape: indexed FD (ALITE) beats the naive pairwise-rescan FD
-/// by a growing factor; parallel FD runs the same pipeline with each
-/// connected component of the key column — one per entity, ~400 — as its
-/// own part on four threads, so it undercuts single-part indexed FD in
-/// wall time when cores are free; outer join is cheapest but loses facts
-/// (see bench_er_downstream / bench_fig8).
+/// Expected shape: indexed FD (ALITE) grows super-linearly with the set;
+/// parallel FD runs the same pipeline with each connected component of the
+/// key column — one per entity, ~400 — as its own part on four threads, so
+/// it undercuts single-part indexed FD in wall time when cores are free;
+/// outer join is cheapest but loses facts (see bench_er_downstream /
+/// bench_fig8).
 ///
 /// Google-benchmark binary: rows are
 ///   BM_<operator>/<num_tables>   time per integration
@@ -111,9 +111,6 @@ void RunOperator(benchmark::State& state, const IntegrationOperator& op) {
 void BM_AliteFd(benchmark::State& state) {
   RunOperator(state, FullDisjunction());
 }
-void BM_NaiveFd(benchmark::State& state) {
-  RunOperator(state, NaiveFullDisjunction());
-}
 void BM_ParallelFd(benchmark::State& state) {
   RunOperator(state, ParallelFullDisjunction(4));
 }
@@ -125,8 +122,6 @@ void BM_UnionAll(benchmark::State& state) {
 }
 
 BENCHMARK(BM_AliteFd)->Arg(2)->Arg(4)->Arg(6)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_NaiveFd)->Arg(2)->Arg(4)->Arg(6)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ParallelFd)->Arg(2)->Arg(4)->Arg(6)->Arg(8)
     ->Unit(benchmark::kMillisecond);

@@ -69,6 +69,27 @@ size_t EffectiveThreads(size_t num_threads) {
                           : num_threads;
 }
 
+/// Runs `fn(i)` for i in [0, n) across `threads` workers (inline at one)
+/// and returns the first failure in index order, or OK. An index after the
+/// first failure seen so far is skipped: one thread stops at the first
+/// failure, and every thread count returns the same status.
+Status ForEachUntilFailure(size_t threads, size_t n,
+                           const std::function<Status(size_t)>& fn,
+                           ObservabilityContext* obs) {
+  std::vector<Status> statuses(n);
+  std::atomic<size_t> first_failed{n};
+  ForEachTableIndex(threads, n, [&](size_t i) {
+    if (first_failed.load() < i) return;
+    statuses[i] = fn(i);
+    if (statuses[i].ok()) return;
+    size_t seen = first_failed.load();
+    while (i < seen && !first_failed.compare_exchange_weak(seen, i)) {
+    }
+  }, obs);
+  for (const Status& s : statuses) DIALITE_RETURN_IF_ERROR(s);
+  return Status::OK();
+}
+
 }  // namespace
 
 Dialite::Dialite(const DataLake* lake) : lake_(lake) {}
@@ -218,21 +239,9 @@ Status Dialite::ForEachAlgorithm(
     algo->set_num_threads(threads);
     algos.emplace_back(&name, algo.get());
   }
-  std::vector<Status> statuses(algos.size());
-  // The first failure in registry (name) order so far. An algorithm named
-  // after it is skipped: one thread stops at the first failure, and every
-  // thread count returns the same status.
-  std::atomic<size_t> first_failed{algos.size()};
-  ForEachTableIndex(threads, algos.size(), [&](size_t i) {
-    if (first_failed.load() < i) return;
-    statuses[i] = fn(*algos[i].first, algos[i].second);
-    if (statuses[i].ok()) return;
-    size_t seen = first_failed.load();
-    while (i < seen && !first_failed.compare_exchange_weak(seen, i)) {
-    }
+  return ForEachUntilFailure(threads, algos.size(), [&](size_t i) {
+    return fn(*algos[i].first, algos[i].second);
   }, obs_);
-  for (const Status& s : statuses) DIALITE_RETURN_IF_ERROR(s);
-  return Status::OK();
 }
 
 Status Dialite::SaveSnapshot(const std::string& path) const {
@@ -335,40 +344,22 @@ Result<std::vector<DiscoveryHit>> Dialite::Discover(
 Result<std::map<std::string, std::vector<DiscoveryHit>>> Dialite::DiscoverAll(
     const DiscoveryQuery& query,
     const std::vector<std::string>& algorithms) const {
-  return DiscoverAllImpl(query, algorithms, num_threads_);
-}
-
-Result<std::map<std::string, std::vector<DiscoveryHit>>>
-Dialite::DiscoverAllImpl(const DiscoveryQuery& query,
-                         const std::vector<std::string>& algorithms,
-                         size_t num_threads) const {
-  std::vector<std::string> names =
+  const std::vector<std::string> names =
       algorithms.empty() ? DiscoveryAlgorithms() : algorithms;
-  std::map<std::string, std::vector<DiscoveryHit>> out;
-  const size_t threads = std::min(EffectiveThreads(num_threads), names.size());
-  if (threads <= 1 || names.size() < 2) {
-    for (const std::string& name : names) {
-      Result<std::vector<DiscoveryHit>> hits = Discover(query, name);
-      if (!hits.ok()) return hits.status();
-      out.emplace(name, std::move(hits).value());
-    }
-    return out;
-  }
   // Search() is const and algorithms are independent, so the per-algorithm
   // queries fan out; the merge into the result map stays in name order.
-  std::vector<Status> statuses(names.size());
   std::vector<std::vector<DiscoveryHit>> hits(names.size());
-  ThreadPool pool(threads, obs_);
-  pool.ParallelFor(names.size(), [&](size_t i) {
-    Result<std::vector<DiscoveryHit>> r = Discover(query, names[i]);
-    if (r.ok()) {
-      hits[i] = std::move(r).value();
-    } else {
-      statuses[i] = r.status();
-    }
-  });
+  DIALITE_RETURN_IF_ERROR(ForEachUntilFailure(
+      EffectiveThreads(num_threads_), names.size(),
+      [&](size_t i) -> Status {
+        Result<std::vector<DiscoveryHit>> r = Discover(query, names[i]);
+        if (!r.ok()) return r.status();
+        hits[i] = std::move(r).value();
+        return Status::OK();
+      },
+      obs_));
+  std::map<std::string, std::vector<DiscoveryHit>> out;
   for (size_t i = 0; i < names.size(); ++i) {
-    if (!statuses[i].ok()) return statuses[i];
     out.emplace(names[i], std::move(hits[i]));
   }
   return out;
@@ -475,8 +466,7 @@ Result<PipelineReport> Dialite::Run(const Table& query,
   DiscoveryQuery dq{&query, options.query_column, options.k};
   Result<std::map<std::string, std::vector<DiscoveryHit>>> hits = [&] {
     ObsSpan span(obs, "pipeline.discover");
-    return DiscoverAllImpl(dq, options.discovery_algorithms,
-                           options.num_threads);
+    return DiscoverAll(dq, options.discovery_algorithms);
   }();
   if (!hits.ok()) return hits.status();
   report.hits = std::move(hits).value();

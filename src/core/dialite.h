@@ -44,10 +44,6 @@ struct PipelineOptions {
   std::string integration_operator = "alite_fd";
   /// Analyses (registered names) to run over the integrated table.
   std::vector<std::string> analyses;
-  /// Worker threads for the pipeline's discovery stage: 0 = hardware
-  /// concurrency, 1 = the sequential code path. Results are deterministic —
-  /// identical for every setting.
-  size_t num_threads = 0;
   /// Per-run override for the facade-level pipeline spans/counters
   /// (pipeline.run, pipeline.integration_set_size, ...). Null = use the
   /// context installed with Dialite::set_observability (if any). Component
@@ -119,11 +115,11 @@ class Dialite {
   std::vector<std::string> Analyses() const;
 
   /// Worker threads for BuildIndexes, OpenSnapshot's index restore (at the
-  /// default) and DiscoverAll: 0 = hardware concurrency (the default), 1 =
-  /// the exact sequential code path, n = n workers. Parallelism never
-  /// changes results: every index build is a parallel per-table compute
-  /// phase plus a serial deterministic merge, so persisted indexes are
-  /// byte-identical across settings.
+  /// default) and DiscoverAll, so also Run's discovery stage: 0 = hardware
+  /// concurrency (the default), 1 = the exact sequential code path, n = n
+  /// workers. Parallelism never changes results: every index build is a
+  /// parallel per-table compute phase plus a serial deterministic merge, so
+  /// persisted indexes are byte-identical across settings.
   void set_num_threads(size_t num_threads) { num_threads_ = num_threads; }
   size_t num_threads() const { return num_threads_; }
 
@@ -194,7 +190,9 @@ class Dialite {
   Result<std::vector<DiscoveryHit>> Discover(const DiscoveryQuery& query,
                                              const std::string& algorithm) const;
 
-  /// Runs several (empty = all) and returns per-algorithm hits.
+  /// Runs several (empty = all) across num_threads() workers (inline at
+  /// one) and returns per-algorithm hits, or the first failure in the
+  /// order of `algorithms` (name order when empty).
   Result<std::map<std::string, std::vector<DiscoveryHit>>> DiscoverAll(
       const DiscoveryQuery& query,
       const std::vector<std::string>& algorithms = {}) const;
@@ -242,12 +240,6 @@ class Dialite {
   const DataLake& lake() const { return *lake_; }
 
  private:
-  /// DiscoverAll with an explicit thread count (Run uses the pipeline
-  /// option, the public overload uses num_threads_).
-  Result<std::map<std::string, std::vector<DiscoveryHit>>> DiscoverAllImpl(
-      const DiscoveryQuery& query, const std::vector<std::string>& algorithms,
-      size_t num_threads) const;
-
   /// Restores every registered PersistentIndex from `reader`'s
   /// "idx.<name>" section and builds every other algorithm (and any whose
   /// section is missing) over the lake; OpenSnapshot's tail.

@@ -150,7 +150,7 @@ struct FdTally {
   uint64_t merges = 0;               ///< complementation merges performed
   uint64_t produced_nulls = 0;       ///< produced-null cells in the outer union
   uint64_t subsumed_tuples = 0;      ///< tuples dropped as ⊑-dominated
-  uint64_t fixpoint_iterations = 0;  ///< worklist items (indexed) / rounds (naive)
+  uint64_t fixpoint_iterations = 0;  ///< worklist items
 
   void MergeFrom(const FdTally& other) {
     rows_scanned += other.rows_scanned;
@@ -274,10 +274,10 @@ bool AbsorbDuplicate(TuplePool* pool, ProvArena* arena, uint32_t idx,
   return changed;
 }
 
-// The FD kernels poll once per worklist item / round / pool row / bucket
-// candidate through a CancelPoller, which reads the clock on its first poll
-// and then once per stride, so a pre-expired token aborts before the first
-// fixpoint iteration ticks.
+// The fix-point and the subsumption pass poll once per worklist item / pool
+// row / bucket candidate through a CancelPoller, which reads the clock on
+// its first poll and then once per stride, so a pre-expired token aborts
+// before the first fixpoint iteration ticks.
 Status FdDeadline(const char* stage) {
   return Status::DeadlineExceeded(std::string("full disjunction cancelled ") +
                                   stage);
@@ -382,49 +382,6 @@ Status ComplementFixpoint(TuplePool* pool, ProvArena* arena,
         seen.push_back(0);
         changed_in.push_back(0);
         visited.push_back(0);
-      }
-    }
-  }
-  return Status::OK();
-}
-
-/// Naive complementation fix-point: rescan all pairs every round.
-Status ComplementFixpointNaive(TuplePool* pool, ProvArena* arena,
-                               CellIndex* index, TupleBudget* budget,
-                               FdTally* tally, const CancelToken* cancel) {
-  const size_t width = pool->width;
-  std::vector<uint32_t> merged(width);
-  std::vector<uint32_t> mprov;
-  std::vector<uint32_t> absorbed;
-  CancelPoller poll(cancel);
-  bool changed = true;
-  while (changed) {
-    if (poll.Cancelled()) return FdDeadline("in naive fixpoint");
-    changed = false;
-    ++tally->fixpoint_iterations;
-    const uint32_t n = pool->size();
-    for (uint32_t i = 0; i < n; ++i) {
-      if (poll.Cancelled()) return FdDeadline("in naive fixpoint");
-      for (uint32_t j = i + 1; j < n; ++j) {
-        if (poll.Cancelled()) return FdDeadline("in naive fixpoint");
-        ++tally->rows_scanned;
-        if (!CodedComplement(pool->tuple(i), pool->tuple(j), width)) continue;
-        ++tally->merges;
-        CodedMerge(pool->tuple(i), pool->tuple(j), width, merged.data());
-        const ProvSpan iprov = pool->provs[i];
-        const ProvSpan jprov = pool->provs[j];
-        UnionIds(arena->begin(iprov), arena->end(iprov), arena->begin(jprov),
-                 arena->end(jprov), &mprov);
-        const uint64_t hash = CodedRowKey(merged.data(), width);
-        const uint32_t existing = pool->FindTuple(merged.data(), hash);
-        if (existing != kNoTuple) {
-          AbsorbDuplicate(pool, arena, existing, merged.data(), mprov.data(),
-                          mprov.data() + mprov.size(), &absorbed);
-          continue;
-        }
-        if (!budget->Claim()) return budget->Exceeded();
-        pool->AppendTuple(merged.data(), hash, arena->Append(mprov), index);
-        changed = true;
       }
     }
   }
@@ -620,28 +577,21 @@ Status EmitParts(const std::vector<FdPart>& parts,
   return Status::OK();
 }
 
-/// Complementation strategy for RunFd.
-enum class FixpointMode {
-  kIndexed,  ///< ALITE-style candidate index + worklist
-  kNaive,    ///< all-pairs rescan per round
-  kNone,     ///< skip complementation (minimum union)
-};
-
 /// The one FD pipeline: encode the outer union from the input lanes,
 /// intern provenance, split into parts, dedup each part into its pool and
 /// the shared cell index (span integrate.fd.encode) → per part: fix-point
-/// → subsumption → decode the parts, in order, into a Table
-/// (integrate.fd.decode). At one thread the union is a single part; at
-/// more, the fix-point and subsumption stages run the parts on a
-/// ThreadPool, one barrier per stage, so the stage spans stay on the
-/// calling thread. All parts draw on one TupleBudget and share the
-/// run-wide fact flag, so the thread count changes only the order of the
-/// output rows. `obs` (nullable) receives the integrate.fd.* counters and a
+/// (unless `complement` is false: minimum union) → subsumption → decode
+/// the parts, in order, into a Table (integrate.fd.decode). At one thread
+/// the union is a single part; at more, the fix-point and subsumption
+/// stages run the parts on a ThreadPool, one barrier per stage, so the
+/// stage spans stay on the calling thread. All parts draw on one
+/// TupleBudget and share the run-wide fact flag, so the thread count
+/// changes only the order of the output rows. `obs` (nullable) receives the integrate.fd.* counters and a
 /// span per stage — they are flushed on the cancellation path too, so a
 /// deadline test can observe fixpoint_iterations == 0.
 Result<Table> RunFd(const std::vector<const Table*>& tables,
                     const Alignment& alignment, const std::string& name,
-                    FixpointMode mode, const FullDisjunction::Params& params,
+                    bool complement, const FullDisjunction::Params& params,
                     ObservabilityContext* obs, const CancelToken* cancel) {
   ObsSpan fd_span(obs, "integrate.full_disjunction");
   DIALITE_RETURN_IF_ERROR(alignment.Validate(tables));
@@ -680,15 +630,11 @@ Result<Table> RunFd(const std::vector<const Table*>& tables,
   }
   {
     ObsSpan span(obs, "integrate.fd.fixpoint");
-    if (mode != FixpointMode::kNone) {
+    if (complement) {
       ForEachPart(workers.get(), parts.size(), [&](size_t k) {
         FdPart& part = parts[k];
-        part.status =
-            mode == FixpointMode::kIndexed
-                ? ComplementFixpoint(&part.pool, &part.arena, &index, &budget,
-                                     &part.tally, cancel)
-                : ComplementFixpointNaive(&part.pool, &part.arena, &index,
-                                          &budget, &part.tally, cancel);
+        part.status = ComplementFixpoint(&part.pool, &part.arena, &index,
+                                         &budget, &part.tally, cancel);
       });
     }
   }
@@ -728,22 +674,15 @@ Result<Table> RunFd(const std::vector<const Table*>& tables,
 Result<Table> FullDisjunction::Integrate(
     const std::vector<const Table*>& tables, const Alignment& alignment,
     const CancelToken* cancel) const {
-  return RunFd(tables, alignment, "fd_result", FixpointMode::kIndexed,
-               params_, obs_, cancel);
-}
-
-Result<Table> NaiveFullDisjunction::Integrate(
-    const std::vector<const Table*>& tables, const Alignment& alignment,
-    const CancelToken* cancel) const {
-  return RunFd(tables, alignment, "naive_fd_result", FixpointMode::kNaive,
-               FullDisjunction::Params(), obs_, cancel);
+  return RunFd(tables, alignment, "fd_result", /*complement=*/true, params_,
+               obs_, cancel);
 }
 
 Result<Table> MinimumUnionIntegration::Integrate(
     const std::vector<const Table*>& tables, const Alignment& alignment,
     const CancelToken* cancel) const {
-  return RunFd(tables, alignment, "minimum_union_result", FixpointMode::kNone,
-               FullDisjunction::Params(), obs_, cancel);
+  return RunFd(tables, alignment, "minimum_union_result",
+               /*complement=*/false, FullDisjunction::Params(), obs_, cancel);
 }
 
 }  // namespace dialite

@@ -28,8 +28,8 @@ namespace dialite {
 /// paper's TIDs sets (f1 = {t1, t7} in Fig. 3). Unlike outer join the
 /// result is independent of the order of the input tables.
 ///
-/// One pipeline runs every FD-family operator (this one, the naive and
-/// parallel variants, minimum union): it splits the outer union into parts
+/// One pipeline runs every FD-family operator (this one, its parallel
+/// variant, minimum union): it splits the outer union into parts
 /// and runs steps 2 (skipped by minimum union) and 3 on each. At one thread
 /// the whole union is the single part; with more, the parts are the
 /// connected components of the "shares a (column, value) cell" graph —
@@ -59,19 +59,6 @@ class FullDisjunction : public IntegrationOperator {
 
  private:
   Params params_;
-};
-
-/// Naive Full Disjunction baseline: identical semantics, but the
-/// complementation fix-point rescans ALL tuple pairs each round (no
-/// inverted index, no worklist) — the O(n²·rounds) strawman ALITE's
-/// indexing is measured against in the scalability bench.
-class NaiveFullDisjunction : public IntegrationOperator {
- public:
-  std::string name() const override { return "naive_fd"; }
-  using IntegrationOperator::Integrate;
-  Result<Table> Integrate(const std::vector<const Table*>& tables,
-                          const Alignment& alignment,
-                          const CancelToken* cancel) const override;
 };
 
 /// Parallel Full Disjunction (in the spirit of Paganelli et al., BDR 2019):

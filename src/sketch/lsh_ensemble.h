@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "sketch/lsh_index.h"
 #include "sketch/minhash.h"
 
 namespace dialite {

@@ -1,10 +1,6 @@
 #include "text/similarity.h"
 
 #include <algorithm>
-#include <cmath>
-#include <unordered_map>
-
-#include "text/tokenizer.h"
 
 namespace dialite {
 
@@ -16,19 +12,6 @@ std::unordered_set<std::string_view> ToSet(const std::vector<std::string>& v) {
   return s;
 }
 }  // namespace
-
-size_t OverlapSize(const std::vector<std::string>& a,
-                   const std::vector<std::string>& b) {
-  const std::vector<std::string>& small = a.size() <= b.size() ? a : b;
-  const std::vector<std::string>& large = a.size() <= b.size() ? b : a;
-  std::unordered_set<std::string_view> s = ToSet(large);
-  std::unordered_set<std::string_view> counted;
-  size_t n = 0;
-  for (const std::string& x : small) {
-    if (s.count(x) && counted.insert(x).second) ++n;
-  }
-  return n;
-}
 
 double Jaccard(const std::vector<std::string>& a,
                const std::vector<std::string>& b) {
@@ -53,28 +36,6 @@ double Containment(const std::vector<std::string>& a,
     if (sb.count(x)) ++inter;
   }
   return static_cast<double>(inter) / static_cast<double>(sa.size());
-}
-
-size_t Levenshtein(std::string_view a, std::string_view b) {
-  if (a.size() > b.size()) std::swap(a, b);
-  std::vector<size_t> prev(a.size() + 1);
-  std::vector<size_t> cur(a.size() + 1);
-  for (size_t i = 0; i <= a.size(); ++i) prev[i] = i;
-  for (size_t j = 1; j <= b.size(); ++j) {
-    cur[0] = j;
-    for (size_t i = 1; i <= a.size(); ++i) {
-      size_t sub = prev[i - 1] + (a[i - 1] == b[j - 1] ? 0 : 1);
-      cur[i] = std::min({prev[i] + 1, cur[i - 1] + 1, sub});
-    }
-    std::swap(prev, cur);
-  }
-  return prev[a.size()];
-}
-
-double LevenshteinSimilarity(std::string_view a, std::string_view b) {
-  size_t m = std::max(a.size(), b.size());
-  if (m == 0) return 1.0;
-  return 1.0 - static_cast<double>(Levenshtein(a, b)) / static_cast<double>(m);
 }
 
 namespace {
@@ -140,54 +101,6 @@ double JaroWinkler(std::string_view a, std::string_view b) {
 double JaroWinklerScratch(std::string_view a, std::string_view b,
                           uint8_t* flags) {
   return WinklerBoost(a, b, JaroWithFlags(a, b, flags));
-}
-
-double MongeElkan(const std::vector<std::string>& a,
-                  const std::vector<std::string>& b) {
-  if (a.empty()) return b.empty() ? 1.0 : 0.0;
-  if (b.empty()) return 0.0;
-  double sum = 0.0;
-  for (const std::string& x : a) {
-    double best = 0.0;
-    for (const std::string& y : b) best = std::max(best, JaroWinkler(x, y));
-    sum += best;
-  }
-  return sum / static_cast<double>(a.size());
-}
-
-double MongeElkanSymmetric(const std::vector<std::string>& a,
-                           const std::vector<std::string>& b) {
-  return 0.5 * (MongeElkan(a, b) + MongeElkan(b, a));
-}
-
-double TokenCosine(const std::vector<std::string>& a,
-                   const std::vector<std::string>& b) {
-  if (a.empty() && b.empty()) return 1.0;
-  if (a.empty() || b.empty()) return 0.0;
-  std::unordered_map<std::string_view, size_t> ca;
-  std::unordered_map<std::string_view, size_t> cb;
-  for (const std::string& x : a) ++ca[x];
-  for (const std::string& x : b) ++cb[x];
-  double dot = 0.0;
-  for (const auto& [tok, n] : ca) {
-    auto it = cb.find(tok);
-    if (it != cb.end()) {
-      dot += static_cast<double>(n) * static_cast<double>(it->second);
-    }
-  }
-  double na = 0.0;
-  double nb = 0.0;
-  for (const auto& [tok, n] : ca) {
-    na += static_cast<double>(n) * static_cast<double>(n);
-  }
-  for (const auto& [tok, n] : cb) {
-    nb += static_cast<double>(n) * static_cast<double>(n);
-  }
-  return dot / (std::sqrt(na) * std::sqrt(nb));
-}
-
-double QGramJaccard(std::string_view a, std::string_view b, size_t q) {
-  return Jaccard(CharQGrams(a, q), CharQGrams(b, q));
 }
 
 }  // namespace dialite

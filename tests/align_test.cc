@@ -155,7 +155,7 @@ TEST(AliteMatcherTest, ColumnSimilarityEqualsGenericFormula) {
                     GenericSimilarity(tables[i], ca, tables[j], cb))
               << tables[i].name() << "." << ca << " vs " << tables[j].name()
               << "." << cb;
-          if (OverlapSize(ColumnTokens(tables[i].column(ca)),
+          if (Containment(ColumnTokens(tables[i].column(ca)),
                           ColumnTokens(tables[j].column(cb))) > 0) {
             ++overlapping;
           }

@@ -505,6 +505,38 @@ TEST(ChecksTest, HotAllocIsANoteAndRequiresHotLoop) {
   EXPECT_EQ(CountCheck(cold, "hot-alloc"), 0u);
 }
 
+TEST(ChecksTest, HotAllocSkipsReturnStatementsButNotALambdasReturn) {
+  // Loop 1 allocates only in a return statement, which runs at most once
+  // per call: silent. Loop 2's lambda returns a string on every call, so
+  // every iteration: fires. Loop 3 allocates after its return statement
+  // ends: fires.
+  std::vector<Finding> fs = RunOn(
+      "bool Cancelled();\n"
+      "int Fail(const string& why);\n"
+      "int Handle(int n) {\n"
+      "  int total = 0;\n"
+      "  for (int i = 0; i < n; ++i) {\n"
+      "    if (Cancelled()) return Fail(string(\"late\"));\n"
+      "    total += i;\n"
+      "  }\n"
+      "  for (int i = 0; i < n; ++i) {\n"
+      "    if (Cancelled()) return total;\n"
+      "    total += [&] { return string(4, 'x'); }().size();\n"
+      "  }\n"
+      "  for (int i = 0; i < n; ++i) {\n"
+      "    if (Cancelled()) return Fail(string(\"late\"));\n"
+      "    string row(4, 'x');\n"
+      "    total += row.size();\n"
+      "  }\n"
+      "  return total;\n"
+      "}\n");
+  std::vector<int> lines;
+  for (const Finding& f : fs) {
+    if (f.check == "hot-alloc") lines.push_back(f.line);
+  }
+  EXPECT_EQ(lines, (std::vector<int>{9, 13}));
+}
+
 TEST(ChecksTest, ViewReturnFlagsReturnsAndDeferredCaptures) {
   std::vector<Finding> ret = RunOn(
       "ColumnView Slice() {\n"

@@ -1,13 +1,11 @@
 /// Additional coverage for substrate corners: alternative CSV delimiters,
-/// multi-key grouping, Value ordering laws, LSH S-curve behavior, and
-/// pretty-printing.
+/// multi-key grouping, Value ordering laws, and pretty-printing.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "analyze/aggregate.h"
-#include "sketch/lsh_index.h"
 #include "table/csv.h"
 #include "table/table.h"
 
@@ -109,26 +107,6 @@ TEST(ValueOrderTest, SortingMixedVectorIsStablyOrdered) {
   EXPECT_EQ(vals[4].as_string(), "apple");
   EXPECT_EQ(vals[5].as_string(), "zebra");
 }
-
-// ----------------------------------------------------------- LSH S-curve
-
-class SCurveSweep : public ::testing::TestWithParam<double> {};
-
-TEST_P(SCurveSweep, CollisionProbabilityIsMonotoneInSimilarity) {
-  double s = GetParam();
-  double prev = LshIndex::CollisionProbability(s, 16, 8);
-  double next = LshIndex::CollisionProbability(s + 0.05, 16, 8);
-  EXPECT_LE(prev, next);
-  // More bands at fixed rows -> more collisions.
-  EXPECT_LE(LshIndex::CollisionProbability(s, 8, 8),
-            LshIndex::CollisionProbability(s, 32, 8));
-  // More rows at fixed bands -> fewer collisions.
-  EXPECT_GE(LshIndex::CollisionProbability(s, 16, 2),
-            LshIndex::CollisionProbability(s, 16, 16));
-}
-
-INSTANTIATE_TEST_SUITE_P(Similarities, SCurveSweep,
-                         ::testing::Values(0.1, 0.3, 0.5, 0.7, 0.9));
 
 // -------------------------------------------------------- pretty printing
 

@@ -14,6 +14,7 @@
 
 #include "align/alite_matcher.h"
 #include "common/rng.h"
+#include "fd_reference.h"
 #include "integrate/full_disjunction.h"
 #include "integrate/join_ops.h"
 #include "integrate/tuple_codes.h"
@@ -305,16 +306,6 @@ TEST_F(VaccineSetTest, ParallelFdMatchesSequentialFd) {
   EXPECT_TRUE(r1->SameRowsAs(*r2)) << r2->ToPrettyString();
 }
 
-TEST_F(VaccineSetTest, NaiveFdMatchesIndexedFd) {
-  FullDisjunction fd;
-  NaiveFullDisjunction naive;
-  auto r1 = fd.Integrate(tables_, alignment_);
-  auto r2 = naive.Integrate(tables_, alignment_);
-  ASSERT_TRUE(r1.ok());
-  ASSERT_TRUE(r2.ok());
-  EXPECT_TRUE(r1->SameRowsAs(*r2));
-}
-
 TEST_F(VaccineSetTest, InnerJoinCollapses) {
   InnerJoinIntegration ij;
   auto r = ij.Integrate(tables_, alignment_);
@@ -520,133 +511,6 @@ TEST(UnionIntegrationTest, DeduplicatesExactTuples) {
 
 // ------------------------------------------ string-provenance reference FD
 
-/// One tuple of the reference FD: materialized cells and source labels.
-struct RefTuple {
-  Row row;
-  std::vector<std::string> prov;
-};
-
-/// Provenance union by sort-and-unique of the concatenation.
-std::vector<std::string> RefUnion(std::vector<std::string> a,
-                                  const std::vector<std::string>& b) {
-  a.insert(a.end(), b.begin(), b.end());
-  std::sort(a.begin(), a.end());
-  a.erase(std::unique(a.begin(), a.end()), a.end());
-  return a;
-}
-
-bool RowsIdentical(const Row& a, const Row& b) {
-  for (size_t c = 0; c < a.size(); ++c) {
-    if (!a[c].Identical(b[c])) return false;
-  }
-  return true;
-}
-
-bool AllNull(const Row& row) {
-  for (const Value& v : row) {
-    if (!v.is_null()) return false;
-  }
-  return true;
-}
-
-/// Test-only reference FD over materialized Rows with string provenance,
-/// the semantics the integer kernels must reproduce. The outer union's
-/// rows enter with their labels sorted, repeats kept; an exact duplicate
-/// (Identical cells) is absorbed: missing nulls win over produced ones and
-/// the labels are unioned. With `complement`, rounds over all pairs merge
-/// TuplesComplement partners with MergeTuples, absorbing or appending each
-/// merge, until a round appends nothing. Then every tuple that
-/// TupleSubsumedBy another drops; a fact-free tuple survives only when no
-/// tuple has a fact. Without `complement` this is minimum union.
-std::vector<RefTuple> ReferenceFd(const std::vector<const Table*>& tables,
-                                  const Alignment& alignment,
-                                  bool complement) {
-  std::vector<RefTuple> pool;
-  // True when `row` was appended, false when it was absorbed.
-  auto absorb_or_append = [&pool](Row row, std::vector<std::string> prov) {
-    for (RefTuple& t : pool) {
-      if (!RowsIdentical(t.row, row)) continue;
-      for (size_t c = 0; c < row.size(); ++c) {
-        if (t.row[c].is_produced_null() && row[c].is_missing_null()) {
-          t.row[c] = row[c];
-        }
-      }
-      t.prov = RefUnion(std::move(t.prov), prov);
-      return false;
-    }
-    pool.push_back({std::move(row), std::move(prov)});
-    return true;
-  };
-  Result<Table> u = BuildOuterUnion(tables, alignment, "u");
-  EXPECT_TRUE(u.ok()) << u.status().ToString();
-  if (!u.ok()) return {};
-  for (size_t r = 0; r < u->num_rows(); ++r) {
-    std::vector<std::string> prov = u->provenance(r);
-    std::sort(prov.begin(), prov.end());
-    absorb_or_append(u->row(r), std::move(prov));
-  }
-  for (bool changed = complement; changed;) {
-    changed = false;
-    const size_t n = pool.size();
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j) {
-        if (!TuplesComplement(pool[i].row, pool[j].row)) continue;
-        Row merged = MergeTuples(pool[i].row, pool[j].row);
-        std::vector<std::string> prov = RefUnion(pool[i].prov, pool[j].prov);
-        if (absorb_or_append(std::move(merged), std::move(prov))) {
-          changed = true;
-        }
-      }
-    }
-  }
-  bool any_fact = false;
-  for (const RefTuple& t : pool) any_fact = any_fact || !AllNull(t.row);
-  std::vector<RefTuple> out;
-  for (size_t i = 0; i < pool.size(); ++i) {
-    bool keep = !any_fact && i == 0;
-    if (!AllNull(pool[i].row)) {
-      keep = true;
-      for (size_t j = 0; j < pool.size() && keep; ++j) {
-        keep = j == i || !TupleSubsumedBy(pool[i].row, pool[j].row);
-      }
-    }
-    if (keep) out.push_back(pool[i]);
-  }
-  return out;
-}
-
-/// One tuple as text: cells (null kinds told apart) and provenance labels
-/// in their stored order.
-std::string RenderTuple(const Row& row, const std::vector<std::string>& prov) {
-  std::string out;
-  for (const Value& v : row) {
-    out += v.is_produced_null()  ? std::string("(produced null)")
-           : v.is_missing_null() ? std::string("(missing null)")
-                                 : v.ToCsvString();
-    out += " | ";
-  }
-  out += "{";
-  for (const std::string& label : prov) out += label + ";";
-  return out + "}";
-}
-
-/// Tuples as a sorted list: the comparison ignores row order only.
-std::vector<std::string> Rendered(const std::vector<RefTuple>& tuples) {
-  std::vector<std::string> out;
-  for (const RefTuple& t : tuples) out.push_back(RenderTuple(t.row, t.prov));
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<std::string> Rendered(const Table& t) {
-  std::vector<std::string> out;
-  for (size_t r = 0; r < t.num_rows(); ++r) {
-    out.push_back(RenderTuple(t.row(r), t.provenance(r)));
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 /// Every FD-family operator against the reference, provenance included;
 /// parallel_fd at 1 to 4 threads.
 void ExpectOperatorsMatchReference(const std::vector<const Table*>& tables,
@@ -657,7 +521,6 @@ void ExpectOperatorsMatchReference(const std::vector<const Table*>& tables,
   const std::vector<std::string> union_ref =
       Rendered(ReferenceFd(tables, alignment, /*complement=*/false));
   FullDisjunction fd;
-  NaiveFullDisjunction naive;
   ParallelFullDisjunction parallel1(1), parallel2(2), parallel3(3),
       parallel4(4);
   MinimumUnionIntegration min_union;
@@ -666,7 +529,6 @@ void ExpectOperatorsMatchReference(const std::vector<const Table*>& tables,
     const char* variant;
     const std::vector<std::string>* expected;
   } cases[] = {{&fd, "", &fd_ref},
-               {&naive, "", &fd_ref},
                {&parallel1, " x1", &fd_ref},
                {&parallel2, " x2", &fd_ref},
                {&parallel3, " x3", &fd_ref},
@@ -906,7 +768,8 @@ TEST(FdReferenceTest, SeededSmallSetsSweep) {
   // 240 small sets of 2-4 tables over 1-4 union columns. A table takes a
   // random subset of the columns, in random order. Half the tables carry
   // provenance: 0-3 labels per row from a small pool, with repeats, and
-  // one label that collides with another table's "<table>#<row>".
+  // one label that collides with another table's "<table>#<row>". A row
+  // holding a NaN keeps its other cells, so NaN rows complement and merge.
   Rng rng(23);
   for (int set = 0; set < 240; ++set) {
     const size_t num_tables = 2 + rng.NextBounded(3);
@@ -929,17 +792,7 @@ TEST(FdReferenceTest, SeededSmallSetsSweep) {
       const size_t rows = 1 + rng.NextBounded(6);
       for (size_t r = 0; r < rows; ++r) {
         Row row;
-        bool nan = false;
-        for (size_t c = 0; c < ids.size(); ++c) {
-          row.push_back(SweepCell(&rng));
-          nan = nan || (row.back().is_double() && std::isnan(row.back().as_double()));
-        }
-        // A NaN never equals itself, so the reference would append a merge
-        // of a NaN row forever; the kernels give each NaN occurrence its own
-        // code, which merges copy. Keep NaN rows fact-free but for the NaN.
-        for (Value& v : row) {
-          if (nan && !(v.is_double() && std::isnan(v.as_double()))) v = Value::Null();
-        }
+        for (size_t c = 0; c < ids.size(); ++c) row.push_back(SweepCell(&rng));
         std::vector<std::string> prov;
         const char* kLabels[] = {"p", "q", "r", "T0#1"};
         for (size_t k = labelled ? rng.NextBounded(4) : 0; k > 0; --k) {
@@ -1096,11 +949,16 @@ TEST(FdDeadlineTest, EveryIntegrationOperatorHonoursPreExpiredToken) {
   Table t3 = paper::MakeT3();
   std::vector<const Table*> tables = {&t1, &t2, &t3};
   Alignment a = AlignSet(tables);
+  // Every registered operator: the FD family polls in its fix-point and
+  // subsumption pass, union_all per row, the joins per join step.
   FullDisjunction fd;
-  NaiveFullDisjunction naive;
   ParallelFullDisjunction parallel(2);
   MinimumUnionIntegration min_union;
-  const IntegrationOperator* ops[] = {&fd, &naive, &parallel, &min_union};
+  UnionIntegration union_all;
+  OuterJoinIntegration outer_join;
+  InnerJoinIntegration inner_join;
+  const IntegrationOperator* ops[] = {&fd,        &parallel,   &min_union,
+                                      &union_all, &outer_join, &inner_join};
   for (const IntegrationOperator* op : ops) {
     CancelToken cancel;
     cancel.SetDeadlineAfter(std::chrono::nanoseconds(0));

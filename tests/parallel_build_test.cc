@@ -214,6 +214,24 @@ TEST(ParallelBuildTest, DiscoverAllIdenticalAcrossThreadCounts) {
   EXPECT_EQ(reports[0], reports[2]);
 }
 
+TEST(ParallelBuildTest, DiscoverAllReturnsFirstFailureInListOrder) {
+  // Two unregistered names: every thread count reports the one listed
+  // first, not the one first in name order.
+  const DataLake& lake = SharedLake();
+  Dialite dialite(&lake);
+  ASSERT_TRUE(dialite.RegisterDefaults().ok());
+  ASSERT_TRUE(dialite.BuildIndexes().ok());
+  DiscoveryQuery query{lake.tables().front(), 0, 10};
+  for (size_t threads : kThreadCounts) {
+    dialite.set_num_threads(threads);
+    Result<std::map<std::string, std::vector<DiscoveryHit>>> all =
+        dialite.DiscoverAll(query, {"santos", "ghost_b", "tus", "ghost_a"});
+    ASSERT_FALSE(all.ok()) << threads;
+    EXPECT_EQ(all.status().message(), "discovery 'ghost_b' not registered")
+        << threads;
+  }
+}
+
 /// Counts its BuildIndex calls and fails each with `error` unless empty.
 class ProbeSearch : public DiscoveryAlgorithm {
  public:

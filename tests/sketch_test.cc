@@ -11,7 +11,6 @@
 #include "common/rng.h"
 #include "sketch/hyperloglog.h"
 #include "sketch/lsh_ensemble.h"
-#include "sketch/lsh_index.h"
 #include "sketch/minhash.h"
 #include "text/similarity.h"
 
@@ -79,61 +78,6 @@ TEST(MinHashTest, DifferentSeedsGiveDifferentSignatures) {
 TEST(MinHashTest, BandHashDependsOnRange) {
   MinHash a = MinHash::FromTokens(MakeTokens(0, 10, "t"), 64);
   EXPECT_NE(a.BandHash(0, 8), a.BandHash(8, 16));
-}
-
-// ------------------------------------------------------------- LSH index
-
-TEST(LshIndexTest, FindsNearDuplicates) {
-  LshIndex idx(32, 4);  // 128 perms
-  auto base = MakeTokens(0, 100, "v");
-  MinHash mh_base = MinHash::FromTokens(base, 128);
-  ASSERT_TRUE(idx.Insert(1, mh_base).ok());
-  // 90% overlapping set.
-  auto near = MakeTokens(10, 110, "v");
-  MinHash mh_near = MinHash::FromTokens(near, 128);
-  ASSERT_TRUE(idx.Insert(2, mh_near).ok());
-  // Disjoint set.
-  MinHash mh_far = MinHash::FromTokens(MakeTokens(0, 100, "w"), 128);
-  ASSERT_TRUE(idx.Insert(3, mh_far).ok());
-
-  std::vector<uint64_t> hits = idx.Query(mh_base);
-  EXPECT_NE(std::find(hits.begin(), hits.end(), 1u), hits.end());
-  EXPECT_NE(std::find(hits.begin(), hits.end(), 2u), hits.end());
-  EXPECT_EQ(std::find(hits.begin(), hits.end(), 3u), hits.end());
-}
-
-TEST(LshIndexTest, InsertRejectsShortSignature) {
-  LshIndex idx(32, 8);  // needs 256 perms
-  MinHash mh(128);
-  EXPECT_FALSE(idx.Insert(1, mh).ok());
-}
-
-TEST(LshIndexTest, CollisionProbabilityMonotone) {
-  double lo = LshIndex::CollisionProbability(0.2, 16, 8);
-  double hi = LshIndex::CollisionProbability(0.9, 16, 8);
-  EXPECT_LT(lo, hi);
-  EXPECT_GE(lo, 0.0);
-  EXPECT_LE(hi, 1.0);
-}
-
-TEST(LshIndexTest, OptimalParamsRespectBudget) {
-  size_t b = 0;
-  size_t r = 0;
-  LshIndex::OptimalParams(0.8, 128, &b, &r);
-  EXPECT_LE(b * r, 128u);
-  EXPECT_GE(b, 1u);
-  EXPECT_GE(r, 1u);
-  // High threshold needs longer bands (more rows) than low threshold.
-  size_t b2 = 0;
-  size_t r2 = 0;
-  LshIndex::OptimalParams(0.2, 128, &b2, &r2);
-  EXPECT_GE(r, r2);
-}
-
-TEST(LshIndexTest, EmptyQueryReturnsNothing) {
-  LshIndex idx(16, 8);
-  MinHash mh(128);
-  EXPECT_TRUE(idx.Query(mh).empty());
 }
 
 // --------------------------------------------------------- LSH Ensemble

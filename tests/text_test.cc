@@ -63,13 +63,6 @@ TEST(TokenizerTest, NormalizeText) {
 
 // ------------------------------------------------------------- Set sims
 
-TEST(SetSimTest, OverlapSize) {
-  EXPECT_EQ(OverlapSize({"a", "b", "c"}, {"b", "c", "d"}), 2u);
-  EXPECT_EQ(OverlapSize({}, {"a"}), 0u);
-  // Duplicates count once.
-  EXPECT_EQ(OverlapSize({"a", "a"}, {"a"}), 1u);
-}
-
 TEST(SetSimTest, Jaccard) {
   EXPECT_DOUBLE_EQ(Jaccard({"a", "b"}, {"b", "c"}), 1.0 / 3.0);
   EXPECT_DOUBLE_EQ(Jaccard({}, {}), 1.0);
@@ -85,19 +78,6 @@ TEST(SetSimTest, Containment) {
 
 // ------------------------------------------------------------- Edit dist
 
-TEST(EditDistTest, Levenshtein) {
-  EXPECT_EQ(Levenshtein("kitten", "sitting"), 3u);
-  EXPECT_EQ(Levenshtein("", "abc"), 3u);
-  EXPECT_EQ(Levenshtein("abc", "abc"), 0u);
-  EXPECT_EQ(Levenshtein("abc", ""), 3u);
-}
-
-TEST(EditDistTest, LevenshteinSimilarity) {
-  EXPECT_DOUBLE_EQ(LevenshteinSimilarity("", ""), 1.0);
-  EXPECT_DOUBLE_EQ(LevenshteinSimilarity("abc", "abc"), 1.0);
-  EXPECT_NEAR(LevenshteinSimilarity("abcd", "abce"), 0.75, 1e-12);
-}
-
 TEST(EditDistTest, JaroKnownValues) {
   EXPECT_DOUBLE_EQ(Jaro("", ""), 1.0);
   EXPECT_DOUBLE_EQ(Jaro("a", ""), 0.0);
@@ -110,30 +90,6 @@ TEST(EditDistTest, JaroWinklerBoostsCommonPrefix) {
   EXPECT_NEAR(jw, 0.961111, 1e-5);
   EXPECT_GT(JaroWinkler("prefixed", "prefixes"), Jaro("prefixed", "prefixes"));
   EXPECT_DOUBLE_EQ(JaroWinkler("same", "same"), 1.0);
-}
-
-TEST(EditDistTest, MongeElkan) {
-  // Every token of A matches perfectly in B.
-  EXPECT_DOUBLE_EQ(MongeElkan({"new", "york"}, {"york", "new", "city"}), 1.0);
-  EXPECT_DOUBLE_EQ(MongeElkan({}, {}), 1.0);
-  EXPECT_DOUBLE_EQ(MongeElkan({"a"}, {}), 0.0);
-  double sym = MongeElkanSymmetric({"new", "york"}, {"york", "new", "city"});
-  EXPECT_LT(sym, 1.0);  // "city" has no perfect match in A
-  EXPECT_GT(sym, 0.5);
-}
-
-// ------------------------------------------------------------- Cosine
-
-TEST(CosineTest, TokenCosine) {
-  EXPECT_DOUBLE_EQ(TokenCosine({"a", "b"}, {"a", "b"}), 1.0);
-  EXPECT_DOUBLE_EQ(TokenCosine({"a"}, {"b"}), 0.0);
-  EXPECT_NEAR(TokenCosine({"a", "b"}, {"a", "c"}), 0.5, 1e-12);
-  EXPECT_DOUBLE_EQ(TokenCosine({}, {}), 1.0);
-}
-
-TEST(CosineTest, QGramJaccardCatchesTypos) {
-  EXPECT_GT(QGramJaccard("vaccination", "vacination"), 0.5);
-  EXPECT_LT(QGramJaccard("vaccination", "zebra"), 0.1);
 }
 
 // ------------------------------------------------------------- TF-IDF

@@ -425,11 +425,50 @@ void CheckLockBlocking(const Project& project, const Policy& policy,
   }
 }
 
+/// One past the `;` that ends the statement holding ts[i], with bracketed
+/// groups (a lambda body's own statements among them) skipped whole; `end`
+/// when none does before it.
+size_t StatementEnd(const std::vector<Token>& ts, size_t i, size_t end) {
+  int depth = 0;
+  for (; i < end; ++i) {
+    if (ts[i].kind != Kind::kPunct) continue;
+    const std::string& p = ts[i].text;
+    if (p == "(" || p == "{" || p == "[") {
+      ++depth;
+    } else if (p == ")" || p == "}" || p == "]") {
+      --depth;
+    } else if (p == ";" && depth == 0) {
+      return i + 1;
+    }
+  }
+  return end;
+}
+
+/// One past the closing brace of the body of the lambda introduced by
+/// ts[intro] == '['; `intro` when no body follows before a `;`.
+size_t LambdaBodyEnd(const std::vector<Token>& ts, size_t intro, size_t end) {
+  for (size_t i = SkipBalanced(ts, intro, '[', ']'); i < end; ++i) {
+    if (ts[i].kind != Kind::kPunct) continue;
+    if (ts[i].text == "(") {
+      i = SkipBalanced(ts, i, '(', ')') - 1;
+    } else if (ts[i].text == "{") {
+      return SkipBalanced(ts, i, '{', '}');
+    } else if (ts[i].text == ";") {
+      break;
+    }
+  }
+  return intro;
+}
+
 /// hot-alloc [note severity]: per-iteration allocation inside a
 /// request-reachable loop that polls cancellation or calls a hot helper —
 /// i.e. a loop already known to be on the serving hot path. This is the
 /// inventory that seeds the per-query arena work (ROADMAP item 4); the
 /// committed baseline pins it so NEW allocations fail the CI diff gate.
+/// A `return` statement leaves the function, so what it allocates (a
+/// deadline's error message, say) runs at most once per call and is
+/// skipped; a `return` inside a lambda written in the loop leaves only the
+/// lambda, which may run every iteration, so its statement still counts.
 void CheckHotLoopAlloc(const Project& project, const Policy& policy,
                        const DataFlow& flow,
                        const std::vector<size_t>& reachable,
@@ -438,6 +477,7 @@ void CheckHotLoopAlloc(const Project& project, const Policy& policy,
     const ParsedFile& pf = project.file_of(id);
     if (policy.IsExempt("hot-alloc", pf.lex.path)) continue;
     const FunctionInfo& fn = project.fn(id);
+    const std::vector<Token>& ts = pf.lex.tokens;
     for (const Loop& loop : fn.loops) {
       const bool hot =
           CallsAnyOf(pf.lex.tokens, loop.body_begin, loop.body_end,
@@ -452,11 +492,23 @@ void CheckHotLoopAlloc(const Project& project, const Policy& policy,
         }
         witnesses.push_back(w);
       };
+      size_t skip_until = 0;  // one past the return statement being skipped
+      std::vector<size_t> lambda_ends;  // lambdas of the loop open here
       for (const CfgNode& node : flow.cfg(id).nodes) {
-        if (node.token < loop.body_begin || node.token >= loop.body_end) {
+        if (node.token < loop.body_begin || node.token >= loop.body_end ||
+            node.token < skip_until) {
           continue;
         }
-        if (node.kind == CfgNode::Kind::kAlloc) {
+        while (!lambda_ends.empty() && lambda_ends.back() <= node.token) {
+          lambda_ends.pop_back();
+        }
+        if (node.kind == CfgNode::Kind::kLambda) {
+          lambda_ends.push_back(LambdaBodyEnd(ts, node.token, loop.body_end));
+        } else if (node.kind == CfgNode::Kind::kReturn) {
+          if (lambda_ends.empty()) {
+            skip_until = StatementEnd(ts, node.token, loop.body_end);
+          }
+        } else if (node.kind == CfgNode::Kind::kAlloc) {
           add(node.text);
         } else if (node.kind == CfgNode::Kind::kCall &&
                    !policy.alloc_fns.count(node.text) &&

@@ -1,7 +1,9 @@
 // Known-bad fixture for the hot-alloc check: Handle is a request entry
-// point (policy seed) and its loop polls cancellation, marking it
-// request-hot — yet it constructs a `string` (policy alloc-type) every
-// iteration. Reported as a note: the arena-PR inventory, not a hard error.
+// point (policy seed) and its loops poll cancellation, marking them
+// request-hot — yet each constructs a `string` (policy alloc-type) every
+// iteration: the first directly, the second inside a lambda's return,
+// which runs on every call of the lambda. Reported as notes: the arena-PR
+// inventory, not a hard error.
 bool Cancelled();
 
 int Handle(int n) {
@@ -10,6 +12,10 @@ int Handle(int n) {
     if (Cancelled()) return total;
     string row(16, 'x');
     total += row.size();
+  }
+  for (int i = 0; i < n; ++i) {  // check: hot-alloc
+    if (Cancelled()) return total;
+    total += [&] { return string(16, 'y'); }().size();
   }
   return total;
 }
